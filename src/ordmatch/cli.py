@@ -144,6 +144,8 @@ def _cmd_solve(args) -> int:
     elif problem == "mkm":
         if args.k is None:
             raise SystemExit("error: mkm needs --k")
+        if not 1 <= args.k <= n // 2:
+            raise ValueError(f"mkm needs 1 <= k <= n//2, got k={args.k}, n={n}")
         sol = greedy_k_matching(profile, args.k)
         value = matching_weight(sol, inst)
     elif problem == "ksum":
@@ -165,6 +167,8 @@ def _cmd_solve(args) -> int:
     elif problem == "densest":
         if args.k is None or args.k % 2 != 0:
             raise SystemExit("error: densest needs an even --k")
+        if not 2 <= args.k <= n:
+            raise ValueError(f"densest needs even k in 2..n, got k={args.k}, n={n}")
         if engine == "random":
             m = random_k_matching(EdgePool.complete(range(n), n), args.k // 2, rng)
         else:

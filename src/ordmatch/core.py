@@ -5,6 +5,10 @@ Every algorithm here sees a :class:`~ordmatch.instance.PreferenceProfile`
 ones, a seeded :class:`RandomSource`. None of them accept weights; weights
 exist only on the evaluation side (``matching_weight``,
 ``expected_random_weight``).
+
+The batched samplers (``random_k_matchings``, ``hybrid_matchings``) draw
+many matchings at once from a ``numpy.random.Generator``. The scalar
+functions stay the reference that defines each distribution.
 """
 
 from __future__ import annotations
@@ -310,6 +314,65 @@ def hybrid_matching(profile: PreferenceProfile, rng: RandomSource) -> Matching:
     pool = EdgePool.bipartite(released_nodes, untouched, n)
     fill = random_k_matching(pool, min(len(released_nodes), len(untouched)), rng)
     return Matching.from_pairs(n, kept + list(fill.edges))
+
+
+def _row_permutations(items, draws: int, gen: np.random.Generator) -> np.ndarray:
+    """``draws`` independent uniform shuffles of ``items``, one per row."""
+    return gen.permuted(np.tile(np.asarray(items, dtype=np.intp), (draws, 1)), axis=1)
+
+
+def random_k_matchings(pool: EdgePool, k: int, draws: int, gen: np.random.Generator) -> np.ndarray:
+    """``draws`` samples of ``random_k_matching(pool, k, ...)`` as one array.
+
+    Returns an (draws, edges, 2) int array; the pool is read, not
+    consumed. Drawing uniform active edges until k edges (or exhaustion)
+    gives the same distribution as pairing off the first 2k entries of a
+    uniform shuffle of the nodes (complete mode), or the first k entries
+    of independent shuffles of the two sides (bipartite mode).
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if pool.bipartite_mode:
+        k = min(k, len(pool._a), len(pool._b))
+        side_a = _row_permutations(pool._a, draws, gen)[:, :k]
+        side_b = _row_permutations(pool._b, draws, gen)[:, :k]
+        return np.stack([side_a, side_b], axis=2)
+    k = min(k, len(pool._a) // 2)
+    return _row_permutations(pool._a, draws, gen)[:, : 2 * k].reshape(draws, k, 2)
+
+
+def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Generator) -> np.ndarray:
+    """``draws`` samples of ``hybrid_matching(profile, ...)`` as one array.
+
+    Returns an (draws, n // 2, 2) int array. The greedy prefix M0 is
+    deterministic, so it is computed once; every draw then flips its own
+    coin. Branch A pairs off a shuffle of the untouched set B. Branch B
+    releases floor(|B|/2) uniformly chosen M0 edges and matches the
+    released endpoints, in order, to that same shuffle of B, which is a
+    uniform injection of the released nodes into B.
+
+    Draw order is pinned for replay: all coins, then the shuffles of B,
+    then the shuffles of the M0 edge indices.
+    """
+    n = profile.n
+    if n < 2:
+        raise ValueError(f"hybrid matching needs n >= 2, got {n}")
+    m0 = np.array(greedy_k_matching(profile, math.ceil(n / 3)).sorted_edges(), dtype=np.intp)
+    untouched = sorted(set(range(n)) - set(m0.flat))
+    g, h = len(m0), len(untouched) // 2
+    keep = gen.random(draws) < 0.5
+    fill = _row_permutations(untouched, draws, gen)[:, : 2 * h]
+    released = _row_permutations(range(g), draws, gen)[:, :h]
+
+    branch_a = np.empty((draws, g + h, 2), dtype=np.intp)
+    branch_a[:, :g] = m0
+    branch_a[:, g:] = fill.reshape(draws, h, 2)
+    # Branch B: released edge (a, b) becomes (a, fill[2j]) plus (b, fill[2j+1]).
+    branch_b = branch_a.copy()
+    branch_b[np.arange(draws)[:, None], released, 1] = fill[:, 0::2]
+    branch_b[:, g:, 0] = m0[released, 1]
+    branch_b[:, g:, 1] = fill[:, 1::2]
+    return np.where(keep[:, None, None], branch_a, branch_b)
 
 
 def greedy_ratio_bound(alpha: float, alpha_star: float) -> float:

@@ -18,15 +18,15 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     EdgePool,
-    Matching,
     RandomSource,
-    find_undominated,
     greedy_k_matching,
-    hybrid_matching,
+    hybrid_matchings,
     matching_weight,
-    random_k_matching,
+    random_k_matchings,
 )
 from .instance import (
     GENERATOR_FAMILIES,
@@ -41,9 +41,9 @@ from .instance import (
 from .oracle import DEFAULT_BUDGET, OracleBudget, opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
     cluster_weight,
-    matching_to_clusters,
-    matching_to_subset,
-    matching_to_tour,
+    matchings_to_clusters,
+    matchings_to_subsets,
+    matchings_to_tours,
     subset_weight,
     tour_weight,
 )
@@ -61,6 +61,12 @@ ALLOWED_ENGINES = {
 }
 
 RATIO_TOL = 1e-9
+
+# Version 2: non-finite floats are written as null, never as bare Infinity/NaN.
+REPORT_SCHEMA = 2
+
+# Inner draws per sampler call, so memory does not grow with inner_samples.
+SAMPLE_BLOCK = 4096
 
 
 def canonical_engine(label: str) -> str:
@@ -175,45 +181,53 @@ class TrialConfig:
         }
 
 
-def _solve(problem: str, engine: str, profile: PreferenceProfile, k: int | None, rng: RandomSource):
-    """Run one ordinal algorithm; only the profile and rng are consulted."""
+def _sample(
+    problem: str,
+    engine: str,
+    profile: PreferenceProfile,
+    k: int | None,
+    draws: int,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``draws`` solutions as one int array; only the profile and gen are consulted.
+
+    The greedy engine is deterministic, so its one matching is repeated
+    and only a tour start (tsp) varies between draws.
+    """
     n = profile.n
-    if problem == "mwm":
-        if engine == "greedy":
-            return greedy_k_matching(profile, n // 2)
-        if engine == "random":
-            return random_k_matching(EdgePool.complete(range(n), n), n // 2, rng)
-        return hybrid_matching(profile, rng)
-    if problem == "mkm":
-        return greedy_k_matching(profile, k)
     if problem == "ksum":
-        c = n // k
-        if engine == "hybrid":
-            m = hybrid_matching(profile, rng)
-        else:
-            want = n // 2 if c % 2 == 0 else (n - k) // 2
-            m = greedy_k_matching(profile, want) if want >= 1 else Matching.from_pairs(n, [])
-        return matching_to_clusters(m, k)
+        size = n // 2 if (n // k) % 2 == 0 else (n - k) // 2
+    elif problem == "mkm":
+        size = k
+    elif problem == "densest":
+        size = k // 2
+    else:
+        size = n // 2
+    if engine == "hybrid":
+        matchings = hybrid_matchings(profile, draws, gen)
+    elif engine == "random":
+        matchings = random_k_matchings(EdgePool.complete(range(n), n), size, draws, gen)
+    else:
+        edges = greedy_k_matching(profile, size).sorted_edges() if size else []
+        matchings = np.broadcast_to(np.array(edges, dtype=np.intp).reshape(size, 2), (draws, size, 2))
+    if problem == "ksum":
+        return matchings_to_clusters(matchings, n, k)
     if problem == "densest":
-        if engine == "random":
-            m = random_k_matching(EdgePool.complete(range(n), n), k // 2, rng)
-        else:
-            m = greedy_k_matching(profile, k // 2)
-        return matching_to_subset(m, k)
+        return matchings_to_subsets(matchings)
     if problem == "tsp":
-        m = greedy_k_matching(profile, n // 2) if engine == "greedy" else hybrid_matching(profile, rng)
-        return matching_to_tour(m, profile, rng)
-    raise ValueError(f"unknown problem {problem!r}")
+        return matchings_to_tours(matchings, profile, gen)
+    return matchings
 
 
-def _evaluate(problem: str, solution, inst: WeightedInstance) -> float:
+def _values(problem: str, solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One weight gather per objective: S solutions to S values."""
     if problem in ("mwm", "mkm"):
-        return matching_weight(solution, inst)
-    if problem == "ksum":
-        return cluster_weight(solution, inst)
-    if problem == "densest":
-        return subset_weight(solution, inst)
-    return tour_weight(solution, inst)
+        return w[solutions[..., 0], solutions[..., 1]].sum(axis=1)
+    if problem == "tsp":
+        return w[solutions, np.roll(solutions, -1, axis=1)].sum(axis=1)
+    groups = solutions if problem == "ksum" else solutions[:, None, :]
+    i, j = np.triu_indices(groups.shape[2], 1)
+    return w[groups[..., i], groups[..., j]].sum(axis=(1, 2))
 
 
 def _oracle_value(problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget) -> float:
@@ -257,60 +271,56 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
     """Bench one configuration and judge it against its bound.
 
     Per trial: a fresh instance (seed = base + trial index), the exact
-    optimum, and the algorithm's weight. Randomized algorithms rerun with
-    inner_samples derived seeds; the trial passes when
+    optimum, and the algorithm's weight. Each trial draws from one
+    ``numpy.random.Generator`` seeded by ``derived_seed(seed, trial)``.
+    Randomized algorithms draw inner_samples solutions in blocks of
+    SAMPLE_BLOCK through the batched samplers, each block taking the
+    engine's draws before the tour starts; the trial passes when
     opt/mean <= bound + 3 * stderr(ratio). Deterministic algorithms pass
     when the worst ratio stays within bound + 1e-9.
     """
     engine = cfg.engine
     bound = cfg.effective_bound()
     randomized = cfg.randomized()
+    draws = cfg.inner_samples if randomized else 1
     records = []
     for t in range(cfg.trials):
         spec = GeneratorSpec(cfg.family, cfg.n, dimension=cfg.dimension, seed=cfg.seed + t)
         inst = generate(spec)
         profile = derive_preferences(inst)
         opt = _oracle_value(cfg.problem, inst, cfg.k, budget)
-        if randomized:
-            values = []
-            for s in range(cfg.inner_samples):
-                rng = RandomSource(RandomSource.derived_seed(cfg.seed, t, s))
-                values.append(_evaluate(cfg.problem, _solve(cfg.problem, engine, profile, cfg.k, rng), inst))
-            mean = statistics.fmean(values)
-            se = statistics.stdev(values) / math.sqrt(len(values))
-            ratio = opt / mean if mean > 0 else (1.0 if opt == 0 else math.inf)
-            se_ratio = opt * se / (mean * mean) if mean > 0 else 0.0
-            records.append(
-                {
-                    "seed": spec.seed,
-                    "opt": opt,
-                    "alg": mean,
-                    "ratio": ratio,
-                    "stderr": se_ratio,
-                    "passed": ratio <= bound + 3.0 * se_ratio + RATIO_TOL,
-                }
+        gen = np.random.default_rng(RandomSource.derived_seed(cfg.seed, t))
+        values = np.concatenate([
+            _values(
+                cfg.problem,
+                _sample(cfg.problem, engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
+                inst.weights,
             )
-        else:
-            rng = RandomSource(RandomSource.derived_seed(cfg.seed, t, 0))
-            val = _evaluate(cfg.problem, _solve(cfg.problem, engine, profile, cfg.k, rng), inst)
-            ratio = opt / val if val > 0 else (1.0 if opt == 0 else math.inf)
-            records.append(
-                {
-                    "seed": spec.seed,
-                    "opt": opt,
-                    "alg": val,
-                    "ratio": ratio,
-                    "stderr": 0.0,
-                    "passed": ratio <= bound + RATIO_TOL,
-                }
-            )
+            for lo in range(0, draws, SAMPLE_BLOCK)
+        ])
+        alg = float(values.mean())
+        ratio = opt / alg if alg > 0 else (1.0 if opt == 0 else math.inf)
+        se_ratio = 0.0
+        if randomized and alg > 0:
+            se = float(values.std(ddof=1)) / math.sqrt(draws)
+            se_ratio = opt * se / (alg * alg)
+        records.append(
+            {
+                "seed": spec.seed,
+                "opt": opt,
+                "alg": alg,
+                "ratio": ratio,
+                "stderr": se_ratio,
+                "passed": ratio <= bound + 3.0 * se_ratio + RATIO_TOL,
+            }
+        )
     ratios = [r["ratio"] for r in records]
     max_ratio = max(ratios)
     mean_ratio = statistics.fmean(ratios)
     std_error = statistics.stdev(ratios) / math.sqrt(len(ratios)) if len(ratios) > 1 else 0.0
     verdict = all(r["passed"] for r in records)
     return RatioReport(
-        schema=1,
+        schema=REPORT_SCHEMA,
         config=cfg.to_dict(),
         bound=bound,
         records=records,
@@ -321,10 +331,22 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
     )
 
 
+def _finite_or_null(obj):
+    """Replace non-finite floats (an infinite ratio, say) with None, recursively."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
-    """Render a report; json round-trips, csv is one row per record."""
+    """Render a report; json is strict (non-finite floats become null), csv is one row per record."""
     if fmt == "json":
-        return (json.dumps(report.to_dict(), indent=2) + "\n").encode("utf-8")
+        text = json.dumps(_finite_or_null(report.to_dict()), indent=2, allow_nan=False)
+        return (text + "\n").encode("utf-8")
     if fmt == "csv":
         lines = ["seed,opt,alg,ratio"]
         for r in report.records:

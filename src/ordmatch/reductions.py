@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Matching, RandomSource
 from .instance import PreferenceProfile, WeightedInstance
 
@@ -239,3 +241,81 @@ def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource)
     leftover = set(range(n)) - m.nodes()
     order.extend(sorted(leftover))
     return Tour(n, tuple(order))
+
+
+# ---------------------------------------------------------------------------
+# Batched reductions: the same repackaging for an (S, edges, 2) array of
+# matchings, as drawn by ``core.random_k_matchings`` / ``hybrid_matchings``.
+# ---------------------------------------------------------------------------
+
+
+def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
+    """Each edge as (low, high), edges in ascending order of low endpoint."""
+    edges = np.sort(matchings, axis=2)
+    order = np.argsort(edges[:, :, 0], axis=1)
+    return np.take_along_axis(edges, order[:, :, None], axis=1)
+
+
+def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Row-wise ``matching_to_clusters``: an (S, k, n // k) array of parts."""
+    draws, m, _ = matchings.shape
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if n % k != 0:
+        raise ValueError(f"k={k} must divide n={n}")
+    c = n // k
+    want = n // 2 if c % 2 == 0 else (n - k) // 2
+    if m != want:
+        raise ValueError(f"cluster size {c} needs a {want}-edge matching, got {m}")
+    edges = _sorted_edges(matchings).reshape(draws, k, 2 * (c // 2))
+    if c % 2 == 0:
+        return edges
+    matched = np.zeros((draws, n), dtype=bool)
+    matched[np.arange(draws)[:, None], edges.reshape(draws, -1)] = True
+    leftovers = np.nonzero(~matched)[1].reshape(draws, k, 1)
+    return np.concatenate([edges, leftovers], axis=2)
+
+
+def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
+    """Row-wise ``matching_to_subset``: sorted endpoints, (S, 2 * edges)."""
+    return np.sort(matchings.reshape(len(matchings), -1), axis=1)
+
+
+def matchings_to_tours(
+    matchings: np.ndarray, profile: PreferenceProfile, gen: np.random.Generator
+) -> np.ndarray:
+    """Row-wise ``matching_to_tour``: an (S, n) array of visiting orders.
+
+    Each row draws its own uniform start among the matched nodes, then
+    stitches the other edges in ascending order of smallest endpoint,
+    entering each at the endpoint the previous node ranks higher.
+    """
+    n = profile.n
+    draws, m, _ = matchings.shape
+    if n < 3:
+        raise ValueError(f"a tour needs n >= 3, got n={n}")
+    if m != n // 2:
+        raise ValueError(f"matching must be perfect ({n // 2} edges), got {m}")
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[np.arange(n)[:, None], np.array(profile.ranking)] = np.arange(n - 1)
+
+    edges = _sorted_edges(matchings)
+    nodes = np.sort(edges.reshape(draws, -1), axis=1)
+    start = nodes[np.arange(draws), gen.integers(0, 2 * m, size=draws)]
+    first = (edges == start[:, None, None]).any(axis=2).argmax(axis=1)
+    slots = np.arange(m)
+    order = np.argsort(np.where(slots == first[:, None], -1, slots), axis=1)
+    edges = np.take_along_axis(edges, order[:, :, None], axis=1)
+
+    tours = np.empty((draws, n), dtype=np.intp)
+    tours[:, 0] = start
+    tours[:, 1] = edges[:, 0].sum(axis=1) - start
+    for j in range(1, m):
+        x, y, z = tours[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
+        y_first = rank[x, y] < rank[x, z]
+        tours[:, 2 * j] = np.where(y_first, y, z)
+        tours[:, 2 * j + 1] = np.where(y_first, z, y)
+    if n % 2:
+        # the one unmatched node closes the tour
+        tours[:, -1] = n * (n - 1) // 2 - edges.sum(axis=(1, 2))
+    return tours

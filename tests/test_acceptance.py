@@ -30,12 +30,15 @@ from ordmatch import (
     greedy_k_matching,
     greedy_ratio_bound,
     hybrid_matching,
+    hybrid_matchings,
     matching_to_tour,
     matching_weight,
+    matchings_to_tours,
     opt_matching,
     path_completion,
     path_weight,
     random_k_matching,
+    random_k_matchings,
     run_trials,
     tour_weight,
     validate_metric,
@@ -109,6 +112,16 @@ def test_c02_greedy_prefix_bound(verdict):
     )
 
 
+def batch_weights(draws: np.ndarray, inst: "WeightedInstance") -> np.ndarray:
+    return inst.weights[draws[..., 0], draws[..., 1]].sum(axis=1)
+
+
+def edge_counts(draws: np.ndarray, n: int) -> np.ndarray:
+    """Occurrences of every edge seen at least once across the draws."""
+    edges = np.sort(draws, axis=2)
+    return np.unique(edges[..., 0] * n + edges[..., 1], return_counts=True)[1]
+
+
 def test_c03_random_matching_expectation(verdict):
     runs = 100_000
     details = []
@@ -118,43 +131,37 @@ def test_c03_random_matching_expectation(verdict):
     for n, seed in ((8, 11), (9, 12)):
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=seed))
         target = expected_random_weight(inst)
-        vals = np.empty(runs)
-        edge_counts: dict = {}
-        for s in range(runs):
-            m = random_k_matching(
-                EdgePool.complete(range(n), n), n // 2, RandomSource(RandomSource.derived_seed(3, n, s))
-            )
-            vals[s] = matching_weight(m, inst)
-            for e in m.edges:
-                edge_counts[e] = edge_counts.get(e, 0) + 1
+        draws = random_k_matchings(
+            EdgePool.complete(range(n), n), n // 2, runs,
+            np.random.default_rng(RandomSource.derived_seed(3, n)),
+        )
+        vals = batch_weights(draws, inst)
+        counts = edge_counts(draws, n)
         mean = float(vals.mean())
         sigma = float(vals.std()) / math.sqrt(runs)
         gap = abs(mean - target)
-        p = float(chisquare(list(edge_counts.values())).pvalue)
+        p = float(chisquare(counts).pvalue)
         edges_total = n * (n - 1) // 2
-        ok = ok and gap <= 3.0 * sigma and len(edge_counts) == edges_total and p > 0.001
+        ok = ok and gap <= 3.0 * sigma and len(counts) == edges_total and p > 0.001
         details.append(f"K{n}: |{mean:.5f}-{target:.5f}|<=3x{sigma:.5f}, chi2 p={p:.3f}")
 
     # bipartite, equal sides of 5
     inst = generate(GeneratorSpec("euclidean-uniform", 10, seed=13))
     side_a, side_b = list(range(5)), list(range(5, 10))
     target = expected_random_weight(inst, mode="bipartite", sides=(side_a, side_b))
-    vals = np.empty(runs)
-    edge_counts = {}
-    for s in range(runs):
-        m = random_k_matching(
-            EdgePool.bipartite(side_a, side_b, 10), 5, RandomSource(RandomSource.derived_seed(4, s))
-        )
-        vals[s] = matching_weight(m, inst)
-        for e in m.edges:
-            edge_counts[e] = edge_counts.get(e, 0) + 1
+    draws = random_k_matchings(
+        EdgePool.bipartite(side_a, side_b, 10), 5, runs,
+        np.random.default_rng(RandomSource.derived_seed(4)),
+    )
+    vals = batch_weights(draws, inst)
+    counts = edge_counts(draws, 10)
     mean = float(vals.mean())
     sigma = float(vals.std()) / math.sqrt(runs)
-    p = float(chisquare(list(edge_counts.values())).pvalue)
-    ok = ok and abs(mean - target) <= 3.0 * sigma and len(edge_counts) == 25 and p > 0.001
+    p = float(chisquare(counts).pvalue)
+    ok = ok and abs(mean - target) <= 3.0 * sigma and len(counts) == 25 and p > 0.001
     details.append(f"K5,5: |{mean:.5f}-{target:.5f}|<=3x{sigma:.5f}, chi2 p={p:.3f}")
 
-    verdict("C3 random-matching-expectation", ok, f"{runs} seeds each; " + "; ".join(details))
+    verdict("C3 random-matching-expectation", ok, f"{runs} draws each; " + "; ".join(details))
 
 
 def test_c04_hybrid_sixteen_tenths(verdict):
@@ -170,10 +177,8 @@ def test_c04_hybrid_sixteen_tenths(verdict):
             opt = matching_weight(opt_matching(inst, n // 2), inst)
             m0 = greedy_k_matching(prof, math.ceil(n / 3))
             anchored_ok = anchored_ok and matching_weight(m0, inst) >= opt / 2.0 - RATIO_TOL
-            vals = np.empty(inner)
-            for s in range(inner):
-                rng = RandomSource(RandomSource.derived_seed(5, n, i, s))
-                vals[s] = matching_weight(hybrid_matching(prof, rng), inst)
+            gen = np.random.default_rng(RandomSource.derived_seed(5, n, i))
+            vals = batch_weights(hybrid_matchings(prof, inner, gen), inst)
             mean = float(vals.mean())
             se = float(vals.std()) / math.sqrt(inner)
             se_ratio = opt * se / mean**2
@@ -184,7 +189,7 @@ def test_c04_hybrid_sixteen_tenths(verdict):
     verdict(
         "C4 hybrid-1.6-bound",
         ok,
-        f"{instances} instances x {inner} seeds, max mean-ratio excess {worst_excess:.2e}, "
+        f"{instances} instances x {inner} draws, max mean-ratio excess {worst_excess:.2e}, "
         f"anchored-half-invariant {anchored_ok}, {elapsed:.1f}s",
     )
 
@@ -319,12 +324,21 @@ def test_c09_ordinal_purity(verdict):
             ok = ok and matching_to_tour(m, prof_a, RandomSource(seed)) == matching_to_tour(
                 m, prof_b, RandomSource(seed)
             )
+        # batched draws: byte-identical arrays for the same Generator seed
+        batch_a = hybrid_matchings(prof_a, 64, np.random.default_rng(seed))
+        batch_b = hybrid_matchings(prof_b, 64, np.random.default_rng(seed))
+        ok = ok and batch_a.tobytes() == batch_b.tobytes()
+        ok = ok and (
+            matchings_to_tours(batch_a, prof_a, np.random.default_rng(seed)).tobytes()
+            == matchings_to_tours(batch_b, prof_b, np.random.default_rng(seed)).tobytes()
+        )
         if not ok:
             break
     verdict(
         "C9 ordinal-purity",
         ok,
-        f"{pairs} weight pairs (squared / rescaled), identical profiles and outputs",
+        f"{pairs} weight pairs (squared / rescaled), identical profiles and outputs, "
+        "scalar and batched",
     )
 
 

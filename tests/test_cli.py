@@ -113,6 +113,21 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", "--instance", inst_path, "--problem", "mkm"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "mkm", "--k", "9"],  # above n//2 = 4
+            ["--problem", "mkm", "--k", "0"],
+            ["--problem", "densest", "--k", "10"],  # above n = 8
+            ["--problem", "densest", "--algorithm", "random", "--k", "0"],
+        ],
+    )
+    def test_k_outside_what_bench_accepts_exits_one(self, inst_path, argv, capsys):
+        assert main(["solve", "--instance", inst_path, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestOracle:
     @pytest.mark.parametrize(
@@ -151,7 +166,7 @@ class TestBench:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] is True
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
 
     def test_failing_bound_exits_one(self, capsys):
         rc = main(["bench", "--problem", "mwm", "--algorithm", "greedy",

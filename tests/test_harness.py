@@ -22,6 +22,7 @@ from ordmatch import (
     report_emit,
     run_trials,
 )
+from ordmatch import harness
 from ordmatch.harness import canonical_engine
 
 
@@ -140,6 +141,15 @@ class TestRunTrials:
         assert r.mean_ratio == statistics.fmean(ratios)
         assert r.std_error == statistics.stdev(ratios) / math.sqrt(len(ratios))
 
+    def test_inner_samples_span_several_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "SAMPLE_BLOCK", 7)
+        cfg = TrialConfig("tsp", "hybrid", 6, trials=2, inner_samples=20, seed=4)
+        a, b = run_trials(cfg), run_trials(cfg)
+        assert a.verdict
+        assert report_emit(a, "json") == report_emit(b, "json")
+        for rec in a.records:
+            assert rec["stderr"] > 0.0
+
     def test_trial_seeds_are_base_plus_index(self):
         r = run_trials(TrialConfig("mwm", "greedy", 6, trials=4, seed=10))
         assert [rec["seed"] for rec in r.records] == [10, 11, 12, 13]
@@ -181,7 +191,24 @@ class TestReportEmit:
         r = run_trials(TrialConfig("mwm", "greedy", 6, trials=3, seed=5))
         payload = json.loads(report_emit(r, "json").decode("utf-8"))
         assert payload == r.to_dict()
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
+
+    def test_infinite_ratio_is_strict_json_null(self):
+        r = run_trials(TrialConfig("mwm", "random", 6, trials=2, inner_samples=10, seed=5))
+        r.records[0]["ratio"] = math.inf  # what an ALG mean of 0 gives
+        r.max_ratio = math.inf
+        r.mean_ratio = math.inf
+        r.std_error = math.nan
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(report_emit(r, "json").decode("utf-8"), parse_constant=reject)
+        assert payload["records"][0]["ratio"] is None
+        assert payload["records"][1]["ratio"] == r.records[1]["ratio"]
+        assert payload["max_ratio"] is None
+        assert payload["mean_ratio"] is None
+        assert payload["std_error"] is None
 
     def test_csv_header_and_rows(self):
         r = run_trials(TrialConfig("mwm", "greedy", 6, trials=3, seed=5))
