@@ -15,13 +15,15 @@ import json
 import math
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
     EdgePool,
+    Matching,
     RandomSource,
     greedy_k_matching,
     hybrid_matchings,
@@ -40,6 +42,9 @@ from .instance import (
 )
 from .oracle import DEFAULT_BUDGET, OracleBudget, opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
+    Clustering,
+    Subset,
+    Tour,
     cluster_weight,
     matchings_to_clusters,
     matchings_to_subsets,
@@ -48,18 +53,6 @@ from .reductions import (
     tour_weight,
 )
 
-PROBLEMS = ("mwm", "mkm", "ksum", "densest", "tsp")
-
-# Engines with a defended bound per problem. random_k_matching has no
-# guarantee for k below a perfect matching, so mkm only admits greedy.
-ALLOWED_ENGINES = {
-    "mwm": ("greedy", "random", "hybrid"),
-    "mkm": ("greedy",),
-    "ksum": ("greedy", "hybrid"),
-    "densest": ("greedy", "random"),
-    "tsp": ("greedy", "hybrid"),
-}
-
 RATIO_TOL = 1e-9
 
 # Version 2: non-finite floats are written as null, never as bare Infinity/NaN.
@@ -67,6 +60,11 @@ REPORT_SCHEMA = 2
 
 # Inner draws per sampler call, so memory does not grow with inner_samples.
 SAMPLE_BLOCK = 4096
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields in order, shallow: ``asdict`` deep-copies every leaf."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def canonical_engine(label: str) -> str:
@@ -86,22 +84,160 @@ def hybrid_bound(n: int) -> float:
     return 1.6 + 7.0 / (8.0 * (2 * n - 3))
 
 
+def _alpha(engine: str, n: int) -> float:
+    """The matching engine's own factor, which the reductions scale."""
+    return hybrid_bound(n) if engine == "hybrid" else 2.0
+
+
+def _edge_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w[solutions[..., 0], solutions[..., 1]].sum(axis=1)
+
+
+def _cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    i, j = np.triu_indices(solutions.shape[2], 1)
+    return w[solutions[..., i], solutions[..., j]].sum(axis=(1, 2))
+
+
+def _subset_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _cluster_values(solutions[:, None, :], w)
+
+
+def _tour_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w[solutions, np.roll(solutions, -1, axis=1)].sum(axis=1)
+
+
+class SolutionKind(NamedTuple):
+    """How one kind of solution is packed, weighed and reported."""
+
+    name: str  # the payload's "kind"
+    cls: type  # cls(n, row) validates one row of a batched solution array
+    weigh: Callable  # (solution, inst) -> weight, as the oracle's value is computed
+    values: Callable  # (solutions, w) -> one weight per row, in one gather
+
+
+# Table callables reach the oracles and weight functions through this
+# module's globals, so a wrapper installed on them here (a tracer) sees
+# every call.
+MATCHING = SolutionKind("matching", Matching, lambda m, inst: matching_weight(m, inst), _edge_values)
+CLUSTERING = SolutionKind(
+    "clustering", Clustering, lambda c, inst: cluster_weight(c, inst), _cluster_values
+)
+SUBSET = SolutionKind("subset", Subset, lambda s, inst: subset_weight(s, inst), _subset_values)
+TOUR = SolutionKind("tour", Tour, lambda t, inst: tour_weight(t, inst), _tour_values)
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """One row of the problem table: everything bench, solve and oracle read."""
+
+    engines: tuple  # engines with a defended bound
+    check: Callable  # (n, k, engine) raises ValueError; the oracle passes engine=None
+    size: Callable  # (n, k) -> edges the matching engine must supply
+    reduce: Callable  # (matchings, profile, k, gen) -> one solution per matching
+    oracle: Callable  # (inst, k, budget) -> the exact optimum
+    bound: Callable  # (engine, n) -> the factor the harness defends
+    kind: SolutionKind
+    random_reduce: bool = False  # the reduction draws from gen, so greedy is randomized too
+
+
+def _check_mkm(n, k, engine):
+    if k is None or not 1 <= k <= n // 2:
+        raise ValueError(f"mkm needs 1 <= k <= n//2, got k={k}, n={n}")
+
+
+def _check_ksum(n, k, engine):
+    if k is None or k < 1 or n % k != 0:
+        raise ValueError(f"ksum needs k >= 1 dividing n, got k={k}, n={n}")
+    if engine == "hybrid" and (n // k) % 2 != 0:
+        raise ValueError("ksum with the hybrid engine needs an even cluster size")
+
+
+def _check_densest(n, k, engine):
+    if k is None or k % 2 != 0 or not 2 <= k <= n:
+        raise ValueError(f"densest needs even k in 2..n, got k={k}, n={n}")
+
+
+def _check_tsp(n, k, engine):
+    if n % 2 != 0 or n < 4:
+        raise ValueError(f"tsp needs even n >= 4, got n={n}")
+
+
+# random_k_matching has no guarantee for k below a perfect matching, so
+# mkm only admits greedy. ksum's odd-cluster-size greedy path, which
+# leaves k nodes unmatched, still lands at factor 4.
+PROBLEMS = {
+    "mwm": ProblemSpec(
+        engines=("greedy", "random", "hybrid"),
+        check=lambda n, k, engine: None,  # a perfect matching takes no k
+        size=lambda n, k: n // 2,
+        reduce=lambda m, profile, k, gen: m,
+        oracle=lambda inst, k, budget: opt_matching(inst, inst.n // 2, budget),
+        bound=_alpha,
+        kind=MATCHING,
+    ),
+    "mkm": ProblemSpec(
+        engines=("greedy",),
+        check=_check_mkm,
+        size=lambda n, k: k,
+        reduce=lambda m, profile, k, gen: m,
+        oracle=lambda inst, k, budget: opt_matching(inst, k, budget),
+        bound=lambda engine, n: 2.0,
+        kind=MATCHING,
+    ),
+    "ksum": ProblemSpec(
+        engines=("greedy", "hybrid"),
+        check=_check_ksum,
+        size=lambda n, k: n // 2 if (n // k) % 2 == 0 else (n - k) // 2,
+        reduce=lambda m, profile, k, gen: matchings_to_clusters(m, profile.n, k),
+        oracle=lambda inst, k, budget: opt_k_sum(inst, k, budget),
+        bound=lambda engine, n: 2.0 * _alpha(engine, n),
+        kind=CLUSTERING,
+    ),
+    "densest": ProblemSpec(
+        engines=("greedy", "random"),
+        check=_check_densest,
+        size=lambda n, k: k // 2,
+        reduce=lambda m, profile, k, gen: matchings_to_subsets(m),
+        oracle=lambda inst, k, budget: opt_densest(inst, k, budget),
+        bound=lambda engine, n: 4.0,
+        kind=SUBSET,
+    ),
+    "tsp": ProblemSpec(
+        engines=("greedy", "hybrid"),
+        check=_check_tsp,
+        size=lambda n, k: n // 2,
+        reduce=lambda m, profile, k, gen: matchings_to_tours(m, profile, gen),
+        oracle=lambda inst, k, budget: opt_tsp(inst, budget),
+        bound=lambda engine, n: 4.0 * _alpha(engine, n) / (3.0 - 4.0 / n),
+        kind=TOUR,
+        random_reduce=True,  # a tour starts at a random node
+    ),
+}
+
+
+def problem_spec(problem: str, algorithm: str | None, n: int, k: int | None) -> ProblemSpec:
+    """The table row for ``problem`` once (algorithm, n, k) pass its checks.
+
+    ``algorithm=None`` (the oracle) skips the engine checks. Every
+    rejected input raises ValueError.
+    """
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
+    spec = PROBLEMS[problem]
+    engine = None if algorithm is None else canonical_engine(algorithm)
+    if engine is not None and engine not in spec.engines:
+        raise ValueError(
+            f"algorithm {algorithm!r} has no defended bound for {problem}; allowed: {spec.engines}"
+        )
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    spec.check(n, k, engine)
+    return spec
+
+
 def default_bound(problem: str, engine: str, n: int, k: int | None = None) -> float:
-    """The approximation factor the harness defends for a configuration."""
-    if problem == "mwm":
-        return {"greedy": 2.0, "random": 2.0, "hybrid": hybrid_bound(n)}[engine]
-    if problem == "mkm":
-        return 2.0
-    if problem == "ksum":
-        # factor 2 on top of the matching engine; the odd-cluster-size
-        # greedy path still lands at 4.
-        return 4.0 if engine == "greedy" else 2.0 * hybrid_bound(n)
-    if problem == "densest":
-        return 4.0
-    if problem == "tsp":
-        alpha = 2.0 if engine == "greedy" else hybrid_bound(n)
-        return 4.0 * alpha / (3.0 - 4.0 / n)
-    raise ValueError(f"unknown problem {problem!r}")
+    """The approximation factor the harness defends for a valid configuration."""
+    return problem_spec(problem, engine, n, k).bound(canonical_engine(engine), n)
 
 
 @dataclass(frozen=True)
@@ -120,36 +256,13 @@ class TrialConfig:
     bound: float | None = None
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}, expected one of {PROBLEMS}")
-        engine = canonical_engine(self.algorithm)
-        if engine not in ALLOWED_ENGINES[self.problem]:
-            raise ValueError(
-                f"algorithm {self.algorithm!r} has no defended bound for {self.problem}; "
-                f"allowed: {ALLOWED_ENGINES[self.problem]}"
-            )
+        problem_spec(self.problem, self.algorithm, self.n, self.k)
         if self.family not in GENERATOR_FAMILIES or self.family == "explicit":
             raise ValueError(f"trials need a random family, got {self.family!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.inner_samples < 2:
             raise ValueError("inner_samples must be at least 2 for a standard error")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.problem in ("mkm", "ksum", "densest"):
-            if self.k is None:
-                raise ValueError(f"problem {self.problem} needs k")
-            if self.problem == "mkm" and not 1 <= self.k <= self.n // 2:
-                raise ValueError(f"mkm needs 1 <= k <= n//2, got k={self.k}")
-            if self.problem == "ksum":
-                if self.n % self.k != 0:
-                    raise ValueError(f"ksum needs k | n, got k={self.k}, n={self.n}")
-                if engine == "hybrid" and (self.n // self.k) % 2 != 0:
-                    raise ValueError("ksum with the hybrid engine needs an even cluster size")
-            if self.problem == "densest" and (self.k % 2 != 0 or not 2 <= self.k <= self.n):
-                raise ValueError(f"densest needs even k in 2..n, got k={self.k}")
-        if self.problem == "tsp" and (self.n % 2 != 0 or self.n < 4):
-            raise ValueError("tsp trials need even n >= 4")
         if self.bound is not None and self.bound <= 0:
             raise ValueError("bound must be positive")
 
@@ -158,8 +271,7 @@ class TrialConfig:
         return canonical_engine(self.algorithm)
 
     def randomized(self) -> bool:
-        # tour completion draws a random start node even under greedy
-        return self.engine in ("random", "hybrid") or self.problem == "tsp"
+        return self.engine != "greedy" or PROBLEMS[self.problem].random_reduce
 
     def effective_bound(self) -> float:
         if self.bound is not None:
@@ -167,22 +279,11 @@ class TrialConfig:
         return default_bound(self.problem, self.engine, self.n, self.k)
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "family": self.family,
-            "dimension": self.dimension,
-            "trials": self.trials,
-            "seed": self.seed,
-            "k": self.k,
-            "inner_samples": self.inner_samples,
-            "bound": self.effective_bound(),
-        }
+        return {**_field_dict(self), "bound": self.effective_bound()}
 
 
 def _sample(
-    problem: str,
+    spec: ProblemSpec,
     engine: str,
     profile: PreferenceProfile,
     k: int | None,
@@ -195,14 +296,7 @@ def _sample(
     and only a tour start (tsp) varies between draws.
     """
     n = profile.n
-    if problem == "ksum":
-        size = n // 2 if (n // k) % 2 == 0 else (n - k) // 2
-    elif problem == "mkm":
-        size = k
-    elif problem == "densest":
-        size = k // 2
-    else:
-        size = n // 2
+    size = spec.size(n, k)
     if engine == "hybrid":
         matchings = hybrid_matchings(profile, draws, gen)
     elif engine == "random":
@@ -210,35 +304,37 @@ def _sample(
     else:
         edges = greedy_k_matching(profile, size).sorted_edges() if size else []
         matchings = np.broadcast_to(np.array(edges, dtype=np.intp).reshape(size, 2), (draws, size, 2))
-    if problem == "ksum":
-        return matchings_to_clusters(matchings, n, k)
-    if problem == "densest":
-        return matchings_to_subsets(matchings)
-    if problem == "tsp":
-        return matchings_to_tours(matchings, profile, gen)
-    return matchings
+    return spec.reduce(matchings, profile, k, gen)
 
 
-def _values(problem: str, solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One weight gather per objective: S solutions to S values."""
-    if problem in ("mwm", "mkm"):
-        return w[solutions[..., 0], solutions[..., 1]].sum(axis=1)
-    if problem == "tsp":
-        return w[solutions, np.roll(solutions, -1, axis=1)].sum(axis=1)
-    groups = solutions if problem == "ksum" else solutions[:, None, :]
-    i, j = np.triu_indices(groups.shape[2], 1)
-    return w[groups[..., i], groups[..., j]].sum(axis=(1, 2))
+def _payload(kind: SolutionKind, solution, value: float) -> dict:
+    """The solve and oracle output, keys in this order: kind, the solution's shape, n, value."""
+    shape = solution.to_dict()
+    n = shape.pop("n")
+    return {"kind": kind.name, **shape, "n": n, "value": value}
 
 
-def _oracle_value(problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget) -> float:
-    if problem in ("mwm", "mkm"):
-        kk = inst.n // 2 if problem == "mwm" else k
-        return matching_weight(opt_matching(inst, kk, budget), inst)
-    if problem == "ksum":
-        return cluster_weight(opt_k_sum(inst, k, budget), inst)
-    if problem == "densest":
-        return subset_weight(opt_densest(inst, k, budget), inst)
-    return tour_weight(opt_tsp(inst, budget), inst)
+def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, seed: int) -> dict:
+    """One ordinal solution for ``inst`` as a payload: kind, its shape, n and value.
+
+    The solution is one draw from the batched sampler that ``run_trials``
+    uses, from a Generator seeded by ``derived_seed(seed)``, and the value
+    comes from the same weight gather as a bench record's alg.
+    """
+    spec = problem_spec(problem, algorithm, inst.n, k)
+    gen = np.random.default_rng(RandomSource.derived_seed(seed))
+    solutions = _sample(spec, canonical_engine(algorithm), derive_preferences(inst), k, 1, gen)
+    value = float(spec.kind.values(solutions, inst.weights)[0])
+    return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), value)
+
+
+def optimum(
+    problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget = DEFAULT_BUDGET
+) -> dict:
+    """The exact optimum for ``inst`` as a payload, valued as a bench record's opt."""
+    spec = problem_spec(problem, None, inst.n, k)
+    solution = spec.oracle(inst, k, budget)
+    return _payload(spec.kind, solution, spec.kind.weigh(solution, inst))
 
 
 @dataclass
@@ -255,16 +351,7 @@ class RatioReport:
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "bound": self.bound,
-            "records": self.records,
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "std_error": self.std_error,
-            "verdict": self.verdict,
-        }
+        return _field_dict(self)
 
 
 def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> RatioReport:
@@ -279,6 +366,7 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
     opt/mean <= bound + 3 * stderr(ratio). Deterministic algorithms pass
     when the worst ratio stays within bound + 1e-9.
     """
+    row = PROBLEMS[cfg.problem]
     engine = cfg.engine
     bound = cfg.effective_bound()
     randomized = cfg.randomized()
@@ -288,12 +376,11 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
         spec = GeneratorSpec(cfg.family, cfg.n, dimension=cfg.dimension, seed=cfg.seed + t)
         inst = generate(spec)
         profile = derive_preferences(inst)
-        opt = _oracle_value(cfg.problem, inst, cfg.k, budget)
+        opt = row.kind.weigh(row.oracle(inst, cfg.k, budget), inst)
         gen = np.random.default_rng(RandomSource.derived_seed(cfg.seed, t))
         values = np.concatenate([
-            _values(
-                cfg.problem,
-                _sample(cfg.problem, engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
+            row.kind.values(
+                _sample(row, engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
                 inst.weights,
             )
             for lo in range(0, draws, SAMPLE_BLOCK)
@@ -369,13 +456,7 @@ class FixtureCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return _field_dict(self)
 
 
 @dataclass
@@ -729,9 +810,12 @@ def build_fixture_mixture_gap() -> Fixture:
     return fx
 
 
+FIXTURES = {
+    "randomization-floor": build_fixture_randomization_floor,
+    "mutual-top-pairs": build_fixture_mutual_top_pairs,
+    "mixture-gap": build_fixture_mixture_gap,
+}
+
+
 def all_fixtures() -> list[Fixture]:
-    return [
-        build_fixture_randomization_floor(),
-        build_fixture_mutual_top_pairs(),
-        build_fixture_mixture_gap(),
-    ]
+    return [build() for build in FIXTURES.values()]

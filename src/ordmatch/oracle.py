@@ -42,10 +42,6 @@ class _Deadline:
             raise BudgetError(f"{self.what} exceeded its time budget")
 
 
-def _low_bit_index(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
@@ -63,9 +59,12 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     kcap = min(k, n // 2)
     full = 1 << n
 
-    if kcap == n // 2:
-        # No binding edge cap: plain one-dimensional DP.
-        dp = [0.0] * full
+    # layers[j][mask] = best weight on mask using at most j edges. Without
+    # a binding cap one layer suffices and it is its own previous layer.
+    capped = kcap < n // 2
+    layers = [[0.0] * full for _ in range(kcap + 1 if capped else 1)]
+    pairs = list(zip(layers[1:], layers)) if capped else [(layers[0], layers[0])]
+    for cur, prev in pairs:
         for mask in range(3, full):
             if mask % 512 == 0:
                 deadline.check()
@@ -73,86 +72,36 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
             rest = mask ^ lowbit
             if rest == 0:
                 continue
-            low = lowbit.bit_length() - 1
-            row = w[low]
-            best = dp[rest]
+            row = w[lowbit.bit_length() - 1]
+            best = cur[rest]
             t = rest
             while t:
                 vbit = t & -t
-                cand = row[vbit.bit_length() - 1] + dp[rest ^ vbit]
+                cand = row[vbit.bit_length() - 1] + prev[rest ^ vbit]
                 if cand > best:
                     best = cand
                 t ^= vbit
-            dp[mask] = best
+            cur[mask] = best
 
-        edges = []
-        mask = full - 1
-        while True:
-            lowbit = mask & -mask
-            rest = mask ^ lowbit
-            if rest == 0:
-                break
-            low = lowbit.bit_length() - 1
-            row = w[low]
-            best = dp[mask]
-            chosen = -1
-            t = rest
-            while t:
-                vbit = t & -t
-                v = vbit.bit_length() - 1
-                if row[v] + dp[rest ^ vbit] == best:
-                    chosen = v
-                    break
-                t ^= vbit
-            if chosen < 0:
-                mask = rest
-            else:
-                edges.append((low, chosen))
-                mask = rest ^ (1 << chosen)
-        return Matching.from_pairs(n, [e for e in edges if w[e[0]][e[1]] > 0.0])
-
-    # Edge-capped variant: dp[mask][j] = best weight using at most j edges.
-    width = kcap + 1
-    dp = [0.0] * (full * width)
-    for mask in range(3, full):
-        if mask % 512 == 0:
-            deadline.check()
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        if rest == 0:
-            continue
-        low = lowbit.bit_length() - 1
-        row = w[low]
-        base = mask * width
-        rbase = rest * width
-        for j in range(1, width):
-            best = dp[rbase + j]
-            t = rest
-            while t:
-                vbit = t & -t
-                cand = row[vbit.bit_length() - 1] + dp[(rest ^ vbit) * width + j - 1]
-                if cand > best:
-                    best = cand
-                t ^= vbit
-            dp[base + j] = best
-
+    # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []
     mask = full - 1
-    j = kcap
-    while j > 0:
+    j = len(pairs) - 1
+    while j >= 0:
         lowbit = mask & -mask
         rest = mask ^ lowbit
         if rest == 0:
             break
         low = lowbit.bit_length() - 1
         row = w[low]
-        best = dp[mask * width + j]
+        cur, prev = pairs[j]
+        best = cur[mask]
         chosen = -1
         t = rest
         while t:
             vbit = t & -t
             v = vbit.bit_length() - 1
-            if row[v] + dp[(rest ^ vbit) * width + j - 1] == best:
+            if row[v] + prev[rest ^ vbit] == best:
                 chosen = v
                 break
             t ^= vbit
@@ -161,7 +110,7 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
         else:
             edges.append((low, chosen))
             mask = rest ^ (1 << chosen)
-            j -= 1
+            j -= capped
     return Matching.from_pairs(n, [e for e in edges if w[e[0]][e[1]] > 0.0])
 
 

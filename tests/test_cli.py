@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ordmatch import WeightedInstance, load_instance, save_instance
+from ordmatch import TrialConfig, WeightedInstance, load_instance, save_instance
 from ordmatch.cli import main
+from ordmatch.harness import PROBLEMS
 
 
 @pytest.fixture
@@ -104,29 +105,84 @@ class TestSolve:
         assert lines[0] == "problem,algorithm,seed,value"
         assert len(lines) == 2
 
-    def test_unsupported_engine_for_problem(self, inst_path):
-        with pytest.raises(SystemExit):
-            main(["solve", "--instance", inst_path, "--problem", "mkm",
-                  "--algorithm", "random", "--k", "2"])
+    def test_unsupported_engine_for_problem(self, inst_path, capsys):
+        assert main(["solve", "--instance", inst_path, "--problem", "mkm",
+                     "--algorithm", "random", "--k", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
-    def test_missing_k(self, inst_path):
-        with pytest.raises(SystemExit):
-            main(["solve", "--instance", inst_path, "--problem", "mkm"])
+    def test_missing_k(self, inst_path, capsys):
+        assert main(["solve", "--instance", inst_path, "--problem", "mkm"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--problem", "mkm", "--k", "9"],  # above n//2 = 4
-            ["--problem", "mkm", "--k", "0"],
-            ["--problem", "densest", "--k", "10"],  # above n = 8
-            ["--problem", "densest", "--algorithm", "random", "--k", "0"],
+            ["solve", "--problem", "mkm", "--k", "9"],  # above n//2 = 4
+            ["solve", "--problem", "mkm", "--k", "0"],
+            ["solve", "--problem", "densest", "--k", "10"],  # above n = 8
+            ["solve", "--problem", "densest", "--algorithm", "random", "--k", "0"],
+            ["solve", "--problem", "ksum", "--k", "0"],  # checked before n % k
+            ["oracle", "--problem", "mkm"],  # k missing
+            ["oracle", "--problem", "mkm", "--k", "99"],
+            ["oracle", "--problem", "ksum", "--k", "0"],
+            ["oracle", "--problem", "ksum", "--k", "3"],  # does not divide n = 8
+            ["oracle", "--problem", "densest", "--k", "3"],  # odd k
         ],
     )
     def test_k_outside_what_bench_accepts_exits_one(self, inst_path, argv, capsys):
-        assert main(["solve", "--instance", inst_path, *argv]) == 1
+        assert main([*argv, "--instance", inst_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def gen_paths(tmp_path_factory):
+    """``gen --n n --seed n`` instances for n = 2..9."""
+    d = tmp_path_factory.mktemp("agree")
+    paths = {}
+    for n in range(2, 10):
+        paths[n] = str(d / f"n{n}.json")
+        assert main(["gen", "--n", str(n), "--seed", str(n), "--out", paths[n]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "problem,engine", [(p, e) for p, spec in PROBLEMS.items() for e in spec.engines]
+)
+def test_bench_solve_and_oracle_accept_the_same_inputs(problem, engine, gen_paths, capsys):
+    """TrialConfig raises exactly when solve (and, for greedy, oracle) exits 1.
+
+    Where the config is deterministic, solve's value is bench's alg and
+    oracle's value is bench's opt, to the bit.
+    """
+    for n in range(2, 10):
+        for k in (None, *range(-1, n + 2)):
+            kargs = [] if k is None else ["--k", str(k)]
+            try:
+                TrialConfig(problem, engine, n, k=k, trials=1)
+                valid = True
+            except ValueError:
+                valid = False
+            verbs = [("solve", ["--algorithm", engine])]
+            if engine == "greedy":  # the oracle has no engine; greedy adds no engine check
+                verbs.append(("oracle", []))
+            payloads = {}
+            for verb, extra in verbs:
+                rc = main([verb, "--instance", gen_paths[n], "--problem", problem, *extra, *kargs])
+                captured = capsys.readouterr()
+                assert rc == (0 if valid else 1), (verb, n, k, captured.err)
+                assert captured.err.startswith("error:") != valid, (verb, n, k)
+                if valid:
+                    payloads[verb] = json.loads(captured.out)
+            if not (valid and engine == "greedy"):
+                continue
+            assert main(["bench", "--problem", problem, "--algorithm", engine, "--n", str(n),
+                         "--seed", str(n), "--trials", "1", *kargs]) == 0
+            record = json.loads(capsys.readouterr().out)["records"][0]
+            assert payloads["oracle"]["value"] == record["opt"], (n, k)
+            if problem != "tsp":  # a tour start is random even under greedy
+                assert payloads["solve"]["value"] == record["alg"], (n, k)
 
 
 class TestOracle:

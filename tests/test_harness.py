@@ -90,6 +90,8 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig("ksum", "greedy", 9, k=2)  # k does not divide n
         with pytest.raises(ValueError):
+            TrialConfig("ksum", "greedy", 8, k=0)  # k < 1, rejected before n % k
+        with pytest.raises(ValueError):
             TrialConfig("ksum", "hybrid", 9, k=3)  # odd cluster size
         with pytest.raises(ValueError):
             TrialConfig("densest", "greedy", 10, k=3)  # odd k
