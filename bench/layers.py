@@ -1,0 +1,209 @@
+"""Per-layer scaling of two ordmatch checkouts, plus paired benchmark runs.
+
+    python bench/layers.py --parent PARENT_DIR --change CHANGE_DIR --out BENCH_layers.json
+
+PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with
+``src/ordmatch`` and ``perfbench/``). For every n, a fresh process imports
+one checkout's ``ordmatch`` and times in-process the median of
+``REPEATS`` calls of each layer on a euclidean-uniform instance (seed
+0): generate, derive_preferences, greedy n/2, hybrid_matchings (1 draw),
+matchings_to_tours, profile_consistent and validate_metric. Then
+``perfbench/run.py`` runs from both checkouts in alternating pairs (the
+side that goes first alternates; ``PAIRS``), plus one traced large-n run
+per side. The output holds both columns, medians and quartiles of the
+pairs, and an environment stamp.
+
+    python bench/layers.py --time-layers N [--no-metric]
+
+times the ``ordmatch`` on ``sys.path`` at one n and prints one JSON line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+END_TO_END = {"setup_s": "lower", "wall_s": "lower", "op_s.p50": "lower",
+              "op_s.p90": "lower", "draws_per_s": "higher", "peak_rss_mb": "lower"}
+TRACE_KEYS = ("instance.derive_preferences.self_s", "instance.derive_preferences.calls",
+              "core.find_undominated.self_s", "core.greedy_k_matching.self_s",
+              "instance.load_instance.self_s", "instance.generate.self_s", "cli.main.self_s",
+              "layer.instance.self_s", "layer.instance.share", "layer.cli.share",
+              "layer.core.share", "trace.wall_s")
+REPEATS = 3
+SIZES = [100, 300, 1000, 2000, 5000]
+# The tuple-backed parent profile needs about 1 GB at n=5000, and a
+# validate_metric that builds the n^3 tensor needs 8 GB at n=1000.
+PARENT_SIZES = [100, 300, 1000, 2000]
+METRIC_MAX_N = 2000
+PARENT_METRIC_MAX_N = 300
+# WORKLOAD:SEED:PAIRS; seed 5 is held out from the runs made while writing a change.
+PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:3", "desk-oracle:0:3"]
+SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+
+def time_layers(n: int, metric: bool) -> dict:
+    """Median seconds of each layer at one n, for the ordmatch on sys.path."""
+    import numpy as np
+    from ordmatch import (GeneratorSpec, derive_preferences, generate, greedy_k_matching,
+                          hybrid_matchings, matchings_to_tours, profile_consistent,
+                          validate_metric)
+
+    spec = GeneratorSpec("euclidean-uniform", n, seed=0)
+    inst = generate(spec)
+    prof = derive_preferences(inst)
+    matchings = hybrid_matchings(prof, 1, np.random.default_rng(0))
+    layers = {
+        "generate": lambda: generate(spec),
+        "derive_preferences": lambda: derive_preferences(inst),
+        "greedy_k_matching n/2": lambda: greedy_k_matching(prof, n // 2),
+        "hybrid_matchings 1 draw": lambda: hybrid_matchings(prof, 1, np.random.default_rng(0)),
+        "matchings_to_tours": lambda: matchings_to_tours(matchings, prof, np.random.default_rng(0)),
+        "profile_consistent": lambda: profile_consistent(prof, inst),
+    }
+    if metric:
+        layers["validate_metric"] = lambda: validate_metric(inst)
+    out = {}
+    for name, call in layers.items():
+        times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        out[name] = statistics.median(times)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def _env(tree: str) -> dict:
+    env = dict(os.environ, **SINGLE_THREAD)
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    return env
+
+
+def layer_column(tree: str, sizes, metric_max_n: int) -> dict:
+    column = {}
+    for n in sizes:
+        cmd = [sys.executable, os.path.abspath(__file__), "--time-layers", str(n)]
+        cmd += [] if n <= metric_max_n else ["--no-metric"]
+        proc = subprocess.run(cmd, env=_env(tree), capture_output=True, text=True, check=True)
+        column[str(n)] = json.loads(proc.stdout.splitlines()[-1])
+        print(f"  {os.path.basename(tree)} n={n}: {column[str(n)]}", file=sys.stderr, flush=True)
+    return column
+
+
+def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", "25", "--trace", str(trace)]
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    line = json.loads(proc.stdout.splitlines()[-1])
+    return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
+            "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+
+
+def _spread(values) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def paired_runs(parent: str, change: str, workload: str, seed: int, pairs: int) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(perfbench(parent if side == "parent" else change, workload, seed, 0))
+            print(f"  {workload} seed {seed} pair {i} {side}: {runs[side][-1]['metrics']}",
+                  file=sys.stderr, flush=True)
+    metrics = {}
+    for name, better in END_TO_END.items():
+        p = [r["metrics"][name] for r in runs["parent"]]
+        c = [r["metrics"][name] for r in runs["change"]]
+        wins = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
+        metrics[name] = {"better": better, "parent": _spread(p), "change": _spread(c),
+                         "change_over_parent_median": statistics.median(c) / statistics.median(p),
+                         "change_wins_pairs": wins}
+    return {
+        "pairs": pairs,
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "ops_failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+        "ops_attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+        "metrics": metrics,
+    }
+
+
+def environment() -> dict:
+    import numpy
+
+    cpu = "unknown"
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "cpu": cpu,
+            "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
+            "platform": platform.platform()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--time-layers", type=int, default=None, metavar="N")
+    ap.add_argument("--no-metric", action="store_true")
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--parent-rev", default=None, help="commit the parent checkout holds")
+    ap.add_argument("--out", default="BENCH_layers.json")
+    args = ap.parse_args(argv)
+
+    if args.time_layers is not None:
+        print(json.dumps(time_layers(args.time_layers, not args.no_metric)))
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+
+    result = {
+        "what": "Per-layer seconds (median of repeats, in-process, one fresh process per n) "
+                "and perfbench end-to-end medians for a parent and a change checkout.",
+        "method": "perfbench/run.py --seconds 25 from each checkout; pairs alternate which "
+                  "side runs first; times are the benchmark's kernel-scaled values except "
+                  "setup_s; quartiles are inclusive-method quantiles over the runs.",
+        "settings": {"sizes": SIZES, "parent_sizes": PARENT_SIZES, "metric_max_n": METRIC_MAX_N,
+                     "parent_metric_max_n": PARENT_METRIC_MAX_N, "repeats": REPEATS,
+                     "pairs": PAIRS},
+        "parent_rev": args.parent_rev,
+        "environment": environment(),
+        "layers": {
+            "unit": "s",
+            "repeats": REPEATS,
+            "instance": "euclidean-uniform, dimension 2, seed 0",
+            "parent": layer_column(args.parent, PARENT_SIZES, PARENT_METRIC_MAX_N),
+            "change": layer_column(args.change, SIZES, METRIC_MAX_N),
+        },
+        "end_to_end": {},
+    }
+    for entry in PAIRS:
+        workload, seed, pairs = entry.split(":")
+        result["end_to_end"][f"{workload} seed {seed}"] = paired_runs(
+            args.parent, args.change, workload, int(seed), int(pairs))
+    result["trace_large_n_seed_0"] = {
+        side: {k: v for k, v in perfbench(tree, "large-n", 0, 1)["metrics"].items()
+               if k in TRACE_KEYS}
+        for side, tree in (("parent", args.parent), ("change", args.change))
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -76,7 +76,7 @@ def _cmd_prefs(args) -> int:
     if args.format == "csv":
         _emit(_csv_bytes(
             ",".join(f"r{j}" for j in range(inst.n - 1)),
-            profile.ranking,
+            profile.ranking.tolist(),
         ), args.out)
     else:
         _emit(_json_bytes(profile.to_dict()), args.out)

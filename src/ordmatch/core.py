@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,9 @@ class EdgePool:
     removing a matched pair automatically retires every edge touching it.
     ``n`` is the size of the ambient node universe, used when results are
     packaged into a :class:`Matching`.
+
+    Nodes only ever leave a pool, so ``top_choice`` keeps a forward-only
+    cursor per node into its row of the last profile it was asked about.
     """
 
     def __init__(self, side_a, side_b=None, n: int | None = None):
@@ -129,6 +133,7 @@ class EdgePool:
         self._b = b
         self._aset = set(a)
         self._bset = set(b) if b is not None else None
+        self._profile, self._rows, self._cursor = None, None, {}
 
     @classmethod
     def complete(cls, nodes, n: int | None = None) -> "EdgePool":
@@ -182,30 +187,34 @@ class EdgePool:
     def top_choice(self, x: int, profile: PreferenceProfile) -> int:
         """x's most preferred partner among the active edges at x."""
         partners = self._partners(x)
-        for j in profile.ranking[x]:
-            if j != x and j in partners:
-                return j
-        raise EmptyPoolError(f"node {x} has no active partner")
+        if profile is not self._profile:
+            # a flat memoryview reads single entries as Python ints, fast
+            self._profile, self._rows, self._cursor = profile, memoryview(profile.ranking.ravel()), {}
+        rows, width = self._rows, len(profile.ranking) - 1
+        c, end = self._cursor.get(x, x * width), (x + 1) * width
+        while c < end and rows[c] not in partners:
+            c += 1
+        self._cursor[x] = c
+        if c == end:
+            raise EmptyPoolError(f"node {x} has no active partner")
+        return rows[c]
 
     def lowest_active(self) -> int:
-        nodes = self.active_nodes()
-        if not nodes:
+        firsts = self._a[:1] + (self._b or [])[:1]
+        if not firsts:
             raise EmptyPoolError("pool has no active nodes")
-        return nodes[0]
+        return min(firsts)
 
     def remove_pair(self, u: int, v: int) -> None:
         """Retire a matched pair and every edge incident to it."""
         if u == v:
             raise ValueError("matched pair must be two distinct nodes")
         for x in (u, v):
-            if x in self._aset:
-                self._aset.remove(x)
-                self._a.remove(x)
-            elif self._bset is not None and x in self._bset:
-                self._bset.remove(x)
-                self._b.remove(x)
-            else:
+            side, members = (self._a, self._aset) if x in self._aset else (self._b, self._bset)
+            if members is None or x not in members:
                 raise ValueError(f"node {x} is not active")
+            members.remove(x)
+            del side[bisect_left(side, x)]
 
     def sample_edge(self, rng: RandomSource) -> tuple[int, int]:
         """Uniformly random active edge; two randrange draws per call."""

@@ -609,11 +609,10 @@ def build_fixture_mutual_top_pairs(n_pairs: int = 3, epsilon: Fraction = Fractio
     def pair_nodes(i: int) -> tuple[int, int]:
         return 2 * i, 2 * i + 1
 
-    rows = []
-    for q in range(size):
-        partner = q + 1 if q % 2 == 0 else q - 1
-        rows.append((partner,) + tuple(j for j in range(size) if j not in (q, partner)))
-    profile = PreferenceProfile(tuple(rows))
+    # each node ranks its pair partner q ^ 1 first, then the rest by index
+    profile = PreferenceProfile(
+        [[q ^ 1] + [j for j in range(size) if j not in (q, q ^ 1)] for q in range(size)]
+    )
 
     def weight_rows(special: int, heavy, base) -> list:
         w = [[base * 1 for _ in range(size)] for _ in range(size)]
@@ -701,11 +700,9 @@ def build_fixture_mixture_gap() -> Fixture:
     """
     size = 8
     rank = [q // 2 for q in range(size)]
-    rows = []
-    for q in range(size):
-        others = sorted((j for j in range(size) if j != q), key=lambda j: (rank[j], j))
-        rows.append(tuple(others))
-    profile = PreferenceProfile(tuple(rows))
+    profile = PreferenceProfile(
+        [sorted((j for j in range(size) if j != q), key=lambda j: (rank[j], j)) for q in range(size)]
+    )
 
     one = Fraction(1)
 

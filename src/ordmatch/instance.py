@@ -137,10 +137,8 @@ def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     w = inst.weights
-    # via[x, z, y] = w(x,z) + w(z,y); trivial z in {x, y} terms reproduce
-    # w(x,y) itself and cannot mask a violation.
-    via = w[:, :, None] + w[None, :, :]
-    return bool((w <= via.min(axis=1) + tol).all())
+    # one pivot z at a time keeps memory O(n^2); z in {x, y} cannot mask a violation
+    return all(bool((w <= w[:, z : z + 1] + w[z : z + 1, :] + tol).all()) for z in range(inst.n))
 
 
 def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
@@ -153,30 +151,44 @@ def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must be in [0, 0.5], got {alpha}")
     w = inst.weights
-    # worst[i, k] = max_j (w(i,j) + w(j,k)); j in {i, k} contributes
-    # w(i,k) itself, harmless since alpha <= 1/2.
-    worst = (w[:, :, None] + w[None, :, :]).max(axis=1)
-    off = ~np.eye(inst.n, dtype=bool)
-    return bool((w[off] >= alpha * worst[off]).all())
+    # one pivot j at a time keeps memory O(n^2); j in {i, k} gives w(i,k)
+    # itself, harmless as alpha <= 1/2; the diagonal i == k is exempt
+    diagonal = np.eye(inst.n, dtype=bool)
+    two_hop = (w[:, j : j + 1] + w[j : j + 1, :] for j in range(inst.n))
+    return all(bool(((w >= alpha * via) | diagonal).all()) for via in two_hop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceProfile:
     """Per-node strict rankings over the other nodes.
 
-    ``ranking[i]`` lists the other nodes in descending preference. This is
-    the only input the ordinal algorithms receive.
+    ``ranking[i]`` lists the other nodes in descending preference (read-only
+    int32, (n, n-1)); ``rank[i, j]`` is j's position in i's list, n-1 for
+    j == i. This is the only input the ordinal algorithms receive. Profiles
+    compare equal when their rankings do; they are not hashable.
     """
 
-    ranking: tuple[tuple[int, ...], ...]
+    ranking: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(j) for j in row) for row in self.ranking)
-        object.__setattr__(self, "ranking", rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if sorted(row) != [j for j in range(n) if j != i]:
-                raise ValueError(f"row {i} is not a permutation of the other {n - 1} nodes")
+        ranking = np.array(self.ranking, dtype=np.int32)
+        n = len(ranking)
+        if ranking.ndim != 2 or ranking.shape[1] != n - 1:
+            raise ValueError(f"ranking must have n - 1 = {n - 1} entries in each of its {n} rows")
+        # each row followed by its own node must be a permutation of 0..n-1
+        full = np.column_stack([ranking, np.arange(n)])
+        bad = (np.sort(full, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"row {int(bad.argmax())} is not a permutation of the other {n - 1} nodes")
+        rank = np.empty((n, n), dtype=np.int32)
+        np.put_along_axis(rank, full, np.arange(n, dtype=np.int32)[None, :], axis=1)
+        for name, table in (("ranking", ranking), ("rank", rank)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PreferenceProfile) and np.array_equal(self.ranking, other.ranking)
 
     @property
     def n(self) -> int:
@@ -184,30 +196,31 @@ class PreferenceProfile:
 
     def position(self, i: int, j: int) -> int:
         """Rank of j in i's list; 0 is the most preferred."""
-        return self.ranking[i].index(j)
+        if i == j or not 0 <= j < self.n:
+            raise ValueError(f"node {j} is not in node {i}'s list")
+        return int(self.rank[i, j])
 
     def prefers(self, i: int, j: int, k: int) -> bool:
         """True when i ranks j strictly above k."""
         return self.position(i, j) < self.position(i, k)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "ranking": [list(row) for row in self.ranking]}
+        return {"n": self.n, "ranking": self.ranking.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreferenceProfile":
-        return cls(tuple(tuple(row) for row in d["ranking"]))
+        return cls(d["ranking"])
 
 
 def derive_preferences(inst: WeightedInstance) -> PreferenceProfile:
-    """Rank every node's partners by descending weight, ties by index."""
-    w = inst.weights
-    n = inst.n
-    rows = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        others.sort(key=lambda j: (-w[i, j], j))
-        rows.append(tuple(others))
-    return PreferenceProfile(tuple(rows))
+    """Rank every node's partners by descending weight, ties by index.
+
+    One stable argsort of -w keeps ties in index order; the +inf diagonal
+    sorts last and is dropped.
+    """
+    key = -inst.weights
+    np.fill_diagonal(key, np.inf)
+    return PreferenceProfile(np.argsort(key, axis=1, kind="stable")[:, :-1])
 
 
 def profile_consistent(profile: PreferenceProfile, inst: WeightedInstance) -> bool:
@@ -219,12 +232,8 @@ def profile_consistent(profile: PreferenceProfile, inst: WeightedInstance) -> bo
     """
     if profile.n != inst.n:
         return False
-    w = inst.weights
-    for i, row in enumerate(profile.ranking):
-        for a, b in zip(row, row[1:]):
-            if w[i, a] < w[i, b]:
-                return False
-    return True
+    ranked = np.take_along_axis(inst.weights, profile.ranking, axis=1)
+    return bool((ranked[:, :-1] >= ranked[:, 1:]).all())
 
 
 @dataclass(frozen=True)

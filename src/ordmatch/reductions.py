@@ -296,9 +296,6 @@ def matchings_to_tours(
         raise ValueError(f"a tour needs n >= 3, got n={n}")
     if m != n // 2:
         raise ValueError(f"matching must be perfect ({n // 2} edges), got {m}")
-    rank = np.zeros((n, n), dtype=np.intp)
-    rank[np.arange(n)[:, None], np.array(profile.ranking)] = np.arange(n - 1)
-
     edges = _sorted_edges(matchings)
     nodes = np.sort(edges.reshape(draws, -1), axis=1)
     start = nodes[np.arange(draws), gen.integers(0, 2 * m, size=draws)]
@@ -312,7 +309,7 @@ def matchings_to_tours(
     tours[:, 1] = edges[:, 0].sum(axis=1) - start
     for j in range(1, m):
         x, y, z = tours[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
-        y_first = rank[x, y] < rank[x, z]
+        y_first = profile.rank[x, y] < profile.rank[x, z]
         tours[:, 2 * j] = np.where(y_first, y, z)
         tours[:, 2 * j + 1] = np.where(y_first, z, y)
     if n % 2:

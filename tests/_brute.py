@@ -1,10 +1,14 @@
-"""Independent exhaustive solvers the oracle tests are checked against.
+"""Independent references the package is checked against.
 
-Deliberately plain enumeration with no dynamic programming and no
-pruning, so these share no structure with the package's oracles.
+Exhaustive solvers for the oracle tests: deliberately plain enumeration
+with no dynamic programming and no pruning, so these share no structure
+with the package's oracles. Plain versions of the ranking, the greedy
+and the triple checks for the array profile, cursor and pivot-loop tests.
 """
 
 from itertools import combinations, permutations
+
+import numpy as np
 
 
 def all_matchings(n: int, max_edges: int | None = None) -> list:
@@ -96,3 +100,52 @@ def tour_value(w, order) -> float:
 def brute_max_tour(w) -> float:
     n = len(w)
     return max(tour_value(w, (0,) + p) for p in permutations(range(1, n)))
+
+
+def metric_by_tensor(w, tol: float) -> bool:
+    """Triangle inequality over the full (x, z, y) tensor of two-hop sums."""
+    w = np.asarray(w, dtype=float)
+    via = w[:, :, None] + w[None, :, :]
+    return bool((w <= via.min(axis=1) + tol).all())
+
+
+def friendship_by_tensor(w, alpha: float) -> bool:
+    """w(i,k) >= alpha * max_j (w(i,j) + w(j,k)) over the full tensor, i != k."""
+    w = np.asarray(w, dtype=float)
+    worst = (w[:, :, None] + w[None, :, :]).max(axis=1)
+    off = ~np.eye(len(w), dtype=bool)
+    return bool((w[off] >= alpha * worst[off]).all())
+
+
+def tuple_rankings(w) -> tuple:
+    """Each node's partners sorted by (descending weight, index), as tuples."""
+    n = len(w)
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        others.sort(key=lambda j: (-w[i][j], j))
+        rows.append(tuple(others))
+    return tuple(rows)
+
+
+def scan_greedy(rows, k: int) -> list:
+    """Greedy undominated-edge matching that rescans every row from the top.
+
+    The walk starts at the lowest active node and hops to each node's
+    first active partner until it revisits a node; the closing edge is
+    picked and both endpoints retire.
+    """
+    active = set(range(len(rows)))
+    picked = []
+    while len(picked) < k and len(active) >= 2:
+        x = min(active)
+        seen = {x}
+        while True:
+            y = next(j for j in rows[x] if j in active)
+            if y in seen:
+                break
+            seen.add(y)
+            x = y
+        picked.append((min(x, y), max(x, y)))
+        active -= {x, y}
+    return sorted(picked)

@@ -128,6 +128,51 @@ class TestEdgePool:
         pool.remove_pair(1, 2)
         assert pool.top_choice(0, P4) == 3
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.booleans())
+    def test_top_choice_matches_fresh_row_scan(self, seed, n, bipartite):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+        prof = derive_preferences(WeightedInstance(upper + upper.T))
+        nodes = rng.permutation(n).tolist()
+        sides = [set(nodes[: n // 2]), set(nodes[n // 2 :])] if bipartite else [set(nodes)]
+        pool = EdgePool(*sides, n=n) if bipartite else EdgePool.complete(sides[0], n)
+
+        def partners(x):
+            if not bipartite:
+                return sides[0] - {x}
+            return sides[1] if x in sides[0] else sides[0]
+
+        while not pool.is_empty():
+            for x in sorted(set().union(*sides)):
+                live = partners(x)
+                if live:
+                    assert pool.top_choice(x, prof) == next(j for j in prof.ranking[x].tolist() if j in live)
+                else:
+                    with pytest.raises(EmptyPoolError):
+                        pool.top_choice(x, prof)
+            u, v = pool.edges()[rng.integers(pool.edge_count())]
+            pool.remove_pair(u, v)
+            for side in sides:
+                side -= {u, v}
+
+    def test_top_choice_follows_the_profile_it_is_given(self):
+        by_index = tuple(tuple(j for j in range(5) if j != i) for i in range(5))
+        other = ((4, 1, 2, 3),) + by_index[1:]
+        pool = EdgePool.complete(range(5), 5)
+        pool.remove_pair(1, 2)
+        # node 0's cursor under by_index moves past 1 and 2 to node 3
+        assert pool.top_choice(0, PreferenceProfile(by_index)) == 3
+        assert pool.top_choice(0, PreferenceProfile(other)) == 4
+
+    def test_exhausted_node_raises_after_its_cursor_moved(self):
+        pool = EdgePool.bipartite([0, 1], [2], 3)
+        prof = PreferenceProfile(((2, 1), (2, 0), (0, 1)))
+        assert pool.top_choice(1, prof) == 2
+        pool.remove_pair(0, 2)
+        with pytest.raises(EmptyPoolError):
+            pool.top_choice(1, prof)
+
     def test_sample_edge_empty_pool(self):
         pool = EdgePool.complete(range(2), 2)
         pool.remove_pair(0, 1)

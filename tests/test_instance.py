@@ -3,19 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from _brute import friendship_by_tensor, metric_by_tensor, scan_greedy, tuple_rankings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmatch import (
     GENERATOR_FAMILIES,
     GeneratorSpec,
+    Matching,
     MalformedInstanceError,
     PreferenceProfile,
+    RandomSource,
     WeightedInstance,
     check_friendship,
     derive_preferences,
     generate,
+    greedy_k_matching,
+    hybrid_matchings,
     load_instance,
+    matchings_to_tours,
+    path_completion,
     profile_consistent,
     save_instance,
     validate_metric,
@@ -27,6 +34,16 @@ W4 = [
     [1.0, 1.0, 0.0, 5.0],
     [2.0, 1.0, 5.0, 0.0],
 ]
+
+
+@st.composite
+def small_int_weights(draw, min_n, max_n, top):
+    """Symmetric zero-diagonal matrix with integer weights in 0..top (tie-heavy)."""
+    n = draw(st.integers(min_n, max_n))
+    upper = draw(st.lists(st.integers(0, top), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = upper
+    return w + w.T
 
 
 def square(n, fill=1.0):
@@ -174,6 +191,26 @@ class TestCheckFriendship:
             assert validate_metric(inst, 0.0)
 
 
+class TestPivotChecksMatchTensor:
+    @settings(max_examples=150, deadline=None)
+    @given(small_int_weights(3, 10, 4), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_validate_metric(self, w, tol):
+        # small integers give both violations (1 + 1 < 4) and exactly tight triangles
+        assert validate_metric(WeightedInstance(w), tol) == metric_by_tensor(w, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_int_weights(3, 10, 4), st.sampled_from([0.0, 0.25, 1 / 3, 0.5, None]))
+    def test_check_friendship(self, w, alpha):
+        if alpha is None:
+            # the instance's own worst ratio: its tightest triple sits exactly at alpha
+            via = w[:, :, None] + w[None, :, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = w[:, None, :] / via
+            off = ~np.eye(len(w), dtype=bool)[:, None, :] & (via > 0)
+            alpha = min(0.5, float(ratios[off].min())) if off.any() else 0.5
+        assert check_friendship(WeightedInstance(w), alpha) == friendship_by_tensor(w, alpha)
+
+
 class TestPreferenceProfile:
     def test_rejects_row_containing_self(self):
         with pytest.raises(ValueError):
@@ -198,21 +235,33 @@ class TestPreferenceProfile:
         p = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
         assert PreferenceProfile.from_dict(p.to_dict()) == p
 
+    def test_tables_are_read_only_and_rank_inverts_ranking(self):
+        p = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
+        assert p.ranking.dtype == np.int32 and p.ranking.shape == (4, 3)
+        for table in (p.ranking, p.rank):
+            with pytest.raises(ValueError):
+                table[0, 0] = 2
+        for i in range(4):
+            assert [int(p.rank[i, j]) for j in p.ranking[i]] == [0, 1, 2]
+            assert p.rank[i, i] == 3
+        with pytest.raises(ValueError):
+            p.position(2, 2)
+
 
 class TestDerivePreferences:
     def test_known_matrix_with_ties(self):
         # ties broken toward the lower index
         p = derive_preferences(WeightedInstance(W4))
-        assert p.ranking == (
-            (1, 3, 2),
-            (0, 2, 3),
-            (3, 0, 1),
-            (2, 0, 1),
-        )
+        assert p.ranking.tolist() == [
+            [1, 3, 2],
+            [0, 2, 3],
+            [3, 0, 1],
+            [2, 0, 1],
+        ]
 
     def test_all_equal_weights_rank_by_index(self):
         p = derive_preferences(WeightedInstance(square(4)))
-        assert p.ranking == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+        assert p.ranking.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
     def test_derived_profile_is_consistent(self):
         inst = generate(GeneratorSpec("random-metric-closure", 7, seed=3))
@@ -236,6 +285,43 @@ class TestDerivePreferences:
         # power-of-two scaling and squaring are exactly order-preserving
         assert derive_preferences(WeightedInstance(w * 4.0)) == prof
         assert derive_preferences(WeightedInstance(w * w)) == prof
+
+
+class TestArrayProfileMatchesTupleReference:
+    @settings(max_examples=120, deadline=None)
+    @given(small_int_weights(2, 12, 2))
+    def test_rankings_positions_and_prefers(self, w):
+        rows = tuple_rankings(w)
+        inst = WeightedInstance(w)
+        p = derive_preferences(inst)
+        assert p.ranking.tolist() == [list(r) for r in rows]
+        assert profile_consistent(p, inst)
+        for i, row in enumerate(rows):
+            for j in row:
+                assert p.position(i, j) == row.index(j)
+                for k in row:
+                    assert p.prefers(i, j, k) == (row.index(j) < row.index(k))
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_int_weights(2, 12, 2))
+    def test_greedy_for_every_k(self, w):
+        rows = tuple_rankings(w)
+        p = derive_preferences(WeightedInstance(w))
+        for k in range(1, len(w) // 2 + 2):
+            assert greedy_k_matching(p, k).sorted_edges() == scan_greedy(rows, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_int_weights(4, 12, 2), st.integers(0, 2**32 - 1))
+    def test_tour_rows_follow_path_completion(self, w, seed):
+        n = len(w)
+        p = derive_preferences(WeightedInstance(w))
+        gen = np.random.default_rng(seed)
+        matchings = hybrid_matchings(p, 8, gen)
+        tours = matchings_to_tours(matchings, p, gen)
+        for edges, tour in zip(matchings.tolist(), tours.tolist()):
+            m = Matching.from_pairs(n, edges)
+            path = path_completion(m, p, RandomSource(0), start=tour[0])
+            assert list(path.order) == tour[: 2 * len(m)]
 
 
 class TestGenerators:
