@@ -265,6 +265,8 @@ class TrialConfig:
             raise ValueError("inner_samples must be at least 2 for a standard error")
         if self.bound is not None and self.bound <= 0:
             raise ValueError("bound must be positive")
+        if self.bound is not None and not math.isfinite(self.bound):
+            raise ValueError(f"bound must be finite, got {self.bound}")
 
     @property
     def engine(self) -> str:
@@ -429,17 +431,26 @@ def _finite_or_null(obj):
     return obj
 
 
+def render(fmt: str, data, header: str, rows) -> bytes:
+    """The bytes a CLI verb writes: ``data`` as strict JSON, or CSV of ``header`` and ``rows``.
+
+    JSON refuses non-finite floats (ValueError) instead of writing a bare
+    Infinity or NaN. A CSV cell is ``str`` of its value, which for a
+    float is its ``repr``.
+    """
+    if fmt == "json":
+        text = json.dumps(data, indent=2, allow_nan=False)
+    elif fmt == "csv":
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
+    else:
+        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
+    return (text + "\n").encode("utf-8")
+
+
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
     """Render a report; json is strict (non-finite floats become null), csv is one row per record."""
-    if fmt == "json":
-        text = json.dumps(_finite_or_null(report.to_dict()), indent=2, allow_nan=False)
-        return (text + "\n").encode("utf-8")
-    if fmt == "csv":
-        lines = ["seed,opt,alg,ratio"]
-        for r in report.records:
-            lines.append(f"{r['seed']},{r['opt']!r},{r['alg']!r},{r['ratio']!r}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
+    rows = ((r["seed"], r["opt"], r["alg"], r["ratio"]) for r in report.records)
+    return render(fmt, _finite_or_null(report.to_dict()), "seed,opt,alg,ratio", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -87,28 +87,28 @@ class WeightedInstance:
         return float(self.weights.sum()) / 2.0
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "weights": [[float(x) for x in row] for row in self.weights],
-            "metric": bool(self.metric),
-        }
+        d = {"n": self.n, "weights": self.weights.tolist(), "metric": bool(self.metric)}
         if self.points is not None:
-            d["points"] = [[float(x) for x in row] for row in self.points]
+            d["points"] = self.points.tolist()
         if self.meta:
             d["meta"] = dict(self.meta)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightedInstance":
+        if not isinstance(d, dict):
+            raise MalformedInstanceError(f"instance must be a JSON object, got {type(d).__name__}")
         if "weights" not in d:
             raise MalformedInstanceError("instance dict has no 'weights' field")
-        inst = cls(
-            weights=d["weights"],
-            metric=bool(d.get("metric", False)),
-            points=d.get("points"),
-            meta=dict(d.get("meta", {})),
-        )
-        if "n" in d and int(d["n"]) != inst.n:
+        meta = d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise MalformedInstanceError(f"instance 'meta' must be an object, got {type(meta).__name__}")
+        try:
+            inst = cls(d["weights"], bool(d.get("metric", False)), d.get("points"), dict(meta))
+            n = int(d.get("n", inst.n))
+        except TypeError as exc:  # a field of the wrong JSON type, e.g. weights as an object
+            raise MalformedInstanceError(f"instance field has the wrong type: {exc}") from None
+        if n != inst.n:
             raise MalformedInstanceError(
                 f"declared n={d['n']} does not match weight matrix of size {inst.n}"
             )
@@ -136,6 +136,8 @@ def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     """
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     w = inst.weights
     # one pivot z at a time keeps memory O(n^2); z in {x, y} cannot mask a violation
     return all(bool((w <= w[:, z : z + 1] + w[z : z + 1, :] + tol).all()) for z in range(inst.n))

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from ordmatch import TrialConfig, WeightedInstance, load_instance, save_instance
+from ordmatch import (
+    GENERATOR_FAMILIES,
+    GeneratorSpec,
+    TrialConfig,
+    WeightedInstance,
+    generate,
+    load_instance,
+    save_instance,
+)
 from ordmatch.cli import main
 from ordmatch.harness import PROBLEMS
 
@@ -240,6 +248,14 @@ class TestBench:
         assert lines[0] == "seed,opt,alg,ratio"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+    def test_non_finite_bound_exits_one(self, bound, capsys):
+        rc = main(["bench", "--problem", "mwm", "--n", "6", "--trials", "1", f"--bound={bound}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_invalid_config_exits_one(self, capsys):
         rc = main(["bench", "--problem", "mkm", "--algorithm", "random",
                    "--n", "8", "--k", "2"])
@@ -278,9 +294,87 @@ class TestVerifyMetric:
     def test_tolerance_rescues(self, nonmetric_path):
         assert main(["verify-metric", "--instance", nonmetric_path, "--tol", "3.0"]) == 0
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+    def test_non_finite_tol_exits_one(self, inst_path, tol, capsys):
+        assert main(["verify-metric", "--instance", inst_path, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["verify-metric", "--instance", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+W3 = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+
+# instance documents whose fields have the wrong JSON type
+MALFORMED_DOCUMENTS = {
+    "top-level-number": 5,
+    "top-level-null": None,
+    "weights-object": {"weights": {"a": 1}},
+    "meta-number": {"weights": W3, "meta": 3},
+    "meta-list": {"weights": W3, "meta": [1]},
+    "n-list": {"weights": W3, "n": [2]},
+    "n-null": {"weights": W3, "n": None},
+    "points-object": {"weights": W3, "points": {"a": 1}},
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_DOCUMENTS))
+@pytest.mark.parametrize(
+    "verb", [["prefs"], ["solve", "--problem", "mwm"], ["oracle", "--problem", "mwm"],
+             ["verify-metric"]], ids=lambda verb: verb[0],
+)
+def test_malformed_instance_exits_one(verb, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED_DOCUMENTS[doc]))
+    assert main([*verb, "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+VERB_ARGV = {
+    "gen": ["gen", "--n", "5", "--seed", "1"],
+    "prefs": ["prefs", "--instance", "{inst}"],
+    "solve": ["solve", "--instance", "{inst}", "--problem", "tsp", "--algorithm", "hybrid"],
+    "oracle": ["oracle", "--instance", "{inst}", "--problem", "ksum", "--k", "2"],
+    "bench": ["bench", "--problem", "mwm", "--algorithm", "random", "--n", "6",
+              "--trials", "2", "--inner-samples", "20"],
+    "fixtures": ["fixtures"],
+    "verify-metric": ["verify-metric", "--instance", "{inst}"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("verb", list(VERB_ARGV))
+def test_every_verb_writes_one_strict_output(verb, fmt, inst_path, tmp_path, capsys):
+    """stdout is strict JSON, or a CSV header and rows of its width; --out gets the same bytes."""
+    argv = [arg.replace("{inst}", inst_path) for arg in VERB_ARGV[verb]] + ["--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        json.loads(out, parse_constant=reject)
+    else:
+        header, *rows = out.rstrip("\n").split("\n")
+        assert rows
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("family", [f for f in GENERATOR_FAMILIES if f != "explicit"])
+def test_save_instance_writes_the_bytes_of_gen_out(family, tmp_path):
+    saved, written = tmp_path / "saved.json", tmp_path / "gen.json"
+    save_instance(generate(GeneratorSpec(family, 7, seed=2)), str(saved))
+    assert main(["gen", "--family", family, "--n", "7", "--seed", "2", "--out", str(written)]) == 0
+    assert saved.read_bytes() == written.read_bytes()
 
 
 class TestParser:

@@ -100,6 +100,11 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig("mwm", "greedy", 8, bound=0.0)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_bound(self, bound):
+        with pytest.raises(ValueError):
+            TrialConfig("mwm", "greedy", 8, bound=bound)
+
     def test_randomized_flag(self):
         assert not TrialConfig("mwm", "greedy", 8, trials=1).randomized()
         assert TrialConfig("mwm", "random", 8, trials=1).randomized()

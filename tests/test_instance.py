@@ -158,6 +158,11 @@ class TestValidateMetric:
         with pytest.raises(ValueError):
             validate_metric(WeightedInstance(square(3)), tol=-1e-9)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError):
+            validate_metric(WeightedInstance(square(3)), tol=tol)
+
 
 class TestCheckFriendship:
     def test_alpha_domain(self):
