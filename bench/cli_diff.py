@@ -7,14 +7,15 @@ PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with
 checkout's ``ordmatch`` and calls ``ordmatch.cli.main`` in-process on the
 same fixed list of invocations (``invocations()``): every verb in both
 formats, all three families, every problem x engine (rejected
-combinations too), failing bounds, invalid flags and malformed instance
-files. The instances the later verbs read are written by the checkout's
-own ``gen``, or verbatim for the hand-written documents.
+combinations too), failing bounds, invalid flags, malformed instance
+files, ``--help`` of every verb and an instance path with a comma. The
+instances the later verbs read are written by the checkout's own
+``gen``, or verbatim for the hand-written documents.
 
 Per invocation the comparison covers the sha256 of stdout plus the
 ``--out`` file, the exit code (``raised <Type>`` for an exception that
-escaped ``main``) and the first line of stderr, with the temporary
-directory replaced by ``<TMP>``. Every difference is printed; the exit
+escaped ``main``), and the first line and the sha256 of stderr, with the
+temporary directory replaced by ``<TMP>``. Every difference is printed; the exit
 status is 1 if there is one.
 
     python bench/cli_diff.py --run CHECKOUT_DIR
@@ -36,6 +37,7 @@ import tempfile
 
 FAMILIES = ("euclidean-uniform", "random-metric-closure", "clustered-gaussian")
 ENGINES = ("greedy", "random", "hybrid")
+VERBS = ("gen", "prefs", "solve", "oracle", "bench", "fixtures", "verify-metric")
 # (problem, k) on the n=8 and n=10 instances; bench uses the n beside it
 PROBLEM_KS = (("mwm", None, 6), ("mkm", 2, 8), ("ksum", 2, 8), ("densest", 4, 8), ("tsp", None, 6))
 BAD_K = (("mkm", None), ("mkm", 9), ("mkm", 0), ("ksum", 0), ("ksum", 3), ("densest", 3),
@@ -175,6 +177,11 @@ def invocations() -> list:
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]
+    inv += [["--help"], *([verb, "--help"] for verb in VERBS)]
+    # CSV cells holding a comma: quoted since CSV is written by the csv module
+    inv += [["gen", "--n", "5", "--out", "{tmp}/c,d.json"],
+            ["verify-metric", "--instance", "{tmp}/c,d.json", "--format", "csv"],
+            ["verify-metric", "--instance", "{tmp}/c,d.json"]]
     return inv
 
 
@@ -211,9 +218,10 @@ def run(checkout: str) -> list:
             if out != "-" and os.path.exists(out):
                 with open(out, "rb") as fh:
                     digest.update(b"\0--out\0" + fh.read().replace(tmp.encode(), b"<TMP>"))
-            first = stderr.replace(tmp, "<TMP>").split("\n", 1)[0]
+            stderr = stderr.replace(tmp, "<TMP>")
             records.append({"argv": " ".join(template), "sha256": digest.hexdigest()[:16],
-                            "rc": rc, "stderr": first})
+                            "rc": rc, "stderr": stderr.split("\n", 1)[0],
+                            "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest()[:16]})
     return records
 
 
@@ -245,7 +253,7 @@ def main() -> int:
         if p != c:
             differ += 1
             print(f"DIFF {p['argv']}")
-            for key in ("sha256", "rc", "stderr"):
+            for key in ("sha256", "rc", "stderr", "stderr_sha256"):
                 if p[key] != c[key]:
                     print(f"  {key}: parent {p[key]!r}  change {c[key]!r}")
     print(f"{len(parent)} invocations, {differ} differ")

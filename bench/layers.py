@@ -16,6 +16,13 @@ pairs, and an environment stamp.
     python bench/layers.py --time-layers N [--no-metric]
 
 times the ``ordmatch`` on ``sys.path`` at one n and prints one JSON line.
+
+    python bench/layers.py --oracles --parent PARENT_DIR --change CHANGE_DIR --out BENCH_oracle.json
+
+times each exact oracle per call instead (``ORACLE_CALLS``: the
+desk-oracle sizes plus larger ones; median of ``ORACLE_REPEATS`` calls
+after one warm-up call, one fresh process per checkout, ``--time-oracles``)
+and runs the ``ORACLE_PAIRS`` perfbench pairs.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ TRACE_KEYS = ("instance.derive_preferences.self_s", "instance.derive_preferences
               "instance.load_instance.self_s", "instance.generate.self_s", "cli.main.self_s",
               "layer.instance.self_s", "layer.instance.share", "layer.cli.share",
               "layer.core.share", "trace.wall_s")
+ORACLE_TRACE_KEYS = ("oracle.opt_matching.self_s", "oracle.opt_tsp.self_s",
+                     "oracle.opt_densest.self_s", "oracle.opt_k_sum.self_s", "oracle.dp_states",
+                     "layer.oracle.self_s", "layer.oracle.share", "layer.cli.self_s",
+                     "layer.cli.share", "trace.wall_s")
 REPEATS = 3
 SIZES = [100, 300, 1000, 2000, 5000]
 # The tuple-backed parent profile needs about 1 GB at n=5000, and a
@@ -46,6 +57,14 @@ METRIC_MAX_N = 2000
 PARENT_METRIC_MAX_N = 300
 # WORKLOAD:SEED:PAIRS; seed 5 is held out from the runs made while writing a change.
 PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:3", "desk-oracle:0:3"]
+# (label, family, n, k) per oracle call: desk-oracle's five sizes, then larger ones.
+ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-uniform", 14, 4),
+                ("densest", "random-metric-closure", 16, 8), ("tsp", "euclidean-uniform", 14, None),
+                ("ksum", "euclidean-uniform", 10, 5), ("mwm", "euclidean-uniform", 18, None),
+                ("mwm", "euclidean-uniform", 20, None), ("mkm", "euclidean-uniform", 16, 4),
+                ("tsp", "euclidean-uniform", 15, None)]
+ORACLE_REPEATS = 5
+ORACLE_PAIRS = ["desk-oracle:0:5", "desk-mc:0:5", "large-n:0:3"]
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
@@ -81,6 +100,34 @@ def time_layers(n: int, metric: bool) -> dict:
         out[name] = statistics.median(times)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
+
+
+def time_oracles() -> dict:
+    """Median seconds per exact-oracle call, for the ordmatch on sys.path."""
+    from ordmatch import GeneratorSpec, generate, opt_densest, opt_k_sum, opt_matching, opt_tsp
+
+    oracles = {"mwm": lambda inst, k: opt_matching(inst, inst.n // 2), "mkm": opt_matching,
+               "densest": opt_densest, "ksum": opt_k_sum, "tsp": lambda inst, k: opt_tsp(inst)}
+    out = {}
+    for label, family, n, k in ORACLE_CALLS:
+        inst = generate(GeneratorSpec(family, n, seed=0))
+        oracles[label](inst, k)
+        times = []
+        for _ in range(ORACLE_REPEATS):
+            start = time.perf_counter()
+            oracles[label](inst, k)
+            times.append(time.perf_counter() - start)
+        out[f"{label} n={n}" + ("" if k is None else f" k={k}")] = statistics.median(times)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def oracle_column(tree: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--time-oracles"]
+    proc = subprocess.run(cmd, env=_env(tree), capture_output=True, text=True, check=True)
+    column = json.loads(proc.stdout.splitlines()[-1])
+    print(f"  {os.path.basename(tree)} oracles: {column}", file=sys.stderr, flush=True)
+    return column
 
 
 def _env(tree: str) -> dict:
@@ -158,6 +205,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--time-layers", type=int, default=None, metavar="N")
     ap.add_argument("--no-metric", action="store_true")
+    ap.add_argument("--time-oracles", action="store_true")
+    ap.add_argument("--oracles", action="store_true",
+                    help="per-oracle columns and ORACLE_PAIRS instead of the layer sizes")
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--parent-rev", default=None, help="commit the parent checkout holds")
@@ -167,36 +217,50 @@ def main(argv=None) -> int:
     if args.time_layers is not None:
         print(json.dumps(time_layers(args.time_layers, not args.no_metric)))
         return 0
+    if args.time_oracles:
+        print(json.dumps(time_oracles()))
+        return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
 
-    result = {
-        "what": "Per-layer seconds (median of repeats, in-process, one fresh process per n) "
-                "and perfbench end-to-end medians for a parent and a change checkout.",
-        "method": "perfbench/run.py --seconds 25 from each checkout; pairs alternate which "
-                  "side runs first; times are the benchmark's kernel-scaled values except "
-                  "setup_s; quartiles are inclusive-method quantiles over the runs.",
-        "settings": {"sizes": SIZES, "parent_sizes": PARENT_SIZES, "metric_max_n": METRIC_MAX_N,
-                     "parent_metric_max_n": PARENT_METRIC_MAX_N, "repeats": REPEATS,
-                     "pairs": PAIRS},
-        "parent_rev": args.parent_rev,
-        "environment": environment(),
-        "layers": {
+    if args.oracles:
+        what = ("Seconds per exact-oracle call (median of repeats after a warm-up call, "
+                "in-process, one fresh process per checkout)")
+        settings = {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "pairs": ORACLE_PAIRS}
+        timed = ("oracles", {"unit": "s", "instance seed": 0,
+                             "parent": oracle_column(args.parent),
+                             "change": oracle_column(args.change)})
+        pairs, traced, keys = ORACLE_PAIRS, "desk-oracle", ORACLE_TRACE_KEYS
+    else:
+        what = "Per-layer seconds (median of repeats, in-process, one fresh process per n)"
+        settings = {"sizes": SIZES, "parent_sizes": PARENT_SIZES, "metric_max_n": METRIC_MAX_N,
+                    "parent_metric_max_n": PARENT_METRIC_MAX_N, "repeats": REPEATS,
+                    "pairs": PAIRS}
+        timed = ("layers", {
             "unit": "s",
             "repeats": REPEATS,
             "instance": "euclidean-uniform, dimension 2, seed 0",
             "parent": layer_column(args.parent, PARENT_SIZES, PARENT_METRIC_MAX_N),
             "change": layer_column(args.change, SIZES, METRIC_MAX_N),
-        },
+        })
+        pairs, traced, keys = PAIRS, "large-n", TRACE_KEYS
+    result = {
+        "what": what + " and perfbench end-to-end medians for a parent and a change checkout.",
+        "method": "perfbench/run.py --seconds 25 from each checkout; pairs alternate which "
+                  "side runs first; times are the benchmark's kernel-scaled values except "
+                  "setup_s; quartiles are inclusive-method quantiles over the runs.",
+        "settings": settings,
+        "parent_rev": args.parent_rev,
+        "environment": environment(),
+        timed[0]: timed[1],
         "end_to_end": {},
     }
-    for entry in PAIRS:
-        workload, seed, pairs = entry.split(":")
+    for entry in pairs:
+        workload, seed, count = entry.split(":")
         result["end_to_end"][f"{workload} seed {seed}"] = paired_runs(
-            args.parent, args.change, workload, int(seed), int(pairs))
-    result["trace_large_n_seed_0"] = {
-        side: {k: v for k, v in perfbench(tree, "large-n", 0, 1)["metrics"].items()
-               if k in TRACE_KEYS}
+            args.parent, args.change, workload, int(seed), int(count))
+    result[f"trace_{traced.replace('-', '_')}_seed_0"] = {
+        side: {k: v for k, v in perfbench(tree, traced, 0, 1)["metrics"].items() if k in keys}
         for side, tree in (("parent", args.parent), ("change", args.change))
     }
     with open(args.out, "w", encoding="utf-8") as fh:

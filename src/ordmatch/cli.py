@@ -13,6 +13,7 @@ from ``harness.PROBLEMS``, so they accept the same inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -85,7 +86,9 @@ def _cmd_verify_metric(args):
     return render(args.format, data, "instance,metric", [(args.instance, ok)]), ok
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ordmatch`` parser, built once per process (parsing does not modify it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--out", default=None, help="output path, '-' or omitted for stdout")

@@ -11,6 +11,8 @@ re-derive their ratios with exact rational arithmetic.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
@@ -435,16 +437,17 @@ def render(fmt: str, data, header: str, rows) -> bytes:
     """The bytes a CLI verb writes: ``data`` as strict JSON, or CSV of ``header`` and ``rows``.
 
     JSON refuses non-finite floats (ValueError) instead of writing a bare
-    Infinity or NaN. A CSV cell is ``str`` of its value, which for a
-    float is its ``repr``.
+    Infinity or NaN. A CSV cell is ``str`` of its value (``repr`` for a
+    float), quoted only when it holds a comma, a double quote or a newline.
     """
     if fmt == "json":
-        text = json.dumps(data, indent=2, allow_nan=False)
-    elif fmt == "csv":
-        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
-    else:
+        return (json.dumps(data, indent=2, allow_nan=False) + "\n").encode("utf-8")
+    if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
-    return (text + "\n").encode("utf-8")
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:

@@ -130,9 +130,9 @@ def load_instance(path: str) -> WeightedInstance:
 def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     """Check w(x,y) <= w(x,z) + w(z,y) + tol over all ordered triples.
 
-    tol=0 is the right setting for weights that come straight from point
-    coordinates; closure-generated float matrices are validated at
-    1e-9 * max(w) by their generator.
+    tol=0 is exact, so float rounding can fail weights computed from
+    collinear or nearly collinear points; closure-generated float matrices
+    are validated at 1e-9 * max(w) by their generator.
     """
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")

@@ -8,9 +8,12 @@ node first) so repeated runs reproduce the same solution object.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Matching
 from .errors import BudgetError
@@ -30,6 +33,7 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+DENSEST_CHUNK = 8192  # combinations scored per numpy pass
 
 
 class _Deadline:
@@ -42,12 +46,33 @@ class _Deadline:
             raise BudgetError(f"{self.what} exceeded its time budget")
 
 
+@functools.cache
+def _by_popcount(n: int) -> tuple:
+    """Every n-bit mask ordered by popcount, its lowest set bit, and the layer starts.
+
+    Masks of popcount p are ``masks[start[p]:start[p + 1]]``, ascending.
+    """
+    count = np.zeros(1, np.int8)
+    low = np.full(1, -1, np.int8)
+    for b in range(n):
+        count = np.concatenate([count, count + 1])
+        low = np.concatenate([low, low])
+        low[1 << b] = b
+    order = np.argsort(count, kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(count, minlength=n + 1))])
+    tables = (order.astype(np.int32), low[order], start)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
-    Ties go to the lexicographically smallest edge set: reconstruction
-    pairs the lowest unmatched node with the smallest partner that still
-    achieves the optimum, and zero-weight edges are pruned afterwards.
+    The DP fills one popcount layer of masks at a time in numpy. Ties go
+    to the lexicographically smallest edge set: reconstruction pairs the
+    lowest unmatched node with the smallest partner that still achieves
+    the optimum, and zero-weight edges are pruned afterwards.
     """
     n = inst.n
     if k < 1:
@@ -55,53 +80,45 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     if n > budget.max_n_matching:
         raise BudgetError(f"matching oracle capped at n={budget.max_n_matching}, got n={n}")
     deadline = _Deadline(budget.time_limit, "matching oracle")
-    w = inst.weights.tolist()
+    w = inst.weights
     kcap = min(k, n // 2)
-    full = 1 << n
+    masks, lows, start = _by_popcount(n)
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
     # a binding cap one layer suffices and it is its own previous layer.
+    # cur[j] and prev[j] are the layers for j + 1 and j edges; popcount p
+    # of every layer is filled at once, from p - 1 of cur and p - 2 of prev.
     capped = kcap < n // 2
-    layers = [[0.0] * full for _ in range(kcap + 1 if capped else 1)]
-    pairs = list(zip(layers[1:], layers)) if capped else [(layers[0], layers[0])]
-    for cur, prev in pairs:
-        for mask in range(3, full):
-            if mask % 512 == 0:
-                deadline.check()
-            lowbit = mask & -mask
-            rest = mask ^ lowbit
-            if rest == 0:
-                continue
-            row = w[lowbit.bit_length() - 1]
-            best = cur[rest]
-            t = rest
-            while t:
-                vbit = t & -t
-                cand = row[vbit.bit_length() - 1] + prev[rest ^ vbit]
-                if cand > best:
-                    best = cand
-                t ^= vbit
-            cur[mask] = best
+    layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
+    cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
+    for p in range(2, n + 1):
+        deadline.check()
+        mask, low = masks[start[p]:start[p + 1]], lows[start[p]:start[p + 1]]
+        rest = mask & (mask - 1)
+        best = cur.take(rest, axis=1)
+        for v in range(1, n):
+            has = np.flatnonzero(rest & (1 << v))
+            cand = w[low[has], v] + prev.take(rest[has] ^ (1 << v), axis=1)
+            best[:, has] = np.maximum(best.take(has, axis=1), cand)
+        cur[:, mask] = best
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []
-    mask = full - 1
-    j = len(pairs) - 1
+    mask = (1 << n) - 1
+    j = len(cur) - 1
     while j >= 0:
         lowbit = mask & -mask
         rest = mask ^ lowbit
         if rest == 0:
             break
         low = lowbit.bit_length() - 1
-        row = w[low]
-        cur, prev = pairs[j]
-        best = cur[mask]
+        best = cur[j, mask]
         chosen = -1
         t = rest
         while t:
             vbit = t & -t
             v = vbit.bit_length() - 1
-            if row[v] + prev[rest ^ vbit] == best:
+            if w[low, v] + prev[j, rest ^ vbit] == best:
                 chosen = v
                 break
             t ^= vbit
@@ -111,7 +128,7 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
             edges.append((low, chosen))
             mask = rest ^ (1 << chosen)
             j -= capped
-    return Matching.from_pairs(n, [e for e in edges if w[e[0]][e[1]] > 0.0])
+    return Matching.from_pairs(n, [e for e in edges if w[e] > 0.0])
 
 
 def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Clustering:
@@ -169,27 +186,34 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
 
 
 def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
-    """Exact densest k-subgraph by subset enumeration (lex order)."""
+    """Exact densest k-subgraph by subset enumeration (lex order), in chunks.
+
+    Pair weights are added in (i, j) order, so values keep a scalar sum's bits.
+    """
     n = inst.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if n > budget.max_n_densest:
         raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
     deadline = _Deadline(budget.time_limit, "densest oracle")
-    w = inst.weights.tolist()
+    w = inst.weights
+    combos = itertools.combinations(range(n), k)
     best_val = -1.0
     best_nodes: tuple | None = None
-    for count, combo in enumerate(itertools.combinations(range(n), k)):
-        if count % 4096 == 0:
-            deadline.check()
-        val = 0.0
+    while True:
+        deadline.check()
+        chunk = itertools.chain.from_iterable(itertools.islice(combos, DENSEST_CHUNK))
+        c = np.fromiter(chunk, np.intp).reshape(-1, k)
+        if not len(c):
+            break
+        val = np.zeros(len(c))
         for i in range(k):
-            row = w[combo[i]]
             for j in range(i + 1, k):
-                val += row[combo[j]]
-        if val > best_val:
-            best_val = val
-            best_nodes = combo
+                val += w[c[:, i], c[:, j]]
+        top = int(val.argmax())
+        if val[top] > best_val:
+            best_val = val[top]
+            best_nodes = tuple(c[top].tolist())
     assert best_nodes is not None
     return Subset(n, best_nodes)
 
@@ -197,7 +221,8 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
 def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
     """Exact max-weight tour by Held-Karp DP over (mask, endpoint).
 
-    Node 0 anchors the tour; reconstruction takes the smallest endpoint
+    The DP fills one popcount layer of masks at a time in numpy. Node 0
+    anchors the tour; reconstruction takes the smallest endpoint
     achieving each DP value and the lex-smaller of the two directions.
     """
     n = inst.n
@@ -206,45 +231,24 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     if n > budget.max_n_tsp:
         raise BudgetError(f"tsp oracle capped at n={budget.max_n_tsp}, got n={n}")
     deadline = _Deadline(budget.time_limit, "tsp oracle")
-    w = inst.weights.tolist()
+    w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
-    size = 1 << m
-    NEG = float("-inf")
-    dp = [NEG] * (size * m)
-    for i in range(m):
-        dp[(1 << i) * m + i] = w[0][i + 1]
+    masks, _, start = _by_popcount(m)
+    # dp[mask, j]: best path from node 0 through mask ending at j; -inf off mask
+    dp = np.full((1 << m, m), -np.inf)
+    dp[1 << np.arange(m), np.arange(m)] = w[0, 1:]
+    for p in range(2, m + 1):
+        deadline.check()
+        layer = masks[start[p]:start[p + 1]]
+        for j in range(m):
+            mask = layer[(layer & (1 << j)) != 0]
+            dp[mask, j] = (dp[mask ^ (1 << j)] + w[1:, j + 1]).max(axis=1)
 
-    for mask in range(1, size):
-        if mask % 512 == 0:
-            deadline.check()
-        base = mask * m
-        t = mask
-        while t:
-            lbit = t & -t
-            last = lbit.bit_length() - 1
-            t ^= lbit
-            cur = dp[base + last]
-            if cur == NEG:
-                continue
-            row = w[last + 1]
-            comp = (size - 1) ^ mask
-            u = comp
-            while u:
-                ubit = u & -u
-                nxt = ubit.bit_length() - 1
-                u ^= ubit
-                cand = cur + row[nxt + 1]
-                slot = (mask | ubit) * m + nxt
-                if cand > dp[slot]:
-                    dp[slot] = cand
-            # ties keep the earlier (smaller-mask-order) value; reconstruction
-            # below re-breaks ties toward the smallest node anyway
-
-    fullmask = size - 1
-    best_total = NEG
+    fullmask = (1 << m) - 1
+    best_total = -np.inf
     best_last = -1
     for last in range(m):
-        total = dp[fullmask * m + last] + w[last + 1][0]
+        total = dp[fullmask, last] + w[last + 1, 0]
         if total > best_total:
             best_total = total
             best_last = last
@@ -254,14 +258,13 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     last = best_last
     while mask != (1 << last):
         prev_mask = mask ^ (1 << last)
-        target = dp[mask * m + last]
-        row = w[last + 1]
+        target = dp[mask, last]
         t = prev_mask
         while t:
             pbit = t & -t
             p = pbit.bit_length() - 1
             t ^= pbit
-            if dp[prev_mask * m + p] + row[p + 1] == target:
+            if dp[prev_mask, p] + w[last + 1, p + 1] == target:
                 seq.append(p)
                 mask = prev_mask
                 last = p

@@ -2,8 +2,10 @@
 
 Exhaustive solvers for the oracle tests: deliberately plain enumeration
 with no dynamic programming and no pruning, so these share no structure
-with the package's oracles. Plain versions of the ranking, the greedy
-and the triple checks for the array profile, cursor and pivot-loop tests.
+with the package's oracles. Scalar versions of the oracles' subset DPs
+and combination scan, which the numpy oracles must match solution for
+solution. Plain versions of the ranking, the greedy and the triple
+checks for the array profile, cursor and pivot-loop tests.
 """
 
 from itertools import combinations, permutations
@@ -149,3 +151,150 @@ def scan_greedy(rows, k: int) -> list:
         picked.append((min(x, y), max(x, y)))
         active -= {x, y}
     return sorted(picked)
+
+
+def dp_matching(w, k: int) -> list:
+    """Edges of the lex-first maximum-weight matching with at most k edges.
+
+    The scalar subset DP: ``layers[j][mask]`` is the best weight on mask
+    using at most j edges, one self-paired layer when the cap does not
+    bind; reconstruction pairs the lowest unmatched node with the
+    smallest partner that still achieves the optimum, and zero-weight
+    edges are pruned afterwards.
+    """
+    n = len(w)
+    kcap = min(k, n // 2)
+    full = 1 << n
+    capped = kcap < n // 2
+    layers = [[0.0] * full for _ in range(kcap + 1 if capped else 1)]
+    pairs = list(zip(layers[1:], layers)) if capped else [(layers[0], layers[0])]
+    for cur, prev in pairs:
+        for mask in range(3, full):
+            lowbit = mask & -mask
+            rest = mask ^ lowbit
+            if rest == 0:
+                continue
+            row = w[lowbit.bit_length() - 1]
+            best = cur[rest]
+            t = rest
+            while t:
+                vbit = t & -t
+                cand = row[vbit.bit_length() - 1] + prev[rest ^ vbit]
+                if cand > best:
+                    best = cand
+                t ^= vbit
+            cur[mask] = best
+
+    edges = []
+    mask = full - 1
+    j = len(pairs) - 1
+    while j >= 0:
+        lowbit = mask & -mask
+        rest = mask ^ lowbit
+        if rest == 0:
+            break
+        low = lowbit.bit_length() - 1
+        row = w[low]
+        cur, prev = pairs[j]
+        best = cur[mask]
+        chosen = -1
+        t = rest
+        while t:
+            vbit = t & -t
+            v = vbit.bit_length() - 1
+            if row[v] + prev[rest ^ vbit] == best:
+                chosen = v
+                break
+            t ^= vbit
+        if chosen < 0:
+            mask = rest
+        else:
+            edges.append((low, chosen))
+            mask = rest ^ (1 << chosen)
+            j -= capped
+    return [e for e in edges if w[e[0]][e[1]] > 0.0]
+
+
+def scan_densest(w, k: int) -> tuple:
+    """Nodes of the lex-first densest k-subgraph, one combination at a time."""
+    best_val = -1.0
+    best_nodes = None
+    for combo in combinations(range(len(w)), k):
+        val = 0.0
+        for i in range(k):
+            row = w[combo[i]]
+            for j in range(i + 1, k):
+                val += row[combo[j]]
+        if val > best_val:
+            best_val = val
+            best_nodes = combo
+    return best_nodes
+
+
+def held_karp(w) -> tuple:
+    """Order of the max-weight tour by the scalar push-style Held-Karp DP.
+
+    Node 0 anchors the tour; reconstruction takes the smallest endpoint
+    achieving each DP value and the lex-smaller of the two directions.
+    """
+    n = len(w)
+    m = n - 1  # nodes 1..n-1, stored as 0..m-1
+    size = 1 << m
+    NEG = float("-inf")
+    dp = [NEG] * (size * m)
+    for i in range(m):
+        dp[(1 << i) * m + i] = w[0][i + 1]
+
+    for mask in range(1, size):
+        base = mask * m
+        t = mask
+        while t:
+            lbit = t & -t
+            last = lbit.bit_length() - 1
+            t ^= lbit
+            cur = dp[base + last]
+            if cur == NEG:
+                continue
+            row = w[last + 1]
+            u = (size - 1) ^ mask
+            while u:
+                ubit = u & -u
+                nxt = ubit.bit_length() - 1
+                u ^= ubit
+                cand = cur + row[nxt + 1]
+                slot = (mask | ubit) * m + nxt
+                if cand > dp[slot]:
+                    dp[slot] = cand
+
+    fullmask = size - 1
+    best_total = NEG
+    best_last = -1
+    for last in range(m):
+        total = dp[fullmask * m + last] + w[last + 1][0]
+        if total > best_total:
+            best_total = total
+            best_last = last
+
+    seq = [best_last]
+    mask = fullmask
+    last = best_last
+    while mask != (1 << last):
+        prev_mask = mask ^ (1 << last)
+        target = dp[mask * m + last]
+        row = w[last + 1]
+        t = prev_mask
+        while t:
+            pbit = t & -t
+            p = pbit.bit_length() - 1
+            t ^= pbit
+            if dp[prev_mask * m + p] + row[p + 1] == target:
+                seq.append(p)
+                mask = prev_mask
+                last = p
+                break
+        else:
+            raise AssertionError("tsp reconstruction lost the DP trail")
+
+    forward = (0,) + tuple(x + 1 for x in reversed(seq))
+    backward = (0,) + tuple(reversed(forward[1:]))
+    return min(forward, backward)

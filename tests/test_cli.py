@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -304,6 +306,14 @@ class TestVerifyMetric:
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["verify-metric", "--instance", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_csv_quotes_a_comma_in_the_instance_path(self, tmp_path, capsys):
+        path = tmp_path / "c,d" / "i.json"
+        path.parent.mkdir()
+        save_instance(generate(GeneratorSpec("euclidean-uniform", 5, seed=0)), str(path))
+        assert main(["verify-metric", "--instance", str(path), "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [["instance", "metric"], [str(path), "True"]]
 
 
 W3 = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]

@@ -163,6 +163,14 @@ class TestValidateMetric:
         with pytest.raises(ValueError):
             validate_metric(WeightedInstance(square(3)), tol=tol)
 
+    def test_exact_check_can_fail_collinear_points(self):
+        # rounding in the distances breaks tight triangles, as the docstring warns
+        s = np.random.default_rng(0).random(12)
+        points = np.stack([s, 0.3 * s + 0.1], axis=1)
+        w = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=-1))
+        assert not validate_metric(WeightedInstance(w), tol=0.0)
+        assert validate_metric(WeightedInstance(w), tol=1e-9 * w.max())
+
 
 class TestCheckFriendship:
     def test_alpha_domain(self):

@@ -6,11 +6,17 @@ from _brute import (
     brute_max_k_sum,
     brute_max_matching,
     brute_max_tour,
+    dp_matching,
+    held_karp,
+    scan_densest,
 )
 from ordmatch import (
     BudgetError,
     GeneratorSpec,
+    Matching,
     OracleBudget,
+    Subset,
+    Tour,
     WeightedInstance,
     cluster_weight,
     generate,
@@ -181,6 +187,11 @@ class TestOptDensest:
         with pytest.raises(BudgetError):
             opt_densest(big, 4)
 
+    def test_time_budget(self):
+        inst = generate(GeneratorSpec("euclidean-uniform", 12, seed=0))
+        with pytest.raises(BudgetError):
+            opt_densest(inst, 6, OracleBudget(time_limit=0.0))
+
 
 class TestOptTsp:
     def test_known_tour(self):
@@ -237,3 +248,53 @@ class TestAgainstFrozenBruteValues:
                 brute_max_densest(w, max(2, n // 2)), abs=1e-12
             )
             assert tour_weight(opt_tsp(inst), inst) == pytest.approx(brute_max_tour(w), abs=1e-12)
+
+
+FAMILIES = ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"]
+
+
+def assert_same_solutions(inst, ks):
+    """The numpy oracles return the scalar DPs' solution objects for every k."""
+    n, w = inst.n, inst.weights.tolist()
+    for k in ks:
+        assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k)), k
+        assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
+    if n >= 3:
+        assert opt_tsp(inst) == Tour(n, held_karp(w))
+
+
+class TestAgainstScalarDP:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_generated_instances(self, family, n):
+        for seed in range(3):
+            inst = generate(GeneratorSpec(family, n, seed=seed))
+            assert_same_solutions(inst, range(1, n // 2 + 1))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tie_heavy_integer_weights(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            w = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+            assert_same_solutions(WeightedInstance(w + w.T), range(1, n + 1))
+
+    @pytest.mark.parametrize("problem,family,n,k", [
+        ("mwm", "euclidean-uniform", 16, 8),
+        ("mkm", "clustered-gaussian", 14, 4),
+        ("tsp", "random-metric-closure", 14, None),
+        ("densest", "random-metric-closure", 16, 8),
+    ])
+    def test_desk_oracle_sizes(self, problem, family, n, k):
+        inst = generate(GeneratorSpec(family, n, seed=0))
+        w = inst.weights.tolist()
+        if problem == "tsp":
+            assert opt_tsp(inst) == Tour(n, held_karp(w))
+        elif problem == "densest":
+            assert opt_densest(inst, k) == Subset(n, scan_densest(w, k))
+        else:
+            assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k))
+
+    def test_densest_tie_across_chunks_goes_to_the_first(self):
+        # C(16, 8) = 12870 combinations span two chunks, and every one ties
+        inst = WeightedInstance(np.ones((16, 16)) - np.eye(16))
+        assert opt_densest(inst, 8).nodes == tuple(range(8))
