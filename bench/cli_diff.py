@@ -1,6 +1,6 @@
 """Compare the command-line output of two ordmatch checkouts, byte for byte.
 
-    python bench/cli_diff.py --parent PARENT_DIR --change CHANGE_DIR
+    python bench/cli_diff.py --parent PARENT_DIR --change CHANGE_DIR [--parsed]
 
 PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with
 ``src/ordmatch``). Each runs in its own fresh process that imports that
@@ -17,6 +17,13 @@ Per invocation the comparison covers the sha256 of stdout plus the
 escaped ``main``), and the first line and the sha256 of stderr, with the
 temporary directory replaced by ``<TMP>``. Every difference is printed; the exit
 status is 1 if there is one.
+
+With ``--parsed``, the stdout and ``--out`` file of a JSON-format
+invocation are compared as parsed documents instead (keys in any order,
+floats and ints compared exactly, ``1`` is not ``1.0``); an invocation
+whose output does not parse, CSV output, ``--help``, the exit code and
+stderr stay byte-compared. Invocations that differ in bytes but not when
+parsed are listed on ``PARSED-EQUAL`` lines and do not fail the run.
 
     python bench/cli_diff.py --run CHECKOUT_DIR
 
@@ -198,6 +205,23 @@ def _call(cli, argv) -> tuple:
     return rc, out.getvalue(), err.getvalue()
 
 
+def _parsed_digest(argv, stdout: str, out: bytes | None) -> str | None:
+    """Digest of the parsed JSON of a JSON-format invocation; None if anything does not parse."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if fmt != "json" or "--help" in argv:
+        return None
+    docs = {}
+    for slot, text in (("stdout", stdout), ("out", out.decode() if out else "")):
+        try:
+            docs[slot] = json.loads(text) if text else None
+        except ValueError:
+            return None
+    if docs == {"stdout": None, "out": None}:
+        return None
+    canonical = json.dumps(docs, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 def run(checkout: str) -> list:
     """Records of every invocation for the ordmatch in ``checkout``."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
@@ -213,13 +237,16 @@ def run(checkout: str) -> list:
         for template in invocations():
             argv = [arg.replace("{tmp}", tmp) for arg in template]
             rc, stdout, stderr = _call(cli, argv)
-            digest = hashlib.sha256(stdout.replace(tmp, "<TMP>").encode("utf-8"))
-            out = argv[argv.index("--out") + 1] if "--out" in argv else "-"
-            if out != "-" and os.path.exists(out):
-                with open(out, "rb") as fh:
-                    digest.update(b"\0--out\0" + fh.read().replace(tmp.encode(), b"<TMP>"))
+            stdout = stdout.replace(tmp, "<TMP>")
+            digest = hashlib.sha256(stdout.encode("utf-8"))
+            path, written = argv[argv.index("--out") + 1] if "--out" in argv else "-", None
+            if path != "-" and os.path.exists(path):
+                with open(path, "rb") as fh:
+                    written = fh.read().replace(tmp.encode(), b"<TMP>")
+                digest.update(b"\0--out\0" + written)
             stderr = stderr.replace(tmp, "<TMP>")
             records.append({"argv": " ".join(template), "sha256": digest.hexdigest()[:16],
+                            "parsed": _parsed_digest(template, stdout, written),
                             "rc": rc, "stderr": stderr.split("\n", 1)[0],
                             "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest()[:16]})
     return records
@@ -240,6 +267,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent")
     ap.add_argument("--change")
+    ap.add_argument("--parsed", action="store_true",
+                    help="compare JSON output as parsed documents, everything else as bytes")
     ap.add_argument("--run", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.run:
@@ -248,15 +277,25 @@ def main() -> int:
     if not (args.parent and args.change):
         ap.error("--parent and --change are both required")
     parent, change = _records(args.parent), _records(args.change)
-    differ = 0
+    differ = parsed_equal = compared_parsed = 0
     for p, c in zip(parent, change):
-        if p != c:
+        output = "sha256"
+        if args.parsed and p["parsed"] is not None and c["parsed"] is not None:
+            output, compared_parsed = "parsed", compared_parsed + 1
+        keys = [key for key in (output, "rc", "stderr", "stderr_sha256") if p[key] != c[key]]
+        if keys:
             differ += 1
             print(f"DIFF {p['argv']}")
-            for key in ("sha256", "rc", "stderr", "stderr_sha256"):
-                if p[key] != c[key]:
-                    print(f"  {key}: parent {p[key]!r}  change {c[key]!r}")
-    print(f"{len(parent)} invocations, {differ} differ")
+            for key in keys:
+                print(f"  {key}: parent {p[key]!r}  change {c[key]!r}")
+        elif p["sha256"] != c["sha256"]:
+            parsed_equal += 1
+            print(f"PARSED-EQUAL {p['argv']}")
+    if args.parsed:
+        print(f"{len(parent)} invocations ({compared_parsed} compared parsed, the rest as bytes): "
+              f"{parsed_equal} differ in bytes but are equal parsed, {differ} differ")
+    else:
+        print(f"{len(parent)} invocations, {differ} differ")
     return 1 if differ else 0
 
 

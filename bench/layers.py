@@ -23,11 +23,23 @@ times each exact oracle per call instead (``ORACLE_CALLS``: the
 desk-oracle sizes plus larger ones; median of ``ORACLE_REPEATS`` calls
 after one warm-up call, one fresh process per checkout, ``--time-oracles``)
 and runs the ``ORACLE_PAIRS`` perfbench pairs.
+
+    python bench/layers.py --io --parent PARENT_DIR --change CHANGE_DIR --out BENCH_io.json
+
+times each CLI step of the large-n chain instead (gen, prefs, solve mwm
+greedy, solve tsp hybrid through ``ordmatch.cli.main``, files in a
+temporary directory; median of ``IO_REPEATS`` chains at each of
+``IO_SIZES``, one fresh process per checkout and n, ``--time-io``) with
+the size of every file the chain writes, plus ``generate`` alone at
+``IO_GENERATE_N`` (seconds and the fresh process's peak RSS), and runs
+the ``IO_PAIRS`` perfbench pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -35,6 +47,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "op_s.p50": "lower",
@@ -65,6 +78,10 @@ ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-unifo
                 ("tsp", "euclidean-uniform", 15, None)]
 ORACLE_REPEATS = 5
 ORACLE_PAIRS = ["desk-oracle:0:5", "desk-mc:0:5", "large-n:0:3"]
+IO_SIZES = [1000, 2000]
+IO_REPEATS = 3
+IO_GENERATE_N = 3000
+IO_PAIRS = ["large-n:0:6", "large-n:5:3", "desk-mc:0:3", "desk-oracle:0:3"]
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
@@ -122,10 +139,64 @@ def time_oracles() -> dict:
     return out
 
 
-def oracle_column(tree: str) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--time-oracles"]
+def time_io(n: int) -> dict:
+    """Median seconds per step of the large-n CLI chain and the bytes of each file it writes."""
+    from ordmatch import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, f"{name}.json")
+                 for name in ("instance", "prefs", "mwm", "tsp")}
+        inst = ["--instance", files["instance"], "--seed", "0"]
+        steps = {
+            "gen": ["gen", "--family", "euclidean-uniform", "--n", str(n), "--seed", "0",
+                    "--out", files["instance"]],
+            "prefs": ["prefs", *inst, "--out", files["prefs"]],
+            "solve mwm greedy": ["solve", *inst, "--problem", "mwm", "--algorithm", "greedy",
+                                 "--out", files["mwm"]],
+            "solve tsp hybrid": ["solve", *inst, "--problem", "tsp", "--algorithm", "hybrid",
+                                 "--out", files["tsp"]],
+        }
+        times = {name: [] for name in steps}
+        for _ in range(IO_REPEATS):
+            for name, argv in steps.items():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    start = time.perf_counter()
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"{' '.join(argv)} failed")
+                    times[name].append(time.perf_counter() - start)
+        out = {name: statistics.median(t) for name, t in times.items()}
+        out["chain"] = sum(out[name] for name in steps)
+        out["bytes"] = {name: os.path.getsize(path) for name, path in files.items()}
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def time_generate(n: int) -> dict:
+    """Seconds of one ``generate`` call and the peak RSS of the process that made it."""
+    from ordmatch import GeneratorSpec, generate
+
+    start = time.perf_counter()
+    generate(GeneratorSpec("euclidean-uniform", n, seed=0))
+    seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"seconds": seconds, "peak_rss_mb": peak}
+
+
+def _child(tree: str, *flags: str) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), *flags]
     proc = subprocess.run(cmd, env=_env(tree), capture_output=True, text=True, check=True)
-    column = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def io_column(tree: str) -> dict:
+    column = {str(n): _child(tree, "--time-io", str(n)) for n in IO_SIZES}
+    column[f"generate n={IO_GENERATE_N}"] = _child(tree, "--time-generate", str(IO_GENERATE_N))
+    print(f"  {os.path.basename(tree)} io: {column}", file=sys.stderr, flush=True)
+    return column
+
+
+def oracle_column(tree: str) -> dict:
+    column = _child(tree, "--time-oracles")
     print(f"  {os.path.basename(tree)} oracles: {column}", file=sys.stderr, flush=True)
     return column
 
@@ -139,10 +210,8 @@ def _env(tree: str) -> dict:
 def layer_column(tree: str, sizes, metric_max_n: int) -> dict:
     column = {}
     for n in sizes:
-        cmd = [sys.executable, os.path.abspath(__file__), "--time-layers", str(n)]
-        cmd += [] if n <= metric_max_n else ["--no-metric"]
-        proc = subprocess.run(cmd, env=_env(tree), capture_output=True, text=True, check=True)
-        column[str(n)] = json.loads(proc.stdout.splitlines()[-1])
+        flags = ["--time-layers", str(n)] + ([] if n <= metric_max_n else ["--no-metric"])
+        column[str(n)] = _child(tree, *flags)
         print(f"  {os.path.basename(tree)} n={n}: {column[str(n)]}", file=sys.stderr, flush=True)
     return column
 
@@ -206,6 +275,10 @@ def main(argv=None) -> int:
     ap.add_argument("--time-layers", type=int, default=None, metavar="N")
     ap.add_argument("--no-metric", action="store_true")
     ap.add_argument("--time-oracles", action="store_true")
+    ap.add_argument("--time-io", type=int, default=None, metavar="N")
+    ap.add_argument("--time-generate", type=int, default=None, metavar="N")
+    ap.add_argument("--io", action="store_true",
+                    help="CLI chain columns and IO_PAIRS instead of the layer sizes")
     ap.add_argument("--oracles", action="store_true",
                     help="per-oracle columns and ORACLE_PAIRS instead of the layer sizes")
     ap.add_argument("--parent")
@@ -220,6 +293,12 @@ def main(argv=None) -> int:
     if args.time_oracles:
         print(json.dumps(time_oracles()))
         return 0
+    if args.time_io is not None:
+        print(json.dumps(time_io(args.time_io)))
+        return 0
+    if args.time_generate is not None:
+        print(json.dumps(time_generate(args.time_generate)))
+        return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
 
@@ -231,6 +310,14 @@ def main(argv=None) -> int:
                              "parent": oracle_column(args.parent),
                              "change": oracle_column(args.change)})
         pairs, traced, keys = ORACLE_PAIRS, "desk-oracle", ORACLE_TRACE_KEYS
+    elif args.io:
+        what = ("Seconds per step of the gen, prefs, solve chain (median of repeats, "
+                "in-process, one fresh process per checkout and n), file bytes")
+        settings = {"sizes": IO_SIZES, "repeats": IO_REPEATS, "generate_n": IO_GENERATE_N,
+                    "pairs": IO_PAIRS}
+        timed = ("io", {"unit": "s", "instance": "euclidean-uniform, dimension 2, seed 0",
+                        "parent": io_column(args.parent), "change": io_column(args.change)})
+        pairs, traced, keys = IO_PAIRS, "large-n", TRACE_KEYS
     else:
         what = "Per-layer seconds (median of repeats, in-process, one fresh process per n)"
         settings = {"sizes": SIZES, "parent_sizes": PARENT_SIZES, "metric_max_n": METRIC_MAX_N,

@@ -441,7 +441,7 @@ def render(fmt: str, data, header: str, rows) -> bytes:
     float), quoted only when it holds a comma, a double quote or a newline.
     """
     if fmt == "json":
-        return (json.dumps(data, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        return (json.dumps(data, allow_nan=False) + "\n").encode("utf-8")
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
     buf = io.StringIO()

@@ -116,9 +116,9 @@ class WeightedInstance:
 
 
 def save_instance(inst: WeightedInstance, path: str) -> None:
+    # json.dumps, not json.dump: only the one-shot encode uses the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(inst.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(inst.to_dict()) + "\n")
 
 
 def load_instance(path: str) -> WeightedInstance:
@@ -270,20 +270,20 @@ class GeneratorSpec:
 
 
 def _euclidean_weights(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    w = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(w, 0.0)
-    return w
+    # in place, one coordinate at a time: for d < 8 the bits match summing the (n, n, d) tensor
+    w, sq = np.zeros((len(points),) * 2), np.empty((len(points),) * 2)
+    for x in points.T:
+        w += np.square(np.subtract.outer(x, x, out=sq), out=sq)
+    return np.sqrt(w, out=w)  # x - x is exactly 0, so the diagonal is too
 
 
 def _min_plus_closure(w: np.ndarray) -> np.ndarray:
-    """Shortest-path closure, iterated to a float fixpoint.
+    """Shortest-path closure of ``w``, in place, iterated to a float fixpoint.
 
     A single Floyd-Warshall sweep can leave tiny float violations when a
     later relaxation lowers an entry an earlier check depended on, so
     sweep until nothing changes.
     """
-    w = w.copy()
     while True:
         before = w.copy()
         for z in range(w.shape[0]):

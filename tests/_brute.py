@@ -5,7 +5,8 @@ with no dynamic programming and no pruning, so these share no structure
 with the package's oracles. Scalar versions of the oracles' subset DPs
 and combination scan, which the numpy oracles must match solution for
 solution. Plain versions of the ranking, the greedy and the triple
-checks for the array profile, cursor and pivot-loop tests.
+checks for the array profile, cursor and pivot-loop tests. The
+difference-tensor distances for the per-coordinate generator.
 """
 
 from itertools import combinations, permutations
@@ -102,6 +103,14 @@ def tour_value(w, order) -> float:
 def brute_max_tour(w) -> float:
     n = len(w)
     return max(tour_value(w, (0,) + p) for p in permutations(range(1, n)))
+
+
+def euclidean_by_tensor(points) -> np.ndarray:
+    """Pairwise distances from the full (n, n, d) difference tensor."""
+    diff = points[:, None, :] - points[None, :, :]
+    w = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def metric_by_tensor(w, tol: float) -> bool:

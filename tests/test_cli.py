@@ -379,6 +379,29 @@ def test_every_verb_writes_one_strict_output(verb, fmt, inst_path, tmp_path, cap
     assert path.read_bytes() == out.encode("utf-8")
 
 
+@pytest.mark.parametrize("verb", list(VERB_ARGV))
+def test_every_verb_writes_json_on_one_line(verb, inst_path, tmp_path, capsys):
+    """JSON output is compact: one line, then a newline."""
+    argv = [arg.replace("{inst}", inst_path) for arg in VERB_ARGV[verb]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    json.loads(out)
+
+
+@pytest.mark.parametrize("family", [f for f in GENERATOR_FAMILIES if f != "explicit"])
+def test_gen_out_round_trips_bit_exactly(family, tmp_path):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--family", family, "--n", "50", "--seed", "6", "--out", str(path)]) == 0
+    assert path.read_text().count("\n") == 1
+    inst, back = generate(GeneratorSpec(family, 50, seed=6)), load_instance(str(path))
+    assert back.weights.tobytes() == inst.weights.tobytes()
+    if inst.points is None:
+        assert back.points is None
+    else:
+        assert back.points.tobytes() == inst.points.tobytes()
+
+
 @pytest.mark.parametrize("family", [f for f in GENERATOR_FAMILIES if f != "explicit"])
 def test_save_instance_writes_the_bytes_of_gen_out(family, tmp_path):
     saved, written = tmp_path / "saved.json", tmp_path / "gen.json"

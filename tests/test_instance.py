@@ -3,7 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from _brute import friendship_by_tensor, metric_by_tensor, scan_greedy, tuple_rankings
+from _brute import (
+    euclidean_by_tensor,
+    friendship_by_tensor,
+    metric_by_tensor,
+    scan_greedy,
+    tuple_rankings,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +144,22 @@ class TestWeightedInstance:
         # file is plain JSON with the documented fields
         payload = json.loads(path.read_text())
         assert payload["n"] == 6 and "weights" in payload
+
+    @pytest.mark.parametrize("family", ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"])
+    def test_indented_file_loads_like_the_compact_one(self, family, tmp_path):
+        """A file in the indent=2 layout older versions wrote loads to the same bits."""
+        inst = generate(GeneratorSpec(family, 9, seed=4))
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_instance(inst, str(compact))
+        indented.write_text(json.dumps(inst.to_dict(), indent=2) + "\n")
+        assert len(compact.read_text().splitlines()) == 1
+        a, b = load_instance(str(compact)), load_instance(str(indented))
+        assert a.weights.tobytes() == b.weights.tobytes() == inst.weights.tobytes()
+        if inst.points is None:
+            assert a.points is None and b.points is None
+        else:
+            assert a.points.tobytes() == b.points.tobytes() == inst.points.tobytes()
+        assert (a.metric, a.meta) == (b.metric, b.meta) == (inst.metric, inst.meta)
 
 
 class TestValidateMetric:
@@ -372,6 +394,15 @@ class TestGenerators:
             inst = generate(GeneratorSpec(family, 7, seed=seed))
             assert inst.metric
             assert validate_metric(inst, tol=1e-9 * float(inst.weights.max()))
+
+    @pytest.mark.parametrize("family", ["euclidean-uniform", "clustered-gaussian"])
+    @pytest.mark.parametrize("dimension", range(1, 8))
+    def test_weights_match_the_difference_tensor_bit_for_bit(self, family, dimension):
+        # below 8 coordinates numpy sums the tensor's last axis in order, as
+        # the per-coordinate accumulation does
+        for seed in range(3):
+            inst = generate(GeneratorSpec(family, 120, dimension=dimension, seed=seed))
+            assert inst.weights.tobytes() == euclidean_by_tensor(inst.points).tobytes()
 
     def test_euclidean_carries_points(self):
         inst = generate(GeneratorSpec("euclidean-uniform", 5, seed=0, dimension=3))

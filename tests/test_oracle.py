@@ -294,6 +294,18 @@ class TestAgainstScalarDP:
         else:
             assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k))
 
+    def test_densest_sums_pair_weights_in_pair_order(self):
+        # k=6 sums 15 pair weights, so a numpy sum over them would run
+        # pairwise. In (i, j) order each 2**-53 of (0, 1, 2, 3, 5, 6) is lost
+        # against the 1 and it ties the first subset, which wins; a pairwise
+        # sum adds the two 2**-53 first and picks (0, 1, 2, 3, 5, 6).
+        w = np.zeros((7, 7))
+        for (u, v), x in {(0, 5): 1.0, (0, 6): 2.0**-53, (1, 5): 2.0**-53}.items():
+            w[u, v] = w[v, u] = x
+        inst = WeightedInstance(w)
+        assert scan_densest(w.tolist(), 6) == (0, 1, 2, 3, 4, 5)
+        assert opt_densest(inst, 6).nodes == (0, 1, 2, 3, 4, 5)
+
     def test_densest_tie_across_chunks_goes_to_the_first(self):
         # C(16, 8) = 12870 combinations span two chunks, and every one ties
         inst = WeightedInstance(np.ones((16, 16)) - np.eye(16))
