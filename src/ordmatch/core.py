@@ -6,15 +6,17 @@ ones, a seeded :class:`RandomSource`. None of them accept weights; weights
 exist only on the evaluation side (``matching_weight``,
 ``expected_random_weight``).
 
-The batched samplers (``random_k_matchings``, ``hybrid_matchings``) draw
-many matchings at once from a ``numpy.random.Generator``. The scalar
-functions stay the reference that defines each distribution.
+Each randomized algorithm has one engine, the batched sampler
+(``random_k_matchings``, ``hybrid_matchings``), which draws many
+matchings at once from a ``numpy.random.Generator``. The scalar
+``random_k_matching`` and ``hybrid_matching`` are one draw of it from
+``RandomSource.gen``. The independent scalar references that the
+samplers' distributions are tested against live in ``tests/_brute.py``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -80,25 +82,18 @@ def matching_weight(m: Matching, inst: WeightedInstance) -> float:
 
 
 class RandomSource:
-    """Seeded randomness for algorithm decisions.
+    """Seeded randomness for the one-draw library calls.
 
-    Thin wrapper over ``random.Random`` so replay only needs the seed.
-    ``derived_seed`` mixes structured parts (base seed, trial index, inner
-    sample index) into one stream-safe integer.
+    ``gen`` is the ``numpy.random.Generator`` seeded by
+    ``derived_seed(seed)``, the one ``harness.solve`` draws from, so library
+    calls that share one RandomSource reproduce ``ordmatch solve --seed``
+    draw for draw. ``derived_seed`` mixes structured parts (base seed,
+    trial index) into one stream-safe integer.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._rng = random.Random(self.seed)
-
-    def randrange(self, bound: int) -> int:
-        return self._rng.randrange(bound)
-
-    def uniform(self) -> float:
-        return self._rng.random()
-
-    def sample(self, seq, count: int) -> list:
-        return self._rng.sample(seq, count)
+        self.gen = np.random.default_rng(self.derived_seed(self.seed))
 
     @staticmethod
     def derived_seed(*parts: int) -> int:
@@ -216,22 +211,6 @@ class EdgePool:
             members.remove(x)
             del side[bisect_left(side, x)]
 
-    def sample_edge(self, rng: RandomSource) -> tuple[int, int]:
-        """Uniformly random active edge; two randrange draws per call."""
-        if self.is_empty():
-            raise EmptyPoolError("cannot sample from an empty pool")
-        if self._b is None:
-            # Uniform ordered pair of distinct indices = uniform unordered pair.
-            m = len(self._a)
-            i = rng.randrange(m)
-            j = rng.randrange(m - 1)
-            if j >= i:
-                j += 1
-            return _normalize_edge(self._a[i], self._a[j])
-        x = self._a[rng.randrange(len(self._a))]
-        y = self._b[rng.randrange(len(self._b))]
-        return _normalize_edge(x, y)
-
 
 def find_undominated(pool: EdgePool, profile: PreferenceProfile) -> tuple[int, int]:
     """Locate an undominated active edge using rankings only.
@@ -275,54 +254,17 @@ def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
 
 
 def random_k_matching(pool: EdgePool, k: int, rng: RandomSource) -> Matching:
-    """Draw uniformly random active edges until k edges or pool exhaustion.
+    """One draw of ``random_k_matchings``: up to k uniformly random active edges.
 
-    Consumes the pool. An already-exhausted pool yields the empty
+    The pool is read, not consumed. An exhausted pool yields the empty
     matching, mirroring the k-beyond-capacity behaviour of the greedy.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    picked = []
-    while len(picked) < k and not pool.is_empty():
-        u, v = pool.sample_edge(rng)
-        picked.append((u, v))
-        pool.remove_pair(u, v)
-    return Matching.from_pairs(pool.n, picked)
+    return Matching.from_pairs(pool.n, random_k_matchings(pool, k, 1, rng.gen)[0].tolist())
 
 
 def hybrid_matching(profile: PreferenceProfile, rng: RandomSource) -> Matching:
-    """Greedy prefix plus a randomized completion, two branches coin-picked.
-
-    M0 = greedy matching with ceil(n/3) edges. With probability exactly
-    1/2 return M0 extended by a uniform random matching on the untouched
-    nodes; otherwise release floor(|B|/2) uniformly chosen M0 edges and
-    match the released nodes bipartitely against the untouched set B.
-    Either branch returns floor(n/2) edges; when n is odd exactly one node
-    stays unmatched.
-
-    Draw order is pinned for replay: the branch coin first, then the
-    branch's own draws.
-    """
-    n = profile.n
-    if n < 2:
-        raise ValueError(f"hybrid matching needs n >= 2, got {n}")
-    g = math.ceil(n / 3)
-    m0 = greedy_k_matching(profile, g)
-    untouched = sorted(set(range(n)) - m0.nodes())
-
-    if rng.uniform() < 0.5:
-        pool = EdgePool.complete(untouched, n)
-        fill = random_k_matching(pool, len(untouched) // 2, rng)
-        return Matching.from_pairs(n, list(m0.edges) + list(fill.edges))
-
-    anchored = m0.sorted_edges()
-    release_count = len(untouched) // 2
-    released_idx = set(rng.sample(range(len(anchored)), release_count))
-    kept = [e for i, e in enumerate(anchored) if i not in released_idx]
-    released_nodes = sorted(x for i in released_idx for x in anchored[i])
-    pool = EdgePool.bipartite(released_nodes, untouched, n)
-    fill = random_k_matching(pool, min(len(released_nodes), len(untouched)), rng)
-    return Matching.from_pairs(n, kept + list(fill.edges))
+    """One draw of ``hybrid_matchings``: the 1.6-approximate matching in expectation."""
+    return Matching.from_pairs(profile.n, hybrid_matchings(profile, 1, rng.gen)[0].tolist())
 
 
 def _row_permutations(items, draws: int, gen: np.random.Generator) -> np.ndarray:
@@ -331,13 +273,14 @@ def _row_permutations(items, draws: int, gen: np.random.Generator) -> np.ndarray
 
 
 def random_k_matchings(pool: EdgePool, k: int, draws: int, gen: np.random.Generator) -> np.ndarray:
-    """``draws`` samples of ``random_k_matching(pool, k, ...)`` as one array.
+    """``draws`` uniform random matchings of up to k active edges, as one array.
 
     Returns an (draws, edges, 2) int array; the pool is read, not
-    consumed. Drawing uniform active edges until k edges (or exhaustion)
-    gives the same distribution as pairing off the first 2k entries of a
-    uniform shuffle of the nodes (complete mode), or the first k entries
-    of independent shuffles of the two sides (bipartite mode).
+    consumed, and k beyond its capacity is capped. Drawing uniform active
+    edges until k edges (or exhaustion) gives the same distribution as
+    pairing off the first 2k entries of a uniform shuffle of the nodes
+    (complete mode), or the first k entries of independent shuffles of the
+    two sides (bipartite mode).
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -351,11 +294,12 @@ def random_k_matchings(pool: EdgePool, k: int, draws: int, gen: np.random.Genera
 
 
 def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Generator) -> np.ndarray:
-    """``draws`` samples of ``hybrid_matching(profile, ...)`` as one array.
+    """``draws`` hybrid matchings: a greedy prefix plus a coin-picked random completion.
 
-    Returns an (draws, n // 2, 2) int array. The greedy prefix M0 is
-    deterministic, so it is computed once; every draw then flips its own
-    coin. Branch A pairs off a shuffle of the untouched set B. Branch B
+    Returns an (draws, n // 2, 2) int array; when n is odd one node stays
+    unmatched. M0, the greedy matching with ceil(n/3) edges, is
+    deterministic and computed once; every draw flips its own fair coin.
+    Branch A pairs off a uniform shuffle of the untouched set B. Branch B
     releases floor(|B|/2) uniformly chosen M0 edges and matches the
     released endpoints, in order, to that same shuffle of B, which is a
     uniform injection of the released nodes into B.

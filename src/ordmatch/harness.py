@@ -322,11 +322,11 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
     """One ordinal solution for ``inst`` as a payload: kind, its shape, n and value.
 
     The solution is one draw from the batched sampler that ``run_trials``
-    uses, from a Generator seeded by ``derived_seed(seed)``, and the value
-    comes from the same weight gather as a bench record's alg.
+    uses, from ``RandomSource(seed).gen``, and the value comes from the
+    same weight gather as a bench record's alg.
     """
     spec = problem_spec(problem, algorithm, inst.n, k)
-    gen = np.random.default_rng(RandomSource.derived_seed(seed))
+    gen = RandomSource(seed).gen
     solutions = _sample(spec, canonical_engine(algorithm), derive_preferences(inst), k, 1, gen)
     value = float(spec.kind.values(solutions, inst.weights)[0])
     return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), value)

@@ -5,6 +5,12 @@ k-sum), a node subset (densest k-subgraph), or a tour (max TSP). The
 repackaging itself stays ordinal: the only extra information ever
 consulted is the preference profile (for tour completion) and a random
 source.
+
+Each reduction has one engine, the batched form (``matchings_to_*``),
+which repackages an (S, edges, 2) array of matchings as drawn by
+``core.random_k_matchings`` / ``hybrid_matchings``. The scalar
+``matching_to_*`` and ``path_completion`` are one-row calls of it; the
+scalar tour and path completion references live in ``tests/_brute.py``.
 """
 
 from __future__ import annotations
@@ -137,50 +143,22 @@ def tour_weight(t: Tour, inst: WeightedInstance) -> float:
     return float(total)
 
 
-def matching_to_clusters(m: Matching, k: int) -> Clustering:
-    """Chunk a matching into k equal clusters, matched pairs co-clustered.
+def _row(m: Matching) -> np.ndarray:
+    """``m`` as a one-row batch: a (1, edges, 2) array of sorted edges."""
+    return np.array(m.sorted_edges(), dtype=np.intp).reshape(1, len(m), 2)
 
-    Requires k to divide n. With even cluster size c = n/k the matching
-    must be perfect and consecutive runs of c/2 edges (ascending smallest
-    endpoint) become clusters. With odd c the matching must have (n-k)/2
-    edges; each cluster takes (c-1)/2 edges plus one of the k unmatched
-    nodes, assigned round-robin in ascending order.
-    """
-    n = m.n
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n % k != 0:
-        raise ValueError(f"k={k} must divide n={n}")
-    c = n // k
-    edges = m.sorted_edges()
-    if c % 2 == 0:
-        if len(edges) != n // 2:
-            raise ValueError(
-                f"even cluster size needs a perfect matching ({n // 2} edges), got {len(edges)}"
-            )
-        per = c // 2
-        parts = [
-            tuple(x for e in edges[i * per : (i + 1) * per] for x in e) for i in range(k)
-        ]
-        return Clustering(n, tuple(parts))
-    want = (n - k) // 2
-    if len(edges) != want:
-        raise ValueError(f"odd cluster size needs a {want}-edge matching, got {len(edges)}")
-    per = (c - 1) // 2
-    leftovers = sorted(set(range(n)) - m.nodes())
-    parts = []
-    for i in range(k):
-        chunk = [x for e in edges[i * per : (i + 1) * per] for x in e]
-        chunk.append(leftovers[i])
-        parts.append(tuple(chunk))
-    return Clustering(n, tuple(parts))
+
+def matching_to_clusters(m: Matching, k: int) -> Clustering:
+    """One-row ``matchings_to_clusters``: k equal clusters, matched pairs together."""
+    parts = matchings_to_clusters(_row(m), m.n, k)[0]
+    return Clustering(m.n, tuple(map(tuple, parts.tolist())))
 
 
 def matching_to_subset(m: Matching, k: int | None = None) -> Subset:
     """Endpoints of a (k/2)-edge matching as a k-node subset."""
     if k is not None and k != 2 * len(m):
         raise ValueError(f"matching has {len(m)} edges, cannot produce a {k}-node subset")
-    return Subset(m.n, tuple(sorted(m.nodes())))
+    return Subset(m.n, tuple(matchings_to_subsets(_row(m))[0].tolist()))
 
 
 def path_completion(
@@ -191,62 +169,30 @@ def path_completion(
 ) -> Path:
     """Stitch matching edges into a path, choosing connectors ordinally.
 
-    A uniformly random matched node starts the path (pass ``start`` to
-    pin it); the remaining edges join in ascending order of smallest
-    endpoint, each connected to the preferred endpoint of the next edge.
-    On metric weights each connector is worth at least half the edge it
-    leads into, which is what the completion bound in the harness rests
-    on.
+    A uniformly random matched node starts the path, drawn as
+    ``matchings_to_tours`` draws it (pass ``start`` to pin it); the
+    remaining edges join in ascending order of smallest endpoint, each
+    connected to the preferred endpoint of the next edge. On metric
+    weights each connector is worth at least half the edge it leads into,
+    which is what the completion bound in the harness rests on.
     """
     if len(m) < 1:
         raise ValueError("path completion needs at least one matching edge")
     if m.n != profile.n:
         raise ValueError("matching and profile sizes differ")
-    nodes = sorted(m.nodes())
-    if start is None:
-        start = nodes[rng.randrange(len(nodes))]
-    elif start not in m.nodes():
+    if start is not None and start not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
-    by_node = {}
-    for e in m.edges:
-        by_node[e[0]] = e
-        by_node[e[1]] = e
-    first = by_node[start]
-    order = [start, first[0] if first[1] == start else first[1]]
-    for e in m.sorted_edges():
-        if e == first:
-            continue
-        x = order[-1]
-        y, z = e
-        nearer = y if profile.prefers(x, y, z) else z
-        order.append(nearer)
-        order.append(z if nearer == y else y)
-    return Path(m.n, tuple(order))
+    edges = _row(m)
+    if start is None:
+        start = np.sort(edges.ravel())[rng.gen.integers(0, 2 * len(m), size=1)]
+    return Path(m.n, tuple(_stitch(edges, np.reshape(start, 1), profile)[0].tolist()))
 
 
 def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource) -> Tour:
-    """Complete a perfect matching into a tour over all n nodes.
-
-    For odd n the one unmatched node is spliced into the closing edge.
-    n=2 is rejected: the only candidate tour would traverse the single
-    edge twice.
-    """
-    n = m.n
-    if n < 3:
-        raise ValueError(f"a tour needs n >= 3, got n={n}")
-    if len(m) != n // 2:
-        raise ValueError(f"matching must be perfect ({n // 2} edges), got {len(m)}")
-    p = path_completion(m, profile, rng)
-    order = list(p.order)
-    leftover = set(range(n)) - m.nodes()
-    order.extend(sorted(leftover))
-    return Tour(n, tuple(order))
-
-
-# ---------------------------------------------------------------------------
-# Batched reductions: the same repackaging for an (S, edges, 2) array of
-# matchings, as drawn by ``core.random_k_matchings`` / ``hybrid_matchings``.
-# ---------------------------------------------------------------------------
+    """One-row ``matchings_to_tours``: a perfect matching completed into a tour."""
+    if m.n != profile.n:
+        raise ValueError("matching and profile sizes differ")
+    return Tour(m.n, tuple(matchings_to_tours(_row(m), profile, rng.gen)[0].tolist()))
 
 
 def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
@@ -257,7 +203,13 @@ def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
 
 
 def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Row-wise ``matching_to_clusters``: an (S, k, n // k) array of parts."""
+    """Chunk each matching into k equal clusters: an (S, k, n // k) array of parts.
+
+    k must divide n. With even cluster size c = n/k the matchings are
+    perfect and each cluster is a run of c/2 edges (ascending smallest
+    endpoint); with odd c they have (n-k)/2 edges and each cluster is a
+    run of (c-1)/2 edges plus the next unmatched node, in ascending order.
+    """
     draws, m, _ = matchings.shape
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -277,18 +229,40 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
-    """Row-wise ``matching_to_subset``: sorted endpoints, (S, 2 * edges)."""
+    """The endpoints of each matching, sorted: an (S, 2 * edges) array."""
     return np.sort(matchings.reshape(len(matchings), -1), axis=1)
+
+
+def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
+    """(S, 2m) paths through (S, m, 2) sorted edges, row s starting at start[s]."""
+    draws, m, _ = edges.shape
+    first = (edges == start[:, None, None]).any(axis=2).argmax(axis=1)
+    slots = np.arange(m)
+    order = np.argsort(np.where(slots == first[:, None], -1, slots), axis=1)
+    edges = np.take_along_axis(edges, order[:, :, None], axis=1)
+
+    paths = np.empty((draws, 2 * m), dtype=np.intp)
+    paths[:, 0] = start
+    paths[:, 1] = edges[:, 0].sum(axis=1) - start
+    for j in range(1, m):
+        x, y, z = paths[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
+        y_first = profile.rank[x, y] < profile.rank[x, z]
+        paths[:, 2 * j] = np.where(y_first, y, z)
+        paths[:, 2 * j + 1] = np.where(y_first, z, y)
+    return paths
 
 
 def matchings_to_tours(
     matchings: np.ndarray, profile: PreferenceProfile, gen: np.random.Generator
 ) -> np.ndarray:
-    """Row-wise ``matching_to_tour``: an (S, n) array of visiting orders.
+    """Complete each perfect matching into a tour: an (S, n) array of visiting orders.
 
-    Each row draws its own uniform start among the matched nodes, then
-    stitches the other edges in ascending order of smallest endpoint,
-    entering each at the endpoint the previous node ranks higher.
+    Each row draws its own uniform start among the matched nodes, crosses
+    the start's edge, then takes the other edges in ascending order of
+    smallest endpoint, entering each at the endpoint the previous node
+    ranks higher. For odd n the one unmatched node closes the tour.
+    n=2 is rejected: the only candidate tour would traverse the single
+    edge twice.
     """
     n = profile.n
     draws, m, _ = matchings.shape
@@ -299,20 +273,8 @@ def matchings_to_tours(
     edges = _sorted_edges(matchings)
     nodes = np.sort(edges.reshape(draws, -1), axis=1)
     start = nodes[np.arange(draws), gen.integers(0, 2 * m, size=draws)]
-    first = (edges == start[:, None, None]).any(axis=2).argmax(axis=1)
-    slots = np.arange(m)
-    order = np.argsort(np.where(slots == first[:, None], -1, slots), axis=1)
-    edges = np.take_along_axis(edges, order[:, :, None], axis=1)
-
-    tours = np.empty((draws, n), dtype=np.intp)
-    tours[:, 0] = start
-    tours[:, 1] = edges[:, 0].sum(axis=1) - start
-    for j in range(1, m):
-        x, y, z = tours[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
-        y_first = profile.rank[x, y] < profile.rank[x, z]
-        tours[:, 2 * j] = np.where(y_first, y, z)
-        tours[:, 2 * j + 1] = np.where(y_first, z, y)
-    if n % 2:
-        # the one unmatched node closes the tour
-        tours[:, -1] = n * (n - 1) // 2 - edges.sum(axis=(1, 2))
-    return tours
+    tours = _stitch(edges, start, profile)
+    if n % 2 == 0:
+        return tours
+    leftover = n * (n - 1) // 2 - edges.sum(axis=(1, 2))
+    return np.concatenate([tours, leftover[:, None]], axis=1)

@@ -6,7 +6,10 @@ with the package's oracles. Scalar versions of the oracles' subset DPs
 and combination scan, which the numpy oracles must match solution for
 solution. Plain versions of the ranking, the greedy and the triple
 checks for the array profile, cursor and pivot-loop tests. The
-difference-tensor distances for the per-coordinate generator.
+difference-tensor distances for the per-coordinate generator. The
+scalar samplers and tour completion, driven one decision at a time by a
+``random.Random``, which define the distributions the batched samplers
+and reductions must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -307,3 +310,76 @@ def held_karp(w) -> tuple:
     forward = (0,) + tuple(x + 1 for x in reversed(seq))
     backward = (0,) + tuple(reversed(forward[1:]))
     return min(forward, backward)
+
+
+def sample_edge(side_a, side_b, rng) -> tuple:
+    """A uniform edge of the complete graph on side_a (side_b None), or of
+    the complete bipartite graph between the sides; two randrange draws."""
+    if side_b is None:
+        if len(side_a) < 2:
+            raise ValueError("cannot sample from an empty pool")
+        i = rng.randrange(len(side_a))
+        j = rng.randrange(len(side_a) - 1)
+        u, v = side_a[i], side_a[j + (j >= i)]
+    else:
+        if not side_a or not side_b:
+            raise ValueError("cannot sample from an empty pool")
+        u, v = side_a[rng.randrange(len(side_a))], side_b[rng.randrange(len(side_b))]
+    return (min(u, v), max(u, v))
+
+
+def random_k_edges(side_a, side_b, k: int, rng) -> list:
+    """Edges drawn one at a time by ``sample_edge``, each retiring both
+    endpoints, until k edges or no edge is left; sorted."""
+    a = sorted(side_a)
+    b = None if side_b is None else sorted(side_b)
+    picked = []
+    while len(picked) < k and (len(a) >= 2 if b is None else a and b):
+        u, v = sample_edge(a, b, rng)
+        picked.append((u, v))
+        for x in (u, v):
+            (a if x in a else b).remove(x)
+    return sorted(picked)
+
+
+def hybrid_matching(rows, rng) -> list:
+    """The hybrid matching, one decision at a time; sorted edges.
+
+    M0 = the greedy matching with ceil(n/3) edges. A fair coin; then
+    either M0 plus ``random_k_edges`` on the untouched nodes B, or M0
+    with floor(|B|/2) edges released by ``rng.sample`` and their
+    endpoints matched into B by ``random_k_edges`` on the bipartite pool.
+    """
+    n = len(rows)
+    m0 = scan_greedy(rows, -(-n // 3))
+    untouched = sorted(set(range(n)) - {x for e in m0 for x in e})
+    if rng.random() < 0.5:
+        return sorted(m0 + random_k_edges(untouched, None, len(untouched) // 2, rng))
+    released = set(rng.sample(range(len(m0)), len(untouched) // 2))
+    kept = [e for i, e in enumerate(m0) if i not in released]
+    freed = sorted(x for i in released for x in m0[i])
+    return sorted(kept + random_k_edges(freed, untouched, len(freed), rng))
+
+
+def path_completion(edges, rows, rng, start=None) -> list:
+    """Path through the matching's edges: a uniform matched start (one
+    randrange unless pinned), across its edge, then the other edges in
+    ascending order of smallest endpoint, each entered at the endpoint
+    the previous node ranks higher in ``rows``."""
+    edges = sorted((min(e), max(e)) for e in edges)
+    if start is None:
+        nodes = sorted(x for e in edges for x in e)
+        start = nodes[rng.randrange(len(nodes))]
+    first = next(e for e in edges if start in e)
+    order = [start, first[0] + first[1] - start]
+    for y, z in edges:
+        if (y, z) != first:
+            row = rows[order[-1]]
+            order += [y, z] if row.index(y) < row.index(z) else [z, y]
+    return order
+
+
+def tour_completion(edges, rows, rng) -> list:
+    """``path_completion`` from a random start, then the unmatched node if any."""
+    order = path_completion(edges, rows, rng)
+    return order + sorted(set(range(len(rows))) - set(order))

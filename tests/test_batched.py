@@ -1,10 +1,12 @@
 """Batched samplers against their scalar references.
 
-The scalar functions (``hybrid_matching``, ``random_k_matching``,
-``matching_to_subset``, ``matching_to_tour``) define each distribution.
-Each test draws from both paths with fixed seeds and sample counts and
-compares outcome frequencies with a two-sample chi-square
-(``chi2_contingency``, p > 0.001 as in C3).
+The scalar references in ``_brute`` (``hybrid_matching``,
+``random_k_edges``, ``path_completion``, ``tour_completion``), driven
+one decision at a time by a ``random.Random``, define each distribution;
+the package's own scalar names are one draw of the batched path, so
+they cannot serve. Each test draws from a reference and from the batched
+path with fixed seeds and sample counts and compares outcome frequencies
+with a two-sample chi-square (``chi2_contingency``, p > 0.001 as in C3).
 
 The categories are whole outcomes (a matching, a subset, a start node),
 so every draw lands in exactly one category and the counts are
@@ -16,6 +18,10 @@ frequencies are a marginal of the outcome frequencies, so they are
 covered too.
 """
 
+import random
+from collections import Counter
+
+import _brute
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,22 +33,16 @@ from ordmatch import (
     EdgePool,
     GeneratorSpec,
     Matching,
-    RandomSource,
     Subset,
     Tour,
     derive_preferences,
     expected_random_weight,
     generate,
     greedy_k_matching,
-    hybrid_matching,
     hybrid_matchings,
-    matching_to_subset,
-    matching_to_tour,
     matchings_to_clusters,
     matchings_to_subsets,
     matchings_to_tours,
-    path_completion,
-    random_k_matching,
     random_k_matchings,
 )
 
@@ -59,8 +59,8 @@ def partners(matchings: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def as_array(matchings) -> np.ndarray:
-    return np.array([m.sorted_edges() for m in matchings]).reshape(len(matchings), -1, 2)
+def as_array(edge_lists) -> np.ndarray:
+    return np.array(edge_lists).reshape(len(edge_lists), -1, 2)
 
 
 def two_sample_p(scalar_keys: np.ndarray, batched_keys: np.ndarray) -> float:
@@ -87,8 +87,8 @@ class TestHybridDistribution:
     def test_scalar_and_batched_agree(self, n, seed):
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=seed))
         prof = derive_preferences(inst)
-        rng = RandomSource(seed)
-        scalar = partners(as_array([hybrid_matching(prof, rng) for _ in range(DRAWS)]), n)
+        rng, rows = random.Random(seed), prof.ranking.tolist()
+        scalar = partners(as_array([_brute.hybrid_matching(rows, rng) for _ in range(DRAWS)]), n)
         batched = partners(hybrid_matchings(prof, DRAWS, np.random.default_rng(seed)), n)
         assert two_sample_p(scalar, batched) > P_MIN
 
@@ -130,8 +130,8 @@ class TestRandomDistribution:
     def test_scalar_and_batched_agree(self, pool_args, k, mode):
         side_a, side_b, n = pool_args
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=23))
-        rng = RandomSource(23)
-        scalar = [random_k_matching(EdgePool(side_a, side_b, n), k, rng) for _ in range(DRAWS)]
+        rng = random.Random(23)
+        scalar = [_brute.random_k_edges(side_a, side_b, k, rng) for _ in range(DRAWS)]
         batched = random_k_matchings(EdgePool(side_a, side_b, n), k, DRAWS, np.random.default_rng(23))
         assert batched.shape == (DRAWS, k, 2)
         assert two_sample_p(partners(as_array(scalar), n), partners(batched, n)) > P_MIN
@@ -152,9 +152,9 @@ class TestRandomDistribution:
 class TestReductionDistribution:
     def test_densest_random_subsets_agree(self):
         n, k = 8, 4
-        rng = RandomSource(24)
+        rng = random.Random(24)
         scalar = np.array([
-            matching_to_subset(random_k_matching(EdgePool.complete(range(n), n), k // 2, rng), k).nodes
+            sorted(x for e in _brute.random_k_edges(range(n), None, k // 2, rng) for x in e)
             for _ in range(DRAWS)
         ])
         batched = matchings_to_subsets(
@@ -165,16 +165,39 @@ class TestReductionDistribution:
     def test_tsp_start_nodes_agree(self):
         n = 8
         prof = derive_preferences(generate(GeneratorSpec("clustered-gaussian", n, seed=25)))
-        m = greedy_k_matching(prof, n // 2)
-        rng = RandomSource(25)
-        scalar = np.array([matching_to_tour(m, prof, rng).order for _ in range(DRAWS)])
-        batch = np.broadcast_to(as_array([m]), (DRAWS, n // 2, 2))
+        edges, rows = greedy_k_matching(prof, n // 2).sorted_edges(), prof.ranking.tolist()
+        rng = random.Random(25)
+        scalar = np.array([_brute.tour_completion(edges, rows, rng) for _ in range(DRAWS)])
+        batch = np.broadcast_to(as_array([edges]), (DRAWS, n // 2, 2))
         batched = matchings_to_tours(batch, prof, np.random.default_rng(25))
         assert two_sample_p(scalar[:, :1], batched[:, :1]) > P_MIN
         # given its start node, a batched tour is exactly the scalar one
         for row in batched[:50]:
-            expected = path_completion(m, prof, rng, start=int(row[0])).order
-            assert tuple(row) == expected
+            assert row.tolist() == _brute.path_completion(edges, rows, rng, start=int(row[0]))
+
+
+class TestReferenceEdgeSampler:
+    def test_sample_edge_empty_pool(self):
+        with pytest.raises(ValueError):
+            _brute.sample_edge([0], None, random.Random(0))
+        with pytest.raises(ValueError):
+            _brute.sample_edge([0, 1], [], random.Random(0))
+
+    def test_sample_edge_uniform_complete(self):
+        counts = Counter()
+        for seed in range(6000):
+            counts[_brute.sample_edge([0, 1, 2, 3], None, random.Random(seed))] += 1
+        assert set(counts) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+        for c in counts.values():
+            assert 850 <= c <= 1150  # expectation 1000, sigma ~29
+
+    def test_sample_edge_uniform_bipartite(self):
+        counts = Counter()
+        for seed in range(4000):
+            counts[_brute.sample_edge([0, 1], [2, 3], random.Random(seed))] += 1
+        assert set(counts) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        for c in counts.values():
+            assert 850 <= c <= 1150  # expectation 1000, sigma ~27
 
 
 class TestBatchedReductionShapes:

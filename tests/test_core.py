@@ -75,10 +75,13 @@ class TestMatching:
 
 class TestRandomSource:
     def test_deterministic_streams(self):
-        a, b = RandomSource(42), RandomSource(42)
-        assert [a.randrange(10) for _ in range(5)] == [b.randrange(10) for _ in range(5)]
-        assert a.uniform() == b.uniform()
-        assert a.sample(range(20), 4) == b.sample(range(20), 4)
+        for seed in (42, 0, -3):
+            a, b = RandomSource(seed), RandomSource(seed)
+            assert (a.gen.integers(0, 1 << 62, 16) == b.gen.integers(0, 1 << 62, 16)).all()
+            # the seeding rule harness.solve relies on
+            ref = np.random.default_rng(RandomSource.derived_seed(seed))
+            assert RandomSource(seed).gen.random(4).tolist() == ref.random(4).tolist()
+        assert RandomSource(-3).gen.random() != RandomSource(3).gen.random()
 
     def test_derived_seed_depends_on_all_parts(self):
         base = RandomSource.derived_seed(1, 2, 3)
@@ -172,30 +175,6 @@ class TestEdgePool:
         pool.remove_pair(0, 2)
         with pytest.raises(EmptyPoolError):
             pool.top_choice(1, prof)
-
-    def test_sample_edge_empty_pool(self):
-        pool = EdgePool.complete(range(2), 2)
-        pool.remove_pair(0, 1)
-        with pytest.raises(EmptyPoolError):
-            pool.sample_edge(RandomSource(0))
-
-    def test_sample_edge_uniform_complete(self):
-        counts = Counter()
-        for seed in range(6000):
-            pool = EdgePool.complete(range(4), 4)
-            counts[pool.sample_edge(RandomSource(seed))] += 1
-        assert set(counts) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-        for c in counts.values():
-            assert 850 <= c <= 1150  # expectation 1000, sigma ~29
-
-    def test_sample_edge_uniform_bipartite(self):
-        counts = Counter()
-        for seed in range(4000):
-            pool = EdgePool.bipartite([0, 1], [2, 3], 4)
-            counts[pool.sample_edge(RandomSource(seed))] += 1
-        assert set(counts) == {(0, 2), (0, 3), (1, 2), (1, 3)}
-        for c in counts.values():
-            assert 850 <= c <= 1150  # expectation 1000, sigma ~27
 
 
 class TestFindUndominated:
@@ -292,6 +271,11 @@ class TestRandomMatching:
         pool = EdgePool.complete(range(2), 2)
         pool.remove_pair(0, 1)
         assert len(random_k_matching(pool, 3, RandomSource(0))) == 0
+
+    def test_pool_is_read_not_consumed(self):
+        pool = EdgePool.bipartite([0, 1], [2, 3], 4)
+        assert len(random_k_matching(pool, 2, RandomSource(0))) == 2
+        assert pool.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_deterministic_given_seed(self):
         a = random_k_matching(EdgePool.complete(range(8), 8), 4, RandomSource(7))

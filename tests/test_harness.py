@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ordmatch import (
+    EdgePool,
+    GeneratorSpec,
+    RandomSource,
     RatioReport,
     TrialConfig,
     WeightedInstance,
@@ -15,10 +18,16 @@ from ordmatch import (
     build_fixture_randomization_floor,
     default_bound,
     derive_preferences,
+    generate,
     greedy_k_matching,
     hybrid_bound,
+    hybrid_matching,
+    matching_to_clusters,
+    matching_to_subset,
+    matching_to_tour,
     matching_weight,
     opt_matching,
+    random_k_matching,
     report_emit,
     run_trials,
 )
@@ -283,3 +292,60 @@ class TestFixtures:
         for i, opt in enumerate((1, 2, 3, 4), start=1):
             assert get_check(fx, f"weighting {i} optimum").expected == str(opt)
         assert get_check(fx, "every matching's total coefficient").passed
+
+
+def _uniform(prof, size, rs):
+    return random_k_matching(EdgePool.complete(range(prof.n), prof.n), size, rs)
+
+
+# The one-draw library composition of each randomized (problem, engine) row.
+LIBRARY_DRAWS = {
+    ("mwm", "random"): lambda prof, k, rs: _uniform(prof, prof.n // 2, rs),
+    ("mwm", "hybrid"): lambda prof, k, rs: hybrid_matching(prof, rs),
+    ("ksum", "hybrid"): lambda prof, k, rs: matching_to_clusters(hybrid_matching(prof, rs), k),
+    ("densest", "random"): lambda prof, k, rs: matching_to_subset(_uniform(prof, k // 2, rs), k),
+    ("tsp", "greedy"): lambda prof, k, rs: matching_to_tour(
+        greedy_k_matching(prof, prof.n // 2), prof, rs
+    ),
+    ("tsp", "hybrid"): lambda prof, k, rs: matching_to_tour(hybrid_matching(prof, rs), prof, rs),
+}
+
+
+def test_library_draws_cover_every_randomized_row():
+    randomized = {
+        (problem, engine)
+        for problem, spec in harness.PROBLEMS.items()
+        for engine in spec.engines
+        if engine != "greedy" or spec.random_reduce
+    }
+    assert set(LIBRARY_DRAWS) == randomized
+
+
+def _valid_ks(problem, engine, n):
+    """Every k the row accepts at n; just None when the row takes no k."""
+    ks = []
+    for k in (None, *range(1, n + 1)):
+        try:
+            harness.problem_spec(problem, engine, n, k)
+        except ValueError:
+            continue
+        if k is None:
+            return [None]
+        ks.append(k)
+    return ks
+
+
+@pytest.mark.parametrize("problem,engine", sorted(LIBRARY_DRAWS))
+def test_library_draws_reproduce_solve(problem, engine):
+    """One RandomSource(seed) shared by the library calls gives solve's solution."""
+    compared = 0
+    for n in range(4, 13):
+        inst = generate(GeneratorSpec("euclidean-uniform", n, seed=n))
+        prof = derive_preferences(inst)
+        for k in _valid_ks(problem, engine, n):
+            for seed in range(-3, 9):
+                payload = harness.solve(problem, engine, inst, k, seed)
+                shape = LIBRARY_DRAWS[problem, engine](prof, k, RandomSource(seed)).to_dict()
+                assert {key: payload[key] for key in shape} == shape, (n, k, seed)
+                compared += 1
+    assert compared >= 5 * 12  # at least five sizes (tsp takes even n only)

@@ -7,6 +7,7 @@ from _brute import (
     euclidean_by_tensor,
     friendship_by_tensor,
     metric_by_tensor,
+    path_completion,
     scan_greedy,
     tuple_rankings,
 )
@@ -16,10 +17,8 @@ from hypothesis import strategies as st
 from ordmatch import (
     GENERATOR_FAMILIES,
     GeneratorSpec,
-    Matching,
     MalformedInstanceError,
     PreferenceProfile,
-    RandomSource,
     WeightedInstance,
     check_friendship,
     derive_preferences,
@@ -28,7 +27,6 @@ from ordmatch import (
     hybrid_matchings,
     load_instance,
     matchings_to_tours,
-    path_completion,
     profile_consistent,
     save_instance,
     validate_metric,
@@ -353,10 +351,10 @@ class TestArrayProfileMatchesTupleReference:
         gen = np.random.default_rng(seed)
         matchings = hybrid_matchings(p, 8, gen)
         tours = matchings_to_tours(matchings, p, gen)
+        rows = p.ranking.tolist()
         for edges, tour in zip(matchings.tolist(), tours.tolist()):
-            m = Matching.from_pairs(n, edges)
-            path = path_completion(m, p, RandomSource(0), start=tour[0])
-            assert list(path.order) == tour[: 2 * len(m)]
+            path = path_completion(edges, rows, None, start=tour[0])
+            assert path == tour[: 2 * len(edges)]
 
 
 class TestGenerators:
