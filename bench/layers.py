@@ -20,9 +20,10 @@ times the ``ordmatch`` on ``sys.path`` at one n and prints one JSON line.
     python bench/layers.py --oracles --parent PARENT_DIR --change CHANGE_DIR --out BENCH_oracle.json
 
 times each exact oracle per call instead (``ORACLE_CALLS``: the
-desk-oracle sizes plus larger ones; median of ``ORACLE_REPEATS`` calls
-after one warm-up call, one fresh process per checkout, ``--time-oracles``)
-and runs the ``ORACLE_PAIRS`` perfbench pairs.
+desk-oracle sizes, the desk-mc sizes and larger ones; the first, cold
+call, which pays any per-process table build, and the median of
+``ORACLE_REPEATS`` warm calls after it, one fresh process per checkout,
+``--time-oracles``) and runs the ``ORACLE_PAIRS`` perfbench pairs.
 
     python bench/layers.py --io --parent PARENT_DIR --change CHANGE_DIR --out BENCH_io.json
 
@@ -70,14 +71,17 @@ METRIC_MAX_N = 2000
 PARENT_METRIC_MAX_N = 300
 # WORKLOAD:SEED:PAIRS; seed 5 is held out from the runs made while writing a change.
 PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:3", "desk-oracle:0:3"]
-# (label, family, n, k) per oracle call: desk-oracle's five sizes, then larger ones.
+# (label, family, n, k) per oracle call: desk-oracle's five sizes, desk-mc's
+# four, then larger ones.
 ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-uniform", 14, 4),
                 ("densest", "random-metric-closure", 16, 8), ("tsp", "euclidean-uniform", 14, None),
-                ("ksum", "euclidean-uniform", 10, 5), ("mwm", "euclidean-uniform", 18, None),
+                ("ksum", "euclidean-uniform", 10, 5), ("mwm", "euclidean-uniform", 12, None),
+                ("tsp", "clustered-gaussian", 10, None), ("ksum", "random-metric-closure", 8, 2),
+                ("densest", "euclidean-uniform", 12, 6), ("mwm", "euclidean-uniform", 18, None),
                 ("mwm", "euclidean-uniform", 20, None), ("mkm", "euclidean-uniform", 16, 4),
                 ("tsp", "euclidean-uniform", 15, None)]
 ORACLE_REPEATS = 5
-ORACLE_PAIRS = ["desk-oracle:0:5", "desk-mc:0:5", "large-n:0:3"]
+ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:3", "desk-mc:0:5", "large-n:0:3"]
 IO_SIZES = [1000, 2000]
 IO_REPEATS = 3
 IO_GENERATE_N = 3000
@@ -120,7 +124,8 @@ def time_layers(n: int, metric: bool) -> dict:
 
 
 def time_oracles() -> dict:
-    """Median seconds per exact-oracle call, for the ordmatch on sys.path."""
+    """Seconds of the first call and median seconds of the warm calls per exact
+    oracle, for the ordmatch on sys.path."""
     from ordmatch import GeneratorSpec, generate, opt_densest, opt_k_sum, opt_matching, opt_tsp
 
     oracles = {"mwm": lambda inst, k: opt_matching(inst, inst.n // 2), "mkm": opt_matching,
@@ -128,13 +133,13 @@ def time_oracles() -> dict:
     out = {}
     for label, family, n, k in ORACLE_CALLS:
         inst = generate(GeneratorSpec(family, n, seed=0))
-        oracles[label](inst, k)
         times = []
-        for _ in range(ORACLE_REPEATS):
+        for _ in range(1 + ORACLE_REPEATS):
             start = time.perf_counter()
             oracles[label](inst, k)
             times.append(time.perf_counter() - start)
-        out[f"{label} n={n}" + ("" if k is None else f" k={k}")] = statistics.median(times)
+        out[f"{label} n={n}" + ("" if k is None else f" k={k}")] = {
+            "cold": times[0], "warm": statistics.median(times[1:])}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
@@ -303,8 +308,8 @@ def main(argv=None) -> int:
         ap.error("--parent and --change are required")
 
     if args.oracles:
-        what = ("Seconds per exact-oracle call (median of repeats after a warm-up call, "
-                "in-process, one fresh process per checkout)")
+        what = ("Seconds per exact-oracle call (the first, cold call and the median of "
+                "the warm repeats after it, in-process, one fresh process per checkout)")
         settings = {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "pairs": ORACLE_PAIRS}
         timed = ("oracles", {"unit": "s", "instance seed": 0,
                              "parent": oracle_column(args.parent),

@@ -48,31 +48,30 @@ class _Deadline:
 
 @functools.cache
 def _by_popcount(n: int) -> tuple:
-    """Every n-bit mask ordered by popcount, its lowest set bit, and the layer starts.
+    """Every n-bit mask ordered by popcount, and the layer starts.
 
     Masks of popcount p are ``masks[start[p]:start[p + 1]]``, ascending.
     """
     count = np.zeros(1, np.int8)
-    low = np.full(1, -1, np.int8)
-    for b in range(n):
+    for _ in range(n):
         count = np.concatenate([count, count + 1])
-        low = np.concatenate([low, low])
-        low[1 << b] = b
-    order = np.argsort(count, kind="stable")
+    masks = np.argsort(count, kind="stable").astype(np.int32)
     start = np.concatenate([[0], np.cumsum(np.bincount(count, minlength=n + 1))])
-    tables = (order.astype(np.int32), low[order], start)
-    for t in tables:
+    for t in (masks, start):
         t.flags.writeable = False
-    return tables
+    return masks, start
 
 
 def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
-    The DP fills one popcount layer of masks at a time in numpy. Ties go
-    to the lexicographically smallest edge set: reconstruction pairs the
-    lowest unmatched node with the smallest partner that still achieves
-    the optimum, and zero-weight edges are pruned afterwards.
+    Bit b of a table index stands for node n - 1 - b, so the block of
+    indices [2^b, 2^(b+1)) holds the sets whose lowest node is n - 1 - b
+    and reads only indices below 2^b; each (block, partner bit) step is
+    one add and one maximum over strided views. Ties go to the
+    lexicographically smallest edge set: reconstruction pairs the lowest
+    unmatched node with the smallest partner that still achieves the
+    optimum, and zero-weight edges are pruned afterwards.
     """
     n = inst.n
     if k < 1:
@@ -82,52 +81,42 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     deadline = _Deadline(budget.time_limit, "matching oracle")
     w = inst.weights
     kcap = min(k, n // 2)
-    masks, lows, start = _by_popcount(n)
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
     # a binding cap one layer suffices and it is its own previous layer.
-    # cur[j] and prev[j] are the layers for j + 1 and j edges; popcount p
-    # of every layer is filled at once, from p - 1 of cur and p - 2 of prev.
+    # cur[j] and prev[j] are the layers for j + 1 and j edges. In block b,
+    # the sets r below 2^b that hold bit v and the sets r ^ 2^v are the two
+    # halves of a (rows, -1, 2, 2^v) view.
     capped = kcap < n // 2
     layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
     cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
-    for p in range(2, n + 1):
+    rows = len(cur)
+    for b in range(1, n):
         deadline.check()
-        mask, low = masks[start[p]:start[p + 1]], lows[start[p]:start[p + 1]]
-        rest = mask & (mask - 1)
-        best = cur.take(rest, axis=1)
-        for v in range(1, n):
-            has = np.flatnonzero(rest & (1 << v))
-            cand = w[low[has], v] + prev.take(rest[has] ^ (1 << v), axis=1)
-            best[:, has] = np.maximum(best.take(has, axis=1), cand)
-        cur[:, mask] = best
+        a, h = n - 1 - b, 1 << b
+        block = cur[:, h:2 * h]
+        block[...] = cur[:, :h]
+        for v in range(b):
+            with_v = block.reshape(rows, -1, 2, 1 << v)[:, :, 1]
+            without_v = prev[:, :h].reshape(rows, -1, 2, 1 << v)[:, :, 0]
+            np.maximum(with_v, without_v + w[a, n - 1 - v], out=with_v)
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []
     mask = (1 << n) - 1
-    j = len(cur) - 1
-    while j >= 0:
-        lowbit = mask & -mask
-        rest = mask ^ lowbit
-        if rest == 0:
-            break
-        low = lowbit.bit_length() - 1
+    j = rows - 1
+    while j >= 0 and mask & (mask - 1):
+        b = mask.bit_length() - 1
+        low, rest = n - 1 - b, mask ^ (1 << b)
         best = cur[j, mask]
-        chosen = -1
-        t = rest
-        while t:
-            vbit = t & -t
-            v = vbit.bit_length() - 1
-            if w[low, v] + prev[j, rest ^ vbit] == best:
-                chosen = v
+        for v in reversed(range(b)):  # partners in ascending node order
+            if rest >> v & 1 and w[low, n - 1 - v] + prev[j, rest ^ (1 << v)] == best:
+                edges.append((low, n - 1 - v))
+                mask = rest ^ (1 << v)
+                j -= capped
                 break
-            t ^= vbit
-        if chosen < 0:
-            mask = rest
         else:
-            edges.append((low, chosen))
-            mask = rest ^ (1 << chosen)
-            j -= capped
+            mask = rest
     return Matching.from_pairs(n, [e for e in edges if w[e] > 0.0])
 
 
@@ -135,8 +124,10 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
     """Exact max k-sum clustering by canonical partition enumeration.
 
     Partitions are enumerated with the lowest unassigned node anchoring
-    each new part, so each partition appears exactly once and the first
-    optimum found is the lexicographically smallest.
+    each new part, so each partition appears exactly once; the whole
+    table is scored at once, pair weights in (i, j) order within a part
+    and parts in anchor order, and the first optimum is the
+    lexicographically smallest.
     """
     n = inst.n
     if k < 1:
@@ -147,48 +138,38 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
         raise BudgetError(f"k-sum oracle capped at n={budget.max_n_k_sum}, got n={n}")
     deadline = _Deadline(budget.time_limit, "k-sum oracle")
     c = n // k
-    w = inst.weights.tolist()
 
-    best_val = -1.0
-    best_parts: list | None = None
-    leaves = 0
+    # order[row] lists the filled parts, then the unassigned nodes ascending.
+    # Every row has the same number of unassigned nodes, so the next part's
+    # anchor plus each lex-ordered combination of later positions, followed
+    # by the positions left over, is one permutation shared by all rows.
+    order = np.arange(n)[None]
+    for lo in range(0, n - c, c):
+        deadline.check()
+        rest = range(lo + 1, n)
+        perms = [[*range(lo + 1), *pick, *(x for x in rest if x not in pick)]
+                 for pick in itertools.combinations(rest, c - 1)]
+        order = order[:, perms].reshape(-1, n)
 
-    def part_value(part) -> float:
-        s = 0.0
-        for i in range(len(part)):
-            row = w[part[i]]
-            for j in range(i + 1, len(part)):
-                s += row[part[j]]
-        return s
-
-    def descend(remaining: tuple, acc: float, parts: list):
-        nonlocal best_val, best_parts, leaves
-        if not remaining:
-            leaves += 1
-            if leaves % 1024 == 0:
-                deadline.check()
-            if acc > best_val:
-                best_val = acc
-                best_parts = list(parts)
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
-        for combo in itertools.combinations(rest, c - 1):
-            part = (anchor,) + combo
-            taken = set(combo)
-            parts.append(part)
-            descend(tuple(x for x in rest if x not in taken), acc + part_value(part), parts)
-            parts.pop()
-
-    descend(tuple(range(n)), 0.0, [])
-    assert best_parts is not None
-    return Clustering(n, tuple(best_parts))
+    parts = order.reshape(len(order), k, c)
+    wf = inst.weights.ravel()
+    part_val = np.zeros((len(order), k))
+    for i in range(c):
+        for j in range(i + 1, c):
+            part_val += wf.take(parts[:, :, i] * n + parts[:, :, j])
+    total = np.zeros(len(order))
+    for q in range(k):
+        total += part_val[:, q]
+    top = int(total.argmax())
+    return Clustering(n, order[top].reshape(k, c).tolist())
 
 
 def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
     """Exact densest k-subgraph by subset enumeration (lex order), in chunks.
 
-    Pair weights are added in (i, j) order, so values keep a scalar sum's bits.
+    With bit b standing for node n - 1 - b, the popcount-k masks in
+    descending order are the k-combinations in lexicographic order. Pair
+    weights are added in (i, j) order, so values keep a scalar sum's bits.
     """
     n = inst.n
     if not 1 <= k <= n:
@@ -196,24 +177,30 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
     if n > budget.max_n_densest:
         raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
     deadline = _Deadline(budget.time_limit, "densest oracle")
-    w = inst.weights
-    combos = itertools.combinations(range(n), k)
+    wf = inst.weights.ravel()
+    masks, start = _by_popcount(n)
+    combos = masks[start[k]:start[k + 1]][::-1]
     best_val = -1.0
     best_nodes: tuple | None = None
-    while True:
+    for lo in range(0, len(combos), DENSEST_CHUNK):
         deadline.check()
-        chunk = itertools.chain.from_iterable(itertools.islice(combos, DENSEST_CHUNK))
-        c = np.fromiter(chunk, np.intp).reshape(-1, k)
-        if not len(c):
-            break
-        val = np.zeros(len(c))
+        m = combos[lo:lo + DENSEST_CHUNK].copy()
+        # c[i] is the i-th smallest node of each combination: peel the
+        # lowest set bit (the largest node) k times; frexp(2^b) has exponent b + 1.
+        c = np.empty((k, len(m)), np.intp)
+        for i in reversed(range(k)):
+            low = m & -m
+            c[i] = n - np.frexp(low)[1]
+            m ^= low
+        val = np.zeros(len(m))
         for i in range(k):
+            row = c[i] * n
             for j in range(i + 1, k):
-                val += w[c[:, i], c[:, j]]
+                val += wf.take(row + c[j])
         top = int(val.argmax())
         if val[top] > best_val:
             best_val = val[top]
-            best_nodes = tuple(c[top].tolist())
+            best_nodes = tuple(c[:, top].tolist())
     assert best_nodes is not None
     return Subset(n, best_nodes)
 
@@ -233,7 +220,7 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     deadline = _Deadline(budget.time_limit, "tsp oracle")
     w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
-    masks, _, start = _by_popcount(m)
+    masks, start = _by_popcount(m)
     # dp[mask, j]: best path from node 0 through mask ending at j; -inf off mask
     dp = np.full((1 << m, m), -np.inf)
     dp[1 << np.arange(m), np.arange(m)] = w[0, 1:]

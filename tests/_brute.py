@@ -3,13 +3,14 @@
 Exhaustive solvers for the oracle tests: deliberately plain enumeration
 with no dynamic programming and no pruning, so these share no structure
 with the package's oracles. Scalar versions of the oracles' subset DPs
-and combination scan, which the numpy oracles must match solution for
-solution. Plain versions of the ranking, the greedy and the triple
-checks for the array profile, cursor and pivot-loop tests. The
-difference-tensor distances for the per-coordinate generator. The
-scalar samplers and tour completion, driven one decision at a time by a
-``random.Random``, which define the distributions the batched samplers
-and reductions must reproduce.
+(``dp_matching``, ``held_karp``), combination scan (``scan_densest``)
+and canonical partition recursion (``scan_k_sum``), which the numpy
+oracles must match solution for solution. Plain versions of the
+ranking, the greedy and the triple checks for the array profile, cursor
+and pivot-loop tests. The difference-tensor distances for the
+per-coordinate generator. The scalar samplers and tour completion,
+driven one decision at a time by a ``random.Random``, which define the
+distributions the batched samplers and reductions must reproduce.
 """
 
 from itertools import combinations, permutations
@@ -241,6 +242,45 @@ def scan_densest(w, k: int) -> tuple:
             best_val = val
             best_nodes = combo
     return best_nodes
+
+
+def scan_k_sum(w, k: int) -> tuple:
+    """Parts of the lex-first max k-sum clustering by the canonical recursion.
+
+    The lowest unassigned node anchors each new part and the others are
+    taken in ``combinations`` order, so partitions arrive in lex order;
+    part values add pair weights in (i, j) order, the total adds parts in
+    anchor order, and the first strict maximum wins.
+    """
+    c = len(w) // k
+    best_val = -1.0
+    best_parts = None
+
+    def part_value(part) -> float:
+        s = 0.0
+        for i in range(len(part)):
+            row = w[part[i]]
+            for j in range(i + 1, len(part)):
+                s += row[part[j]]
+        return s
+
+    def descend(remaining: tuple, acc: float, parts: list):
+        nonlocal best_val, best_parts
+        if not remaining:
+            if acc > best_val:
+                best_val = acc
+                best_parts = tuple(parts)
+            return
+        anchor = remaining[0]
+        rest = remaining[1:]
+        for combo in combinations(rest, c - 1):
+            part = (anchor,) + combo
+            parts.append(part)
+            descend(tuple(x for x in rest if x not in combo), acc + part_value(part), parts)
+            parts.pop()
+
+    descend(tuple(range(len(w))), 0.0, [])
+    return best_parts
 
 
 def held_karp(w) -> tuple:

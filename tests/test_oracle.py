@@ -9,9 +9,11 @@ from _brute import (
     dp_matching,
     held_karp,
     scan_densest,
+    scan_k_sum,
 )
 from ordmatch import (
     BudgetError,
+    Clustering,
     GeneratorSpec,
     Matching,
     OracleBudget,
@@ -133,6 +135,12 @@ class TestOptMatching:
         with pytest.raises(BudgetError):
             opt_matching(inst, 7, OracleBudget(time_limit=0.0))
 
+    @pytest.mark.parametrize("n,k", [(16, 8), (14, 4)])
+    def test_all_ones_gives_lex_first_matching_at_desk_size(self, n, k):
+        # every matching of k edges ties; the lowest node pairs with the smallest partner
+        inst = WeightedInstance(np.ones((n, n)) - np.eye(n))
+        assert opt_matching(inst, k).sorted_edges() == [(2 * i, 2 * i + 1) for i in range(k)]
+
 
 class TestOptKSum:
     def test_known_partition(self):
@@ -152,6 +160,11 @@ class TestOptKSum:
         big = WeightedInstance([[0.0] * 12 for _ in range(12)])
         with pytest.raises(BudgetError):
             opt_k_sum(big, 3)
+
+    def test_time_budget(self):
+        inst = generate(GeneratorSpec("euclidean-uniform", 10, seed=0))
+        with pytest.raises(BudgetError):
+            opt_k_sum(inst, 5, OracleBudget(time_limit=0.0))
 
     def test_pair_clusters_match_perfect_matching(self):
         # size-2 clusters are exactly a perfect matching
@@ -254,11 +267,16 @@ FAMILIES = ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"]
 
 
 def assert_same_solutions(inst, ks):
-    """The numpy oracles return the scalar DPs' solution objects for every k."""
+    """The numpy oracles return the scalar references' solution objects for
+    every k in ks, and for every k that divides n within the k-sum cap."""
     n, w = inst.n, inst.weights.tolist()
     for k in ks:
         assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k)), k
         assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
+    if n <= OracleBudget().max_n_k_sum:
+        for k in range(1, n + 1):
+            if n % k == 0:
+                assert opt_k_sum(inst, k) == Clustering(n, scan_k_sum(w, k)), k
     if n >= 3:
         assert opt_tsp(inst) == Tour(n, held_karp(w))
 
@@ -283,11 +301,15 @@ class TestAgainstScalarDP:
         ("mkm", "clustered-gaussian", 14, 4),
         ("tsp", "random-metric-closure", 14, None),
         ("densest", "random-metric-closure", 16, 8),
+        ("ksum", "euclidean-uniform", 10, 5),
+        ("ksum", "random-metric-closure", 8, 2),
     ])
     def test_desk_oracle_sizes(self, problem, family, n, k):
         inst = generate(GeneratorSpec(family, n, seed=0))
         w = inst.weights.tolist()
-        if problem == "tsp":
+        if problem == "ksum":
+            assert opt_k_sum(inst, k) == Clustering(n, scan_k_sum(w, k))
+        elif problem == "tsp":
             assert opt_tsp(inst) == Tour(n, held_karp(w))
         elif problem == "densest":
             assert opt_densest(inst, k) == Subset(n, scan_densest(w, k))
@@ -305,6 +327,16 @@ class TestAgainstScalarDP:
         inst = WeightedInstance(w)
         assert scan_densest(w.tolist(), 6) == (0, 1, 2, 3, 4, 5)
         assert opt_densest(inst, 6).nodes == (0, 1, 2, 3, 4, 5)
+
+    def test_k_sum_sums_pair_weights_in_pair_order(self):
+        # In (i, j) order each 2**-53 of part (0, 1, 3) is lost against the 1,
+        # so ((0, 1, 3), (2, 4, 5)) ties the first partition, which wins; a sum
+        # that adds the two 2**-53 first picks ((0, 1, 3), (2, 4, 5)).
+        w = np.zeros((6, 6))
+        for (u, v), x in {(0, 1): 1.0, (0, 3): 2.0**-53, (1, 3): 2.0**-53}.items():
+            w[u, v] = w[v, u] = x
+        assert scan_k_sum(w.tolist(), 2) == ((0, 1, 2), (3, 4, 5))
+        assert opt_k_sum(WeightedInstance(w), 2).parts == ((0, 1, 2), (3, 4, 5))
 
     def test_densest_tie_across_chunks_goes_to_the_first(self):
         # C(16, 8) = 12870 combinations span two chunks, and every one ties
