@@ -54,8 +54,8 @@ import time
 END_TO_END = {"setup_s": "lower", "wall_s": "lower", "op_s.p50": "lower",
               "op_s.p90": "lower", "draws_per_s": "higher", "peak_rss_mb": "lower"}
 TRACE_KEYS = ("instance.derive_preferences.self_s", "instance.derive_preferences.calls",
-              "core.find_undominated.self_s", "core.greedy_k_matching.self_s",
-              "instance.load_instance.self_s", "instance.generate.self_s", "cli.main.self_s",
+              "core.greedy_k_matching.self_s", "instance.load_instance.self_s",
+              "instance.generate.self_s", "cli.main.self_s",
               "layer.instance.self_s", "layer.instance.share", "layer.cli.share",
               "layer.core.share", "trace.wall_s")
 ORACLE_TRACE_KEYS = ("oracle.opt_matching.self_s", "oracle.opt_tsp.self_s",

@@ -1,10 +1,13 @@
 """Preference-only matching algorithms and their supporting types.
 
 Every algorithm here sees a :class:`~ordmatch.instance.PreferenceProfile`
-(or an :class:`EdgePool` built from node ids) plus, for the randomized
-ones, a seeded :class:`RandomSource`. None of them accept weights; weights
-exist only on the evaluation side (``matching_weight``,
-``expected_random_weight``).
+or plain lists of node ids, plus, for the randomized ones, a seeded
+:class:`RandomSource`. None of them accept weights; weights exist only on
+the evaluation side (``matching_weight``, ``expected_random_weight``).
+
+The greedy (``greedy_k_matching``, ``find_undominated``) walks the
+ranking rows directly: one generator yields its undominated edges in
+order, with a forward-only cursor per node.
 
 Each randomized algorithm has one engine, the batched sampler
 (``random_k_matchings``, ``hybrid_matchings``), which draws many
@@ -17,8 +20,8 @@ samplers' distributions are tested against live in ``tests/_brute.py``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -101,165 +104,89 @@ class RandomSource:
         return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-class EdgePool:
-    """Mutable set of active edges: complete on one node set, or bipartite.
+def _sorted_ids(nodes, other=None) -> tuple[list[int], list[int] | None]:
+    """``nodes`` and ``other`` as ascending int lists; ValueError unless
+    the ids are distinct, nonnegative and the two lists disjoint."""
+    a = sorted(int(x) for x in nodes)
+    b = sorted(int(x) for x in other) if other is not None else None
+    ids = a + (b or [])
+    if len(set(ids)) != len(ids):
+        raise ValueError("node lists must be disjoint sets of distinct nodes")
+    if ids and min(ids) < 0:
+        raise ValueError("node ids must be nonnegative")
+    return a, b
 
-    Edges are implicit (every active pair, or every cross pair), so
-    removing a matched pair automatically retires every edge touching it.
-    ``n`` is the size of the ambient node universe, used when results are
-    packaged into a :class:`Matching`.
 
-    Nodes only ever leave a pool, so ``top_choice`` keeps a forward-only
-    cursor per node into its row of the last profile it was asked about.
+def _undominated_edges(profile: PreferenceProfile, nodes):
+    """Yield the greedy's picks among ``nodes`` in order, each retiring both endpoints.
+
+    Each pick starts from the lowest active node and repeatedly hops to
+    the current node's top active choice. The walk must eventually
+    revisit a node; the edge that closes that cycle is undominated: along
+    the walk each hop's weight is at least the previous hop's (under any
+    weights consistent with the profile), so the cycle's edges all tie at
+    the cycle maximum and the closing edge beats every edge incident to
+    either endpoint. Nodes only ever retire, so each node keeps a
+    forward-only cursor into its ranking row.
     """
-
-    def __init__(self, side_a, side_b=None, n: int | None = None):
-        a = sorted(int(x) for x in side_a)
-        b = sorted(int(x) for x in side_b) if side_b is not None else None
-        ids = a + (b or [])
-        if len(set(ids)) != len(ids):
-            raise ValueError("pool sides must be disjoint sets of distinct nodes")
-        if ids and min(ids) < 0:
-            raise ValueError("node ids must be nonnegative")
-        self.n = int(n) if n is not None else (max(ids) + 1 if ids else 0)
-        if ids and max(ids) >= self.n:
-            raise ValueError(f"node id {max(ids)} out of range for n={self.n}")
-        self._a = a
-        self._b = b
-        self._aset = set(a)
-        self._bset = set(b) if b is not None else None
-        self._profile, self._rows, self._cursor = None, None, {}
-
-    @classmethod
-    def complete(cls, nodes, n: int | None = None) -> "EdgePool":
-        return cls(nodes, None, n)
-
-    @classmethod
-    def bipartite(cls, side_a, side_b, n: int | None = None) -> "EdgePool":
-        return cls(side_a, side_b, n)
-
-    @property
-    def bipartite_mode(self) -> bool:
-        return self._b is not None
-
-    def active_nodes(self) -> list[int]:
-        if self._b is None:
-            return list(self._a)
-        return sorted(self._a + self._b)
-
-    def is_empty(self) -> bool:
-        if self._b is None:
-            return len(self._a) < 2
-        return not self._a or not self._b
-
-    def edge_count(self) -> int:
-        if self._b is None:
-            m = len(self._a)
-            return m * (m - 1) // 2
-        return len(self._a) * len(self._b)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All active edges, sorted; enumeration only, not the hot path."""
-        if self._b is None:
-            return [
-                (self._a[i], self._a[j])
-                for i in range(len(self._a))
-                for j in range(i + 1, len(self._a))
-            ]
-        return sorted(_normalize_edge(x, y) for x in self._a for y in self._b)
-
-    def _partners(self, x: int):
-        if self._b is None:
-            if x not in self._aset:
-                raise ValueError(f"node {x} is not active")
-            return self._aset
-        if x in self._aset:
-            return self._bset
-        if x in self._bset:
-            return self._aset
-        raise ValueError(f"node {x} is not active")
-
-    def top_choice(self, x: int, profile: PreferenceProfile) -> int:
-        """x's most preferred partner among the active edges at x."""
-        partners = self._partners(x)
-        if profile is not self._profile:
-            # a flat memoryview reads single entries as Python ints, fast
-            self._profile, self._rows, self._cursor = profile, memoryview(profile.ranking.ravel()), {}
-        rows, width = self._rows, len(profile.ranking) - 1
-        c, end = self._cursor.get(x, x * width), (x + 1) * width
-        while c < end and rows[c] not in partners:
-            c += 1
-        self._cursor[x] = c
-        if c == end:
-            raise EmptyPoolError(f"node {x} has no active partner")
-        return rows[c]
-
-    def lowest_active(self) -> int:
-        firsts = self._a[:1] + (self._b or [])[:1]
-        if not firsts:
-            raise EmptyPoolError("pool has no active nodes")
-        return min(firsts)
-
-    def remove_pair(self, u: int, v: int) -> None:
-        """Retire a matched pair and every edge incident to it."""
-        if u == v:
-            raise ValueError("matched pair must be two distinct nodes")
-        for x in (u, v):
-            side, members = (self._a, self._aset) if x in self._aset else (self._b, self._bset)
-            if members is None or x not in members:
-                raise ValueError(f"node {x} is not active")
-            members.remove(x)
-            del side[bisect_left(side, x)]
+    n = profile.n
+    ids, _ = _sorted_ids(nodes)
+    if ids and ids[-1] >= n:
+        raise ValueError(f"node id {ids[-1]} out of range for n={n}")
+    active = bytearray(n)
+    for x in ids:
+        active[x] = 1
+    # a flat memoryview reads single entries as Python ints, fast
+    rows, width = memoryview(profile.ranking.ravel()), n - 1
+    cursor = [x * width for x in range(n)]
+    lowest, left = 0, len(ids)
+    while left >= 2:
+        while not active[ids[lowest]]:
+            lowest += 1
+        x = ids[lowest]
+        seen = {x}
+        while True:
+            c = cursor[x]
+            while not active[rows[c]]:
+                c += 1
+            cursor[x] = c
+            y = rows[c]
+            if y in seen:
+                break
+            seen.add(y)
+            x = y
+        active[x] = active[y] = 0
+        left -= 2
+        yield _normalize_edge(x, y)
 
 
-def find_undominated(pool: EdgePool, profile: PreferenceProfile) -> tuple[int, int]:
-    """Locate an undominated active edge using rankings only.
+def find_undominated(profile: PreferenceProfile, nodes) -> tuple[int, int]:
+    """An undominated edge among ``nodes`` using rankings only: the greedy's first pick.
 
-    Starting from the lowest-indexed active node, repeatedly hop to the
-    current node's top active choice. The walk must eventually revisit a
-    node; the edge that closes that cycle is undominated: along the walk
-    each hop's weight is at least the previous hop's (under any weights
-    consistent with the profile), so the cycle's edges all tie at the
-    cycle maximum and the closing edge beats every edge incident to
-    either endpoint.
+    Raises ``EmptyPoolError`` for fewer than two nodes.
     """
-    if pool.is_empty():
-        raise EmptyPoolError("no active edges")
-    x = pool.lowest_active()
-    seen = {x}
-    while True:
-        y = pool.top_choice(x, profile)
-        if y in seen:
-            return _normalize_edge(x, y)
-        seen.add(y)
-        x = y
+    for edge in _undominated_edges(profile, nodes):
+        return edge
+    raise EmptyPoolError("fewer than two nodes, so no edge")
 
 
 def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
     """Pick k undominated edges, retiring both endpoints after each pick.
 
-    Deterministic. If k exceeds what the pool can supply the result is the
-    maximal matching found (no error), so the edge list for k is always a
-    prefix of the edge list for any larger k.
+    Deterministic. If k exceeds what the nodes can supply the result is
+    the maximal matching found (no error), so the edge list for k is
+    always a prefix of the edge list for any larger k.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    pool = EdgePool.complete(range(profile.n), profile.n)
-    picked = []
-    while len(picked) < k and not pool.is_empty():
-        u, v = find_undominated(pool, profile)
-        picked.append((u, v))
-        pool.remove_pair(u, v)
-    return Matching.from_pairs(profile.n, picked)
+    # walk here, not lazily inside from_pairs, so a profile charges the walk to the greedy
+    picks = list(islice(_undominated_edges(profile, range(profile.n)), k))
+    return Matching.from_pairs(profile.n, picks)
 
 
-def random_k_matching(pool: EdgePool, k: int, rng: RandomSource) -> Matching:
-    """One draw of ``random_k_matchings``: up to k uniformly random active edges.
-
-    The pool is read, not consumed. An exhausted pool yields the empty
-    matching, mirroring the k-beyond-capacity behaviour of the greedy.
-    """
-    return Matching.from_pairs(pool.n, random_k_matchings(pool, k, 1, rng.gen)[0].tolist())
+def random_k_matching(n: int, k: int, rng: RandomSource) -> Matching:
+    """One draw of ``random_k_matchings`` on nodes 0..n-1: up to k uniformly random edges."""
+    return Matching.from_pairs(n, random_k_matchings(range(n), k, 1, rng.gen)[0].tolist())
 
 
 def hybrid_matching(profile: PreferenceProfile, rng: RandomSource) -> Matching:
@@ -272,25 +199,31 @@ def _row_permutations(items, draws: int, gen: np.random.Generator) -> np.ndarray
     return gen.permuted(np.tile(np.asarray(items, dtype=np.intp), (draws, 1)), axis=1)
 
 
-def random_k_matchings(pool: EdgePool, k: int, draws: int, gen: np.random.Generator) -> np.ndarray:
-    """``draws`` uniform random matchings of up to k active edges, as one array.
+def random_k_matchings(
+    nodes, k: int, draws: int, gen: np.random.Generator, other=None
+) -> np.ndarray:
+    """``draws`` uniform random matchings of up to k edges, as one array.
 
-    Returns an (draws, edges, 2) int array; the pool is read, not
-    consumed, and k beyond its capacity is capped. Drawing uniform active
-    edges until k edges (or exhaustion) gives the same distribution as
-    pairing off the first 2k entries of a uniform shuffle of the nodes
-    (complete mode), or the first k entries of independent shuffles of the
-    two sides (bipartite mode).
+    The edges join two of ``nodes`` or, when ``other`` is given (bipartite
+    mode), one of ``nodes`` to one of ``other``. Returns an (draws, edges,
+    2) int array; k beyond the capacity is capped. Drawing uniform edges
+    and retiring their endpoints until k edges (or exhaustion) gives the
+    same distribution as pairing off the first 2k entries of a uniform
+    shuffle of the nodes (complete mode), or the first k entries of
+    independent shuffles of the two sides (bipartite mode). Each list is
+    sorted before it is shuffled, so the order of the given ids does not
+    change the draws.
     """
+    side_a, side_b = _sorted_ids(nodes, other)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if pool.bipartite_mode:
-        k = min(k, len(pool._a), len(pool._b))
-        side_a = _row_permutations(pool._a, draws, gen)[:, :k]
-        side_b = _row_permutations(pool._b, draws, gen)[:, :k]
+    if side_b is not None:
+        k = min(k, len(side_a), len(side_b))
+        side_a = _row_permutations(side_a, draws, gen)[:, :k]
+        side_b = _row_permutations(side_b, draws, gen)[:, :k]
         return np.stack([side_a, side_b], axis=2)
-    k = min(k, len(pool._a) // 2)
-    return _row_permutations(pool._a, draws, gen)[:, : 2 * k].reshape(draws, k, 2)
+    k = min(k, len(side_a) // 2)
+    return _row_permutations(side_a, draws, gen)[:, : 2 * k].reshape(draws, k, 2)
 
 
 def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Generator) -> np.ndarray:
@@ -342,33 +275,27 @@ def greedy_ratio_bound(alpha: float, alpha_star: float) -> float:
     return max(2.0, (alpha_star + 1.0) / alpha - 1.0)
 
 
-def expected_random_weight(
-    inst: WeightedInstance,
-    mode: str = "complete",
-    sides: tuple | None = None,
-) -> float:
+def expected_random_weight(inst: WeightedInstance, sides: tuple | None = None) -> float:
     """Exact expected weight of the uniform random matching process.
 
-    By symmetry every edge lands in the final matching with the same
-    probability: floor(n/2)/C(n,2) on the complete graph (1/(n-1) for even
-    n) and 1/m on the complete bipartite graph with m nodes per side.
+    On the complete graph, or on the complete bipartite graph between
+    ``sides=(side_a, side_b)`` when given. By symmetry every edge lands in
+    the final matching with the same probability: floor(n/2)/C(n,2) on
+    the complete graph (1/(n-1) for even n) and 1/m on the complete
+    bipartite graph with m nodes per side.
     """
-    if mode == "complete":
+    if sides is None:
         n = inst.n
         total = inst.total_weight()
         return total * (n // 2) / (n * (n - 1) / 2)
-    if mode == "bipartite":
-        if sides is None:
-            raise ValueError("bipartite mode needs sides=(side_a, side_b)")
-        side_a, side_b = (sorted(int(x) for x in s) for s in sides)
-        if len(side_a) != len(side_b):
-            raise ValueError(
-                f"bipartite sides must have equal size, got {len(side_a)} and {len(side_b)}"
-            )
-        if not side_a:
-            raise ValueError("bipartite sides must be nonempty")
-        if set(side_a) & set(side_b):
-            raise ValueError("bipartite sides overlap")
-        cross = float(inst.weights[np.ix_(side_a, side_b)].sum())
-        return cross / len(side_a)
-    raise ValueError(f"unknown mode {mode!r}, expected 'complete' or 'bipartite'")
+    side_a, side_b = (sorted(int(x) for x in s) for s in sides)
+    if len(side_a) != len(side_b):
+        raise ValueError(
+            f"bipartite sides must have equal size, got {len(side_a)} and {len(side_b)}"
+        )
+    if not side_a:
+        raise ValueError("bipartite sides must be nonempty")
+    if set(side_a) & set(side_b):
+        raise ValueError("bipartite sides overlap")
+    cross = float(inst.weights[np.ix_(side_a, side_b)].sum())
+    return cross / len(side_a)

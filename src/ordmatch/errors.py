@@ -6,7 +6,7 @@ class MalformedInstanceError(ValueError):
 
 
 class EmptyPoolError(ValueError):
-    """An edge was requested from a pool that has no active edges."""
+    """An edge was requested from fewer than two nodes."""
 
 
 class BudgetError(ValueError):

@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    EdgePool,
     Matching,
     RandomSource,
     greedy_k_matching,
@@ -304,7 +303,7 @@ def _sample(
     if engine == "hybrid":
         matchings = hybrid_matchings(profile, draws, gen)
     elif engine == "random":
-        matchings = random_k_matchings(EdgePool.complete(range(n), n), size, draws, gen)
+        matchings = random_k_matchings(range(n), size, draws, gen)
     else:
         edges = greedy_k_matching(profile, size).sorted_edges() if size else []
         matchings = np.broadcast_to(np.array(edges, dtype=np.intp).reshape(size, 2), (draws, size, 2))

@@ -6,8 +6,9 @@ with the package's oracles. Scalar versions of the oracles' subset DPs
 (``dp_matching``, ``held_karp``), combination scan (``scan_densest``)
 and canonical partition recursion (``scan_k_sum``), which the numpy
 oracles must match solution for solution. Plain versions of the
-ranking, the greedy and the triple checks for the array profile, cursor
-and pivot-loop tests. The difference-tensor distances for the
+ranking, the greedy (a walk that rescans every row) and the triple
+checks, which the array profile, the greedy and the pivot loops must
+match. The difference-tensor distances for the
 per-coordinate generator. The scalar samplers and tour completion,
 driven one decision at a time by a ``random.Random``, which define the
 distributions the batched samplers and reductions must reproduce.
@@ -143,14 +144,15 @@ def tuple_rankings(w) -> tuple:
     return tuple(rows)
 
 
-def scan_greedy(rows, k: int) -> list:
+def scan_greedy(rows, k: int, nodes=None) -> list:
     """Greedy undominated-edge matching that rescans every row from the top.
 
-    The walk starts at the lowest active node and hops to each node's
-    first active partner until it revisits a node; the closing edge is
-    picked and both endpoints retire.
+    Only ``nodes`` (default: all) start active. The walk starts at the
+    lowest active node and hops to each node's first active partner until
+    it revisits a node; the closing edge is picked and both endpoints
+    retire.
     """
-    active = set(range(len(rows)))
+    active = set(range(len(rows)) if nodes is None else nodes)
     picked = []
     while len(picked) < k and len(active) >= 2:
         x = min(active)

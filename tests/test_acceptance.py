@@ -15,7 +15,6 @@ import pytest
 from scipy.stats import chisquare
 
 from ordmatch import (
-    EdgePool,
     GeneratorSpec,
     RandomSource,
     Tour,
@@ -132,7 +131,7 @@ def test_c03_random_matching_expectation(verdict):
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=seed))
         target = expected_random_weight(inst)
         draws = random_k_matchings(
-            EdgePool.complete(range(n), n), n // 2, runs,
+            range(n), n // 2, runs,
             np.random.default_rng(RandomSource.derived_seed(3, n)),
         )
         vals = batch_weights(draws, inst)
@@ -148,10 +147,9 @@ def test_c03_random_matching_expectation(verdict):
     # bipartite, equal sides of 5
     inst = generate(GeneratorSpec("euclidean-uniform", 10, seed=13))
     side_a, side_b = list(range(5)), list(range(5, 10))
-    target = expected_random_weight(inst, mode="bipartite", sides=(side_a, side_b))
+    target = expected_random_weight(inst, sides=(side_a, side_b))
     draws = random_k_matchings(
-        EdgePool.bipartite(side_a, side_b, 10), 5, runs,
-        np.random.default_rng(RandomSource.derived_seed(4)),
+        side_a, 5, runs, np.random.default_rng(RandomSource.derived_seed(4)), other=side_b
     )
     vals = batch_weights(draws, inst)
     counts = edge_counts(draws, 10)
@@ -248,8 +246,7 @@ def test_c07_tour_completion_inequality(verdict):
         inst = metric_instance(4000 + i, n)
         prof = derive_preferences(inst)
         matchings = [greedy_k_matching(prof, n // 2)]
-        pool = EdgePool.complete(range(n), n)
-        matchings.append(random_k_matching(pool, n // 2, RandomSource(i)))
+        matchings.append(random_k_matching(n, n // 2, RandomSource(i)))
         for m in matchings:
             k = len(m)
             if k < 2:
@@ -310,9 +307,9 @@ def test_c09_ordinal_purity(verdict):
         ok = ok and prof_a == prof_b
         seed = RandomSource.derived_seed(9, i)
         ok = ok and greedy_k_matching(prof_a, n // 2) == greedy_k_matching(prof_b, n // 2)
-        ok = ok and random_k_matching(
-            EdgePool.complete(range(n), n), n // 2, RandomSource(seed)
-        ) == random_k_matching(EdgePool.complete(range(n), n), n // 2, RandomSource(seed))
+        ok = ok and random_k_matching(n, n // 2, RandomSource(seed)) == random_k_matching(
+            n, n // 2, RandomSource(seed)
+        )
         ok = ok and hybrid_matching(prof_a, RandomSource(seed)) == hybrid_matching(
             prof_b, RandomSource(seed)
         )

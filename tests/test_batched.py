@@ -30,7 +30,6 @@ from scipy.stats import chi2_contingency
 
 from ordmatch import (
     Clustering,
-    EdgePool,
     GeneratorSpec,
     Matching,
     Subset,
@@ -132,21 +131,21 @@ class TestRandomDistribution:
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=23))
         rng = random.Random(23)
         scalar = [_brute.random_k_edges(side_a, side_b, k, rng) for _ in range(DRAWS)]
-        batched = random_k_matchings(EdgePool(side_a, side_b, n), k, DRAWS, np.random.default_rng(23))
+        batched = random_k_matchings(side_a, k, DRAWS, np.random.default_rng(23), other=side_b)
         assert batched.shape == (DRAWS, k, 2)
         assert two_sample_p(partners(as_array(scalar), n), partners(batched, n)) > P_MIN
 
-        sides = None if side_b is None else (side_a, side_b)
-        target = expected_random_weight(inst, mode=mode, sides=sides)
+        sides = (side_a, side_b) if mode == "bipartite" else None
+        target = expected_random_weight(inst, sides=sides)
         vals = weights_of(batched, inst)
         assert abs(vals.mean() - target) <= 3.0 * vals.std() / np.sqrt(DRAWS)
 
     def test_k_capped_at_pool_capacity(self):
         gen = np.random.default_rng(0)
-        assert random_k_matchings(EdgePool.complete(range(5), 5), 9, 3, gen).shape == (3, 2, 2)
-        assert random_k_matchings(EdgePool.bipartite([0], [1, 2], 3), 9, 3, gen).shape == (3, 1, 2)
+        assert random_k_matchings(range(5), 9, 3, gen).shape == (3, 2, 2)
+        assert random_k_matchings([0], 9, 3, gen, other=[1, 2]).shape == (3, 1, 2)
         with pytest.raises(ValueError):
-            random_k_matchings(EdgePool.complete(range(5), 5), -1, 3, gen)
+            random_k_matchings(range(5), -1, 3, gen)
 
 
 class TestReductionDistribution:
@@ -158,7 +157,7 @@ class TestReductionDistribution:
             for _ in range(DRAWS)
         ])
         batched = matchings_to_subsets(
-            random_k_matchings(EdgePool.complete(range(n), n), k // 2, DRAWS, np.random.default_rng(24))
+            random_k_matchings(range(n), k // 2, DRAWS, np.random.default_rng(24))
         )
         assert two_sample_p(scalar, batched) > P_MIN
 
@@ -202,7 +201,7 @@ class TestReferenceEdgeSampler:
 
 class TestBatchedReductionShapes:
     def test_cluster_sizes_checked(self):
-        batch = random_k_matchings(EdgePool.complete(range(9), 9), 4, 2, np.random.default_rng(0))
+        batch = random_k_matchings(range(9), 4, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             matchings_to_clusters(batch, 9, 3)  # odd clusters need 3 edges
         with pytest.raises(ValueError):
@@ -210,7 +209,7 @@ class TestBatchedReductionShapes:
 
     def test_tour_needs_perfect_matching(self):
         prof = derive_preferences(generate(GeneratorSpec("euclidean-uniform", 6, seed=0)))
-        batch = random_k_matchings(EdgePool.complete(range(6), 6), 2, 2, np.random.default_rng(0))
+        batch = random_k_matchings(range(6), 2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             matchings_to_tours(batch, prof, np.random.default_rng(0))
 
@@ -234,11 +233,11 @@ def test_materialized_rows_are_valid(n, seed, family):
             continue
         c = n // k
         size = n // 2 if c % 2 == 0 else (n - k) // 2
-        batch = hybrid if c % 2 == 0 else random_k_matchings(EdgePool.complete(range(n), n), size, 4, gen)
+        batch = hybrid if c % 2 == 0 else random_k_matchings(range(n), size, 4, gen)
         for parts in matchings_to_clusters(batch, n, k):
             assert len(Clustering(n, tuple(map(tuple, parts))).parts) == k
     for size in range(n // 2 + 1):
-        batch = random_k_matchings(EdgePool.complete(range(n), n), size, 4, gen)
+        batch = random_k_matchings(range(n), size, 4, gen)
         for row in batch:
             Matching.from_pairs(n, row)
         for nodes in matchings_to_subsets(batch):

@@ -1,13 +1,13 @@
 import math
 from collections import Counter
 
+import _brute
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmatch import (
-    EdgePool,
     EmptyPoolError,
     GeneratorSpec,
     Matching,
@@ -24,6 +24,7 @@ from ordmatch import (
     matching_weight,
     opt_matching,
     random_k_matching,
+    random_k_matchings,
 )
 
 # the 4-node profile used by the randomization-floor fixture
@@ -90,99 +91,10 @@ class TestRandomSource:
         assert base != RandomSource.derived_seed(3, 2, 1)
 
 
-class TestEdgePool:
-    def test_complete_pool_edges(self):
-        pool = EdgePool.complete(range(4), 4)
-        assert pool.edge_count() == 6
-        assert pool.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        assert not pool.bipartite_mode
-
-    def test_bipartite_pool_edges(self):
-        pool = EdgePool.bipartite([0, 2], [1, 3], 4)
-        assert pool.edge_count() == 4
-        assert set(pool.edges()) == {(0, 1), (0, 3), (1, 2), (2, 3)}
-        assert pool.bipartite_mode
-
-    def test_rejects_overlapping_sides(self):
-        with pytest.raises(ValueError):
-            EdgePool.bipartite([0, 1], [1, 2], 4)
-
-    def test_rejects_out_of_range_ids(self):
-        with pytest.raises(ValueError):
-            EdgePool.complete([0, 5], 4)
-
-    def test_remove_pair_and_emptiness(self):
-        pool = EdgePool.complete(range(4), 4)
-        pool.remove_pair(0, 2)
-        assert pool.active_nodes() == [1, 3]
-        assert not pool.is_empty()
-        pool.remove_pair(1, 3)
-        assert pool.is_empty()
-        with pytest.raises(ValueError):
-            pool.remove_pair(0, 1)
-
-    def test_remove_pair_rejects_same_node(self):
-        pool = EdgePool.complete(range(4), 4)
-        with pytest.raises(ValueError):
-            pool.remove_pair(2, 2)
-
-    def test_top_choice_skips_removed_nodes(self):
-        pool = EdgePool.complete(range(4), 4)
-        pool.remove_pair(1, 2)
-        assert pool.top_choice(0, P4) == 3
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 12), st.booleans())
-    def test_top_choice_matches_fresh_row_scan(self, seed, n, bipartite):
-        rng = np.random.default_rng(seed)
-        upper = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
-        prof = derive_preferences(WeightedInstance(upper + upper.T))
-        nodes = rng.permutation(n).tolist()
-        sides = [set(nodes[: n // 2]), set(nodes[n // 2 :])] if bipartite else [set(nodes)]
-        pool = EdgePool(*sides, n=n) if bipartite else EdgePool.complete(sides[0], n)
-
-        def partners(x):
-            if not bipartite:
-                return sides[0] - {x}
-            return sides[1] if x in sides[0] else sides[0]
-
-        while not pool.is_empty():
-            for x in sorted(set().union(*sides)):
-                live = partners(x)
-                if live:
-                    assert pool.top_choice(x, prof) == next(j for j in prof.ranking[x].tolist() if j in live)
-                else:
-                    with pytest.raises(EmptyPoolError):
-                        pool.top_choice(x, prof)
-            u, v = pool.edges()[rng.integers(pool.edge_count())]
-            pool.remove_pair(u, v)
-            for side in sides:
-                side -= {u, v}
-
-    def test_top_choice_follows_the_profile_it_is_given(self):
-        by_index = tuple(tuple(j for j in range(5) if j != i) for i in range(5))
-        other = ((4, 1, 2, 3),) + by_index[1:]
-        pool = EdgePool.complete(range(5), 5)
-        pool.remove_pair(1, 2)
-        # node 0's cursor under by_index moves past 1 and 2 to node 3
-        assert pool.top_choice(0, PreferenceProfile(by_index)) == 3
-        assert pool.top_choice(0, PreferenceProfile(other)) == 4
-
-    def test_exhausted_node_raises_after_its_cursor_moved(self):
-        pool = EdgePool.bipartite([0, 1], [2], 3)
-        prof = PreferenceProfile(((2, 1), (2, 0), (0, 1)))
-        assert pool.top_choice(1, prof) == 2
-        pool.remove_pair(0, 2)
-        with pytest.raises(EmptyPoolError):
-            pool.top_choice(1, prof)
-
-
 class TestFindUndominated:
     def test_mutual_top_pair_found_immediately(self):
-        pool = EdgePool.complete(range(4), 4)
-        assert find_undominated(pool, P4) == (0, 1)
-        pool.remove_pair(0, 1)
-        assert find_undominated(pool, P4) == (2, 3)
+        assert find_undominated(P4, range(4)) == (0, 1)
+        assert find_undominated(P4, [2, 3]) == (2, 3)
 
     def test_chase_settles_on_cycle_edge(self):
         # 0 points at 2, but 2 and 4 point at each other
@@ -191,13 +103,27 @@ class TestFindUndominated:
         for (u, v), x in pairs.items():
             w[u][v] = w[v][u] = x
         prof = derive_preferences(WeightedInstance(w))
-        assert find_undominated(EdgePool.complete(range(6), 6), prof) == (2, 4)
+        assert find_undominated(prof, range(6)) == (2, 4)
 
     def test_empty_pool_raises(self):
-        pool = EdgePool.complete(range(2), 2)
-        pool.remove_pair(0, 1)
-        with pytest.raises(EmptyPoolError):
-            find_undominated(pool, P4)
+        for nodes in ([], [3]):
+            with pytest.raises(EmptyPoolError):
+                find_undominated(P4, nodes)
+
+    @pytest.mark.parametrize("nodes", [[0, 1, 1], [-1, 0, 2], [0, 4]], ids=["duplicate", "negative", "id-n"])
+    def test_rejects_bad_node_ids(self, nodes):
+        with pytest.raises(ValueError):
+            find_undominated(P4, nodes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 12))
+    def test_matches_reference_walk_on_node_subsets(self, seed, n):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+        prof = derive_preferences(WeightedInstance(upper + upper.T))
+        nodes = rng.permutation(n)[: rng.integers(2, n + 1)].tolist()
+        expected = _brute.scan_greedy(prof.ranking.tolist(), 1, nodes)[0]
+        assert find_undominated(prof, nodes) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 8))
@@ -208,7 +134,7 @@ class TestFindUndominated:
         w = w + w.T
         inst = WeightedInstance(w)
         prof = derive_preferences(inst)
-        u, v = find_undominated(EdgePool.complete(range(n), n), prof)
+        u, v = find_undominated(prof, range(n))
         for x in range(n):
             if x not in (u, v):
                 assert inst.weight(u, v) >= inst.weight(u, x) - 1e-12
@@ -264,32 +190,47 @@ class TestGreedyMatching:
 class TestRandomMatching:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
-            random_k_matching(EdgePool.complete(range(4), 4), -1, RandomSource(0))
+            random_k_matching(4, -1, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "nodes,other",
+        [([0, 1], [1, 2]), ([0, 1, 1], None), ([-1, 0], None), ([0], [2, 2])],
+        ids=["overlapping-sides", "duplicate", "negative", "duplicate-other"],
+    )
+    def test_rejects_bad_node_ids(self, nodes, other):
+        with pytest.raises(ValueError):
+            random_k_matchings(nodes, 1, 2, np.random.default_rng(0), other)
 
     def test_zero_k_and_empty_pool(self):
-        assert len(random_k_matching(EdgePool.complete(range(4), 4), 0, RandomSource(0))) == 0
-        pool = EdgePool.complete(range(2), 2)
-        pool.remove_pair(0, 1)
-        assert len(random_k_matching(pool, 3, RandomSource(0))) == 0
+        assert len(random_k_matching(4, 0, RandomSource(0))) == 0
+        assert len(random_k_matching(1, 3, RandomSource(0))) == 0
+        gen = np.random.default_rng(0)
+        assert random_k_matchings([], 3, 2, gen).shape == (2, 0, 2)
+        assert random_k_matchings([0, 1], 3, 2, gen, other=[]).shape == (2, 0, 2)
 
     def test_pool_is_read_not_consumed(self):
-        pool = EdgePool.bipartite([0, 1], [2, 3], 4)
-        assert len(random_k_matching(pool, 2, RandomSource(0))) == 2
-        assert pool.edges() == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        side_a, side_b = [1, 0], [3, 2]
+        assert random_k_matchings(side_a, 2, 1, np.random.default_rng(0), other=side_b).shape == (1, 2, 2)
+        assert (side_a, side_b) == ([1, 0], [3, 2])
+
+    def test_given_order_does_not_change_draws(self):
+        a = random_k_matchings([4, 0, 2], 1, 5, np.random.default_rng(3), other=[5, 1, 3])
+        b = random_k_matchings(range(0, 6, 2), 1, 5, np.random.default_rng(3), other=[1, 3, 5])
+        assert a.tolist() == b.tolist()
 
     def test_deterministic_given_seed(self):
-        a = random_k_matching(EdgePool.complete(range(8), 8), 4, RandomSource(7))
-        b = random_k_matching(EdgePool.complete(range(8), 8), 4, RandomSource(7))
+        a = random_k_matching(8, 4, RandomSource(7))
+        b = random_k_matching(8, 4, RandomSource(7))
         assert a == b
 
     def test_draws_exactly_k_edges(self):
-        m = random_k_matching(EdgePool.complete(range(10), 10), 3, RandomSource(1))
+        m = random_k_matching(10, 3, RandomSource(1))
         assert len(m) == 3
 
     def test_uniform_over_perfect_matchings(self):
         counts = Counter()
         for seed in range(3000):
-            m = random_k_matching(EdgePool.complete(range(4), 4), 2, RandomSource(seed))
+            m = random_k_matching(4, 2, RandomSource(seed))
             counts[tuple(m.sorted_edges())] += 1
         assert len(counts) == 3
         for c in counts.values():
@@ -305,21 +246,14 @@ class TestRandomMatching:
 
     def test_expected_value_formula_bipartite(self):
         inst = ones_instance(4)
-        val = expected_random_weight(inst, mode="bipartite", sides=([0, 1], [2, 3]))
+        val = expected_random_weight(inst, sides=([0, 1], [2, 3]))
         assert val == 2.0
 
     def test_expected_value_argument_errors(self):
         inst = ones_instance(4)
-        with pytest.raises(ValueError):
-            expected_random_weight(inst, mode="bipartite")
-        with pytest.raises(ValueError):
-            expected_random_weight(inst, mode="bipartite", sides=([0], [1, 2]))
-        with pytest.raises(ValueError):
-            expected_random_weight(inst, mode="bipartite", sides=([0, 1], [1, 2]))
-        with pytest.raises(ValueError):
-            expected_random_weight(inst, mode="bipartite", sides=([], []))
-        with pytest.raises(ValueError):
-            expected_random_weight(inst, mode="nope")
+        for sides in (([0], [1, 2]), ([0, 1], [1, 2]), ([], [])):
+            with pytest.raises(ValueError):
+                expected_random_weight(inst, sides=sides)
 
     def test_monte_carlo_matches_formula(self):
         inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=3))
@@ -327,7 +261,7 @@ class TestRandomMatching:
         total = 0.0
         vals = []
         for seed in range(runs):
-            m = random_k_matching(EdgePool.complete(range(6), 6), 3, RandomSource(seed))
+            m = random_k_matching(6, 3, RandomSource(seed))
             v = matching_weight(m, inst)
             total += v
             vals.append(v)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ordmatch import (
-    EdgePool,
     GeneratorSpec,
     RandomSource,
     RatioReport,
@@ -295,7 +294,7 @@ class TestFixtures:
 
 
 def _uniform(prof, size, rs):
-    return random_k_matching(EdgePool.complete(range(prof.n), prof.n), size, rs)
+    return random_k_matching(prof.n, size, rs)
 
 
 # The one-draw library composition of each randomized (problem, engine) row.

@@ -23,7 +23,6 @@ from ordmatch import (
     subset_weight,
     tour_weight,
 )
-from ordmatch.core import EdgePool
 
 WSMALL = [
     [0.0, 1.0, 2.0, 3.0],
@@ -252,6 +251,6 @@ class TestMatchingToTour:
     def test_random_matchings_also_complete(self):
         inst = generate(GeneratorSpec("random-metric-closure", 10, seed=1))
         prof = derive_preferences(inst)
-        m = random_k_matching(EdgePool.complete(range(10), 10), 5, RandomSource(3))
+        m = random_k_matching(10, 5, RandomSource(3))
         t = matching_to_tour(m, prof, RandomSource(3))
         assert sorted(t.order) == list(range(10))

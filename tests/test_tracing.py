@@ -1,29 +1,60 @@
 """The perfbench tracer's contract with the package.
 
 ``perfbench/tracing.py`` wraps a fixed list of public names by module
-attribute and class ``__dict__`` entry. A removal that drops one of them
-breaks the benchmark's traced runs; this test turns that into a Tier-1
-failure. The file is loaded by path and only read.
+attribute and class ``__dict__`` entry. A removal that drops one of them,
+or an engine that stops calling one of them, breaks the benchmark's
+traced runs; these tests turn that into a Tier-1 failure. The file is
+loaded by path and only read.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import ordmatch
+import ordmatch.cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_and_uninstalls_cleanly():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def wrapped_names(tracing) -> list:
+    """Traced names still bound to a wrapper in ``ordmatch`` or its modules."""
+    mods = {m: importlib.import_module(f"ordmatch.{m}") for m in tracing.MODULES}
+    left = []
+    for m, attr in tracing.TRACED:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            raw = vars(getattr(mods[m], cls_name))[meth]
+            bound = [getattr(raw, "__func__", raw)]
+        else:
+            bound = [vars(holder).get(attr) for holder in (ordmatch, *mods.values())]
+        left += [f"{m}.{attr}" for fn in bound if hasattr(fn, "__wrapped__")]
+    return left
+
+
+def test_tracer_installs_and_uninstalls_cleanly(tmp_path):
+    tracing = load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
+        assert "core.greedy_k_matching" in wrapped_names(tracing)
         ordmatch.RandomSource(0)
+        rc = ordmatch.cli.main(["bench", "--problem", "tsp", "--algorithm", "hybrid", "--n", "6",
+                                "--trials", "1", "--inner-samples", "2",
+                                "--out", str(tmp_path / "bench.json")])
     finally:
         tracer.uninstall()
+    assert rc == 0
+    assert wrapped_names(tracing) == []
     calls = tracer.summary(1.0)["calls"]
-    assert calls["core.RandomSource.__init__"] == 1
-    assert calls["core.RandomSource.derived_seed"] == 1
+    assert calls["core.RandomSource.__init__"] >= 1
+    assert calls["core.RandomSource.derived_seed"] >= 1
+    assert calls["core.greedy_k_matching"] >= 1
+    assert calls["cli.main"] == 1
