@@ -212,7 +212,11 @@ def random_k_matchings(
     shuffle of the nodes (complete mode), or the first k entries of
     independent shuffles of the two sides (bipartite mode). Each list is
     sorted before it is shuffled, so the order of the given ids does not
-    change the draws.
+    change the draws. Ids must be distinct, nonnegative and, in bipartite
+    mode, disjoint between the lists (else ``ValueError``); they are not
+    checked against a node count, which the sampler is not given, and the
+    batched reductions do not check them either, so a caller passing ids
+    of its own must keep them below n.
     """
     side_a, side_b = _sorted_ids(nodes, other)
     if k < 0:
