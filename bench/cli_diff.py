@@ -70,6 +70,11 @@ DOCUMENTS = {
     "n-list": {"n": [2], "weights": [[0, 1], [1, 0]]},
     "n-null": {"n": None, "weights": [[0, 1], [1, 0]]},
     "points-object": {"weights": [[0, 1], [1, 0]], "points": {"a": 1}},
+    # loaded as n=2, metric=True or weights of 1.0 before JSON types were checked
+    "n-float": {"n": 2.9, "weights": [[0, 1], [1, 0]]},
+    "n-numeric-string": {"n": "2", "weights": [[0, 1], [1, 0]]},
+    "metric-string": {"weights": [[0, 1], [1, 0]], "metric": "false"},
+    "weights-numeric-strings": {"weights": [[0, "1"], ["1", 0]]},
 }
 NOT_JSON = "{"
 

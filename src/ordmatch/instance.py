@@ -29,13 +29,22 @@ GENERATOR_FAMILIES = (
 )
 
 
+def _float_array(x, what: str) -> np.ndarray:
+    """x as floats, from numbers only (not "1", true or null), in one pass."""
+    a = np.array(x)
+    if a.dtype.kind not in "iuf":
+        np.array(x, dtype=float)  # no float at all ("abc", an object): numpy's own error
+        raise MalformedInstanceError(f"{what} must hold numbers only, not strings, booleans or nulls")
+    return a.astype(float, copy=False)
+
+
 def _as_weight_matrix(weights) -> np.ndarray:
     """Validate and normalize a raw weight matrix.
 
     Raises MalformedInstanceError for anything that is not a finite,
     symmetric, nonnegative square matrix with a zero diagonal.
     """
-    w = np.array(weights, dtype=float)
+    w = _float_array(weights, "weight matrix")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise MalformedInstanceError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:
@@ -69,7 +78,7 @@ class WeightedInstance:
     def __post_init__(self):
         object.__setattr__(self, "weights", _as_weight_matrix(self.weights))
         if self.points is not None:
-            pts = np.array(self.points, dtype=float)
+            pts = _float_array(self.points, "points")
             if pts.ndim != 2 or pts.shape[0] != self.weights.shape[0]:
                 raise MalformedInstanceError("points must be one row per node")
             pts.setflags(write=False)
@@ -103,12 +112,18 @@ class WeightedInstance:
         meta = d.get("meta", {})
         if not isinstance(meta, dict):
             raise MalformedInstanceError(f"instance 'meta' must be an object, got {type(meta).__name__}")
+        metric = d.get("metric", False)
+        if not isinstance(metric, bool):
+            raise MalformedInstanceError(f"instance 'metric' must be true or false, got {metric!r}")
         try:
-            inst = cls(d["weights"], bool(d.get("metric", False)), d.get("points"), dict(meta))
-            n = int(d.get("n", inst.n))
+            inst = cls(d["weights"], metric, d.get("points"), dict(meta))
+            n = d.get("n", inst.n)
+            declared = int(n)
         except TypeError as exc:  # a field of the wrong JSON type, e.g. weights as an object
             raise MalformedInstanceError(f"instance field has the wrong type: {exc}") from None
-        if n != inst.n:
+        if isinstance(n, bool) or not isinstance(n, int):  # int() took 2.9, "2" and true
+            raise MalformedInstanceError(f"instance 'n' must be an integer, got {n!r}")
+        if declared != inst.n:
             raise MalformedInstanceError(
                 f"declared n={d['n']} does not match weight matrix of size {inst.n}"
             )

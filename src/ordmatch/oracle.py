@@ -205,11 +205,37 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
     return Subset(n, best_nodes)
 
 
-def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
-    """Exact max-weight tour by Held-Karp DP over (mask, endpoint).
+@functools.cache
+def _held_karp_steps(m: int) -> tuple:
+    """Column of every m-bit mask within its popcount layer, the layer
+    starts, and per layer p >= 2 the (m, C_p) int32 table that fills it.
 
-    The DP fills one popcount layer of masks at a time in numpy. Node 0
-    anchors the tour; reconstruction takes the smallest endpoint
+    ``steps[p][j, c]`` indexes the previous layer's (m, C_(p-1)) block of
+    maxima, flattened behind a -inf slot 0: entry (j, S ^ 2^j) for the
+    mask S of column c when j is in S, the -inf slot otherwise.
+    """
+    masks, start = _by_popcount(m)
+    pos = np.empty(1 << m, np.int32)
+    pos[masks] = np.arange(1 << m) - np.repeat(start[:-1], np.diff(start))
+    j = np.arange(m)[:, None]
+    steps = [None, None]
+    for p in range(2, m + 1):
+        layer, c = masks[start[p]:start[p + 1]], start[p] - start[p - 1]
+        step = pos[layer ^ (1 << j)] + j * c + 1
+        steps.append(np.where(layer >> j & 1, step, 0).astype(np.int32))
+    for t in (pos, *steps[2:]):
+        t.flags.writeable = False
+    return pos, start, tuple(steps)
+
+
+def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
+    """Exact max-weight tour by Held-Karp DP over (endpoint, mask).
+
+    The table is one endpoint-major (m, C_p) block per popcount layer p,
+    the blocks back to back. A layer takes the max over the previous
+    endpoint i of the previous block plus w[i, j], for every j and column,
+    in place, then moves each max to its (j, S) entry with one take. Node
+    0 anchors the tour; reconstruction takes the smallest endpoint
     achieving each DP value and the lex-smaller of the two directions.
     """
     n = inst.n
@@ -220,41 +246,31 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     deadline = _Deadline(budget.time_limit, "tsp oracle")
     w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
-    masks, start = _by_popcount(m)
-    # dp[mask, j]: best path from node 0 through mask ending at j; -inf off mask
-    dp = np.full((1 << m, m), -np.inf)
-    dp[1 << np.arange(m), np.arange(m)] = w[0, 1:]
+    pos, start, steps = _held_karp_steps(m)
+    # dp[p][j, pos[S]]: best path from node 0 through S (p nodes) ending at j; -inf off S
+    dp = [block.reshape(m, -1) for block in np.split(np.empty(m << m), m * start[1:-1])]
+    dp[1][...] = np.where(np.eye(m, dtype=bool), w[0, 1:], -np.inf)
+    flat = np.full(1 + max(layer.size for layer in dp), -np.inf)  # flat[0] stays -inf
+    scratch = np.empty_like(flat)
     for p in range(2, m + 1):
         deadline.check()
-        layer = masks[start[p]:start[p + 1]]
-        for j in range(m):
-            mask = layer[(layer & (1 << j)) != 0]
-            dp[mask, j] = (dp[mask ^ (1 << j)] + w[1:, j + 1]).max(axis=1)
+        prev = dp[p - 1]
+        best, tmp = flat[1:prev.size + 1].reshape(m, -1), scratch[:prev.size].reshape(m, -1)
+        np.add(prev[0], w[1, 1:, None], out=best)
+        for i in range(1, m):
+            np.add(prev[i], w[i + 1, 1:, None], out=tmp)
+            np.maximum(best, tmp, out=best)
+        flat.take(steps[p], out=dp[p], mode="clip")  # indices are in range
 
-    fullmask = (1 << m) - 1
-    best_total = -np.inf
-    best_last = -1
-    for last in range(m):
-        total = dp[fullmask, last] + w[last + 1, 0]
-        if total > best_total:
-            best_total = total
-            best_last = last
-
-    seq = [best_last]
-    mask = fullmask
-    last = best_last
-    while mask != (1 << last):
+    last = int((dp[m][:, 0] + w[1:, 0]).argmax())  # first maximum: the smallest endpoint
+    seq, mask = [last], (1 << m) - 1
+    for p in range(m, 1, -1):
         prev_mask = mask ^ (1 << last)
-        target = dp[mask, last]
-        t = prev_mask
-        while t:
-            pbit = t & -t
-            p = pbit.bit_length() - 1
-            t ^= pbit
-            if dp[prev_mask, p] + w[last + 1, p + 1] == target:
-                seq.append(p)
-                mask = prev_mask
-                last = p
+        target, col = dp[p][last, pos[mask]], pos[prev_mask]
+        for q in range(m):
+            if prev_mask >> q & 1 and dp[p - 1][q, col] + w[last + 1, q + 1] == target:
+                seq.append(q)
+                mask, last = prev_mask, q
                 break
         else:
             raise AssertionError("tsp reconstruction lost the DP trail")

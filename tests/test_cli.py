@@ -328,6 +328,11 @@ MALFORMED_DOCUMENTS = {
     "n-list": {"weights": W3, "n": [2]},
     "n-null": {"weights": W3, "n": None},
     "points-object": {"weights": W3, "points": {"a": 1}},
+    # loaded as n=3, metric=True and weights of 1.0 before JSON types were checked
+    "n-float": {"weights": W3, "n": 3.0},
+    "n-numeric-string": {"weights": W3, "n": "3"},
+    "metric-string": {"weights": W3, "metric": "false"},
+    "weights-numeric-strings": {"weights": [[0, "1"], ["1", 0]]},
 }
 
 

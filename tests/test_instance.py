@@ -132,6 +132,27 @@ class TestWeightedInstance:
         with pytest.raises(MalformedInstanceError):
             WeightedInstance.from_dict({"weights": w})
 
+    # each loaded before as n=2 / metric=True / weights or points of 1.0
+    @pytest.mark.parametrize("doc", [
+        {"n": 2.9, "weights": [[0, 1], [1, 0]]},
+        {"n": "2", "weights": [[0, 1], [1, 0]]},
+        {"n": True, "weights": [[0, 1], [1, 0]]},
+        {"weights": [[0, 1], [1, 0]], "metric": "false"},
+        {"weights": [[0, "1"], ["1", 0]]},
+        {"weights": [[False, True], [True, False]]},
+        {"weights": [[0, 1], [1, 0]], "points": [["0"], ["1"]]},
+    ], ids=["n-float", "n-numeric-string", "n-bool", "metric-string", "weights-numeric-strings",
+            "weights-bool", "points-numeric-strings"])
+    def test_from_dict_rejects_fields_of_the_wrong_json_type(self, doc):
+        with pytest.raises(MalformedInstanceError):
+            WeightedInstance.from_dict(doc)
+
+    def test_from_dict_takes_integer_weights_and_points(self):
+        inst = WeightedInstance.from_dict({"n": 2, "weights": [[0, 2], [2, 0]], "metric": True,
+                                           "points": [[0, 1], [2, 3]]})
+        assert inst.weights.dtype == inst.points.dtype == np.float64
+        assert inst.weights.tolist() == [[0.0, 2.0], [2.0, 0.0]] and inst.metric is True
+
     def test_save_load_round_trip(self, tmp_path):
         inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=9))
         path = tmp_path / "inst.json"

@@ -316,6 +316,24 @@ class TestAgainstScalarDP:
         else:
             assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k))
 
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_tsp_tie_heavy_weights_up_to_the_cap(self, n):
+        rng = np.random.default_rng(n)
+        w = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+        w += w.T
+        assert opt_tsp(WeightedInstance(w)) == Tour(n, held_karp(w.tolist()))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tsp_at_the_cap(self, family):
+        n = OracleBudget().max_n_tsp
+        inst = generate(GeneratorSpec(family, n, seed=0))
+        assert opt_tsp(inst) == Tour(n, held_karp(inst.weights.tolist()))
+
+    def test_tsp_tables_of_one_size_never_serve_another(self):
+        for n, seed in ((14, 0), (6, 1), (14, 2), (3, 3)):
+            inst = generate(GeneratorSpec("random-metric-closure", n, seed=seed))
+            assert opt_tsp(inst) == Tour(n, held_karp(inst.weights.tolist())), n
+
     def test_densest_sums_pair_weights_in_pair_order(self):
         # k=6 sums 15 pair weights, so a numpy sum over them would run
         # pairwise. In (i, j) order each 2**-53 of (0, 1, 2, 3, 5, 6) is lost
