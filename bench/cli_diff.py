@@ -75,6 +75,9 @@ DOCUMENTS = {
     "n-numeric-string": {"n": "2", "weights": [[0, 1], [1, 0]]},
     "metric-string": {"weights": [[0, 1], [1, 0]], "metric": "false"},
     "weights-numeric-strings": {"weights": [[0, "1"], ["1", 0]]},
+    # loaded with the boolean read as 1.0 before element types were scanned
+    "weights-bool-among-ints": {"n": 2, "weights": [[0, True], [True, 0]]},
+    "weights-bool-among-floats": {"weights": [[0, 0.5, True], [0.5, 0, 1], [True, 1, 0]]},
 }
 NOT_JSON = "{"
 

@@ -21,6 +21,7 @@ from .harness import (
     FIXTURES,
     PROBLEMS,
     TrialConfig,
+    check_record,
     optimum,
     render,
     report_emit,
@@ -69,15 +70,14 @@ def _cmd_bench(args):
 
 
 def _cmd_fixtures(args):
-    fixtures = [FIXTURES[name]() for name in ([args.name] if args.name else FIXTURES)]
+    data = [check_record(FIXTURES[name]()) for name in ([args.name] if args.name else FIXTURES)]
     rows = (
-        (fx.name, *(s.replace(",", ";") for s in (c.name, c.expected, c.actual)), c.passed)
-        for fx in fixtures
-        for c in fx.checks
+        (fx["name"], c["name"], c["expected"], c["actual"], c["passed"])
+        for fx in data
+        for c in fx["checks"]
     )
-    data = [fx.to_dict() for fx in fixtures]
     header = "fixture,check,expected,actual,passed"
-    return render(args.format, data, header, rows), all(fx.passed() for fx in fixtures)
+    return render(args.format, data, header, rows), all(fx["passed"] for fx in data)
 
 
 def _cmd_verify_metric(args):

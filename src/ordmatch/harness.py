@@ -5,8 +5,27 @@ the exact oracle, and renders a verdict against a claimed approximation
 bound: deterministic algorithms by worst observed ratio, randomized ones
 by per-instance Monte Carlo means with a three-standard-error allowance.
 
-The fixture builders reproduce the hand-analyzed worst-case families and
-re-derive their ratios with exact rational arithmetic.
+The lower-bound fixtures are finite games. Each builder returns a
+``Record``: one preference profile, k, named rational weightings consistent
+with it, and ``Game`` claims. In a game Nature picks one of its weightings
+and the algorithm, seeing only the profile, picks a k-matching.
+``check_record`` verifies every claim in ``Fraction`` arithmetic, with no LP
+solver: each weighting's consistency, metric flag and optimum over all
+k-matchings (with the float ``opt_matching`` within 1e-12); the
+deterministic floor min_M max_s opt_s / w_s(M); each matching mixture x's
+worst ratio; and the certificate of Nature's mixture y over the normalized
+weightings w_s / opt_s, L = 1 / max_M sum_s y_s w_s(M) / opt_s. By weak
+duality no mixture concedes less than L; L is "exact" when a claimed x
+meets it.
+
+The three records: ``mixture-gap``'s floor over all 105 perfect matchings
+is 2, no matching's values total more than 6, and x = (2/5, 1/5, 3/10,
+1/10) with y = (1, 2, 3, 4)/10 meet at 3/5 of the optimum, L = 5/3 exact.
+``randomization-floor`` at eps = 1/100: x = (2/5 paired, 3/5 crossed)
+concedes exactly 5/4 and y = (200/497, 297/497) gives L = 497/398.
+``mutual-top-pairs`` (k = 1): uniform x and uniform y meet at 2n/(n+1) on
+the metric weightings, n/(1+(n-1)eps) on the lean ones, and exactly n at
+base weight 0, the eps -> 0 limit.
 """
 
 from __future__ import annotations
@@ -17,8 +36,9 @@ import json
 import math
 import re
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,8 +58,6 @@ from .instance import (
     WeightedInstance,
     derive_preferences,
     generate,
-    profile_consistent,
-    validate_metric,
 )
 from .oracle import DEFAULT_BUDGET, OracleBudget, opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
@@ -461,363 +479,188 @@ def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
 
 
 @dataclass(frozen=True)
-class FixtureCheck:
-    name: str
-    expected: str
-    actual: str
-    passed: bool
-    note: str = ""
+class Game:
+    """Nature picks a weighting named in ``y``, the algorithm a k-matching.
 
-    def to_dict(self) -> dict:
-        return _field_dict(self)
-
-
-@dataclass
-class Fixture:
-    """A hand-analyzed instance family plus its re-derived quantities."""
+    ``mixtures`` maps a label to (x, claimed worst ratio), x {matching in the form of
+    ``_k_matchings``: probability}; ``floor`` (None: infinite) and ``bound`` (L) are claims."""
 
     name: str
-    instances: dict
+    y: dict
+    mixtures: dict
+    floor: Fraction | None
+    bound: Fraction
+
+
+@dataclass(frozen=True)
+class Record:
+    """A profile, k, and weightings: name -> (rows, claimed metric flag, claimed optimum)."""
+
+    name: str
     profile: PreferenceProfile
-    checks: list = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check_exact(self, name: str, expected, actual, note: str = ""):
-        ok = expected == actual
-        self.checks.append(FixtureCheck(name, str(expected), str(actual), ok, note))
-
-    def check_close(self, name: str, expected, actual, tol: float = 1e-12, note: str = ""):
-        ok = abs(float(expected) - float(actual)) <= tol
-        self.checks.append(FixtureCheck(name, str(expected), str(actual), ok, note))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed(),
-            "checks": [c.to_dict() for c in self.checks],
-        }
+    k: int
+    weightings: dict
+    games: tuple
 
 
-def _instance_from_fractions(rows, metric_tol: float = 0.0) -> WeightedInstance:
-    w = [[float(x) for x in row] for row in rows]
-    probe = WeightedInstance(w, metric=False)
-    return WeightedInstance(w, metric=validate_metric(probe, metric_tol))
+def _k_matchings(nodes: tuple, k: int):
+    """Every set of k disjoint edges over ``nodes``: (u, v) pairs, u < v, in order of u."""
+    if k == 0:
+        yield ()
+    elif len(nodes) >= 2 * k:
+        u, rest = nodes[0], nodes[1:]
+        for i, v in enumerate(rest):
+            for m in _k_matchings(rest[:i] + rest[i + 1 :], k - 1):
+                yield ((u, v), *m)
+        yield from _k_matchings(rest, k)
 
 
-def _fraction_matching_value(w_rows, edges) -> Fraction:
-    return sum((w_rows[u][v] for u, v in edges), Fraction(0))
+def _worst(values: dict, opt: dict) -> Fraction | None:
+    """max over weightings s of opt_s / values_s; None (infinite) if a value is 0."""
+    return max(opt[s] / v for s, v in values.items()) if all(values.values()) else None
 
 
-def build_fixture_randomization_floor(epsilon: Fraction = Fraction(1, 100)) -> Fixture:
-    """4-node family where no deterministic ordinal rule beats ratio 3/2.
+def _is_distribution(p: dict) -> bool:
+    return all(q >= 0 for q in p.values()) and sum(p.values()) == 1
 
-    Two metric weightings induce the same preference profile but want
-    different matchings; the best fixed matching loses 3/2 on one of
-    them, while mixing the two candidate matchings 2/5 : 3/5 caps the
-    worst ratio at 5/4 (tight as epsilon -> 0).
+
+def check_record(rec: Record) -> dict:
+    """Verify a record's claims exactly, as the module docstring lists them.
+
+    Returns ``{name, passed, checks: [{name, expected, actual, passed}]}``,
+    values written by ``str`` (``5/3``) and an infinite ratio as null.
     """
+    checks = []
+
+    def check(name, expected, actual, passed=None):
+        expected, actual = (None if v is None else str(v) for v in (expected, actual))
+        ok = expected == actual if passed is None else passed
+        checks.append({"name": name, "expected": expected, "actual": actual, "passed": ok})
+
+    n, ranking = rec.profile.n, rec.profile.ranking.tolist()
+    matchings = list(_k_matchings(tuple(range(n)), rec.k))
+    index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
+    value, opt = {}, {}
+    for s, (w, metric, claimed_opt) in rec.weightings.items():
+        value[s] = [sum((w[u][v] for u, v in m), Fraction(0)) for m in matchings]
+        opt[s] = max(value[s])
+        ties = all(w[q][a] >= w[q][b] for q, r in enumerate(ranking) for a, b in zip(r, r[1:]))
+        check(f"{s} consistent with the profile", True, ties)
+        triangles = all(w[u][v] <= w[u][z] + w[z][v] for u, v, z in product(range(n), repeat=3))
+        check(f"{s} metric", metric, triangles)
+        check(f"{s} optimum over all {len(matchings)} {rec.k}-matchings", claimed_opt, opt[s])
+        inst = WeightedInstance([[float(x) for x in row] for row in w])
+        oracle = matching_weight(opt_matching(inst, rec.k), inst)
+        check(f"{s} float oracle optimum", opt[s], oracle, abs(oracle - float(opt[s])) <= 1e-12)
+
+    for g in rec.games:
+        label = f"{g.name}: " if g.name else ""
+        det = (_worst({s: value[s][i] for s in g.y}, opt) for i in cols)
+        check(f"{label}deterministic floor over all {len(matchings)} matchings", g.floor,
+              min(filter(None, det), default=None))
+        ratios = []
+        for name, (x, claimed) in g.mixtures.items():
+            actual = "not a mixture of k-matchings"
+            if x.keys() <= index.keys() and _is_distribution(x):
+                expect = {s: sum(p * value[s][index[m]] for m, p in x.items()) for s in g.y}
+                actual = _worst(expect, opt)
+                ratios.append(actual)
+            check(f"{label}{name} worst ratio", claimed, actual)
+        best = min(filter(None, ratios), default=None)
+        claimed_best = min(filter(None, (c for _, c in g.mixtures.values())), default=None)
+        expected = f"{g.bound} exact" if g.bound == claimed_best else g.bound
+        actual, ok = "y is not a distribution", False
+        if _is_distribution(g.y):
+            bound = 1 / max(sum(g.y[s] * value[s][i] / opt[s] for s in g.y) for i in cols)
+            actual = f"{bound} exact" if bound == best else bound
+            ok = str(actual) == str(expected) and (best is None or bound <= best)
+        check(f"{label}lower bound L from y", expected, actual, ok)
+    return {"name": rec.name, "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def _weighting(n: int, base, edges: dict) -> list:
+    """Symmetric rational rows: ``base`` off the diagonal, then ``edges`` {(u, v): weight}."""
+    w = [[Fraction(0 if u == v else base) for v in range(n)] for u in range(n)]
+    for (u, v), x in edges.items():
+        w[u][v] = w[v][u] = Fraction(x)
+    return w
+
+
+def _matching(spec: str) -> tuple:
+    """'01|23' -> ((0, 1), (2, 3)), for single-digit nodes."""
+    return tuple((int(e[0]), int(e[1])) for e in spec.split("|"))
+
+
+def build_fixture_randomization_floor(epsilon: Fraction = Fraction(1, 100)) -> Record:
+    """4 nodes, two metric weightings: every fixed matching concedes 3/2 (epsilon < 1/3),
+    x = 2/5 paired + 3/5 crossed exactly 5/4, and y proves L = (5 - 3 eps)/(4 - 2 eps)."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    one = Fraction(1)
-    # published profile: one consistent tie completion, stored verbatim
+    weightings = {
+        "tie-breaker": (_weighting(4, 1, {(2, 3): eps}), True, Fraction(2)),
+        "favorite-pair": (_weighting(4, 1, {(0, 1): 2}), True, Fraction(3)),
+    }
+    x = {_matching("01|23"): Fraction(2, 5), _matching("02|13"): Fraction(3, 5)}
+    y = {"tie-breaker": 2 / (5 - 3 * eps), "favorite-pair": (3 - 3 * eps) / (5 - 3 * eps)}
+    game = Game("", y, {"x": (x, Fraction(5, 4))}, min(Fraction(3, 2), 2 / (1 + eps)),
+                (5 - 3 * eps) / (4 - 2 * eps))
     profile = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
-    w1 = [
-        [0, one, one, one],
-        [one, 0, one, one],
-        [one, one, 0, eps],
-        [one, one, eps, 0],
-    ]
-    w2 = [
-        [0, 2 * one, one, one],
-        [2 * one, 0, one, one],
-        [one, one, 0, one],
-        [one, one, one, 0],
-    ]
-    inst1 = _instance_from_fractions(w1)
-    inst2 = _instance_from_fractions(w2)
-    fx = Fixture(
-        name="randomization-floor",
-        instances={"tie-breaker": inst1, "favorite-pair": inst2},
-        profile=profile,
-    )
-
-    fx.check_exact("profile consistent with weighting 1", True, profile_consistent(profile, inst1))
-    fx.check_exact("profile consistent with weighting 2", True, profile_consistent(profile, inst2))
-    fx.check_exact("both weightings are metric", True, inst1.metric and inst2.metric)
-
-    m_pair = ((0, 1), (2, 3))
-    m_cross = ((0, 2), (1, 3))
-    m_anti = ((0, 3), (1, 2))
-    candidates = (m_pair, m_cross, m_anti)
-    opt1 = max(_fraction_matching_value(w1, m) for m in candidates)
-    opt2 = max(_fraction_matching_value(w2, m) for m in candidates)
-    fx.check_exact("optimum under weighting 1", Fraction(2), opt1, "cross matching collects both unit edges")
-    fx.check_exact("optimum under weighting 2", Fraction(3), opt2, "paired matching keeps the weight-2 edge")
-    fx.check_close(
-        "matching oracle agrees on weighting 1",
-        opt1,
-        matching_weight(opt_matching(inst1, 2), inst1),
-    )
-    fx.check_close(
-        "matching oracle agrees on weighting 2",
-        opt2,
-        matching_weight(opt_matching(inst2, 2), inst2),
-    )
-
-    # any deterministic ordinal rule fixes one matching for this profile
-    def worst_ratio(m) -> Fraction:
-        return max(opt1 / _fraction_matching_value(w1, m), opt2 / _fraction_matching_value(w2, m))
-
-    best_det = min(worst_ratio(m) for m in candidates)
-    fx.check_exact(
-        "deterministic floor",
-        Fraction(3, 2),
-        best_det,
-        "fixed cross matching concedes 3/2 under weighting 2",
-    )
-
-    def mixture_worst(x: Fraction) -> Fraction:
-        exp1 = x * _fraction_matching_value(w1, m_pair) + (1 - x) * _fraction_matching_value(w1, m_cross)
-        exp2 = x * _fraction_matching_value(w2, m_pair) + (1 - x) * _fraction_matching_value(w2, m_cross)
-        return max(opt1 / exp1, opt2 / exp2)
-
-    x_star = Fraction(2, 5)
-    fx.check_exact(
-        "mixture 2/5 on the paired matching",
-        Fraction(5, 4),
-        mixture_worst(x_star),
-        "expected values 2 - x(1-eps) and 2 + x equalize as eps -> 0",
-    )
-    # limiting model (eps = 0): the equalizer of 2/(2-x) and 3/(2+x)
-    fx.check_exact("equalizer at the limit", Fraction(5, 4), Fraction(2) / (2 - x_star))
-    fx.check_exact("equalizer consistency", Fraction(2) / (2 - x_star), Fraction(3) / (2 + x_star))
-    grid_min = min(
-        max(Fraction(2) / (2 - Fraction(j, 50)), Fraction(3) / (2 + Fraction(j, 50)))
-        for j in range(0, 50)
-    )
-    fx.check_exact("grid scan of limit mixtures", Fraction(5, 4), grid_min, "x sampled at j/50")
-    return fx
+    return Record("randomization-floor", profile, 2, weightings, (game,))
 
 
-def build_fixture_mutual_top_pairs(n_pairs: int = 3, epsilon: Fraction = Fraction(1, 100)) -> Fixture:
-    """2n-node family of mutually top-ranked pairs hiding one heavy pair.
-
-    With k=1 every ordinal rule is effectively guessing which pair is
-    heavy: uniform guessing earns (n+1)/n in the metric variant (ratio
-    2n/(n+1)) and only (1+(n-1)eps)/n in the non-metric one, whose ratio
-    grows like n as eps -> 0.
-    """
+def build_fixture_mutual_top_pairs(n_pairs: int = 3, epsilon: Fraction = Fraction(1, 100)) -> Record:
+    """2n nodes in mutually top-ranked pairs, one of them heavy, k = 1: uniform guesses
+    and uniform y meet at 2n/(n+1) (metric), n/(1+(n-1)eps) (lean) and n (limit)."""
     if n_pairs < 2:
         raise ValueError("need at least 2 pairs")
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must be in (0, 1/2)")
-    n = n_pairs
-    size = 2 * n
-    one = Fraction(1)
-
-    def pair_nodes(i: int) -> tuple[int, int]:
-        return 2 * i, 2 * i + 1
-
+    n, size = n_pairs, 2 * n_pairs
     # each node ranks its pair partner q ^ 1 first, then the rest by index
     profile = PreferenceProfile(
         [[q ^ 1] + [j for j in range(size) if j not in (q, q ^ 1)] for q in range(size)]
     )
-
-    def weight_rows(special: int, heavy, base) -> list:
-        w = [[base * 1 for _ in range(size)] for _ in range(size)]
-        for q in range(size):
-            w[q][q] = Fraction(0)
-        a, b = pair_nodes(special)
-        w[a][b] = w[b][a] = heavy
-        return w
-
-    metric_rows = [weight_rows(s, Fraction(2), one) for s in range(n)]
-    lean_rows = [weight_rows(s, one, eps) for s in range(n)]
-    instances = {}
-    for s in range(n):
-        instances[f"metric-heavy-{s}"] = _instance_from_fractions(metric_rows[s])
-        instances[f"nonmetric-heavy-{s}"] = _instance_from_fractions(lean_rows[s])
-
-    fx = Fixture(name="mutual-top-pairs", instances=instances, profile=profile)
-    fx.check_exact(
-        "profile consistent with every weighting",
-        True,
-        all(profile_consistent(profile, inst) for inst in instances.values()),
-    )
-    fx.check_exact(
-        "metric variants are metric, lean variants are not",
-        True,
-        all(instances[f"metric-heavy-{s}"].metric for s in range(n))
-        and not any(instances[f"nonmetric-heavy-{s}"].metric for s in range(n)),
-    )
-
-    # uniform guessing: expected weight of a uniformly chosen pair edge
-    metric_expect = {
-        s: Fraction(
-            sum(metric_rows[s][pair_nodes(j)[0]][pair_nodes(j)[1]] for j in range(n)), n
-        )
-        for s in range(n)
-    }
-    fx.check_exact(
-        "metric guessing expectation",
-        {s: Fraction(n + 1, n) for s in range(n)},
-        metric_expect,
-        "one guess in n hits the weight-2 pair",
-    )
-    fx.check_exact("metric single-edge optimum", Fraction(2), max(max(r) for r in metric_rows[0]))
-    fx.check_exact(
-        "metric guessing ratio",
-        Fraction(2 * n, n + 1),
-        Fraction(2) / metric_expect[0],
-    )
-    lean_expect = Fraction(1 + (n - 1) * eps, n)
-    fx.check_exact(
-        "non-metric guessing ratio",
-        Fraction(n, 1 + (n - 1) * eps),
-        Fraction(1) / lean_expect,
-    )
-    fx.check_exact(
-        "non-metric ratio at the eps -> 0 limit",
-        Fraction(n),
-        Fraction(1) / Fraction(1, n),
-        "guessing degrades to 1/n of the optimum",
-    )
-
-    # full matching leaves nothing hidden: greedy pairs every mutual top
-    g = greedy_k_matching(profile, n)
-    fx.check_exact(
-        "greedy full matching pairs the partners",
-        tuple((2 * i, 2 * i + 1) for i in range(n)),
-        tuple(g.sorted_edges()),
-    )
-    inst0 = instances["metric-heavy-0"]
-    fx.check_close(
-        "full-matching ratio is 1",
-        1.0,
-        matching_weight(opt_matching(inst0, n), inst0) / matching_weight(g, inst0),
-    )
-    return fx
+    guess = {((2 * i, 2 * i + 1),): Fraction(1, n) for i in range(n)}
+    weightings, games = {}, []
+    for game, base, heavy, ratio, floor in (
+        ("metric", 1, 2, Fraction(2 * n, n + 1), Fraction(2)),
+        ("lean", eps, 1, n / (1 + (n - 1) * eps), 1 / eps),
+        ("limit", 0, 1, Fraction(n), None),
+    ):
+        names = [f"{game}-heavy-{s}" for s in range(n)]
+        for s, name in enumerate(names):
+            rows = _weighting(size, base, {(2 * s, 2 * s + 1): heavy})
+            weightings[name] = (rows, game == "metric", heavy)
+        y = dict.fromkeys(names, Fraction(1, n))
+        games.append(Game(game, y, {"uniform pair guess": (guess, ratio)}, floor, ratio))
+    return Record("mutual-top-pairs", profile, 1, weightings, tuple(games))
 
 
-def build_fixture_mixture_gap() -> Fixture:
-    """8-node rank profile where every matching mixture concedes 5/3.
-
-    Four weightings, all consistent with one profile built from node
-    ranks, have optima 1, 2, 3, 4. Each of six benchmark matchings
-    collects total coefficient 6 across the weightings, so any mixture
-    x sums to 6 >= (1+2+3+4) * c, forcing c <= 3/5.
-    """
+def build_fixture_mixture_gap() -> Record:
+    """8 nodes ranking each other by index, optima 1, 2, 3, 4: every matching mixture
+    concedes 5/3 (L exact at x and y = (1, 2, 3, 4)/10), the uniform one over six 3."""
     size = 8
-    rank = [q // 2 for q in range(size)]
-    profile = PreferenceProfile(
-        [sorted((j for j in range(size) if j != q), key=lambda j: (rank[j], j)) for q in range(size)]
+    edge_sets = (
+        {(0, 1)},
+        {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)},
+        {(u, v) for u in (0, 1) for v in range(u + 1, size)} | {(2, 3)},
+        {(u, v) for u in range(4) for v in range(u + 1, size)},
     )
-
-    one = Fraction(1)
-
-    def blank():
-        return [[Fraction(0) for _ in range(size)] for _ in range(size)]
-
-    def sym(w, u, v, val):
-        w[u][v] = w[v][u] = val
-
-    w_sets = []
-    w = blank()
-    sym(w, 0, 1, one)
-    w_sets.append(w)
-
-    w = blank()
-    sym(w, 0, 1, one)
-    for u in (0, 1):
-        for v in (2, 3):
-            sym(w, u, v, one)
-    w_sets.append(w)
-
-    w = blank()
-    for z in range(1, size):
-        sym(w, 0, z, one)
-    for z in range(2, size):
-        sym(w, 1, z, one)
-    sym(w, 2, 3, one)
-    w_sets.append(w)
-
-    w = blank()
-    for u in (0, 1, 2, 3):
-        for v in range(size):
-            if v != u:
-                sym(w, u, v, one)
-    w_sets.append(w)
-
-    matchings = (
-        ((0, 1), (2, 3), (4, 5), (6, 7)),
-        ((0, 1), (2, 4), (3, 5), (6, 7)),
-        ((0, 2), (1, 3), (4, 5), (6, 7)),
-        ((0, 2), (1, 4), (3, 5), (6, 7)),
-        ((0, 4), (1, 5), (2, 6), (3, 7)),
-        ((0, 4), (1, 5), (2, 3), (6, 7)),
-    )
-    expected_opts = (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-    expected_rows = (
-        (1, 1, 0, 0, 0, 0),
-        (1, 1, 2, 1, 0, 0),
-        (2, 1, 2, 2, 2, 3),
-        (2, 3, 2, 3, 4, 3),
-    )
-
-    instances = {f"weighting-{s + 1}": _instance_from_fractions(w_sets[s]) for s in range(4)}
-    fx = Fixture(name="mixture-gap", instances=instances, profile=profile)
-
-    fx.check_exact(
-        "profile consistent with every weighting",
-        True,
-        all(profile_consistent(profile, inst) for inst in instances.values()),
-    )
-    fx.check_exact(
-        "family includes non-metric weightings",
-        True,
-        any(not inst.metric for inst in instances.values()),
-    )
-
-    value_rows = tuple(
-        tuple(_fraction_matching_value(w_sets[s], m) for m in matchings) for s in range(4)
-    )
-    for s in range(4):
-        fx.check_exact(
-            f"weighting {s + 1} matching values",
-            tuple(Fraction(v) for v in expected_rows[s]),
-            value_rows[s],
-        )
-        inst = instances[f"weighting-{s + 1}"]
-        fx.check_close(
-            f"weighting {s + 1} optimum",
-            expected_opts[s],
-            matching_weight(opt_matching(inst, size // 2), inst),
-        )
-
-    col_sums = tuple(sum(value_rows[s][i] for s in range(4)) for i in range(len(matchings)))
-    fx.check_exact(
-        "every matching's total coefficient",
-        tuple(Fraction(6) for _ in matchings),
-        col_sums,
-        "summing the four per-weighting guarantees",
-    )
-    fx.check_exact(
-        "mixture ceiling",
-        Fraction(3, 5),
-        Fraction(6) / Fraction(sum(expected_opts)),
-        "6 >= 10c, so no mixture beats ratio 5/3",
-    )
-    uniform = Fraction(1, 6)
-    worst_uniform = max(
-        expected_opts[s] / sum(uniform * value_rows[s][i] for i in range(6)) for s in range(4)
-    )
-    fx.check_exact("uniform mixture worst ratio", Fraction(3), worst_uniform)
-    fx.check_exact("uniform mixture concedes the gap", True, worst_uniform >= Fraction(5, 3))
-    return fx
+    weightings = {
+        f"weighting-{s + 1}": (_weighting(size, 0, dict.fromkeys(edges, 1)), s == 3, s + 1)
+        for s, edges in enumerate(edge_sets)
+    }
+    x = {_matching("01|23|45|67"): Fraction(2, 5), _matching("01|24|35|67"): Fraction(1, 5),
+         _matching("02|13|45|67"): Fraction(3, 10), _matching("04|15|26|37"): Fraction(1, 10)}
+    six = ("01|23|45|67", "01|24|35|67", "02|13|45|67", "02|14|35|67", "04|15|26|37", "04|15|23|67")
+    uniform = dict.fromkeys(map(_matching, six), Fraction(1, 6))
+    mixtures = {"x": (x, Fraction(5, 3)), "uniform over six benchmark matchings": (uniform, 3)}
+    y = {name: Fraction(s + 1, 10) for s, name in enumerate(weightings)}
+    profile = PreferenceProfile([[j for j in range(size) if j != q] for q in range(size)])
+    game = Game("", y, mixtures, 2, Fraction(5, 3))
+    return Record("mixture-gap", profile, size // 2, weightings, (game,))
 
 
 FIXTURES = {
@@ -827,5 +670,6 @@ FIXTURES = {
 }
 
 
-def all_fixtures() -> list[Fixture]:
-    return [build() for build in FIXTURES.values()]
+def all_fixtures() -> list[dict]:
+    """Every fixture's record, checked by ``check_record``."""
+    return [check_record(build()) for build in FIXTURES.values()]

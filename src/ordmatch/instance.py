@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,9 +31,16 @@ GENERATOR_FAMILIES = (
 
 
 def _float_array(x, what: str) -> np.ndarray:
-    """x as floats, from numbers only (not "1", true or null), in one pass."""
+    """x as floats, from numbers only (not "1", true or null)."""
     a = np.array(x)
-    if a.dtype.kind not in "iuf":
+    flat = x
+    for _ in range(a.ndim - 1):
+        flat = chain.from_iterable(flat)
+    # numpy reads a boolean among numbers as 0 or 1, so scan the element types
+    # of nested lists, into one set rather than a second array of every element
+    if a.dtype.kind not in "iuf" or (
+        a.ndim and not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, flat))
+    ):
         np.array(x, dtype=float)  # no float at all ("abc", an object): numpy's own error
         raise MalformedInstanceError(f"{what} must hold numbers only, not strings, booleans or nulls")
     return a.astype(float, copy=False)

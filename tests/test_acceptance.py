@@ -9,6 +9,7 @@ goes red.
 import math
 import statistics
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ordmatch import (
     all_fixtures,
     build_fixture_mutual_top_pairs,
     check_friendship,
+    check_record,
     derive_preferences,
     expected_random_weight,
     generate,
@@ -194,24 +196,26 @@ def test_c04_hybrid_sixteen_tenths(verdict):
 
 def test_c05_lower_bound_fixtures(verdict):
     fixtures = all_fixtures()
-    ok = all(fx.passed() for fx in fixtures)
+    ok = all(fx["passed"] for fx in fixtures)
 
     def actual(fx_name, check_name):
-        fx = next(f for f in fixtures if f.name == fx_name)
-        return next(c for c in fx.checks if c.name == check_name).actual
+        fx = next(f for f in fixtures if f["name"] == fx_name)
+        return next(c for c in fx["checks"] if c["name"] == check_name)["actual"]
 
-    ok = ok and actual("randomization-floor", "deterministic floor") == "3/2"
-    ok = ok and actual("randomization-floor", "mixture 2/5 on the paired matching") == "5/4"
-    ok = ok and actual("mixture-gap", "mixture ceiling") == "3/5"
-    ok = ok and actual("mutual-top-pairs", "non-metric ratio at the eps -> 0 limit") == "3"
+    ok = ok and actual("randomization-floor", "deterministic floor over all 3 matchings") == "3/2"
+    ok = ok and actual("randomization-floor", "x worst ratio") == "5/4"
+    # y holds every mixture to 3/5 of the optimum: L = 5/3, met by x
+    gap = actual("mixture-gap", "lower bound L from y")
+    ok = ok and gap.endswith(" exact") and 1 / Fraction(gap.split()[0]) == Fraction(3, 5)
+    ok = ok and actual("mutual-top-pairs", "limit: lower bound L from y") == "3 exact"
     # the non-metric guessing ratio grows like n as eps -> 0
-    wide = build_fixture_mutual_top_pairs(5)
-    ok = ok and wide.passed()
-    checks = sum(len(fx.checks) for fx in fixtures)
+    wide = check_record(build_fixture_mutual_top_pairs(5))
+    ok = ok and wide["passed"]
+    checks = sum(len(fx["checks"]) for fx in fixtures)
     verdict(
         "C5 lower-bound-fixtures",
         ok,
-        f"{len(fixtures)} fixtures, {checks} exact checks, det floor 3/2, mixture 5/4, ceiling 3/5",
+        f"{len(fixtures)} fixtures, {checks} exact checks, det floor 3/2, mixture 5/4, value 3/5",
     )
 
 

@@ -283,6 +283,20 @@ class TestFixturesVerb:
         assert lines[0] == "fixture,check,expected,actual,passed"
         assert len(lines) > 10
 
+    def test_csv_rows_read_back_as_five_cells(self, capsys):
+        assert main(["fixtures", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) > 10 and all(len(row) == 5 for row in rows)
+        # the checker's own strings, unaltered: an infinite floor is an empty cell
+        assert ["mixture-gap", "lower bound L from y", "5/3 exact", "5/3 exact", "True"] in rows
+        assert ["mutual-top-pairs", "limit: deterministic floor over all 15 matchings", "", "", "True"] in rows
+
+    @pytest.mark.parametrize("argv", [["fixtures"], ["fixtures", "--format", "csv"],
+                                      ["fixtures", "--name", "mixture-gap"]])
+    def test_no_python_reprs(self, argv, capsys):
+        assert main(argv) == 0
+        assert "Fraction(" not in capsys.readouterr().out
+
 
 class TestVerifyMetric:
     def test_metric_instance_passes(self, inst_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import statistics
@@ -7,6 +8,7 @@ import pytest
 
 from ordmatch import (
     GeneratorSpec,
+    PreferenceProfile,
     RandomSource,
     RatioReport,
     TrialConfig,
@@ -15,6 +17,7 @@ from ordmatch import (
     build_fixture_mixture_gap,
     build_fixture_mutual_top_pairs,
     build_fixture_randomization_floor,
+    check_record,
     default_bound,
     derive_preferences,
     generate,
@@ -31,14 +34,15 @@ from ordmatch import (
     run_trials,
 )
 from ordmatch import harness
+from ordmatch.cli import main
 from ordmatch.harness import canonical_engine
 
 
 def get_check(fx, name):
-    for c in fx.checks:
-        if c.name == name:
+    for c in fx["checks"]:
+        if c["name"] == name:
             return c
-    raise AssertionError(f"fixture {fx.name} has no check named {name!r}")
+    raise AssertionError(f"fixture {fx['name']} has no check named {name!r}")
 
 
 class TestBounds:
@@ -247,21 +251,28 @@ class TestReportEmit:
 class TestFixtures:
     def test_all_fixtures_pass(self):
         for fx in all_fixtures():
-            failed = [c for c in fx.checks if not c.passed]
-            assert not failed, f"{fx.name}: {[(c.name, c.expected, c.actual) for c in failed]}"
+            failed = [c for c in fx["checks"] if not c["passed"]]
+            assert not failed, f"{fx['name']}: {failed}"
 
     def test_fixture_to_dict(self):
-        d = build_fixture_randomization_floor().to_dict()
-        assert d["passed"] is True
-        assert {"name", "expected", "actual", "passed", "note"} <= set(d["checks"][0])
+        d = check_record(build_fixture_randomization_floor())
+        assert d["name"] == "randomization-floor" and d["passed"] is True
+        assert all(set(c) == {"name", "expected", "actual", "passed"} for c in d["checks"])
+        assert all(isinstance(c[key], str) for c in d["checks"] for key in ("expected", "actual"))
 
     def test_randomization_floor_values(self):
-        fx = build_fixture_randomization_floor()
-        assert get_check(fx, "optimum under weighting 1").actual == "2"
-        assert get_check(fx, "optimum under weighting 2").actual == "3"
-        assert get_check(fx, "deterministic floor").actual == "3/2"
-        assert get_check(fx, "mixture 2/5 on the paired matching").actual == "5/4"
-        assert get_check(fx, "both weightings are metric").actual == "True"
+        fx = check_record(build_fixture_randomization_floor())
+        assert get_check(fx, "tie-breaker optimum over all 3 2-matchings")["actual"] == "2"
+        assert get_check(fx, "favorite-pair optimum over all 3 2-matchings")["actual"] == "3"
+        assert get_check(fx, "deterministic floor over all 3 matchings")["actual"] == "3/2"
+        assert get_check(fx, "x worst ratio")["actual"] == "5/4"
+        assert get_check(fx, "lower bound L from y")["actual"] == "497/398"
+        assert get_check(fx, "tie-breaker metric")["actual"] == "True"
+        assert get_check(fx, "favorite-pair metric")["actual"] == "True"
+        # past epsilon = 1/3 the paired matching beats 3/2 and the floor follows it
+        wide = check_record(build_fixture_randomization_floor(Fraction(1, 2)))
+        assert get_check(wide, "deterministic floor over all 3 matchings")["actual"] == "4/3"
+        assert wide["passed"]
 
     def test_randomization_floor_epsilon_domain(self):
         with pytest.raises(ValueError):
@@ -270,13 +281,18 @@ class TestFixtures:
             build_fixture_randomization_floor(Fraction(1))
 
     def test_mutual_top_pairs_values(self):
-        fx = build_fixture_mutual_top_pairs()
-        assert get_check(fx, "metric guessing ratio").actual == "3/2"
-        assert get_check(fx, "non-metric ratio at the eps -> 0 limit").actual == "3"
-        assert get_check(fx, "full-matching ratio is 1").passed
-        wide = build_fixture_mutual_top_pairs(4)
-        assert get_check(wide, "metric guessing ratio").actual == "8/5"
-        assert wide.passed()
+        fx = check_record(build_fixture_mutual_top_pairs())
+        assert get_check(fx, "metric: uniform pair guess worst ratio")["actual"] == "3/2"
+        assert get_check(fx, "metric: lower bound L from y")["actual"] == "3/2 exact"
+        assert get_check(fx, "lean: lower bound L from y")["actual"] == "50/17 exact"
+        assert get_check(fx, "limit: lower bound L from y")["actual"] == "3 exact"
+        assert get_check(fx, "metric: deterministic floor over all 15 matchings")["actual"] == "2"
+        # base 0: every guess is worth 0 under some weighting
+        assert get_check(fx, "limit: deterministic floor over all 15 matchings")["actual"] is None
+        assert get_check(fx, "lean-heavy-0 metric")["actual"] == "False"
+        wide = check_record(build_fixture_mutual_top_pairs(4))
+        assert get_check(wide, "metric: uniform pair guess worst ratio")["actual"] == "8/5"
+        assert wide["passed"]
 
     def test_mutual_top_pairs_domain(self):
         with pytest.raises(ValueError):
@@ -285,12 +301,86 @@ class TestFixtures:
             build_fixture_mutual_top_pairs(3, Fraction(1, 2))
 
     def test_mixture_gap_values(self):
-        fx = build_fixture_mixture_gap()
-        assert get_check(fx, "mixture ceiling").actual == "3/5"
-        assert get_check(fx, "uniform mixture worst ratio").actual == "3"
-        for i, opt in enumerate((1, 2, 3, 4), start=1):
-            assert get_check(fx, f"weighting {i} optimum").expected == str(opt)
-        assert get_check(fx, "every matching's total coefficient").passed
+        fx = check_record(build_fixture_mixture_gap())
+        assert get_check(fx, "lower bound L from y")["actual"] == "5/3 exact"
+        assert get_check(fx, "x worst ratio")["actual"] == "5/3"
+        assert get_check(fx, "uniform over six benchmark matchings worst ratio")["actual"] == "3"
+        assert get_check(fx, "deterministic floor over all 105 matchings")["actual"] == "2"
+        for i in (1, 2, 3, 4):
+            assert get_check(fx, f"weighting-{i} optimum over all 105 4-matchings")["actual"] == str(i)
+
+    def test_k_matchings_are_every_matching_once(self):
+        for n, k, count in ((4, 2, 3), (8, 4, 105), (6, 1, 15), (5, 2, 15), (3, 0, 1)):
+            ms = list(harness._k_matchings(tuple(range(n)), k))
+            assert len(ms) == len(set(ms)) == count
+            for m in ms:
+                nodes = [x for e in m for x in e]
+                assert len(m) == k and len(set(nodes)) == 2 * k
+                assert all(u < v for u, v in m) and list(m) == sorted(m)
+
+
+    def test_checker_reaches_the_last_matching(self):
+        # the only matching worth anything is the last one enumerated
+        last = ((0, 7), (1, 6), (2, 5), (3, 4))
+        rows = [[Fraction(int((min(u, v), max(u, v)) in last)) for v in range(8)] for u in range(8)]
+        profile = PreferenceProfile([[7 - q] + [j for j in range(8) if j not in (q, 7 - q)]
+                                     for q in range(8)])
+        game = harness.Game("", {"w": Fraction(1)}, {"x": ({last: Fraction(1)}, 1)}, 1, 1)
+        fx = check_record(harness.Record("last", profile, 4, {"w": (rows, False, 4)}, (game,)))
+        assert fx["passed"], [c for c in fx["checks"] if not c["passed"]]
+        assert get_check(fx, "deterministic floor over all 105 matchings")["actual"] == "1"
+        assert get_check(fx, "lower bound L from y")["actual"] == "1 exact"
+
+
+def _failing(record):
+    return {c["name"] for c in check_record(record)["checks"] if not c["passed"]}
+
+
+class TestCheckerRejects:
+    """A record with one wrong claim fails exactly the check for that claim."""
+
+    def test_perturbed_y(self):
+        rec = build_fixture_mixture_gap()
+        y = dict(zip(rec.games[0].y, (Fraction(2, 10), Fraction(2, 10), Fraction(3, 10), Fraction(3, 10))))
+        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        assert _failing(bad) == {"lower bound L from y"}
+
+    def test_y_that_is_not_a_distribution(self):
+        rec = build_fixture_randomization_floor()
+        y = {s: 2 * p for s, p in rec.games[0].y.items()}
+        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        assert _failing(bad) == {"lower bound L from y"}
+        assert get_check(check_record(bad), "lower bound L from y")["actual"] == "y is not a distribution"
+
+    def test_wrong_metric_flag(self):
+        rec = build_fixture_mutual_top_pairs()
+        rows, metric, opt = rec.weightings["lean-heavy-1"]
+        bad = dataclasses.replace(rec, weightings={**rec.weightings, "lean-heavy-1": (rows, True, opt)})
+        assert _failing(bad) == {"lean-heavy-1 metric"}
+
+    def test_weighting_that_breaks_the_profile(self):
+        rec = build_fixture_randomization_floor()
+        # node 2 now ranks 3 first, but the tie-breaker weighs (2, 3) at epsilon < 1
+        ranking = ((1, 2, 3), (0, 3, 2), (3, 0, 1), (1, 0, 2))
+        bad = dataclasses.replace(rec, profile=PreferenceProfile(ranking))
+        assert _failing(bad) == {"tie-breaker consistent with the profile"}
+
+    def test_mixture_off_the_matchings(self):
+        rec = build_fixture_randomization_floor()
+        mixtures = {"x": ({((0, 1), (1, 2)): Fraction(1)}, Fraction(5, 4))}
+        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], mixtures=mixtures),))
+        assert _failing(bad) == {"x worst ratio"}
+
+    @pytest.mark.parametrize("name", ["randomization-floor", "mixture-gap"])
+    def test_cli_exits_one(self, name, monkeypatch, capsys):
+        rec = harness.FIXTURES[name]()
+        y = {s: p * Fraction(9, 10) for s, p in rec.games[0].y.items()}
+        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        monkeypatch.setitem(harness.FIXTURES, name, lambda: bad)
+        assert main(["fixtures", "--name", name]) == 1
+        (fx,) = json.loads(capsys.readouterr().out)
+        assert fx["passed"] is False
+        assert [c["name"] for c in fx["checks"] if not c["passed"]] == ["lower bound L from y"]
 
 
 def _uniform(prof, size, rs):

@@ -141,11 +141,21 @@ class TestWeightedInstance:
         {"weights": [[0, "1"], ["1", 0]]},
         {"weights": [[False, True], [True, False]]},
         {"weights": [[0, 1], [1, 0]], "points": [["0"], ["1"]]},
+        {"n": 2, "weights": [[0, True], [True, 0]]},
+        {"weights": [[0, 0.5, True], [0.5, 0, 1], [True, 1, 0]]},
+        {"weights": [[0, 1], [1, 0]], "points": [[0.5, True], [1, 2]]},
     ], ids=["n-float", "n-numeric-string", "n-bool", "metric-string", "weights-numeric-strings",
-            "weights-bool", "points-numeric-strings"])
+            "weights-bool", "points-numeric-strings", "weights-bool-among-ints",
+            "weights-bool-among-floats", "points-bool-among-numbers"])
     def test_from_dict_rejects_fields_of_the_wrong_json_type(self, doc):
         with pytest.raises(MalformedInstanceError):
             WeightedInstance.from_dict(doc)
+
+    @pytest.mark.parametrize("weights", [[[0, True], [True, 0]], [[0, np.True_], [np.True_, 0]],
+                                         [[0.0, 1.0], [True, 0.0]]])
+    def test_constructor_rejects_a_boolean_among_numbers(self, weights):
+        with pytest.raises(MalformedInstanceError, match="numbers only"):
+            WeightedInstance(weights)
 
     def test_from_dict_takes_integer_weights_and_points(self):
         inst = WeightedInstance.from_dict({"n": 2, "weights": [[0, 2], [2, 0]], "metric": True,
