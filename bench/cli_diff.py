@@ -190,6 +190,15 @@ def invocations() -> list:
                 ["oracle", "--instance", path, "--problem", "mwm"],
                 ["verify-metric", "--instance", path]]
 
+    # greedy finds the optimal matching; opt and alg differed in the last bit
+    # before the oracle's value came from the engine's weight gather
+    inv += [["gen", "--n", "8", "--seed", "70", "--out", "{tmp}/seed70.json"],
+            ["oracle", "--instance", "{tmp}/seed70.json", "--problem", "mwm"],
+            ["solve", "--instance", "{tmp}/seed70.json", "--problem", "mwm",
+             "--algorithm", "greedy"],
+            ["bench", "--problem", "mwm", "--algorithm", "greedy", "--n", "8", "--trials", "1",
+             "--seed", "70"]]
+
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]
     inv += [["--help"], *([verb, "--help"] for verb in VERBS)]

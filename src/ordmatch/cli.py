@@ -103,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--instance", required=True, help="instance JSON path")
     # gen and bench draw instances from the same random families
     family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", choices=[f for f in GENERATOR_FAMILIES if f != "explicit"],
-                        default="euclidean-uniform")
+    family.add_argument("--family", choices=GENERATOR_FAMILIES, default="euclidean-uniform")
     family.add_argument("--n", type=int, required=True)
     family.add_argument("--dimension", type=int, default=2)
 

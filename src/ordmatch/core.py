@@ -3,7 +3,8 @@
 Every algorithm here sees a :class:`~ordmatch.instance.PreferenceProfile`
 or plain lists of node ids, plus, for the randomized ones, a seeded
 :class:`RandomSource`. None of them accept weights; weights exist only on
-the evaluation side (``matching_weight``, ``expected_random_weight``).
+the evaluation side: ``matching_values``, one gather over an array of
+matchings, ``matching_weight``, one row of it, and ``expected_random_weight``.
 
 The greedy (``greedy_k_matching``, ``find_undominated``) walks the
 ranking rows directly: one generator yields its undominated edges in
@@ -78,10 +79,36 @@ class Matching:
         return cls.from_pairs(int(d["n"]), d["edges"])
 
 
+def _row(m: Matching) -> np.ndarray:
+    """``m`` as a one-row batch: a (1, edges, 2) array of sorted edges."""
+    return np.array(m.sorted_edges(), dtype=np.intp).reshape(1, len(m), 2)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum over one contiguous copy, so a row sums alike whatever S is."""
+    return np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
+
+
+def matching_values(matchings: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weight of each matching in an (S, edges, 2) array, in one gather.
+
+    A row sums its edges in ascending order of low endpoint, as
+    ``Matching.sorted_edges`` lists them, whatever order they were drawn in.
+    """
+    u, v = matchings[..., 0], matchings[..., 1]
+    by_low = np.argsort(np.minimum(u, v), axis=1)
+    return _row_sums(np.take_along_axis(w[u, v], by_low, axis=1))
+
+
+def _one_row(values, what: str, solution, row, inst: WeightedInstance) -> float:
+    """``values`` of ``row`` as a one-row batch, once ``solution`` is sized for ``inst``."""
+    if solution.n != inst.n:
+        raise ValueError(f"{what} and instance sizes differ")
+    return float(values(np.array(row, dtype=np.intp)[None], inst.weights)[0])
+
+
 def matching_weight(m: Matching, inst: WeightedInstance) -> float:
-    if m.n != inst.n:
-        raise ValueError(f"matching over {m.n} nodes scored against instance of size {inst.n}")
-    return float(sum(inst.weights[u, v] for u, v in m.edges))
+    return _one_row(matching_values, "matching", m, _row(m)[0], inst)
 
 
 class RandomSource:

@@ -4,6 +4,9 @@
 the exact oracle, and renders a verdict against a claimed approximation
 bound: deterministic algorithms by worst observed ratio, randomized ones
 by per-instance Monte Carlo means with a three-standard-error allowance.
+Both sides are weighed by one gather per objective (``core`` and
+``reductions`` define them; ``SolutionKind`` pairs each with its scalar
+one-row form), so a greedy that finds the optimum reads ratio 1.0.
 
 The lower-bound fixtures are finite games. Each builder returns a
 ``Record``: one preference profile, k, named rational weightings consistent
@@ -48,6 +51,7 @@ from .core import (
     RandomSource,
     greedy_k_matching,
     hybrid_matchings,
+    matching_values,
     matching_weight,
     random_k_matchings,
 )
@@ -64,11 +68,14 @@ from .reductions import (
     Clustering,
     Subset,
     Tour,
+    cluster_values,
     cluster_weight,
     matchings_to_clusters,
     matchings_to_subsets,
     matchings_to_tours,
+    subset_values,
     subset_weight,
+    tour_values,
     tour_weight,
 )
 
@@ -108,23 +115,6 @@ def _alpha(engine: str, n: int) -> float:
     return hybrid_bound(n) if engine == "hybrid" else 2.0
 
 
-def _edge_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w[solutions[..., 0], solutions[..., 1]].sum(axis=1)
-
-
-def _cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(solutions.shape[2], 1)
-    return w[solutions[..., i], solutions[..., j]].sum(axis=(1, 2))
-
-
-def _subset_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _cluster_values(solutions[:, None, :], w)
-
-
-def _tour_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w[solutions, np.roll(solutions, -1, axis=1)].sum(axis=1)
-
-
 class SolutionKind(NamedTuple):
     """How one kind of solution is packed, weighed and reported."""
 
@@ -137,12 +127,14 @@ class SolutionKind(NamedTuple):
 # Table callables reach the oracles and weight functions through this
 # module's globals, so a wrapper installed on them here (a tracer) sees
 # every call.
-MATCHING = SolutionKind("matching", Matching, lambda m, inst: matching_weight(m, inst), _edge_values)
-CLUSTERING = SolutionKind(
-    "clustering", Clustering, lambda c, inst: cluster_weight(c, inst), _cluster_values
+MATCHING = SolutionKind(
+    "matching", Matching, lambda m, inst: matching_weight(m, inst), matching_values
 )
-SUBSET = SolutionKind("subset", Subset, lambda s, inst: subset_weight(s, inst), _subset_values)
-TOUR = SolutionKind("tour", Tour, lambda t, inst: tour_weight(t, inst), _tour_values)
+CLUSTERING = SolutionKind(
+    "clustering", Clustering, lambda c, inst: cluster_weight(c, inst), cluster_values
+)
+SUBSET = SolutionKind("subset", Subset, lambda s, inst: subset_weight(s, inst), subset_values)
+TOUR = SolutionKind("tour", Tour, lambda t, inst: tour_weight(t, inst), tour_values)
 
 
 @dataclass(frozen=True)
@@ -276,7 +268,7 @@ class TrialConfig:
 
     def __post_init__(self):
         problem_spec(self.problem, self.algorithm, self.n, self.k)
-        if self.family not in GENERATOR_FAMILIES or self.family == "explicit":
+        if self.family not in GENERATOR_FAMILIES:
             raise ValueError(f"trials need a random family, got {self.family!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -26,20 +27,21 @@ GENERATOR_FAMILIES = (
     "euclidean-uniform",
     "random-metric-closure",
     "clustered-gaussian",
-    "explicit",
 )
+
+
+def _holds_bool(x, a: np.ndarray) -> bool:
+    """Whether nested lists ``x``, read by numpy as ``a``, hold a boolean: only the
+    entries numpy read as 0 or 1 (a weight matrix's diagonal) can be one."""
+    found = (reduce(getitem, index, x) for index in np.argwhere((a == 0) | (a == 1)).tolist())
+    return bool({bool, np.bool_} & set(map(type, found)))
 
 
 def _float_array(x, what: str) -> np.ndarray:
     """x as floats, from numbers only (not "1", true or null)."""
     a = np.array(x)
-    flat = x
-    for _ in range(a.ndim - 1):
-        flat = chain.from_iterable(flat)
-    # numpy reads a boolean among numbers as 0 or 1, so scan the element types
-    # of nested lists, into one set rather than a second array of every element
     if a.dtype.kind not in "iuf" or (
-        a.ndim and not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, flat))
+        a.ndim and not isinstance(x, np.ndarray) and _holds_bool(x, a)
     ):
         np.array(x, dtype=float)  # no float at all ("abc", an object): numpy's own error
         raise MalformedInstanceError(f"{what} must hold numbers only, not strings, booleans or nulls")
@@ -266,8 +268,7 @@ class GeneratorSpec:
     """Reproducible recipe for a random instance.
 
     family: one of GENERATOR_FAMILIES. ``dimension`` and ``clusters``
-    matter only for the geometric families; ``weights`` only for
-    "explicit".
+    matter only for the geometric families.
     """
 
     family: str
@@ -275,21 +276,18 @@ class GeneratorSpec:
     dimension: int = 2
     seed: int = 0
     clusters: int = 3
-    weights: tuple | None = None
 
     def __post_init__(self):
         if self.family not in GENERATOR_FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {GENERATOR_FAMILIES}"
             )
-        if self.family != "explicit" and self.n < 2:
+        if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if self.family in ("euclidean-uniform", "clustered-gaussian") and self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         if self.family == "clustered-gaussian" and self.clusters < 1:
             raise ValueError(f"clusters must be positive, got {self.clusters}")
-        if self.family == "explicit" and self.weights is None:
-            raise ValueError("explicit family needs a weight matrix")
 
 
 def _euclidean_weights(points: np.ndarray) -> np.ndarray:
@@ -330,18 +328,13 @@ def generate(spec: GeneratorSpec) -> WeightedInstance:
         pts = centers[assign] + rng.normal(0.0, 0.08, size=(spec.n, spec.dimension))
         return WeightedInstance(_euclidean_weights(pts), metric=True, points=pts, meta=meta)
 
-    if spec.family == "random-metric-closure":
-        raw = rng.random((spec.n, spec.n))
-        raw = np.triu(raw, 1)
-        raw = raw + raw.T
-        w = _min_plus_closure(raw)
-        inst = WeightedInstance(w, metric=True, meta=meta)
-        tol = 1e-9 * float(w.max()) if w.max() > 0 else 0.0
-        if not validate_metric(inst, tol):
-            raise AssertionError("closure generator produced a non-metric matrix")
-        return inst
-
-    # explicit: matrix taken as given, metric flag measured, seed unused
-    w = _as_weight_matrix(spec.weights)
-    probe = WeightedInstance(w, metric=False, meta=meta)
-    return WeightedInstance(w, metric=validate_metric(probe, 0.0), meta=meta)
+    # random-metric-closure
+    raw = rng.random((spec.n, spec.n))
+    raw = np.triu(raw, 1)
+    raw = raw + raw.T
+    w = _min_plus_closure(raw)
+    inst = WeightedInstance(w, metric=True, meta=meta)
+    tol = 1e-9 * float(w.max()) if w.max() > 0 else 0.0
+    if not validate_metric(inst, tol):
+        raise AssertionError("closure generator produced a non-metric matrix")
+    return inst

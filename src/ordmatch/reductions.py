@@ -11,6 +11,9 @@ which repackages an (S, edges, 2) array of matchings as drawn by
 ``core.random_k_matchings`` / ``hybrid_matchings``. The scalar
 ``matching_to_*`` and ``path_completion`` are one-row calls of it; the
 scalar tour and path completion references live in ``tests/_brute.py``.
+Each objective has one weight gather (``*_values``) over such arrays,
+and the scalar ``*_weight`` is one row of it, so the oracle's value of a
+solution and an engine's value of the same row agree bit for bit.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matching, RandomSource
+from .core import Matching, RandomSource, _one_row, _row, _row_sums
 from .instance import PreferenceProfile, WeightedInstance
 
 
 @dataclass(frozen=True)
 class Clustering:
-    """Partition of 0..n-1 into disjoint parts covering every node."""
+    """Partition of 0..n-1 into disjoint parts of equal size covering every node."""
 
     n: int
     parts: tuple
@@ -36,6 +39,8 @@ class Clustering:
         flat = [x for p in parts for x in p]
         if sorted(flat) != list(range(self.n)):
             raise ValueError("parts must partition the node set exactly")
+        if len(set(map(len, parts))) > 1:
+            raise ValueError(f"parts must have equal size, got sizes {[len(p) for p in parts]}")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "parts": [list(p) for p in self.parts]}
@@ -103,49 +108,45 @@ class Tour:
         return cls(int(d["n"]), tuple(d["order"]))
 
 
+def cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weight of each clustering in an (S, parts, size) array, in one gather.
+
+    A row sums pair (i, j) of every part, then the next pair (triu order).
+    """
+    i, j = np.triu_indices(solutions.shape[2], 1)
+    by_pair = solutions.transpose(0, 2, 1)
+    return _row_sums(w[by_pair[:, i], by_pair[:, j]])
+
+
+def subset_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weight of each subset in an (S, nodes) array: a one-part clustering."""
+    return cluster_values(solutions[:, None, :], w)
+
+
+def path_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weight of each open path in an (S, length) array, in one gather."""
+    return _row_sums(w[solutions[:, :-1], solutions[:, 1:]])
+
+
+def tour_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weight of each tour in an (S, n) array: its path back to the start."""
+    return path_values(np.concatenate([solutions, solutions[:, :1]], axis=1), w)
+
+
 def cluster_weight(c: Clustering, inst: WeightedInstance) -> float:
-    if c.n != inst.n:
-        raise ValueError("clustering and instance sizes differ")
-    w = inst.weights
-    total = 0.0
-    for part in c.parts:
-        for i in range(len(part)):
-            for j in range(i + 1, len(part)):
-                total += w[part[i], part[j]]
-    return float(total)
+    return _one_row(cluster_values, "clustering", c, c.parts, inst)
 
 
 def subset_weight(s: Subset, inst: WeightedInstance) -> float:
-    if s.n != inst.n:
-        raise ValueError("subset and instance sizes differ")
-    w = inst.weights
-    nodes = s.nodes
-    total = 0.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            total += w[nodes[i], nodes[j]]
-    return float(total)
+    return _one_row(subset_values, "subset", s, s.nodes, inst)
 
 
 def path_weight(p: Path, inst: WeightedInstance) -> float:
-    if p.n != inst.n:
-        raise ValueError("path and instance sizes differ")
-    w = inst.weights
-    return float(sum(w[a, b] for a, b in zip(p.order, p.order[1:])))
+    return _one_row(path_values, "path", p, p.order, inst)
 
 
 def tour_weight(t: Tour, inst: WeightedInstance) -> float:
-    if t.n != inst.n:
-        raise ValueError("tour and instance sizes differ")
-    w = inst.weights
-    total = sum(w[a, b] for a, b in zip(t.order, t.order[1:]))
-    total += w[t.order[-1], t.order[0]]
-    return float(total)
-
-
-def _row(m: Matching) -> np.ndarray:
-    """``m`` as a one-row batch: a (1, edges, 2) array of sorted edges."""
-    return np.array(m.sorted_edges(), dtype=np.intp).reshape(1, len(m), 2)
+    return _one_row(tour_values, "tour", t, t.order, inst)
 
 
 def matching_to_clusters(m: Matching, k: int) -> Clustering:
@@ -209,6 +210,8 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     perfect and each cluster is a run of c/2 edges (ascending smallest
     endpoint); with odd c they have (n-k)/2 edges and each cluster is a
     run of (c-1)/2 edges plus the next unmatched node, in ascending order.
+    Each part is returned ascending, as ``Clustering`` stores it, so
+    ``cluster_values`` sums a part in the order ``cluster_weight`` does.
     """
     draws, m, _ = matchings.shape
     if k < 1:
@@ -219,13 +222,13 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     want = n // 2 if c % 2 == 0 else (n - k) // 2
     if m != want:
         raise ValueError(f"cluster size {c} needs a {want}-edge matching, got {m}")
-    edges = _sorted_edges(matchings).reshape(draws, k, 2 * (c // 2))
-    if c % 2 == 0:
-        return edges
-    matched = np.zeros((draws, n), dtype=bool)
-    matched[np.arange(draws)[:, None], edges.reshape(draws, -1)] = True
-    leftovers = np.nonzero(~matched)[1].reshape(draws, k, 1)
-    return np.concatenate([edges, leftovers], axis=2)
+    parts = _sorted_edges(matchings).reshape(draws, k, 2 * (c // 2))
+    if c % 2:
+        matched = np.zeros((draws, n), dtype=bool)
+        matched[np.arange(draws)[:, None], parts.reshape(draws, -1)] = True
+        leftovers = np.nonzero(~matched)[1].reshape(draws, k, 1)
+        parts = np.concatenate([parts, leftovers], axis=2)
+    return np.sort(parts, axis=2)
 
 
 def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:

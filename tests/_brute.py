@@ -11,7 +11,9 @@ checks, which the array profile, the greedy and the pivot loops must
 match. The difference-tensor distances for the
 per-coordinate generator. The scalar samplers and tour completion,
 driven one decision at a time by a ``random.Random``, which define the
-distributions the batched samplers and reductions must reproduce.
+distributions the batched samplers and reductions must reproduce. Plain
+value loops (``matching_value``, ``partition_value``, ``subset_value``,
+``path_value``, ``tour_value``), which the weight gathers must match.
 """
 
 from itertools import combinations, permutations
@@ -96,6 +98,10 @@ def subset_value(w, nodes) -> float:
 def brute_max_densest(w, k: int) -> float:
     n = len(w)
     return max(subset_value(w, c) for c in combinations(range(n), k))
+
+
+def path_value(w, order) -> float:
+    return sum(w[a][b] for a, b in zip(order, order[1:]))
 
 
 def tour_value(w, order) -> float:

@@ -157,6 +157,23 @@ def gen_paths(tmp_path_factory):
     return paths
 
 
+def test_greedy_optimum_reads_ratio_one(tmp_path, capsys):
+    """At seed 70 greedy finds the optimal matching, so opt, alg and both verbs read one value."""
+    argv = ["bench", "--problem", "mwm", "--algorithm", "greedy", "--n", "8", "--trials", "1"]
+    assert main([*argv, "--seed", "70"]) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["opt"] == record["alg"] and record["ratio"] == 1.0
+    path = str(tmp_path / "n8.json")
+    assert main(["gen", "--n", "8", "--seed", "70", "--out", path]) == 0
+    payloads = []
+    for verb in (["oracle"], ["solve", "--algorithm", "greedy"]):
+        assert main([*verb, "--instance", path, "--problem", "mwm"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    opt, alg = payloads
+    assert opt["edges"] == alg["edges"]
+    assert opt["value"] == alg["value"] == record["opt"]
+
+
 @pytest.mark.parametrize(
     "problem,engine", [(p, e) for p, spec in PROBLEMS.items() for e in spec.engines]
 )
@@ -408,7 +425,7 @@ def test_every_verb_writes_json_on_one_line(verb, inst_path, tmp_path, capsys):
     json.loads(out)
 
 
-@pytest.mark.parametrize("family", [f for f in GENERATOR_FAMILIES if f != "explicit"])
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
 def test_gen_out_round_trips_bit_exactly(family, tmp_path):
     path = tmp_path / "inst.json"
     assert main(["gen", "--family", family, "--n", "50", "--seed", "6", "--out", str(path)]) == 0
@@ -421,7 +438,7 @@ def test_gen_out_round_trips_bit_exactly(family, tmp_path):
         assert back.points.tobytes() == inst.points.tobytes()
 
 
-@pytest.mark.parametrize("family", [f for f in GENERATOR_FAMILIES if f != "explicit"])
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
 def test_save_instance_writes_the_bytes_of_gen_out(family, tmp_path):
     saved, written = tmp_path / "saved.json", tmp_path / "gen.json"
     save_instance(generate(GeneratorSpec(family, 7, seed=2)), str(saved))

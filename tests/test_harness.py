@@ -86,8 +86,6 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig("tsp", "random", 8)
         with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 8, family="explicit")
-        with pytest.raises(ValueError):
             TrialConfig("mwm", "greedy", 8, family="bogus")
         with pytest.raises(ValueError):
             TrialConfig("mwm", "greedy", 8, trials=0)

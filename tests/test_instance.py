@@ -157,6 +157,25 @@ class TestWeightedInstance:
         with pytest.raises(MalformedInstanceError, match="numbers only"):
             WeightedInstance(weights)
 
+    def test_rejects_a_boolean_among_integer_zero_one_weights(self):
+        # every entry is 0 or 1, so every element's type is checked
+        w = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert WeightedInstance(w).weights.tolist() == w
+        for u, v, flag in ((0, 2, False), (1, 2, True)):
+            bad = [row[:] for row in w]
+            bad[u][v] = bad[v][u] = flag
+            with pytest.raises(MalformedInstanceError, match="numbers only"):
+                WeightedInstance.from_dict({"weights": bad})
+
+    @pytest.mark.parametrize("u,v,flag", [(5, 5, np.False_), (5, 5, False), (2, 9, np.True_)])
+    def test_rejects_numpy_bool_in_a_list(self, u, v, flag):
+        # few entries are 0 or 1 (the diagonal), so only those are looked up
+        w = generate(GeneratorSpec("euclidean-uniform", 70, seed=1)).weights.tolist()
+        WeightedInstance(w)
+        w[u][v] = w[v][u] = flag
+        with pytest.raises(MalformedInstanceError, match="numbers only"):
+            WeightedInstance(w)
+
     def test_from_dict_takes_integer_weights_and_points(self):
         inst = WeightedInstance.from_dict({"n": 2, "weights": [[0, 2], [2, 0]], "metric": True,
                                            "points": [[0, 1], [2, 3]]})
@@ -398,15 +417,12 @@ class TestGenerators:
             GeneratorSpec("euclidean-uniform", 6, dimension=0)
         with pytest.raises(ValueError):
             GeneratorSpec("clustered-gaussian", 6, clusters=0)
-        with pytest.raises(ValueError):
-            GeneratorSpec("explicit", 4)
 
     def test_families_tuple(self):
         assert set(GENERATOR_FAMILIES) == {
             "euclidean-uniform",
             "random-metric-closure",
             "clustered-gaussian",
-            "explicit",
         }
 
     @pytest.mark.parametrize("family", ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"])
@@ -438,11 +454,3 @@ class TestGenerators:
         assert inst.points is not None and inst.points.shape == (5, 3)
         d01 = float(np.linalg.norm(inst.points[0] - inst.points[1]))
         assert inst.weight(0, 1) == pytest.approx(d01, rel=1e-12)
-
-    def test_explicit_family_measures_metric_flag(self):
-        metric = generate(GeneratorSpec("explicit", 4, weights=square(4)))
-        assert metric.metric
-        w = square(3)
-        w[1][2] = w[2][1] = 3.0
-        broken = generate(GeneratorSpec("explicit", 3, weights=w))
-        assert not broken.metric

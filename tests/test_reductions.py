@@ -40,6 +40,13 @@ class TestShapes:
         with pytest.raises(ValueError):
             Clustering(4, ((0, 1),))
 
+    def test_clustering_rejects_unequal_parts(self):
+        Clustering(6, ((0, 1, 2), (3, 4, 5)))
+        with pytest.raises(ValueError, match="equal size"):
+            Clustering(6, ((0, 1), (2, 3, 4, 5)))
+        with pytest.raises(ValueError, match="equal size"):
+            Clustering(4, ((0,), (1, 2, 3)))
+
     def test_subset_validation(self):
         Subset(4, (0, 3))
         with pytest.raises(ValueError):
