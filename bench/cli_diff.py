@@ -78,6 +78,10 @@ DOCUMENTS = {
     # loaded with the boolean read as 1.0 before element types were scanned
     "weights-bool-among-ints": {"n": 2, "weights": [[0, True], [True, 0]]},
     "weights-bool-among-floats": {"weights": [[0, 0.5, True], [0.5, 0, 1], [True, 1, 0]]},
+    # -0.0 kept its sign as a weight (no verb prints it) before it became 0.0, and
+    # non-finite points loaded before they were rejected like non-finite weights
+    "weights-negative-zero": {"weights": [[0, -0.0], [-0.0, 0]]},
+    "points-nan": {"weights": [[0, 1], [1, 0]], "points": [[float("nan"), 0], [float("inf"), 1]]},
 }
 NOT_JSON = "{"
 

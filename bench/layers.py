@@ -31,7 +31,8 @@ times each CLI step of the large-n chain instead (gen, prefs, solve mwm
 greedy, solve tsp hybrid through ``ordmatch.cli.main``, files in a
 temporary directory; median of ``IO_REPEATS`` chains at each of
 ``IO_SIZES``, one fresh process per checkout and n, ``--time-io``) with
-the size of every file the chain writes, plus ``generate`` alone at
+the size and sha256 of every file the chain writes (``equal_file_bytes``:
+both checkouts wrote the same files at every n), plus ``generate`` alone at
 ``IO_GENERATE_N`` (seconds and the fresh process's peak RSS), and runs
 the ``IO_PAIRS`` perfbench pairs.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -173,8 +175,14 @@ def time_io(n: int) -> dict:
         out = {name: statistics.median(t) for name, t in times.items()}
         out["chain"] = sum(out[name] for name in steps)
         out["bytes"] = {name: os.path.getsize(path) for name, path in files.items()}
+        out["sha256"] = {name: _sha256(path) for name, path in files.items()}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def time_generate(n: int) -> dict:
@@ -321,8 +329,12 @@ def main(argv=None) -> int:
                 "in-process, one fresh process per checkout and n), file bytes")
         settings = {"sizes": IO_SIZES, "repeats": IO_REPEATS, "generate_n": IO_GENERATE_N,
                     "pairs": IO_PAIRS}
+        columns = {side: io_column(tree) for side, tree in (("parent", args.parent),
+                                                            ("change", args.change))}
+        same = all(columns["parent"][str(n)]["sha256"] == columns["change"][str(n)]["sha256"]
+                   for n in IO_SIZES)
         timed = ("io", {"unit": "s", "instance": "euclidean-uniform, dimension 2, seed 0",
-                        "parent": io_column(args.parent), "change": io_column(args.change)})
+                        **columns, "equal_file_bytes": same})
         pairs, traced, keys = IO_PAIRS, "large-n", TRACE_KEYS
     else:
         what = "Per-layer seconds (median of repeats, in-process, one fresh process per n)"

@@ -44,12 +44,12 @@ def _from_args(cls, args):
 
 
 def _cmd_gen(args):
-    d = generate(_from_args(GeneratorSpec, args)).to_dict()
+    d = generate(_from_args(GeneratorSpec, args))._fields()
     return render(args.format, d, ",".join(f"w{j}" for j in range(d["n"])), d["weights"]), True
 
 
 def _cmd_prefs(args):
-    d = derive_preferences(load_instance(args.instance)).to_dict()
+    d = derive_preferences(load_instance(args.instance))._fields()
     return render(args.format, d, ",".join(f"r{j}" for j in range(d["n"] - 1)), d["ranking"]), True
 
 

@@ -60,6 +60,7 @@ from .instance import (
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
+    _table_bytes,
     derive_preferences,
     generate,
 )
@@ -448,11 +449,15 @@ def render(fmt: str, data, header: str, rows) -> bytes:
     JSON refuses non-finite floats (ValueError) instead of writing a bare
     Infinity or NaN. A CSV cell is ``str`` of its value (``repr`` for a
     float), quoted only when it holds a comma, a double quote or a newline.
+    An ndarray ``rows`` that is also a value of ``data`` (gen's weights,
+    prefs' ranking) is written by ``instance._table_bytes``.
     """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
+    if isinstance(rows, np.ndarray):
+        return _table_bytes(fmt, data, header, rows)
     if fmt == "json":
         return (json.dumps(data, allow_nan=False) + "\n").encode("utf-8")
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
     buf = io.StringIO()
     buf.write(header + "\n")
     csv.writer(buf, lineterminator="\n").writerows(rows)

@@ -14,6 +14,7 @@ descending weight, ties broken by ascending node index.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from functools import reduce
@@ -67,6 +68,7 @@ def _as_weight_matrix(weights) -> np.ndarray:
         raise MalformedInstanceError("weight matrix is not symmetric")
     if np.diagonal(w).any():
         raise MalformedInstanceError("weight matrix diagonal must be zero")
+    w += 0.0  # -0.0 becomes 0.0, so a weight and its mirror are the same bits and text
     w.setflags(write=False)
     return w
 
@@ -91,6 +93,8 @@ class WeightedInstance:
             pts = _float_array(self.points, "points")
             if pts.ndim != 2 or pts.shape[0] != self.weights.shape[0]:
                 raise MalformedInstanceError("points must be one row per node")
+            if not np.isfinite(pts).all():
+                raise MalformedInstanceError("points contain NaN or infinite entries")
             pts.setflags(write=False)
             object.__setattr__(self, "points", pts)
 
@@ -106,7 +110,11 @@ class WeightedInstance:
         return float(self.weights.sum()) / 2.0
 
     def to_dict(self) -> dict:
-        d = {"n": self.n, "weights": self.weights.tolist(), "metric": bool(self.metric)}
+        return {**self._fields(), "weights": self.weights.tolist()}
+
+    def _fields(self) -> dict:
+        """``to_dict`` with the weights left an ndarray, for ``_table_bytes``."""
+        d = {"n": self.n, "weights": self.weights, "metric": bool(self.metric)}
         if self.points is not None:
             d["points"] = self.points.tolist()
         if self.meta:
@@ -140,10 +148,49 @@ class WeightedInstance:
         return inst
 
 
+def _row_texts(table: np.ndarray, sep: str):
+    """The rows of a ranking or a symmetric weight matrix as ``sep``-joined cell texts, each
+    distinct value formatted once: node ids from one table of n ``str``, a weight by one
+    ``repr`` on or above the diagonal, whose text the mirror cell below reuses."""
+    if table.dtype.kind != "f":
+        ids = np.array([str(j) for j in range(len(table))], dtype=object)
+        yield from (sep.join(ids[row].tolist()) for row in table)
+        return
+    pending = []  # pending[j]: row j's texts not yet mirrored, reversed; at row i pop() is (j, i)
+    for i, row in enumerate(table):
+        texts = list(map(repr, row[i:].tolist()))
+        yield sep.join([*map(list.pop, pending), *texts])
+        pending.append(texts[:0:-1])
+
+
+def _table_bytes(fmt: str, data: dict, header: str, table: np.ndarray) -> bytes:
+    """``json.dumps(data, allow_nan=False) + "\\n"``, or ``header`` and the ``csv.writer`` rows of
+    ``table`` (a value of ``data``), as bytes written one row at a time into one buffer."""
+    # one buffer, not row bytes joined at the end: freeing those rows left heap that a
+    # later verb in the same process did not reuse, which raised its peak RSS
+    out = io.BytesIO()
+    if fmt == "csv":
+        out.write(f"{header}\n".encode())
+        out.writelines(f"{r}\n".encode() for r in _row_texts(table, ","))
+        return out.getvalue()
+    for key, value in data.items():
+        out.write(f"{', ' if out.tell() else '{'}{json.dumps(key)}: ".encode())
+        if value is table:
+            out.write(b"[")
+            out.writelines(f"{', ' if i else ''}[{r}]".encode()
+                           for i, r in enumerate(_row_texts(table, ", ")))
+            out.write(b"]")
+        else:
+            out.write(json.dumps(value, allow_nan=False).encode())
+    out.write(b"}\n")
+    return out.getvalue()
+
+
 def save_instance(inst: WeightedInstance, path: str) -> None:
-    # json.dumps, not json.dump: only the one-shot encode uses the C encoder
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(inst.to_dict()) + "\n")
+    """Write ``inst`` as the bytes ``gen --out`` writes (strict JSON: ValueError on NaN or inf)."""
+    text = _table_bytes("json", inst._fields(), "", inst.weights)
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def load_instance(path: str) -> WeightedInstance:
@@ -232,7 +279,10 @@ class PreferenceProfile:
         return self.position(i, j) < self.position(i, k)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "ranking": self.ranking.tolist()}
+        return {**self._fields(), "ranking": self.ranking.tolist()}
+
+    def _fields(self) -> dict:
+        return {"n": self.n, "ranking": self.ranking}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreferenceProfile":

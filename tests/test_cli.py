@@ -9,6 +9,7 @@ from ordmatch import (
     GeneratorSpec,
     TrialConfig,
     WeightedInstance,
+    derive_preferences,
     generate,
     load_instance,
     save_instance,
@@ -444,6 +445,48 @@ def test_save_instance_writes_the_bytes_of_gen_out(family, tmp_path):
     save_instance(generate(GeneratorSpec(family, 7, seed=2)), str(saved))
     assert main(["gen", "--family", family, "--n", "7", "--seed", "2", "--out", str(written)]) == 0
     assert saved.read_bytes() == written.read_bytes()
+
+
+def _json_reference(obj) -> bytes:
+    return (json.dumps(obj.to_dict(), allow_nan=False) + "\n").encode("utf-8")
+
+
+def _csv_reference(header: str, rows) -> bytes:
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50])
+@pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+def test_gen_and_prefs_write_the_bytes_of_json_dumps_and_csv_writer(family, n, tmp_path):
+    """Each distinct cell is formatted once, yet every table reads as the encoders wrote it."""
+    path = tmp_path / "inst.json"
+    argv = ["gen", "--family", family, "--n", str(n), "--seed", str(n)]
+    assert main([*argv, "--out", str(path)]) == 0
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "inst.csv")]) == 0
+    inst = generate(GeneratorSpec(family, n, seed=n))
+    assert path.read_bytes() == _json_reference(inst)
+    header = ",".join(f"w{j}" for j in range(n))
+    assert (tmp_path / "inst.csv").read_bytes() == _csv_reference(header, inst.to_dict()["weights"])
+
+    prefs = ["prefs", "--instance", str(path), "--out"]
+    assert main([*prefs, str(tmp_path / "prefs.json")]) == 0
+    assert main([*prefs, str(tmp_path / "prefs.csv"), "--format", "csv"]) == 0
+    profile = derive_preferences(inst)
+    assert (tmp_path / "prefs.json").read_bytes() == _json_reference(profile)
+    header = ",".join(f"r{j}" for j in range(n - 1))
+    expected = _csv_reference(header, profile.to_dict()["ranking"])
+    assert (tmp_path / "prefs.csv").read_bytes() == expected
+
+
+def test_save_instance_without_points_or_meta_writes_the_bytes_of_json_dumps(tmp_path):
+    path = tmp_path / "inst.json"
+    inst = WeightedInstance([[0, 0.1, 2], [0.1, 0, 1e-300], [2, 1e-300, 0]])
+    assert inst.points is None and not inst.meta
+    save_instance(inst, str(path))
+    assert path.read_bytes() == _json_reference(inst)
 
 
 class TestParser:

@@ -97,6 +97,19 @@ class TestWeightMatrixValidation:
         with pytest.raises(MalformedInstanceError):
             WeightedInstance(square(3), points=[[0.0, 0.0]])
 
+    def test_rejects_non_finite_points(self):
+        with pytest.raises(MalformedInstanceError, match="points contain NaN"):
+            WeightedInstance([[0, 1], [1, 0]], points=[[math.nan, 0], [math.inf, 1]])
+
+    def test_negative_zero_weights_load_and_save_as_zero(self, tmp_path):
+        """A file writes a lower cell from its mirror's text, so -0.0 is stored as 0.0."""
+        path, saved = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text('{"weights": [[-0.0, -0.0], [0.0, 0]]}')
+        inst = load_instance(str(path))
+        assert not np.signbit(inst.weights).any()
+        save_instance(inst, str(saved))
+        assert '"weights": [[0.0, 0.0], [0.0, 0.0]]' in saved.read_text()
+
     def test_weights_are_read_only(self):
         inst = WeightedInstance(square(3))
         with pytest.raises(ValueError):
@@ -192,6 +205,15 @@ class TestWeightedInstance:
         # file is plain JSON with the documented fields
         payload = json.loads(path.read_text())
         assert payload["n"] == 6 and "weights" in payload
+
+    def test_save_refuses_non_finite_meta(self, tmp_path):
+        """save_instance writes strict JSON: no bare NaN or Infinity, and no file at all."""
+        path = tmp_path / "inst.json"
+        with pytest.raises(ValueError, match="Out of range float"):
+            save_instance(WeightedInstance(square(3), meta={"x": math.nan}), str(path))
+        with pytest.raises(ValueError, match="Out of range float"):
+            save_instance(WeightedInstance(square(3), meta={"y": math.inf}), str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("family", ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"])
     def test_indented_file_loads_like_the_compact_one(self, family, tmp_path):
