@@ -8,9 +8,11 @@ checkout's ``ordmatch`` and calls ``ordmatch.cli.main`` in-process on the
 same fixed list of invocations (``invocations()``): every verb in both
 formats, all three families, every problem x engine (rejected
 combinations too), failing bounds, invalid flags, malformed instance
-files, ``--help`` of every verb and an instance path with a comma. The
-instances the later verbs read are written by the checkout's own
-``gen``, or verbatim for the hand-written documents.
+files (hand-written documents, and raw texts: indented, reordered or
+repeated keys, trailing commas, a byte-order mark), ``--help`` of every
+verb and an instance path with a comma. The instances the later verbs
+read are written by the checkout's own ``gen``, or verbatim for the
+hand-written documents.
 
 Per invocation the comparison covers the sha256 of stdout plus the
 ``--out`` file, the exit code (``raised <Type>`` for an exception that
@@ -83,7 +85,21 @@ DOCUMENTS = {
     "weights-negative-zero": {"weights": [[0, -0.0], [-0.0, 0]]},
     "points-nan": {"weights": [[0, 1], [1, 0]], "points": [[float("nan"), 0], [float("inf"), 1]]},
 }
-NOT_JSON = "{"
+# Hand-written instance texts, by name, written as they are: layouts and JSON errors a
+# document above cannot show. The valid ones take the row-at-a-time weight reader, the
+# others the json.loads fallback.
+_W4 = [[0, 3.5, 1, 2], [3.5, 0, 1, 1], [1, 1, 0, 5.25], [2, 1, 5.25, 0]]
+_W2 = "[[0.0, 9.0], [9.0, 0.0]]"
+RAW_DOCUMENTS = {
+    "not-json": "{",
+    "indented": json.dumps({"n": 4, "weights": _W4, "metric": False}, indent=2) + "\n",
+    "reordered-keys": json.dumps({"meta": {"weights": [[0]]}, "points": [[0, 0], [1, 0], [0, 1],
+                                  [1, 1]], "metric": True, "weights": _W4, "n": 4}),
+    "weights-twice": '{"weights": %s, "n": 4, "weights": %s}' % (_W2, json.dumps(_W4)),
+    "trailing-comma-object": '{"weights": %s,}' % _W2,
+    "trailing-comma-weights": '{"weights": [[0.0, 9.0], [9.0, 0.0],]}',
+    "bom": '\ufeff{"weights": %s}' % _W2,
+}
 
 
 def _k(k):
@@ -187,7 +203,7 @@ def invocations() -> list:
     for name in ("randomization-floor", "mutual-top-pairs", "mixture-gap"):
         inv.append(["fixtures", "--name", name])
 
-    for doc in [*list(DOCUMENTS)[1:], "not-json"]:
+    for doc in [*list(DOCUMENTS)[1:], *RAW_DOCUMENTS]:
         path = f"{{tmp}}/{doc}.json"
         inv += [["prefs", "--instance", path],
                 ["solve", "--instance", path, "--problem", "mwm"],
@@ -253,8 +269,9 @@ def run(checkout: str) -> list:
         for name, doc in DOCUMENTS.items():
             with open(os.path.join(tmp, f"{name}.json"), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        with open(os.path.join(tmp, "not-json.json"), "w", encoding="utf-8") as fh:
-            fh.write(NOT_JSON)
+        for name, text in RAW_DOCUMENTS.items():
+            with open(os.path.join(tmp, f"{name}.json"), "wb") as fh:
+                fh.write(text.encode("utf-8"))
         for template in invocations():
             argv = [arg.replace("{tmp}", tmp) for arg in template]
             rc, stdout, stderr = _call(cli, argv)

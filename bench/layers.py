@@ -31,8 +31,12 @@ times each CLI step of the large-n chain instead (gen, prefs, solve mwm
 greedy, solve tsp hybrid through ``ordmatch.cli.main``, files in a
 temporary directory; median of ``IO_REPEATS`` chains at each of
 ``IO_SIZES``, one fresh process per checkout and n, ``--time-io``) with
-the size and sha256 of every file the chain writes (``equal_file_bytes``:
-both checkouts wrote the same files at every n), plus ``generate`` alone at
+the process's peak RSS after each step of its first chain
+(``peak_rss_mb_after``: a read step's peak shows where it is above
+``gen``'s), one ``load_instance`` of the chain's instance file in a fresh
+process (seconds and peak RSS, ``--time-load``), and the size and sha256
+of every file the chain writes (``equal_file_bytes``: both checkouts
+wrote the same files at every n), plus ``generate`` alone at
 ``IO_GENERATE_N`` (seconds and the fresh process's peak RSS), and runs
 the ``IO_PAIRS`` perfbench pairs.
 """
@@ -85,10 +89,10 @@ ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-unifo
                 ("tsp", "euclidean-uniform", 15, None)]
 ORACLE_REPEATS = 5
 ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:3", "desk-mc:0:10", "large-n:0:10"]
-IO_SIZES = [1000, 2000]
+IO_SIZES = [1000, 2000, 3000]
 IO_REPEATS = 3
 IO_GENERATE_N = 3000
-IO_PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:10", "desk-oracle:0:10"]
+IO_PAIRS = ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
@@ -147,42 +151,55 @@ def time_oracles() -> dict:
     return out
 
 
-def time_io(n: int) -> dict:
-    """Median seconds per step of the large-n CLI chain and the bytes of each file it writes."""
+def time_io(n: int, workdir: str) -> dict:
+    """Median seconds per step of the large-n CLI chain and the bytes of each file it writes
+    (into ``workdir``), with the peak RSS after each step of the first chain."""
     from ordmatch import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
-        files = {name: os.path.join(tmp, f"{name}.json")
-                 for name in ("instance", "prefs", "mwm", "tsp")}
-        inst = ["--instance", files["instance"], "--seed", "0"]
-        steps = {
-            "gen": ["gen", "--family", "euclidean-uniform", "--n", str(n), "--seed", "0",
-                    "--out", files["instance"]],
-            "prefs": ["prefs", *inst, "--out", files["prefs"]],
-            "solve mwm greedy": ["solve", *inst, "--problem", "mwm", "--algorithm", "greedy",
-                                 "--out", files["mwm"]],
-            "solve tsp hybrid": ["solve", *inst, "--problem", "tsp", "--algorithm", "hybrid",
-                                 "--out", files["tsp"]],
-        }
-        times = {name: [] for name in steps}
-        for _ in range(IO_REPEATS):
-            for name, argv in steps.items():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    start = time.perf_counter()
-                    if cli.main(argv) != 0:
-                        raise RuntimeError(f"{' '.join(argv)} failed")
-                    times[name].append(time.perf_counter() - start)
-        out = {name: statistics.median(t) for name, t in times.items()}
-        out["chain"] = sum(out[name] for name in steps)
-        out["bytes"] = {name: os.path.getsize(path) for name, path in files.items()}
-        out["sha256"] = {name: _sha256(path) for name, path in files.items()}
+    files = {name: os.path.join(workdir, f"{name}.json")
+             for name in ("instance", "prefs", "mwm", "tsp")}
+    inst = ["--instance", files["instance"], "--seed", "0"]
+    steps = {
+        "gen": ["gen", "--family", "euclidean-uniform", "--n", str(n), "--seed", "0",
+                "--out", files["instance"]],
+        "prefs": ["prefs", *inst, "--out", files["prefs"]],
+        "solve mwm greedy": ["solve", *inst, "--problem", "mwm", "--algorithm", "greedy",
+                             "--out", files["mwm"]],
+        "solve tsp hybrid": ["solve", *inst, "--problem", "tsp", "--algorithm", "hybrid",
+                             "--out", files["tsp"]],
+    }
+    times, peaks = {name: [] for name in steps}, {}
+    for _ in range(IO_REPEATS):
+        for name, argv in steps.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"{' '.join(argv)} failed")
+                times[name].append(time.perf_counter() - start)
+            peaks.setdefault(name, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    out = {name: statistics.median(t) for name, t in times.items()}
+    out["chain"] = sum(out[name] for name in steps)
+    out["peak_rss_mb_after"] = peaks
+    out["bytes"] = {name: os.path.getsize(path) for name, path in files.items()}
+    out["sha256"] = {name: _sha256(path) for name, path in files.items()}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return out
 
 
 def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+    with open(path, "rb") as fh:  # streamed: reading the whole file would raise the peak
+        return hashlib.file_digest(fh, "sha256").hexdigest()[:16]
+
+
+def time_load(path: str) -> dict:
+    """Seconds of one ``load_instance`` call and the peak RSS of the process that made it."""
+    from ordmatch import load_instance
+
+    start = time.perf_counter()
+    load_instance(path)
+    seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"seconds": seconds, "peak_rss_mb": peak}
 
 
 def time_generate(n: int) -> dict:
@@ -203,7 +220,14 @@ def _child(tree: str, *flags: str) -> dict:
 
 
 def io_column(tree: str) -> dict:
-    column = {str(n): _child(tree, "--time-io", str(n)) for n in IO_SIZES}
+    column = {}
+    for n in IO_SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            column[str(n)] = _child(tree, "--time-io", str(n), "--workdir", tmp)
+            # its own process, started from this small one: a child's ru_maxrss starts
+            # at the peak of the process that started it, and gen's peak would hide the read's
+            column[str(n)]["load_instance alone"] = _child(
+                tree, "--time-load", os.path.join(tmp, "instance.json"))
     column[f"generate n={IO_GENERATE_N}"] = _child(tree, "--time-generate", str(IO_GENERATE_N))
     print(f"  {os.path.basename(tree)} io: {column}", file=sys.stderr, flush=True)
     return column
@@ -291,6 +315,8 @@ def main(argv=None) -> int:
     ap.add_argument("--time-oracles", action="store_true")
     ap.add_argument("--time-io", type=int, default=None, metavar="N")
     ap.add_argument("--time-generate", type=int, default=None, metavar="N")
+    ap.add_argument("--time-load", default=None, metavar="PATH")
+    ap.add_argument("--workdir", help="directory for the --time-io files")
     ap.add_argument("--io", action="store_true",
                     help="CLI chain columns and IO_PAIRS instead of the layer sizes")
     ap.add_argument("--oracles", action="store_true",
@@ -308,10 +334,13 @@ def main(argv=None) -> int:
         print(json.dumps(time_oracles()))
         return 0
     if args.time_io is not None:
-        print(json.dumps(time_io(args.time_io)))
+        print(json.dumps(time_io(args.time_io, args.workdir)))
         return 0
     if args.time_generate is not None:
         print(json.dumps(time_generate(args.time_generate)))
+        return 0
+    if args.time_load is not None:
+        print(json.dumps(time_load(args.time_load)))
         return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")

@@ -193,10 +193,65 @@ def save_instance(inst: WeightedInstance, path: str) -> None:
         fh.write(text)
 
 
+_scan = json.JSONDecoder().scan_once  # json.loads's own C scanner: (value, end) at an index
+_space = json.decoder.WHITESPACE.match
+
+
+def _token(text: str, i: int) -> tuple:
+    """The first character at or after ``i`` that is not JSON whitespace, and the index after it."""
+    i = _space(text, i).end()
+    return text[i : i + 1], i + 1
+
+
+def _weight_rows(text: str, i: int) -> tuple:
+    """The JSON array of n arrays of n numbers at ``text[i:]``, read one row at a time into an
+    (n, n) float matrix, and the index after it. ValueError or StopIteration for any other
+    text, or a row holding a boolean, a string, null or an int that float() may round."""
+    w, r, (c, i) = None, 0, _token(text, i)
+    while c == ("," if r else "["):
+        row, i = _scan(text, _space(text, i).end())  # StopIteration at "]": [] or a trailing comma
+        if type(row) is not list:
+            raise ValueError
+        w = np.empty((len(row), len(row))) if w is None else w
+        types = set(map(type, row))  # one scan per row: a 0 or 1 costs what a float does
+        if r == len(w) or len(row) != len(w) or not types <= {float, int}:
+            raise ValueError
+        w[r] = row  # OverflowError for an int past float range
+        if int in types and not (np.abs(w[r]) < 2.0**53).all():
+            raise ValueError
+        r, (c, i) = r + 1, _token(text, i)
+    if c != "]" or w is None or r != len(w):
+        raise ValueError
+    return w, i
+
+
+def _instance_fields(text: str) -> dict:
+    """``json.loads(text)`` of a JSON object, each ``"weights"`` value read by ``_weight_rows``;
+    ValueError or StopIteration for any text it does not take."""
+    d, (c, i) = {}, _token(text, 0)
+    while c == ("," if d else "{"):
+        key, i = _scan(text, _space(text, i).end())  # StopIteration at "}": {} or a trailing comma
+        c, i = _token(text, i)
+        if type(key) is not str or c != ":":
+            raise ValueError
+        d[key], i = (_weight_rows if key == "weights" else _scan)(text, _space(text, i).end())
+        c, i = _token(text, i)
+    if c != "}" or not d or _space(text, i).end() != len(text):
+        raise ValueError
+    return d
+
+
 def load_instance(path: str) -> WeightedInstance:
-    """Load an instance JSON file, re-validating the matrix."""
+    """Load an instance JSON file, re-validating the matrix. The weights are read one row at a
+    time into one float matrix, never as a list of all n² floats; text the row reader does not
+    take goes to ``json.loads``, so every file loads or fails as it did through ``json.load``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return WeightedInstance.from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        d = _instance_fields(text)
+    except (ValueError, OverflowError, StopIteration, RecursionError):
+        d = json.loads(text)
+    return WeightedInstance.from_dict(d)
 
 
 def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -31,6 +32,7 @@ from ordmatch import (
     save_instance,
     validate_metric,
 )
+from ordmatch.instance import _instance_fields, _table_bytes
 
 W4 = [
     [0.0, 3.0, 1.0, 2.0],
@@ -230,6 +232,145 @@ class TestWeightedInstance:
         else:
             assert a.points.tobytes() == b.points.tobytes() == inst.points.tobytes()
         assert (a.metric, a.meta) == (b.metric, b.meta) == (inst.metric, inst.meta)
+
+
+def _gen_text(**dumps):
+    """The ``gen --out`` text of a small instance, or ``json.dumps`` of it with ``dumps``."""
+    inst = generate(GeneratorSpec("euclidean-uniform", 5, seed=3))
+    if not dumps:
+        return _table_bytes("json", inst._fields(), "", inst.weights).decode()
+    return json.dumps(inst.to_dict(), **dumps) + "\n"
+
+
+W2, W3 = "[[0, 1], [1, 0]]", "[[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]]"
+ZERO_ONE = np.triu(np.random.default_rng(0).integers(0, 2, (40, 40)), 1)
+LOADER_TEXTS = {
+    "gen": _gen_text(),
+    "indent-2": _gen_text(indent=2),
+    "crlf": _gen_text(indent=2).replace("\n", "\r\n"),
+    "tabs": _gen_text(indent="\t", separators=(",\t", ":\t")),
+    "weights-last": '{"n": 3, "meta": {"family": "x"}, "metric": true, "weights": %s}' % W3,
+    "weights-twice": '{"weights": %s, "n": 3, "weights": %s}' % (W2, W3),
+    "weights-twice-first-bad": '{"weights": [[0, true], [true, 0]], "weights": %s}' % W2,
+    "weights-twice-last-bad": '{"weights": %s, "weights": [[0, true], [true, 0]]}' % W2,
+    "weights-in-meta": '{"meta": {"weights": %s}, "weights": %s}' % (W3, W2),
+    "meta-weights-only": '{"meta": {"weights": %s}}' % W2,
+    "integers": '{"weights": [[0, 3], [3, 0]], "points": [[0, 1], [2, 3]], "metric": false}',
+    "zero-one": json.dumps({"weights": (ZERO_ONE + ZERO_ONE.T).tolist()}),
+    "ints-and-floats": '{"weights": [[0, 1, 2.5], [1, 0, 7], [2.5, 7, 0]]}',
+    "two-to-the-53": '{"weights": [[0, 9007199254740992], [9007199254740992, 0]]}',
+    "two-to-the-53-plus-1": '{"weights": [[0, 9007199254740993], [9007199254740993, 0]]}',
+    "two-to-the-64": '{"weights": [[0, 18446744073709551616], [18446744073709551616, 0]]}',
+    "two-to-the-64-and-float": '{"weights": [[0, 18446744073709551616], [1.5e19, 0]]}',
+    "two-to-the-64-and-minus-1": '{"weights": [[0, 18446744073709551616], [-1, 0]]}',
+    "int-past-float": '{"weights": [[0, 1%s], [1%s, 0]]}' % ("0" * 400, "0" * 400),
+    "nan": '{"weights": [[0.0, NaN], [NaN, 0.0]]}',
+    "infinity": '{"weights": [[0.0, Infinity], [Infinity, 0.0]]}',
+    "minus-infinity-and-int": '{"weights": [[0, -Infinity], [1, 0]]}',
+    "negative-zero": '{"weights": [[-0.0, 0], [0, -0]]}',
+    "asymmetric": '{"weights": [[0, 1], [2, 0]]}',
+    "booleans": '{"weights": [[false, true], [true, false]]}',
+    "bool-among-floats": '{"weights": [[0.0, 0.5, true], [0.5, 0.0, 1], [true, 1, 0.0]]}',
+    "numeric-strings": '{"weights": [[0, "1"], ["1", 0]]}',
+    "nulls": '{"weights": [[0, null], [null, 0]]}',
+    "ragged": '{"weights": [[0, 1], [1]]}',
+    "ragged-long": '{"weights": [[0, 1], [1, 0, 2]]}',
+    "extra-row": '{"weights": [[0, 1], [1, 0], [1, 1]]}',
+    "missing-row": '{"weights": [[0, 1, 2], [1, 0, 2]]}',
+    "one-node": '{"weights": [[0]]}',
+    "empty": '{"weights": []}',
+    "empty-row": '{"weights": [[]]}',
+    "rows-not-lists": '{"weights": [0, 1]}',
+    "second-row-not-list": '{"weights": [[0, 1], 1]}',
+    "nested-rows": '{"weights": [[[0], [1]], [[1], [0]]]}',
+    "weights-object": '{"weights": {"a": 1}}',
+    "weights-string": '{"weights": "abc"}',
+    "points-bool": '{"weights": %s, "points": [[0.5, true], [1, 2]]}' % W2,
+    "n-float": '{"n": 2.9, "weights": %s}' % W2,
+    "trailing-comma-object": '{"weights": %s,}' % W2,
+    "trailing-comma-weights": '{"weights": [[0, 1], [1, 0],]}',
+    "trailing-comma-row": '{"weights": [[0, 1,], [1, 0]]}',
+    "missing-comma": '{"weights": [[0, 1] [1, 0]]}',
+    "missing-colon": '{"weights" %s}' % W2,
+    "unclosed": '{"weights": %s' % W2,
+    "bom": '\ufeff{"weights": %s}' % W2,
+    "data-after": '{"weights": %s} 1' % W2,
+    "second-object": '{"weights": %s}{}' % W2,
+    "top-level-list": W2,
+    "empty-object": "{}",
+    "non-string-key": '{1: %s}' % W2,
+    "blank": " \n",
+}
+
+
+def _load_like_before(path):
+    """``from_dict(json.loads(text))`` of the file: an instance, or the exception's type and str."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return WeightedInstance.from_dict(json.loads(text))
+    except Exception as exc:  # the exception is the result compared
+        return type(exc), str(exc)
+
+
+def _same_result(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    assert isinstance(got, WeightedInstance), got
+    bits = (lambda a: None if a is None else (a.dtype, a.shape, a.tobytes()))
+    return ((bits(got.weights), bits(got.points), got.metric, got.meta)
+            == (bits(want.weights), bits(want.points), want.metric, want.meta))
+
+
+def _load(path):
+    try:
+        return load_instance(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadInstanceMatchesJsonLoads:
+    """load_instance reads weights one row at a time; every file loads or fails as from_dict
+    of json.loads of its text does, with the same bits or the same exception and message."""
+
+    @pytest.mark.parametrize("name", list(LOADER_TEXTS))
+    def test_text(self, name, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_bytes(LOADER_TEXTS[name].encode("utf-8"))
+        assert _same_result(_load(path), _load_like_before(path))
+
+    def test_every_text_exercises_its_case(self, tmp_path):
+        accepted, by_rows = set(), set()
+        for name, text in LOADER_TEXTS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(text.encode("utf-8"))
+            if isinstance(_load_like_before(path), WeightedInstance):
+                accepted.add(name)
+            with contextlib.suppress(ValueError, OverflowError, StopIteration):
+                _instance_fields(text)
+                by_rows.add(name)
+        # the row reader takes these texts; json.loads reads every other one
+        assert by_rows == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
+                           "weights-in-meta", "meta-weights-only", "integers", "zero-one",
+                           "ints-and-floats", "nan", "infinity", "negative-zero", "asymmetric",
+                           "one-node", "points-bool", "n-float"}
+        assert accepted == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
+                            "weights-twice-first-bad", "weights-in-meta", "integers", "zero-one",
+                            "ints-and-floats", "two-to-the-53", "two-to-the-53-plus-1",
+                            "negative-zero"}
+
+    def test_single_character_edits(self, tmp_path):
+        """Seeded deletions, insertions and replacements of one character in a small file."""
+        base = '{"n": 3, "weights": [[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]], "meta": {"a": [1]}}'
+        alphabet = '{}[]",:0123456789.-+eE tfnul\r\t'
+        rng = np.random.default_rng(0)
+        path = tmp_path / "inst.json"
+        for _ in range(400):
+            i, ch = int(rng.integers(len(base))), alphabet[rng.integers(len(alphabet))]
+            text = [base[:i] + base[i + 1:], base[:i] + ch + base[i:],
+                    base[:i] + ch + base[i + 1:]][rng.integers(3)]
+            path.write_bytes(text.encode("utf-8"))
+            assert _same_result(_load(path), _load_like_before(path)), text
 
 
 class TestValidateMetric:
