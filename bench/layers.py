@@ -34,11 +34,15 @@ temporary directory; median of ``IO_REPEATS`` chains at each of
 the process's peak RSS after each step of its first chain
 (``peak_rss_mb_after``: a read step's peak shows where it is above
 ``gen``'s), one ``load_instance`` of the chain's instance file in a fresh
-process (seconds and peak RSS, ``--time-load``), and the size and sha256
-of every file the chain writes (``equal_file_bytes``: both checkouts
-wrote the same files at every n), plus ``generate`` alone at
-``IO_GENERATE_N`` (seconds and the fresh process's peak RSS), and runs
-the ``IO_PAIRS`` perfbench pairs.
+process (seconds and peak RSS, ``--time-load``), each step alone in a
+fresh process on the chain's files (seconds and peak RSS, ``--time-step``),
+and the size and sha256 of every file the chain writes
+(``equal_file_bytes``: both checkouts wrote the same files at every n),
+plus ``generate`` alone at ``IO_GENERATE_N`` (seconds and the fresh
+process's peak RSS) and ``derive_preferences`` per call (``RANK_CALLS``:
+the desk sizes, and n=1000 on floats and on an all-0/1 matrix, where every
+row is tied; ``--time-rank`` in ``RANK_ROUNDS`` fresh processes per checkout,
+the sides alternating), and runs the ``IO_PAIRS`` perfbench pairs.
 """
 
 from __future__ import annotations
@@ -93,6 +97,12 @@ IO_SIZES = [1000, 2000, 3000]
 IO_REPEATS = 3
 IO_GENERATE_N = 3000
 IO_PAIRS = ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]
+# (label, n, all-0/1 weights) per derive_preferences timing: desk-mc's and desk-oracle's
+# largest n, then large-n's on floats and on the matrix whose every row is tied
+RANK_CALLS = [("n=12", 12, False), ("n=16", 16, False), ("n=1000", 1000, False),
+              ("n=1000 all 0/1", 1000, True)]
+RANK_SECONDS = 1.0
+RANK_ROUNDS = 6
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 
@@ -151,15 +161,16 @@ def time_oracles() -> dict:
     return out
 
 
-def time_io(n: int, workdir: str) -> dict:
-    """Median seconds per step of the large-n CLI chain and the bytes of each file it writes
-    (into ``workdir``), with the peak RSS after each step of the first chain."""
-    from ordmatch import cli
+def _io_files(workdir: str) -> dict:
+    return {name: os.path.join(workdir, f"{name}.json")
+            for name in ("instance", "prefs", "mwm", "tsp")}
 
-    files = {name: os.path.join(workdir, f"{name}.json")
-             for name in ("instance", "prefs", "mwm", "tsp")}
+
+def _io_steps(n: int, workdir: str) -> dict:
+    """The argv of each step of the large-n CLI chain, files in ``workdir``."""
+    files = _io_files(workdir)
     inst = ["--instance", files["instance"], "--seed", "0"]
-    steps = {
+    return {
         "gen": ["gen", "--family", "euclidean-uniform", "--n", str(n), "--seed", "0",
                 "--out", files["instance"]],
         "prefs": ["prefs", *inst, "--out", files["prefs"]],
@@ -168,6 +179,14 @@ def time_io(n: int, workdir: str) -> dict:
         "solve tsp hybrid": ["solve", *inst, "--problem", "tsp", "--algorithm", "hybrid",
                              "--out", files["tsp"]],
     }
+
+
+def time_io(n: int, workdir: str) -> dict:
+    """Median seconds per step of the large-n CLI chain and the bytes of each file it writes
+    (into ``workdir``), with the peak RSS after each step of the first chain."""
+    from ordmatch import cli
+
+    files, steps = _io_files(workdir), _io_steps(n, workdir)
     times, peaks = {name: [] for name in steps}, {}
     for _ in range(IO_REPEATS):
         for name, argv in steps.items():
@@ -183,6 +202,43 @@ def time_io(n: int, workdir: str) -> dict:
     out["bytes"] = {name: os.path.getsize(path) for name, path in files.items()}
     out["sha256"] = {name: _sha256(path) for name, path in files.items()}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def time_step(n: int, step: str, workdir: str) -> dict:
+    """Seconds of one step of the chain and the peak RSS of the process that ran only it."""
+    from ordmatch import cli
+
+    argv = _io_steps(n, workdir)[step]
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed")
+        seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"seconds": seconds, "peak_rss_mb": peak}
+
+
+def time_rank() -> dict:
+    """Median seconds per ``derive_preferences`` call for each of ``RANK_CALLS``, repeated for
+    about ``RANK_SECONDS`` (at least 3 calls) each."""
+    import numpy as np
+    from ordmatch import GeneratorSpec, WeightedInstance, derive_preferences, generate
+
+    out = {}
+    for label, n, zero_one in RANK_CALLS:
+        if zero_one:
+            w = np.triu(np.random.default_rng(0).integers(0, 2, (n, n)), 1).astype(float)
+            inst = WeightedInstance(w + w.T)
+        else:
+            inst = generate(GeneratorSpec("euclidean-uniform", n, seed=0))
+        times, spent = [], 0.0
+        while len(times) < 3 or spent < RANK_SECONDS:
+            start = time.perf_counter()
+            derive_preferences(inst)
+            times.append(time.perf_counter() - start)
+            spent += times[-1]
+        out[label] = {"seconds": statistics.median(times), "calls": len(times)}
     return out
 
 
@@ -228,9 +284,28 @@ def io_column(tree: str) -> dict:
             # at the peak of the process that started it, and gen's peak would hide the read's
             column[str(n)]["load_instance alone"] = _child(
                 tree, "--time-load", os.path.join(tmp, "instance.json"))
+            column[str(n)]["step alone"] = {
+                step: _child(tree, "--time-step", str(n), step, "--workdir", tmp)
+                for step in _io_steps(n, tmp)}
     column[f"generate n={IO_GENERATE_N}"] = _child(tree, "--time-generate", str(IO_GENERATE_N))
     print(f"  {os.path.basename(tree)} io: {column}", file=sys.stderr, flush=True)
     return column
+
+
+def rank_rounds(parent: str, change: str) -> dict:
+    """``--time-rank`` in ``RANK_ROUNDS`` fresh processes per checkout, the sides alternating,
+    and per call label the median over the rounds and the change's ratio to the parent's."""
+    runs = {"parent": [], "change": []}
+    for i in range(RANK_ROUNDS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(_child(parent if side == "parent" else change, "--time-rank"))
+    out = {"unit": "s per call", "rounds": runs}
+    for label, _, _ in RANK_CALLS:
+        med = {side: statistics.median(r[label]["seconds"] for r in rs)
+               for side, rs in runs.items()}
+        out[label] = {**med, "change_over_parent": med["change"] / med["parent"]}
+    print(f"  derive_preferences: {out}", file=sys.stderr, flush=True)
+    return out
 
 
 def oracle_column(tree: str) -> dict:
@@ -316,6 +391,8 @@ def main(argv=None) -> int:
     ap.add_argument("--time-io", type=int, default=None, metavar="N")
     ap.add_argument("--time-generate", type=int, default=None, metavar="N")
     ap.add_argument("--time-load", default=None, metavar="PATH")
+    ap.add_argument("--time-step", nargs=2, default=None, metavar=("N", "STEP"))
+    ap.add_argument("--time-rank", action="store_true")
     ap.add_argument("--workdir", help="directory for the --time-io files")
     ap.add_argument("--io", action="store_true",
                     help="CLI chain columns and IO_PAIRS instead of the layer sizes")
@@ -342,6 +419,12 @@ def main(argv=None) -> int:
     if args.time_load is not None:
         print(json.dumps(time_load(args.time_load)))
         return 0
+    if args.time_step is not None:
+        print(json.dumps(time_step(int(args.time_step[0]), args.time_step[1], args.workdir)))
+        return 0
+    if args.time_rank:
+        print(json.dumps(time_rank()))
+        return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
 
@@ -357,13 +440,15 @@ def main(argv=None) -> int:
         what = ("Seconds per step of the gen, prefs, solve chain (median of repeats, "
                 "in-process, one fresh process per checkout and n), file bytes")
         settings = {"sizes": IO_SIZES, "repeats": IO_REPEATS, "generate_n": IO_GENERATE_N,
-                    "pairs": IO_PAIRS}
+                    "rank_calls": RANK_CALLS, "rank_seconds": RANK_SECONDS,
+                    "rank_rounds": RANK_ROUNDS, "pairs": IO_PAIRS}
         columns = {side: io_column(tree) for side, tree in (("parent", args.parent),
                                                             ("change", args.change))}
         same = all(columns["parent"][str(n)]["sha256"] == columns["change"][str(n)]["sha256"]
                    for n in IO_SIZES)
         timed = ("io", {"unit": "s", "instance": "euclidean-uniform, dimension 2, seed 0",
-                        **columns, "equal_file_bytes": same})
+                        **columns, "equal_file_bytes": same,
+                        "derive_preferences": rank_rounds(args.parent, args.change)})
         pairs, traced, keys = IO_PAIRS, "large-n", TRACE_KEYS
     else:
         what = "Per-layer seconds (median of repeats, in-process, one fresh process per n)"

@@ -2,12 +2,12 @@
 
 Verbs: gen, prefs, solve, oracle, bench, fixtures, verify-metric.
 Every verb accepts --seed, --out, and --format (json or csv). A verb
-returns its output, rendered by ``harness.render``, and its verdict;
-``main`` writes the bytes once, to stdout or --out. Exit code 0 means
-every requested verdict passed, 1 means a verdict failed or an input
-was rejected (with ``error:`` on stderr), and argparse reports usage
-errors as 2. solve, oracle and bench read every problem-specific rule
-from ``harness.PROBLEMS``, so they accept the same inputs.
+returns its output, byte chunks from ``harness.render``, and its verdict;
+``main`` then writes them to stdout or --out, which it opens only after
+every check. Exit code 0 means every requested verdict passed, 1 means a
+verdict failed or an input was rejected (with ``error:`` on stderr), and
+argparse reports usage errors as 2. solve, oracle and bench read every
+problem-specific rule from ``harness.PROBLEMS``, so they accept the same inputs.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _cmd_oracle(args):
 
 def _cmd_bench(args):
     report = run_trials(_from_args(TrialConfig, args))
-    return report_emit(report, args.format), report.verdict
+    return [report_emit(report, args.format)], report.verdict
 
 
 def _cmd_fixtures(args):
@@ -147,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        data, ok = args.func(args)
+        chunks, ok = args.func(args)  # every check has run: a rejected input writes nothing
         if args.out is None or args.out == "-":
-            sys.stdout.write(data.decode("utf-8"))
+            sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)
         else:
             with open(args.out, "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

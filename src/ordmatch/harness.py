@@ -60,7 +60,7 @@ from .instance import (
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
-    _table_bytes,
+    _table_chunks,
     derive_preferences,
     generate,
 )
@@ -443,31 +443,31 @@ def _finite_or_null(obj):
     return obj
 
 
-def render(fmt: str, data, header: str, rows) -> bytes:
-    """The bytes a CLI verb writes: ``data`` as strict JSON, or CSV of ``header`` and ``rows``.
+def render(fmt: str, data, header: str, rows):
+    """The byte chunks a CLI verb writes, all checks done: ``data`` as strict JSON, or CSV.
 
     JSON refuses non-finite floats (ValueError) instead of writing a bare
     Infinity or NaN. A CSV cell is ``str`` of its value (``repr`` for a
     float), quoted only when it holds a comma, a double quote or a newline.
     An ndarray ``rows`` that is also a value of ``data`` (gen's weights,
-    prefs' ranking) is written by ``instance._table_bytes``.
+    prefs' ranking) is written by ``instance._table_chunks``, one chunk per row.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
     if isinstance(rows, np.ndarray):
-        return _table_bytes(fmt, data, header, rows)
+        return _table_chunks(fmt, data, header, rows)
     if fmt == "json":
-        return (json.dumps(data, allow_nan=False) + "\n").encode("utf-8")
+        return [(json.dumps(data, allow_nan=False) + "\n").encode("utf-8")]
     buf = io.StringIO()
     buf.write(header + "\n")
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue().encode("utf-8")
+    return [buf.getvalue().encode("utf-8")]
 
 
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
     """Render a report; json is strict (non-finite floats become null), csv is one row per record."""
     rows = ((r["seed"], r["opt"], r["alg"], r["ratio"]) for r in report.records)
-    return render(fmt, _finite_or_null(report.to_dict()), "seed,opt,alg,ratio", rows)
+    return b"".join(render(fmt, _finite_or_null(report.to_dict()), "seed,opt,alg,ratio", rows))
 
 
 # ---------------------------------------------------------------------------

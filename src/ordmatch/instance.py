@@ -18,6 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import getitem
 
 import numpy as np
@@ -163,53 +164,73 @@ def _row_texts(table: np.ndarray, sep: str):
         pending.append(texts[:0:-1])
 
 
-def _table_bytes(fmt: str, data: dict, header: str, table: np.ndarray) -> bytes:
-    """``json.dumps(data, allow_nan=False) + "\\n"``, or ``header`` and the ``csv.writer`` rows of
-    ``table`` (a value of ``data``), as bytes written one row at a time into one buffer."""
-    # one buffer, not row bytes joined at the end: freeing those rows left heap that a
-    # later verb in the same process did not reuse, which raised its peak RSS
-    out = io.BytesIO()
+def _table_chunks(fmt: str, data: dict, header: str, table: np.ndarray):
+    """The bytes of ``json.dumps(data, allow_nan=False) + "\\n"``, or of ``header`` and the
+    ``csv.writer`` rows of ``table`` (a value of ``data``), one chunk per table row; every
+    other value is encoded first, so a value json refuses raises before any chunk is written."""
+    rows = _row_texts(table, "," if fmt == "csv" else ", ")
     if fmt == "csv":
-        out.write(f"{header}\n".encode())
-        out.writelines(f"{r}\n".encode() for r in _row_texts(table, ","))
-        return out.getvalue()
-    for key, value in data.items():
-        out.write(f"{', ' if out.tell() else '{'}{json.dumps(key)}: ".encode())
-        if value is table:
-            out.write(b"[")
-            out.writelines(f"{', ' if i else ''}[{r}]".encode()
-                           for i, r in enumerate(_row_texts(table, ", ")))
-            out.write(b"]")
-        else:
-            out.write(json.dumps(value, allow_nan=False).encode())
-    out.write(b"}\n")
-    return out.getvalue()
+        return chain([f"{header}\n".encode()], (f"{r}\n".encode() for r in rows))
+    pairs = (json.dumps(k) + ": " + ("\0" if v is table else json.dumps(v, allow_nan=False))
+             for k, v in data.items())
+    head, tail = ("{" + ", ".join(pairs) + "}\n").encode().split(b"\0")  # json writes no raw NUL
+    rows = (f"{', ' if i else ''}[{r}]".encode() for i, r in enumerate(rows))
+    return chain([head, b"["], rows, [b"]", tail])
 
 
 def save_instance(inst: WeightedInstance, path: str) -> None:
     """Write ``inst`` as the bytes ``gen --out`` writes (strict JSON: ValueError on NaN or inf)."""
-    text = _table_bytes("json", inst._fields(), "", inst.weights)
+    chunks = _table_chunks("json", inst._fields(), "", inst.weights)
     with open(path, "wb") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 _scan = json.JSONDecoder().scan_once  # json.loads's own C scanner: (value, end) at an index
 _space = json.decoder.WHITESPACE.match
+_CHUNK = 1 << 18  # characters per read of an instance file
 
 
-def _token(text: str, i: int) -> tuple:
-    """The first character at or after ``i`` that is not JSON whitespace, and the index after it."""
-    i = _space(text, i).end()
-    return text[i : i + 1], i + 1
+class _Chunks:
+    """The JSON text ``read(k)`` returns ``k`` characters at a time, as tokens. A value counts
+    once three characters after it are buffered (a number cut before "e+1" would read short)
+    or the text has ended; one that fails to scan is scanned again with more text."""
+
+    def __init__(self, read):
+        self.read, self.buf, self.i, self.end = read, "", 0, False
+
+    def _more(self, i: int) -> None:
+        got = self.read(max(_CHUNK, len(self.buf) - i))  # doubles the text a long value spans
+        self.buf, self.i, self.end = self.buf[i:] + got, 0, not got
+
+    def char(self) -> str:
+        """The next character that is not JSON whitespace, consumed; "" at the end."""
+        while (i := _space(self.buf, self.i).end()) == len(self.buf) and not self.end:
+            self._more(i)
+        self.i = i + 1
+        return self.buf[i : i + 1]
+
+    def value(self):
+        """The next JSON value (ValueError or StopIteration if there is none)."""
+        while True:
+            self.i = _space(self.buf, self.i).end()
+            try:
+                v, end = _scan(self.buf, self.i)
+                if len(self.buf) - end >= 3 or self.end:
+                    self.i = end
+                    return v
+            except (ValueError, StopIteration):
+                if self.end:
+                    raise
+            self._more(self.i)
 
 
-def _weight_rows(text: str, i: int) -> tuple:
-    """The JSON array of n arrays of n numbers at ``text[i:]``, read one row at a time into an
-    (n, n) float matrix, and the index after it. ValueError or StopIteration for any other
-    text, or a row holding a boolean, a string, null or an int that float() may round."""
-    w, r, (c, i) = None, 0, _token(text, i)
+def _weight_rows(src: _Chunks) -> np.ndarray:
+    """The JSON array of n arrays of n numbers next in ``src``, read one row at a time into an
+    (n, n) float matrix. ValueError or StopIteration for any other text, or a row holding a
+    boolean, a string, null or an int that float() may round."""
+    w, r, c = None, 0, src.char()
     while c == ("," if r else "["):
-        row, i = _scan(text, _space(text, i).end())  # StopIteration at "]": [] or a trailing comma
+        row = src.value()  # StopIteration at "]": [] or a trailing comma
         if type(row) is not list:
             raise ValueError
         w = np.empty((len(row), len(row))) if w is None else w
@@ -219,38 +240,38 @@ def _weight_rows(text: str, i: int) -> tuple:
         w[r] = row  # OverflowError for an int past float range
         if int in types and not (np.abs(w[r]) < 2.0**53).all():
             raise ValueError
-        r, (c, i) = r + 1, _token(text, i)
+        r, c = r + 1, src.char()
     if c != "]" or w is None or r != len(w):
         raise ValueError
-    return w, i
+    return w
 
 
-def _instance_fields(text: str) -> dict:
-    """``json.loads(text)`` of a JSON object, each ``"weights"`` value read by ``_weight_rows``;
-    ValueError or StopIteration for any text it does not take."""
-    d, (c, i) = {}, _token(text, 0)
+def _instance_fields(src: _Chunks) -> dict:
+    """``json.loads`` of the JSON object in ``src``, each ``"weights"`` value read by
+    ``_weight_rows``; ValueError or StopIteration for any text it does not take."""
+    d, c = {}, src.char()
     while c == ("," if d else "{"):
-        key, i = _scan(text, _space(text, i).end())  # StopIteration at "}": {} or a trailing comma
-        c, i = _token(text, i)
-        if type(key) is not str or c != ":":
+        key = src.value()  # StopIteration at "}": {} or a trailing comma
+        if type(key) is not str or src.char() != ":":
             raise ValueError
-        d[key], i = (_weight_rows if key == "weights" else _scan)(text, _space(text, i).end())
-        c, i = _token(text, i)
-    if c != "}" or not d or _space(text, i).end() != len(text):
+        d[key] = _weight_rows(src) if key == "weights" else src.value()
+        c = src.char()
+    if c != "}" or not d or src.char():
         raise ValueError
     return d
 
 
 def load_instance(path: str) -> WeightedInstance:
-    """Load an instance JSON file, re-validating the matrix. The weights are read one row at a
-    time into one float matrix, never as a list of all n² floats; text the row reader does not
-    take goes to ``json.loads``, so every file loads or fails as it did through ``json.load``."""
+    """Load an instance JSON file, re-validating the matrix. ``_Chunks`` reads it a chunk and the
+    weights a row at a time (a pipe, read whole first); text it does not take is read again by
+    ``json.loads``, so every file loads or fails as it did through ``json.load``."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        d = _instance_fields(text)
-    except (ValueError, OverflowError, StopIteration, RecursionError):
-        d = json.loads(text)
+        src = fh if fh.seekable() else io.StringIO(fh.read())
+        try:
+            d = _instance_fields(_Chunks(src.read))
+        except (ValueError, OverflowError, StopIteration, RecursionError):
+            src.seek(0)
+            d = json.loads(src.read())
     return WeightedInstance.from_dict(d)
 
 
@@ -301,17 +322,24 @@ class PreferenceProfile:
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ranking = np.array(self.ranking, dtype=np.int32)
+        ranking = np.array(self.ranking)
+        if ranking.size and (ranking.dtype.kind not in "iu" or (
+            not isinstance(self.ranking, np.ndarray) and _holds_bool(self.ranking, ranking)
+        )):  # not 1.7, 1.0, "1" or true
+            raise ValueError("ranking must hold integers only, not floats, strings or booleans")
         n = len(ranking)
         if ranking.ndim != 2 or ranking.shape[1] != n - 1:
             raise ValueError(f"ranking must have n - 1 = {n - 1} entries in each of its {n} rows")
-        # each row followed by its own node must be a permutation of 0..n-1
-        full = np.column_stack([ranking, np.arange(n)])
-        bad = (np.sort(full, axis=1) != np.arange(n)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"row {int(bad.argmax())} is not a permutation of the other {n - 1} nodes")
-        rank = np.empty((n, n), dtype=np.int32)
-        np.put_along_axis(rank, full, np.arange(n, dtype=np.int32)[None, :], axis=1)
+        # an id out of range makes its row its own node; a bad row scattered into -1s leaves one
+        if ranking.size and (ranking.min() < 0 or ranking.max() >= n):
+            outside = ((ranking < 0) | (ranking >= n)).any(axis=1, keepdims=True)
+            ranking = np.where(outside, np.arange(n)[:, None], ranking)
+        ranking = ranking.astype(np.int32, copy=False)
+        rank = np.full((n, n), -1, dtype=np.int32)
+        np.fill_diagonal(rank, n - 1)
+        rank[np.arange(n)[:, None], ranking] = np.arange(n - 1, dtype=np.int32)
+        if (missed := rank < 0).any():
+            raise ValueError(f"row {missed.argmax() // n} is not a permutation of the other {n - 1} nodes")
         for name, table in (("ranking", ranking), ("rank", rank)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -344,15 +372,27 @@ class PreferenceProfile:
         return cls(d["ranking"])
 
 
+_BLOCK = 64  # rows per argsort in derive_preferences
+
+
 def derive_preferences(inst: WeightedInstance) -> PreferenceProfile:
     """Rank every node's partners by descending weight, ties by index.
 
-    One stable argsort of -w keeps ties in index order; the +inf diagonal
-    sorts last and is dropped.
+    Rows are ranked ``_BLOCK`` at a time into the int32 table by an argsort of -w, the +inf
+    diagonal last and dropped: one block stably, more by numpy's faster default argsort and
+    again stably for each row whose sorted keys hold a tie, so ties keep index order.
     """
-    key = -inst.weights
-    np.fill_diagonal(key, np.inf)
-    return PreferenceProfile(np.argsort(key, axis=1, kind="stable")[:, :-1])
+    w, n = inst.weights, inst.n
+    ranking = np.empty((n, n - 1), dtype=np.int32)
+    for a in range(0, n, _BLOCK):
+        key = -w[a : a + _BLOCK]
+        np.fill_diagonal(key[:, a:], np.inf)
+        order = np.argsort(key, axis=1, kind="stable" if n <= _BLOCK else None)
+        if n > _BLOCK:
+            tied = (np.diff(np.sort(key, axis=1), axis=1) == 0).any(axis=1)
+            order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+        ranking[a : a + _BLOCK] = order[:, :-1]
+    return PreferenceProfile(ranking)
 
 
 def profile_consistent(profile: PreferenceProfile, inst: WeightedInstance) -> bool:

@@ -6,10 +6,11 @@ with the package's oracles. Scalar versions of the oracles' subset DPs
 (``dp_matching``, ``held_karp``), combination scan (``scan_densest``)
 and canonical partition recursion (``scan_k_sum``), which the numpy
 oracles must match solution for solution. Plain versions of the
-ranking, the greedy (a walk that rescans every row) and the triple
-checks, which the array profile, the greedy and the pivot loops must
-match. The difference-tensor distances for the
-per-coordinate generator. The scalar samplers and tour completion,
+ranking (a sort per row, and one stable argsort of the whole table),
+the greedy (a walk that rescans every row) and the triple checks, which
+the array profile, the block ranking, the greedy and the pivot loops
+must match. The difference-tensor distances for the per-coordinate
+generator. The scalar samplers and tour completion,
 driven one decision at a time by a ``random.Random``, which define the
 distributions the batched samplers and reductions must reproduce. Plain
 value loops (``matching_value``, ``partition_value``, ``subset_value``,
@@ -149,6 +150,14 @@ def tuple_rankings(w) -> tuple:
         rows.append(tuple(others))
     return tuple(rows)
 
+
+
+def stable_argsort_ranking(w) -> np.ndarray:
+    """Each node's partners by (descending weight, index): one stable argsort of every
+    whole row of -w, the +inf diagonal sorted last and dropped."""
+    key = -np.asarray(w, dtype=float)
+    np.fill_diagonal(key, np.inf)
+    return np.argsort(key, axis=1, kind="stable")[:, :-1]
 
 def scan_greedy(rows, k: int, nodes=None) -> list:
     """Greedy undominated-edge matching that rescans every row from the top.

@@ -382,6 +382,31 @@ def test_malformed_instance_exits_one(verb, doc, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize(
+    "argv",
+    [["prefs", "--instance", "{bad}"],
+     ["solve", "--instance", "{inst}", "--problem", "mkm", "--k", "99"],
+     ["gen", "--n", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_rejected_input_never_writes_out(argv, existing, inst_path, tmp_path, capsys):
+    """Every check runs before --out is opened: no file is created, and one already there
+    keeps its bytes."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"weights": [[0, 1], [2, 0]]}))  # asymmetric
+    out = tmp_path / "out.json"
+    if existing:
+        out.write_bytes(b"kept\n")
+    argv = [a.format(bad=bad, inst=inst_path) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
+
 VERB_ARGV = {
     "gen": ["gen", "--n", "5", "--seed", "1"],
     "prefs": ["prefs", "--instance", "{inst}"],

@@ -1,6 +1,9 @@
 import contextlib
+import io
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from _brute import (
     metric_by_tensor,
     path_completion,
     scan_greedy,
+    stable_argsort_ranking,
     tuple_rankings,
 )
 from hypothesis import given, settings
@@ -32,7 +36,8 @@ from ordmatch import (
     save_instance,
     validate_metric,
 )
-from ordmatch.instance import _instance_fields, _table_bytes
+from ordmatch import instance
+from ordmatch.instance import _Chunks, _instance_fields, _table_chunks
 
 W4 = [
     [0.0, 3.0, 1.0, 2.0],
@@ -238,7 +243,7 @@ def _gen_text(**dumps):
     """The ``gen --out`` text of a small instance, or ``json.dumps`` of it with ``dumps``."""
     inst = generate(GeneratorSpec("euclidean-uniform", 5, seed=3))
     if not dumps:
-        return _table_bytes("json", inst._fields(), "", inst.weights).decode()
+        return b"".join(_table_chunks("json", inst._fields(), "", inst.weights)).decode()
     return json.dumps(inst.to_dict(), **dumps) + "\n"
 
 
@@ -322,6 +327,32 @@ def _same_result(got, want):
             == (bits(want.weights), bits(want.points), want.metric, want.meta))
 
 
+def _one_character_edits(count=400):
+    """Seeded deletions, insertions and replacements of one character in a small file."""
+    base = '{"n": 3, "weights": [[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]], "meta": {"a": [1]}}'
+    alphabet = '{}[]",:0123456789.-+eE tfnul\r\t'
+    rng = np.random.default_rng(0)
+    texts = []
+    for _ in range(count):
+        i, ch = int(rng.integers(len(base))), alphabet[rng.integers(len(alphabet))]
+        texts.append([base[:i] + base[i + 1:], base[:i] + ch + base[i:],
+                      base[:i] + ch + base[i + 1:]][rng.integers(3)])
+    return texts
+
+
+EDITED_TEXTS = _one_character_edits()
+
+
+def _fields(text):
+    """``_instance_fields`` of ``text``, read through a text stream, with the weights as
+    bytes; None for a text it does not take."""
+    try:
+        d = _instance_fields(_Chunks(io.StringIO(text).read))
+    except (ValueError, OverflowError, StopIteration):
+        return None
+    return {k: v.tobytes() if k == "weights" else v for k, v in d.items()}
+
+
 def _load(path):
     try:
         return load_instance(str(path))
@@ -347,7 +378,7 @@ class TestLoadInstanceMatchesJsonLoads:
             if isinstance(_load_like_before(path), WeightedInstance):
                 accepted.add(name)
             with contextlib.suppress(ValueError, OverflowError, StopIteration):
-                _instance_fields(text)
+                _instance_fields(_Chunks(io.StringIO(text).read))
                 by_rows.add(name)
         # the row reader takes these texts; json.loads reads every other one
         assert by_rows == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
@@ -361,16 +392,46 @@ class TestLoadInstanceMatchesJsonLoads:
 
     def test_single_character_edits(self, tmp_path):
         """Seeded deletions, insertions and replacements of one character in a small file."""
-        base = '{"n": 3, "weights": [[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]], "meta": {"a": [1]}}'
-        alphabet = '{}[]",:0123456789.-+eE tfnul\r\t'
-        rng = np.random.default_rng(0)
         path = tmp_path / "inst.json"
-        for _ in range(400):
-            i, ch = int(rng.integers(len(base))), alphabet[rng.integers(len(alphabet))]
-            text = [base[:i] + base[i + 1:], base[:i] + ch + base[i:],
-                    base[:i] + ch + base[i + 1:]][rng.integers(3)]
+        for text in EDITED_TEXTS:
             path.write_bytes(text.encode("utf-8"))
             assert _same_result(_load(path), _load_like_before(path)), text
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunk_edges(self, chunk, monkeypatch, tmp_path):
+        """Read a few characters at a time, every text, edited or not, loads or fails as it
+        does from one read, and the chunk reader takes the same texts with the same values."""
+        texts = [*LOADER_TEXTS.values(), *EDITED_TEXTS]
+        whole = [_fields(text) for text in texts]
+        monkeypatch.setattr(instance, "_CHUNK", chunk)
+        path = tmp_path / "inst.json"
+        for text, want in zip(texts, whole):
+            assert _fields(text) == want, text
+            path.write_bytes(text.encode("utf-8"))
+            assert _same_result(_load(path), _load_like_before(path)), text
+
+    def test_a_number_cut_by_a_chunk_edge_is_read_whole(self, monkeypatch, tmp_path):
+        text = '{"n": 1000, "weights": [[0, 1], [1, 0]]}'
+        monkeypatch.setattr(instance, "_CHUNK", len('{"n": 10'))  # the first read ends at "10"
+        assert _fields(text)["n"] == 1000
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(MalformedInstanceError, match="declared n=1000 does not match"):
+            load_instance(str(path))
+
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        """A file that cannot be read twice still loads, or fails as json.loads does."""
+        for name in ("gen", "trailing-comma-row"):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(LOADER_TEXTS[name].encode("utf-8"))
+            fifo = tmp_path / f"{name}.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+            writer.start()
+            got = _load(fifo)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert _same_result(got, _load_like_before(path)), name
 
 
 class TestValidateMetric:
@@ -470,6 +531,44 @@ class TestPreferenceProfile:
         with pytest.raises(ValueError):
             PreferenceProfile(((1, 1, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
 
+    @pytest.mark.parametrize("ranking, row", [
+        (((1, 2, 3), (0, 2, 4), (0, 1, 3), (1, 0, 2)), 1),  # id n
+        (((1, 2, 3), (0, 2, 3), (0, -1, 3), (1, 0, 2)), 2),  # negative id
+        (((1, 2, 3), (0, 2, 2), (0, 1, 9), (1, 0, 2)), 1),  # a duplicate before an id past n
+        (((1, 2, 3), (0, 2, 3), (0, 1, 2), (1, 0, 2)), 2),  # own node
+        (((1, 2, 3), (0, 2, 3), (0, 1, 3), (1, 1, 2)), 3),  # duplicate in the last row
+    ])
+    def test_error_names_the_first_bad_row(self, ranking, row):
+        with pytest.raises(ValueError, match=f"^row {row} is not a permutation of the other 3 nodes$"):
+            PreferenceProfile(ranking)
+
+    def test_error_for_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^ranking must have n - 1 = 2 entries in each of its 3 "):
+            PreferenceProfile(((1, 2, 0), (0, 2, 1), (0, 1, 2)))
+
+    @pytest.mark.parametrize("ranking", [
+        [[1.7], [0.2]],
+        [[1.0], [0.0]],
+        [[True], [False]],
+        [["1"], ["0"]],
+        [[1, 2], [True, 2], [0, 1]],
+        [[1, 2], [np.True_, 2], [0, 1]],
+        np.array([[1.0], [0.0]]),
+        np.array([[True], [False]]),
+        [[1, 2], [0, 2], [0, None]],
+    ], ids=["floats", "integral-floats", "booleans", "strings", "bool-among-ints",
+            "numpy-bool-among-ints", "float-array", "bool-array", "null"])
+    def test_rejects_entries_that_are_not_integers(self, ranking):
+        with pytest.raises(ValueError, match="integers only"):
+            PreferenceProfile(ranking)
+
+    def test_takes_integers_of_any_integer_type(self):
+        want = PreferenceProfile(((1, 2), (0, 2), (0, 1)))
+        for ranking in ([[1, 2], [0, 2], [0, 1]], np.array([[1, 2], [0, 2], [0, 1]], np.uint8),
+                        [[np.int64(1), 2], [0, 2], [0, 1]]):
+            assert PreferenceProfile(ranking) == want
+        assert PreferenceProfile([[]]).n == 1
+
     def test_position_and_prefers(self):
         p = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
         assert p.n == 4
@@ -517,6 +616,36 @@ class TestDerivePreferences:
         inst = WeightedInstance(W4)
         bad = PreferenceProfile(((2, 3, 1), (0, 2, 3), (3, 0, 1), (2, 0, 1)))
         assert not profile_consistent(bad, inst)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 200])
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_generated_rankings_match_a_stable_argsort(self, family, n, seed):
+        inst = generate(GeneratorSpec(family, n, seed=seed))
+        want = stable_argsort_ranking(inst.weights)
+        assert np.array_equal(derive_preferences(inst).ranking, want)
+
+    @pytest.mark.parametrize("n", [4, 9, 50, 300])
+    def test_tie_heavy_rankings_match_a_stable_argsort(self, n):
+        w = np.triu(np.random.default_rng(n).integers(0, 3, (n, n)), 1).astype(float)
+        w += w.T
+        assert np.array_equal(derive_preferences(WeightedInstance(w)).ranking,
+                              stable_argsort_ranking(w))
+
+    @pytest.mark.parametrize("n", [2, 40, instance._BLOCK - 1, instance._BLOCK,
+                                   instance._BLOCK + 1, 2 * instance._BLOCK + 1])
+    def test_block_and_sort_edges_match_a_stable_argsort(self, n):
+        """At and beside the sizes where a block ends or the sort changes, on random floats,
+        an all-0/1 matrix (every row tied) and rows tied in one block only."""
+        rng = np.random.default_rng(n)
+        floats = np.triu(rng.random((n, n)), 1)
+        zero_one = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        some_tied = floats.copy()
+        some_tied[: min(n, instance._BLOCK) // 2, :] = 0.5
+        for w in (floats, zero_one, np.triu(some_tied, 1)):
+            w = w + w.T
+            assert np.array_equal(derive_preferences(WeightedInstance(w)).ranking,
+                                  stable_argsort_ranking(w))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(3, 7))
