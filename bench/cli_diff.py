@@ -9,10 +9,11 @@ same fixed list of invocations (``invocations()``): every verb in both
 formats, all three families, every problem x engine (rejected
 combinations too), failing bounds, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
-repeated keys, trailing commas, a byte-order mark), ``--help`` of every
-verb and an instance path with a comma. The instances the later verbs
-read are written by the checkout's own ``gen``, or verbatim for the
-hand-written documents.
+repeated keys, trailing commas, a byte-order mark), the matching oracle's
+largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
+``--help`` of every verb and an instance path with a comma. The
+instances the later verbs read are written by the checkout's own
+``gen``, or verbatim for the hand-written documents.
 
 Per invocation the comparison covers the sha256 of stdout plus the
 ``--out`` file, the exit code (``raised <Type>`` for an exception that
@@ -84,6 +85,9 @@ DOCUMENTS = {
     # non-finite points loaded before they were rejected like non-finite weights
     "weights-negative-zero": {"weights": [[0, -0.0], [-0.0, 0]]},
     "points-nan": {"weights": [[0, 1], [1, 0]], "points": [[float("nan"), 0], [float("inf"), 1]]},
+    # every matching the oracle weighs ties with many others
+    "zero-one-16": {"weights": [[int(i != j and i * j % 5 in (1, 4)) for j in range(16)]
+                                for i in range(16)]},
 }
 # Hand-written instance texts, by name, written as they are: layouts and JSON errors a
 # document above cannot show. The valid ones take the row-at-a-time weight reader, the
@@ -218,6 +222,16 @@ def invocations() -> list:
              "--algorithm", "greedy"],
             ["bench", "--problem", "mwm", "--algorithm", "greedy", "--n", "8", "--trials", "1",
              "--seed", "70"]]
+
+    # the matching oracle's largest tables: n=20, its cap, and the widest capped k there
+    for fam in FAMILIES:
+        inv.append(["gen", "--family", fam, "--n", "20", "--seed", "11",
+                    "--out", f"{{tmp}}/{fam}-20.json"])
+    for path, ks in [*((f"{{tmp}}/{fam}-20.json", (1, 4, 9)) for fam in FAMILIES),
+                     ("{tmp}/zero-one-16.json", (1, 4, 7))]:
+        inv.append(["oracle", "--instance", path, "--problem", "mwm"])
+        for k in ks:
+            inv.append(["oracle", "--instance", path, "--problem", "mkm", "--k", str(k)])
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]

@@ -22,8 +22,10 @@ times the ``ordmatch`` on ``sys.path`` at one n and prints one JSON line.
 times each exact oracle per call instead (``ORACLE_CALLS``: the
 desk-oracle sizes, the desk-mc sizes and larger ones; the first, cold
 call, which pays any per-process table build, and the median of
-``ORACLE_REPEATS`` warm calls after it, one fresh process per checkout,
-``--time-oracles``) and runs the ``ORACLE_PAIRS`` perfbench pairs.
+``ORACLE_REPEATS`` warm calls after it, ``--time-oracles``, in
+``ORACLE_ROUNDS`` fresh processes per checkout, the sides alternating,
+medians over the rounds), counts each matching call's DP work
+(``matching_states``) and runs the ``ORACLE_PAIRS`` perfbench pairs.
 
     python bench/layers.py --io --parent PARENT_DIR --change CHANGE_DIR --out BENCH_io.json
 
@@ -52,6 +54,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -83,15 +86,19 @@ PARENT_METRIC_MAX_N = 300
 # pairs per seed-0 entry: three could not tell a few-percent shift from host noise.
 PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:10", "desk-oracle:0:10"]
 # (label, family, n, k) per oracle call: desk-oracle's five sizes, desk-mc's
-# four, then larger ones.
+# four, then larger ones; the last is the matching oracle's widest table,
+# (k + 1) * 2^20 floats.
 ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-uniform", 14, 4),
                 ("densest", "random-metric-closure", 16, 8), ("tsp", "euclidean-uniform", 14, None),
                 ("ksum", "euclidean-uniform", 10, 5), ("mwm", "euclidean-uniform", 12, None),
                 ("tsp", "clustered-gaussian", 10, None), ("ksum", "random-metric-closure", 8, 2),
                 ("densest", "euclidean-uniform", 12, 6), ("mwm", "euclidean-uniform", 18, None),
                 ("mwm", "euclidean-uniform", 20, None), ("mkm", "euclidean-uniform", 16, 4),
-                ("tsp", "euclidean-uniform", 15, None)]
+                ("tsp", "euclidean-uniform", 15, None), ("mkm", "euclidean-uniform", 20, 9)]
 ORACLE_REPEATS = 5
+# fresh processes per checkout for the per-call times: in one process per side an
+# unchanged oracle read up to 1.4x slower on a shared host
+ORACLE_ROUNDS = 5
 ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:3", "desk-mc:0:10", "large-n:0:10"]
 IO_SIZES = [1000, 2000, 3000]
 IO_REPEATS = 3
@@ -158,6 +165,27 @@ def time_oracles() -> dict:
         out[f"{label} n={n}" + ("" if k is None else f" k={k}")] = {
             "cold": times[0], "warm": statistics.median(times[1:])}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def matching_states() -> dict:
+    """Per matching call of ``ORACLE_CALLS``: perfbench's ``oracle.dp_states`` (2^n sets
+    times the layers), and the sets filled and (set, partner) add/max pairs of the DP over
+    the sets reachable from the full set, against the add/max pairs of the DP over all
+    2^n sets. Counted from n and k, not measured."""
+    out = {}
+    for label, _, n, k in ORACLE_CALLS:
+        if label not in ("mwm", "mkm"):
+            continue
+        kcap = n // 2 if k is None else min(k, n // 2)
+        layers, rows = (1, 1) if kcap == n // 2 else (kcap + 1, kcap)
+        # block b (lowest node a = n - 1 - b) reaches the sets missing m <= a of its b higher nodes
+        reach = [(b, m) for b in range(n) for m in range(min(n - 1 - b, b) + 1)]
+        out[f"{label} n={n}" + ("" if k is None else f" k={k}")] = {
+            "dp_states": (1 << n) * layers,
+            "reachable_sets_filled": rows * sum(math.comb(b, m) for b, m in reach),
+            "reachable_add_max": rows * sum(math.comb(b, m) * (b - m) for b, m in reach),
+            "all_sets_add_max": rows * sum(b << (b - 1) for b in range(1, n))}
     return out
 
 
@@ -308,10 +336,22 @@ def rank_rounds(parent: str, change: str) -> dict:
     return out
 
 
-def oracle_column(tree: str) -> dict:
-    column = _child(tree, "--time-oracles")
-    print(f"  {os.path.basename(tree)} oracles: {column}", file=sys.stderr, flush=True)
-    return column
+def oracle_rounds(parent: str, change: str) -> dict:
+    """``--time-oracles`` in ``ORACLE_ROUNDS`` fresh processes per checkout, the sides
+    alternating; per call the median cold and warm seconds over the rounds, and the
+    change's warm median over the parent's."""
+    runs = {"parent": [], "change": []}
+    for i in range(ORACLE_ROUNDS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(_child(parent if side == "parent" else change, "--time-oracles"))
+            print(f"  oracles round {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+    out = {side: {key: ({t: statistics.median(r[key][t] for r in rs) for t in ("cold", "warm")}
+                        if key != "peak_rss_mb" else statistics.median(r[key] for r in rs))
+                  for key in rs[0]}
+           for side, rs in runs.items()}
+    out["warm_change_over_parent"] = {key: out["change"][key]["warm"] / p["warm"]
+                                      for key, p in out["parent"].items() if key != "peak_rss_mb"}
+    return {**out, "rounds": runs}
 
 
 def _env(tree: str) -> dict:
@@ -430,11 +470,13 @@ def main(argv=None) -> int:
 
     if args.oracles:
         what = ("Seconds per exact-oracle call (the first, cold call and the median of "
-                "the warm repeats after it, in-process, one fresh process per checkout)")
-        settings = {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "pairs": ORACLE_PAIRS}
+                "the warm repeats after it, in-process; medians over fresh processes per "
+                "checkout, the sides alternating)")
+        settings = {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "rounds": ORACLE_ROUNDS,
+                    "pairs": ORACLE_PAIRS}
         timed = ("oracles", {"unit": "s", "instance seed": 0,
-                             "parent": oracle_column(args.parent),
-                             "change": oracle_column(args.change)})
+                             **oracle_rounds(args.parent, args.change),
+                             "matching_states": matching_states()})
         pairs, traced, keys = ORACLE_PAIRS, "desk-oracle", ORACLE_TRACE_KEYS
     elif args.io:
         what = ("Seconds per step of the gen, prefs, solve chain (median of repeats, "

@@ -308,6 +308,10 @@ def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
     return all(bool(((w >= alpha * via) | diagonal).all()) for via in two_hop)
 
 
+class _Handed(np.ndarray):
+    """An int32 ranking table its builder hands to ``PreferenceProfile`` uncopied."""
+
+
 @dataclass(frozen=True, eq=False)
 class PreferenceProfile:
     """Per-node strict rankings over the other nodes.
@@ -322,7 +326,7 @@ class PreferenceProfile:
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ranking = np.array(self.ranking)
+        ranking = np.array(self.ranking, copy=type(self.ranking) is not _Handed)
         if ranking.size and (ranking.dtype.kind not in "iu" or (
             not isinstance(self.ranking, np.ndarray) and _holds_bool(self.ranking, ranking)
         )):  # not 1.7, 1.0, "1" or true
@@ -392,7 +396,7 @@ def derive_preferences(inst: WeightedInstance) -> PreferenceProfile:
             tied = (np.diff(np.sort(key, axis=1), axis=1) == 0).any(axis=1)
             order[tied] = np.argsort(key[tied], axis=1, kind="stable")
         ranking[a : a + _BLOCK] = order[:, :-1]
-    return PreferenceProfile(ranking)
+    return PreferenceProfile(ranking.view(_Handed))
 
 
 def profile_consistent(profile: PreferenceProfile, inst: WeightedInstance) -> bool:

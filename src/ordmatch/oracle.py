@@ -62,14 +62,33 @@ def _by_popcount(n: int) -> tuple:
     return masks, start
 
 
+@functools.cache
+def _matching_blocks(n: int) -> tuple:
+    """Per block b, int32 tables for the sets with lowest node a = n - 1 - b the
+    DP reaches from the full set, those missing at most a of the b higher nodes:
+    the sets r | 2^b, their r, per bit v of r the set r ^ 2^v and node n - 1 - v
+    (the empty set and node a for an empty r), and where each r's pairs start."""
+    count, blocks = np.zeros(1, np.int8), []  # count: popcount of each b-bit r
+    for b in range(n):
+        rest = np.flatnonzero(count >= 2 * b + 1 - n).astype(np.int32)
+        v = np.arange(b + 1, dtype=np.int32)
+        row, col = np.nonzero(np.column_stack([rest[:, None] >> v[:-1] & 1, rest == 0]))
+        starts = np.flatnonzero(np.diff(row, prepend=-1)).astype(np.int32)
+        blocks.append((rest | 1 << b, rest, rest[row] & ~(1 << v[col]), n - 1 - v[col], starts))
+        count = np.concatenate([count, count + 1])
+    for t in (x for block in blocks for x in block):
+        t.flags.writeable = False
+    return tuple(blocks)
+
+
 def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
     Bit b of a table index stands for node n - 1 - b, so the block of
     indices [2^b, 2^(b+1)) holds the sets whose lowest node is n - 1 - b
-    and reads only indices below 2^b; each (block, partner bit) step is
-    one add and one maximum over strided views. Ties go to the
-    lexicographically smallest edge set: reconstruction pairs the lowest
+    and reads only indices below 2^b; a block fills only the sets reachable
+    from the full set, by one gather and one maximum.reduceat. Ties go to
+    the lexicographically smallest edge set: reconstruction pairs the lowest
     unmatched node with the smallest partner that still achieves the
     optimum, and zero-weight edges are pruned afterwards.
     """
@@ -84,27 +103,19 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
     # a binding cap one layer suffices and it is its own previous layer.
-    # cur[j] and prev[j] are the layers for j + 1 and j edges. In block b,
-    # the sets r below 2^b that hold bit v and the sets r ^ 2^v are the two
-    # halves of a (rows, -1, 2, 2^v) view.
+    # cur[j] and prev[j] are the layers for j + 1 and j edges.
     capped = kcap < n // 2
     layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
     cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
-    rows = len(cur)
-    for b in range(1, n):
+    for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
         deadline.check()
-        a, h = n - 1 - b, 1 << b
-        block = cur[:, h:2 * h]
-        block[...] = cur[:, :h]
-        for v in range(b):
-            with_v = block.reshape(rows, -1, 2, 1 << v)[:, :, 1]
-            without_v = prev[:, :h].reshape(rows, -1, 2, 1 << v)[:, :, 0]
-            np.maximum(with_v, without_v + w[a, n - 1 - v], out=with_v)
+        best = np.maximum.reduceat(prev[:, src] + w[n - 1 - b, partner], starts, axis=1)
+        cur[:, sets] = np.maximum(best, cur[:, rest], out=best)
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []
     mask = (1 << n) - 1
-    j = rows - 1
+    j = len(cur) - 1
     while j >= 0 and mask & (mask - 1):
         b = mask.bit_length() - 1
         low, rest = n - 1 - b, mask ^ (1 << b)

@@ -10,7 +10,8 @@ ranking (a sort per row, and one stable argsort of the whole table),
 the greedy (a walk that rescans every row) and the triple checks, which
 the array profile, the block ranking, the greedy and the pivot loops
 must match. The difference-tensor distances for the per-coordinate
-generator. The scalar samplers and tour completion,
+generator, and the numpy matching DP over all 2^n sets
+(``dense_block_matching``) for sizes the scalar DP is too slow at. The scalar samplers and tour completion,
 driven one decision at a time by a ``random.Random``, which define the
 distributions the batched samplers and reductions must reproduce. Plain
 value loops (``matching_value``, ``partition_value``, ``subset_value``,
@@ -186,14 +187,22 @@ def scan_greedy(rows, k: int, nodes=None) -> list:
 def dp_matching(w, k: int) -> list:
     """Edges of the lex-first maximum-weight matching with at most k edges.
 
-    The scalar subset DP: ``layers[j][mask]`` is the best weight on mask
-    using at most j edges, one self-paired layer when the cap does not
-    bind; reconstruction pairs the lowest unmatched node with the
-    smallest partner that still achieves the optimum, and zero-weight
-    edges are pruned afterwards.
+    The scalar subset DP (``dp_matching_layers``), then its reconstruction
+    (``dp_matching_walk``).
+    """
+    kcap = min(k, len(w) // 2)
+    return dp_matching_walk(w, dp_matching_layers(w, kcap), kcap)
+
+
+def dp_matching_layers(w, kcap: int) -> list:
+    """The scalar subset DP's (cur, prev) layer pairs for at most kcap edges.
+
+    ``layers[j][mask]`` is the best weight on mask using at most j edges
+    and pair j is ``(layers[j + 1], layers[j])``; one self-paired layer
+    when kcap = n // 2 does not bind. Layer j does not depend on kcap, so
+    the pairs built for kcap serve every smaller cap too.
     """
     n = len(w)
-    kcap = min(k, n // 2)
     full = 1 << n
     capped = kcap < n // 2
     layers = [[0.0] * full for _ in range(kcap + 1 if capped else 1)]
@@ -214,10 +223,20 @@ def dp_matching(w, k: int) -> list:
                     best = cand
                 t ^= vbit
             cur[mask] = best
+    return pairs
 
+
+def dp_matching_walk(w, pairs: list, kcap: int) -> list:
+    """Reconstruction for at most kcap edges from ``dp_matching_layers`` pairs
+    built for kcap, or for a larger cap when kcap binds: pair the lowest
+    unmatched node with the smallest partner that still achieves the
+    optimum, then prune zero-weight edges.
+    """
+    n = len(w)
+    capped = kcap < n // 2
     edges = []
-    mask = full - 1
-    j = len(pairs) - 1
+    mask = (1 << n) - 1
+    j = kcap - 1 if capped else 0
     while j >= 0:
         lowbit = mask & -mask
         rest = mask ^ lowbit
@@ -243,6 +262,54 @@ def dp_matching(w, k: int) -> list:
             mask = rest ^ (1 << chosen)
             j -= capped
     return [e for e in edges if w[e[0]][e[1]] > 0.0]
+
+
+def dense_block_matching(w: np.ndarray, k: int) -> list:
+    """Edges of the lex-first maximum-weight matching with at most k edges,
+    by the numpy subset DP over all 2^n sets.
+
+    The block of indices [2^b, 2^(b+1)) holds the sets whose lowest node is
+    n - 1 - b; each (block, partner bit) step is one add and one maximum
+    over strided views. Reconstruction as in ``dp_matching``.
+    """
+    n = len(w)
+    kcap = min(k, n // 2)
+
+    # layers[j][mask] = best weight on mask using at most j edges. Without
+    # a binding cap one layer suffices and it is its own previous layer.
+    # cur[j] and prev[j] are the layers for j + 1 and j edges. In block b,
+    # the sets r below 2^b that hold bit v and the sets r ^ 2^v are the two
+    # halves of a (rows, -1, 2, 2^v) view.
+    capped = kcap < n // 2
+    layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
+    cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
+    rows = len(cur)
+    for b in range(1, n):
+        a, h = n - 1 - b, 1 << b
+        block = cur[:, h:2 * h]
+        block[...] = cur[:, :h]
+        for v in range(b):
+            with_v = block.reshape(rows, -1, 2, 1 << v)[:, :, 1]
+            without_v = prev[:, :h].reshape(rows, -1, 2, 1 << v)[:, :, 0]
+            np.maximum(with_v, without_v + w[a, n - 1 - v], out=with_v)
+
+    # Walk the layers down one per chosen edge when capped, stay put when not.
+    edges = []
+    mask = (1 << n) - 1
+    j = rows - 1
+    while j >= 0 and mask & (mask - 1):
+        b = mask.bit_length() - 1
+        low, rest = n - 1 - b, mask ^ (1 << b)
+        best = cur[j, mask]
+        for v in reversed(range(b)):  # partners in ascending node order
+            if rest >> v & 1 and w[low, n - 1 - v] + prev[j, rest ^ (1 << v)] == best:
+                edges.append((low, n - 1 - v))
+                mask = rest ^ (1 << v)
+                j -= capped
+                break
+        else:
+            mask = rest
+    return [e for e in edges if w[e] > 0.0]
 
 
 def scan_densest(w, k: int) -> tuple:

@@ -592,6 +592,15 @@ class TestPreferenceProfile:
         with pytest.raises(ValueError):
             p.position(2, 2)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_a_callers_array_is_copied(self, dtype):
+        ranking = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [1, 0, 2]], dtype)
+        p = PreferenceProfile(ranking)
+        assert ranking.flags.writeable
+        ranking[0] = [3, 2, 1]
+        assert p.ranking.tolist()[0] == [1, 2, 3] and p.position(0, 1) == 0
+        assert not np.shares_memory(p.ranking, ranking)
+
 
 class TestDerivePreferences:
     def test_known_matrix_with_ties(self):
@@ -607,6 +616,11 @@ class TestDerivePreferences:
     def test_all_equal_weights_rank_by_index(self):
         p = derive_preferences(WeightedInstance(square(4)))
         assert p.ranking.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+    def test_derived_tables_are_plain_read_only_arrays(self):
+        p = derive_preferences(generate(GeneratorSpec("euclidean-uniform", 6, seed=0)))
+        assert type(p.ranking) is np.ndarray and p.ranking.dtype == np.int32
+        assert not p.ranking.flags.writeable and p == PreferenceProfile(p.ranking.tolist())
 
     def test_derived_profile_is_consistent(self):
         inst = generate(GeneratorSpec("random-metric-closure", 7, seed=3))

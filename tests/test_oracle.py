@@ -6,7 +6,10 @@ from _brute import (
     brute_max_k_sum,
     brute_max_matching,
     brute_max_tour,
+    dense_block_matching,
     dp_matching,
+    dp_matching_layers,
+    dp_matching_walk,
     held_karp,
     scan_densest,
     scan_k_sum,
@@ -30,6 +33,7 @@ from ordmatch import (
     subset_weight,
     tour_weight,
 )
+from ordmatch.oracle import _matching_blocks
 
 EPS = 0.01
 W1 = [
@@ -360,3 +364,61 @@ class TestAgainstScalarDP:
         # C(16, 8) = 12870 combinations span two chunks, and every one ties
         inst = WeightedInstance(np.ones((16, 16)) - np.eye(16))
         assert opt_densest(inst, 8).nodes == tuple(range(8))
+
+
+def tied_weights(n, high, seed):
+    """A weight matrix with entries drawn from range(high): ties everywhere."""
+    w = np.triu(np.random.default_rng(seed).integers(0, high, (n, n)), 1).astype(float)
+    return WeightedInstance(w + w.T)
+
+
+class TestReachableSets:
+    """The matching DP fills only the sets its lowest-node recursion reaches."""
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_blocks_write_each_reachable_set_once_after_what_they_read(self, n):
+        fib = [0, 1]
+        while len(fib) < n + 3:
+            fib.append(fib[-1] + fib[-2])
+        written = np.zeros(1 << n, bool)
+        written[0] = True  # the empty set, zero in every layer
+        for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
+            assert all(t.dtype == np.int32 for t in (sets, rest, src, partner, starts))
+            assert (sets == rest | 1 << b).all() and (np.diff(rest) > 0).all() and rest[-1] < 1 << b
+            assert written[rest].all() and written[src].all(), b
+            assert not written[sets].any(), b
+            written[sets] = True
+            # one pair per node of the set above n - 1 - b, ascending bits; node
+            # n - 1 - b with itself on the empty set when there is none
+            per_set = np.diff(np.append(starts, len(src)))
+            bits = [[v for v in range(b) if r >> v & 1] or [b] for r in rest.tolist()]
+            assert per_set.tolist() == [len(v) for v in bits]
+            assert partner.tolist() == [n - 1 - v for vs in bits for v in vs]
+            assert (src == np.repeat(rest, per_set) & ~(1 << (n - 1 - partner))).all()
+        assert written.sum() - 1 == fib[n + 2] - 1  # every set the blocks wrote, once
+        assert written[-1]  # the full set
+
+    # 0/1/2 weights up to n=15 and 0/1 weights, the most tied, up to n=16: the
+    # scalar tables cost about 0.5 s per n=16 matrix
+    @pytest.mark.parametrize("n,high", [(n, high) for n in (13, 14, 15, 16) for high in (3, 2)
+                                        if (n, high) != (16, 3)])
+    def test_tie_heavy_weights_match_the_scalar_dp(self, n, high):
+        inst, half = tied_weights(n, high, n), n // 2
+        w = inst.weights.tolist()
+        # one scalar table for the caps that bind (n // 4 is the largest) and one for those that do not
+        tables = {True: dp_matching_layers(w, n // 4), False: dp_matching_layers(w, half)}
+        for k in (1, 2, n // 4, half, n):
+            ref = dp_matching_walk(w, tables[k < half], min(k, half))
+            assert opt_matching(inst, k) == Matching.from_pairs(n, ref), k
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_large_n_matches_the_dense_block_dp(self, n):
+        # the three families at every n, and a 0/1 matrix at the cap
+        insts = [generate(GeneratorSpec(family, n, seed=n)) for family in FAMILIES]
+        if n == OracleBudget().max_n_matching:
+            insts.append(tied_weights(n, 2, n))
+        for inst in insts:
+            for k in (1, 3, n // 2):
+                assert opt_matching(inst, k) == Matching.from_pairs(
+                    n, dense_block_matching(inst.weights, k)), (n, k)
+
