@@ -103,9 +103,6 @@ class WeightedInstance:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def weight(self, u: int, v: int) -> float:
-        return float(self.weights[u, v])
-
     def total_weight(self) -> float:
         """Sum of weights over unordered node pairs."""
         return float(self.weights.sum()) / 2.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
-DENSEST_CHUNK = 8192  # combinations scored per numpy pass
 
 
 class _Deadline:
@@ -175,12 +175,24 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
     return Clustering(n, order[top].reshape(k, c).tolist())
 
 
-def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
-    """Exact densest k-subgraph by subset enumeration (lex order), in chunks.
+@functools.cache
+def _combinations(n: int, k: int) -> np.ndarray:
+    """The k-combinations of range(n) in lexicographic order, one per column:
+    a (k, C(n, k)) table, kept for the process. Its dtype is the narrowest
+    unsigned one that holds n * n - 1 (uint8 up to n=16, uint16 up to
+    n=256), so a flat index i * n + j computed in it is exact."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    dtype = np.min_scalar_type(n * n - 1)
+    table = np.fromiter(flat, dtype, math.comb(n, k) * k).reshape(-1, k).T.copy()
+    table.flags.writeable = False
+    return table
 
-    With bit b standing for node n - 1 - b, the popcount-k masks in
-    descending order are the k-combinations in lexicographic order. Pair
-    weights are added in (i, j) order, so values keep a scalar sum's bits.
+
+def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
+    """Exact densest k-subgraph by scoring every k-combination (lex order) at once.
+
+    Pair weights are added in (i, j) order, so values keep a scalar sum's
+    bits, and the first maximum is the lexicographically smallest subset.
     """
     n = inst.n
     if not 1 <= k <= n:
@@ -189,31 +201,14 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
         raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
     deadline = _Deadline(budget.time_limit, "densest oracle")
     wf = inst.weights.ravel()
-    masks, start = _by_popcount(n)
-    combos = masks[start[k]:start[k + 1]][::-1]
-    best_val = -1.0
-    best_nodes: tuple | None = None
-    for lo in range(0, len(combos), DENSEST_CHUNK):
+    c = _combinations(n, k)
+    val = np.zeros(c.shape[1])
+    for i in range(k):
         deadline.check()
-        m = combos[lo:lo + DENSEST_CHUNK].copy()
-        # c[i] is the i-th smallest node of each combination: peel the
-        # lowest set bit (the largest node) k times; frexp(2^b) has exponent b + 1.
-        c = np.empty((k, len(m)), np.intp)
-        for i in reversed(range(k)):
-            low = m & -m
-            c[i] = n - np.frexp(low)[1]
-            m ^= low
-        val = np.zeros(len(m))
-        for i in range(k):
-            row = c[i] * n
-            for j in range(i + 1, k):
-                val += wf.take(row + c[j])
-        top = int(val.argmax())
-        if val[top] > best_val:
-            best_val = val[top]
-            best_nodes = tuple(c[:, top].tolist())
-    assert best_nodes is not None
-    return Subset(n, best_nodes)
+        row = c[i] * n
+        for j in range(i + 1, k):
+            val += wf.take(row + c[j])
+    return Subset(n, tuple(c[:, int(val.argmax())].tolist()))
 
 
 @functools.cache

@@ -262,7 +262,7 @@ def test_c07_tour_completion_inequality(verdict):
             for start_node in sorted(m.nodes()):
                 p = path_completion(m, prof, RandomSource(0), start=start_node)
                 t = Tour(n, p.order + extra)
-                w_first = inst.weight(*by_node[start_node])
+                w_first = inst.weights[by_node[start_node]]
                 for value in (path_weight(p, inst), tour_weight(t, inst)):
                     worst_run = max(worst_run, (1.5 * wm - w_first) - value)
                 tour_vals.append(tour_weight(t, inst))

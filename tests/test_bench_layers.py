@@ -1,0 +1,94 @@
+"""Smoke test of ``bench/layers.py``: every probe of the three modes runs once.
+
+The script is loaded by path. Its size tables are shrunk, and each mode's
+section is built in-process, the probes called directly instead of in a
+fresh process per checkout, so both sides run this tree's ``ordmatch``.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import ordmatch
+import ordmatch.cli
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+SMALL = {
+    "SIZES": [12, 16], "METRIC_MAX_N": 12, "REPEATS": 1,
+    "ORACLE_CALLS": [("mwm", "euclidean-uniform", 6, None), ("mkm", "euclidean-uniform", 6, 2),
+                     ("densest", "random-metric-closure", 6, 3),
+                     ("tsp", "clustered-gaussian", 5, None), ("ksum", "euclidean-uniform", 6, 2)],
+    "ORACLE_REPEATS": 1, "ORACLE_ROUNDS": 1,
+    "IO_SIZES": [8], "IO_REPEATS": 1, "IO_GENERATE_N": 8,
+    "RANK_CALLS": [("n=6", 6, False), ("n=6 all 0/1", 6, True)], "RANK_SECONDS": 0.0,
+    "RANK_ROUNDS": 1,
+}
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_probe_of_every_mode(monkeypatch):
+    layers = load_layers()
+    for name, value in SMALL.items():
+        monkeypatch.setattr(layers, name, value)
+    called = set()
+
+    def in_process(tree, probe, *args):
+        called.add(probe)
+        return json.loads(json.dumps(layers.PROBES[probe](ordmatch, *map(str, args))))
+
+    monkeypatch.setattr(layers, "_child", in_process)
+    trees = {"parent": "unused", "change": "unused"}
+    out = {section: mode.probes(trees) for section, mode in layers.MODES.items()}
+    assert called == set(layers.PROBES)
+
+    lay = out["layers"]
+    assert set(lay) == {"unit", "repeats", "instance", "parent", "change"}
+    timed = {"generate", "derive_preferences", "greedy_k_matching n/2", "hybrid_matchings 1 draw",
+             "matchings_to_tours", "profile_consistent", "peak_rss_mb"}
+    for side in ("parent", "change"):
+        assert set(lay[side]) == {"12", "16"}
+        assert set(lay[side]["12"]) == timed | {"validate_metric"}
+        assert set(lay[side]["16"]) == timed
+
+    orc = out["oracles"]
+    assert set(orc) == {"unit", "instance seed", "parent", "change", "warm_change_over_parent",
+                        "rounds", "matching_states"}
+    calls = {"mwm n=6", "mkm n=6 k=2", "densest n=6 k=3", "tsp n=5", "ksum n=6 k=2"}
+    assert set(orc["parent"]) == set(orc["change"]) == calls | {"peak_rss_mb"}
+    assert set(orc["parent"]["mwm n=6"]) == {"cold", "warm"}
+    assert set(orc["warm_change_over_parent"]) == calls
+    assert len(orc["rounds"]["parent"]) == len(orc["rounds"]["change"]) == 1
+    assert set(orc["matching_states"]) == {"mwm n=6", "mkm n=6 k=2"}
+    assert set(orc["matching_states"]["mkm n=6 k=2"]) == {
+        "dp_states", "reachable_sets_filled", "reachable_add_max", "all_sets_add_max"}
+
+    chain = out["io"]
+    assert set(chain) == {"unit", "instance", "parent", "change", "equal_file_bytes",
+                          "derive_preferences"}
+    assert chain["equal_file_bytes"] is True
+    steps = {"gen", "prefs", "solve mwm greedy", "solve tsp hybrid"}
+    files = {"instance", "prefs", "mwm", "tsp"}
+    for side in ("parent", "change"):
+        assert set(chain[side]) == {"8", "generate n=8"}
+        assert set(chain[side]["8"]) == steps | {"chain", "peak_rss_mb_after", "bytes", "sha256",
+                                                 "peak_rss_mb", "load_instance alone",
+                                                 "step alone"}
+        assert set(chain[side]["8"]["peak_rss_mb_after"]) == set(chain[side]["8"]["step alone"])
+        assert set(chain[side]["8"]["step alone"]) == steps
+        assert set(chain[side]["8"]["bytes"]) == set(chain[side]["8"]["sha256"]) == files
+        for alone in (chain[side]["generate n=8"], chain[side]["8"]["load_instance alone"]):
+            assert set(alone) == {"seconds", "peak_rss_mb"}
+    rank = chain["derive_preferences"]
+    assert set(rank) == {"unit", "rounds", "n=6", "n=6 all 0/1"}
+    assert set(rank["n=6"]) == {"parent", "change", "change_over_parent"}
+
+
+def test_probe_entry_prints_one_json_line(capsys):
+    assert load_layers().main(["--probe", "generate", "10"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"seconds", "peak_rss_mb"}

@@ -137,8 +137,8 @@ class TestFindUndominated:
         u, v = find_undominated(prof, range(n))
         for x in range(n):
             if x not in (u, v):
-                assert inst.weight(u, v) >= inst.weight(u, x) - 1e-12
-                assert inst.weight(u, v) >= inst.weight(v, x) - 1e-12
+                assert inst.weights[u, v] >= inst.weights[u, x] - 1e-12
+                assert inst.weights[u, v] >= inst.weights[v, x] - 1e-12
 
 
 class TestGreedyMatching:

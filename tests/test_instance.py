@@ -127,8 +127,8 @@ class TestWeightedInstance:
     def test_basic_accessors(self):
         inst = WeightedInstance(W4)
         assert inst.n == 4
-        assert inst.weight(0, 1) == 3.0
-        assert inst.weight(1, 0) == 3.0
+        assert inst.weights[0, 1] == 3.0
+        assert inst.weights[1, 0] == 3.0
         assert inst.total_weight() == 13.0
 
     def test_round_trip_dict(self):
@@ -759,4 +759,4 @@ class TestGenerators:
         inst = generate(GeneratorSpec("euclidean-uniform", 5, seed=0, dimension=3))
         assert inst.points is not None and inst.points.shape == (5, 3)
         d01 = float(np.linalg.norm(inst.points[0] - inst.points[1]))
-        assert inst.weight(0, 1) == pytest.approx(d01, rel=1e-12)
+        assert inst.weights[0, 1] == pytest.approx(d01, rel=1e-12)

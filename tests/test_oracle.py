@@ -320,6 +320,27 @@ class TestAgainstScalarDP:
         else:
             assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k))
 
+    @pytest.mark.parametrize("zero_one", [True, False])
+    def test_densest_at_the_cap(self, zero_one):
+        n = OracleBudget().max_n_densest
+        if zero_one:
+            w = np.triu(np.random.default_rng(n).integers(0, 2, (n, n)), 1).astype(float)
+            inst = WeightedInstance(w + w.T)
+        else:
+            inst = generate(GeneratorSpec("random-metric-closure", n, seed=0))
+        w = inst.weights.tolist()
+        for k in (1, 2, 3, n - 2, n - 1, n):
+            assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
+
+    def test_densest_past_int16_indices(self):
+        # n * n - 1 > 32767: a flat pair index must not wrap under a raised budget
+        n = 200
+        w = np.triu(np.random.default_rng(n).random((n, n)), 1)
+        w[n - 2, n - 1] = 2.0  # the heaviest pair has the largest flat index
+        inst = WeightedInstance(w + w.T)
+        budget = OracleBudget(max_n_densest=n)
+        assert opt_densest(inst, 2, budget) == Subset(n, scan_densest(inst.weights.tolist(), 2))
+
     @pytest.mark.parametrize("n", [13, 14, 15])
     def test_tsp_tie_heavy_weights_up_to_the_cap(self, n):
         rng = np.random.default_rng(n)

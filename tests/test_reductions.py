@@ -190,8 +190,8 @@ class TestPathCompletion:
                 p = path_completion(m, prof, RandomSource(0), start=start)
                 order = p.order
                 for i in range(1, len(order) - 1, 2):
-                    connector = inst.weight(order[i], order[i + 1])
-                    edge = inst.weight(order[i + 1], order[i + 2])
+                    connector = inst.weights[order[i], order[i + 1]]
+                    edge = inst.weights[order[i + 1], order[i + 2]]
                     assert connector >= edge / 2.0 - 1e-9
 
     def test_per_run_lower_bound(self):
@@ -204,7 +204,7 @@ class TestPathCompletion:
             by_node = {x: e for e in m.edges for x in e}
             for start in sorted(m.nodes()):
                 p = path_completion(m, prof, RandomSource(0), start=start)
-                w_first = inst.weight(*by_node[start])
+                w_first = inst.weights[by_node[start]]
                 assert path_weight(p, inst) >= 1.5 * wm - w_first - 1e-9
 
     def test_enumerated_start_mean_bound(self):
@@ -243,7 +243,7 @@ class TestMatchingToTour:
         t = matching_to_tour(m, prof, RandomSource(6))
         p = path_completion(m, prof, RandomSource(6))
         assert t.order == p.order
-        closing = inst.weight(t.order[-1], t.order[0])
+        closing = inst.weights[t.order[-1], t.order[0]]
         assert tour_weight(t, inst) == pytest.approx(path_weight(p, inst) + closing, rel=1e-12)
 
     def test_odd_n_splices_leftover_node(self):
