@@ -46,8 +46,9 @@ REPEATS = 3
 SIZES = [100, 300, 1000, 2000, 5000]
 METRIC_MAX_N = 2000
 # WORKLOAD:SEED:PAIRS; seed 5 is held out from the runs made while writing a change. Ten
-# pairs per seed-0 entry: three could not tell a few-percent shift from host noise.
-PAIRS = ["large-n:0:10", "large-n:5:3", "desk-mc:0:10", "desk-oracle:0:10"]
+# pairs per entry, the held-out ones too: three could not tell a few-percent shift, or a
+# 19% op_s.p90 one, from host noise.
+PAIRS = ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]
 # (label, family, n, k) per oracle call: desk-oracle's five sizes, desk-mc's four, then
 # larger ones; the last is the matching oracle's widest table, (k + 1) * 2^20 floats.
 ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-uniform", 14, 4),
@@ -61,7 +62,7 @@ ORACLE_REPEATS = 5
 # fresh processes per checkout for the per-call times: in one process per side an
 # unchanged oracle read up to 1.4x slower on a shared host
 ORACLE_ROUNDS = 5
-ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:3", "desk-mc:0:10", "large-n:0:10"]
+ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:10", "desk-mc:0:10", "large-n:0:10"]
 IO_SIZES = [1000, 2000, 3000]
 IO_REPEATS = 3
 IO_GENERATE_N = 3000
@@ -153,6 +154,15 @@ def matching_states() -> dict:
             "reachable_add_max": rows * sum(math.comb(b, m) * (b - m) for b, m in reach),
             "all_sets_add_max": rows * sum(b << (b - 1) for b in range(1, n))}
     return out
+
+
+def held_karp_triples() -> dict:
+    """Per tsp call of ``ORACLE_CALLS``, with m = n - 1 free nodes: the candidates the dense
+    Held-Karp layers evaluate, m^2 (2^m - 2), and the feasible (mask, endpoint, predecessor)
+    triples the DP visits, m (m - 1) 2^(m - 2). Counted from n, not measured."""
+    return {_call_key(label, n, k): {"dense_candidates": (n - 1) ** 2 * ((1 << n - 1) - 2),
+                                     "feasible_triples": (n - 1) * (n - 2) << (n - 3)}
+            for label, _, n, k in ORACLE_CALLS if label == "tsp"}
 
 
 def _io_chain(n: int, workdir: str) -> tuple:
@@ -266,7 +276,8 @@ def oracle_section(trees: dict) -> dict:
     ratio = {key: med["change"][key]["warm"] / p["warm"]
              for key, p in med["parent"].items() if key != "peak_rss_mb"}
     return {"unit": "s", "instance seed": 0, **med, "warm_change_over_parent": ratio,
-            "rounds": runs, "matching_states": matching_states()}
+            "rounds": runs, "matching_states": matching_states(),
+            "held_karp_triples": held_karp_triples()}
 
 
 def io_section(trees: dict) -> dict:

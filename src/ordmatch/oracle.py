@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+_HELD_KARP_CHUNK = 1 << 14  # entries per Held-Karp gather: its buffers (0.4 MB) stay in L2
 
 
 class _Deadline:
@@ -46,20 +46,18 @@ class _Deadline:
             raise BudgetError(f"{self.what} exceeded its time budget")
 
 
-@functools.cache
-def _by_popcount(n: int) -> tuple:
-    """Every n-bit mask ordered by popcount, and the layer starts.
-
-    Masks of popcount p are ``masks[start[p]:start[p + 1]]``, ascending.
-    """
-    count = np.zeros(1, np.int8)
-    for _ in range(n):
-        count = np.concatenate([count, count + 1])
-    masks = np.argsort(count, kind="stable").astype(np.int32)
-    start = np.concatenate([[0], np.cumsum(np.bincount(count, minlength=n + 1))])
-    for t in (masks, start):
-        t.flags.writeable = False
-    return masks, start
+def _popcount_layers(n: int, lo: int, hi: int) -> list:
+    """Per p in lo..hi, the p-subsets of range(n) in ascending mask order (bit b
+    for node b), each as a row of its members, ascending. Node b puts the (p - 1)-
+    subsets plus b after the p-subsets of range(b); no 2^n table is made."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    layers = {0: np.zeros((1, 0), dtype)}
+    for b in range(n):
+        layers = {0: layers[0]} | {
+            p: np.concatenate([layers.get(p, np.zeros((0, p), dtype)), np.column_stack(
+                [layers[p - 1], np.full(len(layers[p - 1]), b, dtype)])])
+            for p in range(max(1, lo - n + b + 1), min(b + 1, hi) + 1)}
+    return [layers[p] for p in range(lo, hi + 1)]
 
 
 @functools.cache
@@ -180,10 +178,11 @@ def _combinations(n: int, k: int) -> np.ndarray:
     """The k-combinations of range(n) in lexicographic order, one per column:
     a (k, C(n, k)) table, kept for the process. Its dtype is the narrowest
     unsigned one that holds n * n - 1 (uint8 up to n=16, uint16 up to
-    n=256), so a flat index i * n + j computed in it is exact."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    dtype = np.min_scalar_type(n * n - 1)
-    table = np.fromiter(flat, dtype, math.comb(n, k) * k).reshape(-1, k).T.copy()
+    n=256), so a flat index i * n + j computed in it is exact. Node i is
+    bit n - 1 - i: lexicographic order is descending mask order."""
+    members = _popcount_layers(n, k, k)[0]
+    table = np.empty((k, len(members)), np.min_scalar_type(n * n - 1))
+    np.subtract(n - 1, members[::-1, ::-1].T, out=table)
     table.flags.writeable = False
     return table
 
@@ -213,36 +212,38 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
 
 @functools.cache
 def _held_karp_steps(m: int) -> tuple:
-    """Column of every m-bit mask within its popcount layer, the layer
-    starts, and per layer p >= 2 the (m, C_p) int32 table that fills it.
-
-    ``steps[p][j, c]`` indexes the previous layer's (m, C_(p-1)) block of
-    maxima, flattened behind a -inf slot 0: entry (j, S ^ 2^j) for the
-    mask S of column c when j is in S, the -inf slot otherwise.
-    """
-    masks, start = _by_popcount(m)
-    pos = np.empty(1 << m, np.int32)
-    pos[masks] = np.arange(1 << m) - np.repeat(start[:-1], np.diff(start))
-    j = np.arange(m)[:, None]
-    steps = [None, None]
-    for p in range(2, m + 1):
-        layer, c = masks[start[p]:start[p + 1]], start[p] - start[p - 1]
-        step = pos[layer ^ (1 << j)] + j * c + 1
-        steps.append(np.where(layer >> j & 1, step, 0).astype(np.int32))
-    for t in (pos, *steps[2:]):
+    """Rank pos[S] of every m-bit mask among those with as many bits, and per
+    layer p >= 2 two read-only (p - 1, C_p * p) tables in the narrowest unsigned
+    dtypes that hold them. Layer p's entry (S, j) for j in S is pos[S] * p + (rank
+    of j in S); row k of its column names, for the k-th member i of S ^ 2^j,
+    entry (S ^ 2^j, i) of layer p - 1 and the pair i * m + j."""
+    layers = _popcount_layers(m, 1, m)  # layers[p - 1][pos[S]]: the members of S
+    pos, steps = np.empty(1 << m, np.int32), [None, None]
+    for ends in layers:
+        pos[(1 << ends.astype(np.int64)).sum(axis=1)] = np.arange(len(ends))
+    for p, ends in enumerate(layers[1:], 2):
+        bits = 1 << ends.astype(np.int64)
+        base = pos[bits.sum(axis=1, keepdims=True) ^ bits] * (p - 1)  # S ^ 2^j in layer p - 1
+        index = np.empty((p - 1, *ends.shape), np.min_scalar_type(layers[p - 2].size - 1))
+        pair = np.empty(index.shape, np.min_scalar_type(m * m - 1))
+        for k in range(p - 1):  # i: member k + 1 of S for the first k + 1 j, member k after
+            index[k] = base + k
+            pair[k, :, :k + 1], pair[k, :, k + 1:] = ends[:, k + 1, None], ends[:, k, None]
+        steps.append((index.reshape(p - 1, -1), (pair * m + ends).reshape(p - 1, -1)))
+    for t in (pos, *(x for step in steps[2:] for x in step)):
         t.flags.writeable = False
-    return pos, start, tuple(steps)
+    return pos, tuple(steps)
 
 
 def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
-    """Exact max-weight tour by Held-Karp DP over (endpoint, mask).
+    """Exact max-weight tour by Held-Karp DP over (mask, endpoint).
 
-    The table is one endpoint-major (m, C_p) block per popcount layer p,
-    the blocks back to back. A layer takes the max over the previous
-    endpoint i of the previous block plus w[i, j], for every j and column,
-    in place, then moves each max to its (j, S) entry with one take. Node
-    0 anchors the tour; reconstruction takes the smallest endpoint
-    achieving each DP value and the lex-smaller of the two directions.
+    Layer p, a value per mask of p free nodes and endpoint in it, is filled
+    from the feasible (mask, endpoint, predecessor) triples only, in chunks:
+    a gather of the previous layer's values and one of the pair weights, an
+    add and a max over the predecessors. Node 0 anchors the tour;
+    reconstruction takes the smallest endpoint achieving each DP value and
+    the lex-smaller of the two directions.
     """
     n = inst.n
     if n < 3:
@@ -252,29 +253,36 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     deadline = _Deadline(budget.time_limit, "tsp oracle")
     w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
-    pos, start, steps = _held_karp_steps(m)
-    # dp[p][j, pos[S]]: best path from node 0 through S (p nodes) ending at j; -inf off S
-    dp = [block.reshape(m, -1) for block in np.split(np.empty(m << m), m * start[1:-1])]
-    dp[1][...] = np.where(np.eye(m, dtype=bool), w[0, 1:], -np.inf)
-    flat = np.full(1 + max(layer.size for layer in dp), -np.inf)  # flat[0] stays -inf
-    scratch = np.empty_like(flat)
+    pos, steps = _held_karp_steps(m)
+    pairs = w[1:, 1:].ravel()  # pair i * m + j: the edge between nodes i + 1 and j + 1
+    # dp[p][pos[S] * p + r]: best path from node 0 through S (p nodes) ending at its r-th member.
+    # One buffer holds every layer: per-layer arrays faulted in fresh pages on each warm call.
+    flat = np.empty(m << (m - 1))
+    dp, end = [None, flat[:m]], m
+    dp[1][...] = w[0, 1:]
+    at = np.empty(_HELD_KARP_CHUNK, np.intp)  # take would cast a narrow table to a fresh intp copy
+    val, add = np.empty(_HELD_KARP_CHUNK), np.empty(_HELD_KARP_CHUNK)
     for p in range(2, m + 1):
         deadline.check()
-        prev = dp[p - 1]
-        best, tmp = flat[1:prev.size + 1].reshape(m, -1), scratch[:prev.size].reshape(m, -1)
-        np.add(prev[0], w[1, 1:, None], out=best)
-        for i in range(1, m):
-            np.add(prev[i], w[i + 1, 1:, None], out=tmp)
-            np.maximum(best, tmp, out=best)
-        flat.take(steps[p], out=dp[p], mode="clip")  # indices are in range
+        index, pair = steps[p]
+        dp.append(flat[end:end + index.shape[1]])
+        end += index.shape[1]
+        for a in range(0, index.shape[1], _HELD_KARP_CHUNK // (p - 1)):
+            cut = slice(a, a + _HELD_KARP_CHUNK // (p - 1))
+            ix, v, u = (buf[:index[:, cut].size].reshape(p - 1, -1) for buf in (at, val, add))
+            np.copyto(ix, index[:, cut])
+            dp[p - 1].take(ix, out=v, mode="clip")  # indices are in range
+            np.copyto(ix, pair[:, cut])
+            pairs.take(ix, out=u, mode="clip")
+            np.maximum.reduce(np.add(v, u, out=v), axis=0, out=dp[p][cut])
 
-    last = int((dp[m][:, 0] + w[1:, 0]).argmax())  # first maximum: the smallest endpoint
+    last = int((dp[m] + w[1:, 0]).argmax())  # first maximum: the smallest endpoint
     seq, mask = [last], (1 << m) - 1
     for p in range(m, 1, -1):
         prev_mask = mask ^ (1 << last)
-        target, col = dp[p][last, pos[mask]], pos[prev_mask]
-        for q in range(m):
-            if prev_mask >> q & 1 and dp[p - 1][q, col] + w[last + 1, q + 1] == target:
+        target = dp[p][pos[mask] * p + (mask & ((1 << last) - 1)).bit_count()]
+        for r, q in enumerate(q for q in range(m) if prev_mask >> q & 1):
+            if dp[p - 1][pos[prev_mask] * (p - 1) + r] + w[last + 1, q + 1] == target:
                 seq.append(q)
                 mask, last = prev_mask, q
                 break

@@ -58,7 +58,7 @@ def test_every_probe_of_every_mode(monkeypatch):
 
     orc = out["oracles"]
     assert set(orc) == {"unit", "instance seed", "parent", "change", "warm_change_over_parent",
-                        "rounds", "matching_states"}
+                        "rounds", "matching_states", "held_karp_triples"}
     calls = {"mwm n=6", "mkm n=6 k=2", "densest n=6 k=3", "tsp n=5", "ksum n=6 k=2"}
     assert set(orc["parent"]) == set(orc["change"]) == calls | {"peak_rss_mb"}
     assert set(orc["parent"]["mwm n=6"]) == {"cold", "warm"}
@@ -67,6 +67,9 @@ def test_every_probe_of_every_mode(monkeypatch):
     assert set(orc["matching_states"]) == {"mwm n=6", "mkm n=6 k=2"}
     assert set(orc["matching_states"]["mkm n=6 k=2"]) == {
         "dp_states", "reachable_sets_filled", "reachable_add_max", "all_sets_add_max"}
+    # n=5: m=4 free nodes, 16 * 14 dense candidates against 4 * 3 * 4 feasible triples
+    assert orc["held_karp_triples"] == {"tsp n=5": {"dense_candidates": 224,
+                                                    "feasible_triples": 48}}
 
     chain = out["io"]
     assert set(chain) == {"unit", "instance", "parent", "change", "equal_file_bytes",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from ordmatch import (
     subset_weight,
     tour_weight,
 )
-from ordmatch.oracle import _matching_blocks
+from ordmatch.oracle import _combinations, _held_karp_steps, _matching_blocks
 
 EPS = 0.01
 W1 = [
@@ -443,3 +445,59 @@ class TestReachableSets:
                 assert opt_matching(inst, k) == Matching.from_pairs(
                     n, dense_block_matching(inst.weights, k)), (n, k)
 
+
+class TestCombinationTable:
+    """The densest oracle's combination table, built from popcount layers of masks."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+                             + [(16, 8), (20, 10)])
+    def test_equals_the_itertools_table(self, n, k):
+        dtype = np.min_scalar_type(n * n - 1)
+        ref = np.array(list(itertools.combinations(range(n), k)), dtype).T
+        table = _combinations(n, k)
+        assert table.dtype == dtype and table.flags.c_contiguous and not table.flags.writeable
+        assert np.array_equal(table, ref)
+
+
+def layer_entries(m, p):
+    """Masks with p of m bits set, ascending, and their members, ascending: the
+    (mask, member) entries of Held-Karp layer p in order."""
+    masks = np.array([s for s in range(1 << m) if bin(s).count("1") == p])
+    row, member = np.nonzero(masks[:, None] >> np.arange(m) & 1)
+    return masks[row], member
+
+
+class TestHeldKarpTables:
+    """Layer p of the tsp DP reads exactly the feasible (mask, endpoint, predecessor) triples."""
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_tables_name_each_feasible_triple(self, m):
+        pos, steps = _held_karp_steps(m)
+        assert not pos.flags.writeable
+        masks, member = layer_entries(m, 1)
+        assert (pos[masks] == np.arange(m)).all()
+        total = 0
+        for p in range(2, m + 1):
+            flat = np.full((1 << m, m), -1)  # (mask, member) -> entry of layer p - 1
+            flat[masks, member] = np.arange(len(masks))
+            masks, member = layer_entries(m, p)
+            assert (pos[masks[::p]] == np.arange(len(masks) // p)).all()
+            prev = masks ^ 1 << member
+            preds = np.nonzero(prev[:, None] >> np.arange(m) & 1)[1].reshape(-1, p - 1).T
+            index, pair = steps[p]
+            assert index.shape == pair.shape == preds.shape, p
+            assert (index == flat[prev, preds]).all() and (pair == preds * m + member).all(), p
+            for table in (index, pair):
+                assert table.dtype == np.min_scalar_type(table.max()) and not table.flags.writeable
+            total += index.size
+        assert total == m * (m - 1) << (m - 2)
+
+    # the widest layers at n = 13...15 span several gathers, and ties are everywhere
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    @pytest.mark.parametrize("weights", ["all-equal", "zero-one"])
+    def test_tied_weights_match_the_scalar_dp(self, n, weights):
+        if weights == "all-equal":
+            inst = WeightedInstance(np.ones((n, n)) - np.eye(n))
+        else:
+            inst = tied_weights(n, 2, n)
+        assert opt_tsp(inst) == Tour(n, held_karp(inst.weights.tolist()))
