@@ -51,7 +51,9 @@ VERBS = ("gen", "prefs", "solve", "oracle", "bench", "fixtures", "verify-metric"
 # (problem, k) on the n=8 and n=10 instances; bench uses the n beside it
 PROBLEM_KS = (("mwm", None, 6), ("mkm", 2, 8), ("ksum", 2, 8), ("densest", 4, 8), ("tsp", None, 6))
 BAD_K = (("mkm", None), ("mkm", 9), ("mkm", 0), ("ksum", 0), ("ksum", 3), ("densest", 3),
-         ("densest", 10))
+         ("densest", 10),
+         # accepted and ignored before mwm and tsp refused a k
+         ("mwm", 3), ("tsp", 2))
 
 # Hand-written instance files, by name.
 DOCUMENTS = {
@@ -256,10 +258,15 @@ def _call(cli, argv) -> tuple:
     return rc, out.getvalue(), err.getvalue()
 
 
+def writes_json(argv) -> bool:
+    """Whether the invocation's stdout and ``--out`` file, if it writes any, are JSON."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    return fmt == "json" and "--help" not in argv
+
+
 def _parsed_digest(argv, stdout: str, out: bytes | None) -> str | None:
     """Digest of the parsed JSON of a JSON-format invocation; None if anything does not parse."""
-    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
-    if fmt != "json" or "--help" in argv:
+    if not writes_json(argv):
         return None
     docs = {}
     for slot, text in (("stdout", stdout), ("out", out.decode() if out else "")):
@@ -273,6 +280,26 @@ def _parsed_digest(argv, stdout: str, out: bytes | None) -> str | None:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def results(cli, tmp: str):
+    """Run every invocation by ``cli.main`` in-process, the documents written to ``tmp``
+    first. Yields per invocation its template, exit code, stdout, ``--out`` file (bytes, or
+    None if it wrote none) and stderr."""
+    for name, doc in DOCUMENTS.items():
+        with open(os.path.join(tmp, f"{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    for name, text in RAW_DOCUMENTS.items():
+        with open(os.path.join(tmp, f"{name}.json"), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    for template in invocations():
+        argv = [arg.replace("{tmp}", tmp) for arg in template]
+        rc, stdout, stderr = _call(cli, argv)
+        path, written = argv[argv.index("--out") + 1] if "--out" in argv else "-", None
+        if path != "-" and os.path.exists(path):
+            with open(path, "rb") as fh:
+                written = fh.read()
+        yield template, rc, stdout, written, stderr
+
+
 def run(checkout: str) -> list:
     """Records of every invocation for the ordmatch in ``checkout``."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
@@ -280,21 +307,11 @@ def run(checkout: str) -> list:
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in DOCUMENTS.items():
-            with open(os.path.join(tmp, f"{name}.json"), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        for name, text in RAW_DOCUMENTS.items():
-            with open(os.path.join(tmp, f"{name}.json"), "wb") as fh:
-                fh.write(text.encode("utf-8"))
-        for template in invocations():
-            argv = [arg.replace("{tmp}", tmp) for arg in template]
-            rc, stdout, stderr = _call(cli, argv)
+        for template, rc, stdout, written, stderr in results(cli, tmp):
             stdout = stdout.replace(tmp, "<TMP>")
             digest = hashlib.sha256(stdout.encode("utf-8"))
-            path, written = argv[argv.index("--out") + 1] if "--out" in argv else "-", None
-            if path != "-" and os.path.exists(path):
-                with open(path, "rb") as fh:
-                    written = fh.read().replace(tmp.encode(), b"<TMP>")
+            if written is not None:
+                written = written.replace(tmp.encode(), b"<TMP>")
                 digest.update(b"\0--out\0" + written)
             stderr = stderr.replace(tmp, "<TMP>")
             records.append({"argv": " ".join(template), "sha256": digest.hexdigest()[:16],

@@ -274,7 +274,7 @@ def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Gene
     n = profile.n
     if n < 2:
         raise ValueError(f"hybrid matching needs n >= 2, got {n}")
-    m0 = np.array(greedy_k_matching(profile, math.ceil(n / 3)).sorted_edges(), dtype=np.intp)
+    m0 = _row(greedy_k_matching(profile, math.ceil(n / 3)))[0]
     untouched = sorted(set(range(n)) - set(m0.flat))
     g, h = len(m0), len(untouched) // 2
     keep = gen.random(draws) < 0.5

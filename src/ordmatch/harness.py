@@ -49,6 +49,7 @@ import numpy as np
 from .core import (
     Matching,
     RandomSource,
+    _row,
     greedy_k_matching,
     hybrid_matchings,
     matching_values,
@@ -152,6 +153,11 @@ class ProblemSpec:
     random_reduce: bool = False  # the reduction draws from gen, so greedy is randomized too
 
 
+def _check_mwm(n, k, engine):
+    if k is not None:
+        raise ValueError(f"mwm takes no k (its matching is perfect), got k={k}")
+
+
 def _check_mkm(n, k, engine):
     if k is None or not 1 <= k <= n // 2:
         raise ValueError(f"mkm needs 1 <= k <= n//2, got k={k}, n={n}")
@@ -170,6 +176,8 @@ def _check_densest(n, k, engine):
 
 
 def _check_tsp(n, k, engine):
+    if k is not None:
+        raise ValueError(f"tsp takes no k (its tour visits every node), got k={k}")
     if n % 2 != 0 or n < 4:
         raise ValueError(f"tsp needs even n >= 4, got n={n}")
 
@@ -180,7 +188,7 @@ def _check_tsp(n, k, engine):
 PROBLEMS = {
     "mwm": ProblemSpec(
         engines=("greedy", "random", "hybrid"),
-        check=lambda n, k, engine: None,  # a perfect matching takes no k
+        check=_check_mwm,
         size=lambda n, k: n // 2,
         reduce=lambda m, profile, k, gen: m,
         oracle=lambda inst, k, budget: opt_matching(inst, inst.n // 2, budget),
@@ -316,16 +324,17 @@ def _sample(
     elif engine == "random":
         matchings = random_k_matchings(range(n), size, draws, gen)
     else:
-        edges = greedy_k_matching(profile, size).sorted_edges() if size else []
-        matchings = np.broadcast_to(np.array(edges, dtype=np.intp).reshape(size, 2), (draws, size, 2))
+        m = greedy_k_matching(profile, size) if size else Matching(n, frozenset())
+        matchings = np.broadcast_to(_row(m), (draws, size, 2))
     return spec.reduce(matchings, profile, k, gen)
 
 
-def _payload(kind: SolutionKind, solution, value: float) -> dict:
-    """The solve and oracle output, keys in this order: kind, the solution's shape, n, value."""
+def _payload(kind: SolutionKind, solution, inst: WeightedInstance) -> dict:
+    """The solve and oracle output, keys in this order: kind, the solution's shape, n and
+    value, which ``kind.weigh`` gives as it gives a bench record's opt."""
     shape = solution.to_dict()
     n = shape.pop("n")
-    return {"kind": kind.name, **shape, "n": n, "value": value}
+    return {"kind": kind.name, **shape, "n": n, "value": kind.weigh(solution, inst)}
 
 
 def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, seed: int) -> dict:
@@ -338,8 +347,7 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
     spec = problem_spec(problem, algorithm, inst.n, k)
     gen = RandomSource(seed).gen
     solutions = _sample(spec, canonical_engine(algorithm), derive_preferences(inst), k, 1, gen)
-    value = float(spec.kind.values(solutions, inst.weights)[0])
-    return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), value)
+    return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), inst)
 
 
 def optimum(
@@ -347,8 +355,7 @@ def optimum(
 ) -> dict:
     """The exact optimum for ``inst`` as a payload, valued as a bench record's opt."""
     spec = problem_spec(problem, None, inst.n, k)
-    solution = spec.oracle(inst, k, budget)
-    return _payload(spec.kind, solution, spec.kind.weigh(solution, inst))
+    return _payload(spec.kind, spec.oracle(inst, k, budget), inst)
 
 
 @dataclass

@@ -45,7 +45,6 @@ def _float_array(x, what: str) -> np.ndarray:
     if a.dtype.kind not in "iuf" or (
         a.ndim and not isinstance(x, np.ndarray) and _holds_bool(x, a)
     ):
-        np.array(x, dtype=float)  # no float at all ("abc", an object): numpy's own error
         raise MalformedInstanceError(f"{what} must hold numbers only, not strings, booleans or nulls")
     return a.astype(float, copy=False)
 
@@ -131,15 +130,11 @@ class WeightedInstance:
         metric = d.get("metric", False)
         if not isinstance(metric, bool):
             raise MalformedInstanceError(f"instance 'metric' must be true or false, got {metric!r}")
-        try:
-            inst = cls(d["weights"], metric, d.get("points"), dict(meta))
-            n = d.get("n", inst.n)
-            declared = int(n)
-        except TypeError as exc:  # a field of the wrong JSON type, e.g. weights as an object
-            raise MalformedInstanceError(f"instance field has the wrong type: {exc}") from None
-        if isinstance(n, bool) or not isinstance(n, int):  # int() took 2.9, "2" and true
+        inst = cls(d["weights"], metric, d.get("points"), dict(meta))
+        n = d.get("n", inst.n)
+        if isinstance(n, bool) or not isinstance(n, int):  # not 2.9, "2", true, [2] or null
             raise MalformedInstanceError(f"instance 'n' must be an integer, got {n!r}")
-        if declared != inst.n:
+        if n != inst.n:
             raise MalformedInstanceError(
                 f"declared n={d['n']} does not match weight matrix of size {inst.n}"
             )
@@ -464,23 +459,21 @@ def generate(spec: GeneratorSpec) -> WeightedInstance:
     rng = np.random.default_rng(spec.seed)
     meta = {"family": spec.family, "seed": spec.seed}
 
+    if spec.family == "random-metric-closure":
+        raw = rng.random((spec.n, spec.n))
+        raw = np.triu(raw, 1)
+        raw = raw + raw.T
+        w = _min_plus_closure(raw)
+        inst = WeightedInstance(w, metric=True, meta=meta)
+        tol = 1e-9 * float(w.max()) if w.max() > 0 else 0.0
+        if not validate_metric(inst, tol):
+            raise AssertionError("closure generator produced a non-metric matrix")
+        return inst
+
     if spec.family == "euclidean-uniform":
         pts = rng.random((spec.n, spec.dimension))
-        return WeightedInstance(_euclidean_weights(pts), metric=True, points=pts, meta=meta)
-
-    if spec.family == "clustered-gaussian":
+    else:  # clustered-gaussian
         centers = rng.random((spec.clusters, spec.dimension))
         assign = rng.integers(0, spec.clusters, size=spec.n)
         pts = centers[assign] + rng.normal(0.0, 0.08, size=(spec.n, spec.dimension))
-        return WeightedInstance(_euclidean_weights(pts), metric=True, points=pts, meta=meta)
-
-    # random-metric-closure
-    raw = rng.random((spec.n, spec.n))
-    raw = np.triu(raw, 1)
-    raw = raw + raw.T
-    w = _min_plus_closure(raw)
-    inst = WeightedInstance(w, metric=True, meta=meta)
-    tol = 1e-9 * float(w.max()) if w.max() > 0 else 0.0
-    if not validate_metric(inst, tol):
-        raise AssertionError("closure generator produced a non-metric matrix")
-    return inst
+    return WeightedInstance(_euclidean_weights(pts), metric=True, points=pts, meta=meta)

@@ -212,11 +212,11 @@ def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_B
 
 @functools.cache
 def _held_karp_steps(m: int) -> tuple:
-    """Rank pos[S] of every m-bit mask among those with as many bits, and per
-    layer p >= 2 two read-only (p - 1, C_p * p) tables in the narrowest unsigned
-    dtypes that hold them. Layer p's entry (S, j) for j in S is pos[S] * p + (rank
-    of j in S); row k of its column names, for the k-th member i of S ^ 2^j,
-    entry (S ^ 2^j, i) of layer p - 1 and the pair i * m + j."""
+    """Per layer p >= 2 of m-bit masks, two read-only (p - 1, C_p * p) tables in
+    the narrowest unsigned dtypes that hold them. Layer p's entry (S, j) for j in
+    S is pos[S] * p + (rank of j in S), pos[S] the rank of S among the p-bit
+    masks; row k of its column names, for the k-th member i of S ^ 2^j, entry
+    (S ^ 2^j, i) of layer p - 1 and the pair i * m + j."""
     layers = _popcount_layers(m, 1, m)  # layers[p - 1][pos[S]]: the members of S
     pos, steps = np.empty(1 << m, np.int32), [None, None]
     for ends in layers:
@@ -230,9 +230,9 @@ def _held_karp_steps(m: int) -> tuple:
             index[k] = base + k
             pair[k, :, :k + 1], pair[k, :, k + 1:] = ends[:, k + 1, None], ends[:, k, None]
         steps.append((index.reshape(p - 1, -1), (pair * m + ends).reshape(p - 1, -1)))
-    for t in (pos, *(x for step in steps[2:] for x in step)):
+    for t in (x for step in steps[2:] for x in step):
         t.flags.writeable = False
-    return pos, tuple(steps)
+    return tuple(steps)
 
 
 def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
@@ -242,8 +242,8 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     from the feasible (mask, endpoint, predecessor) triples only, in chunks:
     a gather of the previous layer's values and one of the pair weights, an
     add and a max over the predecessors. Node 0 anchors the tour;
-    reconstruction takes the smallest endpoint achieving each DP value and
-    the lex-smaller of the two directions.
+    reconstruction reads the same tables back, taking the smallest endpoint
+    achieving each DP value, and the lex-smaller of the two directions.
     """
     n = inst.n
     if n < 3:
@@ -253,7 +253,7 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     deadline = _Deadline(budget.time_limit, "tsp oracle")
     w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
-    pos, steps = _held_karp_steps(m)
+    steps = _held_karp_steps(m)
     pairs = w[1:, 1:].ravel()  # pair i * m + j: the edge between nodes i + 1 and j + 1
     # dp[p][pos[S] * p + r]: best path from node 0 through S (p nodes) ending at its r-th member.
     # One buffer holds every layer: per-layer arrays faulted in fresh pages on each warm call.
@@ -276,15 +276,14 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
             pairs.take(ix, out=u, mode="clip")
             np.maximum.reduce(np.add(v, u, out=v), axis=0, out=dp[p][cut])
 
-    last = int((dp[m] + w[1:, 0]).argmax())  # first maximum: the smallest endpoint
-    seq, mask = [last], (1 << m) - 1
-    for p in range(m, 1, -1):
-        prev_mask = mask ^ (1 << last)
-        target = dp[p][pos[mask] * p + (mask & ((1 << last) - 1)).bit_count()]
-        for r, q in enumerate(q for q in range(m) if prev_mask >> q & 1):
-            if dp[p - 1][pos[prev_mask] * (p - 1) + r] + w[last + 1, q + 1] == target:
-                seq.append(q)
-                mask, last = prev_mask, q
+    e = int((dp[m] + w[1:, 0]).argmax())  # the smallest best endpoint: entry e of the full set
+    seq = [e]
+    for p in range(m, 1, -1):  # the first predecessor row that achieves entry e's value
+        index, pair = steps[p]
+        for i, q in zip(index[:, e].tolist(), pair[:, e].tolist()):
+            if dp[p - 1][i] + pairs[q] == dp[p][e]:
+                seq.append(q // m)
+                e = i
                 break
         else:
             raise AssertionError("tsp reconstruction lost the DP trail")

@@ -45,10 +45,6 @@ class Clustering:
     def to_dict(self) -> dict:
         return {"n": self.n, "parts": [list(p) for p in self.parts]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Clustering":
-        return cls(int(d["n"]), tuple(tuple(p) for p in d["parts"]))
-
 
 @dataclass(frozen=True)
 class Subset:
@@ -65,10 +61,6 @@ class Subset:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "nodes": list(self.nodes)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Subset":
-        return cls(int(d["n"]), tuple(d["nodes"]))
 
 
 @dataclass(frozen=True)
@@ -102,10 +94,6 @@ class Tour:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "order": list(self.order)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tour":
-        return cls(int(d["n"]), tuple(d["order"]))
 
 
 def cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -184,9 +172,8 @@ def path_completion(
     if start is not None and start not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
     edges = _row(m)
-    if start is None:
-        start = np.sort(edges.ravel())[rng.gen.integers(0, 2 * len(m), size=1)]
-    return Path(m.n, tuple(_stitch(edges, np.reshape(start, 1), profile)[0].tolist()))
+    start = _starts(edges, rng.gen) if start is None else np.reshape(start, 1)
+    return Path(m.n, tuple(_stitch(edges, start, profile)[0].tolist()))
 
 
 def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource) -> Tour:
@@ -236,6 +223,12 @@ def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
     return np.sort(matchings.reshape(len(matchings), -1), axis=1)
 
 
+def _starts(matchings: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Per matching, a uniform draw among its matched nodes, in ascending order."""
+    nodes = matchings_to_subsets(matchings)
+    return nodes[np.arange(len(nodes)), gen.integers(0, nodes.shape[1], size=len(nodes))]
+
+
 def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
     """(S, 2m) paths through (S, m, 2) sorted edges, row s starting at start[s]."""
     draws, m, _ = edges.shape
@@ -274,9 +267,7 @@ def matchings_to_tours(
     if m != n // 2:
         raise ValueError(f"matching must be perfect ({n // 2} edges), got {m}")
     edges = _sorted_edges(matchings)
-    nodes = np.sort(edges.reshape(draws, -1), axis=1)
-    start = nodes[np.arange(draws), gen.integers(0, 2 * m, size=draws)]
-    tours = _stitch(edges, start, profile)
+    tours = _stitch(edges, _starts(edges, gen), profile)
     if n % 2 == 0:
         return tours
     leftover = n * (n - 1) // 2 - edges.sum(axis=(1, 2))

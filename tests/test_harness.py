@@ -107,6 +107,10 @@ class TestTrialConfig:
             TrialConfig("densest", "greedy", 10, k=3)  # odd k
         with pytest.raises(ValueError):
             TrialConfig("tsp", "greedy", 7)
+        for problem in ("mwm", "tsp"):  # neither takes a k, so none is accepted and ignored
+            for k in (0, 2, 4):
+                with pytest.raises(ValueError, match="takes no k"):
+                    TrialConfig(problem, "greedy", 8, k=k)
         with pytest.raises(ValueError):
             TrialConfig("mwm", "greedy", 8, bound=0.0)
 

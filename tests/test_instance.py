@@ -171,6 +171,22 @@ class TestWeightedInstance:
         with pytest.raises(MalformedInstanceError):
             WeightedInstance.from_dict(doc)
 
+    # one rule, one message, whatever the wrong JSON type
+    @pytest.mark.parametrize("doc,message", [
+        ({"n": "two", "weights": [[0, 1], [1, 0]]}, "'n' must be an integer"),
+        ({"n": [2], "weights": [[0, 1], [1, 0]]}, "'n' must be an integer"),
+        ({"n": None, "weights": [[0, 1], [1, 0]]}, "'n' must be an integer"),
+        ({"n": 2.9, "weights": [[0, 1], [1, 0]]}, "'n' must be an integer"),
+        ({"weights": "abc"}, "weight matrix must hold numbers only"),
+        ({"weights": {"a": 1}}, "weight matrix must hold numbers only"),
+        ({"weights": [[0, 1], [1, 0]], "points": {"a": 1}}, "points must hold numbers only"),
+        ({"weights": [[0, 1], [1, 0]], "points": "ab"}, "points must hold numbers only"),
+    ], ids=["n-string", "n-list", "n-null", "n-float", "weights-string", "weights-object",
+            "points-object", "points-string"])
+    def test_from_dict_names_the_rule_a_field_breaks(self, doc, message):
+        with pytest.raises(MalformedInstanceError, match=message):
+            WeightedInstance.from_dict(doc)
+
     @pytest.mark.parametrize("weights", [[[0, True], [True, 0]], [[0, np.True_], [np.True_, 0]],
                                          [[0.0, 1.0], [True, 0.0]]])
     def test_constructor_rejects_a_boolean_among_numbers(self, weights):

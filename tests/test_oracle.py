@@ -472,16 +472,13 @@ class TestHeldKarpTables:
 
     @pytest.mark.parametrize("m", range(2, 15))
     def test_tables_name_each_feasible_triple(self, m):
-        pos, steps = _held_karp_steps(m)
-        assert not pos.flags.writeable
+        steps = _held_karp_steps(m)
         masks, member = layer_entries(m, 1)
-        assert (pos[masks] == np.arange(m)).all()
         total = 0
         for p in range(2, m + 1):
             flat = np.full((1 << m, m), -1)  # (mask, member) -> entry of layer p - 1
             flat[masks, member] = np.arange(len(masks))
             masks, member = layer_entries(m, p)
-            assert (pos[masks[::p]] == np.arange(len(masks) // p)).all()
             prev = masks ^ 1 << member
             preds = np.nonzero(prev[:, None] >> np.arange(m) & 1)[1].reshape(-1, p - 1).T
             index, pair = steps[p]
