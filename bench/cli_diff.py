@@ -9,7 +9,8 @@ same fixed list of invocations (``invocations()``): every verb in both
 formats, all three families, every problem x engine (rejected
 combinations too), failing bounds, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
-repeated keys, trailing commas, a byte-order mark), the matching oracle's
+repeated keys, trailing commas, a byte-order mark, a lower cell written
+unlike its mirror, a two-space separator), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
@@ -105,6 +106,10 @@ RAW_DOCUMENTS = {
     "trailing-comma-object": '{"weights": %s,}' % _W2,
     "trailing-comma-weights": '{"weights": [[0.0, 9.0], [9.0, 0.0],]}',
     "bom": '\ufeff{"weights": %s}' % _W2,
+    # rows whose text left of the diagonal is not byte for byte its mirror's, or whose cells a
+    # separator other than ", " parts: the weight reader scans them whole
+    "mirror-int-against-float": '{"weights": [[0, 1.0, 2.5], [1, 0, 3.5], [2.5, 3.5, 0]]}',
+    "two-spaces": '{"weights": [[0.0,  9.0,  1.5], [9.0,  0.0,  2.5], [1.5,  2.5,  0.0]]}',
 }
 
 

@@ -206,6 +206,20 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()[:16]
 
 
+def indent(om, path: str, out: str) -> dict:
+    """Write the instance file ``path`` to ``out`` in the layout older versions wrote,
+    ``json.dumps(inst.to_dict(), indent=2)``, one weight row at a time."""
+    inst = om.load_instance(path)
+    head, tail = json.dumps({**inst._fields(), "weights": "\0"}, indent=2).split('"\\u0000"')
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(head + "[")
+        for i, row in enumerate(inst.weights):
+            cells = ",\n      ".join(map(repr, row.tolist()))
+            fh.write(f"{',' if i else ''}\n    [\n      {cells}\n    ]")
+        fh.write("\n  ]" + tail + "\n")
+    return {"bytes": os.path.getsize(out)}
+
+
 def time_rank(om) -> dict:
     """Median seconds per ``derive_preferences`` call for each of ``RANK_CALLS``, repeated for
     about ``RANK_SECONDS`` (at least 3 calls) each."""
@@ -229,6 +243,7 @@ PROBES = {
     # one call each, in a process that makes only it
     "step": lambda om, n, step, workdir: _once(_cli, om, _io_chain(int(n), workdir)[1][step]),
     "load": lambda om, path: _once(om.load_instance, path),
+    "indent": indent,
     "generate": lambda om, n: _once(om.generate, om.GeneratorSpec("euclidean-uniform", int(n),
                                                                    seed=0)),
 }
@@ -288,6 +303,12 @@ def io_section(trees: dict) -> dict:
             # each its own process, started from this small one: a child's ru_maxrss starts
             # at the peak of the process that started it, and gen's peak would hide the read's
             out["load_instance alone"] = _child(trees[side], "load", files["instance"])
+            # the same instance indented: its rows take the whole-row scan on both sides
+            indented = os.path.join(tmp, "indented.json")
+            out["indented bytes"] = _child(trees[side], "indent", files["instance"],
+                                           indented)["bytes"]
+            out["load_instance alone, indented"] = _child(trees[side], "load", indented)
+            os.remove(indented)
             out["step alone"] = {step: _child(trees[side], "step", n, step, tmp) for step in steps}
         return out
 

@@ -40,8 +40,11 @@ def _holds_bool(x, a: np.ndarray) -> bool:
 
 
 def _float_array(x, what: str) -> np.ndarray:
-    """x as floats, from numbers only (not "1", true or null)."""
-    a = np.array(x)
+    """x as floats, from numbers only (not "1", true or null), copied unless ``_Handed``."""
+    try:
+        a = np.array(x, copy=type(x) is not _Handed)
+    except ValueError:  # numpy's "inhomogeneous shape": ragged rows, or a row among numbers
+        raise MalformedInstanceError(f"{what} must be a list of rows of one length") from None
     if a.dtype.kind not in "iuf" or (
         a.ndim and not isinstance(x, np.ndarray) and _holds_bool(x, a)
     ):
@@ -216,12 +219,70 @@ class _Chunks:
             self._more(self.i)
 
 
+class _Mirror:
+    """The text right of the diagonal of each row read so far, each cell followed by ", ", in
+    one uint8 buffer; a uint8 (n, n) table of each cell's length there, and per row where its
+    next cell not yet mirrored starts (row r reads cell r of every row above)."""
+
+    def __init__(self):
+        self.buf, self.used, self.ints = np.empty(0, np.uint8), 0, False
+        self.next, self.sizes = np.empty(0, np.intp), np.empty((0, 1), np.uint8)
+
+    def row(self, src: _Chunks, w, r: int):
+        """``w`` (made at row 0) with row r filled from the row next in ``src``, scanned from
+        its diagonal on: the text left of the diagonal must be, byte for byte, cell r of each
+        row above, whose numbers it copies. None, with ``src`` not moved on, if the row needs
+        ``_weight_rows``' whole-row scan; ValueError and the like from the scan mean that too."""
+        while (end := src.buf.find("]", i := _space(src.buf, src.i).end())) < 0 and not src.end:
+            src._more(i)  # the row, from its "[", ends in the buffer
+        if r and r >= len(w) or src.buf[i : i + 1] != "[":
+            return None
+        s, size = self.next[:r], self.sizes[:r, r].astype(np.intp)
+        k = i + 1 + int(size.sum())
+        left = self.buf[np.repeat(s - np.cumsum(size) + size, size) + np.arange(k - i - 1)]
+        if end < k or left.tobytes() != src.buf[i + 1 : k].encode():
+            return None
+        text = src.buf[k:end]
+        row = _scan(f"[{text}]", 0)[0]
+        n, types = len(row) if w is None else len(w), set(map(type, row))
+        cells = np.frombuffer(f"{text}, ".encode(), np.uint8)
+        seps = np.flatnonzero((cells[:-1] == 44) & (cells[1:] == 32))  # where each ", " starts
+        if not row or r + len(row) != n or not types <= {float, int} or len(seps) != len(row) \
+                or (np.diff(seps) > 255).any():
+            return None
+        w = np.empty((n, n)) if w is None else w
+        w[r, r:], w[r, :r] = row, w[:r, r]  # OverflowError for an int past float range
+        self.ints |= int in types  # from here on a cell left of the diagonal may be an int
+        if self.ints and not (np.abs(w[r]) < 2.0**53).all():
+            return None
+        if r == 0:
+            self.next, self.sizes = np.empty(n, np.intp), np.empty((n, n), np.uint8)
+        grown = self.used + len(cells) - (cut := seps[0] + 2)
+        if grown > len(self.buf):  # room for twice the cells left at this row's length
+            buf, self.buf = self.buf, np.empty(grown + (grown - self.used) * (n - r), np.uint8)
+            self.buf[: self.used] = buf[: self.used]
+        self.buf[self.used : grown] = cells[cut:]
+        self.next[:r] += size
+        self.next[r], self.sizes[r, r + 1 :] = self.used, np.diff(seps)
+        self.used, src.i = grown, end + 1
+        return w
+
+
 def _weight_rows(src: _Chunks) -> np.ndarray:
     """The JSON array of n arrays of n numbers next in ``src``, read one row at a time into an
     (n, n) float matrix. ValueError or StopIteration for any other text, or a row holding a
-    boolean, a string, null or an int that float() may round."""
-    w, r, c = None, 0, src.char()
+    boolean, a string, null or an int that float() may round. ``_Mirror`` reads each row
+    from its diagonal on; a row it does not take, and every row after it, is scanned whole."""
+    w, r, c, mirror = None, 0, src.char(), _Mirror()
     while c == ("," if r else "["):
+        try:
+            got = mirror and mirror.row(src, w, r)
+        except (ValueError, OverflowError, StopIteration, RecursionError):
+            got = None
+        if got is not None:
+            w, r, c = got, r + 1, src.char()
+            continue
+        mirror = None
         row = src.value()  # StopIteration at "]": [] or a trailing comma
         if type(row) is not list:
             raise ValueError
@@ -235,7 +296,7 @@ def _weight_rows(src: _Chunks) -> np.ndarray:
         r, c = r + 1, src.char()
     if c != "]" or w is None or r != len(w):
         raise ValueError
-    return w
+    return w.view(_Handed)
 
 
 def _instance_fields(src: _Chunks) -> dict:
@@ -301,7 +362,8 @@ def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
 
 
 class _Handed(np.ndarray):
-    """An int32 ranking table its builder hands to ``PreferenceProfile`` uncopied."""
+    """An array its builder hands uncopied to ``PreferenceProfile`` (the int32 ranking table)
+    or ``WeightedInstance`` (a weight matrix fresh from ``load_instance`` or ``generate``)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,7 +526,7 @@ def generate(spec: GeneratorSpec) -> WeightedInstance:
         raw = np.triu(raw, 1)
         raw = raw + raw.T
         w = _min_plus_closure(raw)
-        inst = WeightedInstance(w, metric=True, meta=meta)
+        inst = WeightedInstance(w.view(_Handed), metric=True, meta=meta)
         tol = 1e-9 * float(w.max()) if w.max() > 0 else 0.0
         if not validate_metric(inst, tol):
             raise AssertionError("closure generator produced a non-metric matrix")
@@ -476,4 +538,5 @@ def generate(spec: GeneratorSpec) -> WeightedInstance:
         centers = rng.random((spec.clusters, spec.dimension))
         assign = rng.integers(0, spec.clusters, size=spec.n)
         pts = centers[assign] + rng.normal(0.0, 0.08, size=(spec.n, spec.dimension))
-    return WeightedInstance(_euclidean_weights(pts), metric=True, points=pts, meta=meta)
+    return WeightedInstance(_euclidean_weights(pts).view(_Handed), metric=True, points=pts,
+                            meta=meta)

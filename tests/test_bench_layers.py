@@ -81,15 +81,28 @@ def test_every_probe_of_every_mode(monkeypatch):
         assert set(chain[side]) == {"8", "generate n=8"}
         assert set(chain[side]["8"]) == steps | {"chain", "peak_rss_mb_after", "bytes", "sha256",
                                                  "peak_rss_mb", "load_instance alone",
-                                                 "step alone"}
+                                                 "indented bytes",
+                                                 "load_instance alone, indented", "step alone"}
         assert set(chain[side]["8"]["peak_rss_mb_after"]) == set(chain[side]["8"]["step alone"])
         assert set(chain[side]["8"]["step alone"]) == steps
         assert set(chain[side]["8"]["bytes"]) == set(chain[side]["8"]["sha256"]) == files
-        for alone in (chain[side]["generate n=8"], chain[side]["8"]["load_instance alone"]):
+        assert chain[side]["8"]["indented bytes"] > chain[side]["8"]["bytes"]["instance"]
+        for alone in (chain[side]["generate n=8"], chain[side]["8"]["load_instance alone"],
+                      chain[side]["8"]["load_instance alone, indented"]):
             assert set(alone) == {"seconds", "peak_rss_mb"}
     rank = chain["derive_preferences"]
     assert set(rank) == {"unit", "rounds", "n=6", "n=6 all 0/1"}
     assert set(rank["n=6"]) == {"parent", "change", "change_over_parent"}
+
+
+def test_indent_writes_the_older_layout(tmp_path):
+    """The ``indent`` probe writes, a row at a time, the bytes of json.dumps(indent=2)."""
+    for family in ordmatch.GENERATOR_FAMILIES:
+        inst = ordmatch.generate(ordmatch.GeneratorSpec(family, 7, seed=2))
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        ordmatch.save_instance(inst, str(compact))
+        load_layers().indent(ordmatch, str(compact), str(indented))
+        assert indented.read_text() == json.dumps(inst.to_dict(), indent=2) + "\n"
 
 
 def test_probe_entry_prints_one_json_line(capsys):

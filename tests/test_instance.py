@@ -122,6 +122,16 @@ class TestWeightMatrixValidation:
         with pytest.raises(ValueError):
             inst.weights[0][1] = 9.0
 
+    def test_a_callers_array_is_copied(self):
+        """Only a matrix its builder hands over is kept uncopied: a caller's own array is
+        neither frozen nor rewritten by the -0.0 to 0.0 normalization."""
+        w = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        inst = WeightedInstance(w)
+        assert w.flags.writeable and np.signbit(w).sum() == 2
+        assert not np.signbit(inst.weights).any() and not np.shares_memory(w, inst.weights)
+        w[0, 2] = w[2, 0] = 5.0
+        assert inst.weights[0, 2] == 1.0
+
 
 class TestWeightedInstance:
     def test_basic_accessors(self):
@@ -181,8 +191,13 @@ class TestWeightedInstance:
         ({"weights": {"a": 1}}, "weight matrix must hold numbers only"),
         ({"weights": [[0, 1], [1, 0]], "points": {"a": 1}}, "points must hold numbers only"),
         ({"weights": [[0, 1], [1, 0]], "points": "ab"}, "points must hold numbers only"),
+        ({"weights": [[0, 1], [1]]}, "weight matrix must be a list of rows of one length"),
+        ({"weights": [[0, 1], 1]}, "weight matrix must be a list of rows of one length"),
+        ({"weights": [[0, 1], [1, 0]], "points": [[0, 1], [2]]},
+         "points must be a list of rows of one length"),
     ], ids=["n-string", "n-list", "n-null", "n-float", "weights-string", "weights-object",
-            "points-object", "points-string"])
+            "points-object", "points-string", "weights-ragged", "weights-row-among-numbers",
+            "points-ragged"])
     def test_from_dict_names_the_rule_a_field_breaks(self, doc, message):
         with pytest.raises(MalformedInstanceError, match=message):
             WeightedInstance.from_dict(doc)
@@ -321,6 +336,24 @@ LOADER_TEXTS = {
     "empty-object": "{}",
     "non-string-key": '{1: %s}' % W2,
     "blank": " \n",
+    # the rows a mirror check sends to the whole-row scan: a left text that is not, byte for
+    # byte, its mirror's, a separator other than ", ", a cell too long for the length table
+    "mirror-int-against-float": '{"weights": [[0, 1.0, 2], [1, 0, 3], [2, 3, 0]]}',
+    "mirror-negative-zero": '{"weights": [[0.0, 0.0, 1.5], [-0.0, 0.0, 2.5], [1.5, 2.5, 0.0]]}',
+    "mirror-differs": '{"weights": [[0.0, 1.5, 2.0], [1.5, 0.0, 3.0], [2.0, 3.5, 0.0]]}',
+    "comma-from-row-1": '{"weights": [[0.0, 1.5, 2.0], [1.5,0.0,3.0], [2.0,3.0,0.0]]}',
+    "two-spaces": '{"weights": [[0.0,  1.5], [1.5,  0.0]]}',
+    # one ", " fewer than cells: a row 1 text matching a misplaced mirror would pass as symmetric
+    "comma-then-space": '{"weights": [[0.0,1.5, 2.5], [2.5, 0.0, 3.5], [2.5, 3.5, 0.0]]}',
+    "long-cell": '{"weights": [[0.0, 1.%s], [1.%s, 0.0]]}' % ("0" * 300, "0" * 300),
+    "int-left-big-float-right": '{"weights": [[0.0, 1, 2.0], [1, 0.0, 1e16], [2.0, 1e16, 0.0]]}',
+    "non-ascii-meta": '{"meta": {"name": "caf\u00e9 \u2003"}, "weights": %s}' % W3,
+    "non-ascii-space": '{"weights": [[0.0, 1.5], [1.5,\u00a00.0]]}',
+    "one-node-float": '{"weights": [[0.0]]}',
+    "two-nodes": '{"weights": [[0.0, 0.5], [0.5, 0.0]]}',
+    # the first row's cells are short, so the mirror buffer grows at the second row
+    "first-row-shorter": '{"weights": [[0, 1, 1], [1, 0, 1.%s1], [1, 1.%s1, 0]]}' % ("0" * 40,
+                                                                                 "0" * 40),
 }
 
 
@@ -376,6 +409,27 @@ def _load(path):
         return type(exc), str(exc)
 
 
+def _mirrored(monkeypatch) -> list:
+    """A list that gets one entry per weight row the mirror check takes from here on."""
+    taken, row = [], instance._Mirror.row
+
+    def counted(mirror, *args):
+        if (got := row(mirror, *args)) is not None:
+            taken.append(got)
+        return got
+
+    monkeypatch.setattr(instance._Mirror, "row", counted)
+    return taken
+
+
+# weight rows the mirror check takes before the whole-row scan reads the rest
+MIRROR_ROWS = {"gen": 5, "indent-2": 0, "mirror-int-against-float": 1, "mirror-negative-zero": 1,
+               "mirror-differs": 2, "comma-from-row-1": 1, "two-spaces": 1,
+               "comma-then-space": 0, "long-cell": 0,
+               "int-left-big-float-right": 1, "non-ascii-meta": 3, "non-ascii-space": 1,
+               "one-node-float": 1, "two-nodes": 2, "first-row-shorter": 3}
+
+
 class TestLoadInstanceMatchesJsonLoads:
     """load_instance reads weights one row at a time; every file loads or fails as from_dict
     of json.loads of its text does, with the same bits or the same exception and message."""
@@ -397,14 +451,35 @@ class TestLoadInstanceMatchesJsonLoads:
                 _instance_fields(_Chunks(io.StringIO(text).read))
                 by_rows.add(name)
         # the row reader takes these texts; json.loads reads every other one
+        mirror = {"mirror-int-against-float", "mirror-negative-zero", "mirror-differs",
+                  "comma-from-row-1", "two-spaces", "comma-then-space", "long-cell",
+                  "non-ascii-meta", "one-node-float", "two-nodes", "first-row-shorter"}
         assert by_rows == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
                            "weights-in-meta", "meta-weights-only", "integers", "zero-one",
                            "ints-and-floats", "nan", "infinity", "negative-zero", "asymmetric",
-                           "one-node", "points-bool", "n-float"}
+                           "one-node", "points-bool", "n-float", *mirror}
         assert accepted == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
                             "weights-twice-first-bad", "weights-in-meta", "integers", "zero-one",
                             "ints-and-floats", "two-to-the-53", "two-to-the-53-plus-1",
-                            "negative-zero"}
+                            "negative-zero", "int-left-big-float-right",
+                            *mirror - {"mirror-differs", "comma-then-space", "one-node-float"}}
+
+    @pytest.mark.parametrize("name", list(MIRROR_ROWS))
+    def test_mirror_rows(self, name, monkeypatch):
+        taken = _mirrored(monkeypatch)
+        with contextlib.suppress(ValueError, OverflowError, StopIteration):
+            _instance_fields(_Chunks(io.StringIO(LOADER_TEXTS[name]).read))
+        assert len(taken) == MIRROR_ROWS[name]
+
+    def test_a_gen_file_takes_the_mirror_path_on_every_row(self, monkeypatch, tmp_path):
+        """Every row of a file ``gen`` writes is read from its diagonal on: a silent fall back
+        to the whole-row scan would keep the bits and lose the speed."""
+        inst = generate(GeneratorSpec("euclidean-uniform", 300, seed=0))
+        path = tmp_path / "inst.json"
+        save_instance(inst, str(path))
+        taken = _mirrored(monkeypatch)
+        assert load_instance(str(path)).weights.tobytes() == inst.weights.tobytes()
+        assert len(taken) == 300
 
     def test_single_character_edits(self, tmp_path):
         """Seeded deletions, insertions and replacements of one character in a small file."""
