@@ -12,6 +12,7 @@ files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
 unlike its mirror, a two-space separator), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
+the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``),
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -239,6 +240,16 @@ def invocations() -> list:
         inv.append(["oracle", "--instance", path, "--problem", "mwm"])
         for k in ks:
             inv.append(["oracle", "--instance", path, "--problem", "mkm", "--k", str(k)])
+
+    # the k-sum oracle past n=10: answered since its covered-set DP raised the cap to 16,
+    # and n=18, capped on both sides
+    for n, k in ((12, 3), (16, 4), (18, 3)):
+        inv += [["gen", "--n", str(n), "--seed", "12", "--out", f"{{tmp}}/ksum-{n}.json"],
+                ["oracle", "--instance", f"{{tmp}}/ksum-{n}.json", "--problem", "ksum",
+                 "--k", str(k)]]
+        for engine in ("greedy", "hybrid"):
+            inv.append(["bench", "--problem", "ksum", "--algorithm", engine, "--n", str(n),
+                        "--k", str(k), "--trials", "2", "--inner-samples", "30", "--seed", "3"])
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]

@@ -165,6 +165,25 @@ def held_karp_triples() -> dict:
             for label, _, n, k in ORACLE_CALLS if label == "tsp"}
 
 
+def ksum_candidates() -> dict:
+    """Per ksum call of ``ORACLE_CALLS``, with c = n / k: the partitions the enumeration
+    scored, n! / (c!^k k!), against the (covered set, part) candidates the DP over covered
+    sets forms, sum over j < k of C(n - j, jc - j) C(n - jc - 1, c - 1): after j parts the
+    covered sets are the jc-sets holding nodes 0..j-1, and each gets a part of its lowest
+    uncovered node plus c - 1 of the others (the last part, the complement, is one).
+    Counted from n and k, not measured."""
+    out = {}
+    for label, _, n, k in ORACLE_CALLS:
+        if label == "ksum":
+            c = n // k
+            out[_call_key(label, n, k)] = {
+                "enumerated_partitions": math.factorial(n) // (math.factorial(c) ** k
+                                                               * math.factorial(k)),
+                "dp_candidates": sum(math.comb(n - j, j * c - j) * math.comb(n - j * c - 1, c - 1)
+                                     for j in range(k))}
+    return out
+
+
 def _io_chain(n: int, workdir: str) -> tuple:
     """The files of the large-n CLI chain in ``workdir`` and the argv of each of its steps."""
     files = {name: os.path.join(workdir, f"{name}.json")
@@ -292,7 +311,7 @@ def oracle_section(trees: dict) -> dict:
              for key, p in med["parent"].items() if key != "peak_rss_mb"}
     return {"unit": "s", "instance seed": 0, **med, "warm_change_over_parent": ratio,
             "rounds": runs, "matching_states": matching_states(),
-            "held_karp_triples": held_karp_triples()}
+            "held_karp_triples": held_karp_triples(), "ksum_candidates": ksum_candidates()}
 
 
 def io_section(trees: dict) -> dict:
@@ -301,13 +320,17 @@ def io_section(trees: dict) -> dict:
             files, steps = _io_chain(n, tmp)
             out = _child(trees[side], "chain", n, tmp)
             # each its own process, started from this small one: a child's ru_maxrss starts
-            # at the peak of the process that started it, and gen's peak would hide the read's
-            out["load_instance alone"] = _child(trees[side], "load", files["instance"])
+            # at the peak of the process that started it, and gen's peak would hide the read's;
+            # the median of IO_REPEATS such processes, as one sample could not be read alone
+            def load(path: str) -> dict:
+                return _median([_child(trees[side], "load", path) for _ in range(IO_REPEATS)])
+
+            out["load_instance alone"] = load(files["instance"])
             # the same instance indented: its rows take the whole-row scan on both sides
             indented = os.path.join(tmp, "indented.json")
             out["indented bytes"] = _child(trees[side], "indent", files["instance"],
                                            indented)["bytes"]
-            out["load_instance alone, indented"] = _child(trees[side], "load", indented)
+            out["load_instance alone, indented"] = load(indented)
             os.remove(indented)
             out["step alone"] = {step: _child(trees[side], "step", n, step, tmp) for step in steps}
         return out

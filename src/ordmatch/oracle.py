@@ -2,14 +2,13 @@
 
 These see the hidden weights; they exist to score the ordinal algorithms,
 not to compete with them. Every solver enforces an explicit size budget
-and a wall-clock ceiling, and breaks ties deterministically (smallest
-node first) so repeated runs reproduce the same solution object.
+and a wall-clock ceiling, and breaks ties by the rule its docstring states,
+so repeated runs reproduce the same solution object.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ class OracleBudget:
     """Per-problem size caps plus a wall-clock ceiling per call."""
 
     max_n_matching: int = 20
-    max_n_k_sum: int = 10
+    max_n_k_sum: int = 16
     max_n_densest: int = 20
     max_n_tsp: int = 15
     time_limit: float = 60.0
@@ -129,50 +128,6 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     return Matching.from_pairs(n, [e for e in edges if w[e] > 0.0])
 
 
-def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Clustering:
-    """Exact max k-sum clustering by canonical partition enumeration.
-
-    Partitions are enumerated with the lowest unassigned node anchoring
-    each new part, so each partition appears exactly once; the whole
-    table is scored at once, pair weights in (i, j) order within a part
-    and parts in anchor order, and the first optimum is the
-    lexicographically smallest.
-    """
-    n = inst.n
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n % k != 0:
-        raise ValueError(f"k={k} must divide n={n}")
-    if n > budget.max_n_k_sum:
-        raise BudgetError(f"k-sum oracle capped at n={budget.max_n_k_sum}, got n={n}")
-    deadline = _Deadline(budget.time_limit, "k-sum oracle")
-    c = n // k
-
-    # order[row] lists the filled parts, then the unassigned nodes ascending.
-    # Every row has the same number of unassigned nodes, so the next part's
-    # anchor plus each lex-ordered combination of later positions, followed
-    # by the positions left over, is one permutation shared by all rows.
-    order = np.arange(n)[None]
-    for lo in range(0, n - c, c):
-        deadline.check()
-        rest = range(lo + 1, n)
-        perms = [[*range(lo + 1), *pick, *(x for x in rest if x not in pick)]
-                 for pick in itertools.combinations(rest, c - 1)]
-        order = order[:, perms].reshape(-1, n)
-
-    parts = order.reshape(len(order), k, c)
-    wf = inst.weights.ravel()
-    part_val = np.zeros((len(order), k))
-    for i in range(c):
-        for j in range(i + 1, c):
-            part_val += wf.take(parts[:, :, i] * n + parts[:, :, j])
-    total = np.zeros(len(order))
-    for q in range(k):
-        total += part_val[:, q]
-    top = int(total.argmax())
-    return Clustering(n, order[top].reshape(k, c).tolist())
-
-
 @functools.cache
 def _combinations(n: int, k: int) -> np.ndarray:
     """The k-combinations of range(n) in lexicographic order, one per column:
@@ -187,27 +142,71 @@ def _combinations(n: int, k: int) -> np.ndarray:
     return table
 
 
-def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
-    """Exact densest k-subgraph by scoring every k-combination (lex order) at once.
-
-    Pair weights are added in (i, j) order, so values keep a scalar sum's
-    bits, and the first maximum is the lexicographically smallest subset.
-    """
-    n = inst.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    if n > budget.max_n_densest:
-        raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
-    deadline = _Deadline(budget.time_limit, "densest oracle")
-    wf = inst.weights.ravel()
-    c = _combinations(n, k)
+def _subset_values(inst: WeightedInstance, k: int, deadline: _Deadline) -> np.ndarray:
+    """Each ``_combinations(n, k)`` column's weight, pairs added in (i, j) order: a scalar sum."""
+    n, wf, c = inst.n, inst.weights.ravel(), _combinations(inst.n, k)
     val = np.zeros(c.shape[1])
     for i in range(k):
         deadline.check()
         row = c[i] * n
         for j in range(i + 1, k):
             val += wf.take(row + c[j])
-    return Subset(n, tuple(c[:, int(val.argmax())].tolist()))
+    return val
+
+
+def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
+    """Exact densest k-subgraph: the lex-first maximum of ``_subset_values``."""
+    n = inst.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    if n > budget.max_n_densest:
+        raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
+    top = int(_subset_values(inst, k, _Deadline(budget.time_limit, "densest oracle")).argmax())
+    return Subset(n, tuple(_combinations(n, k)[:, top].tolist()))
+
+
+def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Clustering:
+    """Exact max k-sum clustering by a forward DP over covered sets.
+
+    Each part holds the lowest uncovered node; a covered set keeps its best
+    running sum of ``_subset_values`` in anchor order, and the last part is
+    the complement. Rounding is monotone, so the optimum keeps the best
+    partition's bits. Sets stay in the order of their partitions and each
+    keeps its first best lex-ordered candidate: ties go to the lex-smallest
+    partition whose every prefix has the best running sum for its covered set.
+    """
+    n = inst.n
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if n % k != 0:
+        raise ValueError(f"k={k} must divide n={n}")
+    if n > budget.max_n_k_sum:
+        raise BudgetError(f"k-sum oracle capped at n={budget.max_n_k_sum}, got n={n}")
+    deadline = _Deadline(budget.time_limit, "k-sum oracle")
+    c, full = n // k, (1 << n) - 1
+    value = _subset_values(inst, c, deadline)
+    part_of = np.zeros(1 << n, np.intp)  # c-subset mask (bit i for node i) -> its column
+    part_of[(1 << _combinations(n, c).astype(np.int64)).sum(axis=0)] = np.arange(len(value))
+    # per set, its best running sum and first best candidate; layers' sets differ in size
+    best, first = np.full(1 << n, -np.inf), np.full(1 << n, np.iinfo(np.intp).max)
+    sets, run, trail = np.zeros(1, np.int64), np.zeros(1), []
+    for _ in range(k - 1):
+        deadline.check()
+        free = np.nonzero(~sets[:, None] >> np.arange(n) & 1)[1].reshape(len(sets), -1)
+        pick = free[:, 1 + _combinations(free.shape[1] - 1, c - 1)]  # c - 1 more, lex order
+        parts = 1 << free[:, :1] | (1 << pick).sum(axis=1)  # with the lowest free node
+        cand, to = (run[:, None] + value[part_of[parts]]).ravel(), (sets[:, None] | parts).ravel()
+        np.maximum.at(best, to, cand)
+        tight = np.flatnonzero(cand == best[to])
+        np.minimum.at(first, to[tight], tight)
+        kept = tight[first[to[tight]] == tight]
+        trail.append((kept // parts.shape[1], parts.ravel()[kept]))
+        sets, run = to[kept], cand[kept]
+    top = int((run + value[part_of[sets ^ full]]).argmax())  # the last part: the complement
+    masks = [full ^ int(sets[top])]
+    for parent, part in reversed(trail):
+        top, masks = parent[top], [int(part[top]), *masks]
+    return Clustering(n, [[i for i in range(n) if m >> i & 1] for m in masks])
 
 
 @functools.cache

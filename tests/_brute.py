@@ -4,8 +4,9 @@ Exhaustive solvers for the oracle tests: deliberately plain enumeration
 with no dynamic programming and no pruning, so these share no structure
 with the package's oracles. Scalar versions of the oracles' subset DPs
 (``dp_matching``, ``held_karp``), combination scan (``scan_densest``)
-and canonical partition recursion (``scan_k_sum``), which the numpy
-oracles must match solution for solution. Plain versions of the
+and canonical partition recursion (``scan_k_sum``, and
+``scan_k_sum_best_prefixes`` for the k-sum oracle's tie rule), which the
+numpy oracles must match solution for solution. Plain versions of the
 ranking (a sort per row, and one stable argsort of the whole table),
 the greedy (a walk that rescans every row) and the triple checks, which
 the array profile, the block ranking, the greedy and the pivot loops
@@ -328,43 +329,89 @@ def scan_densest(w, k: int) -> tuple:
     return best_nodes
 
 
-def scan_k_sum(w, k: int) -> tuple:
-    """Parts of the lex-first max k-sum clustering by the canonical recursion.
-
-    The lowest unassigned node anchors each new part and the others are
-    taken in ``combinations`` order, so partitions arrive in lex order;
-    part values add pair weights in (i, j) order, the total adds parts in
-    anchor order, and the first strict maximum wins.
-    """
-    c = len(w) // k
-    best_val = -1.0
-    best_parts = None
-
-    def part_value(part) -> float:
+def k_sum_running_total(w, parts) -> float:
+    """The parts' values summed in the order given, each adding its pair weights in
+    (i, j) order: the sum ``scan_k_sum`` maximizes."""
+    acc = 0.0
+    for part in parts:
         s = 0.0
         for i in range(len(part)):
             row = w[part[i]]
             for j in range(i + 1, len(part)):
                 s += row[part[j]]
-        return s
+        acc += s
+    return acc
 
-    def descend(remaining: tuple, acc: float, parts: list):
-        nonlocal best_val, best_parts
-        if not remaining:
-            if acc > best_val:
-                best_val = acc
-                best_parts = tuple(parts)
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
+
+def k_sum_partitions(w, k: int, keep=None) -> list:
+    """Every partition into k equal parts as (running sum, parts), in lex order.
+
+    The canonical recursion: the lowest unassigned node anchors each new
+    part and the others are taken in ``combinations`` order. The running
+    sum is ``k_sum_running_total`` of the parts so far. With ``keep``, a
+    prefix, whole partitions included, for which ``keep(covered, running
+    sum)`` is false is dropped with all its extensions; ``covered`` is a
+    mask, bit i for node i.
+    """
+    c = len(w) // k
+    memo, out = {}, []  # memo: part -> (its value, its mask)
+
+    def descend(remaining: tuple, parts: tuple, covered: int, acc: float):
+        anchor, rest = remaining[0], remaining[1:]
+        last = len(rest) < c
         for combo in combinations(rest, c - 1):
             part = (anchor,) + combo
-            parts.append(part)
-            descend(tuple(x for x in rest if x not in combo), acc + part_value(part), parts)
-            parts.pop()
+            if part not in memo:
+                memo[part] = k_sum_running_total(w, [part]), sum(1 << x for x in part)
+            value, mask = memo[part]
+            if keep is None or keep(covered | mask, acc + value):
+                if last:
+                    out.append((acc + value, parts + (part,)))
+                else:
+                    descend(tuple(x for x in rest if x not in combo), parts + (part,),
+                            covered | mask, acc + value)
 
-    descend(tuple(range(len(w))), 0.0, [])
+    descend(tuple(range(len(w))), (), 0, 0.0)
+    return out
+
+
+def scan_k_sum(w, k: int) -> tuple:
+    """Parts of the lex-first max k-sum clustering by the canonical recursion.
+
+    Partitions arrive in lex order; part values add pair weights in (i, j)
+    order, the total adds parts in anchor order, and the first strict
+    maximum wins.
+    """
+    best_val, best_parts = -1.0, None
+    for acc, parts in k_sum_partitions(w, k):
+        if acc > best_val:
+            best_val, best_parts = acc, parts
     return best_parts
+
+
+def scan_k_sum_best_prefixes(w, k: int) -> tuple:
+    """Parts of the lex-first max k-sum clustering among those whose every prefix
+    has the best running sum for its covered set.
+
+    A plain dict DP finds each covered set's best running sum (a max over
+    every canonical next part; float addition rounds monotonically, so that
+    is the max over every prefix); ``k_sum_partitions`` then keeps only the
+    prefixes that reach it, and the first partition it lists wins.
+    """
+    n, c = len(w), len(w) // k
+    value = {part: k_sum_running_total(w, [part]) for part in combinations(range(n), c)}
+    best, layer = {}, {0: 0.0}
+    while layer:
+        grown = {}
+        for covered, acc in layer.items():
+            rest = [x for x in range(n) if not covered >> x & 1]
+            for combo in combinations(rest[1:], c - 1):
+                part = (rest[0],) + combo
+                mask, total = covered | sum(1 << x for x in part), acc + value[part]
+                grown[mask] = max(grown.get(mask, total), total)
+        best.update(grown)
+        layer = {mask: acc for mask, acc in grown.items() if mask != (1 << n) - 1}
+    return k_sum_partitions(w, k, lambda covered, acc: acc == best[covered])[0][1]
 
 
 def held_karp(w) -> tuple:

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten desk-scale verifications of the library's guarantees.
+"""Acceptance gate: ten desk-scale verifications of the library's guarantees,
+plus k-sum sweeps at n = 12 and 16.
 
 Each test prints one PASS/FAIL line (written to the unbuffered real
 stdout so it survives pytest capture) and then asserts. Trial counts and
@@ -30,6 +31,7 @@ from ordmatch import (
     generate,
     greedy_k_matching,
     greedy_ratio_bound,
+    hybrid_bound,
     hybrid_matching,
     hybrid_matchings,
     matching_to_tour,
@@ -379,3 +381,25 @@ def test_c10_any_matching_upper_bound(verdict):
         ok,
         f"exhaustive over n=4,6: {checked} (matching, subset) checks, max violation {worst:.2e}",
     )
+
+
+def test_ksum_sweeps_at_n_12_and_16(verdict):
+    # Beside C6's ksum rows, at sizes the covered-set DP oracle opened (n = 12
+    # and 16, up from 10). Counts fixed up front: greedy 20 trials per k, checked
+    # against 4; hybrid 10 trials of 1000 draws per k with an even cluster size,
+    # checked against 2 * hybrid_bound(n) with the harness's 3-sigma allowance.
+    greedy_trials, hybrid_trials, hybrid_draws = 20, 10, 1000
+    ks = {12: (2, 3, 4, 6), 16: (2, 4, 8)}
+    configs = [(TrialConfig("ksum", "greedy", n, k=k, trials=greedy_trials, seed=40 + 10 * i + k),
+                4.0) for i, n in enumerate(ks) for k in ks[n]]
+    configs += [(TrialConfig("ksum", "hybrid", n, k=k, trials=hybrid_trials,
+                             inner_samples=hybrid_draws, seed=60 + 10 * i + k),
+                 2 * hybrid_bound(n)) for i, n in enumerate(ks) for k in ks[n] if n // k % 2 == 0]
+    ok = True
+    details = []
+    for cfg, bound in configs:
+        rep = run_trials(cfg)
+        ok = ok and rep.bound == bound and rep.verdict
+        details.append(f"{cfg.engine} n={cfg.n} k={cfg.k} bound {rep.bound:.4g} "
+                       f"max {rep.max_ratio:.4f}")
+    verdict("ksum sweeps n=12,16", ok, f"{len(configs)} configs; " + "; ".join(details))

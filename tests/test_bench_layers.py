@@ -58,7 +58,7 @@ def test_every_probe_of_every_mode(monkeypatch):
 
     orc = out["oracles"]
     assert set(orc) == {"unit", "instance seed", "parent", "change", "warm_change_over_parent",
-                        "rounds", "matching_states", "held_karp_triples"}
+                        "rounds", "matching_states", "held_karp_triples", "ksum_candidates"}
     calls = {"mwm n=6", "mkm n=6 k=2", "densest n=6 k=3", "tsp n=5", "ksum n=6 k=2"}
     assert set(orc["parent"]) == set(orc["change"]) == calls | {"peak_rss_mb"}
     assert set(orc["parent"]["mwm n=6"]) == {"cold", "warm"}
@@ -70,6 +70,9 @@ def test_every_probe_of_every_mode(monkeypatch):
     # n=5: m=4 free nodes, 16 * 14 dense candidates against 4 * 3 * 4 feasible triples
     assert orc["held_karp_triples"] == {"tsp n=5": {"dense_candidates": 224,
                                                     "feasible_triples": 48}}
+    # n=6 k=2: 10 partitions against 10 first parts of node 0 and their 10 complements
+    assert orc["ksum_candidates"] == {"ksum n=6 k=2": {"enumerated_partitions": 10,
+                                                       "dp_candidates": 20}}
 
     chain = out["io"]
     assert set(chain) == {"unit", "instance", "parent", "change", "equal_file_bytes",

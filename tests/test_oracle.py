@@ -13,10 +13,13 @@ from _brute import (
     dp_matching_layers,
     dp_matching_walk,
     held_karp,
+    k_sum_running_total,
     scan_densest,
     scan_k_sum,
+    scan_k_sum_best_prefixes,
 )
 from ordmatch import (
+    DEFAULT_BUDGET,
     BudgetError,
     Clustering,
     GeneratorSpec,
@@ -50,6 +53,9 @@ W2 = [
     [1.0, 1.0, 0.0, 1.0],
     [1.0, 1.0, 1.0, 0.0],
 ]
+
+FAMILIES = ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"]
+
 
 # values frozen from the exhaustive enumerators in _brute.py
 FROZEN = [
@@ -163,7 +169,7 @@ class TestOptKSum:
             opt_k_sum(inst, 0)
 
     def test_budget_cap(self):
-        big = WeightedInstance([[0.0] * 12 for _ in range(12)])
+        big = WeightedInstance([[0.0] * 18 for _ in range(18)])
         with pytest.raises(BudgetError):
             opt_k_sum(big, 3)
 
@@ -172,13 +178,33 @@ class TestOptKSum:
         with pytest.raises(BudgetError):
             opt_k_sum(inst, 5, OracleBudget(time_limit=0.0))
 
-    def test_pair_clusters_match_perfect_matching(self):
+    @pytest.mark.parametrize("n", [8, 14, 16])
+    def test_pair_clusters_match_perfect_matching(self, n):
         # size-2 clusters are exactly a perfect matching
         for seed in range(5):
-            inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=seed))
-            ks = cluster_weight(opt_k_sum(inst, 4), inst)
-            mm = matching_weight(opt_matching(inst, 4), inst)
+            inst = generate(GeneratorSpec("euclidean-uniform", n, seed=seed))
+            ks = cluster_weight(opt_k_sum(inst, n // 2), inst)
+            mm = matching_weight(opt_matching(inst, n // 2), inst)
             assert ks == pytest.approx(mm, rel=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_divisor_at_the_cap(self, family):
+        # n=16 under the default budget: canonical parts, and no swap of two nodes
+        # between parts gains more than rounding
+        n = DEFAULT_BUDGET.max_n_k_sum
+        inst = generate(GeneratorSpec(family, n, seed=0))
+        w = inst.weights.tolist()
+        for k in (1, 2, 4, 8, 16):
+            parts = opt_k_sum(inst, k).parts
+            assert [p[0] for p in parts] == [min(set(range(n)).difference(*parts[:q]))
+                                             for q in range(k)], k
+            total = k_sum_running_total(w, parts)
+            for (p, a), (q, b) in itertools.combinations(
+                    [(p, a) for p in range(k) for a in range(n // k)], 2):
+                if p != q:
+                    swapped = [list(part) for part in parts]
+                    swapped[p][a], swapped[q][b] = parts[q][b], parts[p][a]
+                    assert k_sum_running_total(w, swapped) <= total + 1e-12, (k, p, a, q, b)
 
 
 class TestOptDensest:
@@ -269,20 +295,22 @@ class TestAgainstFrozenBruteValues:
             assert tour_weight(opt_tsp(inst), inst) == pytest.approx(brute_max_tour(w), abs=1e-12)
 
 
-FAMILIES = ["euclidean-uniform", "random-metric-closure", "clustered-gaussian"]
-
-
 def assert_same_solutions(inst, ks):
     """The numpy oracles return the scalar references' solution objects for
-    every k in ks, and for every k that divides n within the k-sum cap."""
+    every k in ks and, for n <= 12, every k that divides n: the k-sum oracle
+    returns ``scan_k_sum``'s partition up to n = 10 and, at n = 11 and 12,
+    its optimum's bits and ``scan_k_sum_best_prefixes``'s partition."""
     n, w = inst.n, inst.weights.tolist()
     for k in ks:
         assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k)), k
         assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
-    if n <= OracleBudget().max_n_k_sum:
-        for k in range(1, n + 1):
-            if n % k == 0:
-                assert opt_k_sum(inst, k) == Clustering(n, scan_k_sum(w, k)), k
+    for k in range(1, n + 1):
+        if n % k == 0 and n <= 10:
+            assert opt_k_sum(inst, k) == Clustering(n, scan_k_sum(w, k)), k
+        elif n % k == 0 and n <= 12:
+            parts = opt_k_sum(inst, k).parts
+            assert k_sum_running_total(w, parts) == k_sum_running_total(w, scan_k_sum(w, k)), k
+            assert parts == scan_k_sum_best_prefixes(w, k), k
     if n >= 3:
         assert opt_tsp(inst) == Tour(n, held_karp(w))
 
@@ -382,6 +410,18 @@ class TestAgainstScalarDP:
             w[u, v] = w[v, u] = x
         assert scan_k_sum(w.tolist(), 2) == ((0, 1, 2), (3, 4, 5))
         assert opt_k_sum(WeightedInstance(w), 2).parts == ((0, 1, 2), (3, 4, 5))
+
+    @pytest.mark.parametrize("seed,k", [(3, 4), (1, 6), (2, 6)])
+    def test_k_sum_ties_keep_the_best_prefixes(self, seed, k):
+        # random-metric-closure pair sums tie in the reals: scan_k_sum's lex-first
+        # optimum has a prefix below its covered set's best running sum, so the oracle
+        # returns a later partition with the same total, bit for bit
+        n = 12
+        inst = generate(GeneratorSpec("random-metric-closure", n, seed=seed))
+        w = inst.weights.tolist()
+        parts, scan = opt_k_sum(inst, k).parts, scan_k_sum(w, k)
+        assert parts != scan and parts == scan_k_sum_best_prefixes(w, k)
+        assert k_sum_running_total(w, parts) == k_sum_running_total(w, scan)
 
     def test_densest_tie_across_chunks_goes_to_the_first(self):
         # C(16, 8) = 12870 combinations span two chunks, and every one ties
