@@ -12,7 +12,9 @@ files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
 unlike its mirror, a two-space separator), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
-the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``),
+the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
+at n=65 and 130 on each family in both formats (one and three
+dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -250,6 +252,20 @@ def invocations() -> list:
         for engine in ("greedy", "hybrid"):
             inv.append(["bench", "--problem", "ksum", "--algorithm", engine, "--n", str(n),
                         "--k", str(k), "--trials", "2", "--inner-samples", "30", "--seed", "3"])
+
+    # generate and derive_preferences work 64 rows at a time: one and two blocks and a row,
+    # on every family, and the verbs that read such a file
+    for fam in FAMILIES:
+        for n in (65, 130):
+            for fmt in ("json", "csv"):
+                for dimension in ("1", "3"):
+                    inv.append(["gen", "--family", fam, "--n", str(n), "--seed", "4",
+                                "--dimension", dimension, "--format", fmt])
+    block = "{tmp}/block-130.json"
+    inv += [["gen", "--n", "130", "--seed", "4", "--dimension", "3", "--out", block],
+            ["prefs", "--instance", block],
+            ["solve", "--instance", block, "--problem", "mwm", "--algorithm", "greedy"],
+            ["verify-metric", "--instance", block]]
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]

@@ -144,19 +144,27 @@ class WeightedInstance:
         return inst
 
 
+def _push(left: list, r: int, cells: list, sep: bytes) -> None:
+    """Drop row r's bucket in ``left``, and append each of row r's ``cells`` (from its diagonal
+    on) right of the diagonal, followed by ``sep``, to the bucket of the row it mirrors into."""
+    left[r] = None
+    for bucket, cell in zip(left[r + 1 :], cells[1:]):
+        bucket += cell + sep
+
+
 def _row_texts(table: np.ndarray, sep: str):
-    """The rows of a ranking or a symmetric weight matrix as ``sep``-joined cell texts, each
+    """The rows of a ranking or a symmetric weight matrix as ``sep``-joined cell bytes, each
     distinct value formatted once: node ids from one table of n ``str``, a weight by one
     ``repr`` on or above the diagonal, whose text the mirror cell below reuses."""
     if table.dtype.kind != "f":
         ids = np.array([str(j) for j in range(len(table))], dtype=object)
-        yield from (sep.join(ids[row].tolist()) for row in table)
+        yield from (sep.join(ids[row].tolist()).encode() for row in table)
         return
-    pending = []  # pending[j]: row j's texts not yet mirrored, reversed; at row i pop() is (j, i)
+    left, bsep = [bytearray() for _ in table], sep.encode()  # left[j]: row j's cells so far
     for i, row in enumerate(table):
-        texts = list(map(repr, row[i:].tolist()))
-        yield sep.join([*map(list.pop, pending), *texts])
-        pending.append(texts[:0:-1])
+        right = sep.join(map(repr, row[i:].tolist())).encode()
+        yield bytes(left[i]) + right
+        _push(left, i, right.split(bsep), bsep)
 
 
 def _table_chunks(fmt: str, data: dict, header: str, table: np.ndarray):
@@ -165,11 +173,11 @@ def _table_chunks(fmt: str, data: dict, header: str, table: np.ndarray):
     other value is encoded first, so a value json refuses raises before any chunk is written."""
     rows = _row_texts(table, "," if fmt == "csv" else ", ")
     if fmt == "csv":
-        return chain([f"{header}\n".encode()], (f"{r}\n".encode() for r in rows))
+        return chain([f"{header}\n".encode()], (r + b"\n" for r in rows))
     pairs = (json.dumps(k) + ": " + ("\0" if v is table else json.dumps(v, allow_nan=False))
              for k, v in data.items())
     head, tail = ("{" + ", ".join(pairs) + "}\n").encode().split(b"\0")  # json writes no raw NUL
-    rows = (f"{', ' if i else ''}[{r}]".encode() for i, r in enumerate(rows))
+    rows = ((b", [" if i else b"[") + r + b"]" for i, r in enumerate(rows))
     return chain([head, b"["], rows, [b"]", tail])
 
 
@@ -220,13 +228,11 @@ class _Chunks:
 
 
 class _Mirror:
-    """The text right of the diagonal of each row read so far, each cell followed by ", ", in
-    one uint8 buffer; a uint8 (n, n) table of each cell's length there, and per row where its
-    next cell not yet mirrored starts (row r reads cell r of every row above)."""
+    """Per row not yet read, the text its cells left of the diagonal must have: cell r of each
+    row above, each followed by ", ", in one bytearray, dropped once its row is read."""
 
     def __init__(self):
-        self.buf, self.used, self.ints = np.empty(0, np.uint8), 0, False
-        self.next, self.sizes = np.empty(0, np.intp), np.empty((0, 1), np.uint8)
+        self.left, self.ints = [b""], False  # row 0 owes no text
 
     def row(self, src: _Chunks, w, r: int):
         """``w`` (made at row 0) with row r filled from the row next in ``src``, scanned from
@@ -237,34 +243,23 @@ class _Mirror:
             src._more(i)  # the row, from its "[", ends in the buffer
         if r and r >= len(w) or src.buf[i : i + 1] != "[":
             return None
-        s, size = self.next[:r], self.sizes[:r, r].astype(np.intp)
-        k = i + 1 + int(size.sum())
-        left = self.buf[np.repeat(s - np.cumsum(size) + size, size) + np.arange(k - i - 1)]
-        if end < k or left.tobytes() != src.buf[i + 1 : k].encode():
+        k = i + 1 + len(self.left[r])
+        if end < k or src.buf[i + 1 : k].encode() != self.left[r]:
             return None
         text = src.buf[k:end]
         row = _scan(f"[{text}]", 0)[0]
         n, types = len(row) if w is None else len(w), set(map(type, row))
-        cells = np.frombuffer(f"{text}, ".encode(), np.uint8)
-        seps = np.flatnonzero((cells[:-1] == 44) & (cells[1:] == 32))  # where each ", " starts
-        if not row or r + len(row) != n or not types <= {float, int} or len(seps) != len(row) \
-                or (np.diff(seps) > 255).any():
+        cells = text.encode().split(b", ")
+        if not row or r + len(row) != n or not types <= {float, int} or len(cells) != len(row):
             return None
-        w = np.empty((n, n)) if w is None else w
+        if w is None:
+            w, self.left = np.empty((n, n)), [bytearray() for _ in range(n)]
         w[r, r:], w[r, :r] = row, w[:r, r]  # OverflowError for an int past float range
         self.ints |= int in types  # from here on a cell left of the diagonal may be an int
         if self.ints and not (np.abs(w[r]) < 2.0**53).all():
             return None
-        if r == 0:
-            self.next, self.sizes = np.empty(n, np.intp), np.empty((n, n), np.uint8)
-        grown = self.used + len(cells) - (cut := seps[0] + 2)
-        if grown > len(self.buf):  # room for twice the cells left at this row's length
-            buf, self.buf = self.buf, np.empty(grown + (grown - self.used) * (n - r), np.uint8)
-            self.buf[: self.used] = buf[: self.used]
-        self.buf[self.used : grown] = cells[cut:]
-        self.next[:r] += size
-        self.next[r], self.sizes[r, r + 1 :] = self.used, np.diff(seps)
-        self.used, src.i = grown, end + 1
+        _push(self.left, r, cells, b", ")
+        src.i = end + 1
         return w
 
 
@@ -430,7 +425,7 @@ class PreferenceProfile:
         return cls(d["ranking"])
 
 
-_BLOCK = 64  # rows per argsort in derive_preferences
+_BLOCK = 64  # rows per argsort in derive_preferences, per scratch fill in _euclidean_weights
 
 
 def derive_preferences(inst: WeightedInstance) -> PreferenceProfile:
@@ -494,10 +489,13 @@ class GeneratorSpec:
 
 
 def _euclidean_weights(points: np.ndarray) -> np.ndarray:
-    # in place, one coordinate at a time: for d < 8 the bits match summing the (n, n, d) tensor
-    w, sq = np.zeros((len(points),) * 2), np.empty((len(points),) * 2)
-    for x in points.T:
-        w += np.square(np.subtract.outer(x, x, out=sq), out=sq)
+    # in place, _BLOCK rows and one coordinate at a time: for d < 8 the bits match the tensor sum
+    n = len(points)
+    w, sq = np.zeros((n, n)), np.empty((min(n, _BLOCK), n))
+    for a in range(0, n, _BLOCK):
+        block, out = w[a : a + _BLOCK], sq[: n - a]
+        for x in points.T:
+            block += np.square(np.subtract.outer(x[a : a + _BLOCK], x, out=out), out=out)
     return np.sqrt(w, out=w)  # x - x is exactly 0, so the diagonal is too
 
 
