@@ -10,7 +10,8 @@ formats, all three families, every problem x engine (rejected
 combinations too), failing bounds, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
-unlike its mirror, a two-space separator), the matching oracle's
+unlike its mirror, a two-space separator, a file in gen's layout whose
+last row breaks it, with and without an int cell), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
 at n=65 and 130 on each family in both formats (one and three
@@ -96,10 +97,15 @@ DOCUMENTS = {
                                 for i in range(16)]},
 }
 # Hand-written instance texts, by name, written as they are: layouts and JSON errors a
-# document above cannot show. The valid ones take the row-at-a-time weight reader, the
-# others the json.loads fallback.
+# document above cannot show. Weights in gen's layout take the row-at-a-time weight reader,
+# every other text json.loads.
 _W4 = [[0, 3.5, 1, 2], [3.5, 0, 1, 1], [1, 1, 0, 5.25], [2, 1, 5.25, 0]]
 _W2 = "[[0.0, 9.0], [9.0, 0.0]]"
+# gen's layout at n=6, the last row's first cell "0.5" written as "0.50": the row reader reads
+# five rows and gives up at the last
+_GEN6 = ('{"n": 6, "weights": %s, "metric": false}'
+         % json.dumps([[(i + j) / 10 * (i != j) for j in range(6)] for i in range(6)])
+         ).replace("[0.5, 0.6", "[0.50, 0.6")
 RAW_DOCUMENTS = {
     "not-json": "{",
     "indented": json.dumps({"n": 4, "weights": _W4, "metric": False}, indent=2) + "\n",
@@ -110,9 +116,11 @@ RAW_DOCUMENTS = {
     "trailing-comma-weights": '{"weights": [[0.0, 9.0], [9.0, 0.0],]}',
     "bom": '\ufeff{"weights": %s}' % _W2,
     # rows whose text left of the diagonal is not byte for byte its mirror's, or whose cells a
-    # separator other than ", " parts: the weight reader scans them whole
+    # separator other than ", " parts: the weight reader gives up and json.loads reads the text
     "mirror-int-against-float": '{"weights": [[0, 1.0, 2.5], [1, 0, 3.5], [2.5, 3.5, 0]]}',
     "two-spaces": '{"weights": [[0.0,  9.0,  1.5], [9.0,  0.0,  2.5], [1.5,  2.5,  0.0]]}',
+    "gen-last-row-differs": _GEN6,
+    "gen-last-row-differs-one-int": _GEN6.replace("0.0]]", "0]]"),
 }
 
 
@@ -206,6 +214,7 @@ def invocations() -> list:
             [*bench, "--bound", "0"],
             [*bench, "--bound=-inf"],
             ["bench", "--problem", "mwm", "--n", "6", "--trials", "0"],
+            ["bench", "--problem", "mwm", "--n", "6", "--seed", "-1"],
             ["bench", "--problem", "mwm", "--algorithm", "hybrid", "--n", "6",
              "--inner-samples", "1"],
             # rejected since non-finite flags are refused

@@ -326,7 +326,8 @@ def io_section(trees: dict) -> dict:
                 return _median([_child(trees[side], "load", path) for _ in range(IO_REPEATS)])
 
             out["load_instance alone"] = load(files["instance"])
-            # the same instance indented: its rows take the whole-row scan on both sides
+            # the same instance indented: json.loads reads it where the row reader takes gen's
+            # layout only, a whole-row scan where an older reader has one
             indented = os.path.join(tmp, "indented.json")
             out["indented bytes"] = _child(trees[side], "indent", files["instance"],
                                            indented)["bytes"]

@@ -227,67 +227,31 @@ class _Chunks:
             self._more(self.i)
 
 
-class _Mirror:
-    """Per row not yet read, the text its cells left of the diagonal must have: cell r of each
-    row above, each followed by ", ", in one bytearray, dropped once its row is read."""
-
-    def __init__(self):
-        self.left, self.ints = [b""], False  # row 0 owes no text
-
-    def row(self, src: _Chunks, w, r: int):
-        """``w`` (made at row 0) with row r filled from the row next in ``src``, scanned from
-        its diagonal on: the text left of the diagonal must be, byte for byte, cell r of each
-        row above, whose numbers it copies. None, with ``src`` not moved on, if the row needs
-        ``_weight_rows``' whole-row scan; ValueError and the like from the scan mean that too."""
+def _weight_rows(src: _Chunks) -> np.ndarray:
+    """The JSON array of n rows of n floats next in ``src``, in the layout ``gen`` writes, read
+    one row at a time into an (n, n) matrix: cells parted by ", ", and each row scanned from its
+    diagonal on, its text left of the diagonal being, byte for byte, cell r of each row above,
+    whose numbers it copies. Per row not yet read, that text is one bytearray, dropped once its
+    row is read. ValueError, StopIteration or RecursionError at the first row that is not so."""
+    w, left, r, c = None, [b""], 0, src.char()  # row 0 owes no text
+    while c == ("," if r else "["):
         while (end := src.buf.find("]", i := _space(src.buf, src.i).end())) < 0 and not src.end:
             src._more(i)  # the row, from its "[", ends in the buffer
-        if r and r >= len(w) or src.buf[i : i + 1] != "[":
-            return None
-        k = i + 1 + len(self.left[r])
-        if end < k or src.buf[i + 1 : k].encode() != self.left[r]:
-            return None
+        if r == len(left) or src.buf[i : i + 1] != "[":
+            raise ValueError
+        k = i + 1 + len(left[r])
+        if end < k or src.buf[i + 1 : k].encode() != left[r]:
+            raise ValueError
         text = src.buf[k:end]
-        row = _scan(f"[{text}]", 0)[0]
-        n, types = len(row) if w is None else len(w), set(map(type, row))
-        cells = text.encode().split(b", ")
-        if not row or r + len(row) != n or not types <= {float, int} or len(cells) != len(row):
-            return None
+        row, cells = _scan(f"[{text}]", 0)[0], text.encode().split(b", ")
+        n = len(row) if w is None else len(w)
+        if not row or r + len(row) != n or set(map(type, row)) != {float} or len(cells) != len(row):
+            raise ValueError
         if w is None:
-            w, self.left = np.empty((n, n)), [bytearray() for _ in range(n)]
-        w[r, r:], w[r, :r] = row, w[:r, r]  # OverflowError for an int past float range
-        self.ints |= int in types  # from here on a cell left of the diagonal may be an int
-        if self.ints and not (np.abs(w[r]) < 2.0**53).all():
-            return None
-        _push(self.left, r, cells, b", ")
+            w, left = np.empty((n, n)), [bytearray() for _ in range(n)]
+        w[r, r:], w[r, :r] = row, w[:r, r]
+        _push(left, r, cells, b", ")
         src.i = end + 1
-        return w
-
-
-def _weight_rows(src: _Chunks) -> np.ndarray:
-    """The JSON array of n arrays of n numbers next in ``src``, read one row at a time into an
-    (n, n) float matrix. ValueError or StopIteration for any other text, or a row holding a
-    boolean, a string, null or an int that float() may round. ``_Mirror`` reads each row
-    from its diagonal on; a row it does not take, and every row after it, is scanned whole."""
-    w, r, c, mirror = None, 0, src.char(), _Mirror()
-    while c == ("," if r else "["):
-        try:
-            got = mirror and mirror.row(src, w, r)
-        except (ValueError, OverflowError, StopIteration, RecursionError):
-            got = None
-        if got is not None:
-            w, r, c = got, r + 1, src.char()
-            continue
-        mirror = None
-        row = src.value()  # StopIteration at "]": [] or a trailing comma
-        if type(row) is not list:
-            raise ValueError
-        w = np.empty((len(row), len(row))) if w is None else w
-        types = set(map(type, row))  # one scan per row: a 0 or 1 costs what a float does
-        if r == len(w) or len(row) != len(w) or not types <= {float, int}:
-            raise ValueError
-        w[r] = row  # OverflowError for an int past float range
-        if int in types and not (np.abs(w[r]) < 2.0**53).all():
-            raise ValueError
         r, c = r + 1, src.char()
     if c != "]" or w is None or r != len(w):
         raise ValueError
@@ -311,13 +275,16 @@ def _instance_fields(src: _Chunks) -> dict:
 
 def load_instance(path: str) -> WeightedInstance:
     """Load an instance JSON file, re-validating the matrix. ``_Chunks`` reads it a chunk and the
-    weights a row at a time (a pipe, read whole first); text it does not take is read again by
-    ``json.loads``, so every file loads or fails as it did through ``json.load``."""
+    weights of a file in ``gen``'s layout a row at a time (a pipe, read whole first); any other
+    text is read again by ``json.loads``, so every file loads or fails as it did through
+    ``json.load``."""
     with open(path, "r", encoding="utf-8") as fh:
         src = fh if fh.seekable() else io.StringIO(fh.read())
         try:
             d = _instance_fields(_Chunks(src.read))
-        except (ValueError, OverflowError, StopIteration, RecursionError):
+        except (ValueError, StopIteration, RecursionError):
+            d = None
+        if d is None:  # out of the handler, whose traceback holds the half-read matrix
             src.seek(0)
             d = json.loads(src.read())
     return WeightedInstance.from_dict(d)
@@ -482,6 +449,8 @@ class GeneratorSpec:
             )
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.family in ("euclidean-uniform", "clustered-gaussian") and self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         if self.family == "clustered-gaussian" and self.clusters < 1:

@@ -6,7 +6,7 @@ import math
 import os
 import threading
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -282,6 +282,9 @@ def _gen_text(**dumps):
 
 
 W2, W3 = "[[0, 1], [1, 0]]", "[[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]]"
+# the same matrices in gen's layout, which the row reader takes
+W3F_ROWS = ("[0.0, 2.5, 3.0]", "[2.5, 0.0, 4.0]", "[3.0, 4.0, 0.0]")
+W2F, W3F = "[[0.0, 1.0], [1.0, 0.0]]", "[%s]" % ", ".join(W3F_ROWS)
 ZERO_ONE = np.triu(np.random.default_rng(0).integers(0, 2, (40, 40)), 1)
 LOADER_TEXTS = {
     "gen": _gen_text(),
@@ -339,8 +342,8 @@ LOADER_TEXTS = {
     "empty-object": "{}",
     "non-string-key": '{1: %s}' % W2,
     "blank": " \n",
-    # the rows a mirror check sends to the whole-row scan: a left text that is not, byte for
-    # byte, its mirror's, or a separator other than ", "; a cell of 300 characters is taken
+    # rows the row reader gives up at, sending the file to json.loads: a left text that is not,
+    # byte for byte, its mirror's, or a separator other than ", "; a cell of 300 characters is taken
     "mirror-int-against-float": '{"weights": [[0, 1.0, 2], [1, 0, 3], [2, 3, 0]]}',
     "mirror-negative-zero": '{"weights": [[0.0, 0.0, 1.5], [-0.0, 0.0, 2.5], [1.5, 2.5, 0.0]]}',
     "mirror-differs": '{"weights": [[0.0, 1.5, 2.0], [1.5, 0.0, 3.0], [2.0, 3.5, 0.0]]}',
@@ -357,6 +360,18 @@ LOADER_TEXTS = {
     # the first row's cells are short, so the mirror buffer grows at the second row
     "first-row-shorter": '{"weights": [[0, 1, 1], [1, 0, 1.%s1], [1, 1.%s1, 0]]}' % ("0" * 40,
                                                                                  "0" * 40),
+    "first-row-shorter-floats": '{"weights": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.%s1], '
+                                '[1.0, 1.%s1, 0.0]]}' % ("0" * 40, "0" * 40),
+    # float twins of texts above whose int weights send them to json.loads: the row reader
+    # reads these, called twice on one stream for weights-twice
+    "crlf-floats": '{\r\n  "n": 3,\r\n  "weights": [%s,\r\n    %s,\r\n    %s]\r\n}' % W3F_ROWS,
+    "tabs-floats": '{\t"weights":\t[%s,\t%s,\t%s],\t"metric":\ttrue}' % W3F_ROWS,
+    "weights-last-floats": '{"n": 3, "meta": {"family": "x"}, "metric": true, "weights": %s}'
+                           % W3F,
+    "weights-twice-floats": '{"weights": %s, "n": 3, "weights": %s}' % (W2F, W3F),
+    "non-ascii-meta-floats": '{"meta": {"name": "caf\u00e9 \u2003"}, "weights": %s}' % W3F,
+    "points-bool-floats": '{"weights": %s, "points": [[0.5, true], [1, 2]]}' % W2F,
+    "n-float-floats": '{"n": 2.9, "weights": %s}' % W2F,
 }
 
 
@@ -379,9 +394,8 @@ def _same_result(got, want):
             == (bits(want.weights), bits(want.points), want.metric, want.meta))
 
 
-def _one_character_edits(count=400):
-    """Seeded deletions, insertions and replacements of one character in a small file."""
-    base = '{"n": 3, "weights": [[0, 2.5, 3], [2.5, 0, 4], [3, 4, 0]], "meta": {"a": [1]}}'
+def _one_character_edits(base, count=400):
+    """Seeded deletions, insertions and replacements of one character in ``base``."""
     alphabet = '{}[]",:0123456789.-+eE tfnul\r\t'
     rng = np.random.default_rng(0)
     texts = []
@@ -392,7 +406,10 @@ def _one_character_edits(count=400):
     return texts
 
 
-EDITED_TEXTS = _one_character_edits()
+# edits of a file with int weights, which json.loads reads, and of the same file in gen's
+# layout, whose edits the row reader reads up to the first row it gives up at
+EDITED_TEXTS = [*_one_character_edits('{"n": 3, "weights": %s, "meta": {"a": [1]}}' % W3),
+                *_one_character_edits('{"n": 3, "weights": %s, "meta": {"a": [1]}}' % W3F)]
 
 
 def _fields(text):
@@ -413,24 +430,27 @@ def _load(path):
 
 
 def _mirrored(monkeypatch) -> list:
-    """A list that gets one entry per weight row the mirror check takes from here on."""
-    taken, row = [], instance._Mirror.row
+    """A list that gets the index of each weight row the row reader reads from here on: its
+    one ``_push`` per row, the call the writer makes per row too."""
+    taken, push = [], instance._push
 
-    def counted(mirror, *args):
-        if (got := row(mirror, *args)) is not None:
-            taken.append(got)
-        return got
+    def counted(left, r, cells, sep):
+        taken.append(r)
+        push(left, r, cells, sep)
 
-    monkeypatch.setattr(instance._Mirror, "row", counted)
+    monkeypatch.setattr(instance, "_push", counted)
     return taken
 
 
-# weight rows the mirror check takes before the whole-row scan reads the rest
-MIRROR_ROWS = {"gen": 5, "indent-2": 0, "mirror-int-against-float": 1, "mirror-negative-zero": 1,
+# weight rows the row reader reads before it gives up and json.loads reads the text
+MIRROR_ROWS = {"gen": 5, "indent-2": 0, "mirror-int-against-float": 0, "mirror-negative-zero": 1,
                "mirror-differs": 2, "comma-from-row-1": 1, "two-spaces": 1,
                "comma-then-space": 0, "long-cell": 2,
-               "int-left-big-float-right": 1, "non-ascii-meta": 3, "non-ascii-space": 1,
-               "one-node-float": 1, "two-nodes": 2, "first-row-shorter": 3}
+               "int-left-big-float-right": 0, "non-ascii-meta": 0, "non-ascii-space": 1,
+               "one-node-float": 1, "two-nodes": 2, "first-row-shorter": 0,
+               "first-row-shorter-floats": 3, "crlf-floats": 3, "tabs-floats": 3,
+               "weights-last-floats": 3, "weights-twice-floats": 5, "non-ascii-meta-floats": 3,
+               "points-bool-floats": 2, "n-float-floats": 2}
 
 
 class TestLoadInstanceMatchesJsonLoads:
@@ -453,19 +473,23 @@ class TestLoadInstanceMatchesJsonLoads:
             with contextlib.suppress(ValueError, OverflowError, StopIteration):
                 _instance_fields(_Chunks(io.StringIO(text).read))
                 by_rows.add(name)
-        # the row reader takes these texts; json.loads reads every other one
+        # the texts written for the mirror check; the row reader takes these, in gen's layout
+        # or with no weights at all, and json.loads reads every other one
         mirror = {"mirror-int-against-float", "mirror-negative-zero", "mirror-differs",
                   "comma-from-row-1", "two-spaces", "comma-then-space", "long-cell",
-                  "non-ascii-meta", "one-node-float", "two-nodes", "first-row-shorter"}
-        assert by_rows == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
-                           "weights-in-meta", "meta-weights-only", "integers", "zero-one",
-                           "ints-and-floats", "nan", "infinity", "negative-zero", "asymmetric",
-                           "one-node", "points-bool", "n-float", *mirror}
+                  "non-ascii-meta", "one-node-float", "two-nodes", "first-row-shorter",
+                  "first-row-shorter-floats"}
+        twins = {name for name in LOADER_TEXTS if name.endswith("-floats")} - {"ints-and-floats",
+                                                                               "bool-among-floats"}
+        assert {name.removesuffix("-floats") for name in twins} <= set(LOADER_TEXTS)
+        assert by_rows == {"gen", "meta-weights-only", "nan", "infinity", "long-cell",
+                           "one-node-float", "two-nodes", *twins}
         assert accepted == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
                             "weights-twice-first-bad", "weights-in-meta", "integers", "zero-one",
                             "ints-and-floats", "two-to-the-53", "two-to-the-53-plus-1",
                             "negative-zero", "int-left-big-float-right",
-                            *mirror - {"mirror-differs", "comma-then-space", "one-node-float"}}
+                            *mirror - {"mirror-differs", "comma-then-space", "one-node-float"},
+                            *twins - {"points-bool-floats", "n-float-floats"}}
 
     @pytest.mark.parametrize("name", list(MIRROR_ROWS))
     def test_mirror_rows(self, name, monkeypatch):
@@ -474,15 +498,26 @@ class TestLoadInstanceMatchesJsonLoads:
             _instance_fields(_Chunks(io.StringIO(LOADER_TEXTS[name]).read))
         assert len(taken) == MIRROR_ROWS[name]
 
+    def test_the_edits_in_gen_layout_reach_the_row_reader(self, monkeypatch):
+        """Of the 400 edits of the file in gen's layout, the row reader takes 91 whole, and it
+        reads 0, 1, 2 and all 3 weight rows of 114, 77, 80 and 129 of them."""
+        taken, rows, pushed = 0, Counter(), _mirrored(monkeypatch)
+        for text in EDITED_TEXTS[400:]:
+            pushed.clear()
+            taken += _fields(text) is not None
+            rows[len(pushed)] += 1
+        assert (taken, rows) == (91, {0: 114, 1: 77, 2: 80, 3: 129})
+
     def test_a_gen_file_takes_the_mirror_path_on_every_row(self, monkeypatch, tmp_path):
         """Every row of a file ``gen`` writes is read from its diagonal on: a silent fall back
-        to the whole-row scan would keep the bits and lose the speed."""
+        to json.loads would keep the bits and lose the speed and the memory."""
         inst = generate(GeneratorSpec("euclidean-uniform", 300, seed=0))
         path = tmp_path / "inst.json"
         save_instance(inst, str(path))
-        taken = _mirrored(monkeypatch)
+        taken, parsed, loads = _mirrored(monkeypatch), [], json.loads
+        monkeypatch.setattr(instance.json, "loads", lambda text: parsed.append(text) or loads(text))
         assert load_instance(str(path)).weights.tobytes() == inst.weights.tobytes()
-        assert len(taken) == 300
+        assert taken == list(range(300)) and parsed == []
 
     def test_single_character_edits(self, tmp_path):
         """Seeded deletions, insertions and replacements of one character in a small file."""
@@ -505,7 +540,7 @@ class TestLoadInstanceMatchesJsonLoads:
             assert _same_result(_load(path), _load_like_before(path)), text
 
     def test_a_number_cut_by_a_chunk_edge_is_read_whole(self, monkeypatch, tmp_path):
-        text = '{"n": 1000, "weights": [[0, 1], [1, 0]]}'
+        text = '{"n": 1000, "weights": [[0.0, 1.0], [1.0, 0.0]]}'
         monkeypatch.setattr(instance, "_CHUNK", len('{"n": 10'))  # the first read ends at "10"
         assert _fields(text)["n"] == 1000
         path = tmp_path / "inst.json"
@@ -564,20 +599,34 @@ class TestMirrorBuckets:
         _, path = gen_file
         assert self._traced_peak_mib(lambda: load_instance(str(path))) < 4.5
 
+    def test_a_late_fall_back_peaks_under_8_7_mib(self, gen_file, monkeypatch, tmp_path):
+        """n=400, the last weight row's first cell written with one more "0": the row reader
+        gives up at that row and json.loads reads the file, to the same bits. A peak of
+        9.38 MiB traced with the second read inside the handler, whose traceback keeps the
+        half-read matrix and its buckets, 8.06 MiB after it (json.loads alone)."""
+        inst, path = gen_file
+        text = path.read_text()
+        i = text.rindex(", [", 0, text.index(']], "metric"')) + 3  # the last weight row
+        edited = tmp_path / "edited.json"
+        edited.write_text(text[:i] + text[i:].replace(",", "0,", 1))
+        assert self._traced_peak_mib(lambda: load_instance(str(edited))) < 8.7
+        taken = _mirrored(monkeypatch)
+        assert load_instance(str(edited)).weights.tobytes() == inst.weights.tobytes()
+        assert taken == list(range(self.N - 1))
+
     def test_a_bucket_is_dropped_once_its_row_is_read(self, gen_file, monkeypatch):
         inst, path = gen_file
         rows, written = instance._row_texts(inst.weights, ", "), []
         for i, _ in enumerate(rows):  # row i is yielded, its bucket not yet dropped
             left = rows.gi_frame.f_locals["left"]
             written.append([b is None for b in left] == [j < i for j in range(self.N)])
-        read, row = [], instance._Mirror.row
+        read, push = [], instance._push
 
-        def checked(mirror, src, w, r):
-            got = row(mirror, src, w, r)
-            read.append([b is None for b in mirror.left] == [j <= r for j in range(self.N)])
-            return got
+        def checked(left, r, cells, sep):
+            push(left, r, cells, sep)
+            read.append([b is None for b in left] == [j <= r for j in range(self.N)])
 
-        monkeypatch.setattr(instance._Mirror, "row", checked)
+        monkeypatch.setattr(instance, "_push", checked)
         assert load_instance(str(path)).weights.tobytes() == inst.weights.tobytes()
         assert written == read == [True] * self.N
 
@@ -871,6 +920,8 @@ class TestGenerators:
             GeneratorSpec("euclidean-uniform", 6, dimension=0)
         with pytest.raises(ValueError):
             GeneratorSpec("clustered-gaussian", 6, clusters=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            GeneratorSpec("euclidean-uniform", 6, seed=-1)
 
     def test_families_tuple(self):
         assert set(GENERATOR_FAMILIES) == {
