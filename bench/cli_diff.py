@@ -11,7 +11,8 @@ combinations too), failing bounds, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
 unlike its mirror, a two-space separator, a file in gen's layout whose
-last row breaks it, with and without an int cell), the matching oracle's
+last row breaks it, with and without an int cell, and gen's layout with
+its head or the text after its weights edited), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
 at n=65 and 130 on each family in both formats (one and three
@@ -97,10 +98,11 @@ DOCUMENTS = {
                                 for i in range(16)]},
 }
 # Hand-written instance texts, by name, written as they are: layouts and JSON errors a
-# document above cannot show. Weights in gen's layout take the row-at-a-time weight reader,
+# document above cannot show. A text in gen's layout takes the row-at-a-time weight reader,
 # every other text json.loads.
 _W4 = [[0, 3.5, 1, 2], [3.5, 0, 1, 1], [1, 1, 0, 5.25], [2, 1, 5.25, 0]]
 _W2 = "[[0.0, 9.0], [9.0, 0.0]]"
+_W3 = "[[0.0, 2.5, 3.0], [2.5, 0.0, 4.0], [3.0, 4.0, 0.0]]"
 # gen's layout at n=6, the last row's first cell "0.5" written as "0.50": the row reader reads
 # five rows and gives up at the last
 _GEN6 = ('{"n": 6, "weights": %s, "metric": false}'
@@ -121,6 +123,15 @@ RAW_DOCUMENTS = {
     "two-spaces": '{"weights": [[0.0,  9.0,  1.5], [9.0,  0.0,  2.5], [1.5,  2.5,  0.0]]}',
     "gen-last-row-differs": _GEN6,
     "gen-last-row-differs-one-int": _GEN6.replace("0.0]]", "0]]"),
+    # gen's layout with its head or the text after the weights edited: json.loads reads the
+    # tail (or, for a head it does not match, the whole text)
+    "missing-comma-after-weights": '{"n": 3, "weights": %s "meta": {"a": 1}}' % _W3,
+    "trailing-comma-after-weights": '{"n": 3, "weights": %s, }' % _W3,
+    "n-and-weights-in-tail": '{"n": 2, "weights": %s, "n": 3, "weights": %s}' % (_W2, _W3),
+    "non-ascii-meta-after-weights": '{"n": 3, "weights": %s, "meta": {"name": "caf\u00e9 \u2003"}}'
+                                    % _W3,
+    "n-minus-zero": '{"n": -0, "weights": %s}' % _W2,
+    "n-exponent": '{"n": 1e3, "weights": %s}' % _W2,
 }
 
 

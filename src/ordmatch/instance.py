@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -189,60 +190,36 @@ def save_instance(inst: WeightedInstance, path: str) -> None:
 
 
 _scan = json.JSONDecoder().scan_once  # json.loads's own C scanner: (value, end) at an index
-_space = json.decoder.WHITESPACE.match
 _CHUNK = 1 << 18  # characters per read of an instance file
+_HEAD = re.compile(r'\{(?:"n": (-?(?:0|[1-9][0-9]*)), )?"weights": \[')
 
 
-class _Chunks:
-    """The JSON text ``read(k)`` returns ``k`` characters at a time, as tokens. A value counts
-    once three characters after it are buffered (a number cut before "e+1" would read short)
-    or the text has ended; one that fails to scan is scanned again with more text."""
-
-    def __init__(self, read):
-        self.read, self.buf, self.i, self.end = read, "", 0, False
-
-    def _more(self, i: int) -> None:
-        got = self.read(max(_CHUNK, len(self.buf) - i))  # doubles the text a long value spans
-        self.buf, self.i, self.end = self.buf[i:] + got, 0, not got
-
-    def char(self) -> str:
-        """The next character that is not JSON whitespace, consumed; "" at the end."""
-        while (i := _space(self.buf, self.i).end()) == len(self.buf) and not self.end:
-            self._more(i)
-        self.i = i + 1
-        return self.buf[i : i + 1]
-
-    def value(self):
-        """The next JSON value (ValueError or StopIteration if there is none)."""
-        while True:
-            self.i = _space(self.buf, self.i).end()
-            try:
-                v, end = _scan(self.buf, self.i)
-                if len(self.buf) - end >= 3 or self.end:
-                    self.i = end
-                    return v
-            except (ValueError, StopIteration):
-                if self.end:
-                    raise
-            self._more(self.i)
-
-
-def _weight_rows(src: _Chunks) -> np.ndarray:
-    """The JSON array of n rows of n floats next in ``src``, in the layout ``gen`` writes, read
-    one row at a time into an (n, n) matrix: cells parted by ", ", and each row scanned from its
-    diagonal on, its text left of the diagonal being, byte for byte, cell r of each row above,
-    whose numbers it copies. Per row not yet read, that text is one bytearray, dropped once its
-    row is read. ValueError, StopIteration or RecursionError at the first row that is not so."""
-    w, left, r, c = None, [b""], 0, src.char()  # row 0 owes no text
-    while c == ("," if r else "["):
-        while (end := src.buf.find("]", i := _space(src.buf, src.i).end())) < 0 and not src.end:
-            src._more(i)  # the row, from its "[", ends in the buffer
-        if r == len(left) or src.buf[i : i + 1] != "[":
+def _gen_fields(read) -> dict:
+    """``json.loads`` of the text ``read(k)`` returns ``k`` characters at a time, if it is in
+    ``gen``'s layout: ``{"weights": [`` or ``{"n": <int>, "weights": [``, n rows of n floats
+    (cells and rows each parted by ", "), ``]``, then ``}`` or ``, "`` and the other keys, read by
+    one ``json.loads``. Each row is scanned from its diagonal on; its text left of the diagonal
+    must be, byte for byte, cell r of each row above (one bytearray per row not yet read, dropped
+    once it is read), whose numbers it copies. ValueError (or the scanner's StopIteration or
+    RecursionError) at the first text that is not so."""
+    buf = ""
+    while "[" not in buf and (got := read(_CHUNK)):
+        buf += got
+    if (head := _HEAD.match(buf)) is None:
+        raise ValueError
+    d = {} if head[1] is None else {"n": int(head[1])}
+    w, left, r, i = None, [b""], 0, head.end()  # row 0 owes no text
+    del head  # it holds the first chunk
+    while True:  # the row from its "[" and the two characters after its "]" are buffered
+        while ((end := buf.find("]", i)) < 0 or end + 3 > len(buf)) and (
+                got := read(max(_CHUNK, len(buf) - i))):  # doubles the text a long row spans
+            buf, i = buf[i:] + got, 0
+        if r == len(left) or buf[i : i + 1] != "[":
             raise ValueError
         k = i + 1 + len(left[r])
-        if end < k or src.buf[i + 1 : k].encode() != left[r]:
+        if end < k or buf[i + 1 : k].encode() != left[r]:
             raise ValueError
-        text = src.buf[k:end]
+        text = buf[k:end]
         row, cells = _scan(f"[{text}]", 0)[0], text.encode().split(b", ")
         n = len(row) if w is None else len(w)
         if not row or r + len(row) != n or set(map(type, row)) != {float} or len(cells) != len(row):
@@ -251,38 +228,25 @@ def _weight_rows(src: _Chunks) -> np.ndarray:
             w, left = np.empty((n, n)), [bytearray() for _ in range(n)]
         w[r, r:], w[r, :r] = row, w[:r, r]
         _push(left, r, cells, b", ")
-        src.i = end + 1
-        r, c = r + 1, src.char()
-    if c != "]" or w is None or r != len(w):
+        r, i = r + 1, end + 3
+        if buf[end + 1 : i] != ", ":
+            break
+    if r != n or buf[end + 1 : end + 2] != "]" or not (
+            rest := buf[end + 2 :] + read()).startswith(("}", ', "')):  # the tail, read whole
         raise ValueError
-    return w.view(_Handed)
-
-
-def _instance_fields(src: _Chunks) -> dict:
-    """``json.loads`` of the JSON object in ``src``, each ``"weights"`` value read by
-    ``_weight_rows``; ValueError or StopIteration for any text it does not take."""
-    d, c = {}, src.char()
-    while c == ("," if d else "{"):
-        key = src.value()  # StopIteration at "}": {} or a trailing comma
-        if type(key) is not str or src.char() != ":":
-            raise ValueError
-        d[key] = _weight_rows(src) if key == "weights" else src.value()
-        c = src.char()
-    if c != "}" or not d or src.char():
-        raise ValueError
-    return d
+    return {**d, "weights": w.view(_Handed)} | json.loads("{" + rest.removeprefix(", "))
 
 
 def load_instance(path: str) -> WeightedInstance:
-    """Load an instance JSON file, re-validating the matrix. ``_Chunks`` reads it a chunk and the
-    weights of a file in ``gen``'s layout a row at a time (a pipe, read whole first); any other
-    text is read again by ``json.loads``, so every file loads or fails as it did through
+    """Load an instance JSON file, re-validating the matrix. A file in ``gen``'s layout is read
+    by ``_gen_fields``, a chunk and a weight row at a time (a pipe, read whole first); any other
+    text is read again whole by ``json.loads``, so every file loads or fails as it did through
     ``json.load``."""
     with open(path, "r", encoding="utf-8") as fh:
         src = fh if fh.seekable() else io.StringIO(fh.read())
-        try:
-            d = _instance_fields(_Chunks(src.read))
-        except (ValueError, StopIteration, RecursionError):
+        try:  # MemoryError: a long first row sizes a matrix numpy cannot allocate
+            d = _gen_fields(src.read)
+        except (ValueError, StopIteration, RecursionError, MemoryError):
             d = None
         if d is None:  # out of the handler, whose traceback holds the half-read matrix
             src.seek(0)

@@ -70,6 +70,16 @@ class TestPrefs:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 9
 
+    def test_a_first_row_too_long_to_allocate_exits_one(self, tmp_path, capsys):
+        """A first weight row of 10^6 cells, whose matrix numpy cannot allocate, is an input
+        error, not an escaped MemoryError."""
+        path = tmp_path / "long.json"
+        path.write_text('{"weights": [[0.0' + ", 1.5" * (10**6 - 1) + "]]}")
+        assert main(["prefs", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: weight matrix must be square")
+
 
 class TestSolve:
     @pytest.mark.parametrize(

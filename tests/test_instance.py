@@ -40,7 +40,7 @@ from ordmatch import (
     validate_metric,
 )
 from ordmatch import instance
-from ordmatch.instance import _Chunks, _instance_fields, _table_chunks
+from ordmatch.instance import _gen_fields, _table_chunks
 
 W4 = [
     [0.0, 3.0, 1.0, 2.0],
@@ -363,7 +363,10 @@ LOADER_TEXTS = {
     "first-row-shorter-floats": '{"weights": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.%s1], '
                                 '[1.0, 1.%s1, 0.0]]}' % ("0" * 40, "0" * 40),
     # float twins of texts above whose int weights send them to json.loads: the row reader
-    # reads these, called twice on one stream for weights-twice
+    # reads weights-twice up to its tail, whose second "weights" json.loads reads, and
+    # first-row-shorter and points-bool whole; the others leave gen's layout before the
+    # weights (line breaks, tabs, keys before "weights", a non-integer "n"), so json.loads
+    # reads them too
     "crlf-floats": '{\r\n  "n": 3,\r\n  "weights": [%s,\r\n    %s,\r\n    %s]\r\n}' % W3F_ROWS,
     "tabs-floats": '{\t"weights":\t[%s,\t%s,\t%s],\t"metric":\ttrue}' % W3F_ROWS,
     "weights-last-floats": '{"n": 3, "meta": {"family": "x"}, "metric": true, "weights": %s}'
@@ -372,6 +375,14 @@ LOADER_TEXTS = {
     "non-ascii-meta-floats": '{"meta": {"name": "caf\u00e9 \u2003"}, "weights": %s}' % W3F,
     "points-bool-floats": '{"weights": %s, "points": [[0.5, true], [1, 2]]}' % W2F,
     "n-float-floats": '{"n": 2.9, "weights": %s}' % W2F,
+    # gen's layout with the head or the tail after the weights edited
+    "missing-comma-after-weights": '{"n": 3, "weights": %s "meta": {"a": 1}}' % W3F,
+    "trailing-comma-after-weights": '{"n": 3, "weights": %s, }' % W3F,
+    "n-and-weights-in-tail": '{"n": 2, "weights": %s, "n": 3, "weights": %s}' % (W2F, W3F),
+    "non-ascii-meta-after-weights": '{"n": 3, "weights": %s, "meta": {"name": "caf\u00e9 \u2003"}}'
+                                    % W3F,
+    "n-minus-zero": '{"n": -0, "weights": %s}' % W2F,
+    "n-exponent": '{"n": 1e3, "weights": %s}' % W2F,
 }
 
 
@@ -413,13 +424,13 @@ EDITED_TEXTS = [*_one_character_edits('{"n": 3, "weights": %s, "meta": {"a": [1]
 
 
 def _fields(text):
-    """``_instance_fields`` of ``text``, read through a text stream, with the weights as
-    bytes; None for a text it does not take."""
+    """``_gen_fields`` of ``text``, read through a text stream, with the weights as bytes (or
+    as the list a ``"weights"`` repeated after them gives); None for a text it does not take."""
     try:
-        d = _instance_fields(_Chunks(io.StringIO(text).read))
+        d = _gen_fields(io.StringIO(text).read)
     except (ValueError, OverflowError, StopIteration):
         return None
-    return {k: v.tobytes() if k == "weights" else v for k, v in d.items()}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
 
 def _load(path):
@@ -448,9 +459,11 @@ MIRROR_ROWS = {"gen": 5, "indent-2": 0, "mirror-int-against-float": 0, "mirror-n
                "comma-then-space": 0, "long-cell": 2,
                "int-left-big-float-right": 0, "non-ascii-meta": 0, "non-ascii-space": 1,
                "one-node-float": 1, "two-nodes": 2, "first-row-shorter": 0,
-               "first-row-shorter-floats": 3, "crlf-floats": 3, "tabs-floats": 3,
-               "weights-last-floats": 3, "weights-twice-floats": 5, "non-ascii-meta-floats": 3,
-               "points-bool-floats": 2, "n-float-floats": 2}
+               "first-row-shorter-floats": 3, "crlf-floats": 0, "tabs-floats": 0,
+               "weights-last-floats": 0, "weights-twice-floats": 2, "non-ascii-meta-floats": 0,
+               "points-bool-floats": 2, "n-float-floats": 0, "missing-comma-after-weights": 3,
+               "trailing-comma-after-weights": 3, "n-and-weights-in-tail": 2,
+               "non-ascii-meta-after-weights": 3, "n-minus-zero": 2, "n-exponent": 0}
 
 
 class TestLoadInstanceMatchesJsonLoads:
@@ -471,10 +484,10 @@ class TestLoadInstanceMatchesJsonLoads:
             if isinstance(_load_like_before(path), WeightedInstance):
                 accepted.add(name)
             with contextlib.suppress(ValueError, OverflowError, StopIteration):
-                _instance_fields(_Chunks(io.StringIO(text).read))
+                _gen_fields(io.StringIO(text).read)
                 by_rows.add(name)
-        # the texts written for the mirror check; the row reader takes these, in gen's layout
-        # or with no weights at all, and json.loads reads every other one
+        # the texts written for the mirror check; the row reader takes these, in gen's layout,
+        # and json.loads reads every other one
         mirror = {"mirror-int-against-float", "mirror-negative-zero", "mirror-differs",
                   "comma-from-row-1", "two-spaces", "comma-then-space", "long-cell",
                   "non-ascii-meta", "one-node-float", "two-nodes", "first-row-shorter",
@@ -482,42 +495,52 @@ class TestLoadInstanceMatchesJsonLoads:
         twins = {name for name in LOADER_TEXTS if name.endswith("-floats")} - {"ints-and-floats",
                                                                                "bool-among-floats"}
         assert {name.removesuffix("-floats") for name in twins} <= set(LOADER_TEXTS)
-        assert by_rows == {"gen", "meta-weights-only", "nan", "infinity", "long-cell",
-                           "one-node-float", "two-nodes", *twins}
+        assert by_rows == {"gen", "nan", "infinity", "long-cell", "one-node-float", "two-nodes",
+                           "n-and-weights-in-tail", "non-ascii-meta-after-weights", "n-minus-zero",
+                           *twins - {"crlf-floats", "tabs-floats", "weights-last-floats",
+                                     "non-ascii-meta-floats", "n-float-floats"}}
         assert accepted == {"gen", "indent-2", "crlf", "tabs", "weights-last", "weights-twice",
                             "weights-twice-first-bad", "weights-in-meta", "integers", "zero-one",
                             "ints-and-floats", "two-to-the-53", "two-to-the-53-plus-1",
                             "negative-zero", "int-left-big-float-right",
                             *mirror - {"mirror-differs", "comma-then-space", "one-node-float"},
+                            "n-and-weights-in-tail", "non-ascii-meta-after-weights",
                             *twins - {"points-bool-floats", "n-float-floats"}}
 
     @pytest.mark.parametrize("name", list(MIRROR_ROWS))
     def test_mirror_rows(self, name, monkeypatch):
         taken = _mirrored(monkeypatch)
         with contextlib.suppress(ValueError, OverflowError, StopIteration):
-            _instance_fields(_Chunks(io.StringIO(LOADER_TEXTS[name]).read))
+            _gen_fields(io.StringIO(LOADER_TEXTS[name]).read)
         assert len(taken) == MIRROR_ROWS[name]
 
     def test_the_edits_in_gen_layout_reach_the_row_reader(self, monkeypatch):
-        """Of the 400 edits of the file in gen's layout, the row reader takes 91 whole, and it
-        reads 0, 1, 2 and all 3 weight rows of 114, 77, 80 and 129 of them."""
+        """Of the 400 edits of the file in gen's layout, the row reader takes 55 whole, and it
+        reads 0, 1, 2 and all 3 weight rows of 121, 80, 83 and 116 of them. A reader of JSON keys
+        took 91 whole (114, 77, 80, 129); the 36 more it took go to json.loads: 22 that rename
+        "weights" (no weights, as from_dict then says) and 7 that edit the head's spaces or the
+        "n" key, at the head; 6 that write "],[" between two rows, at that row; and one with
+        "\r" for the space before "meta", at the tail."""
         taken, rows, pushed = 0, Counter(), _mirrored(monkeypatch)
         for text in EDITED_TEXTS[400:]:
             pushed.clear()
             taken += _fields(text) is not None
             rows[len(pushed)] += 1
-        assert (taken, rows) == (91, {0: 114, 1: 77, 2: 80, 3: 129})
+        assert (taken, rows) == (55, {0: 121, 1: 80, 2: 83, 3: 116})
 
     def test_a_gen_file_takes_the_mirror_path_on_every_row(self, monkeypatch, tmp_path):
         """Every row of a file ``gen`` writes is read from its diagonal on: a silent fall back
-        to json.loads would keep the bits and lose the speed and the memory."""
+        to json.loads would keep the bits and lose the speed and the memory. json.loads reads
+        the tail after the weights only."""
         inst = generate(GeneratorSpec("euclidean-uniform", 300, seed=0))
         path = tmp_path / "inst.json"
         save_instance(inst, str(path))
         taken, parsed, loads = _mirrored(monkeypatch), [], json.loads
         monkeypatch.setattr(instance.json, "loads", lambda text: parsed.append(text) or loads(text))
         assert load_instance(str(path)).weights.tobytes() == inst.weights.tobytes()
-        assert taken == list(range(300)) and parsed == []
+        assert taken == list(range(300))
+        assert len(parsed) == 1 and parsed[0].startswith('{"metric": ')
+        assert "weights" not in parsed[0]
 
     def test_single_character_edits(self, tmp_path):
         """Seeded deletions, insertions and replacements of one character in a small file."""
@@ -539,13 +562,22 @@ class TestLoadInstanceMatchesJsonLoads:
             path.write_bytes(text.encode("utf-8"))
             assert _same_result(_load(path), _load_like_before(path)), text
 
-    def test_a_number_cut_by_a_chunk_edge_is_read_whole(self, monkeypatch, tmp_path):
+    def test_a_head_cut_by_a_chunk_edge_is_read_whole(self, monkeypatch, tmp_path):
         text = '{"n": 1000, "weights": [[0.0, 1.0], [1.0, 0.0]]}'
-        monkeypatch.setattr(instance, "_CHUNK", len('{"n": 10'))  # the first read ends at "10"
+        monkeypatch.setattr(instance, "_CHUNK", len('{"n": 10'))  # the first read ends in "10"
         assert _fields(text)["n"] == 1000
         path = tmp_path / "inst.json"
         path.write_text(text)
         with pytest.raises(MalformedInstanceError, match="declared n=1000 does not match"):
+            load_instance(str(path))
+
+    @pytest.mark.parametrize("head", ['{"weights": [', '{"n": 1000000, "weights": ['])
+    def test_a_first_row_too_long_to_allocate_is_read_by_json_loads(self, head, tmp_path):
+        """A 5 MB first row of 10^6 cells sizes a (10^6, 10^6) matrix numpy cannot allocate:
+        the MemoryError sends the file to json.loads, like any text the row reader gives up at."""
+        path = tmp_path / "long.json"
+        path.write_text(head + "[0.0" + ", 1.5" * (10**6 - 1) + "]]}")
+        with pytest.raises(MalformedInstanceError, match=r"square, got shape \(1, 1000000\)"):
             load_instance(str(path))
 
     def test_a_pipe_is_read_whole(self, tmp_path):
