@@ -17,6 +17,8 @@ largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
 at n=65 and 130 on each family in both formats (one and three
 dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
+``gen`` at n=32 and 33 on each family in both formats and ``prefs`` and
+``solve`` on an n=33 file,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -286,6 +288,18 @@ def invocations() -> list:
             ["prefs", "--instance", block],
             ["solve", "--instance", block, "--problem", "mwm", "--algorithm", "greedy"],
             ["verify-metric", "--instance", block]]
+    # the writer and the loader join the cells a block of 16 rows owes the rows past it at
+    # once: two blocks and two blocks and a row, on every family, and the verbs that read such
+    # a file
+    for fam in FAMILIES:
+        for n in (32, 33):
+            for fmt in ("json", "csv"):
+                inv.append(["gen", "--family", fam, "--n", str(n), "--seed", "6",
+                            "--format", fmt])
+    mirror = "{tmp}/mirror-33.json"
+    inv += [["gen", "--n", "33", "--seed", "6", "--out", mirror],
+            ["prefs", "--instance", mirror],
+            ["solve", "--instance", mirror, "--problem", "mwm", "--algorithm", "greedy"]]
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]

@@ -353,13 +353,21 @@ def io_section(trees: dict) -> dict:
 
 
 def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
+    """One perfbench run in ``tree``: its scaled metrics and, from its result file, the raw
+    (unscaled) ones and, per round, the calibrate kernel's seconds around each op."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", "25", "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     line = json.loads(proc.stdout.splitlines()[-1])
+    result_path = os.path.join(tree, ".perfbench_out",
+                               f"result-{workload}-seed{seed}-trace{trace}.json")
+    with open(result_path, encoding="utf-8") as fh:
+        result = json.load(fh)
     return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
-            "metrics": {k: v["value"] for k, v in line["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+            "raw_metrics": {k: v["value"] for k, v in result["raw_metrics"].items()},
+            "kernel_s": [rnd["kernel_s"] for rnd in result["rounds"]]}
 
 
 def _spread(values) -> dict:
@@ -367,23 +375,33 @@ def _spread(values) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def _compare(p: list, c: list, better: str) -> dict:
+    wins = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
+    return {"better": better, "parent": _spread(p), "change": _spread(c),
+            "change_over_parent_median": statistics.median(c) / statistics.median(p),
+            "change_wins_pairs": wins}
+
+
 def paired_runs(trees: dict, workload: str, seed: int, pairs: int) -> dict:
+    """``pairs`` alternating perfbench runs per side: per end-to-end metric the scaled values,
+    and under ``raw`` the unscaled ones (scaling divides by a kernel timed in the same process,
+    whose allocator state a change can move), and each side's kernel seconds over all rounds."""
     runs = _alternate(pairs, lambda side, i: perfbench(trees[side], workload, seed, 0),
                       f"{workload} seed {seed} pair")
     metrics = {}
     for name, better in END_TO_END.items():
-        p = [r["metrics"][name] for r in runs["parent"]]
-        c = [r["metrics"][name] for r in runs["change"]]
-        wins = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
-        metrics[name] = {"better": better, "parent": _spread(p), "change": _spread(c),
-                         "change_over_parent_median": statistics.median(c) / statistics.median(p),
-                         "change_wins_pairs": wins}
+        metrics[name] = _compare([r["metrics"][name] for r in runs["parent"]],
+                                 [r["metrics"][name] for r in runs["change"]], better)
+        metrics[name]["raw"] = _compare([r["raw_metrics"][name] for r in runs["parent"]],
+                                        [r["raw_metrics"][name] for r in runs["change"]], better)
     return {
         "pairs": pairs,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
         "ops_failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "ops_attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "metrics": metrics,
+        "kernel_s": {side: _spread([k for r in rs for rnd in r["kernel_s"] for k in rnd])
+                     for side, rs in runs.items()},
     }
 
 
@@ -452,7 +470,8 @@ def main(argv=None) -> int:
         "what": mode.what + " and perfbench end-to-end medians for a parent and a change checkout.",
         "method": "perfbench/run.py --seconds 25 from each checkout; pairs alternate which "
                   "side runs first; times are the benchmark's kernel-scaled values except "
-                  "setup_s; quartiles are inclusive-method quantiles over the runs.",
+                  "setup_s, each metric's raw entry the unscaled ones; quartiles are "
+                  "inclusive-method quantiles over the runs.",
         "settings": mode.settings,
         "parent_rev": args.parent_rev,
         "environment": environment(),

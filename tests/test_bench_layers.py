@@ -1,4 +1,5 @@
-"""Smoke test of ``bench/layers.py``: every probe of the three modes runs once.
+"""Smoke test of ``bench/layers.py``: every probe of the three modes runs once, and the
+paired perfbench runs are summed up from a stand-in ``perfbench``.
 
 The script is loaded by path. Its size tables are shrunk, and each mode's
 section is built in-process, the probes called directly instead of in a
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import ordmatch
 import ordmatch.cli
+import pytest
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 SMALL = {
@@ -111,3 +113,41 @@ def test_indent_writes_the_older_layout(tmp_path):
 def test_probe_entry_prints_one_json_line(capsys):
     assert load_layers().main(["--probe", "generate", "10"]) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"seconds", "peak_rss_mb"}
+
+
+def test_paired_runs_reports_raw_times_beside_the_scaled_ones(monkeypatch):
+    """Each metric's ``raw`` entry holds the unscaled values, with their own medians, quartiles
+    and wins; ``kernel_s`` holds each side's calibrate seconds over every round of its runs."""
+    layers = load_layers()
+    seen = []
+
+    def fake(tree, workload, seed, trace):
+        i = len(seen)
+        seen.append((tree, workload, seed, trace))
+        scaled = {name: 1.0 + i for name in layers.END_TO_END}
+        raw = {name: 10.0 - i for name in layers.END_TO_END}
+        return {"correct": True, "attempted": 4, "failed": i % 2, "metrics": scaled,
+                "raw_metrics": raw, "kernel_s": [[0.01 * (i + 1)], [0.02 * (i + 1)]]}
+
+    monkeypatch.setattr(layers, "perfbench", fake)
+    out = layers.paired_runs({"parent": "P", "change": "C"}, "large-n", 5, 4)
+    # pairs alternate which side goes first: P C, C P, P C, C P
+    assert [tree for tree, *_ in seen] == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert {tuple(rest) for _, *rest in seen} == {("large-n", 5, 0)}
+    # call index per side: parent 0, 3, 4, 7 and change 1, 2, 5, 6
+    wall = out["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [1.0, 4.0, 5.0, 8.0]
+    assert wall["change"]["runs"] == [2.0, 3.0, 6.0, 7.0]
+    assert wall["change_wins_pairs"] == 2
+    raw = wall["raw"]
+    assert raw["parent"]["runs"] == [10.0, 7.0, 6.0, 3.0]
+    assert raw["change"]["runs"] == [9.0, 8.0, 5.0, 4.0]
+    assert (raw["parent"]["median"], raw["parent"]["q1"], raw["parent"]["q3"]) == (6.5, 5.25, 7.75)
+    assert raw["change"]["median"] == 6.5 and raw["change_over_parent_median"] == 1.0
+    assert raw["change_wins_pairs"] == 2  # 9 < 10 and 5 < 6 win, 8 < 7 and 4 < 3 lose
+    draws = out["metrics"]["draws_per_s"]["raw"]
+    assert draws["better"] == "higher" and draws["change_wins_pairs"] == 2
+    assert out["kernel_s"]["parent"]["runs"] == pytest.approx([0.01, 0.02, 0.04, 0.08, 0.05,
+                                                               0.10, 0.08, 0.16])
+    assert out["kernel_s"]["change"]["median"] == pytest.approx(0.06)
+    assert out["ops_failed"] == {"parent": 2, "change": 2} and out["all_correct"] is True

@@ -212,7 +212,7 @@ class TestWeightedInstance:
             WeightedInstance(weights)
 
     def test_rejects_a_boolean_among_integer_zero_one_weights(self):
-        # every entry is 0 or 1, so every element's type is checked
+        # every entry is 0 or 1, so no value tells a boolean from an int: only its type does
         w = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         assert WeightedInstance(w).weights.tolist() == w
         for u, v, flag in ((0, 2, False), (1, 2, True)):
@@ -223,12 +223,22 @@ class TestWeightedInstance:
 
     @pytest.mark.parametrize("u,v,flag", [(5, 5, np.False_), (5, 5, False), (2, 9, np.True_)])
     def test_rejects_numpy_bool_in_a_list(self, u, v, flag):
-        # few entries are 0 or 1 (the diagonal), so only those are looked up
+        # on the diagonal, where a weight is 0, and off it
         w = generate(GeneratorSpec("euclidean-uniform", 70, seed=1)).weights.tolist()
         WeightedInstance(w)
         w[u][v] = w[v][u] = flag
         with pytest.raises(MalformedInstanceError, match="numbers only"):
             WeightedInstance(w)
+
+    def test_rejects_a_boolean_in_a_row_past_the_first(self):
+        """A 0/1 matrix as json.loads gives it, with one ``true`` in its last row only."""
+        n = 300
+        upper = np.triu(np.random.default_rng(4).integers(0, 2, (n, n)), 1)
+        doc = json.loads(json.dumps({"weights": (upper + upper.T).tolist()}))
+        assert WeightedInstance.from_dict(doc).n == n
+        doc["weights"][n - 1][7] = doc["weights"][7][n - 1] = True
+        with pytest.raises(MalformedInstanceError, match="numbers only"):
+            WeightedInstance.from_dict(doc)
 
     def test_from_dict_takes_integer_weights_and_points(self):
         inst = WeightedInstance.from_dict({"n": 2, "weights": [[0, 2], [2, 0]], "metric": True,
@@ -596,8 +606,8 @@ class TestLoadInstanceMatchesJsonLoads:
 
 
 class TestMirrorBuckets:
-    """The cell texts a weight row owes the rows below it are held in one bytearray per row not
-    yet reached, by the writer and by the loader, and a row's bucket goes once it is read."""
+    """The cell texts a weight row owes the rows below it are held in one bucket per row not yet
+    reached, by the writer and by the loader, and a row's bucket goes once it is read."""
 
     N = 400
 
@@ -661,6 +671,46 @@ class TestMirrorBuckets:
         monkeypatch.setattr(instance, "_push", checked)
         assert load_instance(str(path)).weights.tobytes() == inst.weights.tobytes()
         assert written == read == [True] * self.N
+
+
+B = instance._MIRROR_BLOCK
+EDGE_NS = [B - 1, B, B + 1, 2 * B, 2 * B + 1]
+
+
+class TestMirrorBlockEdges:
+    """Sizes at the edges of the blocks of ``_MIRROR_BLOCK`` rows whose cells owed to the rows
+    past the block are joined into their buckets with the block's last row."""
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    @pytest.mark.parametrize("n", EDGE_NS)
+    def test_save_and_load(self, n, family, tmp_path):
+        inst = generate(GeneratorSpec(family, n, seed=3))
+        path = tmp_path / "inst.json"
+        save_instance(inst, str(path))
+        assert path.read_bytes() == (json.dumps(inst.to_dict()) + "\n").encode()
+        assert _same_result(load_instance(str(path)), inst)
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    @pytest.mark.parametrize("n", EDGE_NS)
+    def test_an_edited_mirror_cell_is_refused_at_its_row(self, n, family, monkeypatch, tmp_path):
+        """The last row's cell in the first column of the block before its own (column 0 from
+        n = B + 1 on, column B at n = 2B + 1), which reaches that row's bucket through a block's
+        join, written with one more "0": the row reader reads every row above it, gives up at
+        it, and json.loads reads the file to the same bits. Below n = B + 1 the cell is
+        column 0's, appended at once."""
+        inst = generate(GeneratorSpec(family, n, seed=3))
+        r = n - 1
+        c = max(0, (r // B - 1) * B)
+        d = inst.to_dict()
+        cell = repr(d["weights"][r][c])
+        assert "e" not in cell  # so "0" appended keeps its value
+        d["weights"][r][c] = "\0"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(d).replace('"\\u0000"', cell + "0") + "\n")
+        taken = _mirrored(monkeypatch)
+        got = load_instance(str(path))
+        assert taken == list(range(r))
+        assert _same_result(got, _load_like_before(path)) and _same_result(got, inst)
 
 
 class TestValidateMetric:
