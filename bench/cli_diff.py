@@ -1,6 +1,6 @@
 """Compare the command-line output of two ordmatch checkouts, byte for byte.
 
-    python bench/cli_diff.py --parent PARENT_DIR --change CHANGE_DIR [--parsed]
+    python bench/cli_diff.py --parent PARENT_DIR --change CHANGE_DIR
 
 PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with
 ``src/ordmatch``). Each runs in its own fresh process that imports that
@@ -28,13 +28,6 @@ Per invocation the comparison covers the sha256 of stdout plus the
 escaped ``main``), and the first line and the sha256 of stderr, with the
 temporary directory replaced by ``<TMP>``. Every difference is printed; the exit
 status is 1 if there is one.
-
-With ``--parsed``, the stdout and ``--out`` file of a JSON-format
-invocation are compared as parsed documents instead (keys in any order,
-floats and ints compared exactly, ``1`` is not ``1.0``); an invocation
-whose output does not parse, CSV output, ``--help``, the exit code and
-stderr stay byte-compared. Invocations that differ in bytes but not when
-parsed are listed on ``PARSED-EQUAL`` lines and do not fail the run.
 
     python bench/cli_diff.py --run CHECKOUT_DIR
 
@@ -330,22 +323,6 @@ def writes_json(argv) -> bool:
     return fmt == "json" and "--help" not in argv
 
 
-def _parsed_digest(argv, stdout: str, out: bytes | None) -> str | None:
-    """Digest of the parsed JSON of a JSON-format invocation; None if anything does not parse."""
-    if not writes_json(argv):
-        return None
-    docs = {}
-    for slot, text in (("stdout", stdout), ("out", out.decode() if out else "")):
-        try:
-            docs[slot] = json.loads(text) if text else None
-        except ValueError:
-            return None
-    if docs == {"stdout": None, "out": None}:
-        return None
-    canonical = json.dumps(docs, sort_keys=True, allow_nan=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
 def results(cli, tmp: str):
     """Run every invocation by ``cli.main`` in-process, the documents written to ``tmp``
     first. Yields per invocation its template, exit code, stdout, ``--out`` file (bytes, or
@@ -381,7 +358,6 @@ def run(checkout: str) -> list:
                 digest.update(b"\0--out\0" + written)
             stderr = stderr.replace(tmp, "<TMP>")
             records.append({"argv": " ".join(template), "sha256": digest.hexdigest()[:16],
-                            "parsed": _parsed_digest(template, stdout, written),
                             "rc": rc, "stderr": stderr.split("\n", 1)[0],
                             "stderr_sha256": hashlib.sha256(stderr.encode()).hexdigest()[:16]})
     return records
@@ -402,8 +378,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent")
     ap.add_argument("--change")
-    ap.add_argument("--parsed", action="store_true",
-                    help="compare JSON output as parsed documents, everything else as bytes")
     ap.add_argument("--run", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.run:
@@ -412,25 +386,15 @@ def main() -> int:
     if not (args.parent and args.change):
         ap.error("--parent and --change are both required")
     parent, change = _records(args.parent), _records(args.change)
-    differ = parsed_equal = compared_parsed = 0
+    differ = 0
     for p, c in zip(parent, change):
-        output = "sha256"
-        if args.parsed and p["parsed"] is not None and c["parsed"] is not None:
-            output, compared_parsed = "parsed", compared_parsed + 1
-        keys = [key for key in (output, "rc", "stderr", "stderr_sha256") if p[key] != c[key]]
+        keys = [key for key in ("sha256", "rc", "stderr", "stderr_sha256") if p[key] != c[key]]
         if keys:
             differ += 1
             print(f"DIFF {p['argv']}")
             for key in keys:
                 print(f"  {key}: parent {p[key]!r}  change {c[key]!r}")
-        elif p["sha256"] != c["sha256"]:
-            parsed_equal += 1
-            print(f"PARSED-EQUAL {p['argv']}")
-    if args.parsed:
-        print(f"{len(parent)} invocations ({compared_parsed} compared parsed, the rest as bytes): "
-              f"{parsed_equal} differ in bytes but are equal parsed, {differ} differ")
-    else:
-        print(f"{len(parent)} invocations, {differ} differ")
+    print(f"{len(parent)} invocations, {differ} differ")
     return 1 if differ else 0
 
 

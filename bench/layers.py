@@ -7,7 +7,8 @@ and ``perfbench/``). Each measurement is a probe, one function of ``PROBES``, ru
 in a fresh process on one checkout's ``src`` (``--probe NAME ARG...`` prints its
 JSON line). Each mode is one row of ``MODES``: the default one times each layer,
 ``--oracles`` each exact oracle per call, ``--io`` each step of the large-n CLI
-chain. Probe rounds and perfbench pairs alternate which side runs first.
+chain. Probe rounds and perfbench pairs alternate which side runs first. The metrics,
+workloads and run length are those of the repository's own ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -30,8 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-END_TO_END = {"setup_s": "lower", "wall_s": "lower", "op_s.p50": "lower",
-              "op_s.p90": "lower", "draws_per_s": "higher", "peak_rss_mb": "lower"}
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
 TRACE_KEYS = ("instance.derive_preferences.self_s", "instance.derive_preferences.calls",
               "core.greedy_k_matching.self_s", "instance.load_instance.self_s",
               "instance.generate.self_s", "cli.main.self_s",
@@ -45,10 +43,9 @@ INSTANCE = "euclidean-uniform, dimension 2, seed 0"
 REPEATS = 3
 SIZES = [100, 300, 1000, 2000, 5000]
 METRIC_MAX_N = 2000
-# WORKLOAD:SEED:PAIRS; seed 5 is held out from the runs made while writing a change. Ten
-# pairs per entry, the held-out ones too: three could not tell a few-percent shift, or a
-# 19% op_s.p90 one, from host noise.
-PAIRS = ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]
+# Perfbench pairs per entry of ``pair_plan``, the held-out seed's too: three could not tell a
+# few-percent shift, or a 19% op_s.p90 one, from host noise.
+PAIRS = 10
 # (label, family, n, k) per oracle call: desk-oracle's five sizes, desk-mc's four, then
 # larger ones; the last is the matching oracle's widest table, (k + 1) * 2^20 floats.
 ORACLE_CALLS = [("mwm", "euclidean-uniform", 16, None), ("mkm", "euclidean-uniform", 14, 4),
@@ -62,20 +59,32 @@ ORACLE_REPEATS = 5
 # fresh processes per checkout for the per-call times: in one process per side an
 # unchanged oracle read up to 1.4x slower on a shared host
 ORACLE_ROUNDS = 5
-ORACLE_PAIRS = ["desk-oracle:0:10", "desk-oracle:5:10", "desk-mc:0:10", "large-n:0:10"]
 IO_SIZES = [1000, 2000, 3000]
-IO_REPEATS = 3
 IO_GENERATE_N = 3000
-IO_PAIRS = ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]
-# (label, n, all-0/1 weights) per derive_preferences timing: desk-mc's and desk-oracle's
-# largest n, then large-n's on floats and on the matrix whose every row is tied
-RANK_CALLS = [("n=12", 12, False), ("n=16", 16, False), ("n=1000", 1000, False),
-              ("n=1000 all 0/1", 1000, True)]
+# (label, n, all-0/1 weights) per derive_preferences timing: large-n's n on floats and on the
+# matrix whose every row is tied, the two paths of the tie sort. The desk sizes are left to
+# desk-mc and desk-oracle end to end: a call of tens of microseconds read up to 1.5x apart
+# between rounds of unchanged code.
+RANK_CALLS = [("n=1000", 1000, False), ("n=1000 all 0/1", 1000, True)]
 RANK_SECONDS = 1.0
 RANK_ROUNDS = 6
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 SIDES = ("parent", "change")
+
+
+def benchmark() -> dict:
+    """The repository's benchmark: its workloads, run length and end-to-end metrics."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def pair_plan(traced: str) -> list:
+    """(workload, seed, pairs) per paired-run entry of a mode: its traced workload on seed 0
+    and on seed 5, held out from the runs made while writing a change, then every other
+    workload on seed 0, in the benchmark's order."""
+    others = [w["name"] for w in benchmark()["workloads"] if w["name"] != traced]
+    return [(traced, 0, PAIRS), (traced, 5, PAIRS), *((name, 0, PAIRS) for name in others)]
 
 
 def _peak() -> float:
@@ -127,61 +136,9 @@ def time_oracles(om) -> dict:
     for label, family, n, k in ORACLE_CALLS:
         inst = om.generate(om.GeneratorSpec(family, n, seed=0))
         times = [_once(oracles[label], inst, k)["seconds"] for _ in range(1 + ORACLE_REPEATS)]
-        out[_call_key(label, n, k)] = {"cold": times[0], "warm": statistics.median(times[1:])}
+        key = f"{label} n={n}" + ("" if k is None else f" k={k}")
+        out[key] = {"cold": times[0], "warm": statistics.median(times[1:])}
     return {**out, "peak_rss_mb": _peak()}
-
-
-def _call_key(label: str, n: int, k) -> str:
-    return f"{label} n={n}" + ("" if k is None else f" k={k}")
-
-
-def matching_states() -> dict:
-    """Per matching call of ``ORACLE_CALLS``: perfbench's ``oracle.dp_states`` (2^n sets
-    times the layers), and the sets filled and (set, partner) add/max pairs of the DP over
-    the sets reachable from the full set, against the add/max pairs of the DP over all
-    2^n sets. Counted from n and k, not measured."""
-    out = {}
-    for label, _, n, k in ORACLE_CALLS:
-        if label not in ("mwm", "mkm"):
-            continue
-        kcap = n // 2 if k is None else min(k, n // 2)
-        layers, rows = (1, 1) if kcap == n // 2 else (kcap + 1, kcap)
-        # block b (lowest node a = n - 1 - b) reaches the sets missing m <= a of its b higher nodes
-        reach = [(b, m) for b in range(n) for m in range(min(n - 1 - b, b) + 1)]
-        out[_call_key(label, n, k)] = {
-            "dp_states": (1 << n) * layers,
-            "reachable_sets_filled": rows * sum(math.comb(b, m) for b, m in reach),
-            "reachable_add_max": rows * sum(math.comb(b, m) * (b - m) for b, m in reach),
-            "all_sets_add_max": rows * sum(b << (b - 1) for b in range(1, n))}
-    return out
-
-
-def held_karp_triples() -> dict:
-    """Per tsp call of ``ORACLE_CALLS``, with m = n - 1 free nodes: the candidates the dense
-    Held-Karp layers evaluate, m^2 (2^m - 2), and the feasible (mask, endpoint, predecessor)
-    triples the DP visits, m (m - 1) 2^(m - 2). Counted from n, not measured."""
-    return {_call_key(label, n, k): {"dense_candidates": (n - 1) ** 2 * ((1 << n - 1) - 2),
-                                     "feasible_triples": (n - 1) * (n - 2) << (n - 3)}
-            for label, _, n, k in ORACLE_CALLS if label == "tsp"}
-
-
-def ksum_candidates() -> dict:
-    """Per ksum call of ``ORACLE_CALLS``, with c = n / k: the partitions the enumeration
-    scored, n! / (c!^k k!), against the (covered set, part) candidates the DP over covered
-    sets forms, sum over j < k of C(n - j, jc - j) C(n - jc - 1, c - 1): after j parts the
-    covered sets are the jc-sets holding nodes 0..j-1, and each gets a part of its lowest
-    uncovered node plus c - 1 of the others (the last part, the complement, is one).
-    Counted from n and k, not measured."""
-    out = {}
-    for label, _, n, k in ORACLE_CALLS:
-        if label == "ksum":
-            c = n // k
-            out[_call_key(label, n, k)] = {
-                "enumerated_partitions": math.factorial(n) // (math.factorial(c) ** k
-                                                               * math.factorial(k)),
-                "dp_candidates": sum(math.comb(n - j, j * c - j) * math.comb(n - j * c - 1, c - 1)
-                                     for j in range(k))}
-    return out
 
 
 def _io_chain(n: int, workdir: str) -> tuple:
@@ -205,7 +162,7 @@ def time_chain(om, n, workdir: str) -> dict:
     (into ``workdir``), with the peak RSS after each step of the first chain."""
     files, steps = _io_chain(int(n), workdir)
     times, peaks = {name: [] for name in steps}, {}
-    for _ in range(IO_REPEATS):
+    for _ in range(REPEATS):
         for name, argv in steps.items():
             step = _once(_cli, om, argv)
             times[name].append(step["seconds"])
@@ -268,12 +225,20 @@ PROBES = {
 }
 
 
+def _run(cmd: list, **kwargs) -> str:
+    """The stdout of ``cmd``; if it fails, a RuntimeError with the command, its exit code and
+    the tail of its stderr."""
+    proc = subprocess.run(cmd, capture_output=True, text=True, **kwargs)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return proc.stdout
+
+
 def _child(tree: str, probe: str, *args) -> dict:
     """One probe in a fresh process that imports ``tree``'s ordmatch."""
     cmd = [sys.executable, os.path.abspath(__file__), "--probe", probe, *map(str, args)]
     env = dict(os.environ, **SINGLE_THREAD, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(_run(cmd, env=env).splitlines()[-1])
 
 
 def _alternate(rounds: int, run: Callable[[str, int], dict], label: str) -> dict:
@@ -310,8 +275,7 @@ def oracle_section(trees: dict) -> dict:
     ratio = {key: med["change"][key]["warm"] / p["warm"]
              for key, p in med["parent"].items() if key != "peak_rss_mb"}
     return {"unit": "s", "instance seed": 0, **med, "warm_change_over_parent": ratio,
-            "rounds": runs, "matching_states": matching_states(),
-            "held_karp_triples": held_karp_triples(), "ksum_candidates": ksum_candidates()}
+            "rounds": runs}
 
 
 def io_section(trees: dict) -> dict:
@@ -321,9 +285,9 @@ def io_section(trees: dict) -> dict:
             out = _child(trees[side], "chain", n, tmp)
             # each its own process, started from this small one: a child's ru_maxrss starts
             # at the peak of the process that started it, and gen's peak would hide the read's;
-            # the median of IO_REPEATS such processes, as one sample could not be read alone
+            # the median of REPEATS such processes, as one sample could not be read alone
             def load(path: str) -> dict:
-                return _median([_child(trees[side], "load", path) for _ in range(IO_REPEATS)])
+                return _median([_child(trees[side], "load", path) for _ in range(REPEATS)])
 
             out["load_instance alone"] = load(files["instance"])
             # the same instance indented: json.loads reads it where the row reader takes gen's
@@ -353,18 +317,19 @@ def io_section(trees: dict) -> dict:
 
 
 def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
-    """One perfbench run in ``tree``: its scaled metrics and, from its result file, the raw
-    (unscaled) ones and, per round, the calibrate kernel's seconds around each op."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", "25", "--trace", str(trace)]
+    """One perfbench run in ``tree``: its scaled metrics and, from its result file, its
+    environment stamp, the raw (unscaled) metrics and, per round, the calibrate kernel's
+    seconds around each op."""
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(benchmark()["run_seconds"]), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    line = json.loads(proc.stdout.splitlines()[-1])
+    line = json.loads(_run(cmd, cwd=tree, env=env).splitlines()[-1])
     result_path = os.path.join(tree, ".perfbench_out",
                                f"result-{workload}-seed{seed}-trace{trace}.json")
     with open(result_path, encoding="utf-8") as fh:
         result = json.load(fh)
     return {"correct": line["correct"], "attempted": line["attempted"], "failed": line["failed"],
+            "environment": result["environment"],
             "metrics": {k: v["value"] for k, v in line["metrics"].items()},
             "raw_metrics": {k: v["value"] for k, v in result["raw_metrics"].items()},
             "kernel_s": [rnd["kernel_s"] for rnd in result["rounds"]]}
@@ -372,12 +337,13 @@ def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
 
 def _spread(values) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def _compare(p: list, c: list, better: str) -> dict:
     wins = sum((cv < pv) if better == "lower" else (cv > pv) for pv, cv in zip(p, c))
-    return {"better": better, "parent": _spread(p), "change": _spread(c),
+    return {"better": better, "parent": {**_spread(p), "runs": p},
+            "change": {**_spread(c), "runs": c},
             "change_over_parent_median": statistics.median(c) / statistics.median(p),
             "change_wins_pairs": wins}
 
@@ -388,8 +354,10 @@ def paired_runs(trees: dict, workload: str, seed: int, pairs: int) -> dict:
     whose allocator state a change can move), and each side's kernel seconds over all rounds."""
     runs = _alternate(pairs, lambda side, i: perfbench(trees[side], workload, seed, 0),
                       f"{workload} seed {seed} pair")
+    kernel = {side: [k for r in rs for rnd in r["kernel_s"] for k in rnd]
+              for side, rs in runs.items()}
     metrics = {}
-    for name, better in END_TO_END.items():
+    for name, better in ((m["name"], m["better"]) for m in benchmark()["end_to_end"]):
         metrics[name] = _compare([r["metrics"][name] for r in runs["parent"]],
                                  [r["metrics"][name] for r in runs["change"]], better)
         metrics[name]["raw"] = _compare([r["raw_metrics"][name] for r in runs["parent"]],
@@ -400,20 +368,8 @@ def paired_runs(trees: dict, workload: str, seed: int, pairs: int) -> dict:
         "ops_failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "ops_attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "metrics": metrics,
-        "kernel_s": {side: _spread([k for r in rs for rnd in r["kernel_s"] for k in rnd])
-                     for side, rs in runs.items()},
+        "kernel_s": {side: {"count": len(ks), **_spread(ks)} for side, ks in kernel.items()},
     }
-
-
-def environment() -> dict:
-    cpu = "unknown"
-    if os.path.exists("/proc/cpuinfo"):
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    return {"python": platform.python_version(), "numpy": np.__version__, "cpu": cpu,
-            "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
-            "platform": platform.platform()}
 
 
 class Mode(NamedTuple):
@@ -427,20 +383,18 @@ class Mode(NamedTuple):
 MODES = {
     "layers": Mode("Per-layer seconds (median of repeats, in-process, one fresh process per n)",
                    layer_section, "large-n", TRACE_KEYS,
-                   {"sizes": SIZES, "metric_max_n": METRIC_MAX_N, "repeats": REPEATS,
-                    "pairs": PAIRS}),
+                   {"sizes": SIZES, "metric_max_n": METRIC_MAX_N, "repeats": REPEATS}),
     "oracles": Mode("Seconds per exact-oracle call (the first, cold call and the median of "
                     "the warm repeats after it, in-process; medians over fresh processes per "
                     "checkout, the sides alternating)",
                     oracle_section, "desk-oracle", ORACLE_TRACE_KEYS,
-                    {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "rounds": ORACLE_ROUNDS,
-                     "pairs": ORACLE_PAIRS}),
+                    {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "rounds": ORACLE_ROUNDS}),
     "io": Mode("Seconds per step of the gen, prefs, solve chain (median of repeats, "
                "in-process, one fresh process per checkout and n), file bytes",
                io_section, "large-n", TRACE_KEYS,
-               {"sizes": IO_SIZES, "repeats": IO_REPEATS, "generate_n": IO_GENERATE_N,
+               {"sizes": IO_SIZES, "repeats": REPEATS, "generate_n": IO_GENERATE_N,
                 "rank_calls": RANK_CALLS, "rank_seconds": RANK_SECONDS,
-                "rank_rounds": RANK_ROUNDS, "pairs": IO_PAIRS}),
+                "rank_rounds": RANK_ROUNDS}),
 }
 
 
@@ -466,23 +420,25 @@ def main(argv=None) -> int:
 
     section = "oracles" if args.oracles else "io" if args.io else "layers"
     mode, trees = MODES[section], {"parent": args.parent, "change": args.change}
+    plan = pair_plan(mode.traced)
     result = {
         "what": mode.what + " and perfbench end-to-end medians for a parent and a change checkout.",
-        "method": "perfbench/run.py --seconds 25 from each checkout; pairs alternate which "
-                  "side runs first; times are the benchmark's kernel-scaled values except "
-                  "setup_s, each metric's raw entry the unscaled ones; quartiles are "
-                  "inclusive-method quantiles over the runs.",
-        "settings": mode.settings,
+        "method": f"perfbench/run.py --seconds {benchmark()['run_seconds']} from each checkout; "
+                  "pairs alternate which side runs first; times are the benchmark's "
+                  "kernel-scaled values except setup_s, each metric's raw entry the unscaled "
+                  "ones; quartiles are inclusive-method quantiles over the runs.",
+        "settings": {**mode.settings, "pairs": [f"{w}:{seed}:{n}" for w, seed, n in plan]},
         "parent_rev": args.parent_rev,
-        "environment": environment(),
         section: mode.probes(trees),
-        "end_to_end": {f"{workload} seed {seed}": paired_runs(trees, workload, int(seed), int(n))
-                       for workload, seed, n in (p.split(":") for p in mode.settings["pairs"])},
-        f"trace_{mode.traced.replace('-', '_')}_seed_0": {
-            side: {k: v for k, v in perfbench(tree, mode.traced, 0, 1)["metrics"].items()
-                   if k in mode.keys}
-            for side, tree in trees.items()},
+        "end_to_end": {f"{workload} seed {seed}": paired_runs(trees, workload, seed, n)
+                       for workload, seed, n in plan},
     }
+    traced = {side: perfbench(tree, mode.traced, 0, 1) for side, tree in trees.items()}
+    # perfbench's own stamp, git_commit included, from each side's traced run
+    result["environment"] = {side: run["environment"] for side, run in traced.items()}
+    result[f"trace_{mode.traced.replace('-', '_')}_seed_0"] = {
+        side: {k: v for k, v in run["metrics"].items() if k in mode.keys}
+        for side, run in traced.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

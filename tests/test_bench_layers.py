@@ -1,5 +1,7 @@
 """Smoke test of ``bench/layers.py``: every probe of the three modes runs once, and the
-paired perfbench runs are summed up from a stand-in ``perfbench``.
+paired perfbench runs are summed up from a stand-in ``perfbench``; the pair plan, the
+``BENCHMARK.json`` facts it reads, and a perfbench run or probe through a stand-in
+``subprocess.run``.
 
 The script is loaded by path. Its size tables are shrunk, and each mode's
 section is built in-process, the probes called directly instead of in a
@@ -8,30 +10,44 @@ fresh process per checkout, so both sides run this tree's ``ordmatch``.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import ordmatch
 import ordmatch.cli
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 SMALL = {
     "SIZES": [12, 16], "METRIC_MAX_N": 12, "REPEATS": 1,
     "ORACLE_CALLS": [("mwm", "euclidean-uniform", 6, None), ("mkm", "euclidean-uniform", 6, 2),
                      ("densest", "random-metric-closure", 6, 3),
                      ("tsp", "clustered-gaussian", 5, None), ("ksum", "euclidean-uniform", 6, 2)],
     "ORACLE_REPEATS": 1, "ORACLE_ROUNDS": 1,
-    "IO_SIZES": [8], "IO_REPEATS": 1, "IO_GENERATE_N": 8,
+    "IO_SIZES": [8], "IO_GENERATE_N": 8,
     "RANK_CALLS": [("n=6", 6, False), ("n=6 all 0/1", 6, True)], "RANK_SECONDS": 0.0,
     "RANK_ROUNDS": 1,
 }
 
 
+def load(path: Path):
+    """The module at ``path``, executed once and left out of ``sys.modules``."""
+    name = f"{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks up the module that defines it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
 def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers
+    return load(LAYERS)
 
 
 def test_every_probe_of_every_mode(monkeypatch):
@@ -60,21 +76,12 @@ def test_every_probe_of_every_mode(monkeypatch):
 
     orc = out["oracles"]
     assert set(orc) == {"unit", "instance seed", "parent", "change", "warm_change_over_parent",
-                        "rounds", "matching_states", "held_karp_triples", "ksum_candidates"}
+                        "rounds"}
     calls = {"mwm n=6", "mkm n=6 k=2", "densest n=6 k=3", "tsp n=5", "ksum n=6 k=2"}
     assert set(orc["parent"]) == set(orc["change"]) == calls | {"peak_rss_mb"}
     assert set(orc["parent"]["mwm n=6"]) == {"cold", "warm"}
     assert set(orc["warm_change_over_parent"]) == calls
     assert len(orc["rounds"]["parent"]) == len(orc["rounds"]["change"]) == 1
-    assert set(orc["matching_states"]) == {"mwm n=6", "mkm n=6 k=2"}
-    assert set(orc["matching_states"]["mkm n=6 k=2"]) == {
-        "dp_states", "reachable_sets_filled", "reachable_add_max", "all_sets_add_max"}
-    # n=5: m=4 free nodes, 16 * 14 dense candidates against 4 * 3 * 4 feasible triples
-    assert orc["held_karp_triples"] == {"tsp n=5": {"dense_candidates": 224,
-                                                    "feasible_triples": 48}}
-    # n=6 k=2: 10 partitions against 10 first parts of node 0 and their 10 complements
-    assert orc["ksum_candidates"] == {"ksum n=6 k=2": {"enumerated_partitions": 10,
-                                                       "dp_candidates": 20}}
 
     chain = out["io"]
     assert set(chain) == {"unit", "instance", "parent", "change", "equal_file_bytes",
@@ -117,15 +124,16 @@ def test_probe_entry_prints_one_json_line(capsys):
 
 def test_paired_runs_reports_raw_times_beside_the_scaled_ones(monkeypatch):
     """Each metric's ``raw`` entry holds the unscaled values, with their own medians, quartiles
-    and wins; ``kernel_s`` holds each side's calibrate seconds over every round of its runs."""
+    and wins; ``kernel_s`` sums up each side's calibrate seconds over every round of its runs."""
     layers = load_layers()
     seen = []
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
 
     def fake(tree, workload, seed, trace):
         i = len(seen)
         seen.append((tree, workload, seed, trace))
-        scaled = {name: 1.0 + i for name in layers.END_TO_END}
-        raw = {name: 10.0 - i for name in layers.END_TO_END}
+        scaled = {name: 1.0 + i for name in names}
+        raw = {name: 10.0 - i for name in names}
         return {"correct": True, "attempted": 4, "failed": i % 2, "metrics": scaled,
                 "raw_metrics": raw, "kernel_s": [[0.01 * (i + 1)], [0.02 * (i + 1)]]}
 
@@ -147,7 +155,77 @@ def test_paired_runs_reports_raw_times_beside_the_scaled_ones(monkeypatch):
     assert raw["change_wins_pairs"] == 2  # 9 < 10 and 5 < 6 win, 8 < 7 and 4 < 3 lose
     draws = out["metrics"]["draws_per_s"]["raw"]
     assert draws["better"] == "higher" and draws["change_wins_pairs"] == 2
-    assert out["kernel_s"]["parent"]["runs"] == pytest.approx([0.01, 0.02, 0.04, 0.08, 0.05,
-                                                               0.10, 0.08, 0.16])
+    # parent 0.01, 0.02, 0.04, 0.08, 0.05, 0.10, 0.08, 0.16; change 0.02, 0.04, 0.03, 0.06, ...
+    assert set(out["kernel_s"]["parent"]) == {"count", "median", "q1", "q3"}
+    assert out["kernel_s"]["parent"]["count"] == out["kernel_s"]["change"]["count"] == 8
+    assert out["kernel_s"]["parent"]["median"] == pytest.approx(0.065)
     assert out["kernel_s"]["change"]["median"] == pytest.approx(0.06)
     assert out["ops_failed"] == {"parent": 2, "change": 2} and out["all_correct"] is True
+
+
+def test_benchmark_json_names_perfbench_metrics_and_workloads():
+    """The script takes the end-to-end metrics and the workloads from ``BENCHMARK.json``: they
+    are the keys of perfbench's ``END_TO_END`` and its ``WORKLOADS``, in order. Both perfbench
+    files are loaded by path and only read."""
+    declared = json.loads(BENCHMARK.read_text())
+    run, workloads = load(ROOT / "perfbench" / "run.py"), load(ROOT / "perfbench" / "workloads.py")
+    assert [m["name"] for m in declared["end_to_end"]] == list(run.END_TO_END)
+    assert tuple(w["name"] for w in declared["workloads"]) == workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("mode, pairs", [
+    ("layers", ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]),
+    ("oracles", ["desk-oracle:0:10", "desk-oracle:5:10", "desk-mc:0:10", "large-n:0:10"]),
+    ("io", ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]),
+])
+def test_pair_plan_of_each_mode(mode, pairs):
+    """The traced workload on seeds 0 and 5, then every other workload on seed 0, ten pairs
+    each: the lists each mode held before the plan was derived."""
+    layers = load_layers()
+    plan = layers.pair_plan(layers.MODES[mode].traced)
+    assert [f"{workload}:{seed}:{n}" for workload, seed, n in plan] == pairs
+
+
+def test_perfbench_takes_the_stamp_and_raw_metrics_from_the_result_file(monkeypatch, tmp_path):
+    layers = load_layers()
+    (tmp_path / ".perfbench_out").mkdir()
+    (tmp_path / ".perfbench_out" / "result-desk-mc-seed5-trace0.json").write_text(json.dumps(
+        {"environment": {"git_commit": "abc"}, "raw_metrics": {"wall_s": {"value": 2.0}},
+         "rounds": [{"kernel_s": [0.007, 0.008]}]}))
+    line = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+    seen = []
+
+    def ran(cmd, **kwargs):
+        seen.append((cmd, kwargs))
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"report\n{json.dumps(line)}\n",
+                                           stderr="")
+
+    monkeypatch.setattr(layers.subprocess, "run", ran)
+    assert layers.perfbench(str(tmp_path), "desk-mc", 5, 0) == {
+        "correct": True, "attempted": 3, "failed": 0, "environment": {"git_commit": "abc"},
+        "metrics": {"wall_s": 1.0}, "raw_metrics": {"wall_s": 2.0}, "kernel_s": [[0.007, 0.008]]}
+    [(cmd, kwargs)] = seen
+    assert cmd[cmd.index("--seconds") + 1] == str(json.loads(BENCHMARK.read_text())["run_seconds"])
+    assert kwargs["cwd"] == str(tmp_path) and "PYTHONPATH" not in kwargs["env"]
+
+
+@pytest.mark.parametrize("call, command", [
+    (lambda layers: layers.perfbench("/nowhere", "large-n", 0, 0),
+     "/nowhere/perfbench/run.py --workload large-n --seed 0"),
+    (lambda layers: layers._child("/nowhere", "generate", 10), "layers.py --probe generate 10"),
+])
+def test_a_failed_run_names_its_command_exit_code_and_stderr(monkeypatch, call, command):
+    """A perfbench run or a probe that fails raises a RuntimeError with the command, the exit
+    code and the tail of its stderr, not an IndexError or a CalledProcessError without it."""
+    layers = load_layers()
+    stderr = "x" * 3000 + "\nModuleNotFoundError: No module named 'ordmatch'\n"
+
+    def failed(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 1, stdout="", stderr=stderr)
+
+    monkeypatch.setattr(layers.subprocess, "run", failed)
+    with pytest.raises(RuntimeError) as raised:
+        call(layers)
+    message = str(raised.value)
+    assert command in message and " exited 1: " in message
+    assert message.endswith(stderr[-2000:]) and "x" * 2000 not in message
