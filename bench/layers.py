@@ -30,15 +30,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
-TRACE_KEYS = ("instance.derive_preferences.self_s", "instance.derive_preferences.calls",
-              "core.greedy_k_matching.self_s", "instance.load_instance.self_s",
-              "instance.generate.self_s", "cli.main.self_s",
-              "layer.instance.self_s", "layer.instance.share", "layer.cli.share",
-              "layer.core.share", "trace.wall_s")
-ORACLE_TRACE_KEYS = ("oracle.opt_matching.self_s", "oracle.opt_tsp.self_s",
-                     "oracle.opt_densest.self_s", "oracle.opt_k_sum.self_s", "oracle.dp_states",
-                     "layer.oracle.self_s", "layer.oracle.share", "layer.cli.self_s",
-                     "layer.cli.share", "trace.wall_s")
 INSTANCE = "euclidean-uniform, dimension 2, seed 0"
 REPEATS = 3
 SIZES = [100, 300, 1000, 2000, 5000]
@@ -318,8 +309,8 @@ def io_section(trees: dict) -> dict:
 
 def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run in ``tree``: its scaled metrics and, from its result file, its
-    environment stamp, the raw (unscaled) metrics and, per round, the calibrate kernel's
-    seconds around each op."""
+    environment stamp, the raw (unscaled) metrics, per round the calibrate kernel's seconds
+    around each op, and the fresh-process set-up probes whose median is ``setup_s``."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(benchmark()["run_seconds"]), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -332,7 +323,8 @@ def perfbench(tree: str, workload: str, seed: int, trace: int) -> dict:
             "environment": result["environment"],
             "metrics": {k: v["value"] for k, v in line["metrics"].items()},
             "raw_metrics": {k: v["value"] for k, v in result["raw_metrics"].items()},
-            "kernel_s": [rnd["kernel_s"] for rnd in result["rounds"]]}
+            "kernel_s": [rnd["kernel_s"] for rnd in result["rounds"]],
+            **{key: result[key] for key in ("setup_probes_s",) if key in result}}
 
 
 def _spread(values) -> dict:
@@ -351,7 +343,8 @@ def _compare(p: list, c: list, better: str) -> dict:
 def paired_runs(trees: dict, workload: str, seed: int, pairs: int) -> dict:
     """``pairs`` alternating perfbench runs per side: per end-to-end metric the scaled values,
     and under ``raw`` the unscaled ones (scaling divides by a kernel timed in the same process,
-    whose allocator state a change can move), and each side's kernel seconds over all rounds."""
+    whose allocator state a change can move), beside ``setup_s`` each run's set-up probes, and
+    each side's kernel seconds over all rounds."""
     runs = _alternate(pairs, lambda side, i: perfbench(trees[side], workload, seed, 0),
                       f"{workload} seed {seed} pair")
     kernel = {side: [k for r in rs for rnd in r["kernel_s"] for k in rnd]
@@ -362,6 +355,8 @@ def paired_runs(trees: dict, workload: str, seed: int, pairs: int) -> dict:
                                  [r["metrics"][name] for r in runs["change"]], better)
         metrics[name]["raw"] = _compare([r["raw_metrics"][name] for r in runs["parent"]],
                                         [r["raw_metrics"][name] for r in runs["change"]], better)
+    metrics["setup_s"]["probes"] = {side: [r.get("setup_probes_s") for r in rs]
+                                    for side, rs in runs.items()}
     return {
         "pairs": pairs,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
@@ -376,22 +371,21 @@ class Mode(NamedTuple):
     what: str
     probes: Callable[[dict], dict]  # runs the mode's probes for both checkouts: its section
     traced: str
-    keys: tuple
     settings: dict
 
 
 MODES = {
     "layers": Mode("Per-layer seconds (median of repeats, in-process, one fresh process per n)",
-                   layer_section, "large-n", TRACE_KEYS,
+                   layer_section, "large-n",
                    {"sizes": SIZES, "metric_max_n": METRIC_MAX_N, "repeats": REPEATS}),
     "oracles": Mode("Seconds per exact-oracle call (the first, cold call and the median of "
                     "the warm repeats after it, in-process; medians over fresh processes per "
                     "checkout, the sides alternating)",
-                    oracle_section, "desk-oracle", ORACLE_TRACE_KEYS,
+                    oracle_section, "desk-oracle",
                     {"calls": ORACLE_CALLS, "repeats": ORACLE_REPEATS, "rounds": ORACLE_ROUNDS}),
     "io": Mode("Seconds per step of the gen, prefs, solve chain (median of repeats, "
                "in-process, one fresh process per checkout and n), file bytes",
-               io_section, "large-n", TRACE_KEYS,
+               io_section, "large-n",
                {"sizes": IO_SIZES, "repeats": REPEATS, "generate_n": IO_GENERATE_N,
                 "rank_calls": RANK_CALLS, "rank_seconds": RANK_SECONDS,
                 "rank_rounds": RANK_ROUNDS}),
@@ -437,8 +431,7 @@ def main(argv=None) -> int:
     # perfbench's own stamp, git_commit included, from each side's traced run
     result["environment"] = {side: run["environment"] for side, run in traced.items()}
     result[f"trace_{mode.traced.replace('-', '_')}_seed_0"] = {
-        side: {k: v for k, v in run["metrics"].items() if k in mode.keys}
-        for side, run in traced.items()}
+        side: run["metrics"] for side, run in traced.items()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -2,7 +2,7 @@
 
 Verbs: gen, prefs, solve, oracle, bench, fixtures, verify-metric.
 Every verb accepts --seed, --out, and --format (json or csv). A verb
-returns its output, byte chunks from ``harness.render``, and its verdict;
+returns its output, byte chunks from ``instance.render``, and its verdict;
 ``main`` then writes them to stdout or --out, which it opens only after
 every check. Exit code 0 means every requested verdict passed, 1 means a
 verdict failed or an input was rejected (with ``error:`` on stderr), and
@@ -23,7 +23,6 @@ from .harness import (
     TrialConfig,
     check_record,
     optimum,
-    render,
     report_emit,
     run_trials,
     solve,
@@ -34,6 +33,7 @@ from .instance import (
     derive_preferences,
     generate,
     load_instance,
+    render,
     validate_metric,
 )
 

@@ -30,7 +30,15 @@ from .errors import EmptyPoolError
 from .instance import PreferenceProfile, WeightedInstance
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
+def _integer(x, what: str) -> int:
+    """x as a Python int, from a Python or numpy integer only (not 1.5, 1.0, "1" or true)."""
+    if type(x) is bool or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _normalize_edge(u, v) -> tuple[int, int]:
+    u, v = _integer(u, "node id"), _integer(v, "node id")
     return (u, v) if u < v else (v, u)
 
 
@@ -42,9 +50,8 @@ class Matching:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset(_normalize_edge(int(u), int(v)) for u, v in self.edges)
-        )
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "edges", frozenset(_normalize_edge(u, v) for u, v in self.edges))
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < v < self.n):
@@ -72,11 +79,11 @@ class Matching:
         return len(self.edges) == self.n // 2
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"edges": [list(e) for e in self.sorted_edges()], "n": self.n}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Matching":
-        return cls.from_pairs(int(d["n"]), d["edges"])
+        return cls.from_pairs(d["n"], d["edges"])
 
 
 def _row(m: Matching) -> np.ndarray:

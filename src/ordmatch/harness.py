@@ -33,9 +33,6 @@ base weight 0, the eps -> 0 limit.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import re
 import statistics
@@ -61,9 +58,9 @@ from .instance import (
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
-    _table_chunks,
     derive_preferences,
     generate,
+    render,
 )
 from .oracle import DEFAULT_BUDGET, OracleBudget, opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
@@ -330,11 +327,9 @@ def _sample(
 
 
 def _payload(kind: SolutionKind, solution, inst: WeightedInstance) -> dict:
-    """The solve and oracle output, keys in this order: kind, the solution's shape, n and
-    value, which ``kind.weigh`` gives as it gives a bench record's opt."""
-    shape = solution.to_dict()
-    n = shape.pop("n")
-    return {"kind": kind.name, **shape, "n": n, "value": kind.weigh(solution, inst)}
+    """The solve and oracle output, keys in this order: kind, the solution's ``to_dict`` (its
+    shape, then n) and value, which ``kind.weigh`` gives as it gives a bench record's opt."""
+    return {"kind": kind.name, **solution.to_dict(), "value": kind.weigh(solution, inst)}
 
 
 def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, seed: int) -> dict:
@@ -448,27 +443,6 @@ def _finite_or_null(obj):
     if isinstance(obj, list):
         return [_finite_or_null(val) for val in obj]
     return obj
-
-
-def render(fmt: str, data, header: str, rows):
-    """The byte chunks a CLI verb writes, all checks done: ``data`` as strict JSON, or CSV.
-
-    JSON refuses non-finite floats (ValueError) instead of writing a bare
-    Infinity or NaN. A CSV cell is ``str`` of its value (``repr`` for a
-    float), quoted only when it holds a comma, a double quote or a newline.
-    An ndarray ``rows`` that is also a value of ``data`` (gen's weights,
-    prefs' ranking) is written by ``instance._table_chunks``, one chunk per row.
-    """
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
-    if isinstance(rows, np.ndarray):
-        return _table_chunks(fmt, data, header, rows)
-    if fmt == "json":
-        return [(json.dumps(data, allow_nan=False) + "\n").encode("utf-8")]
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return [buf.getvalue().encode("utf-8")]
 
 
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:

@@ -1,4 +1,4 @@
-"""Weighted instances, preference profiles, and instance generators.
+"""Weighted instances, preference profiles, instance generators, and the output writer.
 
 The package keeps a hard wall between two views of an instance:
 
@@ -14,6 +14,7 @@ descending weight, ties broken by ascending node index.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import re
@@ -113,7 +114,7 @@ class WeightedInstance:
         return {**self._fields(), "weights": self.weights.tolist()}
 
     def _fields(self) -> dict:
-        """``to_dict`` with the weights left an ndarray, for ``_table_bytes``."""
+        """``to_dict`` with the weights left an ndarray, for ``render``."""
         d = {"n": self.n, "weights": self.weights, "metric": bool(self.metric)}
         if self.points is not None:
             d["points"] = self.points.tolist()
@@ -189,23 +190,34 @@ def _row_texts(table: np.ndarray, sep: str):
         _push(left, i, right.split(bsep), bsep)
 
 
-def _table_chunks(fmt: str, data: dict, header: str, table: np.ndarray):
-    """The bytes of ``json.dumps(data, allow_nan=False) + "\\n"``, or of ``header`` and the
-    ``csv.writer`` rows of ``table`` (a value of ``data``), one chunk per table row; every
-    other value is encoded first, so a value json refuses raises before any chunk is written."""
-    rows = _row_texts(table, "," if fmt == "csv" else ", ")
+def render(fmt: str, data, header: str, rows):
+    """The byte chunks a CLI verb or ``save_instance`` writes, all checks done: the bytes of
+    ``json.dumps(data, allow_nan=False) + "\\n"``, or of ``header`` and the ``csv.writer`` rows
+    of ``rows``. JSON refuses non-finite floats (ValueError) instead of writing a bare Infinity
+    or NaN. A CSV cell is ``str`` of its value (``repr`` for a float), quoted only when it holds
+    a comma, a double quote or a newline. An ndarray ``rows``, also a value of ``data`` (gen's
+    weights, prefs' ranking), is written one chunk per row by ``_row_texts``; every other value
+    is encoded first, so a value json refuses raises before any chunk is written."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}, expected 'json' or 'csv'")
+    if not isinstance(rows, np.ndarray):
+        if fmt == "json":
+            return [(json.dumps(data, allow_nan=False) + "\n").encode()]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return [f"{header}\n{buf.getvalue()}".encode()]
     if fmt == "csv":
-        return chain([f"{header}\n".encode()], (r + b"\n" for r in rows))
-    pairs = (json.dumps(k) + ": " + ("\0" if v is table else json.dumps(v, allow_nan=False))
+        return chain([f"{header}\n".encode()], (r + b"\n" for r in _row_texts(rows, ",")))
+    pairs = (json.dumps(k) + ": " + ("\0" if v is rows else json.dumps(v, allow_nan=False))
              for k, v in data.items())
     head, tail = ("{" + ", ".join(pairs) + "}\n").encode().split(b"\0")  # json writes no raw NUL
-    rows = ((b", [" if i else b"[") + r + b"]" for i, r in enumerate(rows))
-    return chain([head, b"["], rows, [b"]", tail])
+    lines = ((b", [" if i else b"[") + r + b"]" for i, r in enumerate(_row_texts(rows, ", ")))
+    return chain([head, b"["], lines, [b"]", tail])
 
 
 def save_instance(inst: WeightedInstance, path: str) -> None:
     """Write ``inst`` as the bytes ``gen --out`` writes (strict JSON: ValueError on NaN or inf)."""
-    chunks = _table_chunks("json", inst._fields(), "", inst.weights)
+    chunks = render("json", inst._fields(), "", inst.weights)
     with open(path, "wb") as fh:
         fh.writelines(chunks)
 

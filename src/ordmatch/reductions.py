@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matching, RandomSource, _one_row, _row, _row_sums
+from .core import Matching, RandomSource, _integer, _one_row, _row, _row_sums
 from .instance import PreferenceProfile, WeightedInstance
 
 
@@ -34,7 +34,8 @@ class Clustering:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(tuple(sorted(int(x) for x in p)) for p in self.parts)
+        parts = tuple(tuple(sorted(_integer(x, "node id") for x in p)) for p in self.parts)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "parts", parts)
         flat = [x for p in parts for x in p]
         if sorted(flat) != list(range(self.n)):
@@ -43,7 +44,7 @@ class Clustering:
             raise ValueError(f"parts must have equal size, got sizes {[len(p) for p in parts]}")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "parts": [list(p) for p in self.parts]}
+        return {"parts": [list(p) for p in self.parts], "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ class Subset:
     nodes: tuple
 
     def __post_init__(self):
-        nodes = tuple(sorted(int(x) for x in self.nodes))
+        nodes = tuple(sorted(_integer(x, "node id") for x in self.nodes))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "nodes", nodes)
         if len(set(nodes)) != len(nodes):
             raise ValueError("subset nodes must be distinct")
@@ -60,7 +62,7 @@ class Subset:
             raise ValueError(f"subset nodes out of range for n={self.n}")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "nodes": list(self.nodes)}
+        return {"nodes": list(self.nodes), "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,8 @@ class Path:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(int(x) for x in self.order)
+        order = tuple(_integer(x, "node id") for x in self.order)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "order", order)
         if len(set(order)) != len(order):
             raise ValueError("path revisits a node")
@@ -87,13 +90,14 @@ class Tour:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(int(x) for x in self.order)
+        order = tuple(_integer(x, "node id") for x in self.order)
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(self.n)):
             raise ValueError("tour order must be a permutation of all nodes")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "order": list(self.order)}
+        return {"order": list(self.order), "n": self.n}
 
 
 def cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -209,6 +209,32 @@ def test_perfbench_takes_the_stamp_and_raw_metrics_from_the_result_file(monkeypa
     assert kwargs["cwd"] == str(tmp_path) and "PYTHONPATH" not in kwargs["env"]
 
 
+def test_paired_runs_keeps_each_runs_setup_probes(monkeypatch, tmp_path):
+    """``perfbench`` passes on the set-up probes of the result file, and ``paired_runs`` keeps
+    every run's probes under ``setup_s`` beside the summary of their medians."""
+    layers = load_layers()
+    for side, probes in (("P", [0.3, 0.1, 0.2]), ("C", [0.4, 0.6, 0.5])):
+        (tmp_path / side / ".perfbench_out").mkdir(parents=True)
+        (tmp_path / side / ".perfbench_out" / "result-desk-mc-seed0-trace0.json").write_text(
+            json.dumps({"environment": {}, "setup_probes_s": probes,
+                        "rounds": [{"kernel_s": [0.01, 0.02]}],
+                        "raw_metrics": {"setup_s": {"value": sorted(probes)[1]}}}))
+
+    def ran(cmd, **kwargs):
+        line = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"setup_s": {"value": 1.0}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(line), stderr="")
+
+    monkeypatch.setattr(layers.subprocess, "run", ran)
+    monkeypatch.setattr(layers, "benchmark", lambda: {
+        "run_seconds": 1, "end_to_end": [{"name": "setup_s", "better": "lower"}]})
+    trees = {"parent": str(tmp_path / "P"), "change": str(tmp_path / "C")}
+    setup = layers.paired_runs(trees, "desk-mc", 0, 2)["metrics"]["setup_s"]
+    assert setup["probes"] == {"parent": [[0.3, 0.1, 0.2]] * 2, "change": [[0.4, 0.6, 0.5]] * 2}
+    assert setup["raw"]["parent"]["runs"] == [0.2, 0.2]
+    assert setup["raw"]["change"]["runs"] == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("call, command", [
     (lambda layers: layers.perfbench("/nowhere", "large-n", 0, 0),
      "/nowhere/perfbench/run.py --workload large-n --seed 0"),

@@ -493,7 +493,7 @@ def _csv_reference(header: str, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 50])
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 17, 33, 50, 65])
 @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
 def test_gen_and_prefs_write_the_bytes_of_json_dumps_and_csv_writer(family, n, tmp_path):
     """Each distinct cell is formatted once, yet every table reads as the encoders wrote it."""

@@ -66,6 +66,26 @@ class TestMatching:
         m = Matching.from_pairs(6, [(0, 3), (1, 5)])
         assert Matching.from_dict(m.to_dict()) == m
 
+    def test_takes_integer_ids_only(self):
+        """Python and numpy integers are ids; a float, a string or a boolean is refused, not
+        truncated: (0.7, 1.2) was edge (0, 1) and (True, 2) edge (1, 2)."""
+        m = Matching(np.int64(4), [(np.int32(3), np.int64(2)), (1, 0)])
+        assert m.sorted_edges() == [(0, 1), (2, 3)] and m.n == 4
+        assert {type(x) for e in m.edges for x in e} == {type(m.n)} == {int}
+        for pairs in ([(0.7, 1.2)], [(True, 2)], [(0, np.True_)], [("0", 1)], [(0, 1.0)]):
+            with pytest.raises(ValueError, match="node id must be an integer"):
+                Matching(4, pairs)
+        for n in (4.0, "4", True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                Matching(n, [(0, 1)])
+
+    @pytest.mark.parametrize("n", [2.9, "4", True, None])
+    def test_from_dict_takes_an_integer_n_only(self, n):
+        """A JSON "n" of 2.9, "4" or true was read as 2, 4 and 1."""
+        assert Matching.from_dict({"n": 4, "edges": [[0, 1]]}).n == 4
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Matching.from_dict({"n": n, "edges": [[0, 1]]})
+
     def test_weight_requires_matching_sizes(self):
         with pytest.raises(ValueError):
             matching_weight(Matching.from_pairs(4, [(0, 1)]), ones_instance(6))

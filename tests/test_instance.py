@@ -40,7 +40,7 @@ from ordmatch import (
     validate_metric,
 )
 from ordmatch import instance
-from ordmatch.instance import _gen_fields, _table_chunks
+from ordmatch.instance import _gen_fields, render
 
 W4 = [
     [0.0, 3.0, 1.0, 2.0],
@@ -287,7 +287,7 @@ def _gen_text(**dumps):
     """The ``gen --out`` text of a small instance, or ``json.dumps`` of it with ``dumps``."""
     inst = generate(GeneratorSpec("euclidean-uniform", 5, seed=3))
     if not dumps:
-        return b"".join(_table_chunks("json", inst._fields(), "", inst.weights)).decode()
+        return b"".join(render("json", inst._fields(), "", inst.weights)).decode()
     return json.dumps(inst.to_dict(), **dumps) + "\n"
 
 
@@ -631,7 +631,7 @@ class TestMirrorBuckets:
         """n=400: a peak of 3.10 MiB traced while each pending text was its own ``str``,
         0.93 MiB with one bucket per row."""
         inst, _ = gen_file
-        chunks = lambda: deque(_table_chunks("json", inst._fields(), "", inst.weights), 0)
+        chunks = lambda: deque(render("json", inst._fields(), "", inst.weights), 0)
         assert self._traced_peak_mib(chunks) < 2.0
 
     def test_loading_peaks_under_4_5_mib(self, gen_file):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ordmatch import (
@@ -67,6 +68,40 @@ class TestShapes:
             Tour(4, (0, 2, 1))
         with pytest.raises(ValueError):
             Tour(4, (0, 2, 2, 3))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, np.True_])
+    def test_clustering_takes_integer_ids_only(self, bad):
+        assert Clustering(np.int64(4), ((np.int64(1), 0), (2, 3))).parts == ((0, 1), (2, 3))
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Clustering(4, ((0, bad), (2, 3)))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Clustering(bad, ((0, 1), (2, 3)))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, "1", True, np.True_])
+    def test_subset_takes_integer_ids_only(self, bad):
+        """(1.9, 2) was the subset (1, 2)."""
+        assert Subset(4, (np.int32(2), 1)).nodes == (1, 2)
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Subset(4, (bad, 2))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Subset(bad, (0, 1))
+
+    @pytest.mark.parametrize("bad", [4.5, 1.0, "1", True, np.True_])
+    def test_path_takes_integer_ids_only(self, bad):
+        assert Path(5, (2, np.int64(4), 0)).order == (2, 4, 0)
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Path(5, (2, bad, 0))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Path(bad, (0, 1))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, np.True_])
+    def test_tour_takes_integer_ids_only(self, bad):
+        """(0, 1.5, 2) passed as the tour (0, 1, 2)."""
+        assert Tour(3, (0, np.uint8(1), 2)).order == (0, 1, 2)
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Tour(3, (0, bad, 2))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Tour(bad, (0, 1))
 
     def test_weight_helpers(self):
         inst = WeightedInstance(WSMALL)
