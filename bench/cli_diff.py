@@ -17,6 +17,8 @@ largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
 at n=65 and 130 on each family in both formats (one and three
 dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
+``solve --problem tsp`` by greedy and by hybrid on that n=130 file and on the tied
+0/1 matrix,
 ``gen`` at n=32 and 33 on each family in both formats and ``prefs`` and
 ``solve`` on an n=33 file,
 ``--help`` of every verb and an instance path with a comma. The
@@ -281,6 +283,11 @@ def invocations() -> list:
             ["prefs", "--instance", block],
             ["solve", "--instance", block, "--problem", "mwm", "--algorithm", "greedy"],
             ["verify-metric", "--instance", block]]
+    # the tour stitch orders each edge by the previous node's ranking row: rows past a block,
+    # and rows where every weight ties
+    for path in (block, "{tmp}/zero-one-16.json"):
+        for engine in ("greedy", "hybrid"):
+            inv.append(["solve", "--instance", path, "--problem", "tsp", "--algorithm", engine])
     # the writer and the loader join the cells a block of 16 rows owes the rows past it at
     # once: two blocks and two blocks and a row, on every family, and the verbs that read such
     # a file

@@ -138,16 +138,18 @@ class RandomSource:
         return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _sorted_ids(nodes, other=None) -> tuple[list[int], list[int] | None]:
-    """``nodes`` and ``other`` as ascending int lists; ValueError unless
-    the ids are distinct, nonnegative and the two lists disjoint."""
-    a = sorted(int(x) for x in nodes)
-    b = sorted(int(x) for x in other) if other is not None else None
+def _sorted_ids(nodes, other=None, n=None) -> tuple[list[int], list[int] | None]:
+    """``nodes`` and ``other`` as ascending int lists; ValueError unless the ids are integers,
+    distinct, nonnegative, below ``n`` when it is given, and the two lists disjoint."""
+    a = sorted(_integer(x, "node id") for x in nodes)
+    b = sorted(_integer(x, "node id") for x in other) if other is not None else None
     ids = a + (b or [])
     if len(set(ids)) != len(ids):
         raise ValueError("node lists must be disjoint sets of distinct nodes")
     if ids and min(ids) < 0:
         raise ValueError("node ids must be nonnegative")
+    if ids and n is not None and max(ids) >= n:
+        raise ValueError(f"node id {max(ids)} out of range for n={n}")
     return a, b
 
 
@@ -164,9 +166,7 @@ def _undominated_edges(profile: PreferenceProfile, nodes):
     forward-only cursor into its ranking row.
     """
     n = profile.n
-    ids, _ = _sorted_ids(nodes)
-    if ids and ids[-1] >= n:
-        raise ValueError(f"node id {ids[-1]} out of range for n={n}")
+    ids, _ = _sorted_ids(nodes, n=n)
     active = bytearray(n)
     for x in ids:
         active[x] = 1
@@ -317,23 +317,19 @@ def expected_random_weight(inst: WeightedInstance, sides: tuple | None = None) -
     """Exact expected weight of the uniform random matching process.
 
     On the complete graph, or on the complete bipartite graph between
-    ``sides=(side_a, side_b)`` when given. By symmetry every edge lands in
-    the final matching with the same probability: floor(n/2)/C(n,2) on
-    the complete graph (1/(n-1) for even n) and 1/m on the complete
-    bipartite graph with m nodes per side.
+    ``sides=(side_a, side_b)``, disjoint lists of distinct ids below n, when
+    given. By symmetry every edge lands in the final matching with the same
+    probability: floor(n/2)/C(n,2) on the complete graph (1/(n-1) for even n)
+    and 1/m on the complete bipartite graph with m nodes per side.
     """
     if sides is None:
         n = inst.n
         total = inst.total_weight()
         return total * (n // 2) / (n * (n - 1) / 2)
-    side_a, side_b = (sorted(int(x) for x in s) for s in sides)
-    if len(side_a) != len(side_b):
-        raise ValueError(
-            f"bipartite sides must have equal size, got {len(side_a)} and {len(side_b)}"
-        )
-    if not side_a:
+    a, b = sides
+    a, b = _sorted_ids(a, b, n=inst.n)
+    if len(a) != len(b):
+        raise ValueError(f"bipartite sides must have equal size, got {len(a)} and {len(b)}")
+    if not a:
         raise ValueError("bipartite sides must be nonempty")
-    if set(side_a) & set(side_b):
-        raise ValueError("bipartite sides overlap")
-    cross = float(inst.weights[np.ix_(side_a, side_b)].sum())
-    return cross / len(side_a)
+    return float(inst.weights[np.ix_(a, b)].sum()) / len(a)

@@ -326,18 +326,25 @@ class _Handed(np.ndarray):
     or ``WeightedInstance`` (a weight matrix fresh from ``load_instance`` or ``generate``)."""
 
 
+def _inverse(ranking: np.ndarray) -> np.ndarray:
+    """An (n, n-1) ranking inverted, int32: j's position in row i, n-1 if i == j, -1 if missed."""
+    n = len(ranking)
+    rank = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(rank, n - 1)
+    rank[np.arange(n)[:, None], ranking] = np.arange(n - 1, dtype=np.int32)
+    return rank
+
+
 @dataclass(frozen=True, eq=False)
 class PreferenceProfile:
     """Per-node strict rankings over the other nodes.
 
     ``ranking[i]`` lists the other nodes in descending preference (read-only
-    int32, (n, n-1)); ``rank[i, j]`` is j's position in i's list, n-1 for
-    j == i. This is the only input the ordinal algorithms receive. Profiles
-    compare equal when their rankings do; they are not hashable.
+    int32, (n, n-1)). This is the only input the ordinal algorithms receive.
+    Profiles compare equal when their rankings do; they are not hashable.
     """
 
     ranking: np.ndarray
-    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ranking = np.array(self.ranking, copy=type(self.ranking) is not _Handed)
@@ -353,14 +360,10 @@ class PreferenceProfile:
             outside = ((ranking < 0) | (ranking >= n)).any(axis=1, keepdims=True)
             ranking = np.where(outside, np.arange(n)[:, None], ranking)
         ranking = ranking.astype(np.int32, copy=False)
-        rank = np.full((n, n), -1, dtype=np.int32)
-        np.fill_diagonal(rank, n - 1)
-        rank[np.arange(n)[:, None], ranking] = np.arange(n - 1, dtype=np.int32)
-        if (missed := rank < 0).any():
+        if (missed := _inverse(ranking) < 0).any():
             raise ValueError(f"row {missed.argmax() // n} is not a permutation of the other {n - 1} nodes")
-        for name, table in (("ranking", ranking), ("rank", rank)):
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+        ranking.setflags(write=False)
+        object.__setattr__(self, "ranking", ranking)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PreferenceProfile) and np.array_equal(self.ranking, other.ranking)
@@ -370,10 +373,10 @@ class PreferenceProfile:
         return len(self.ranking)
 
     def position(self, i: int, j: int) -> int:
-        """Rank of j in i's list; 0 is the most preferred."""
-        if i == j or not 0 <= j < self.n:
+        """Rank of j in i's list, read from row i; 0 is the most preferred."""
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"node {j} is not in node {i}'s list")
-        return int(self.rank[i, j])
+        return int((self.ranking[i] == j).argmax())
 
     def prefers(self, i: int, j: int, k: int) -> bool:
         """True when i ranks j strictly above k."""

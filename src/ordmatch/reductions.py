@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Matching, RandomSource, _integer, _one_row, _row, _row_sums
-from .instance import PreferenceProfile, WeightedInstance
+from .instance import PreferenceProfile, WeightedInstance, _inverse
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,10 @@ def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) ->
     paths = np.empty((draws, 2 * m), dtype=np.intp)
     paths[:, 0] = start
     paths[:, 1] = edges[:, 0].sum(axis=1) - start
+    rank = _inverse(profile.ranking)
     for j in range(1, m):
         x, y, z = paths[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
-        y_first = profile.rank[x, y] < profile.rank[x, z]
+        y_first = rank[x, y] < rank[x, z]
         paths[:, 2 * j] = np.where(y_first, y, z)
         paths[:, 2 * j + 1] = np.where(y_first, z, y)
     return paths

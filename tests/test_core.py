@@ -136,6 +136,15 @@ class TestFindUndominated:
         with pytest.raises(ValueError):
             find_undominated(P4, nodes)
 
+    @pytest.mark.parametrize("nodes", [[0.9, 1.2, 2], [True, 2], [0, 1.0], ["1", 2]],
+                             ids=["floats", "bool", "integral-float", "string"])
+    def test_rejects_ids_that_are_not_integers(self, nodes):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            find_undominated(P4, nodes)
+
+    def test_takes_numpy_integer_ids(self):
+        assert find_undominated(P4, np.array([3, 2], dtype=np.int64)) == (2, 3)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 12))
     def test_matches_reference_walk_on_node_subsets(self, seed, n):
@@ -222,6 +231,12 @@ class TestRandomMatching:
         with pytest.raises(ValueError):
             random_k_matchings(nodes, 1, 2, np.random.default_rng(0), other)
 
+    @pytest.mark.parametrize("nodes,other", [([0.5, 1.7, 2.2, 3.9], None), ([0, 1], [2.0, 3]),
+                                             ([False, 1], None)], ids=["floats", "other", "bool"])
+    def test_rejects_ids_that_are_not_integers(self, nodes, other):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            random_k_matchings(nodes, 2, 1, np.random.default_rng(0), other)
+
     def test_zero_k_and_empty_pool(self):
         assert len(random_k_matching(4, 0, RandomSource(0))) == 0
         assert len(random_k_matching(1, 3, RandomSource(0))) == 0
@@ -275,6 +290,23 @@ class TestRandomMatching:
         for sides in (([0], [1, 2]), ([0, 1], [1, 2]), ([], [])):
             with pytest.raises(ValueError):
                 expected_random_weight(inst, sides=sides)
+
+    @pytest.mark.parametrize("sides,message", [
+        (([0, 0], [1, 2]), "disjoint sets of distinct nodes"),
+        (([-1], [2]), "nonnegative"),
+        (([0.7], [2.2]), "must be an integer"),
+        (([9], [2]), "out of range for n=6"),
+    ], ids=["duplicate", "negative", "float", "past-n"])
+    def test_expected_value_checks_sides_as_the_sampler_does(self, sides, message):
+        inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=0))
+        with pytest.raises(ValueError, match=message):
+            expected_random_weight(inst, sides=sides)
+
+    def test_expected_value_takes_sides_in_any_order_and_integer_type(self):
+        inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=0))
+        want = float(inst.weights[np.ix_([0, 1], [4, 5])].sum()) / 2
+        assert expected_random_weight(inst, sides=([1, 0], [5, 4])) == want
+        assert expected_random_weight(inst, sides=(np.array([0, 1]), [np.int8(4), 5])) == want
 
     def test_monte_carlo_matches_formula(self):
         inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=3))

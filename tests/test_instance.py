@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -40,7 +41,7 @@ from ordmatch import (
     validate_metric,
 )
 from ordmatch import instance
-from ordmatch.instance import _gen_fields, render
+from ordmatch.instance import _gen_fields, _inverse, render
 
 W4 = [
     [0.0, 3.0, 1.0, 2.0],
@@ -859,17 +860,30 @@ class TestPreferenceProfile:
         p = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
         assert PreferenceProfile.from_dict(p.to_dict()) == p
 
-    def test_tables_are_read_only_and_rank_inverts_ranking(self):
+    def test_ranking_is_read_only_and_its_inverse_inverts_it(self):
         p = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
         assert p.ranking.dtype == np.int32 and p.ranking.shape == (4, 3)
-        for table in (p.ranking, p.rank):
-            with pytest.raises(ValueError):
-                table[0, 0] = 2
+        with pytest.raises(ValueError):
+            p.ranking[0, 0] = 2
+        rank = _inverse(p.ranking)
+        assert rank.dtype == np.int32 and rank.shape == (4, 4)
         for i in range(4):
-            assert [int(p.rank[i, j]) for j in p.ranking[i]] == [0, 1, 2]
-            assert p.rank[i, i] == 3
+            assert [int(rank[i, j]) for j in p.ranking[i]] == [0, 1, 2]
+            assert rank[i, i] == 3
+        assert _inverse(np.array([[0, 1], [0, 2], [0, 1]])).tolist()[0] == [0, 1, -1]  # misses 2
         with pytest.raises(ValueError):
             p.position(2, 2)
+
+    def test_the_ranking_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(PreferenceProfile)] == ["ranking"]
+
+    def test_position_and_prefers_reject_a_node_outside_the_profile(self):
+        p = derive_preferences(generate(GeneratorSpec("euclidean-uniform", 6, seed=0)))
+        for i in (-1, 6, 9):
+            with pytest.raises(ValueError, match=f"node 0 is not in node {i}'s list"):
+                p.position(i, 0)
+            with pytest.raises(ValueError, match=f"node 0 is not in node {i}'s list"):
+                p.prefers(i, 0, 1)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_a_callers_array_is_copied(self, dtype):
