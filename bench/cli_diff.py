@@ -20,7 +20,8 @@ dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
 ``solve --problem tsp`` by greedy and by hybrid on that n=130 file and on the tied
 0/1 matrix,
 ``gen`` at n=32 and 33 on each family in both formats and ``prefs`` and
-``solve`` on an n=33 file,
+``solve`` on an n=33 file, ``solve`` and ``oracle`` of every problem on
+n=2 and n=3 files,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -300,6 +301,14 @@ def invocations() -> list:
     inv += [["gen", "--n", "33", "--seed", "6", "--out", mirror],
             ["prefs", "--instance", mirror],
             ["solve", "--instance", mirror, "--problem", "mwm", "--algorithm", "greedy"]]
+
+    # the smallest instances, n=2 and n=3, on every problem (tsp refuses both)
+    for n in (2, 3):
+        tiny = f"{{tmp}}/tiny-{n}.json"
+        inv.append(["gen", "--n", str(n), "--seed", "8", "--out", tiny])
+        for problem, k in (("mwm", None), ("mkm", 1), ("ksum", 1), ("densest", 2), ("tsp", None)):
+            inv += [["solve", "--instance", tiny, "--problem", problem, *_k(k)],
+                    ["oracle", "--instance", tiny, "--problem", problem, *_k(k)]]
 
     inv += [["frobnicate"], ["prefs"], ["gen", "--n", "6", "--format", "xml"],
             ["solve", "--instance", a], ["bench", "--problem", "mwm"]]

@@ -37,9 +37,31 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
-def _normalize_edge(u, v) -> tuple[int, int]:
-    u, v = _integer(u, "node id"), _integer(v, "node id")
-    return (u, v) if u < v else (v, u)
+def _count(x, what: str) -> int:
+    """x as a Python int (``_integer``) that is at least 0."""
+    if (x := _integer(x, what)) < 0:
+        raise ValueError(f"{what} must be nonnegative, got {x}")
+    return x
+
+
+def _node_ids(ids, n: int | None = None) -> list[int]:
+    """``ids`` as a list of Python ints, each read once by ``_integer``; ValueError unless they
+    are distinct, nonnegative and, when ``n`` is given, below it."""
+    ids = [_integer(x, "node id") for x in ids]
+    if len(set(ids)) != len(ids):
+        raise ValueError("node ids must be distinct")
+    if ids and min(ids) < 0:
+        raise ValueError("node ids must be nonnegative")
+    if ids and n is not None and (top := max(ids)) >= n:
+        raise ValueError(f"node id {top} out of range for n={n}")
+    return ids
+
+
+def _solution_ids(solution, ids) -> list[int]:
+    """The checks every solution type shares: ``solution.n`` stored as a count (``_count``),
+    and ``ids`` returned as node ids below it (``_node_ids``)."""
+    object.__setattr__(solution, "n", _count(solution.n, "n"))
+    return _node_ids(ids, solution.n)
 
 
 @dataclass(frozen=True)
@@ -50,16 +72,9 @@ class Matching:
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "edges", frozenset(_normalize_edge(u, v) for u, v in self.edges))
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u in seen or v in seen:
-                raise ValueError(f"edge ({u},{v}) reuses a matched node")
-            seen.add(u)
-            seen.add(v)
+        ids = _solution_ids(self, [x for u, v in self.edges for x in (u, v)])
+        pairs = zip(ids[::2], ids[1::2])
+        object.__setattr__(self, "edges", frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Matching":
@@ -139,18 +154,11 @@ class RandomSource:
 
 
 def _sorted_ids(nodes, other=None, n=None) -> tuple[list[int], list[int] | None]:
-    """``nodes`` and ``other`` as ascending int lists; ValueError unless the ids are integers,
-    distinct, nonnegative, below ``n`` when it is given, and the two lists disjoint."""
-    a = sorted(_integer(x, "node id") for x in nodes)
-    b = sorted(_integer(x, "node id") for x in other) if other is not None else None
-    ids = a + (b or [])
-    if len(set(ids)) != len(ids):
-        raise ValueError("node lists must be disjoint sets of distinct nodes")
-    if ids and min(ids) < 0:
-        raise ValueError("node ids must be nonnegative")
-    if ids and n is not None and max(ids) >= n:
-        raise ValueError(f"node id {max(ids)} out of range for n={n}")
-    return a, b
+    """``nodes`` and ``other`` as ascending lists of node ids (``_node_ids``), the two lists
+    disjoint; None for ``other`` when it is not given."""
+    a = list(nodes)
+    ids = _node_ids(a if other is None else [*a, *other], n)
+    return sorted(ids[: len(a)]), None if other is None else sorted(ids[len(a) :])
 
 
 def _undominated_edges(profile: PreferenceProfile, nodes):
@@ -166,7 +174,7 @@ def _undominated_edges(profile: PreferenceProfile, nodes):
     forward-only cursor into its ranking row.
     """
     n = profile.n
-    ids, _ = _sorted_ids(nodes, n=n)
+    ids = sorted(_node_ids(nodes, n))
     active = bytearray(n)
     for x in ids:
         active[x] = 1
@@ -191,7 +199,7 @@ def _undominated_edges(profile: PreferenceProfile, nodes):
             x = y
         active[x] = active[y] = 0
         left -= 2
-        yield _normalize_edge(x, y)
+        yield (x, y) if x < y else (y, x)
 
 
 def find_undominated(profile: PreferenceProfile, nodes) -> tuple[int, int]:
@@ -211,7 +219,7 @@ def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
     the maximal matching found (no error), so the edge list for k is
     always a prefix of the edge list for any larger k.
     """
-    if k < 1:
+    if (k := _integer(k, "k")) < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     # walk here, not lazily inside from_pairs, so a profile charges the walk to the greedy
     picks = list(islice(_undominated_edges(profile, range(profile.n)), k))
@@ -246,15 +254,15 @@ def random_k_matchings(
     shuffle of the nodes (complete mode), or the first k entries of
     independent shuffles of the two sides (bipartite mode). Each list is
     sorted before it is shuffled, so the order of the given ids does not
-    change the draws. Ids must be distinct, nonnegative and, in bipartite
-    mode, disjoint between the lists (else ``ValueError``); they are not
+    change the draws. k and ``draws`` must be nonnegative integers, and ids
+    distinct, nonnegative and, in bipartite mode, disjoint between the
+    lists (else ``ValueError``); they are not
     checked against a node count, which the sampler is not given, and the
     batched reductions do not check them either, so a caller passing ids
     of its own must keep them below n.
     """
     side_a, side_b = _sorted_ids(nodes, other)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    k, draws = _count(k, "k"), _count(draws, "draws")
     if side_b is not None:
         k = min(k, len(side_a), len(side_b))
         side_a = _row_permutations(side_a, draws, gen)[:, :k]
@@ -278,7 +286,7 @@ def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Gene
     Draw order is pinned for replay: all coins, then the shuffles of B,
     then the shuffles of the M0 edge indices.
     """
-    n = profile.n
+    n, draws = profile.n, _count(draws, "draws")
     if n < 2:
         raise ValueError(f"hybrid matching needs n >= 2, got {n}")
     m0 = _row(greedy_k_matching(profile, math.ceil(n / 3)))[0]

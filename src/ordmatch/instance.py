@@ -40,17 +40,22 @@ def _holds_bool(x, a: np.ndarray) -> bool:
     return bool({bool, np.bool_} & set(map(type, x)))
 
 
-def _float_array(x, what: str) -> np.ndarray:
-    """x as floats, from numbers only (not "1", true or null), copied unless ``_Handed``."""
+_HOLDS = {"iuf": "numbers only, not strings, booleans or nulls",
+          "iu": "integers only, not floats, strings or booleans"}
+
+
+def _table(x, what: str, kinds: str, error: type = MalformedInstanceError) -> np.ndarray:
+    """x as an array of the numpy ``kinds`` "iuf" (numbers) or "iu" (integers), copied unless
+    ``_Handed``; ``error`` for ragged rows or, in a nonempty table, an entry of another kind or
+    a boolean (not "1", true or null)."""
     try:
         a = np.array(x, copy=type(x) is not _Handed)
     except ValueError:  # numpy's "inhomogeneous shape": ragged rows, or a row among numbers
-        raise MalformedInstanceError(f"{what} must be a list of rows of one length") from None
-    if a.dtype.kind not in "iuf" or (
-        a.ndim and not isinstance(x, np.ndarray) and _holds_bool(x, a)
-    ):
-        raise MalformedInstanceError(f"{what} must hold numbers only, not strings, booleans or nulls")
-    return a.astype(float, copy=False)
+        raise error(f"{what} must be a list of rows of one length") from None
+    if a.size and (a.dtype.kind not in kinds or (  # an empty list reads as floats
+            a.ndim and not isinstance(x, np.ndarray) and _holds_bool(x, a))):
+        raise error(f"{what} must hold {_HOLDS[kinds]}")
+    return a
 
 
 def _as_weight_matrix(weights) -> np.ndarray:
@@ -59,7 +64,7 @@ def _as_weight_matrix(weights) -> np.ndarray:
     Raises MalformedInstanceError for anything that is not a finite,
     symmetric, nonnegative square matrix with a zero diagonal.
     """
-    w = _float_array(weights, "weight matrix")
+    w = _table(weights, "weight matrix", "iuf").astype(float, copy=False)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise MalformedInstanceError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:
@@ -94,7 +99,7 @@ class WeightedInstance:
     def __post_init__(self):
         object.__setattr__(self, "weights", _as_weight_matrix(self.weights))
         if self.points is not None:
-            pts = _float_array(self.points, "points")
+            pts = _table(self.points, "points", "iuf").astype(float, copy=False)
             if pts.ndim != 2 or pts.shape[0] != self.weights.shape[0]:
                 raise MalformedInstanceError("points must be one row per node")
             if not np.isfinite(pts).all():
@@ -327,11 +332,12 @@ class _Handed(np.ndarray):
 
 
 def _inverse(ranking: np.ndarray) -> np.ndarray:
-    """An (n, n-1) ranking inverted, int32: j's position in row i, n-1 if i == j, -1 if missed."""
-    n = len(ranking)
-    rank = np.full((n, n), -1, dtype=np.int32)
+    """The first rows of an (n, n-1) ranking inverted, int32: j's position in row i, n-1 if
+    i == j, -1 if missed."""
+    rows, n = len(ranking), ranking.shape[1] + 1
+    rank = np.full((rows, n), -1, dtype=np.int32)
     np.fill_diagonal(rank, n - 1)
-    rank[np.arange(n)[:, None], ranking] = np.arange(n - 1, dtype=np.int32)
+    rank[np.arange(rows)[:, None], ranking] = np.arange(n - 1, dtype=np.int32)
     return rank
 
 
@@ -347,21 +353,17 @@ class PreferenceProfile:
     ranking: np.ndarray
 
     def __post_init__(self):
-        ranking = np.array(self.ranking, copy=type(self.ranking) is not _Handed)
-        if ranking.size and (ranking.dtype.kind not in "iu" or (
-            not isinstance(self.ranking, np.ndarray) and _holds_bool(self.ranking, ranking)
-        )):  # not 1.7, 1.0, "1" or true
-            raise ValueError("ranking must hold integers only, not floats, strings or booleans")
+        ranking = _table(self.ranking, "ranking", "iu", ValueError)
         n = len(ranking)
         if ranking.ndim != 2 or ranking.shape[1] != n - 1:
             raise ValueError(f"ranking must have n - 1 = {n - 1} entries in each of its {n} rows")
-        # an id out of range makes its row its own node; a bad row scattered into -1s leaves one
+        first = n  # the first row holding an id out of range, or n
         if ranking.size and (ranking.min() < 0 or ranking.max() >= n):
-            outside = ((ranking < 0) | (ranking >= n)).any(axis=1, keepdims=True)
-            ranking = np.where(outside, np.arange(n)[:, None], ranking)
+            first = ((ranking < 0) | (ranking >= n)).any(axis=1).argmax()
         ranking = ranking.astype(np.int32, copy=False)
-        if (missed := _inverse(ranking) < 0).any():
-            raise ValueError(f"row {missed.argmax() // n} is not a permutation of the other {n - 1} nodes")
+        # the first row before it whose inverse misses a node (a -1), else ``first`` itself
+        if (row := np.append((_inverse(ranking[:first]) < 0).any(axis=1), True).argmax()) < n:
+            raise ValueError(f"row {row} is not a permutation of the other {n - 1} nodes")
         ranking.setflags(write=False)
         object.__setattr__(self, "ranking", ranking)
 

@@ -19,10 +19,11 @@ solution and an engine's value of the same row agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .core import Matching, RandomSource, _integer, _one_row, _row, _row_sums
+from .core import Matching, RandomSource, _integer, _one_row, _row, _row_sums, _solution_ids
 from .instance import PreferenceProfile, WeightedInstance, _inverse
 
 
@@ -34,14 +35,14 @@ class Clustering:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(tuple(sorted(_integer(x, "node id") for x in p)) for p in self.parts)
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "parts", parts)
-        flat = [x for p in parts for x in p]
-        if sorted(flat) != list(range(self.n)):
+        parts = [tuple(p) for p in self.parts]
+        ids = _solution_ids(self, [x for p in parts for x in p])
+        if len(ids) != self.n:
             raise ValueError("parts must partition the node set exactly")
         if len(set(map(len, parts))) > 1:
             raise ValueError(f"parts must have equal size, got sizes {[len(p) for p in parts]}")
+        ids = iter(ids)
+        object.__setattr__(self, "parts", tuple(tuple(sorted(islice(ids, len(p)))) for p in parts))
 
     def to_dict(self) -> dict:
         return {"parts": [list(p) for p in self.parts], "n": self.n}
@@ -53,13 +54,7 @@ class Subset:
     nodes: tuple
 
     def __post_init__(self):
-        nodes = tuple(sorted(_integer(x, "node id") for x in self.nodes))
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "nodes", nodes)
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("subset nodes must be distinct")
-        if nodes and not (0 <= nodes[0] and nodes[-1] < self.n):
-            raise ValueError(f"subset nodes out of range for n={self.n}")
+        object.__setattr__(self, "nodes", tuple(sorted(_solution_ids(self, self.nodes))))
 
     def to_dict(self) -> dict:
         return {"nodes": list(self.nodes), "n": self.n}
@@ -73,27 +68,21 @@ class Path:
     order: tuple
 
     def __post_init__(self):
-        order = tuple(_integer(x, "node id") for x in self.order)
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "order", order)
-        if len(set(order)) != len(order):
-            raise ValueError("path revisits a node")
-        if order and not (0 <= min(order) and max(order) < self.n):
-            raise ValueError(f"path nodes out of range for n={self.n}")
+        object.__setattr__(self, "order", tuple(_solution_ids(self, self.order)))
 
 
 @dataclass(frozen=True)
 class Tour:
-    """Cyclic visiting order over all n nodes; the closing edge counts."""
+    """Cyclic visiting order over all n >= 3 nodes; the closing edge counts."""
 
     n: int
     order: tuple
 
     def __post_init__(self):
-        order = tuple(_integer(x, "node id") for x in self.order)
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "order", order)
-        if sorted(order) != list(range(self.n)):
+        object.__setattr__(self, "order", tuple(_solution_ids(self, self.order)))
+        if self.n < 3:
+            raise ValueError(f"a tour needs n >= 3, got n={self.n}")
+        if len(self.order) != self.n:
             raise ValueError("tour order must be a permutation of all nodes")
 
     def to_dict(self) -> dict:
@@ -149,7 +138,7 @@ def matching_to_clusters(m: Matching, k: int) -> Clustering:
 
 def matching_to_subset(m: Matching, k: int | None = None) -> Subset:
     """Endpoints of a (k/2)-edge matching as a k-node subset."""
-    if k is not None and k != 2 * len(m):
+    if k is not None and _integer(k, "k") != 2 * len(m):
         raise ValueError(f"matching has {len(m)} edges, cannot produce a {k}-node subset")
     return Subset(m.n, tuple(matchings_to_subsets(_row(m))[0].tolist()))
 
@@ -173,7 +162,7 @@ def path_completion(
         raise ValueError("path completion needs at least one matching edge")
     if m.n != profile.n:
         raise ValueError("matching and profile sizes differ")
-    if start is not None and start not in m.nodes():
+    if start is not None and (start := _integer(start, "start node")) not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
     edges = _row(m)
     start = _starts(edges, rng.gen) if start is None else np.reshape(start, 1)
@@ -205,7 +194,7 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     ``cluster_values`` sums a part in the order ``cluster_weight`` does.
     """
     draws, m, _ = matchings.shape
-    if k < 1:
+    if (k := _integer(k, "k")) < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")

@@ -21,6 +21,7 @@ from ordmatch import (
     greedy_k_matching,
     greedy_ratio_bound,
     hybrid_matching,
+    hybrid_matchings,
     matching_weight,
     opt_matching,
     random_k_matching,
@@ -47,6 +48,8 @@ class TestMatching:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Matching.from_pairs(4, [(0, 4)])
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            Matching(-1, [])
 
     def test_rejects_reused_node(self):
         with pytest.raises(ValueError):
@@ -176,6 +179,13 @@ class TestGreedyMatching:
         with pytest.raises(ValueError):
             greedy_k_matching(P4, 0)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2"])
+    def test_k_is_an_integer(self, k):
+        """True was k=1, and 2.5 raised islice's message."""
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            greedy_k_matching(P4, k)
+        assert len(greedy_k_matching(P4, np.int64(2))) == 2
+
     def test_known_profile(self):
         assert greedy_k_matching(P4, 1).sorted_edges() == [(0, 1)]
         assert greedy_k_matching(P4, 2).sorted_edges() == [(0, 1), (2, 3)]
@@ -237,6 +247,18 @@ class TestRandomMatching:
         with pytest.raises(ValueError, match="node id must be an integer"):
             random_k_matchings(nodes, 2, 1, np.random.default_rng(0), other)
 
+    @pytest.mark.parametrize("k,draws,message", [
+        (1.5, 2, "k must be an integer, got 1.5"),
+        (True, 2, "k must be an integer, got True"),
+        (1, 2.0, "draws must be an integer, got 2.0"),
+        (1, -1, "draws must be nonnegative, got -1"),
+    ], ids=["float-k", "bool-k", "float-draws", "negative-draws"])
+    def test_k_and_draws_are_counts(self, k, draws, message):
+        """A float k or draws raised TypeError, and draws=-1 numpy's "negative dimensions"."""
+        with pytest.raises(ValueError, match=message):
+            random_k_matchings(range(4), k, draws, np.random.default_rng(0))
+        assert random_k_matchings(range(4), np.int64(1), np.int32(0), np.random.default_rng(0)).shape == (0, 1, 2)
+
     def test_zero_k_and_empty_pool(self):
         assert len(random_k_matching(4, 0, RandomSource(0))) == 0
         assert len(random_k_matching(1, 3, RandomSource(0))) == 0
@@ -292,7 +314,7 @@ class TestRandomMatching:
                 expected_random_weight(inst, sides=sides)
 
     @pytest.mark.parametrize("sides,message", [
-        (([0, 0], [1, 2]), "disjoint sets of distinct nodes"),
+        (([0, 0], [1, 2]), "node ids must be distinct"),
         (([-1], [2]), "nonnegative"),
         (([0.7], [2.2]), "must be an integer"),
         (([9], [2]), "out of range for n=6"),
@@ -321,6 +343,14 @@ class TestHybridMatching:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             hybrid_matching(PreferenceProfile(((),)), RandomSource(0))
+
+    @pytest.mark.parametrize("draws,message", [(2.5, "draws must be an integer, got 2.5"),
+                                               (-1, "draws must be nonnegative, got -1")])
+    def test_draws_is_a_count(self, draws, message):
+        """2.5 raised TypeError, and -1 numpy's "negative dimensions are not allowed"."""
+        prof = derive_preferences(generate(GeneratorSpec("euclidean-uniform", 6, seed=0)))
+        with pytest.raises(ValueError, match=message):
+            hybrid_matchings(prof, draws, np.random.default_rng(0))
 
     def test_two_nodes_pair_up(self):
         two = PreferenceProfile(((1,), (0,)))

@@ -73,6 +73,12 @@ class TestWeightMatrixValidation:
         with pytest.raises(MalformedInstanceError):
             WeightedInstance([[0.0, 1.0]])
 
+    @pytest.mark.parametrize("weights", [5, 2.5, np.float64(1.0), []])
+    def test_a_scalar_or_empty_table_is_not_square(self, weights):
+        """The table reader scans a table for booleans, never a scalar."""
+        with pytest.raises(MalformedInstanceError, match="square, got shape"):
+            WeightedInstance(weights)
+
     def test_rejects_single_node(self):
         with pytest.raises(MalformedInstanceError):
             WeightedInstance([[0.0]])
@@ -820,6 +826,13 @@ class TestPreferenceProfile:
     ])
     def test_error_names_the_first_bad_row(self, ranking, row):
         with pytest.raises(ValueError, match=f"^row {row} is not a permutation of the other 3 nodes$"):
+            PreferenceProfile(ranking)
+
+    @pytest.mark.parametrize("ranking", [[[1], [0, 2]], [[1, 2], 0, [0, 1]]],
+                             ids=["ragged", "row-among-numbers"])
+    def test_rejects_a_ragged_ranking_as_a_ragged_weight_matrix(self, ranking):
+        """numpy's "inhomogeneous shape" text leaked through."""
+        with pytest.raises(ValueError, match="^ranking must be a list of rows of one length$"):
             PreferenceProfile(ranking)
 
     def test_error_for_the_wrong_shape(self):

@@ -18,12 +18,14 @@ from ordmatch import (
     matching_to_subset,
     matching_to_tour,
     matching_weight,
+    matchings_to_clusters,
     path_completion,
     path_weight,
     random_k_matching,
     subset_weight,
     tour_weight,
 )
+from ordmatch.core import _row
 
 WSMALL = [
     [0.0, 1.0, 2.0, 3.0],
@@ -40,6 +42,8 @@ class TestShapes:
             Clustering(4, ((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             Clustering(4, ((0, 1),))
+        with pytest.raises(ValueError, match="n must be nonnegative, got -2"):
+            Clustering(-2, ())
 
     def test_clustering_rejects_unequal_parts(self):
         Clustering(6, ((0, 1, 2), (3, 4, 5)))
@@ -54,6 +58,8 @@ class TestShapes:
             Subset(4, (0, 0))
         with pytest.raises(ValueError):
             Subset(4, (0, 4))
+        with pytest.raises(ValueError, match="n must be nonnegative, got -3"):
+            Subset(-3, ())
 
     def test_path_validation(self):
         Path(5, (2, 4, 1))
@@ -61,6 +67,8 @@ class TestShapes:
             Path(5, (2, 4, 2))
         with pytest.raises(ValueError):
             Path(5, (2, 5))
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            Path(-1, ())
 
     def test_tour_validation(self):
         Tour(4, (0, 2, 1, 3))
@@ -68,6 +76,28 @@ class TestShapes:
             Tour(4, (0, 2, 1))
         with pytest.raises(ValueError):
             Tour(4, (0, 2, 2, 3))
+        # the one edge of a 2-node "tour" was weighed twice, where opt_tsp refuses n < 3
+        for n in (2, 1, 0):
+            with pytest.raises(ValueError, match=f"a tour needs n >= 3, got n={n}"):
+                Tour(n, tuple(range(n)))
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            Tour(-1, ())
+
+    @pytest.mark.parametrize("make", [
+        lambda ids: Matching(5, [ids[:2], ids[2:]]),
+        lambda ids: Clustering(5, ((*ids, 4),)),
+        lambda ids: Subset(5, ids),
+        lambda ids: Path(5, ids),
+        lambda ids: Tour(5, (*ids, 4)),
+    ], ids=["matching", "clustering", "subset", "path", "tour"])
+    def test_every_solution_type_checks_node_ids_alike(self, make):
+        make((0, 1, 2, 3))
+        for ids, message in (((0, 1, 1, 3), "^node ids must be distinct$"),
+                             ((0, -1, 2, 3), "^node ids must be nonnegative$"),
+                             ((0, 1, 2, 5), "^node id 5 out of range for n=5$"),
+                             ((0, 1, 2, 3.0), "^node id must be an integer, got 3.0$")):
+            with pytest.raises(ValueError, match=message):
+                make(ids)
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, np.True_])
     def test_clustering_takes_integer_ids_only(self, bad):
@@ -144,6 +174,15 @@ class TestMatchingToClusters:
             # matched weight is never thrown away
             assert cluster_weight(c, inst) >= matching_weight(m, inst) - 1e-12
 
+    def test_k_is_an_integer(self):
+        """A float k raised TypeError from a reshape."""
+        m = Matching.from_pairs(6, [(0, 1), (2, 3), (4, 5)])
+        for k in (1.5, 3.0, True):
+            with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+                matchings_to_clusters(_row(m), 6, k)
+            with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+                matching_to_clusters(m, k)
+
     def test_requires_divisibility(self):
         m = Matching.from_pairs(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         with pytest.raises(ValueError):
@@ -171,6 +210,8 @@ class TestMatchingToSubset:
         with pytest.raises(ValueError):
             matching_to_subset(m, 4)
         assert matching_to_subset(m).nodes == (2, 5)
+        with pytest.raises(ValueError, match="k must be an integer, got 2.0"):
+            matching_to_subset(m, 2.0)
 
     def test_subset_keeps_matching_weight(self):
         for seed in range(10):
@@ -198,6 +239,15 @@ class TestPathCompletion:
         prof = derive_preferences(WeightedInstance([[0.0] * 5 for _ in range(5)]))
         with pytest.raises(ValueError):
             path_completion(m, prof, RandomSource(0), start=3)
+
+    @pytest.mark.parametrize("start", [True, 1.0, "1"])
+    def test_start_is_a_node_id(self, start):
+        """True and 1.0 started the path at node 1."""
+        prof = derive_preferences(generate(GeneratorSpec("euclidean-uniform", 6, seed=0)))
+        m = greedy_k_matching(prof, 3)
+        assert path_completion(m, prof, RandomSource(0), start=np.int64(1)).order[0] == 1
+        with pytest.raises(ValueError, match=f"start node must be an integer, got {start!r}"):
+            path_completion(m, prof, RandomSource(0), start=start)
 
     def test_random_start_deterministic_given_seed(self):
         inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=2))
