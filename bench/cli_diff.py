@@ -20,8 +20,10 @@ dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
 ``solve --problem tsp`` by greedy and by hybrid on that n=130 file and on the tied
 0/1 matrix,
 ``gen`` at n=32 and 33 on each family in both formats and ``prefs`` and
-``solve`` on an n=33 file, ``solve`` and ``oracle`` of every problem on
-n=2 and n=3 files,
+``solve`` on an n=33 file, desk-mc's four ``bench`` configs at 500 draws, the
+hybrid and greedy tour at 4097 draws (past a sample block), k-sum with odd clusters
+and the hybrid on odd n (``bench``, and ``solve`` of tsp and mwm on an n=11 file),
+``solve`` and ``oracle`` of every problem on n=2 and n=3 files,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -301,6 +303,29 @@ def invocations() -> list:
     inv += [["gen", "--n", "33", "--seed", "6", "--out", mirror],
             ["prefs", "--instance", mirror],
             ["solve", "--instance", mirror, "--problem", "mwm", "--algorithm", "greedy"]]
+
+    # the batched draw kernels and weight gathers: desk-mc's four configs at their perfbench
+    # sizes and draws, the hybrid and the greedy's repeated rows past a sample block of 4096
+    # draws, odd clusters and odd n, and the hybrid tour and matching on an odd-n file (the
+    # CLI refuses the tour)
+    desk_mc = [("mwm", "hybrid", "12", "euclidean-uniform", None),
+               ("tsp", "hybrid", "10", "clustered-gaussian", None),
+               ("ksum", "hybrid", "8", "random-metric-closure", 2),
+               ("densest", "random", "12", "euclidean-uniform", 6)]
+    for problem, engine, n, fam, k in desk_mc:
+        inv.append(["bench", "--problem", problem, "--algorithm", engine, "--n", n, "--family",
+                    fam, *_k(k), "--trials", "2", "--inner-samples", "500", "--seed", "5"])
+    for engine in ("hybrid", "greedy"):
+        inv.append(["bench", "--problem", "tsp", "--algorithm", engine, "--n", "10", "--family",
+                    "clustered-gaussian", "--trials", "1", "--inner-samples", "4097"])
+    inv += [["bench", "--problem", "ksum", "--algorithm", "greedy", "--n", "9", "--k", "3",
+             "--trials", "2"],
+            ["bench", "--problem", "mwm", "--algorithm", "hybrid", "--n", "11", "--trials", "2",
+             "--inner-samples", "500"],
+            ["gen", "--n", "11", "--seed", "9", "--out", "{tmp}/odd-11.json"]]
+    for problem in ("tsp", "mwm"):
+        inv.append(["solve", "--instance", "{tmp}/odd-11.json", "--problem", problem,
+                    "--algorithm", "hybrid", "--seed", "4"])
 
     # the smallest instances, n=2 and n=3, on every problem (tsp refuses both)
     for n in (2, 3):

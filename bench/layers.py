@@ -1,20 +1,23 @@
 """Per-layer scaling of two ordmatch checkouts, plus paired benchmark runs.
 
-    python bench/layers.py [--oracles | --io] --parent PARENT_DIR --change CHANGE_DIR --out OUT
+    python bench/layers.py [--oracles | --io | --draws] --parent PARENT_DIR --change CHANGE_DIR \
+        --out OUT
 
 PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with ``src/ordmatch``
 and ``perfbench/``). Each measurement is a probe, one function of ``PROBES``, run
 in a fresh process on one checkout's ``src`` (``--probe NAME ARG...`` prints its
 JSON line). Each mode is one row of ``MODES``: the default one times each layer,
 ``--oracles`` each exact oracle per call, ``--io`` each step of the large-n CLI
-chain. Probe rounds and perfbench pairs alternate which side runs first. The metrics,
-workloads and run length are those of the repository's own ``BENCHMARK.json``.
+chain, ``--draws`` each batched draw kernel and weight gather at desk-mc sizes. Probe
+rounds and perfbench pairs alternate which side runs first. The metrics, workloads and run
+length are those of the repository's own ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -59,6 +62,19 @@ IO_GENERATE_N = 3000
 RANK_CALLS = [("n=1000", 1000, False), ("n=1000 all 0/1", 1000, True)]
 RANK_SECONDS = 1.0
 RANK_ROUNDS = 6
+# (label, engine, family, n, k) per desk-mc config, as perfbench's DESK table holds them, each
+# drawn DRAWS times per kernel call; and (label, n, k) per desk matching oracle call: desk-mc's
+# and desk-oracle's two
+DRAW_CONFIGS = [("mwm", "hybrid", "euclidean-uniform", 12, None),
+                ("tsp", "hybrid", "clustered-gaussian", 10, None),
+                ("ksum", "hybrid", "random-metric-closure", 8, 2),
+                ("densest", "random", "euclidean-uniform", 12, 6)]
+DRAWS = 500
+DRAW_MATCHINGS = [("mwm", 12, None), ("mwm", 16, None), ("mkm", 14, 4)]
+DRAW_REPEATS = 101
+# fresh processes per checkout, the sides alternating: per-call medians of tens of microseconds
+# moved by up to a tenth between processes of unchanged code
+DRAW_ROUNDS = 8
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
 SIDES = ("parent", "change")
@@ -129,6 +145,44 @@ def time_oracles(om) -> dict:
         times = [_once(oracles[label], inst, k)["seconds"] for _ in range(1 + ORACLE_REPEATS)]
         key = f"{label} n={n}" + ("" if k is None else f" k={k}")
         out[key] = {"cold": times[0], "warm": statistics.median(times[1:])}
+    return {**out, "peak_rss_mb": _peak()}
+
+
+def _draw_calls(om, label: str, engine: str, family: str, n: int, k) -> dict:
+    """The calls of one ``DRAW_CONFIGS`` entry on its seed-0 instance, by name: draw ``DRAWS``
+    matchings, repackage them for the problem (not for mwm), and weigh the solutions."""
+    inst = om.generate(om.GeneratorSpec(family, n, seed=0))
+    prof, gen = om.derive_preferences(inst), np.random.default_rng(0)
+    draw = (functools.partial(om.hybrid_matchings, prof, DRAWS, gen) if engine == "hybrid"
+            else functools.partial(om.random_k_matchings, range(n), k // 2, DRAWS, gen))
+    reduce, value = {
+        "mwm": (None, om.core.matching_values),
+        "tsp": (functools.partial(om.matchings_to_tours, profile=prof, gen=gen),
+                om.reductions.tour_values),
+        "ksum": (functools.partial(om.matchings_to_clusters, n=n, k=k),
+                 om.reductions.cluster_values),
+        "densest": (om.matchings_to_subsets, om.reductions.subset_values),
+    }[label]
+    matchings = draw()
+    solutions = matchings if reduce is None else reduce(matchings)
+    calls = [draw, functools.partial(value, solutions, inst.weights)]
+    if reduce is not None:
+        calls.append(functools.partial(reduce, matchings))
+    return {f"{label}/{engine} {call.func.__name__}": call for call in calls}
+
+
+def time_draws(om) -> dict:
+    """Median seconds of ``DRAW_REPEATS`` calls of each ``_draw_calls`` call of each desk-mc
+    config and of each ``DRAW_MATCHINGS`` oracle call."""
+    calls = {}
+    for config in DRAW_CONFIGS:
+        calls.update(_draw_calls(om, *config))
+    for label, n, k in DRAW_MATCHINGS:
+        inst = om.generate(om.GeneratorSpec("euclidean-uniform", n, seed=0))
+        key = f"opt_matching {label} n={n}" + ("" if k is None else f" k={k}")
+        calls[key] = lambda inst=inst, k=n // 2 if k is None else k: om.opt_matching(inst, k)
+    out = {name: statistics.median(_once(call)["seconds"] for _ in range(DRAW_REPEATS))
+           for name, call in calls.items()}
     return {**out, "peak_rss_mb": _peak()}
 
 
@@ -207,6 +261,7 @@ def time_rank(om) -> dict:
 # Each probe takes the ordmatch package first, then its string arguments.
 PROBES = {
     "layers": time_layers, "oracles": time_oracles, "chain": time_chain, "rank": time_rank,
+    "draws": time_draws,
     # one call each, in a process that makes only it
     "step": lambda om, n, step, workdir: _once(_cli, om, _io_chain(int(n), workdir)[1][step]),
     "load": lambda om, path: _once(om.load_instance, path),
@@ -267,6 +322,15 @@ def oracle_section(trees: dict) -> dict:
              for key, p in med["parent"].items() if key != "peak_rss_mb"}
     return {"unit": "s", "instance seed": 0, **med, "warm_change_over_parent": ratio,
             "rounds": runs}
+
+
+def draw_section(trees: dict) -> dict:
+    runs = _alternate(DRAW_ROUNDS, lambda side, i: _child(trees[side], "draws"), "draws")
+    med = {side: _median(rs) for side, rs in runs.items()}
+    ratio = {key: med["change"][key] / p for key, p in med["parent"].items()
+             if key != "peak_rss_mb"}
+    return {"unit": "s per call", "instance seed": 0, "draws": DRAWS, **med,
+            "change_over_parent": ratio, "rounds": runs}
 
 
 def io_section(trees: dict) -> dict:
@@ -389,6 +453,12 @@ MODES = {
                {"sizes": IO_SIZES, "repeats": REPEATS, "generate_n": IO_GENERATE_N,
                 "rank_calls": RANK_CALLS, "rank_seconds": RANK_SECONDS,
                 "rank_rounds": RANK_ROUNDS}),
+    "draws": Mode("Seconds per batched draw kernel, weight gather and desk matching-oracle call "
+                  "(median of repeats, in-process; medians over fresh processes per checkout, "
+                  "the sides alternating)",
+                  draw_section, "desk-mc",
+                  {"configs": DRAW_CONFIGS, "draws": DRAWS, "matchings": DRAW_MATCHINGS,
+                   "repeats": DRAW_REPEATS, "rounds": DRAW_ROUNDS}),
 }
 
 
@@ -397,6 +467,7 @@ def main(argv=None) -> int:
     ap.add_argument("--probe", nargs="+", help=argparse.SUPPRESS)
     ap.add_argument("--io", action="store_true", help="the CLI chain mode instead of the layers")
     ap.add_argument("--oracles", action="store_true", help="the exact-oracle mode instead")
+    ap.add_argument("--draws", action="store_true", help="the desk-mc draw-kernel mode instead")
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--parent-rev", default=None, help="commit the parent checkout holds")
@@ -412,7 +483,7 @@ def main(argv=None) -> int:
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
 
-    section = "oracles" if args.oracles else "io" if args.io else "layers"
+    section = next((name for name in ("oracles", "io", "draws") if getattr(args, name)), "layers")
     mode, trees = MODES[section], {"parent": args.parent, "change": args.change}
     plan = pair_plan(mode.traced)
     result = {

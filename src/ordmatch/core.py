@@ -27,21 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import EmptyPoolError
-from .instance import PreferenceProfile, WeightedInstance
-
-
-def _integer(x, what: str) -> int:
-    """x as a Python int, from a Python or numpy integer only (not 1.5, 1.0, "1" or true)."""
-    if type(x) is bool or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
-
-
-def _count(x, what: str) -> int:
-    """x as a Python int (``_integer``) that is at least 0."""
-    if (x := _integer(x, what)) < 0:
-        raise ValueError(f"{what} must be nonnegative, got {x}")
-    return x
+from .instance import PreferenceProfile, WeightedInstance, _count, _integer
 
 
 def _node_ids(ids, n: int | None = None) -> list[int]:
@@ -111,6 +97,11 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
 
 
+def _flat(order: np.ndarray) -> np.ndarray:
+    """A per-row order of an (S, m) array as indices into its ravel: s * m + order[s]."""
+    return order + np.arange(len(order))[:, None] * order.shape[1]
+
+
 def matching_values(matchings: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The weight of each matching in an (S, edges, 2) array, in one gather.
 
@@ -118,8 +109,8 @@ def matching_values(matchings: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``Matching.sorted_edges`` lists them, whatever order they were drawn in.
     """
     u, v = matchings[..., 0], matchings[..., 1]
-    by_low = np.argsort(np.minimum(u, v), axis=1)
-    return _row_sums(np.take_along_axis(w[u, v], by_low, axis=1))
+    by_low = _flat(np.argsort(np.minimum(u, v), axis=1))
+    return _row_sums(w.ravel().take(u * len(w) + v).take(by_low))
 
 
 def _one_row(values, what: str, solution, row, inst: WeightedInstance) -> float:
@@ -228,7 +219,8 @@ def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
 
 def random_k_matching(n: int, k: int, rng: RandomSource) -> Matching:
     """One draw of ``random_k_matchings`` on nodes 0..n-1: up to k uniformly random edges."""
-    return Matching.from_pairs(n, random_k_matchings(range(n), k, 1, rng.gen)[0].tolist())
+    rows = random_k_matchings(range(_count(n, "n")), k, 1, rng.gen)
+    return Matching.from_pairs(n, rows[0].tolist())
 
 
 def hybrid_matching(profile: PreferenceProfile, rng: RandomSource) -> Matching:

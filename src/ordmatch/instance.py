@@ -32,6 +32,20 @@ GENERATOR_FAMILIES = (
 )
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int, from a Python or numpy integer only (not 1.5, 1.0, "1" or true)."""
+    if type(x) is bool or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _count(x, what: str) -> int:
+    """x as a Python int (``_integer``) that is at least 0."""
+    if (x := _integer(x, what)) < 0:
+        raise ValueError(f"{what} must be nonnegative, got {x}")
+    return x
+
+
 def _holds_bool(x, a: np.ndarray) -> bool:
     """Whether nested lists ``x``, read by numpy as ``a``, hold a boolean: one type scan of
     ``x`` flattened ``a.ndim - 1`` times."""
@@ -354,6 +368,8 @@ class PreferenceProfile:
 
     def __post_init__(self):
         ranking = _table(self.ranking, "ranking", "iu", ValueError)
+        if ranking.ndim == 0:
+            raise ValueError("ranking must be a list of rows")
         n = len(ranking)
         if ranking.ndim != 2 or ranking.shape[1] != n - 1:
             raise ValueError(f"ranking must have n - 1 = {n - 1} entries in each of its {n} rows")
@@ -450,10 +466,11 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {GENERATOR_FAMILIES}"
             )
+        for name, read in (("n", _integer), ("dimension", _integer), ("seed", _count),
+                           ("clusters", _integer)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.family in ("euclidean-uniform", "clustered-gaussian") and self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         if self.family == "clustered-gaussian" and self.clusters < 1:

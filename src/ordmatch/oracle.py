@@ -106,8 +106,9 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
     for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
         deadline.check()
-        best = np.maximum.reduceat(prev[:, src] + w[n - 1 - b, partner], starts, axis=1)
-        cur[:, sets] = np.maximum(best, cur[:, rest], out=best)
+        best = np.maximum.reduceat(prev.take(src, axis=1) + w[n - 1 - b].take(partner), starts,
+                                   axis=1)
+        cur[:, sets] = np.maximum(best, cur.take(rest, axis=1), out=best)
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []

@@ -18,13 +18,14 @@ solution and an engine's value of the same row agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .core import Matching, RandomSource, _integer, _one_row, _row, _row_sums, _solution_ids
-from .instance import PreferenceProfile, WeightedInstance, _inverse
+from .core import Matching, RandomSource, _flat, _one_row, _row, _row_sums, _solution_ids
+from .instance import PreferenceProfile, WeightedInstance, _integer, _inverse
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,22 @@ class Tour:
         return {"order": list(self.order), "n": self.n}
 
 
+@functools.cache
+def _pairs(size: int) -> tuple:
+    """``np.triu_indices(size, 1)``, read-only, kept for the process."""
+    i, j = np.triu_indices(size, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def cluster_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The weight of each clustering in an (S, parts, size) array, in one gather.
 
     A row sums pair (i, j) of every part, then the next pair (triu order).
     """
-    i, j = np.triu_indices(solutions.shape[2], 1)
+    i, j = _pairs(solutions.shape[2])
     by_pair = solutions.transpose(0, 2, 1)
-    return _row_sums(w[by_pair[:, i], by_pair[:, j]])
+    return _row_sums(w.ravel().take(by_pair.take(i, axis=1) * len(w) + by_pair.take(j, axis=1)))
 
 
 def subset_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,7 +115,7 @@ def subset_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def path_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The weight of each open path in an (S, length) array, in one gather."""
-    return _row_sums(w[solutions[:, :-1], solutions[:, 1:]])
+    return _row_sums(w.ravel().take(solutions[:, :-1] * len(w) + solutions[:, 1:]))
 
 
 def tour_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -178,9 +187,9 @@ def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource)
 
 def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
     """Each edge as (low, high), edges in ascending order of low endpoint."""
-    edges = np.sort(matchings, axis=2)
-    order = np.argsort(edges[:, :, 0], axis=1)
-    return np.take_along_axis(edges, order[:, :, None], axis=1)
+    u, v = matchings[..., 0], matchings[..., 1]
+    edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=2)
+    return edges.reshape(-1, 2).take(_flat(np.argsort(edges[..., 0], axis=1)), axis=0)
 
 
 def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -205,7 +214,7 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     parts = _sorted_edges(matchings).reshape(draws, k, 2 * (c // 2))
     if c % 2:
         matched = np.zeros((draws, n), dtype=bool)
-        matched[np.arange(draws)[:, None], parts.reshape(draws, -1)] = True
+        matched[np.arange(draws)[:, None], parts.reshape(draws, k * (c - 1))] = True
         leftovers = np.nonzero(~matched)[1].reshape(draws, k, 1)
         parts = np.concatenate([parts, leftovers], axis=2)
     return np.sort(parts, axis=2)
@@ -213,26 +222,27 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
     """The endpoints of each matching, sorted: an (S, 2 * edges) array."""
-    return np.sort(matchings.reshape(len(matchings), -1), axis=1)
+    return np.sort(matchings.reshape(len(matchings), 2 * matchings.shape[1]), axis=1)
 
 
 def _starts(matchings: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Per matching, a uniform draw among its matched nodes, in ascending order."""
     nodes = matchings_to_subsets(matchings)
-    return nodes[np.arange(len(nodes)), gen.integers(0, nodes.shape[1], size=len(nodes))]
+    pick = gen.integers(0, nodes.shape[1], size=len(nodes))
+    return nodes.ravel().take(np.arange(len(nodes)) * nodes.shape[1] + pick)
 
 
 def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
     """(S, 2m) paths through (S, m, 2) sorted edges, row s starting at start[s]."""
     draws, m, _ = edges.shape
-    first = (edges == start[:, None, None]).any(axis=2).argmax(axis=1)
-    slots = np.arange(m)
-    order = np.argsort(np.where(slots == first[:, None], -1, slots), axis=1)
-    edges = np.take_along_axis(edges, order[:, :, None], axis=1)
+    first = (edges.reshape(draws, 2 * m) == start[:, None]).argmax(axis=1)[:, None] // 2
+    rest = np.arange(m - 1)
+    order = np.concatenate([first, rest + (rest >= first)], axis=1)  # the start's edge first
+    edges = edges.reshape(-1, 2).take(_flat(order), axis=0)
 
     paths = np.empty((draws, 2 * m), dtype=np.intp)
     paths[:, 0] = start
-    paths[:, 1] = edges[:, 0].sum(axis=1) - start
+    paths[:, 1] = edges[:, 0, 0] + edges[:, 0, 1] - start
     rank = _inverse(profile.ranking)
     for j in range(1, m):
         x, y, z = paths[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]

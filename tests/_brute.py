@@ -16,9 +16,13 @@ generator, and the numpy matching DP over all 2^n sets
 driven one decision at a time by a ``random.Random``, which define the
 distributions the batched samplers and reductions must reproduce. Plain
 value loops (``matching_value``, ``partition_value``, ``subset_value``,
-``path_value``, ``tour_value``), which the weight gathers must match.
+``path_value``, ``tour_value``), which the weight gathers must match. The
+batched kernels as first written, by 2-D fancy indexes, ``take_along_axis``
+and per-row sorts (``fancy_*_values``, ``sort_edges``, ``argsort_stitch``),
+which their flat-``take`` forms must match bit for bit.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -554,3 +558,77 @@ def tour_completion(edges, rows, rng) -> list:
     """``path_completion`` from a random start, then the unmatched node if any."""
     order = path_completion(edges, rows, rng)
     return order + sorted(set(range(len(rows))) - set(order))
+
+
+def row_sums(x) -> np.ndarray:
+    """Each row's sum over one contiguous copy of the row, as the gathers sum it."""
+    x = np.ascontiguousarray(x)
+    return x.reshape(len(x), math.prod(x.shape[1:])).sum(axis=1)
+
+
+def fancy_matching_values(matchings, w) -> np.ndarray:
+    """Each (S, edges, 2) row's weight: a 2-D fancy index of w, then the edges put in
+    ascending order of low endpoint by ``take_along_axis``."""
+    u, v = matchings[..., 0], matchings[..., 1]
+    by_low = np.argsort(np.minimum(u, v), axis=1)
+    return row_sums(np.take_along_axis(w[u, v], by_low, axis=1))
+
+
+def fancy_cluster_values(solutions, w) -> np.ndarray:
+    """Each (S, parts, size) row's weight: pair (i, j) of every part, then the next pair."""
+    i, j = np.triu_indices(solutions.shape[2], 1)
+    by_pair = solutions.transpose(0, 2, 1)
+    return row_sums(w[by_pair[:, i], by_pair[:, j]])
+
+
+def fancy_path_values(solutions, w) -> np.ndarray:
+    """Each (S, length) row's weight as an open path."""
+    return row_sums(w[solutions[:, :-1], solutions[:, 1:]])
+
+
+def fancy_tour_values(solutions, w) -> np.ndarray:
+    """Each (S, n) row's weight as a closed tour."""
+    return fancy_path_values(np.concatenate([solutions, solutions[:, :1]], axis=1), w)
+
+
+def sort_edges(matchings) -> np.ndarray:
+    """Each edge sorted, then each row's edges by low endpoint: two per-row sorts."""
+    edges = np.sort(matchings, axis=2)
+    order = np.argsort(edges[:, :, 0], axis=1)
+    return np.take_along_axis(edges, order[:, :, None], axis=1)
+
+
+def argsort_stitch(edges, start, ranking) -> np.ndarray:
+    """(S, 2m) paths through (S, m, 2) sorted edges from start[s]: the start's edge first by
+    an argsort, each later edge entered at the endpoint the previous node ranks higher."""
+    draws, m, _ = edges.shape
+    first = (edges == start[:, None, None]).any(axis=2).argmax(axis=1)
+    slots = np.arange(m)
+    order = np.argsort(np.where(slots == first[:, None], -1, slots), axis=1)
+    edges = np.take_along_axis(edges, order[:, :, None], axis=1)
+    n = len(ranking)
+    rank = np.full((n, n), n - 1)
+    rank[np.arange(n)[:, None], ranking] = np.arange(n - 1)
+    paths = np.empty((draws, 2 * m), dtype=np.intp)
+    paths[:, 0] = start
+    paths[:, 1] = edges[:, 0].sum(axis=1) - start
+    for j in range(1, m):
+        x, y, z = paths[:, 2 * j - 1], edges[:, j, 0], edges[:, j, 1]
+        y_first = rank[x, y] < rank[x, z]
+        paths[:, 2 * j] = np.where(y_first, y, z)
+        paths[:, 2 * j + 1] = np.where(y_first, z, y)
+    return paths
+
+
+def sort_tours(matchings, ranking, gen) -> np.ndarray:
+    """Each perfect matching completed into a tour as first written: ``sort_edges``, a start
+    drawn by one ``gen.integers`` and read by a 2-D fancy index, ``argsort_stitch``, and for
+    odd n the unmatched node last."""
+    n, draws = len(ranking), len(matchings)
+    edges = sort_edges(matchings)
+    nodes = np.sort(edges.reshape(draws, n // 2 * 2), axis=1)
+    start = nodes[np.arange(draws), gen.integers(0, nodes.shape[1], size=draws)]
+    tours = argsort_stitch(edges, start, ranking)
+    if n % 2 == 0:
+        return tours
+    return np.concatenate([tours, (n * (n - 1) // 2 - edges.sum(axis=(1, 2)))[:, None]], axis=1)

@@ -1,4 +1,4 @@
-"""Smoke test of ``bench/layers.py``: every probe of the three modes runs once, and the
+"""Smoke test of ``bench/layers.py``: every probe of the four modes runs once, and the
 paired perfbench runs are summed up from a stand-in ``perfbench``; the pair plan, the
 ``BENCHMARK.json`` facts it reads, and a perfbench run or probe through a stand-in
 ``subprocess.run``.
@@ -30,6 +30,12 @@ SMALL = {
     "IO_SIZES": [8], "IO_GENERATE_N": 8,
     "RANK_CALLS": [("n=6", 6, False), ("n=6 all 0/1", 6, True)], "RANK_SECONDS": 0.0,
     "RANK_ROUNDS": 1,
+    "DRAW_CONFIGS": [("mwm", "hybrid", "euclidean-uniform", 6, None),
+                     ("tsp", "hybrid", "clustered-gaussian", 5, None),
+                     ("ksum", "hybrid", "random-metric-closure", 8, 2),
+                     ("densest", "random", "euclidean-uniform", 6, 4)],
+    "DRAWS": 3, "DRAW_MATCHINGS": [("mwm", 6, None), ("mkm", 6, 2)], "DRAW_REPEATS": 1,
+    "DRAW_ROUNDS": 1,
 }
 
 
@@ -106,6 +112,33 @@ def test_every_probe_of_every_mode(monkeypatch):
     assert set(rank) == {"unit", "rounds", "n=6", "n=6 all 0/1"}
     assert set(rank["n=6"]) == {"parent", "change", "change_over_parent"}
 
+    draws = out["draws"]
+    assert set(draws) == {"unit", "instance seed", "draws", "parent", "change",
+                          "change_over_parent", "rounds"}
+    calls = {"mwm/hybrid hybrid_matchings", "mwm/hybrid matching_values",
+             "tsp/hybrid hybrid_matchings", "tsp/hybrid matchings_to_tours",
+             "tsp/hybrid tour_values", "ksum/hybrid hybrid_matchings",
+             "ksum/hybrid matchings_to_clusters", "ksum/hybrid cluster_values",
+             "densest/random random_k_matchings", "densest/random matchings_to_subsets",
+             "densest/random subset_values", "opt_matching mwm n=6", "opt_matching mkm n=6 k=2"}
+    assert set(draws["parent"]) == set(draws["change"]) == calls | {"peak_rss_mb"}
+    assert set(draws["change_over_parent"]) == calls
+    assert all(t > 0 for t in draws["change"].values())
+
+
+def test_draw_configs_are_desk_mcs():
+    """``DRAW_CONFIGS`` holds the problem, engine, family, n and k of each desk-mc config of
+    ``perfbench/workloads.py`` (loaded by path and only read), in order, at its draws."""
+    layers, workloads = load_layers(), load(ROOT / "perfbench" / "workloads.py")
+    desk = []
+    for argv, draws in workloads.DESK["desk-mc"].values():
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        assert int(flags["--inner-samples"]) == draws == layers.DRAWS
+        k = flags.get("--k")
+        desk.append((flags["--problem"], flags["--algorithm"], flags["--family"],
+                     int(flags["--n"]), None if k is None else int(k)))
+    assert desk == layers.DRAW_CONFIGS
+
 
 def test_indent_writes_the_older_layout(tmp_path):
     """The ``indent`` probe writes, a row at a time, the bytes of json.dumps(indent=2)."""
@@ -177,6 +210,7 @@ def test_benchmark_json_names_perfbench_metrics_and_workloads():
     ("layers", ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]),
     ("oracles", ["desk-oracle:0:10", "desk-oracle:5:10", "desk-mc:0:10", "large-n:0:10"]),
     ("io", ["large-n:0:10", "large-n:5:10", "desk-mc:0:10", "desk-oracle:0:10"]),
+    ("draws", ["desk-mc:0:10", "desk-mc:5:10", "desk-oracle:0:10", "large-n:0:10"]),
 ])
 def test_pair_plan_of_each_mode(mode, pairs):
     """The traced workload on seeds 0 and 5, then every other workload on seed 0, ten pairs

@@ -259,6 +259,14 @@ class TestRandomMatching:
             random_k_matchings(range(4), k, draws, np.random.default_rng(0))
         assert random_k_matchings(range(4), np.int64(1), np.int32(0), np.random.default_rng(0)).shape == (0, 1, 2)
 
+    @pytest.mark.parametrize("n, message", [(4.0, "n must be an integer, got 4.0"),
+                                            (-1, "n must be nonnegative, got -1")])
+    def test_n_is_a_count(self, n, message):
+        """A float n failed in ``range`` with a TypeError."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_k_matching(n, 1, RandomSource(0))
+        assert random_k_matching(np.int64(4), 2, RandomSource(0)).n == 4
+
     def test_zero_k_and_empty_pool(self):
         assert len(random_k_matching(4, 0, RandomSource(0))) == 0
         assert len(random_k_matching(1, 3, RandomSource(0))) == 0

@@ -835,6 +835,11 @@ class TestPreferenceProfile:
         with pytest.raises(ValueError, match="^ranking must be a list of rows of one length$"):
             PreferenceProfile(ranking)
 
+    def test_rejects_a_number_for_a_ranking(self):
+        """``PreferenceProfile(5)`` raised "len() of unsized object"."""
+        with pytest.raises(ValueError, match="^ranking must be a list of rows$"):
+            PreferenceProfile(5)
+
     def test_error_for_the_wrong_shape(self):
         with pytest.raises(ValueError, match=r"^ranking must have n - 1 = 2 entries in each of its 3 "):
             PreferenceProfile(((1, 2, 0), (0, 2, 1), (0, 1, 2)))
@@ -1031,6 +1036,22 @@ class TestGenerators:
             GeneratorSpec("clustered-gaussian", 6, clusters=0)
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             GeneratorSpec("euclidean-uniform", 6, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [("n", 4.5), ("n", True), ("dimension", 2.0),
+                                              ("seed", 1.5), ("clusters", 2.5)])
+    def test_spec_fields_are_integers(self, field, value):
+        """n=4.5, dimension=2.0 and clusters=2.5 raised numpy's TypeError in ``generate``,
+        seed=1.5 constructed, and n=True read as 1."""
+        fields = {"family": "clustered-gaussian", "n": 6, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            GeneratorSpec(**fields)
+
+    def test_spec_fields_take_numpy_integers_as_python_ints(self):
+        spec = GeneratorSpec("clustered-gaussian", np.int64(6), np.int32(3), np.uint8(2),
+                             np.int16(2))
+        assert [type(x) for x in (spec.n, spec.dimension, spec.seed, spec.clusters)] == [int] * 4
+        want = generate(GeneratorSpec("clustered-gaussian", 6, 3, 2, 2))
+        assert np.array_equal(generate(spec).weights, want.weights)
 
     def test_families_tuple(self):
         assert set(GENERATOR_FAMILIES) == {
