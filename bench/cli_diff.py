@@ -23,6 +23,10 @@ dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
 ``solve`` on an n=33 file, desk-mc's four ``bench`` configs at 500 draws, the
 hybrid and greedy tour at 4097 draws (past a sample block), k-sum with odd clusters
 and the hybrid on odd n (``bench``, and ``solve`` of tsp and mwm on an n=11 file),
+desk-oracle's five ``bench`` configs at their perfbench sizes, ``gen`` of the
+closure family at n=64, 65 and 100 (the triangle checks' pivot blocks) and
+``verify-metric --tol 0`` on those files and on a one-dimensional
+``clustered-gaussian`` n=30 file (exit 1),
 ``solve`` and ``oracle`` of every problem on n=2 and n=3 files,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
@@ -326,6 +330,26 @@ def invocations() -> list:
     for problem in ("tsp", "mwm"):
         inv.append(["solve", "--instance", "{tmp}/odd-11.json", "--problem", problem,
                     "--algorithm", "hybrid", "--seed", "4"])
+
+    # the triangle checks read pivots in blocks of at most 2^16 two-hop sums, and the closure
+    # generator stops at the first matrix its exact check passes: desk-oracle's five configs at
+    # their perfbench sizes (densest on the closure family), the closure family at a full last
+    # block (n=64) and partial ones (65, 100), and verify-metric at tol 0 on each of those and
+    # on a one-dimensional clustered-gaussian file, which fails the exact check
+    desk_oracle = [("mwm", "16", "euclidean-uniform", None, []),
+                   ("mkm", "14", "euclidean-uniform", 4, []),
+                   ("densest", "16", "random-metric-closure", 8, []),
+                   ("tsp", "14", "euclidean-uniform", None, ["--inner-samples", "2"]),
+                   ("ksum", "10", "euclidean-uniform", 5, [])]
+    for problem, n, fam, k, extra in desk_oracle:
+        inv.append(["bench", "--problem", problem, "--algorithm", "greedy", "--n", n, "--family",
+                    fam, *_k(k), *extra, "--trials", "1", "--seed", "5"])
+    checked = [(n, ["--family", "random-metric-closure", "--n", n]) for n in ("64", "65", "100")]
+    checked.append(("cg-30", ["--family", "clustered-gaussian", "--n", "30", "--dimension", "1"]))
+    for name, gen in checked:
+        path = f"{{tmp}}/metric-{name}.json"
+        inv += [["gen", *gen, "--seed", "2", "--out", path],
+                ["verify-metric", "--instance", path, "--tol", "0"]]
 
     # the smallest instances, n=2 and n=3, on every problem (tsp refuses both)
     for n in (2, 3):

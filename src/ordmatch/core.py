@@ -273,10 +273,11 @@ def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Gene
     Branch A pairs off a uniform shuffle of the untouched set B. Branch B
     releases floor(|B|/2) uniformly chosen M0 edges and matches the
     released endpoints, in order, to that same shuffle of B, which is a
-    uniform injection of the released nodes into B.
+    uniform injection of the released nodes into B; its row is the
+    branch-A row with released edge j's high endpoint and fill[2j] swapped.
 
     Draw order is pinned for replay: all coins, then the shuffles of B,
-    then the shuffles of the M0 edge indices.
+    then the shuffles of the M0 edge indices, each drawn for every row.
     """
     n, draws = profile.n, _count(draws, "draws")
     if n < 2:
@@ -288,15 +289,16 @@ def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Gene
     fill = _row_permutations(untouched, draws, gen)[:, : 2 * h]
     released = _row_permutations(range(g), draws, gen)[:, :h]
 
-    branch_a = np.empty((draws, g + h, 2), dtype=np.intp)
-    branch_a[:, :g] = m0
-    branch_a[:, g:] = fill.reshape(draws, h, 2)
-    # Branch B: released edge (a, b) becomes (a, fill[2j]) plus (b, fill[2j+1]).
-    branch_b = branch_a.copy()
-    branch_b[np.arange(draws)[:, None], released, 1] = fill[:, 0::2]
-    branch_b[:, g:, 0] = m0[released, 1]
-    branch_b[:, g:, 1] = fill[:, 1::2]
-    return np.where(keep[:, None, None], branch_a, branch_b)
+    out = np.empty((draws, g + h, 2), dtype=np.intp)
+    out[:, :g] = m0
+    out[:, g:] = fill.reshape(draws, h, 2)
+    rows = np.flatnonzero(~keep)  # branch B
+    at = rows[:, None] * (2 * (g + h))  # each row's offset in the ravel
+    high = at + 2 * released.take(rows, axis=0) + 1
+    first = at + 2 * np.arange(g, g + h)
+    flat = out.reshape(-1)
+    flat[high], flat[first] = flat[first], flat[high]
+    return out
 
 
 def greedy_ratio_bound(alpha: float, alpha_star: float) -> float:

@@ -58,6 +58,8 @@ from .instance import (
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
+    _count,
+    _integer,
     derive_preferences,
     generate,
     render,
@@ -273,6 +275,10 @@ class TrialConfig:
     bound: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "dimension", "trials", "inner_samples") + ("k",) * (self.k is not None):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if type(self.bound) is bool:
+            raise ValueError(f"bound must be a number, got {self.bound!r}")
         problem_spec(self.problem, self.algorithm, self.n, self.k)
         if self.family not in GENERATOR_FAMILIES:
             raise ValueError(f"trials need a random family, got {self.family!r}")
@@ -284,6 +290,8 @@ class TrialConfig:
             raise ValueError("bound must be positive")
         if self.bound is not None and not math.isfinite(self.bound):
             raise ValueError(f"bound must be finite, got {self.bound}")
+        # last: a config with another rejected field is refused for that field first
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
     @property
     def engine(self) -> str:

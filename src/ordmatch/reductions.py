@@ -174,8 +174,9 @@ def path_completion(
     if start is not None and (start := _integer(start, "start node")) not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
     edges = _row(m)
-    start = _starts(edges, rng.gen) if start is None else np.reshape(start, 1)
-    return Path(m.n, tuple(_stitch(edges, start, profile)[0].tolist()))
+    if start is None:  # a position among the matched nodes, ascending
+        start = np.sort(edges, axis=None).take(rng.gen.integers(0, 2 * len(m), size=1))
+    return Path(m.n, tuple(_stitch(edges, np.reshape(start, 1), profile)[0].tolist()))
 
 
 def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource) -> Tour:
@@ -225,13 +226,6 @@ def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
     return np.sort(matchings.reshape(len(matchings), 2 * matchings.shape[1]), axis=1)
 
 
-def _starts(matchings: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Per matching, a uniform draw among its matched nodes, in ascending order."""
-    nodes = matchings_to_subsets(matchings)
-    pick = gen.integers(0, nodes.shape[1], size=len(nodes))
-    return nodes.ravel().take(np.arange(len(nodes)) * nodes.shape[1] + pick)
-
-
 def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
     """(S, 2m) paths through (S, m, 2) sorted edges, row s starting at start[s]."""
     draws, m, _ = edges.shape
@@ -271,8 +265,9 @@ def matchings_to_tours(
     if m != n // 2:
         raise ValueError(f"matching must be perfect ({n // 2} edges), got {m}")
     edges = _sorted_edges(matchings)
-    tours = _stitch(edges, _starts(edges, gen), profile)
-    if n % 2 == 0:
-        return tours
+    start = gen.integers(0, 2 * m, size=draws)  # a position among the matched nodes, ascending
+    if n % 2 == 0:  # every node is matched: position p holds node p
+        return _stitch(edges, start, profile)
     leftover = n * (n - 1) // 2 - edges.sum(axis=(1, 2))
+    tours = _stitch(edges, start + (start >= leftover), profile)  # the nodes skip the leftover
     return np.concatenate([tours, leftover[:, None]], axis=1)

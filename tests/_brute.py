@@ -9,17 +9,23 @@ and canonical partition recursion (``scan_k_sum``, and
 numpy oracles must match solution for solution. Plain versions of the
 ranking (a sort per row, and one stable argsort of the whole table),
 the greedy (a walk that rescans every row) and the triple checks, which
-the array profile, the block ranking, the greedy and the pivot loops
-must match. The difference-tensor distances for the per-coordinate
-generator, and the numpy matching DP over all 2^n sets
-(``dense_block_matching``) for sizes the scalar DP is too slow at. The scalar samplers and tour completion,
+the array profile, the block ranking, the greedy and the pivot blocks
+must match. The triple checks one pivot at a time and the closure that
+compared a copy after every sweep, as first written (``pivot_metric``,
+``pivot_friendship``, ``copy_compare_closure``), which the pivot blocks
+and the closure that stops at the exact check must match bit for bit.
+The difference-tensor distances for the per-coordinate generator, and
+the numpy matching DP over all 2^n sets (``dense_block_matching``) for
+sizes the scalar DP is too slow at. The scalar samplers and tour completion,
 driven one decision at a time by a ``random.Random``, which define the
 distributions the batched samplers and reductions must reproduce. Plain
 value loops (``matching_value``, ``partition_value``, ``subset_value``,
 ``path_value``, ``tour_value``), which the weight gathers must match. The
 batched kernels as first written, by 2-D fancy indexes, ``take_along_axis``
-and per-row sorts (``fancy_*_values``, ``sort_edges``, ``argsort_stitch``),
-which their flat-``take`` forms must match bit for bit.
+and per-row sorts (``fancy_*_values``, ``sort_edges``, ``argsort_stitch``,
+``sort_tours``), and the hybrid with both branches built for every draw
+(``two_branch_hybrid``), which their flat-``take`` and one-array forms
+must match bit for bit.
 """
 
 import math
@@ -144,6 +150,30 @@ def friendship_by_tensor(w, alpha: float) -> bool:
     worst = (w[:, :, None] + w[None, :, :]).max(axis=1)
     off = ~np.eye(len(w), dtype=bool)
     return bool((w[off] >= alpha * worst[off]).all())
+
+
+def pivot_metric(w, tol: float) -> bool:
+    """The triangle inequality one pivot z at a time, as first written."""
+    return all(bool((w <= w[:, z : z + 1] + w[z : z + 1, :] + tol).all()) for z in range(len(w)))
+
+
+def pivot_friendship(w, alpha: float) -> bool:
+    """The friendship inequality one pivot j at a time, as first written."""
+    diagonal = np.eye(len(w), dtype=bool)
+    two_hop = (w[:, j : j + 1] + w[j : j + 1, :] for j in range(len(w)))
+    return all(bool(((w >= alpha * via) | diagonal).all()) for via in two_hop)
+
+
+def copy_compare_closure(w) -> np.ndarray:
+    """The min-plus closure of a copy of w as first written: Floyd-Warshall sweeps until a
+    copy taken before a sweep equals the matrix after it."""
+    w = np.array(w, dtype=float)
+    while True:
+        before = w.copy()
+        for z in range(len(w)):
+            np.minimum(w, w[:, z : z + 1] + w[z : z + 1, :], out=w)
+        if np.array_equal(before, w):
+            return w
 
 
 def tuple_rankings(w) -> tuple:
@@ -618,6 +648,25 @@ def argsort_stitch(edges, start, ranking) -> np.ndarray:
         paths[:, 2 * j] = np.where(y_first, y, z)
         paths[:, 2 * j + 1] = np.where(y_first, z, y)
     return paths
+
+
+def two_branch_hybrid(m0, n: int, draws: int, gen) -> np.ndarray:
+    """The hybrid's draws from its greedy prefix ``m0`` (sorted edges) as first written: both
+    branches built in full for every row, branch B by a 2-D fancy scatter, and each row's
+    coin choosing between them by ``np.where``."""
+    untouched = sorted(set(range(n)) - set(m0.flat))
+    g, h = len(m0), len(untouched) // 2
+    keep = gen.random(draws) < 0.5
+    fill = gen.permuted(np.tile(np.array(untouched, dtype=np.intp), (draws, 1)), axis=1)[:, : 2 * h]
+    released = gen.permuted(np.tile(np.arange(g), (draws, 1)), axis=1)[:, :h]
+    branch_a = np.empty((draws, g + h, 2), dtype=np.intp)
+    branch_a[:, :g] = m0
+    branch_a[:, g:] = fill.reshape(draws, h, 2)
+    branch_b = branch_a.copy()
+    branch_b[np.arange(draws)[:, None], released, 1] = fill[:, 0::2]
+    branch_b[:, g:, 0] = m0[released, 1]
+    branch_b[:, g:, 1] = fill[:, 1::2]
+    return np.where(keep[:, None, None], branch_a, branch_b)
 
 
 def sort_tours(matchings, ranking, gen) -> np.ndarray:

@@ -1,12 +1,14 @@
 """The batched draw kernels and weight gathers against their first forms, bit for bit.
 
 ``core`` and ``reductions`` gather by flat ``take``; ``_brute`` keeps the 2-D fancy
-indexes, ``take_along_axis`` and per-row sorts they replaced. Rows and values must be the
-same bits (``np.array_equal``, not a tolerance) for 0, 1, 2, 500 and 4097 draws (past a
-sample block), odd and even n from 3 to 16, hybrid, random (perfect and not), bipartite
-(edges drawn high endpoint first) and the greedy's repeated ``broadcast_to`` rows, and
-0-edge matchings.
+indexes, ``take_along_axis`` and per-row sorts they replaced, and the hybrid that built
+both branches for every draw. Rows and values must be the same bits (``np.array_equal``,
+not a tolerance) for 0, 1, 2, 500 and 4097 draws (past a sample block), odd and even n
+from 3 to 16 (the hybrid from 2), hybrid, random (perfect and not), bipartite (edges drawn
+high endpoint first) and the greedy's repeated ``broadcast_to`` rows, and 0-edge matchings.
 """
+
+import math
 
 import _brute
 import numpy as np
@@ -76,6 +78,19 @@ def test_matching_values_and_sorted_edges(n):
             assert np.array_equal(got, _brute.fancy_matching_values(m, w)), (kind, draws)
             edges, want = _sorted_edges(m), _brute.sort_edges(m)
             assert edges.dtype == want.dtype and np.array_equal(edges, want), (kind, draws)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_hybrid_matches_the_two_branch_build(n):
+    """One array filled as branch A, branch-B rows by swapping endpoints, against both branches
+    built for every row and chosen by ``np.where``: same rows, same draws consumed."""
+    profile = setting(n)[1]
+    m0 = _row(greedy_k_matching(profile, math.ceil(n / 3)))[0]
+    for draws in DRAWS:
+        gen, ref = np.random.default_rng([n, draws]), np.random.default_rng([n, draws])
+        got, want = hybrid_matchings(profile, draws, gen), _brute.two_branch_hybrid(m0, n, draws, ref)
+        assert got.dtype == want.dtype and np.array_equal(got, want), draws
+        assert gen.random() == ref.random(), draws
 
 
 @pytest.mark.parametrize("n", NS)

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from collections import Counter, deque
 
+import _brute
 import numpy as np
 import pytest
 from _brute import (
@@ -28,6 +29,7 @@ from ordmatch import (
     GeneratorSpec,
     MalformedInstanceError,
     PreferenceProfile,
+    TrialConfig,
     WeightedInstance,
     check_friendship,
     derive_preferences,
@@ -804,6 +806,71 @@ class TestPivotChecksMatchTensor:
         assert check_friendship(WeightedInstance(w), alpha) == friendship_by_tensor(w, alpha)
 
 
+def planted(n: int, pivot: int, x: int, y: int, low: float, high: float) -> np.ndarray:
+    """Weights in [1.5, 2) with w[x, pivot] = w[pivot, y] = ``low`` and w[x, y] = ``high``:
+    with (low, high) = (1.0, 2.5) the one triangle violated is x-pivot-y, and with (3.0, 1.0)
+    the one friendship violated at alpha 1/4 is x-pivot-y."""
+    w = 1.5 + 0.5 * np.random.default_rng(n).random((n, n))
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    if n >= 3:
+        for a, b, v in ((x, pivot, low), (pivot, y, low), (x, y, high)):
+            w[a, b] = w[b, a] = v
+    return w
+
+
+class TestPivotBlocksMatchOnePivot:
+    """The checks read pivots 2^16 // n^2 at a time (one from n = 182 on): a full
+    last block at n=64, partial ones at 3, 65, 100 and 181, and one pivot at 182. A violation
+    only the first pivot or the last pivot of the last block exposes is found."""
+
+    NS = (2, 3, 64, 65, 100, 181, 182)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_validate_metric(self, n):
+        cases = {"none": (planted(n, 0, 1, 2, 1.75, 1.75), True),
+                 "first pivot": (planted(n, 0, 1, 2, 1.0, 2.5), n < 3),
+                 "last pivot": (planted(n, n - 1, 0, 1, 1.0, 2.5), n < 3)}
+        for name, (w, want) in cases.items():
+            for tol in (0.0, 0.25):
+                got = validate_metric(WeightedInstance(w), tol)
+                assert got == _brute.pivot_metric(w, tol) == want, (name, tol)
+            assert validate_metric(WeightedInstance(w), 0.5), name  # 2.5 <= 1.0 + 1.0 + 0.5
+
+    @pytest.mark.parametrize("n", NS)
+    def test_check_friendship(self, n):
+        cases = {"none": (planted(n, 0, 1, 2, 1.75, 1.75), True),
+                 "first pivot": (planted(n, 0, 1, 2, 3.0, 1.0), n < 3),
+                 "last pivot": (planted(n, n - 1, 0, 1, 3.0, 1.0), n < 3)}
+        for name, (w, want) in cases.items():
+            got = check_friendship(WeightedInstance(w), 0.25)
+            assert got == _brute.pivot_friendship(w, 0.25) == want, name
+            assert check_friendship(WeightedInstance(w), 1 / 6), name  # 1.0 >= (3.0 + 3.0) / 6
+
+    def test_the_blocks_tile_the_tensor(self):
+        sizes = {}
+        for n in self.NS:
+            w, sizes[n], blocks = np.random.default_rng(n).random((n, n)), [], []
+
+            def record(_, via):
+                sizes[n].append(via.shape[1])
+                blocks.extend([via] if n <= 100 else [])  # the tensor at n = 182 is 46 MiB
+                return np.True_
+
+            assert instance._every_pivot_block(w, record)
+            if n <= 100:
+                assert np.array_equal(np.concatenate(blocks, axis=1), w[:, :, None] + w), n
+        assert sizes[2] == [2] and sizes[3] == [3] and sizes[64] == [16] * 4
+        assert sizes[65] == [15] * 4 + [5] and sizes[100] == [6] * 16 + [4]
+        assert sizes[181] == [2] * 90 + [1] and sizes[182] == [1] * 182
+
+    @pytest.mark.parametrize("n", [64, 300])
+    def test_validate_metric_peaks_under_1_mib(self, n):
+        """No check allocates the n^3 tensor: 0.63 MiB traced at n=64 (blocks of 16 pivots) and
+        0.81 MiB at n=300 (one pivot); the tensor alone is 2 and 206 MiB."""
+        inst = generate(GeneratorSpec("euclidean-uniform", n, seed=0))
+        assert TestMirrorBuckets._traced_peak_mib(lambda: validate_metric(inst, 0.0)) < 1.0
+
+
 class TestPreferenceProfile:
     def test_rejects_row_containing_self(self):
         with pytest.raises(ValueError):
@@ -1045,6 +1112,38 @@ class TestGenerators:
         fields = {"family": "clustered-gaussian", "n": 6, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             GeneratorSpec(**fields)
+
+    @pytest.mark.parametrize("field, value", [("n", 8.0), ("dimension", 2.0), ("trials", 2.5),
+                                              ("trials", True), ("inner_samples", 2.5),
+                                              ("k", 2.0), ("seed", 1.5)])
+    def test_trial_config_fields_are_integers(self, field, value):
+        """trials=2.5 and inner_samples=2.5 raised range's TypeError in ``run_trials``, n=8.0
+        constructed and failed there, and trials=True reported "trials": true."""
+        fields = {"problem": "mkm", "algorithm": "greedy", "n": 8, "k": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            TrialConfig(**fields)
+
+    def test_trial_config_refuses_a_boolean_bound(self):
+        """bound=True ran, and the report carried "bound": true."""
+        with pytest.raises(ValueError, match="^bound must be a number, got True$"):
+            TrialConfig("mwm", "greedy", 8, bound=True)
+
+    def test_trial_config_takes_numpy_integers_as_python_ints(self):
+        cfg = TrialConfig("mkm", "greedy", np.int64(8), dimension=np.int32(3), trials=np.uint8(2),
+                          seed=np.int16(4), k=np.int64(2), inner_samples=np.int64(30))
+        values = [getattr(cfg, f) for f in ("n", "dimension", "trials", "seed", "k", "inner_samples")]
+        assert values == [8, 3, 2, 4, 2, 30] and {type(v) for v in values} == {int}
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64, 65, 100, 130])
+    def test_closure_matches_the_copy_compare_closure(self, n):
+        """The closure stops at the first matrix that passes the exact check: the matrix the
+        copy-and-compare loop returned one sweep later, bit for bit."""
+        for seed in range(3):
+            raw = np.random.default_rng(seed).random((n, n))
+            raw = np.triu(raw, 1) + np.triu(raw, 1).T
+            inst = generate(GeneratorSpec("random-metric-closure", n, seed=seed))
+            assert inst.weights.tobytes() == _brute.copy_compare_closure(raw).tobytes()
+            assert inst.metric and validate_metric(inst, 0.0)
 
     def test_spec_fields_take_numpy_integers_as_python_ints(self):
         spec = GeneratorSpec("clustered-gaussian", np.int64(6), np.int32(3), np.uint8(2),
