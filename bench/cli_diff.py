@@ -7,7 +7,9 @@ PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with
 checkout's ``ordmatch`` and calls ``ordmatch.cli.main`` in-process on the
 same fixed list of invocations (``invocations()``): every verb in both
 formats, all three families, every problem x engine (rejected
-combinations too), failing bounds, invalid flags, malformed instance
+combinations too, and ``bench`` by the ``reduction-of(...)`` spelling of
+hybrid and of an unknown engine), failing bounds, a ``bench`` dimension
+that ``gen`` refuses, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
 unlike its mirror, a two-space separator, a file in gen's layout whose
@@ -234,7 +236,11 @@ def invocations() -> list:
              "--inner-samples", "1"],
             # rejected since non-finite flags are refused
             [*bench, "--bound", "inf"],
-            [*bench, "--bound", "nan"]]
+            [*bench, "--bound", "nan"],
+            # the run's one gate: the engine's reduction spelling, and a dimension gen refuses
+            [*bench, "--algorithm", "reduction-of(hybrid)", "--inner-samples", "30"],
+            [*bench, "--algorithm", "reduction-of(bogus)"],
+            [*bench, "--dimension", "0"]]
 
     inv += [["fixtures"], ["fixtures", "--format", "csv"],
             ["fixtures", "--format", "csv", "--out", "{tmp}/fixtures.csv"]]

@@ -54,12 +54,11 @@ from .core import (
     random_k_matchings,
 )
 from .instance import (
-    GENERATOR_FAMILIES,
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
-    _count,
     _integer,
+    _number,
     derive_preferences,
     generate,
     render,
@@ -234,29 +233,32 @@ PROBLEMS = {
 }
 
 
-def problem_spec(problem: str, algorithm: str | None, n: int, k: int | None) -> ProblemSpec:
-    """The table row for ``problem`` once (algorithm, n, k) pass its checks.
+def problem_spec(problem: str, algorithm: str | None, n: int, k: int | None) -> tuple:
+    """The table row for ``problem`` and the canonical engine, once (algorithm, n, k) pass
+    its checks, n and k (when given) read by ``_integer``.
 
-    ``algorithm=None`` (the oracle) skips the engine checks. Every
+    ``algorithm=None`` (the oracle) skips the engine checks and gives engine None. Every
     rejected input raises ValueError.
     """
-    if problem not in PROBLEMS:
+    if not isinstance(problem, str) or problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
     spec = PROBLEMS[problem]
+    if not isinstance(algorithm, (str, type(None))):
+        raise ValueError(f"algorithm must be a string, got {algorithm!r}")
     engine = None if algorithm is None else canonical_engine(algorithm)
     if engine is not None and engine not in spec.engines:
-        raise ValueError(
-            f"algorithm {algorithm!r} has no defended bound for {problem}; allowed: {spec.engines}"
-        )
-    if n < 2:
+        raise ValueError(f"algorithm {algorithm!r} has no defended bound for {problem}; "
+                         f"allowed: {spec.engines}")
+    if (n := _integer(n, "n")) < 2:
         raise ValueError("n must be at least 2")
-    spec.check(n, k, engine)
-    return spec
+    spec.check(n, None if k is None else _integer(k, "k"), engine)
+    return spec, engine
 
 
 def default_bound(problem: str, engine: str, n: int, k: int | None = None) -> float:
     """The approximation factor the harness defends for a valid configuration."""
-    return problem_spec(problem, engine, n, k).bound(canonical_engine(engine), n)
+    spec, engine = problem_spec(problem, engine, n, k)
+    return spec.bound(engine, n)
 
 
 @dataclass(frozen=True)
@@ -275,13 +277,12 @@ class TrialConfig:
     bound: float | None = None
 
     def __post_init__(self):
-        for name in ("n", "dimension", "trials", "inner_samples") + ("k",) * (self.k is not None):
+        for name in ("n", "trials", "inner_samples") + ("k",) * (self.k is not None):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if type(self.bound) is bool:
-            raise ValueError(f"bound must be a number, got {self.bound!r}")
-        problem_spec(self.problem, self.algorithm, self.n, self.k)
-        if self.family not in GENERATOR_FAMILIES:
-            raise ValueError(f"trials need a random family, got {self.family!r}")
+        if self.bound is not None:
+            _number(self.bound, "bound")
+        _, engine = problem_spec(self.problem, self.algorithm, self.n, self.k)
+        object.__setattr__(self, "engine", engine)  # beside the fields: not in a report
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.inner_samples < 2:
@@ -290,12 +291,10 @@ class TrialConfig:
             raise ValueError("bound must be positive")
         if self.bound is not None and not math.isfinite(self.bound):
             raise ValueError(f"bound must be finite, got {self.bound}")
-        # last: a config with another rejected field is refused for that field first
-        object.__setattr__(self, "seed", _count(self.seed, "seed"))
-
-    @property
-    def engine(self) -> str:
-        return canonical_engine(self.algorithm)
+        # last, by gen's rules: a config with another rejected field is refused for that first
+        spec = GeneratorSpec(self.family, self.n, self.dimension, self.seed)
+        object.__setattr__(self, "dimension", spec.dimension)
+        object.__setattr__(self, "seed", spec.seed)
 
     def randomized(self) -> bool:
         return self.engine != "greedy" or PROBLEMS[self.problem].random_reduce
@@ -303,7 +302,7 @@ class TrialConfig:
     def effective_bound(self) -> float:
         if self.bound is not None:
             return self.bound
-        return default_bound(self.problem, self.engine, self.n, self.k)
+        return PROBLEMS[self.problem].bound(self.engine, self.n)
 
     def to_dict(self) -> dict:
         return {**_field_dict(self), "bound": self.effective_bound()}
@@ -347,9 +346,9 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
     uses, from ``RandomSource(seed).gen``, and the value comes from the
     same weight gather as a bench record's alg.
     """
-    spec = problem_spec(problem, algorithm, inst.n, k)
+    spec, engine = problem_spec(problem, algorithm, inst.n, k)
     gen = RandomSource(seed).gen
-    solutions = _sample(spec, canonical_engine(algorithm), derive_preferences(inst), k, 1, gen)
+    solutions = _sample(spec, engine, derive_preferences(inst), k, 1, gen)
     return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), inst)
 
 
@@ -357,7 +356,7 @@ def optimum(
     problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget = DEFAULT_BUDGET
 ) -> dict:
     """The exact optimum for ``inst`` as a payload, valued as a bench record's opt."""
-    spec = problem_spec(problem, None, inst.n, k)
+    spec = problem_spec(problem, None, inst.n, k)[0]
     return _payload(spec.kind, spec.oracle(inst, k, budget), inst)
 
 

@@ -46,6 +46,13 @@ def _count(x, what: str) -> int:
     return x
 
 
+def _number(x, what: str):
+    """x itself, a Python or numpy real only (not "1", None, [1] or true)."""
+    if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return x
+
+
 def _holds_bool(x, a: np.ndarray) -> bool:
     """Whether nested lists ``x``, read by numpy as ``a``, hold a boolean: one type scan of
     ``x`` flattened ``a.ndim - 1`` times."""
@@ -324,7 +331,7 @@ def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     tol=0 is exact, so float rounding can fail weights computed from
     collinear or nearly collinear points.
     """
-    if tol < 0:
+    if _number(tol, "tol") < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -339,7 +346,7 @@ def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
     a positive weight can satisfy. alpha >= 1/3 forces the triangle
     inequality (see the friendship tests).
     """
-    if not 0.0 <= alpha <= 0.5:
+    if not 0.0 <= _number(alpha, "alpha") <= 0.5:
         raise ValueError(f"alpha must be in [0, 0.5], got {alpha}")
     # j in {i, k} gives w(i,k) itself, harmless as alpha <= 1/2; the diagonal i == k is exempt
     diagonal = np.eye(inst.n, dtype=bool)[:, None]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import statistics
 from fractions import Fraction
 
@@ -125,6 +126,49 @@ class TestTrialConfig:
         assert TrialConfig("mwm", "hybrid", 8, trials=1).randomized()
         # tour completion draws a start node, so tsp is randomized even under greedy
         assert TrialConfig("tsp", "greedy", 8, trials=1).randomized()
+
+
+class TestProblemGate:
+    """``problem_spec`` is the one gate bench, solve and oracle pass: n and k are integers."""
+
+    @pytest.mark.parametrize("problem, k", [("mkm", 2.5), ("mkm", 2.0), ("mkm", True),
+                                            ("ksum", 2.0), ("densest", 4.0)])
+    def test_optimum_reads_k_as_an_integer(self, problem, k):
+        """These raised TypeError inside the oracles, and mkm with k=True ran as k=1."""
+        inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            harness.optimum(problem, inst, k)
+
+    @pytest.mark.parametrize("problem, n, k, field", [("mwm", 8.0, None, "n"),
+                                                      ("mkm", 8, 2.5, "k")])
+    def test_default_bound_reads_n_and_k_as_integers(self, problem, n, k, field):
+        """Both returned 2.0."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            default_bound(problem, "greedy", n, k)
+
+    @pytest.mark.parametrize("problem, n, message", [
+        ("mwm", "8", "n must be an integer, got '8'"),
+        (["mwm"], 8, "unknown problem ['mwm'], expected one of ")])
+    def test_problem_spec_refuses_with_value_error(self, problem, n, message):
+        """Both raised TypeError: n="8" from the comparison with 2, ["mwm"] as a dict key."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            harness.problem_spec(problem, "greedy", n, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n", "6", "--trials", "3", "--inner-samples", "9", "--algorithm", "hybrid"],
+        ["solve", "--instance", "{path}", "--algorithm", "reduction-of(hybrid)"]])
+    def test_one_gate_per_run(self, argv, monkeypatch, tmp_path):
+        """A bench op ran canonical_engine 9 times and problem_spec 3 times, solve 2 and 1."""
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "6", "--out", path]) == 0
+        calls = dict.fromkeys(("canonical_engine", "problem_spec"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(harness, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(harness, name, counted)
+        assert main([arg.format(path=path) for arg in argv] + ["--problem", "tsp"]) == 0
+        assert calls == {"canonical_engine": 1, "problem_spec": 1}
 
 
 class TestRunTrials:

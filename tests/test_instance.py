@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 from collections import Counter, deque
@@ -1127,6 +1128,31 @@ class TestGenerators:
         """bound=True ran, and the report carried "bound": true."""
         with pytest.raises(ValueError, match="^bound must be a number, got True$"):
             TrialConfig("mwm", "greedy", 8, bound=True)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithm", 5, "algorithm must be a string, got 5"),
+        ("bound", "2", "bound must be a number, got '2'"),
+        ("bound", [1], "bound must be a number, got [1]"),
+        ("dimension", 0, "dimension must be positive, got 0")])
+    def test_trial_config_refuses_at_construction(self, field, value, message):
+        """algorithm=5 raised AttributeError, bound="2" and bound=[1] TypeError, and
+        dimension=0 constructed and was refused only inside ``run_trials``."""
+        fields = {"problem": "mwm", "algorithm": "greedy", "n": 8, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialConfig(**fields)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda inst: validate_metric(inst, "0"), "tol must be a number, got '0'"),
+        (lambda inst: validate_metric(inst, None), "tol must be a number, got None"),
+        (lambda inst: validate_metric(inst, True), "tol must be a number, got True"),
+        (lambda inst: check_friendship(inst, "0.3"), "alpha must be a number, got '0.3'"),
+        (lambda inst: check_friendship(inst, None), "alpha must be a number, got None"),
+        (lambda inst: check_friendship(inst, False), "alpha must be a number, got False")])
+    def test_real_number_inputs_are_numbers(self, call, message):
+        """tol "0" and None and alpha "0.3" and None raised TypeError, tol=True read as 1.0
+        and alpha=False was accepted."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(WeightedInstance(square(4)))
 
     def test_trial_config_takes_numpy_integers_as_python_ints(self):
         cfg = TrialConfig("mkm", "greedy", np.int64(8), dimension=np.int32(3), trials=np.uint8(2),
