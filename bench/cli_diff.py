@@ -30,6 +30,7 @@ closure family at n=64, 65 and 100 (the triangle checks' pivot blocks) and
 ``verify-metric --tol 0`` on those files and on a one-dimensional
 ``clustered-gaussian`` n=30 file (exit 1),
 ``solve`` and ``oracle`` of every problem on n=2 and n=3 files,
+``--seed -1`` on the verbs that draw nothing, ``solve`` at seeds 2^64 - 1 and 2^64,
 ``--help`` of every verb and an instance path with a comma. The
 instances the later verbs read are written by the checkout's own
 ``gen``, or verbatim for the hand-written documents.
@@ -206,6 +207,15 @@ def invocations() -> list:
             ["solve", "--instance", a, "--problem", "mwm", "--algorithm", "bogus"]]
     for problem, k in BAD_K:
         inv.append(["solve", "--instance", a, "--problem", problem, *_k(k)])
+    # one seed rule for every verb: -1 refused where nothing is drawn too, and the seeds on
+    # either side of 2**64, which drew the streams of 2**64 - 1 and of 0
+    inv += [["prefs", "--instance", a, "--seed", "-1"],
+            ["oracle", "--instance", a, "--problem", "mwm", "--seed", "-1"],
+            ["fixtures", "--seed", "-1"],
+            ["verify-metric", "--instance", a, "--seed", "-1"]]
+    for seed in ("18446744073709551615", "18446744073709551616"):
+        inv.append(["solve", "--instance", a, "--problem", "mwm", "--algorithm", "hybrid",
+                    "--seed", seed])
 
     for path in insts:
         for problem, k, _ in PROBLEM_KS:

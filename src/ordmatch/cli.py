@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Verbs: gen, prefs, solve, oracle, bench, fixtures, verify-metric.
-Every verb accepts --seed, --out, and --format (json or csv). A verb
-returns its output, byte chunks from ``instance.render``, and its verdict;
-``main`` then writes them to stdout or --out, which it opens only after
-every check. Exit code 0 means every requested verdict passed, 1 means a
-verdict failed or an input was rejected (with ``error:`` on stderr), and
+Every verb accepts --seed (nonnegative, as gen reads it), --out, and --format
+(json or csv). A verb returns its output, byte chunks from ``instance.render``,
+and its verdict; ``main`` then writes them to stdout or --out, which it opens
+only after every check. Exit code 0 means every requested verdict passed, 1
+means a verdict failed or an input was rejected (with ``error:`` on stderr), and
 argparse reports usage errors as 2. solve, oracle and bench read every
 problem-specific rule from ``harness.PROBLEMS``, so they accept the same inputs.
 """
@@ -30,6 +30,7 @@ from .harness import (
 from .instance import (
     GENERATOR_FAMILIES,
     GeneratorSpec,
+    _count,
     derive_preferences,
     generate,
     load_instance,
@@ -147,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _count(args.seed, "seed")  # every verb's --seed, by the rule gen and bench apply
         chunks, ok = args.func(args)  # every check has run: a rejected input writes nothing
         if args.out is None or args.out == "-":
             sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)

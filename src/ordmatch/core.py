@@ -31,8 +31,10 @@ from .instance import PreferenceProfile, WeightedInstance, _count, _integer
 
 
 def _node_ids(ids, n: int | None = None) -> list[int]:
-    """``ids`` as a list of Python ints, each read once by ``_integer``; ValueError unless they
-    are distinct, nonnegative and, when ``n`` is given, below it."""
+    """``ids``, an iterable, as a list of Python ints, each read once by ``_integer``;
+    ValueError unless they are distinct, nonnegative and, when ``n`` is given, below it."""
+    if not hasattr(ids, "__iter__"):
+        raise ValueError(f"node ids must be iterable, got {ids!r}")
     ids = [_integer(x, "node id") for x in ids]
     if len(set(ids)) != len(ids):
         raise ValueError("node ids must be distinct")
@@ -131,25 +133,25 @@ class RandomSource:
     ``derived_seed(seed)``, the one ``harness.solve`` draws from, so library
     calls that share one RandomSource reproduce ``ordmatch solve --seed``
     draw for draw. ``derived_seed`` mixes structured parts (base seed,
-    trial index) into one stream-safe integer.
+    trial index) into one stream-safe integer; each part is a seed, ``_count``'s.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _count(seed, "seed")
         self.gen = np.random.default_rng(self.derived_seed(self.seed))
 
     @staticmethod
     def derived_seed(*parts: int) -> int:
-        entropy = [int(p) % (1 << 64) for p in parts]
+        entropy = [_count(p, "seed") for p in parts]
         return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _sorted_ids(nodes, other=None, n=None) -> tuple[list[int], list[int] | None]:
     """``nodes`` and ``other`` as ascending lists of node ids (``_node_ids``), the two lists
     disjoint; None for ``other`` when it is not given."""
-    a = list(nodes)
-    ids = _node_ids(a if other is None else [*a, *other], n)
-    return sorted(ids[: len(a)]), None if other is None else sorted(ids[len(a) :])
+    a = _node_ids(nodes, n)
+    ids = a if other is None else _node_ids([*a, *_node_ids(other)], n)
+    return sorted(a), None if other is None else sorted(ids[len(a) :])
 
 
 def _undominated_edges(profile: PreferenceProfile, nodes):
@@ -210,8 +212,7 @@ def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
     the maximal matching found (no error), so the edge list for k is
     always a prefix of the edge list for any larger k.
     """
-    if (k := _integer(k, "k")) < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _count(k, "k", 1)
     # walk here, not lazily inside from_pairs, so a profile charges the walk to the greedy
     picks = list(islice(_undominated_edges(profile, range(profile.n)), k))
     return Matching.from_pairs(profile.n, picks)

@@ -68,6 +68,7 @@ from .reductions import (
     Clustering,
     Subset,
     Tour,
+    _parts,
     cluster_values,
     cluster_weight,
     matchings_to_clusters,
@@ -95,6 +96,8 @@ def _field_dict(obj) -> dict:
 
 def canonical_engine(label: str) -> str:
     """Accept both 'greedy' and the reduction spelling 'reduction-of(greedy)'."""
+    if not isinstance(label, str):
+        raise ValueError(f"algorithm must be a string, got {label!r}")
     m = re.fullmatch(r"reduction-of\((\w+)\)", label.strip())
     return m.group(1) if m else label.strip()
 
@@ -142,7 +145,7 @@ class ProblemSpec:
     """One row of the problem table: everything bench, solve and oracle read."""
 
     engines: tuple  # engines with a defended bound
-    check: Callable  # (n, k, engine) raises ValueError; the oracle passes engine=None
+    check: Callable  # (n, k, engine) raises ValueError; greedy adds no rule: optimum checks as it
     size: Callable  # (n, k) -> edges the matching engine must supply
     reduce: Callable  # (matchings, profile, k, gen) -> one solution per matching
     oracle: Callable  # (inst, k, budget) -> the exact optimum
@@ -162,8 +165,10 @@ def _check_mkm(n, k, engine):
 
 
 def _check_ksum(n, k, engine):
-    if k is None or k < 1 or n % k != 0:
-        raise ValueError(f"ksum needs k >= 1 dividing n, got k={k}, n={n}")
+    try:
+        _parts(n, k)
+    except ValueError:  # the reductions' rule, worded for the problem
+        raise ValueError(f"ksum needs k >= 1 dividing n, got k={k}, n={n}") from None
     if engine == "hybrid" and (n // k) % 2 != 0:
         raise ValueError("ksum with the hybrid engine needs an even cluster size")
 
@@ -233,20 +238,17 @@ PROBLEMS = {
 }
 
 
-def problem_spec(problem: str, algorithm: str | None, n: int, k: int | None) -> tuple:
+def problem_spec(problem: str, algorithm: str, n: int, k: int | None) -> tuple:
     """The table row for ``problem`` and the canonical engine, once (algorithm, n, k) pass
     its checks, n and k (when given) read by ``_integer``.
 
-    ``algorithm=None`` (the oracle) skips the engine checks and gives engine None. Every
-    rejected input raises ValueError.
+    ``algorithm`` is a string naming one of the row's engines; ``optimum`` checks as greedy,
+    which every row admits. Every rejected input raises ValueError.
     """
     if not isinstance(problem, str) or problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
     spec = PROBLEMS[problem]
-    if not isinstance(algorithm, (str, type(None))):
-        raise ValueError(f"algorithm must be a string, got {algorithm!r}")
-    engine = None if algorithm is None else canonical_engine(algorithm)
-    if engine is not None and engine not in spec.engines:
+    if (engine := canonical_engine(algorithm)) not in spec.engines:
         raise ValueError(f"algorithm {algorithm!r} has no defended bound for {problem}; "
                          f"allowed: {spec.engines}")
     if (n := _integer(n, "n")) < 2:
@@ -289,8 +291,6 @@ class TrialConfig:
             raise ValueError("inner_samples must be at least 2 for a standard error")
         if self.bound is not None and self.bound <= 0:
             raise ValueError("bound must be positive")
-        if self.bound is not None and not math.isfinite(self.bound):
-            raise ValueError(f"bound must be finite, got {self.bound}")
         # last, by gen's rules: a config with another rejected field is refused for that first
         spec = GeneratorSpec(self.family, self.n, self.dimension, self.seed)
         object.__setattr__(self, "dimension", spec.dimension)
@@ -356,7 +356,7 @@ def optimum(
     problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget = DEFAULT_BUDGET
 ) -> dict:
     """The exact optimum for ``inst`` as a payload, valued as a bench record's opt."""
-    spec = problem_spec(problem, None, inst.n, k)[0]
+    spec = problem_spec(problem, "greedy", inst.n, k)[0]  # greedy adds no rule of its own
     return _payload(spec.kind, spec.oracle(inst, k, budget), inst)
 
 

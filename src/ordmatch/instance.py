@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -39,17 +40,19 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
-def _count(x, what: str) -> int:
-    """x as a Python int (``_integer``) that is at least 0."""
-    if (x := _integer(x, what)) < 0:
-        raise ValueError(f"{what} must be nonnegative, got {x}")
+def _count(x, what: str, least: int = 0) -> int:
+    """x as a Python int (``_integer``) that is at least ``least`` (0 or 1)."""
+    if (x := _integer(x, what)) < least:
+        raise ValueError(f"{what} must be {'at least 1' if least else 'nonnegative'}, got {x}")
     return x
 
 
 def _number(x, what: str):
-    """x itself, a Python or numpy real only (not "1", None, [1] or true)."""
+    """x itself, a finite Python or numpy real (not "1", None, [1], true, inf, nan or 10**400)."""
     if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a number, got {x!r}")
+    if not abs(x) <= sys.float_info.max:  # inf, nan or an int past the largest float
+        raise ValueError(f"{what} must be finite, got {x}")
     return x
 
 
@@ -107,10 +110,11 @@ def _as_weight_matrix(weights) -> np.ndarray:
 class WeightedInstance:
     """Hidden weights on the complete graph over nodes ``0..n-1``.
 
-    ``metric`` is plain data, not a promise enforced later; non-metric
-    instances are first-class. ``random-metric-closure`` sets it on a
-    matrix its closure loop measured at tol 0; the geometric families, on
-    Euclidean distances, a metric that float rounding can break at tol 0
+    ``metric`` is plain data, a bool checked at construction before the
+    weights, not a promise enforced later; non-metric instances are
+    first-class. ``random-metric-closure`` sets it on a matrix its closure
+    loop measured at tol 0; the geometric families, on Euclidean
+    distances, a metric that float rounding can break at tol 0
     (``validate_metric`` measures that).
     """
 
@@ -120,6 +124,8 @@ class WeightedInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.metric, bool):
+            raise MalformedInstanceError(f"instance 'metric' must be true or false, got {self.metric!r}")
         object.__setattr__(self, "weights", _as_weight_matrix(self.weights))
         if self.points is not None:
             pts = _table(self.points, "points", "iuf").astype(float, copy=False)
@@ -143,7 +149,7 @@ class WeightedInstance:
 
     def _fields(self) -> dict:
         """``to_dict`` with the weights left an ndarray, for ``render``."""
-        d = {"n": self.n, "weights": self.weights, "metric": bool(self.metric)}
+        d = {"n": self.n, "weights": self.weights, "metric": self.metric}
         if self.points is not None:
             d["points"] = self.points.tolist()
         if self.meta:
@@ -159,10 +165,7 @@ class WeightedInstance:
         meta = d.get("meta", {})
         if not isinstance(meta, dict):
             raise MalformedInstanceError(f"instance 'meta' must be an object, got {type(meta).__name__}")
-        metric = d.get("metric", False)
-        if not isinstance(metric, bool):
-            raise MalformedInstanceError(f"instance 'metric' must be true or false, got {metric!r}")
-        inst = cls(d["weights"], metric, d.get("points"), dict(meta))
+        inst = cls(d["weights"], d.get("metric", False), d.get("points"), dict(meta))
         n = d.get("n", inst.n)
         if isinstance(n, bool) or not isinstance(n, int):  # not 2.9, "2", true, [2] or null
             raise MalformedInstanceError(f"instance 'n' must be an integer, got {n!r}")
@@ -333,8 +336,6 @@ def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     """
     if _number(tol, "tol") < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
     # z in {x, y} cannot mask a violation
     return _every_pivot_block(inst.weights, lambda w, via: w <= np.add(via, tol, out=via))
 

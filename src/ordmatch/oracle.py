@@ -1,9 +1,9 @@
 """Exact desk-scale oracles for the four objectives.
 
 These see the hidden weights; they exist to score the ordinal algorithms,
-not to compete with them. Every solver enforces an explicit size budget
-and a wall-clock ceiling, and breaks ties by the rule its docstring states,
-so repeated runs reproduce the same solution object.
+not to compete with them. Every solver passes one gate, ``_gate``: a size
+cap and a wall-clock ceiling from its ``OracleBudget``. Each breaks ties by
+the rule its docstring states, so repeated runs reproduce the same solution.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import Matching
 from .errors import BudgetError
-from .instance import WeightedInstance
-from .reductions import Clustering, Subset, Tour
+from .instance import WeightedInstance, _count, _integer
+from .reductions import Clustering, Subset, Tour, _parts
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,19 @@ DEFAULT_BUDGET = OracleBudget()
 _HELD_KARP_CHUNK = 1 << 14  # entries per Held-Karp gather: its buffers (0.4 MB) stay in L2
 
 
-class _Deadline:
-    def __init__(self, seconds: float, what: str):
-        self.t_end = time.monotonic() + seconds
-        self.what = what
+def _gate(what: str, n: int, budget: OracleBudget):
+    """A ``what`` oracle call's budget on n nodes: ValueError unless it is an ``OracleBudget``,
+    BudgetError past its ``max_n_<what>`` cap or, from the clock check returned, its time."""
+    if not isinstance(budget, OracleBudget):
+        raise ValueError(f"budget must be an OracleBudget, got {budget!r}")
+    if n > (cap := getattr(budget, "max_n_" + what.replace("-", "_"))):
+        raise BudgetError(f"{what} oracle capped at n={cap}, got n={n}")
+    t_end = time.monotonic() + budget.time_limit
 
-    def check(self):
-        if time.monotonic() > self.t_end:
-            raise BudgetError(f"{self.what} exceeded its time budget")
+    def clock():
+        if time.monotonic() > t_end:
+            raise BudgetError(f"{what} oracle exceeded its time budget")
+    return clock
 
 
 def _popcount_layers(n: int, lo: int, hi: int) -> list:
@@ -90,13 +95,9 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     optimum, and zero-weight edges are pruned afterwards.
     """
     n = inst.n
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n > budget.max_n_matching:
-        raise BudgetError(f"matching oracle capped at n={budget.max_n_matching}, got n={n}")
-    deadline = _Deadline(budget.time_limit, "matching oracle")
+    kcap = min(_count(k, "k", 1), n // 2)
+    clock = _gate("matching", n, budget)
     w = inst.weights
-    kcap = min(k, n // 2)
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
     # a binding cap one layer suffices and it is its own previous layer.
@@ -105,7 +106,7 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
     cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
     for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
-        deadline.check()
+        clock()
         best = np.maximum.reduceat(prev.take(src, axis=1) + w[n - 1 - b].take(partner), starts,
                                    axis=1)
         cur[:, sets] = np.maximum(best, cur.take(rest, axis=1), out=best)
@@ -143,12 +144,12 @@ def _combinations(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _subset_values(inst: WeightedInstance, k: int, deadline: _Deadline) -> np.ndarray:
+def _subset_values(inst: WeightedInstance, k: int, clock) -> np.ndarray:
     """Each ``_combinations(n, k)`` column's weight, pairs added in (i, j) order: a scalar sum."""
     n, wf, c = inst.n, inst.weights.ravel(), _combinations(inst.n, k)
     val = np.zeros(c.shape[1])
     for i in range(k):
-        deadline.check()
+        clock()
         row = c[i] * n
         for j in range(i + 1, k):
             val += wf.take(row + c[j])
@@ -158,11 +159,9 @@ def _subset_values(inst: WeightedInstance, k: int, deadline: _Deadline) -> np.nd
 def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
     """Exact densest k-subgraph: the lex-first maximum of ``_subset_values``."""
     n = inst.n
-    if not 1 <= k <= n:
+    if not 1 <= (k := _integer(k, "k")) <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if n > budget.max_n_densest:
-        raise BudgetError(f"densest oracle capped at n={budget.max_n_densest}, got n={n}")
-    top = int(_subset_values(inst, k, _Deadline(budget.time_limit, "densest oracle")).argmax())
+    top = int(_subset_values(inst, k, _gate("densest", n, budget)).argmax())
     return Subset(n, tuple(_combinations(n, k)[:, top].tolist()))
 
 
@@ -177,22 +176,17 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
     partition whose every prefix has the best running sum for its covered set.
     """
     n = inst.n
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n % k != 0:
-        raise ValueError(f"k={k} must divide n={n}")
-    if n > budget.max_n_k_sum:
-        raise BudgetError(f"k-sum oracle capped at n={budget.max_n_k_sum}, got n={n}")
-    deadline = _Deadline(budget.time_limit, "k-sum oracle")
+    k = _parts(n, k)
+    clock = _gate("k-sum", n, budget)
     c, full = n // k, (1 << n) - 1
-    value = _subset_values(inst, c, deadline)
+    value = _subset_values(inst, c, clock)
     part_of = np.zeros(1 << n, np.intp)  # c-subset mask (bit i for node i) -> its column
     part_of[(1 << _combinations(n, c).astype(np.int64)).sum(axis=0)] = np.arange(len(value))
     # per set, its best running sum and first best candidate; layers' sets differ in size
     best, first = np.full(1 << n, -np.inf), np.full(1 << n, np.iinfo(np.intp).max)
     sets, run, trail = np.zeros(1, np.int64), np.zeros(1), []
     for _ in range(k - 1):
-        deadline.check()
+        clock()
         free = np.nonzero(~sets[:, None] >> np.arange(n) & 1)[1].reshape(len(sets), -1)
         pick = free[:, 1 + _combinations(free.shape[1] - 1, c - 1)]  # c - 1 more, lex order
         parts = 1 << free[:, :1] | (1 << pick).sum(axis=1)  # with the lowest free node
@@ -248,9 +242,7 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     n = inst.n
     if n < 3:
         raise ValueError(f"tsp oracle needs n >= 3, got {n}")
-    if n > budget.max_n_tsp:
-        raise BudgetError(f"tsp oracle capped at n={budget.max_n_tsp}, got n={n}")
-    deadline = _Deadline(budget.time_limit, "tsp oracle")
+    clock = _gate("tsp", n, budget)
     w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
     steps = _held_karp_steps(m)
@@ -263,7 +255,7 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     at = np.empty(_HELD_KARP_CHUNK, np.intp)  # take would cast a narrow table to a fresh intp copy
     val, add = np.empty(_HELD_KARP_CHUNK), np.empty(_HELD_KARP_CHUNK)
     for p in range(2, m + 1):
-        deadline.check()
+        clock()
         index, pair = steps[p]
         dp.append(flat[end:end + index.shape[1]])
         end += index.shape[1]

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .core import Matching, RandomSource, _flat, _one_row, _row, _row_sums, _solution_ids
-from .instance import PreferenceProfile, WeightedInstance, _integer, _inverse
+from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _inverse
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,13 @@ def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
     return edges.reshape(-1, 2).take(_flat(np.argsort(edges[..., 0], axis=1)), axis=0)
 
 
+def _parts(n: int, k) -> int:
+    """k as a part count of n nodes: an int (``_count``) that is at least 1 and divides n."""
+    if n % (k := _count(k, "k", 1)) != 0:
+        raise ValueError(f"k={k} must divide n={n}")
+    return k
+
+
 def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     """Chunk each matching into k equal clusters: an (S, k, n // k) array of parts.
 
@@ -204,11 +211,7 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     ``cluster_values`` sums a part in the order ``cluster_weight`` does.
     """
     draws, m, _ = matchings.shape
-    if (k := _integer(k, "k")) < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n % k != 0:
-        raise ValueError(f"k={k} must divide n={n}")
-    c = n // k
+    c = n // (k := _parts(n, k))
     want = n // 2 if c % 2 == 0 else (n - k) // 2
     if m != want:
         raise ValueError(f"cluster size {c} needs a {want}-edge matching, got {m}")

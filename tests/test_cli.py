@@ -452,6 +452,16 @@ def test_every_verb_writes_one_strict_output(verb, fmt, inst_path, tmp_path, cap
 
 
 @pytest.mark.parametrize("verb", list(VERB_ARGV))
+def test_every_verb_reads_seed_by_one_rule(verb, inst_path, capsys):
+    """prefs, solve, oracle, fixtures and verify-metric took --seed -1 (solve drew the stream
+    of 2**64 - 1); gen and bench refused it, with this message."""
+    argv = [arg.replace("{inst}", inst_path) for arg in VERB_ARGV[verb]]
+    assert main([*argv, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be nonnegative, got -1\n")
+
+
+@pytest.mark.parametrize("verb", list(VERB_ARGV))
 def test_every_verb_writes_json_on_one_line(verb, inst_path, tmp_path, capsys):
     """JSON output is compact: one line, then a newline."""
     argv = [arg.replace("{inst}", inst_path) for arg in VERB_ARGV[verb]]

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import _brute
@@ -100,13 +101,38 @@ class TestMatching:
 
 class TestRandomSource:
     def test_deterministic_streams(self):
-        for seed in (42, 0, -3):
+        for seed in (42, 0, 3):
             a, b = RandomSource(seed), RandomSource(seed)
             assert (a.gen.integers(0, 1 << 62, 16) == b.gen.integers(0, 1 << 62, 16)).all()
             # the seeding rule harness.solve relies on
             ref = np.random.default_rng(RandomSource.derived_seed(seed))
             assert RandomSource(seed).gen.random(4).tolist() == ref.random(4).tolist()
-        assert RandomSource(-3).gen.random() != RandomSource(3).gen.random()
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+            RandomSource(-3)
+
+    @pytest.mark.parametrize("seed, message", [(-1, "seed must be nonnegative, got -1"),
+                                               (2.5, "seed must be an integer, got 2.5"),
+                                               ("3", "seed must be an integer, got '3'")])
+    def test_seeds_follow_the_generator_rule(self, seed, message):
+        """-1 took the stream of 2**64 - 1, 2.5 that of 2 and "3" that of 3."""
+        for call in (RandomSource, RandomSource.derived_seed,
+                     lambda s: RandomSource.derived_seed(4, s)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(seed)
+
+    def test_seeds_past_64_bits_do_not_alias(self):
+        """Each part was reduced mod 2**64, so 2**64 gave the stream of 0."""
+        assert RandomSource.derived_seed(1 << 64) != RandomSource.derived_seed(0)
+        assert RandomSource.derived_seed(3, 1 << 64) != RandomSource.derived_seed(3, 0)
+        assert RandomSource(1 << 64).gen.random() != RandomSource(0).gen.random()
+
+    @pytest.mark.parametrize("parts", [(0,), (1,), ((1 << 64) - 1,), (7, 3), (1 << 63, 0),
+                                       (np.uint64((1 << 64) - 1), np.int8(5))])
+    def test_derived_seed_keeps_every_stream_below_2_64(self, parts):
+        """Parts in [0, 2**64) keep the seed that the reduce-each-part-mod-2**64 form gave."""
+        entropy = [int(p) % (1 << 64) for p in parts]
+        old = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+        assert RandomSource.derived_seed(*parts) == old
 
     def test_derived_seed_depends_on_all_parts(self):
         base = RandomSource.derived_seed(1, 2, 3)
@@ -331,6 +357,17 @@ class TestRandomMatching:
         inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=0))
         with pytest.raises(ValueError, match=message):
             expected_random_weight(inst, sides=sides)
+
+    def test_expected_value_refuses_sides_that_are_not_id_lists(self):
+        """sides=(1, 2) raised TypeError ("'int' object is not iterable")."""
+        with pytest.raises(ValueError, match="^node ids must be iterable, got 1$"):
+            expected_random_weight(ones_instance(4), (1, 2))
+
+    def test_sampler_refuses_a_node_count_for_an_id_list(self):
+        """nodes=5 and other=3 raised TypeError ("'int' object is not iterable")."""
+        for nodes, other, bad in ((5, None, 5), ([0, 1], 3, 3)):
+            with pytest.raises(ValueError, match=f"^node ids must be iterable, got {bad}$"):
+                random_k_matchings(nodes, 1, 2, np.random.default_rng(0), other)
 
     def test_expected_value_takes_sides_in_any_order_and_integer_type(self):
         inst = generate(GeneratorSpec("euclidean-uniform", 6, seed=0))

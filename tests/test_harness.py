@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from ordmatch import (
+    BudgetError,
     GeneratorSpec,
+    OracleBudget,
     PreferenceProfile,
     RandomSource,
     RatioReport,
@@ -29,7 +31,10 @@ from ordmatch import (
     matching_to_subset,
     matching_to_tour,
     matching_weight,
+    opt_densest,
+    opt_k_sum,
     opt_matching,
+    opt_tsp,
     random_k_matching,
     report_emit,
     run_trials,
@@ -153,6 +158,49 @@ class TestProblemGate:
         """Both raised TypeError: n="8" from the comparison with 2, ["mwm"] as a dict key."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             harness.problem_spec(problem, "greedy", n, None)
+
+    @pytest.mark.parametrize("call", [
+        lambda inst, b: opt_matching(inst, 4, b), lambda inst, b: opt_densest(inst, 4, b),
+        lambda inst, b: opt_k_sum(inst, 2, b), lambda inst, b: opt_tsp(inst, b),
+        lambda inst, b: harness.optimum("mkm", inst, 2, b),
+        lambda inst, b: run_trials(TrialConfig("mwm", "greedy", 8, trials=1), b)],
+        ids=["opt_matching", "opt_densest", "opt_k_sum", "opt_tsp", "optimum", "run_trials"])
+    def test_a_budget_is_an_oracle_budget(self, call):
+        """budget=None raised AttributeError in each, reading the cap."""
+        inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
+        with pytest.raises(ValueError, match="^budget must be an OracleBudget, got None$"):
+            call(inst, None)
+
+    @pytest.mark.parametrize("oracle, what, cap, n", [
+        (lambda inst, b: opt_matching(inst, 4, b), "matching", 20, 21),
+        (lambda inst, b: opt_densest(inst, 4, b), "densest", 20, 21),
+        (lambda inst, b: opt_k_sum(inst, 2, b), "k-sum", 16, 18),
+        (lambda inst, b: opt_tsp(inst, b), "tsp", 15, 16)])
+    def test_one_gate_words_every_oracle_budget(self, oracle, what, cap, n):
+        """Each oracle's cap and clock messages, kept when its own checks became one gate."""
+        with pytest.raises(BudgetError, match=f"^{what} oracle capped at n={cap}, got n={n}$"):
+            oracle(WeightedInstance([[0.0] * n for _ in range(n)]), OracleBudget())
+        inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
+        with pytest.raises(BudgetError, match=f"^{what} oracle exceeded its time budget$"):
+            oracle(inst, OracleBudget(time_limit=-1.0))
+
+    @pytest.mark.parametrize("oracle", [opt_matching, opt_densest, opt_k_sum])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_oracles_read_k_as_an_integer(self, oracle, k):
+        """k=2.0 raised TypeError inside the DPs, and 2.5 too ("k=2.5 must divide n=8" in
+        ``opt_k_sum``); k=True ran as k=1."""
+        inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            oracle(inst, k)
+
+    def test_no_none_engine(self):
+        """solve ran greedy, and TrialConfig a greedy marked randomized that reported
+        "algorithm": null: None was the oracle's "no engine"."""
+        inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
+        with pytest.raises(ValueError, match="^algorithm must be a string, got None$"):
+            harness.solve("mwm", None, inst, None, 0)
+        with pytest.raises(ValueError, match="^algorithm must be a string, got None$"):
+            TrialConfig("mwm", None, 8)
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--n", "6", "--trials", "3", "--inner-samples", "9", "--algorithm", "hybrid"],
@@ -478,7 +526,7 @@ def test_library_draws_reproduce_solve(problem, engine):
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=n))
         prof = derive_preferences(inst)
         for k in _valid_ks(problem, engine, n):
-            for seed in range(-3, 9):
+            for seed in range(12):
                 payload = harness.solve(problem, engine, inst, k, seed)
                 shape = LIBRARY_DRAWS[problem, engine](prof, k, RandomSource(seed)).to_dict()
                 assert {key: payload[key] for key in shape} == shape, (n, k, seed)

@@ -1147,12 +1147,31 @@ class TestGenerators:
         (lambda inst: validate_metric(inst, True), "tol must be a number, got True"),
         (lambda inst: check_friendship(inst, "0.3"), "alpha must be a number, got '0.3'"),
         (lambda inst: check_friendship(inst, None), "alpha must be a number, got None"),
-        (lambda inst: check_friendship(inst, False), "alpha must be a number, got False")])
+        (lambda inst: check_friendship(inst, False), "alpha must be a number, got False"),
+        pytest.param(lambda inst: validate_metric(inst, 10**400),
+                     f"tol must be finite, got {10**400}", id="tol-10**400"),
+        (lambda inst: validate_metric(inst, math.inf), "tol must be finite, got inf"),
+        (lambda inst: validate_metric(inst, -math.inf), "tol must be finite, got -inf"),
+        pytest.param(lambda inst: TrialConfig("mwm", "greedy", 8, bound=10**400),
+                     f"bound must be finite, got {10**400}", id="bound-10**400"),
+        (lambda inst: TrialConfig("mwm", "greedy", 8, bound=math.inf),
+         "bound must be finite, got inf"),
+        (lambda inst: TrialConfig("mwm", "greedy", 8, bound=-math.inf),
+         "bound must be finite, got -inf")])
     def test_real_number_inputs_are_numbers(self, call, message):
         """tol "0" and None and alpha "0.3" and None raised TypeError, tol=True read as 1.0
-        and alpha=False was accepted."""
+        and alpha=False was accepted; tol 10**400 raised TypeError and bound 10**400
+        OverflowError, and -inf read "must be nonnegative" or "must be positive"."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(WeightedInstance(square(4)))
+
+    def test_the_metric_flag_is_a_bool_at_construction(self):
+        """metric="yes" constructed: only ``from_dict`` checked the flag. It is still checked
+        before the weights."""
+        message = "^instance 'metric' must be true or false, got 'yes'$"
+        for w in (square(4), [[0, 1], [2, 0]]):
+            with pytest.raises(MalformedInstanceError, match=message):
+                WeightedInstance(w, metric="yes")
 
     def test_trial_config_takes_numpy_integers_as_python_ints(self):
         cfg = TrialConfig("mkm", "greedy", np.int64(8), dimension=np.int32(3), trials=np.uint8(2),
