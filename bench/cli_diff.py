@@ -13,8 +13,10 @@ that ``gen`` refuses, invalid flags, malformed instance
 files (hand-written documents, and raw texts: indented, reordered or
 repeated keys, trailing commas, a byte-order mark, a lower cell written
 unlike its mirror, a two-space separator, a file in gen's layout whose
-last row breaks it, with and without an int cell, and gen's layout with
-its head or the text after its weights edited), the matching oracle's
+last row breaks it, with and without an int cell, gen's layout with a
+fullwidth digit left of the diagonal or a lower cell written "0.50" for
+its mirror's "0.5", and gen's layout with its head or the text after
+its weights edited), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
 the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
 at n=65 and 130 on each family in both formats (one and three
@@ -130,6 +132,11 @@ RAW_DOCUMENTS = {
     "two-spaces": '{"weights": [[0.0,  9.0,  1.5], [9.0,  0.0,  2.5], [1.5,  2.5,  0.0]]}',
     "gen-last-row-differs": _GEN6,
     "gen-last-row-differs-one-int": _GEN6.replace("0.0]]", "0]]"),
+    # gen's layout with a lower cell that is not its mirror's text: a fullwidth digit, which
+    # json.loads refuses, and "0.50" for "0.5", the same float, which it reads
+    "non-ascii-left-of-diagonal": '{"weights": [[0.0, 1.5, 2.5], [\uff11.5, 0.0, 3.5], '
+                                  '[2.5, 3.5, 0.0]]}',
+    "mirror-same-float": '{"weights": [[0.0, 0.5, 2.5], [0.50, 0.0, 3.5], [2.5, 3.5, 0.0]]}',
     # gen's layout with its head or the text after the weights edited: json.loads reads the
     # tail (or, for a head it does not match, the whole text)
     "missing-comma-after-weights": '{"n": 3, "weights": %s "meta": {"a": 1}}' % _W3,

@@ -27,15 +27,21 @@ from itertools import islice
 import numpy as np
 
 from .errors import EmptyPoolError
-from .instance import PreferenceProfile, WeightedInstance, _count, _integer
+from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _typed
+
+
+def _iterable(ids):
+    """``ids`` itself if it is iterable, else ValueError: the rule for a container of node ids."""
+    if not hasattr(ids, "__iter__"):
+        raise ValueError(f"node ids must be iterable, got {ids!r}")
+    return ids
 
 
 def _node_ids(ids, n: int | None = None) -> list[int]:
-    """``ids``, an iterable, as a list of Python ints, each read once by ``_integer``;
-    ValueError unless they are distinct, nonnegative and, when ``n`` is given, below it."""
-    if not hasattr(ids, "__iter__"):
-        raise ValueError(f"node ids must be iterable, got {ids!r}")
-    ids = [_integer(x, "node id") for x in ids]
+    """``ids``, an iterable (``_iterable``), as a list of Python ints, each read once by
+    ``_integer``; ValueError unless they are distinct, nonnegative and, when ``n`` is given,
+    below it."""
+    ids = [_integer(x, "node id") for x in _iterable(ids)]
     if len(set(ids)) != len(ids):
         raise ValueError("node ids must be distinct")
     if ids and min(ids) < 0:
@@ -60,7 +66,7 @@ class Matching:
     edges: frozenset
 
     def __post_init__(self):
-        ids = _solution_ids(self, [x for u, v in self.edges for x in (u, v)])
+        ids = _solution_ids(self, [x for u, v in _iterable(self.edges) for x in (u, v)])
         pairs = zip(ids[::2], ids[1::2])
         object.__setattr__(self, "edges", frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
@@ -117,7 +123,7 @@ def matching_values(matchings: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _one_row(values, what: str, solution, row, inst: WeightedInstance) -> float:
     """``values`` of ``row`` as a one-row batch, once ``solution`` is sized for ``inst``."""
-    if solution.n != inst.n:
+    if solution.n != _typed(inst, WeightedInstance, "inst").n:
         raise ValueError(f"{what} and instance sizes differ")
     return float(values(np.array(row, dtype=np.intp)[None], inst.weights)[0])
 
@@ -200,7 +206,7 @@ def find_undominated(profile: PreferenceProfile, nodes) -> tuple[int, int]:
 
     Raises ``EmptyPoolError`` for fewer than two nodes.
     """
-    for edge in _undominated_edges(profile, nodes):
+    for edge in _undominated_edges(_typed(profile, PreferenceProfile, "profile"), nodes):
         return edge
     raise EmptyPoolError("fewer than two nodes, so no edge")
 
@@ -212,21 +218,22 @@ def greedy_k_matching(profile: PreferenceProfile, k: int) -> Matching:
     the maximal matching found (no error), so the edge list for k is
     always a prefix of the edge list for any larger k.
     """
-    k = _count(k, "k", 1)
+    k, n = _count(k, "k", 1), _typed(profile, PreferenceProfile, "profile").n
     # walk here, not lazily inside from_pairs, so a profile charges the walk to the greedy
-    picks = list(islice(_undominated_edges(profile, range(profile.n)), k))
-    return Matching.from_pairs(profile.n, picks)
+    picks = list(islice(_undominated_edges(profile, range(n)), k))
+    return Matching.from_pairs(n, picks)
 
 
 def random_k_matching(n: int, k: int, rng: RandomSource) -> Matching:
     """One draw of ``random_k_matchings`` on nodes 0..n-1: up to k uniformly random edges."""
-    rows = random_k_matchings(range(_count(n, "n")), k, 1, rng.gen)
+    rows = random_k_matchings(range(_count(n, "n")), k, 1, _typed(rng, RandomSource, "rng").gen)
     return Matching.from_pairs(n, rows[0].tolist())
 
 
 def hybrid_matching(profile: PreferenceProfile, rng: RandomSource) -> Matching:
     """One draw of ``hybrid_matchings``: the 1.6-approximate matching in expectation."""
-    return Matching.from_pairs(profile.n, hybrid_matchings(profile, 1, rng.gen)[0].tolist())
+    rows = hybrid_matchings(profile, 1, _typed(rng, RandomSource, "rng").gen)
+    return Matching.from_pairs(profile.n, rows[0].tolist())
 
 
 def _row_permutations(items, draws: int, gen: np.random.Generator) -> np.ndarray:
@@ -256,6 +263,7 @@ def random_k_matchings(
     """
     side_a, side_b = _sorted_ids(nodes, other)
     k, draws = _count(k, "k"), _count(draws, "draws")
+    gen = _typed(gen, np.random.Generator, "gen")
     if side_b is not None:
         k = min(k, len(side_a), len(side_b))
         side_a = _row_permutations(side_a, draws, gen)[:, :k]
@@ -280,7 +288,8 @@ def hybrid_matchings(profile: PreferenceProfile, draws: int, gen: np.random.Gene
     Draw order is pinned for replay: all coins, then the shuffles of B,
     then the shuffles of the M0 edge indices, each drawn for every row.
     """
-    n, draws = profile.n, _count(draws, "draws")
+    n, draws = _typed(profile, PreferenceProfile, "profile").n, _count(draws, "draws")
+    gen = _typed(gen, np.random.Generator, "gen")
     if n < 2:
         raise ValueError(f"hybrid matching needs n >= 2, got {n}")
     m0 = _row(greedy_k_matching(profile, math.ceil(n / 3)))[0]
@@ -325,12 +334,11 @@ def expected_random_weight(inst: WeightedInstance, sides: tuple | None = None) -
     probability: floor(n/2)/C(n,2) on the complete graph (1/(n-1) for even n)
     and 1/m on the complete bipartite graph with m nodes per side.
     """
+    n = _typed(inst, WeightedInstance, "inst").n
     if sides is None:
-        n = inst.n
-        total = inst.total_weight()
-        return total * (n // 2) / (n * (n - 1) / 2)
+        return inst.total_weight() * (n // 2) / (n * (n - 1) / 2)
     a, b = sides
-    a, b = _sorted_ids(a, b, n=inst.n)
+    a, b = _sorted_ids(a, b, n=n)
     if len(a) != len(b):
         raise ValueError(f"bipartite sides must have equal size, got {len(a)} and {len(b)}")
     if not a:

@@ -47,6 +47,13 @@ def _count(x, what: str, least: int = 0) -> int:
     return x
 
 
+def _typed(x, cls: type, what: str):
+    """x itself if it is a ``cls`` (an instance, a profile or a generator), else ValueError."""
+    if not isinstance(x, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
+
+
 def _number(x, what: str):
     """x itself, a finite Python or numpy real (not "1", None, [1], true, inf, nan or 10**400)."""
     if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
@@ -176,22 +183,23 @@ class WeightedInstance:
         return inst
 
 
-# rows whose cells owed to later rows are joined at once. A bucket is a list of joins, each of
-# 16 float texts at most under Python's 512-byte small-object limit: a bytearray grown a block
-# at a time is reallocated in the C heap, whose fragmentation raised later steps' peak RSS 6.5%
+# rows whose cells owed to later rows are joined at once. A bucket is a list of str joins of 16
+# float texts at most, about 370 B with the 49 B str header, under Python's 512-byte small-object
+# limit: a bytearray grown by blocks lives in the C heap, whose fragmentation raised peak RSS 6.5%
 _MIRROR_BLOCK = 16
 
 
 class _Buckets(list):
-    """Per row not yet reached, the byte pieces of its text left of the diagonal so far, each
-    cell followed by the separator; ``wait``: the current block's cells owed to rows past it."""
+    """Per row not yet reached, the ``str`` pieces of its text left of the diagonal so far, each
+    cell followed by the separator, each piece a small object as ``_MIRROR_BLOCK`` cells at most;
+    ``wait``: the current block's cells owed to rows past it."""
 
     def __init__(self, n: int):
         super().__init__([] for _ in range(n))
         self.wait = []
 
 
-def _push(left: _Buckets, r: int, cells: list, sep: bytes) -> None:
+def _push(left: _Buckets, r: int, cells: list, sep: str) -> None:
     """Drop row r's bucket in ``left`` and give row r's ``cells`` (from its diagonal on) right of
     the diagonal, each followed by ``sep``, to the buckets they mirror into: at once inside r's
     block of ``_MIRROR_BLOCK`` rows, past it with the block's last row, one join per bucket."""
@@ -209,16 +217,16 @@ def _push(left: _Buckets, r: int, cells: list, sep: bytes) -> None:
 def _row_texts(table: np.ndarray, sep: str):
     """The rows of a ranking or a symmetric weight matrix as ``sep``-joined cell bytes, each
     distinct value formatted once: node ids from one table of n ``str``, a weight by one
-    ``repr`` on or above the diagonal, whose text the mirror cell below reuses."""
+    ``repr`` on or above the diagonal, whose ``str`` the mirror cell below reuses."""
     if table.dtype.kind != "f":
         ids = np.array([str(j) for j in range(len(table))], dtype=object)
         yield from (sep.join(ids[row].tolist()).encode() for row in table)
         return
-    left, bsep = _Buckets(len(table)), sep.encode()  # left[j]: row j's cells so far
+    left = _Buckets(len(table))  # left[j]: row j's cells so far
     for i, row in enumerate(table):
-        right = sep.join(map(repr, row[i:].tolist())).encode()
-        yield b"".join(left[i]) + right
-        _push(left, i, right.split(bsep), bsep)
+        cells = list(map(repr, row[i:].tolist()))
+        yield ("".join(left[i]) + sep.join(cells)).encode()
+        _push(left, i, cells, sep)
 
 
 def render(fmt: str, data, header: str, rows):
@@ -248,7 +256,7 @@ def render(fmt: str, data, header: str, rows):
 
 def save_instance(inst: WeightedInstance, path: str) -> None:
     """Write ``inst`` as the bytes ``gen --out`` writes (strict JSON: ValueError on NaN or inf)."""
-    chunks = render("json", inst._fields(), "", inst.weights)
+    chunks = render("json", _typed(inst, WeightedInstance, "inst")._fields(), "", inst.weights)
     with open(path, "wb") as fh:
         fh.writelines(chunks)
 
@@ -263,9 +271,9 @@ def _gen_fields(read) -> dict:
     ``gen``'s layout: ``{"weights": [`` or ``{"n": <int>, "weights": [``, n rows of n floats
     (cells and rows each parted by ", "), ``]``, then ``}`` or ``, "`` and the other keys, read by
     one ``json.loads``. Each row is scanned from its diagonal on; its text left of the diagonal
-    must be, byte for byte, cell r of each row above (one list of pieces per row not yet read,
-    dropped once it is read), whose numbers it copies. ValueError (or the scanner's StopIteration or
-    RecursionError) at the first text that is not so."""
+    must be, character for character, cell r of each row above (one list of ``str`` pieces per
+    row not yet read, dropped once it is read), whose numbers it copies. ValueError (or the
+    scanner's StopIteration or RecursionError) at the first text that is not so."""
     buf = ""
     while "[" not in buf and (got := read(_CHUNK)):
         buf += got
@@ -280,19 +288,19 @@ def _gen_fields(read) -> dict:
             buf, i = buf[i:] + got, 0
         if r == len(left) or buf[i : i + 1] != "[":
             raise ValueError
-        mirror = b"".join(left[r])
+        mirror = "".join(left[r])
         k = i + 1 + len(mirror)
-        if end < k or buf[i + 1 : k].encode() != mirror:
+        if end < k or buf[i + 1 : k] != mirror:
             raise ValueError
         text = buf[k:end]
-        row, cells = _scan(f"[{text}]", 0)[0], text.encode().split(b", ")
+        row, cells = _scan(f"[{text}]", 0)[0], text.split(", ")
         n = len(row) if w is None else len(w)
         if not row or r + len(row) != n or set(map(type, row)) != {float} or len(cells) != len(row):
             raise ValueError
         if w is None:
             w, left = np.empty((n, n)), _Buckets(n)
         w[r, r:], w[r, :r] = row, w[:r, r]
-        _push(left, r, cells, b", ")
+        _push(left, r, cells, ", ")
         r, i = r + 1, end + 3
         if buf[end + 1 : i] != ", ":
             break
@@ -337,7 +345,8 @@ def validate_metric(inst: WeightedInstance, tol: float = 0.0) -> bool:
     if _number(tol, "tol") < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     # z in {x, y} cannot mask a violation
-    return _every_pivot_block(inst.weights, lambda w, via: w <= np.add(via, tol, out=via))
+    w = _typed(inst, WeightedInstance, "inst").weights
+    return _every_pivot_block(w, lambda w, via: w <= np.add(via, tol, out=via))
 
 
 def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
@@ -350,7 +359,7 @@ def check_friendship(inst: WeightedInstance, alpha: float) -> bool:
     if not 0.0 <= _number(alpha, "alpha") <= 0.5:
         raise ValueError(f"alpha must be in [0, 0.5], got {alpha}")
     # j in {i, k} gives w(i,k) itself, harmless as alpha <= 1/2; the diagonal i == k is exempt
-    diagonal = np.eye(inst.n, dtype=bool)[:, None]
+    diagonal = np.eye(_typed(inst, WeightedInstance, "inst").n, dtype=bool)[:, None]
     return _every_pivot_block(
         inst.weights, lambda w, via: (w >= np.multiply(via, alpha, out=via)) | diagonal)
 
@@ -436,7 +445,7 @@ def derive_preferences(inst: WeightedInstance) -> PreferenceProfile:
     diagonal last and dropped: one block stably, more by numpy's faster default argsort and
     again stably for each row whose sorted keys hold a tie, so ties keep index order.
     """
-    w, n = inst.weights, inst.n
+    w, n = _typed(inst, WeightedInstance, "inst").weights, inst.n
     ranking = np.empty((n, n - 1), dtype=np.int32)
     for a in range(0, n, _BLOCK):
         key = -w[a : a + _BLOCK]
@@ -456,7 +465,7 @@ def profile_consistent(profile: PreferenceProfile, inst: WeightedInstance) -> bo
     either way, which is why this accepts more profiles than
     ``derive_preferences`` emits.
     """
-    if profile.n != inst.n:
+    if _typed(profile, PreferenceProfile, "profile").n != _typed(inst, WeightedInstance, "inst").n:
         return False
     ranked = np.take_along_axis(inst.weights, profile.ranking, axis=1)
     return bool((ranked[:, :-1] >= ranked[:, 1:]).all())

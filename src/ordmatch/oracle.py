@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Matching
 from .errors import BudgetError
-from .instance import WeightedInstance, _count, _integer
+from .instance import WeightedInstance, _count, _integer, _number
 from .reductions import Clustering, Subset, Tour, _parts
 
 
@@ -29,6 +29,13 @@ class OracleBudget:
     max_n_densest: int = 20
     max_n_tsp: int = 15
     time_limit: float = 60.0
+
+    def __post_init__(self):
+        """Each cap read as a count (``_count``), ``time_limit`` as a nonnegative number."""
+        for name in ("max_n_matching", "max_n_k_sum", "max_n_densest", "max_n_tsp"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        if _number(self.time_limit, "time_limit") < 0:
+            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -24,8 +24,8 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Matching, RandomSource, _flat, _one_row, _row, _row_sums, _solution_ids
-from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _inverse
+from .core import Matching, RandomSource, _flat, _iterable, _one_row, _row, _row_sums, _solution_ids
+from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _inverse, _typed
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Clustering:
     parts: tuple
 
     def __post_init__(self):
-        parts = [tuple(p) for p in self.parts]
+        parts = [tuple(p) for p in _iterable(self.parts)]
         ids = _solution_ids(self, [x for p in parts for x in p])
         if len(ids) != self.n:
             raise ValueError("parts must partition the node set exactly")
@@ -169,21 +169,23 @@ def path_completion(
     """
     if len(m) < 1:
         raise ValueError("path completion needs at least one matching edge")
-    if m.n != profile.n:
+    if m.n != _typed(profile, PreferenceProfile, "profile").n:
         raise ValueError("matching and profile sizes differ")
     if start is not None and (start := _integer(start, "start node")) not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
     edges = _row(m)
     if start is None:  # a position among the matched nodes, ascending
-        start = np.sort(edges, axis=None).take(rng.gen.integers(0, 2 * len(m), size=1))
+        gen = _typed(rng, RandomSource, "rng").gen
+        start = np.sort(edges, axis=None).take(gen.integers(0, 2 * len(m), size=1))
     return Path(m.n, tuple(_stitch(edges, np.reshape(start, 1), profile)[0].tolist()))
 
 
 def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource) -> Tour:
     """One-row ``matchings_to_tours``: a perfect matching completed into a tour."""
-    if m.n != profile.n:
+    if m.n != _typed(profile, PreferenceProfile, "profile").n:
         raise ValueError("matching and profile sizes differ")
-    return Tour(m.n, tuple(matchings_to_tours(_row(m), profile, rng.gen)[0].tolist()))
+    tours = matchings_to_tours(_row(m), profile, _typed(rng, RandomSource, "rng").gen)
+    return Tour(m.n, tuple(tours[0].tolist()))
 
 
 def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
@@ -261,7 +263,8 @@ def matchings_to_tours(
     n=2 is rejected: the only candidate tour would traverse the single
     edge twice.
     """
-    n = profile.n
+    n = _typed(profile, PreferenceProfile, "profile").n
+    gen = _typed(gen, np.random.Generator, "gen")
     draws, m, _ = matchings.shape
     if n < 3:
         raise ValueError(f"a tour needs n >= 3, got n={n}")

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from collections import Counter
 
@@ -9,12 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordmatch import (
+    Clustering,
     EmptyPoolError,
     GeneratorSpec,
     Matching,
+    Path,
     PreferenceProfile,
     RandomSource,
+    Subset,
+    Tour,
     WeightedInstance,
+    check_friendship,
+    cluster_weight,
     derive_preferences,
     expected_random_weight,
     find_undominated,
@@ -23,10 +30,19 @@ from ordmatch import (
     greedy_ratio_bound,
     hybrid_matching,
     hybrid_matchings,
+    matching_to_tour,
     matching_weight,
+    matchings_to_tours,
     opt_matching,
+    path_completion,
+    path_weight,
+    profile_consistent,
     random_k_matching,
     random_k_matchings,
+    save_instance,
+    subset_weight,
+    tour_weight,
+    validate_metric,
 )
 from ordmatch.core import matching_values
 
@@ -447,3 +463,54 @@ class TestGreedyRatioBound:
                 greedy_ratio_bound(bad, 0.5)
             with pytest.raises(ValueError):
                 greedy_ratio_bound(0.5, bad)
+
+
+W4 = ones_instance(4).weights.tolist()
+M4, ROWS4 = Matching.from_pairs(4, [(0, 1), (2, 3)]), np.array([[[0, 1], [2, 3]]])
+GEN = np.random.default_rng(0)
+INST = "^inst must be a WeightedInstance, got "
+PROFILE = "^profile must be a PreferenceProfile, got "
+GENERATOR = "^gen must be a Generator, got "
+SOURCE = "^rng must be a RandomSource, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: derive_preferences(W4), INST + "list$"),
+    (lambda: validate_metric(W4, 0), INST + "list$"),
+    (lambda: check_friendship(W4, 0.25), INST + "list$"),
+    (lambda: profile_consistent(P4, W4), INST + "list$"),
+    (lambda: profile_consistent(P4.ranking.tolist(), ones_instance(4)), PROFILE + "list$"),
+    (lambda: save_instance(W4, os.devnull), INST + "list$"),
+    (lambda: expected_random_weight(W4), INST + "list$"),
+    (lambda: expected_random_weight(W4, ([0], [1])), INST + "list$"),
+    (lambda: matching_weight(M4, W4), INST + "list$"),
+    (lambda: cluster_weight(Clustering(4, ((0, 1), (2, 3))), W4), INST + "list$"),
+    (lambda: subset_weight(Subset(4, (0, 1)), W4), INST + "list$"),
+    (lambda: path_weight(Path(4, (0, 1, 2)), W4), INST + "list$"),
+    (lambda: tour_weight(Tour(4, (0, 1, 2, 3)), W4), INST + "list$"),
+    (lambda: greedy_k_matching(W4, 1), PROFILE + "list$"),
+    (lambda: find_undominated(W4, [0, 1]), PROFILE + "list$"),
+    (lambda: hybrid_matchings(W4, 3, GEN), PROFILE + "list$"),
+    (lambda: hybrid_matchings(P4, 3, None), GENERATOR + "NoneType$"),
+    (lambda: random_k_matchings(range(4), 1, 2, None), GENERATOR + "NoneType$"),
+    (lambda: matchings_to_tours(ROWS4, W4, GEN), PROFILE + "list$"),
+    (lambda: matchings_to_tours(ROWS4, P4, 0), GENERATOR + "int$"),
+    (lambda: random_k_matching(4, 1, GEN), SOURCE + "Generator$"),
+    (lambda: hybrid_matching(P4, None), SOURCE + "NoneType$"),
+    (lambda: path_completion(M4, W4, RandomSource(0)), PROFILE + "list$"),
+    (lambda: path_completion(M4, P4, None), SOURCE + "NoneType$"),
+    (lambda: matching_to_tour(M4, W4, RandomSource(0)), PROFILE + "list$"),
+    (lambda: matching_to_tour(M4, P4, GEN), SOURCE + "Generator$"),
+], ids=["derive_preferences", "validate_metric", "check_friendship", "profile_consistent-inst",
+        "profile_consistent-profile", "save_instance", "expected_random_weight",
+        "expected_random_weight-sides", "matching_weight", "cluster_weight", "subset_weight",
+        "path_weight", "tour_weight", "greedy_k_matching", "find_undominated",
+        "hybrid_matchings-profile", "hybrid_matchings-gen", "random_k_matchings",
+        "matchings_to_tours-profile", "matchings_to_tours-gen", "random_k_matching",
+        "hybrid_matching", "path_completion-profile", "path_completion-rng",
+        "matching_to_tour-profile", "matching_to_tour-rng"])
+def test_an_instance_a_profile_or_a_generator_is_checked_by_type(call, message):
+    """Each raised AttributeError (a list has no ``weights``, ``n`` or ``ranking``, None no
+    ``random``): one type rule, at each entry, names the type expected."""
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -177,12 +177,31 @@ class TestProblemGate:
         (lambda inst, b: opt_k_sum(inst, 2, b), "k-sum", 16, 18),
         (lambda inst, b: opt_tsp(inst, b), "tsp", 15, 16)])
     def test_one_gate_words_every_oracle_budget(self, oracle, what, cap, n):
-        """Each oracle's cap and clock messages, kept when its own checks became one gate."""
+        """Each oracle's cap and clock messages, kept when its own checks became one gate. A
+        zero time limit runs out at the first clock check (a negative one is refused)."""
         with pytest.raises(BudgetError, match=f"^{what} oracle capped at n={cap}, got n={n}$"):
             oracle(WeightedInstance([[0.0] * n for _ in range(n)]), OracleBudget())
         inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
         with pytest.raises(BudgetError, match=f"^{what} oracle exceeded its time budget$"):
-            oracle(inst, OracleBudget(time_limit=-1.0))
+            oracle(inst, OracleBudget(time_limit=0.0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("time_limit", "1", "^time_limit must be a number, got '1'$"),
+        ("time_limit", None, "^time_limit must be a number, got None$"),
+        ("time_limit", True, "^time_limit must be a number, got True$"),
+        ("time_limit", -1.0, "^time_limit must be nonnegative, got -1.0$"),
+        ("time_limit", math.inf, "^time_limit must be finite, got inf$"),
+        ("max_n_matching", None, "^max_n_matching must be an integer, got None$"),
+        ("max_n_k_sum", 16.0, "^max_n_k_sum must be an integer, got 16.0$"),
+        ("max_n_densest", True, "^max_n_densest must be an integer, got True$"),
+        ("max_n_tsp", -1, "^max_n_tsp must be nonnegative, got -1$")])
+    def test_a_budget_checks_its_fields_at_construction(self, field, value, message):
+        """time_limit="1" and max_n_matching=None raised TypeError inside the gate, at the
+        first oracle call, and a float or bool cap compared as a number."""
+        with pytest.raises(ValueError, match=message):
+            OracleBudget(**{field: value})
+        budget = OracleBudget(**{field: 0})  # a zero cap or clock is a budget
+        assert type(getattr(budget, field)) is int and getattr(budget, field) == 0
 
     @pytest.mark.parametrize("oracle", [opt_matching, opt_densest, opt_k_sum])
     @pytest.mark.parametrize("k", [2.5, 2.0, True])

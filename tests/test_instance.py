@@ -373,6 +373,11 @@ LOADER_TEXTS = {
     "comma-then-space": '{"weights": [[0.0,1.5, 2.5], [2.5, 0.0, 3.5], [2.5, 3.5, 0.0]]}',
     "long-cell": '{"weights": [[0.0, 1.%s], [1.%s, 0.0]]}' % ("0" * 300, "0" * 300),
     "int-left-big-float-right": '{"weights": [[0.0, 1, 2.0], [1, 0.0, 1e16], [2.0, 1e16, 0.0]]}',
+    # gen's layout with a lower cell that is not its mirror's text: a fullwidth digit, which
+    # json.loads refuses, and "0.50" for "0.5", the same float, which it reads
+    "non-ascii-left-of-diagonal": '{"weights": [[0.0, 1.5, 2.0], [\uff11.5, 0.0, 3.0], '
+                                  '[2.0, 3.0, 0.0]]}',
+    "mirror-same-float": '{"weights": [[0.0, 0.5, 2.0], [0.50, 0.0, 3.0], [2.0, 3.0, 0.0]]}',
     "non-ascii-meta": '{"meta": {"name": "caf\u00e9 \u2003"}, "weights": %s}' % W3,
     "non-ascii-space": '{"weights": [[0.0, 1.5], [1.5,\u00a00.0]]}',
     "one-node-float": '{"weights": [[0.0]]}',
@@ -477,7 +482,8 @@ def _mirrored(monkeypatch) -> list:
 MIRROR_ROWS = {"gen": 5, "indent-2": 0, "mirror-int-against-float": 0, "mirror-negative-zero": 1,
                "mirror-differs": 2, "comma-from-row-1": 1, "two-spaces": 1,
                "comma-then-space": 0, "long-cell": 2,
-               "int-left-big-float-right": 0, "non-ascii-meta": 0, "non-ascii-space": 1,
+               "int-left-big-float-right": 0, "non-ascii-left-of-diagonal": 1,
+               "mirror-same-float": 1, "non-ascii-meta": 0, "non-ascii-space": 1,
                "one-node-float": 1, "two-nodes": 2, "first-row-shorter": 0,
                "first-row-shorter-floats": 3, "crlf-floats": 0, "tabs-floats": 0,
                "weights-last-floats": 0, "weights-twice-floats": 2, "non-ascii-meta-floats": 0,
@@ -511,7 +517,7 @@ class TestLoadInstanceMatchesJsonLoads:
         mirror = {"mirror-int-against-float", "mirror-negative-zero", "mirror-differs",
                   "comma-from-row-1", "two-spaces", "comma-then-space", "long-cell",
                   "non-ascii-meta", "one-node-float", "two-nodes", "first-row-shorter",
-                  "first-row-shorter-floats"}
+                  "first-row-shorter-floats", "non-ascii-left-of-diagonal", "mirror-same-float"}
         twins = {name for name in LOADER_TEXTS if name.endswith("-floats")} - {"ints-and-floats",
                                                                                "bool-among-floats"}
         assert {name.removesuffix("-floats") for name in twins} <= set(LOADER_TEXTS)
@@ -523,7 +529,8 @@ class TestLoadInstanceMatchesJsonLoads:
                             "weights-twice-first-bad", "weights-in-meta", "integers", "zero-one",
                             "ints-and-floats", "two-to-the-53", "two-to-the-53-plus-1",
                             "negative-zero", "int-left-big-float-right",
-                            *mirror - {"mirror-differs", "comma-then-space", "one-node-float"},
+                            *mirror - {"mirror-differs", "comma-then-space", "one-node-float",
+                                       "non-ascii-left-of-diagonal"},
                             "n-and-weights-in-tail", "non-ascii-meta-after-weights",
                             *twins - {"points-bool-floats", "n-float-floats"}}
 

@@ -299,10 +299,19 @@ def assert_same_solutions(inst, ks):
     """The numpy oracles return the scalar references' solution objects for
     every k in ks and, for n <= 12, every k that divides n: the k-sum oracle
     returns ``scan_k_sum``'s partition up to n = 10 and, at n = 11 and 12,
-    its optimum's bits and ``scan_k_sum_best_prefixes``'s partition."""
+    its optimum's bits and ``scan_k_sum_best_prefixes``'s partition. The
+    scalar matching DP is built once capped and once uncapped, each for its
+    largest cap, and walked for every k: layers built for one cap serve every
+    smaller cap, so each walk is ``dp_matching(w, k)``."""
     n, w = inst.n, inst.weights.tolist()
+    layers = {}  # whether the cap binds -> the DP's layer pairs
+    for kcap in sorted({min(k, n // 2) for k in ks}, reverse=True):
+        if (kcap < n // 2) not in layers:
+            layers[kcap < n // 2] = dp_matching_layers(w, kcap)
     for k in ks:
-        assert opt_matching(inst, k) == Matching.from_pairs(n, dp_matching(w, k)), k
+        kcap = min(k, n // 2)
+        edges = dp_matching_walk(w, layers[kcap < n // 2], kcap)
+        assert opt_matching(inst, k) == Matching.from_pairs(n, edges), k
         assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
     for k in range(1, n + 1):
         if n % k == 0 and n <= 10:

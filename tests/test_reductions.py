@@ -99,6 +99,13 @@ class TestShapes:
             with pytest.raises(ValueError, match=message):
                 make(ids)
 
+    @pytest.mark.parametrize("kind", [Matching, Clustering, Subset, Path, Tour])
+    def test_every_solution_type_refuses_ids_that_are_not_a_container(self, kind):
+        """Matching(4, 5) and Clustering(4, 5) raised TypeError ("'int' object is not
+        iterable"), flattening their edges or parts before the node-id rule saw them."""
+        with pytest.raises(ValueError, match="^node ids must be iterable, got 5$"):
+            kind(4, 5)
+
     @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, np.True_])
     def test_clustering_takes_integer_ids_only(self, bad):
         assert Clustering(np.int64(4), ((np.int64(1), 0), (2, 3))).parts == ((0, 1), (2, 3))
