@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import EmptyPoolError
-from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _typed
+from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _number, _typed
 
 
 def _iterable(ids):
@@ -66,13 +66,16 @@ class Matching:
     edges: frozenset
 
     def __post_init__(self):
-        ids = _solution_ids(self, [x for u, v in _iterable(self.edges) for x in (u, v)])
+        edges = [tuple(_iterable(e)) for e in _iterable(self.edges)]
+        if bad := [e for e in edges if len(e) != 2]:
+            raise ValueError(f"an edge must be a pair of node ids, got {bad[0]!r}")
+        ids = _solution_ids(self, [x for e in edges for x in e])
         pairs = zip(ids[::2], ids[1::2])
         object.__setattr__(self, "edges", frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Matching":
-        return cls(n, frozenset(tuple(p) for p in pairs))
+        return cls(n, frozenset(tuple(_iterable(p)) for p in _iterable(pairs)))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -92,12 +95,14 @@ class Matching:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Matching":
+        if missing := {"n", "edges"} - _typed(d, dict, "matching dict").keys():
+            raise ValueError(f"matching dict has no {min(missing)!r} field")
         return cls.from_pairs(d["n"], d["edges"])
 
 
 def _row(m: Matching) -> np.ndarray:
-    """``m`` as a one-row batch: a (1, edges, 2) array of sorted edges."""
-    return np.array(m.sorted_edges(), dtype=np.intp).reshape(1, len(m), 2)
+    """The one reader of a ``Matching`` (ValueError for another type): a (1, edges, 2) batch."""
+    return np.array(_typed(m, Matching).sorted_edges(), dtype=np.intp).reshape(1, len(m), 2)
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -121,15 +126,16 @@ def matching_values(matchings: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _row_sums(w.ravel().take(u * len(w) + v).take(by_low))
 
 
-def _one_row(values, what: str, solution, row, inst: WeightedInstance) -> float:
-    """``values`` of ``row`` as a one-row batch, once ``solution`` is sized for ``inst``."""
+def _one_row(values, solution, row, inst: WeightedInstance) -> float:
+    """``values`` of ``row`` as a one-row batch, once ``inst`` is typed and sized as ``solution``
+    (ValueError naming its class otherwise)."""
     if solution.n != _typed(inst, WeightedInstance, "inst").n:
-        raise ValueError(f"{what} and instance sizes differ")
+        raise ValueError(f"{type(solution).__name__.lower()} and instance sizes differ")
     return float(values(np.array(row, dtype=np.intp)[None], inst.weights)[0])
 
 
 def matching_weight(m: Matching, inst: WeightedInstance) -> float:
-    return _one_row(matching_values, "matching", m, _row(m)[0], inst)
+    return _one_row(matching_values, m, _row(m)[0], inst)
 
 
 class RandomSource:
@@ -318,7 +324,7 @@ def greedy_ratio_bound(alpha: float, alpha_star: float) -> float:
     matching the greedy picked and the optimum is allowed, both in (0, 1].
     """
     for name, value in (("alpha", alpha), ("alpha_star", alpha_star)):
-        if not 0.0 < value <= 1.0:
+        if not 0.0 < _number(value, name) <= 1.0:
             raise ValueError(f"{name} must be in (0, 1], got {value}")
     if alpha + alpha_star < 1.0:
         return max(2.0, 2.0 * alpha_star / alpha)
@@ -337,8 +343,9 @@ def expected_random_weight(inst: WeightedInstance, sides: tuple | None = None) -
     n = _typed(inst, WeightedInstance, "inst").n
     if sides is None:
         return inst.total_weight() * (n // 2) / (n * (n - 1) / 2)
-    a, b = sides
-    a, b = _sorted_ids(a, b, n=n)
+    if len(sides := tuple(_iterable(sides))) != 2:
+        raise ValueError(f"sides must be two lists of node ids, got {len(sides)}")
+    a, b = _sorted_ids(*sides, n=n)
     if len(a) != len(b):
         raise ValueError(f"bipartite sides must have equal size, got {len(a)} and {len(b)}")
     if not a:

@@ -59,6 +59,7 @@ from .instance import (
     WeightedInstance,
     _integer,
     _number,
+    _typed,
     derive_preferences,
     generate,
     render,
@@ -106,8 +107,10 @@ def hybrid_bound(n: int) -> float:
     """Expected-ratio bound for the hybrid matching at a given n.
 
     Exactly 1.6 when n is divisible by 6; otherwise the rounding of the
-    greedy prefix adds at most 7/(8*(2n-3)).
+    greedy prefix adds at most 7/(8*(2n-3)). n is an integer of at least 2.
     """
+    if (n := _integer(n, "n")) < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if n % 6 == 0:
         return 1.6
     return 1.6 + 7.0 / (8.0 * (2 * n - 3))
@@ -119,9 +122,8 @@ def _alpha(engine: str, n: int) -> float:
 
 
 class SolutionKind(NamedTuple):
-    """How one kind of solution is packed, weighed and reported."""
+    """How one kind of solution is read, weighed and reported; its class's name is its kind."""
 
-    name: str  # the payload's "kind"
     cls: type  # cls(n, row) validates one row of a batched solution array
     weigh: Callable  # (solution, inst) -> weight, as the oracle's value is computed
     values: Callable  # (solutions, w) -> one weight per row, in one gather
@@ -130,14 +132,10 @@ class SolutionKind(NamedTuple):
 # Table callables reach the oracles and weight functions through this
 # module's globals, so a wrapper installed on them here (a tracer) sees
 # every call.
-MATCHING = SolutionKind(
-    "matching", Matching, lambda m, inst: matching_weight(m, inst), matching_values
-)
-CLUSTERING = SolutionKind(
-    "clustering", Clustering, lambda c, inst: cluster_weight(c, inst), cluster_values
-)
-SUBSET = SolutionKind("subset", Subset, lambda s, inst: subset_weight(s, inst), subset_values)
-TOUR = SolutionKind("tour", Tour, lambda t, inst: tour_weight(t, inst), tour_values)
+MATCHING = SolutionKind(Matching, lambda m, inst: matching_weight(m, inst), matching_values)
+CLUSTERING = SolutionKind(Clustering, lambda c, inst: cluster_weight(c, inst), cluster_values)
+SUBSET = SolutionKind(Subset, lambda s, inst: subset_weight(s, inst), subset_values)
+TOUR = SolutionKind(Tour, lambda t, inst: tour_weight(t, inst), tour_values)
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,8 @@ def _sample(
 def _payload(kind: SolutionKind, solution, inst: WeightedInstance) -> dict:
     """The solve and oracle output, keys in this order: kind, the solution's ``to_dict`` (its
     shape, then n) and value, which ``kind.weigh`` gives as it gives a bench record's opt."""
-    return {"kind": kind.name, **solution.to_dict(), "value": kind.weigh(solution, inst)}
+    return {"kind": type(solution).__name__.lower(), **solution.to_dict(),
+            "value": kind.weigh(solution, inst)}
 
 
 def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, seed: int) -> dict:
@@ -346,7 +345,7 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
     uses, from ``RandomSource(seed).gen``, and the value comes from the
     same weight gather as a bench record's alg.
     """
-    spec, engine = problem_spec(problem, algorithm, inst.n, k)
+    spec, engine = problem_spec(problem, algorithm, _typed(inst, WeightedInstance, "inst").n, k)
     gen = RandomSource(seed).gen
     solutions = _sample(spec, engine, derive_preferences(inst), k, 1, gen)
     return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), inst)
@@ -355,8 +354,9 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
 def optimum(
     problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget = DEFAULT_BUDGET
 ) -> dict:
-    """The exact optimum for ``inst`` as a payload, valued as a bench record's opt."""
-    spec = problem_spec(problem, "greedy", inst.n, k)[0]  # greedy adds no rule of its own
+    """The exact optimum for ``inst`` as a payload, valued as a bench record's opt. Its inputs
+    are checked as greedy's, which every row admits and which adds no rule of its own."""
+    spec = problem_spec(problem, "greedy", _typed(inst, WeightedInstance, "inst").n, k)[0]
     return _payload(spec.kind, spec.oracle(inst, k, budget), inst)
 
 
@@ -389,7 +389,7 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
     opt/mean <= bound + 3 * stderr(ratio). Deterministic algorithms pass
     when the worst ratio stays within bound + 1e-9.
     """
-    row = PROBLEMS[cfg.problem]
+    row = PROBLEMS[_typed(cfg, TrialConfig, "cfg").problem]
     engine = cfg.engine
     bound = cfg.effective_bound()
     randomized = cfg.randomized()
@@ -454,7 +454,8 @@ def _finite_or_null(obj):
 
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
     """Render a report; json is strict (non-finite floats become null), csv is one row per record."""
-    rows = ((r["seed"], r["opt"], r["alg"], r["ratio"]) for r in report.records)
+    rows = ((r["seed"], r["opt"], r["alg"], r["ratio"])
+            for r in _typed(report, RatioReport, "report").records)
     return b"".join(render(fmt, _finite_or_null(report.to_dict()), "seed,opt,alg,ratio", rows))
 
 
@@ -522,7 +523,7 @@ def check_record(rec: Record) -> dict:
         ok = expected == actual if passed is None else passed
         checks.append({"name": name, "expected": expected, "actual": actual, "passed": ok})
 
-    n, ranking = rec.profile.n, rec.profile.ranking.tolist()
+    n, ranking = _typed(rec, Record, "rec").profile.n, rec.profile.ranking.tolist()
     matchings = list(_k_matchings(tuple(range(n)), rec.k))
     index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
     value, opt = {}, {}
@@ -579,7 +580,7 @@ def _matching(spec: str) -> tuple:
 def build_fixture_randomization_floor(epsilon: Fraction = Fraction(1, 100)) -> Record:
     """4 nodes, two metric weightings: every fixed matching concedes 3/2 (epsilon < 1/3),
     x = 2/5 paired + 3/5 crossed exactly 5/4, and y proves L = (5 - 3 eps)/(4 - 2 eps)."""
-    eps = Fraction(epsilon)
+    eps = Fraction(epsilon if isinstance(epsilon, Fraction) else _number(epsilon, "epsilon"))
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
     weightings = {
@@ -597,9 +598,9 @@ def build_fixture_randomization_floor(epsilon: Fraction = Fraction(1, 100)) -> R
 def build_fixture_mutual_top_pairs(n_pairs: int = 3, epsilon: Fraction = Fraction(1, 100)) -> Record:
     """2n nodes in mutually top-ranked pairs, one of them heavy, k = 1: uniform guesses
     and uniform y meet at 2n/(n+1) (metric), n/(1+(n-1)eps) (lean) and n (limit)."""
-    if n_pairs < 2:
+    if _integer(n_pairs, "n_pairs") < 2:
         raise ValueError("need at least 2 pairs")
-    eps = Fraction(epsilon)
+    eps = Fraction(epsilon if isinstance(epsilon, Fraction) else _number(epsilon, "epsilon"))
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must be in (0, 1/2)")
     n, size = n_pairs, 2 * n_pairs

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -47,10 +48,12 @@ def _count(x, what: str, least: int = 0) -> int:
     return x
 
 
-def _typed(x, cls: type, what: str):
-    """x itself if it is a ``cls`` (an instance, a profile or a generator), else ValueError."""
+def _typed(x, cls, what: str = ""):
+    """x itself if it is a ``cls``, a class or a tuple of them, else ValueError naming ``what``
+    (by default the class's name, lowercased: a solution's kind)."""
     if not isinstance(x, cls):
-        raise ValueError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{what or names.lower()} must be a {names}, got {type(x).__name__}")
     return x
 
 
@@ -257,7 +260,7 @@ def render(fmt: str, data, header: str, rows):
 def save_instance(inst: WeightedInstance, path: str) -> None:
     """Write ``inst`` as the bytes ``gen --out`` writes (strict JSON: ValueError on NaN or inf)."""
     chunks = render("json", _typed(inst, WeightedInstance, "inst")._fields(), "", inst.weights)
-    with open(path, "wb") as fh:
+    with open(_typed(path, (str, os.PathLike), "path"), "wb") as fh:
         fh.writelines(chunks)
 
 
@@ -315,7 +318,7 @@ def load_instance(path: str) -> WeightedInstance:
     by ``_gen_fields``, a chunk and a weight row at a time (a pipe, read whole first); any other
     text is read again whole by ``json.loads``, so every file loads or fails as it did through
     ``json.load``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_typed(path, (str, os.PathLike), "path"), "r", encoding="utf-8") as fh:
         src = fh if fh.seekable() else io.StringIO(fh.read())
         try:  # MemoryError: a long first row sizes a matrix numpy cannot allocate
             d = _gen_fields(src.read)
@@ -416,7 +419,8 @@ class PreferenceProfile:
 
     def position(self, i: int, j: int) -> int:
         """Rank of j in i's list, read from row i; 0 is the most preferred."""
-        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+        if (i := _integer(i, "node id")) == (j := _integer(j, "node id")) or not (
+                0 <= i < self.n and 0 <= j < self.n):
             raise ValueError(f"node {j} is not in node {i}'s list")
         return int((self.ranking[i] == j).argmax())
 
@@ -432,6 +436,8 @@ class PreferenceProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreferenceProfile":
+        if "ranking" not in _typed(d, dict, "profile dict"):
+            raise ValueError("profile dict has no 'ranking' field")
         return cls(d["ranking"])
 
 
@@ -514,7 +520,7 @@ def _euclidean_weights(points: np.ndarray) -> np.ndarray:
 
 def generate(spec: GeneratorSpec) -> WeightedInstance:
     """Build the instance a spec describes. Same spec, same instance."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(_typed(spec, GeneratorSpec, "spec").seed)
     meta = {"family": spec.family, "seed": spec.seed}
 
     if spec.family == "random-metric-closure":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Matching
 from .errors import BudgetError
-from .instance import WeightedInstance, _count, _integer, _number
+from .instance import WeightedInstance, _count, _integer, _number, _typed
 from .reductions import Clustering, Subset, Tour, _parts
 
 
@@ -42,9 +42,11 @@ DEFAULT_BUDGET = OracleBudget()
 _HELD_KARP_CHUNK = 1 << 14  # entries per Held-Karp gather: its buffers (0.4 MB) stay in L2
 
 
-def _gate(what: str, n: int, budget: OracleBudget):
-    """A ``what`` oracle call's budget on n nodes: ValueError unless it is an ``OracleBudget``,
-    BudgetError past its ``max_n_<what>`` cap or, from the clock check returned, its time."""
+def _gate(what: str, inst: WeightedInstance, budget: OracleBudget) -> tuple:
+    """A ``what`` oracle call opened: ``inst``'s n and weights, and the clock check of its
+    ``budget``. ValueError unless ``inst`` is a ``WeightedInstance`` and ``budget`` an
+    ``OracleBudget``; BudgetError past its ``max_n_<what>`` cap or, from the clock, its time."""
+    n = _typed(inst, WeightedInstance, "inst").n
     if not isinstance(budget, OracleBudget):
         raise ValueError(f"budget must be an OracleBudget, got {budget!r}")
     if n > (cap := getattr(budget, "max_n_" + what.replace("-", "_"))):
@@ -54,7 +56,7 @@ def _gate(what: str, n: int, budget: OracleBudget):
     def clock():
         if time.monotonic() > t_end:
             raise BudgetError(f"{what} oracle exceeded its time budget")
-    return clock
+    return n, inst.weights, clock
 
 
 def _popcount_layers(n: int, lo: int, hi: int) -> list:
@@ -101,10 +103,8 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     unmatched node with the smallest partner that still achieves the
     optimum, and zero-weight edges are pruned afterwards.
     """
-    n = inst.n
+    n, w, clock = _gate("matching", inst, budget)
     kcap = min(_count(k, "k", 1), n // 2)
-    clock = _gate("matching", n, budget)
-    w = inst.weights
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
     # a binding cap one layer suffices and it is its own previous layer.
@@ -151,9 +151,9 @@ def _combinations(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _subset_values(inst: WeightedInstance, k: int, clock) -> np.ndarray:
+def _subset_values(w: np.ndarray, k: int, clock) -> np.ndarray:
     """Each ``_combinations(n, k)`` column's weight, pairs added in (i, j) order: a scalar sum."""
-    n, wf, c = inst.n, inst.weights.ravel(), _combinations(inst.n, k)
+    n, wf, c = len(w), w.ravel(), _combinations(len(w), k)
     val = np.zeros(c.shape[1])
     for i in range(k):
         clock()
@@ -165,10 +165,10 @@ def _subset_values(inst: WeightedInstance, k: int, clock) -> np.ndarray:
 
 def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
     """Exact densest k-subgraph: the lex-first maximum of ``_subset_values``."""
-    n = inst.n
+    n, w, clock = _gate("densest", inst, budget)
     if not 1 <= (k := _integer(k, "k")) <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    top = int(_subset_values(inst, k, _gate("densest", n, budget)).argmax())
+    top = int(_subset_values(w, k, clock).argmax())
     return Subset(n, tuple(_combinations(n, k)[:, top].tolist()))
 
 
@@ -182,11 +182,10 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
     keeps its first best lex-ordered candidate: ties go to the lex-smallest
     partition whose every prefix has the best running sum for its covered set.
     """
-    n = inst.n
+    n, w, clock = _gate("k-sum", inst, budget)
     k = _parts(n, k)
-    clock = _gate("k-sum", n, budget)
     c, full = n // k, (1 << n) - 1
-    value = _subset_values(inst, c, clock)
+    value = _subset_values(w, c, clock)
     part_of = np.zeros(1 << n, np.intp)  # c-subset mask (bit i for node i) -> its column
     part_of[(1 << _combinations(n, c).astype(np.int64)).sum(axis=0)] = np.arange(len(value))
     # per set, its best running sum and first best candidate; layers' sets differ in size
@@ -246,11 +245,9 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     reconstruction reads the same tables back, taking the smallest endpoint
     achieving each DP value, and the lex-smaller of the two directions.
     """
-    n = inst.n
+    n, w, clock = _gate("tsp", inst, budget)
     if n < 3:
         raise ValueError(f"tsp oracle needs n >= 3, got {n}")
-    clock = _gate("tsp", n, budget)
-    w = inst.weights
     m = n - 1  # nodes 1..n-1, stored as 0..m-1
     steps = _held_karp_steps(m)
     pairs = w[1:, 1:].ravel()  # pair i * m + j: the edge between nodes i + 1 and j + 1

@@ -36,7 +36,7 @@ class Clustering:
     parts: tuple
 
     def __post_init__(self):
-        parts = [tuple(p) for p in _iterable(self.parts)]
+        parts = [tuple(_iterable(p)) for p in _iterable(self.parts)]
         ids = _solution_ids(self, [x for p in parts for x in p])
         if len(ids) != self.n:
             raise ValueError("parts must partition the node set exactly")
@@ -124,19 +124,19 @@ def tour_values(solutions: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def cluster_weight(c: Clustering, inst: WeightedInstance) -> float:
-    return _one_row(cluster_values, "clustering", c, c.parts, inst)
+    return _one_row(cluster_values, c, _typed(c, Clustering).parts, inst)
 
 
 def subset_weight(s: Subset, inst: WeightedInstance) -> float:
-    return _one_row(subset_values, "subset", s, s.nodes, inst)
+    return _one_row(subset_values, s, _typed(s, Subset).nodes, inst)
 
 
 def path_weight(p: Path, inst: WeightedInstance) -> float:
-    return _one_row(path_values, "path", p, p.order, inst)
+    return _one_row(path_values, p, _typed(p, Path).order, inst)
 
 
 def tour_weight(t: Tour, inst: WeightedInstance) -> float:
-    return _one_row(tour_values, "tour", t, t.order, inst)
+    return _one_row(tour_values, t, _typed(t, Tour).order, inst)
 
 
 def matching_to_clusters(m: Matching, k: int) -> Clustering:
@@ -147,9 +147,10 @@ def matching_to_clusters(m: Matching, k: int) -> Clustering:
 
 def matching_to_subset(m: Matching, k: int | None = None) -> Subset:
     """Endpoints of a (k/2)-edge matching as a k-node subset."""
+    row = _row(m)
     if k is not None and _integer(k, "k") != 2 * len(m):
         raise ValueError(f"matching has {len(m)} edges, cannot produce a {k}-node subset")
-    return Subset(m.n, tuple(matchings_to_subsets(_row(m))[0].tolist()))
+    return Subset(m.n, tuple(matchings_to_subsets(row)[0].tolist()))
 
 
 def path_completion(
@@ -167,13 +168,12 @@ def path_completion(
     weights each connector is worth at least half the edge it leads into,
     which is what the completion bound in the harness rests on.
     """
-    if len(m) < 1:
+    if (edges := _row(m)).size < 1:
         raise ValueError("path completion needs at least one matching edge")
     if m.n != _typed(profile, PreferenceProfile, "profile").n:
         raise ValueError("matching and profile sizes differ")
     if start is not None and (start := _integer(start, "start node")) not in m.nodes():
         raise ValueError(f"start node {start} is not matched")
-    edges = _row(m)
     if start is None:  # a position among the matched nodes, ascending
         gen = _typed(rng, RandomSource, "rng").gen
         start = np.sort(edges, axis=None).take(gen.integers(0, 2 * len(m), size=1))
@@ -182,9 +182,10 @@ def path_completion(
 
 def matching_to_tour(m: Matching, profile: PreferenceProfile, rng: RandomSource) -> Tour:
     """One-row ``matchings_to_tours``: a perfect matching completed into a tour."""
+    row = _row(m)
     if m.n != _typed(profile, PreferenceProfile, "profile").n:
         raise ValueError("matching and profile sizes differ")
-    tours = matchings_to_tours(_row(m), profile, _typed(rng, RandomSource, "rng").gen)
+    tours = matchings_to_tours(row, profile, _typed(rng, RandomSource, "rng").gen)
     return Tour(m.n, tuple(tours[0].tolist()))
 
 
@@ -196,8 +197,8 @@ def _sorted_edges(matchings: np.ndarray) -> np.ndarray:
 
 
 def _parts(n: int, k) -> int:
-    """k as a part count of n nodes: an int (``_count``) that is at least 1 and divides n."""
-    if n % (k := _count(k, "k", 1)) != 0:
+    """k as a part count of n nodes, an integer: an int (``_count``), at least 1, dividing n."""
+    if _integer(n, "n") % (k := _count(k, "k", 1)) != 0:
         raise ValueError(f"k={k} must divide n={n}")
     return k
 
@@ -212,7 +213,7 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
     Each part is returned ascending, as ``Clustering`` stores it, so
     ``cluster_values`` sums a part in the order ``cluster_weight`` does.
     """
-    draws, m, _ = matchings.shape
+    draws, m, _ = _typed(matchings, np.ndarray, "matchings").shape
     c = n // (k := _parts(n, k))
     want = n // 2 if c % 2 == 0 else (n - k) // 2
     if m != want:
@@ -228,7 +229,8 @@ def matchings_to_clusters(matchings: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def matchings_to_subsets(matchings: np.ndarray) -> np.ndarray:
     """The endpoints of each matching, sorted: an (S, 2 * edges) array."""
-    return np.sort(matchings.reshape(len(matchings), 2 * matchings.shape[1]), axis=1)
+    draws, m, _ = _typed(matchings, np.ndarray, "matchings").shape
+    return np.sort(matchings.reshape(draws, 2 * m), axis=1)
 
 
 def _stitch(edges: np.ndarray, start: np.ndarray, profile: PreferenceProfile) -> np.ndarray:
@@ -265,7 +267,7 @@ def matchings_to_tours(
     """
     n = _typed(profile, PreferenceProfile, "profile").n
     gen = _typed(gen, np.random.Generator, "gen")
-    draws, m, _ = matchings.shape
+    draws, m, _ = _typed(matchings, np.ndarray, "matchings").shape
     if n < 3:
         raise ValueError(f"a tour needs n >= 3, got n={n}")
     if m != n // 2:

@@ -547,16 +547,16 @@ def random_k_edges(side_a, side_b, k: int, rng) -> list:
     return sorted(picked)
 
 
-def hybrid_matching(rows, rng) -> list:
-    """The hybrid matching, one decision at a time; sorted edges.
+def hybrid_matching(n: int, m0: list, rng) -> list:
+    """The hybrid matching on n nodes, one decision at a time; sorted edges.
 
-    M0 = the greedy matching with ceil(n/3) edges. A fair coin; then
-    either M0 plus ``random_k_edges`` on the untouched nodes B, or M0
-    with floor(|B|/2) edges released by ``rng.sample`` and their
-    endpoints matched into B by ``random_k_edges`` on the bipartite pool.
+    M0 = the greedy matching with ceil(n/3) edges, which draws nothing, so
+    the caller computes it once (``scan_greedy(rows, -(-n // 3))``) for
+    every draw. A fair coin; then either M0 plus ``random_k_edges`` on the
+    untouched nodes B, or M0 with floor(|B|/2) edges released by
+    ``rng.sample`` and their endpoints matched into B by ``random_k_edges``
+    on the bipartite pool.
     """
-    n = len(rows)
-    m0 = scan_greedy(rows, -(-n // 3))
     untouched = sorted(set(range(n)) - {x for e in m0 for x in e})
     if rng.random() < 0.5:
         return sorted(m0 + random_k_edges(untouched, None, len(untouched) // 2, rng))
