@@ -18,7 +18,9 @@ fullwidth digit left of the diagonal or a lower cell written "0.50" for
 its mirror's "0.5", and gen's layout with its head or the text after
 its weights edited), the matching oracle's
 largest tables (n=20 on each family, and a tied 0/1 matrix at n=16),
-the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), ``gen``
+the k-sum oracle at n=12, 16 and 18 (``oracle`` and ``bench``), every other
+oracle one past its cap (mwm, mkm and densest at n=21, tsp at n=16, and ``bench``
+of tsp at n=16), ``bench --n 1``, ``gen``
 at n=65 and 130 on each family in both formats (one and three
 dimensions) and ``prefs``, ``solve`` and ``verify-metric`` on an n=130 file,
 ``solve --problem tsp`` by greedy and by hybrid on that n=130 file and on the tied
@@ -299,6 +301,16 @@ def invocations() -> list:
         for engine in ("greedy", "hybrid"):
             inv.append(["bench", "--problem", "ksum", "--algorithm", engine, "--n", str(n),
                         "--k", str(k), "--trials", "2", "--inner-samples", "30", "--seed", "3"])
+
+    # every other oracle one past its cap: the matching and densest oracles at n=21, the tsp
+    # oracle at n=16 (``oracle``, and ``bench`` of tsp), and bench's smallest refused n
+    inv += [["gen", "--n", "21", "--seed", "12", "--out", "{tmp}/cap-21.json"],
+            ["gen", "--n", "16", "--seed", "12", "--out", "{tmp}/cap-16.json"]]
+    for problem, k in (("mwm", None), ("mkm", 2), ("densest", 4)):
+        inv.append(["oracle", "--instance", "{tmp}/cap-21.json", "--problem", problem, *_k(k)])
+    inv += [["oracle", "--instance", "{tmp}/cap-16.json", "--problem", "tsp"],
+            ["bench", "--problem", "tsp", "--n", "16", "--trials", "1"],
+            ["bench", "--problem", "mwm", "--n", "1"]]
 
     # generate and derive_preferences work 64 rows at a time: one and two blocks and a row,
     # on every family, and the verbs that read such a file

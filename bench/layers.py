@@ -280,6 +280,21 @@ def _run(cmd: list, **kwargs) -> str:
     return proc.stdout
 
 
+def checkout(tree: str) -> dict:
+    """The commit ``tree`` has checked out (``git rev-parse HEAD``) and whether its tracked files
+    match it (``git status --porcelain --untracked-files=no`` is empty), both None when ``tree``
+    is not the top of a git checkout. perfbench's stamp cannot tell: it names the HEAD of the
+    checkout a tree sits in, the parent commit for an uncommitted ``--change .``."""
+    try:
+        top, head = _run(["git", "-C", tree, "rev-parse", "--show-toplevel", "HEAD"]).splitlines()
+        if os.path.realpath(top) == os.path.realpath(tree):
+            status = _run(["git", "-C", tree, "status", "--porcelain", "--untracked-files=no"])
+            return {"head": head, "clean": status == ""}
+    except (OSError, RuntimeError):  # no git, or no checkout at all
+        pass
+    return {"head": None, "clean": None}
+
+
 def _child(tree: str, probe: str, *args) -> dict:
     """One probe in a fresh process that imports ``tree``'s ordmatch."""
     cmd = [sys.executable, os.path.abspath(__file__), "--probe", probe, *map(str, args)]
@@ -499,8 +514,10 @@ def main(argv=None) -> int:
                        for workload, seed, n in plan},
     }
     traced = {side: perfbench(tree, mode.traced, 0, 1) for side, tree in trees.items()}
-    # perfbench's own stamp, git_commit included, from each side's traced run
+    # perfbench's own stamp, git_commit included, from each side's traced run, and beside it
+    # the commit each tree holds and whether its tracked files are that commit's
     result["environment"] = {side: run["environment"] for side, run in traced.items()}
+    result["checkout"] = {side: checkout(tree) for side, tree in trees.items()}
     result[f"trace_{mode.traced.replace('-', '_')}_seed_0"] = {
         side: run["metrics"] for side, run in traced.items()}
     with open(args.out, "w", encoding="utf-8") as fh:

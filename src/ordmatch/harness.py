@@ -57,6 +57,7 @@ from .instance import (
     GeneratorSpec,
     PreferenceProfile,
     WeightedInstance,
+    _count,
     _integer,
     _number,
     _typed,
@@ -64,7 +65,7 @@ from .instance import (
     generate,
     render,
 )
-from .oracle import DEFAULT_BUDGET, OracleBudget, opt_densest, opt_k_sum, opt_matching, opt_tsp
+from .oracle import opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
     Clustering,
     Subset,
@@ -109,9 +110,7 @@ def hybrid_bound(n: int) -> float:
     Exactly 1.6 when n is divisible by 6; otherwise the rounding of the
     greedy prefix adds at most 7/(8*(2n-3)). n is an integer of at least 2.
     """
-    if (n := _integer(n, "n")) < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if n % 6 == 0:
+    if (n := _count(n, "n", 2)) % 6 == 0:
         return 1.6
     return 1.6 + 7.0 / (8.0 * (2 * n - 3))
 
@@ -146,7 +145,7 @@ class ProblemSpec:
     check: Callable  # (n, k, engine) raises ValueError; greedy adds no rule: optimum checks as it
     size: Callable  # (n, k) -> edges the matching engine must supply
     reduce: Callable  # (matchings, profile, k, gen) -> one solution per matching
-    oracle: Callable  # (inst, k, budget) -> the exact optimum
+    oracle: Callable  # (inst, k) -> the exact optimum
     bound: Callable  # (engine, n) -> the factor the harness defends
     kind: SolutionKind
     random_reduce: bool = False  # the reduction draws from gen, so greedy is randomized too
@@ -192,7 +191,7 @@ PROBLEMS = {
         check=_check_mwm,
         size=lambda n, k: n // 2,
         reduce=lambda m, profile, k, gen: m,
-        oracle=lambda inst, k, budget: opt_matching(inst, inst.n // 2, budget),
+        oracle=lambda inst, k: opt_matching(inst, inst.n // 2),
         bound=_alpha,
         kind=MATCHING,
     ),
@@ -201,7 +200,7 @@ PROBLEMS = {
         check=_check_mkm,
         size=lambda n, k: k,
         reduce=lambda m, profile, k, gen: m,
-        oracle=lambda inst, k, budget: opt_matching(inst, k, budget),
+        oracle=lambda inst, k: opt_matching(inst, k),
         bound=lambda engine, n: 2.0,
         kind=MATCHING,
     ),
@@ -210,7 +209,7 @@ PROBLEMS = {
         check=_check_ksum,
         size=lambda n, k: n // 2 if (n // k) % 2 == 0 else (n - k) // 2,
         reduce=lambda m, profile, k, gen: matchings_to_clusters(m, profile.n, k),
-        oracle=lambda inst, k, budget: opt_k_sum(inst, k, budget),
+        oracle=lambda inst, k: opt_k_sum(inst, k),
         bound=lambda engine, n: 2.0 * _alpha(engine, n),
         kind=CLUSTERING,
     ),
@@ -219,7 +218,7 @@ PROBLEMS = {
         check=_check_densest,
         size=lambda n, k: k // 2,
         reduce=lambda m, profile, k, gen: matchings_to_subsets(m),
-        oracle=lambda inst, k, budget: opt_densest(inst, k, budget),
+        oracle=lambda inst, k: opt_densest(inst, k),
         bound=lambda engine, n: 4.0,
         kind=SUBSET,
     ),
@@ -228,7 +227,7 @@ PROBLEMS = {
         check=_check_tsp,
         size=lambda n, k: n // 2,
         reduce=lambda m, profile, k, gen: matchings_to_tours(m, profile, gen),
-        oracle=lambda inst, k, budget: opt_tsp(inst, budget),
+        oracle=lambda inst, k: opt_tsp(inst),
         bound=lambda engine, n: 4.0 * _alpha(engine, n) / (3.0 - 4.0 / n),
         kind=TOUR,
         random_reduce=True,  # a tour starts at a random node
@@ -238,7 +237,7 @@ PROBLEMS = {
 
 def problem_spec(problem: str, algorithm: str, n: int, k: int | None) -> tuple:
     """The table row for ``problem`` and the canonical engine, once (algorithm, n, k) pass
-    its checks, n and k (when given) read by ``_integer``.
+    its checks, n read by ``_count`` as at least 2 and k (when given) by ``_integer``.
 
     ``algorithm`` is a string naming one of the row's engines; ``optimum`` checks as greedy,
     which every row admits. Every rejected input raises ValueError.
@@ -249,9 +248,7 @@ def problem_spec(problem: str, algorithm: str, n: int, k: int | None) -> tuple:
     if (engine := canonical_engine(algorithm)) not in spec.engines:
         raise ValueError(f"algorithm {algorithm!r} has no defended bound for {problem}; "
                          f"allowed: {spec.engines}")
-    if (n := _integer(n, "n")) < 2:
-        raise ValueError("n must be at least 2")
-    spec.check(n, None if k is None else _integer(k, "k"), engine)
+    spec.check(_count(n, "n", 2), None if k is None else _integer(k, "k"), engine)
     return spec, engine
 
 
@@ -351,13 +348,11 @@ def solve(problem: str, algorithm: str, inst: WeightedInstance, k: int | None, s
     return _payload(spec.kind, spec.kind.cls(inst.n, solutions[0].tolist()), inst)
 
 
-def optimum(
-    problem: str, inst: WeightedInstance, k: int | None, budget: OracleBudget = DEFAULT_BUDGET
-) -> dict:
+def optimum(problem: str, inst: WeightedInstance, k: int | None) -> dict:
     """The exact optimum for ``inst`` as a payload, valued as a bench record's opt. Its inputs
     are checked as greedy's, which every row admits and which adds no rule of its own."""
     spec = problem_spec(problem, "greedy", _typed(inst, WeightedInstance, "inst").n, k)[0]
-    return _payload(spec.kind, spec.oracle(inst, k, budget), inst)
+    return _payload(spec.kind, spec.oracle(inst, k), inst)
 
 
 @dataclass
@@ -377,7 +372,7 @@ class RatioReport:
         return _field_dict(self)
 
 
-def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> RatioReport:
+def run_trials(cfg: TrialConfig) -> RatioReport:
     """Bench one configuration and judge it against its bound.
 
     Per trial: a fresh instance (seed = base + trial index), the exact
@@ -399,7 +394,7 @@ def run_trials(cfg: TrialConfig, budget: OracleBudget = DEFAULT_BUDGET) -> Ratio
         spec = GeneratorSpec(cfg.family, cfg.n, dimension=cfg.dimension, seed=cfg.seed + t)
         inst = generate(spec)
         profile = derive_preferences(inst)
-        opt = row.kind.weigh(row.oracle(inst, cfg.k, budget), inst)
+        opt = row.kind.weigh(row.oracle(inst, cfg.k), inst)
         gen = np.random.default_rng(RandomSource.derived_seed(cfg.seed, t))
         values = np.concatenate([
             row.kind.values(
@@ -453,10 +448,15 @@ def _finite_or_null(obj):
 
 
 def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
-    """Render a report; json is strict (non-finite floats become null), csv is one row per record."""
-    rows = ((r["seed"], r["opt"], r["alg"], r["ratio"])
-            for r in _typed(report, RatioReport, "report").records)
-    return b"".join(render(fmt, _finite_or_null(report.to_dict()), "seed,opt,alg,ratio", rows))
+    """Render a report; json is strict (non-finite floats become null), csv is one row per record.
+    ValueError unless ``records`` is a list of dicts, each holding the four csv columns."""
+    columns = ("seed", "opt", "alg", "ratio")
+    records = _typed(report, RatioReport, "report").records
+    if not isinstance(records, list) or not all(
+            isinstance(r, dict) and r.keys() >= {*columns} for r in records):
+        raise ValueError(f"records must be a list of dicts with {', '.join(columns)}")
+    rows = ([r[c] for c in columns] for r in records)
+    return b"".join(render(fmt, _finite_or_null(report.to_dict()), ",".join(columns), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -523,24 +523,28 @@ def check_record(rec: Record) -> dict:
         ok = expected == actual if passed is None else passed
         checks.append({"name": name, "expected": expected, "actual": actual, "passed": ok})
 
-    n, ranking = _typed(rec, Record, "rec").profile.n, rec.profile.ranking.tolist()
-    matchings = list(_k_matchings(tuple(range(n)), rec.k))
+    profile = _typed(_typed(rec, Record, "rec").profile, PreferenceProfile, "profile")
+    n, ranking, k = profile.n, profile.ranking.tolist(), _count(rec.k, "k", 1)
+    matchings = list(_k_matchings(tuple(range(n)), k))
     index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
     value, opt = {}, {}
-    for s, (w, metric, claimed_opt) in rec.weightings.items():
+    for s, (w, metric, claimed_opt) in _typed(rec.weightings, dict, "weightings").items():
+        if (inst := WeightedInstance([[float(x) for x in row] for row in w])).n != n:
+            raise ValueError(f"weighting {s} must have the profile's {n} nodes, got {inst.n}")
         value[s] = [sum((w[u][v] for u, v in m), Fraction(0)) for m in matchings]
         opt[s] = max(value[s])
         ties = all(w[q][a] >= w[q][b] for q, r in enumerate(ranking) for a, b in zip(r, r[1:]))
         check(f"{s} consistent with the profile", True, ties)
         triangles = all(w[u][v] <= w[u][z] + w[z][v] for u, v, z in product(range(n), repeat=3))
         check(f"{s} metric", metric, triangles)
-        check(f"{s} optimum over all {len(matchings)} {rec.k}-matchings", claimed_opt, opt[s])
-        inst = WeightedInstance([[float(x) for x in row] for row in w])
-        oracle = matching_weight(opt_matching(inst, rec.k), inst)
+        check(f"{s} optimum over all {len(matchings)} {k}-matchings", claimed_opt, opt[s])
+        oracle = matching_weight(opt_matching(inst, k), inst)
         check(f"{s} float oracle optimum", opt[s], oracle, abs(oracle - float(opt[s])) <= 1e-12)
 
     for g in rec.games:
         label = f"{g.name}: " if g.name else ""
+        if not g.y.keys() <= value.keys():
+            raise ValueError(f"{label}y must name weightings of the record, got {list(g.y)}")
         det = (_worst({s: value[s][i] for s in g.y}, opt) for i in cols)
         check(f"{label}deterministic floor over all {len(matchings)} matchings", g.floor,
               min(filter(None, det), default=None))

@@ -42,9 +42,10 @@ def _integer(x, what: str) -> int:
 
 
 def _count(x, what: str, least: int = 0) -> int:
-    """x as a Python int (``_integer``) that is at least ``least`` (0 or 1)."""
+    """x as a Python int (``_integer``) that is at least ``least``."""
     if (x := _integer(x, what)) < least:
-        raise ValueError(f"{what} must be {'at least 1' if least else 'nonnegative'}, got {x}")
+        raise ValueError(f"{what} must be {f'at least {least}' if least else 'nonnegative'}, "
+                         f"got {x}")
     return x
 
 
@@ -496,11 +497,9 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {GENERATOR_FAMILIES}"
             )
-        for name, read in (("n", _integer), ("dimension", _integer), ("seed", _count),
-                           ("clusters", _integer)):
+        object.__setattr__(self, "n", _count(self.n, "n", 2))
+        for name, read in (("dimension", _integer), ("seed", _count), ("clusters", _integer)):
             object.__setattr__(self, name, read(getattr(self, name), name))
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
         if self.family in ("euclidean-uniform", "clustered-gaussian") and self.dimension < 1:
             raise ValueError(f"dimension must be positive, got {self.dimension}")
         if self.family == "clustered-gaussian" and self.clusters < 1:

@@ -2,7 +2,7 @@
 
 These see the hidden weights; they exist to score the ordinal algorithms,
 not to compete with them. Every solver passes one gate, ``_gate``: a size
-cap and a wall-clock ceiling from its ``OracleBudget``. Each breaks ties by
+cap and a wall-clock ceiling from ``DEFAULT_BUDGET``. Each breaks ties by
 the rule its docstring states, so repeated runs reproduce the same solution.
 """
 
@@ -16,13 +16,14 @@ import numpy as np
 
 from .core import Matching
 from .errors import BudgetError
-from .instance import WeightedInstance, _count, _integer, _number, _typed
+from .instance import WeightedInstance, _count, _integer, _typed
 from .reductions import Clustering, Subset, Tour, _parts
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Per-problem size caps plus a wall-clock ceiling per call."""
+    """Per-problem size caps plus a wall-clock ceiling per call: the record type of
+    ``DEFAULT_BUDGET``, the one budget every oracle call reads."""
 
     max_n_matching: int = 20
     max_n_k_sum: int = 16
@@ -30,25 +31,16 @@ class OracleBudget:
     max_n_tsp: int = 15
     time_limit: float = 60.0
 
-    def __post_init__(self):
-        """Each cap read as a count (``_count``), ``time_limit`` as a nonnegative number."""
-        for name in ("max_n_matching", "max_n_k_sum", "max_n_densest", "max_n_tsp"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if _number(self.time_limit, "time_limit") < 0:
-            raise ValueError(f"time_limit must be nonnegative, got {self.time_limit}")
-
 
 DEFAULT_BUDGET = OracleBudget()
 _HELD_KARP_CHUNK = 1 << 14  # entries per Held-Karp gather: its buffers (0.4 MB) stay in L2
 
 
-def _gate(what: str, inst: WeightedInstance, budget: OracleBudget) -> tuple:
-    """A ``what`` oracle call opened: ``inst``'s n and weights, and the clock check of its
-    ``budget``. ValueError unless ``inst`` is a ``WeightedInstance`` and ``budget`` an
-    ``OracleBudget``; BudgetError past its ``max_n_<what>`` cap or, from the clock, its time."""
-    n = _typed(inst, WeightedInstance, "inst").n
-    if not isinstance(budget, OracleBudget):
-        raise ValueError(f"budget must be an OracleBudget, got {budget!r}")
+def _gate(what: str, inst: WeightedInstance) -> tuple:
+    """A ``what`` oracle call opened: ``inst``'s n and weights, and the clock check of
+    ``DEFAULT_BUDGET`` as it reads now. ValueError unless ``inst`` is a ``WeightedInstance``;
+    BudgetError past the ``max_n_<what>`` cap or, from the clock, the time limit."""
+    n, budget = _typed(inst, WeightedInstance, "inst").n, DEFAULT_BUDGET
     if n > (cap := getattr(budget, "max_n_" + what.replace("-", "_"))):
         raise BudgetError(f"{what} oracle capped at n={cap}, got n={n}")
     t_end = time.monotonic() + budget.time_limit
@@ -92,7 +84,7 @@ def _matching_blocks(n: int) -> tuple:
     return tuple(blocks)
 
 
-def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Matching:
+def opt_matching(inst: WeightedInstance, k: int) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
     Bit b of a table index stands for node n - 1 - b, so the block of
@@ -103,7 +95,7 @@ def opt_matching(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_
     unmatched node with the smallest partner that still achieves the
     optimum, and zero-weight edges are pruned afterwards.
     """
-    n, w, clock = _gate("matching", inst, budget)
+    n, w, clock = _gate("matching", inst)
     kcap = min(_count(k, "k", 1), n // 2)
 
     # layers[j][mask] = best weight on mask using at most j edges. Without
@@ -163,16 +155,16 @@ def _subset_values(w: np.ndarray, k: int, clock) -> np.ndarray:
     return val
 
 
-def opt_densest(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Subset:
+def opt_densest(inst: WeightedInstance, k: int) -> Subset:
     """Exact densest k-subgraph: the lex-first maximum of ``_subset_values``."""
-    n, w, clock = _gate("densest", inst, budget)
+    n, w, clock = _gate("densest", inst)
     if not 1 <= (k := _integer(k, "k")) <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     top = int(_subset_values(w, k, clock).argmax())
     return Subset(n, tuple(_combinations(n, k)[:, top].tolist()))
 
 
-def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> Clustering:
+def opt_k_sum(inst: WeightedInstance, k: int) -> Clustering:
     """Exact max k-sum clustering by a forward DP over covered sets.
 
     Each part holds the lowest uncovered node; a covered set keeps its best
@@ -182,7 +174,7 @@ def opt_k_sum(inst: WeightedInstance, k: int, budget: OracleBudget = DEFAULT_BUD
     keeps its first best lex-ordered candidate: ties go to the lex-smallest
     partition whose every prefix has the best running sum for its covered set.
     """
-    n, w, clock = _gate("k-sum", inst, budget)
+    n, w, clock = _gate("k-sum", inst)
     k = _parts(n, k)
     c, full = n // k, (1 << n) - 1
     value = _subset_values(w, c, clock)
@@ -235,7 +227,7 @@ def _held_karp_steps(m: int) -> tuple:
     return tuple(steps)
 
 
-def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> Tour:
+def opt_tsp(inst: WeightedInstance) -> Tour:
     """Exact max-weight tour by Held-Karp DP over (mask, endpoint).
 
     Layer p, a value per mask of p free nodes and endpoint in it, is filled
@@ -245,7 +237,7 @@ def opt_tsp(inst: WeightedInstance, budget: OracleBudget = DEFAULT_BUDGET) -> To
     reconstruction reads the same tables back, taking the smallest endpoint
     achieving each DP value, and the lex-smaller of the two directions.
     """
-    n, w, clock = _gate("tsp", inst, budget)
+    n, w, clock = _gate("tsp", inst)
     if n < 3:
         raise ValueError(f"tsp oracle needs n >= 3, got {n}")
     m = n - 1  # nodes 1..n-1, stored as 0..m-1

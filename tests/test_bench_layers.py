@@ -289,3 +289,32 @@ def test_a_failed_run_names_its_command_exit_code_and_stderr(monkeypatch, call, 
     message = str(raised.value)
     assert command in message and " exited 1: " in message
     assert message.endswith(stderr[-2000:]) and "x" * 2000 not in message
+
+
+@pytest.mark.parametrize("status, expected", [("", {"head": "abc123", "clean": True}),
+                                              (" M src/ordmatch/oracle.py\n",
+                                               {"head": "abc123", "clean": False})])
+def test_checkout_names_the_commit_a_tree_holds(monkeypatch, tmp_path, status, expected):
+    """A checkout's HEAD and whether ``git status`` lists a changed tracked file; a tree inside
+    another checkout and a tree in none (git exits 128) are no checkout: both fields null."""
+    layers = load_layers()
+    top, seen = str(tmp_path), []
+
+    def ran(cmd, **kwargs):
+        seen.append(cmd)
+        if "rev-parse" in cmd:
+            return f"{top}\nabc123\n"
+        return status
+
+    monkeypatch.setattr(layers, "_run", ran)
+    assert layers.checkout(str(tmp_path)) == expected
+    assert seen == [["git", "-C", str(tmp_path), "rev-parse", "--show-toplevel", "HEAD"],
+                    ["git", "-C", str(tmp_path), "status", "--porcelain", "--untracked-files=no"]]
+    (tmp_path / "sub").mkdir()
+    assert layers.checkout(str(tmp_path / "sub")) == {"head": None, "clean": None}
+
+    def failed(cmd, **kwargs):
+        raise RuntimeError(f"{' '.join(cmd)} exited 128: fatal: not a git repository")
+
+    monkeypatch.setattr(layers, "_run", failed)
+    assert layers.checkout(str(tmp_path)) == {"head": None, "clean": None}

@@ -461,6 +461,18 @@ def test_every_verb_reads_seed_by_one_rule(verb, inst_path, capsys):
     assert (captured.out, captured.err) == ("", "error: seed must be nonnegative, got -1\n")
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-1"])
+def test_gen_and_bench_refuse_n_in_one_wording(n, capsys):
+    """bench wrote "n must be at least 2" without the value, where gen named it."""
+    errors = []
+    for verb in ("gen", "bench"):
+        assert main([*VERB_ARGV[verb], "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [f"error: n must be at least 2, got {n}\n"] * 2
+
+
 @pytest.mark.parametrize("verb", list(VERB_ARGV))
 def test_every_verb_writes_json_on_one_line(verb, inst_path, tmp_path, capsys):
     """JSON output is compact: one line, then a newline."""

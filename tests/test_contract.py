@@ -21,6 +21,7 @@ stay small, and huge integers go only where nothing is sized by them.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -34,14 +35,16 @@ from hypothesis import strategies as st
 
 import ordmatch
 from ordmatch import (
+    DEFAULT_BUDGET,
     GENERATOR_FAMILIES,
     Clustering,
     GeneratorSpec,
     Matching,
-    OracleBudget,
     Path,
     PreferenceProfile,
     RandomSource,
+    RatioReport,
+    Record,
     Subset,
     Tour,
     TrialConfig,
@@ -130,6 +133,13 @@ WRONG_CLASS = {
     "run_trials(None)": (lambda: run_trials(None), "cfg must be a TrialConfig"),
     "report_emit(None)": (lambda: report_emit(None), "report must be a RatioReport"),
     "check_record(None)": (lambda: check_record(None), "rec must be a Record"),
+    "check_record(profile None)": (lambda: check_record(Record("x", None, 1, {}, ())),
+                                   "profile must be a PreferenceProfile, got NoneType"),
+    "check_record(k None)": (lambda: check_record(Record("x", PROFILE, None, {}, ())),
+                             "k must be an integer, got None"),
+    "report_emit(records None)": (
+        lambda: report_emit(RatioReport(2, {}, 1.0, None, 1.0, 1.0, 0.0, True)),
+        "records must be a list of dicts with seed, opt, alg, ratio"),
     "generate(None)": (lambda: generate(None), "spec must be a GeneratorSpec"),
     "matchings_to_clusters(list)": (lambda: matchings_to_clusters([[[0, 1]]], 2, 1),
                                     "matchings must be a ndarray"),
@@ -192,6 +202,14 @@ VALUE_ARGUMENTS = {
                                                 "epsilon must be a number, got None"),
     "build_fixture_randomization_floor(inf)": (
         lambda: build_fixture_randomization_floor(math.inf), "epsilon must be finite, got inf"),
+    "check_record(weightings {})": (
+        lambda: check_record(dataclasses.replace(build_fixture_randomization_floor(),
+                                                 weightings={})),
+        "y must name weightings of the record, got ['tie-breaker', 'favorite-pair']"),
+    "check_record(profile n=6)": (
+        lambda: check_record(dataclasses.replace(build_fixture_randomization_floor(),
+                                                 profile=PROFILE)),
+        "weighting tie-breaker must have the profile's 6 nodes, got 4"),
     "matchings_to_clusters(batch, {}, 1)": (
         lambda: matchings_to_clusters(np.zeros((1, 1, 2), np.intp), {}, 1),
         "n must be an integer, got {}"),
@@ -208,7 +226,7 @@ def test_a_value_argument_is_read_by_its_rule(call, message):
 # The library property
 # ---------------------------------------------------------------------------
 
-WRONG_OBJECTS = [INST, PROFILE, MATCHING, CLUSTERING, SUBSET, PATH, TOUR, OracleBudget(),
+WRONG_OBJECTS = [INST, PROFILE, MATCHING, CLUSTERING, SUBSET, PATH, TOUR, DEFAULT_BUDGET,
                  GeneratorSpec("euclidean-uniform", 4), object()]
 # No positive number here: a size slot would allocate by it.
 JUNK = [None, True, False, np.int64(-2), np.float64(0.5), np.bool_(True), math.nan, math.inf,
@@ -247,11 +265,6 @@ def instances():
                                 generate(GeneratorSpec("clustered-gaussian", 5, seed=1))]))
 
 
-def budgets():
-    return arg(st.sampled_from([OracleBudget(), OracleBudget(3, 3, 3, 3), OracleBudget(
-        time_limit=0.0)]))
-
-
 def batches():
     m3 = hybrid_matchings(PROFILE, 3, np.random.default_rng(0))
     return arg(st.sampled_from([m3, m3[:, :2], m3[:, :1], np.zeros((2, 2), np.intp),
@@ -260,6 +273,21 @@ def batches():
 
 RECORDS = [build_fixture_randomization_floor(), build_fixture_mutual_top_pairs(2)]
 REPORT = run_trials(TrialConfig("mkm", "greedy", 4, trials=2, k=1))
+
+
+def records():
+    """A library record with its profile, k and weightings each kept or drawn from junk; its
+    name, weighting rows and games stay the library's."""
+    return arg(st.sampled_from(RECORDS).flatmap(lambda rec: st.builds(
+        Record, st.just(rec.name), arg(st.just(rec.profile)), arg(st.just(rec.k)),
+        arg(st.just(rec.weightings)), st.just(rec.games))))
+
+
+def reports():
+    """``REPORT`` with its records kept or drawn from junk."""
+    return arg(arg(st.just(REPORT.records)).map(
+        lambda rows: dataclasses.replace(REPORT, records=rows)))
+
 FLOATS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1e-9])
 TEXT = st.sampled_from(["mwm", "mkm", "ksum", "densest", "tsp", "greedy", "random", "hybrid",
                         "reduction-of(hybrid)", "json", "csv", "euclidean-uniform",
@@ -276,8 +304,6 @@ SIGNATURES = {
                       ints(huge=True)),
     "Matching": (ints(huge=True), arg(pairs())),
     "Matching.from_dict": (arg(st.fixed_dictionaries({"n": ints(), "edges": arg(pairs())})),),
-    "OracleBudget": (ints(huge=True), ints(huge=True), ints(huge=True), ints(huge=True),
-                     arg(FLOATS)),
     "Path": (ints(huge=True), arg(ids())),
     "PreferenceProfile": (arg(st.sampled_from([PROFILE.ranking, PROFILE.ranking.tolist(),
                                                [[1], [0]], [[1, 2], [2, 0], [0, 1]],
@@ -309,7 +335,7 @@ SIGNATURES = {
     "build_fixture_randomization_floor": (arg(st.sampled_from(
         [Fraction(1, 100), Fraction(1, 2), 0.25, 1])),),
     "check_friendship": (instances(), arg(FLOATS, huge=True)),
-    "check_record": (arg(st.sampled_from(RECORDS)),),
+    "check_record": (records(),),
     "cluster_weight": (arg(st.just(CLUSTERING)), instances()),
     "default_bound": (arg(TEXT), arg(TEXT), ints(huge=True), ints(huge=True)),
     "derive_preferences": (instances(),),
@@ -330,21 +356,20 @@ SIGNATURES = {
     "matchings_to_clusters": (batches(), ints(), ints()),
     "matchings_to_subsets": (batches(),),
     "matchings_to_tours": (batches(), arg(st.just(PROFILE)), arg(gens())),
-    "opt_densest": (instances(), ints(), budgets()),
-    "opt_k_sum": (instances(), ints(), budgets()),
-    "opt_matching": (instances(), ints(huge=True), budgets()),
-    "opt_tsp": (instances(), budgets()),
+    "opt_densest": (instances(), ints()),
+    "opt_k_sum": (instances(), ints()),
+    "opt_matching": (instances(), ints(huge=True)),
+    "opt_tsp": (instances(),),
     "path_completion": (arg(st.just(MATCHING)), arg(st.just(PROFILE)), arg(rngs()),
                         ints(huge=True)),
     "path_weight": (arg(st.just(PATH)), instances()),
     "profile_consistent": (arg(st.just(PROFILE)), instances()),
     "random_k_matching": (ints(), ints(), arg(rngs())),
     "random_k_matchings": (arg(ids()), ints(), ints(), arg(gens()), arg(st.none() | ids())),
-    "report_emit": (arg(st.just(REPORT)), arg(TEXT)),
+    "report_emit": (reports(), arg(TEXT)),
     "run_trials": (arg(st.builds(TrialConfig, st.sampled_from(["mwm", "tsp"]),
                                  st.sampled_from(["greedy", "hybrid"]), st.sampled_from([4, 6]),
-                                 trials=st.integers(1, 2), inner_samples=st.integers(2, 4))),
-                   budgets()),
+                                 trials=st.integers(1, 2), inner_samples=st.integers(2, 4))),),
     "save_instance": None,  # by ``test_paths``
     "subset_weight": (arg(st.just(SUBSET)), instances()),
     "tour_weight": (arg(st.just(TOUR)), instances()),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -24,7 +25,6 @@ from ordmatch import (
     Clustering,
     GeneratorSpec,
     Matching,
-    OracleBudget,
     Subset,
     Tour,
     WeightedInstance,
@@ -38,6 +38,7 @@ from ordmatch import (
     subset_weight,
     tour_weight,
 )
+from ordmatch import oracle
 from ordmatch.oracle import _combinations, _held_karp_steps, _matching_blocks
 
 EPS = 0.01
@@ -142,10 +143,12 @@ class TestOptMatching:
         with pytest.raises(BudgetError):
             opt_matching(big, 10)
 
-    def test_time_budget(self):
+    def test_time_budget(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean-uniform", 14, seed=0))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                            dataclasses.replace(DEFAULT_BUDGET, time_limit=0.0))
         with pytest.raises(BudgetError):
-            opt_matching(inst, 7, OracleBudget(time_limit=0.0))
+            opt_matching(inst, 7)
 
     @pytest.mark.parametrize("n,k", [(16, 8), (14, 4)])
     def test_all_ones_gives_lex_first_matching_at_desk_size(self, n, k):
@@ -173,10 +176,12 @@ class TestOptKSum:
         with pytest.raises(BudgetError):
             opt_k_sum(big, 3)
 
-    def test_time_budget(self):
+    def test_time_budget(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean-uniform", 10, seed=0))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                            dataclasses.replace(DEFAULT_BUDGET, time_limit=0.0))
         with pytest.raises(BudgetError):
-            opt_k_sum(inst, 5, OracleBudget(time_limit=0.0))
+            opt_k_sum(inst, 5)
 
     @pytest.mark.parametrize("n", [8, 14, 16])
     def test_pair_clusters_match_perfect_matching(self, n):
@@ -232,10 +237,12 @@ class TestOptDensest:
         with pytest.raises(BudgetError):
             opt_densest(big, 4)
 
-    def test_time_budget(self):
+    def test_time_budget(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean-uniform", 12, seed=0))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                            dataclasses.replace(DEFAULT_BUDGET, time_limit=0.0))
         with pytest.raises(BudgetError):
-            opt_densest(inst, 6, OracleBudget(time_limit=0.0))
+            opt_densest(inst, 6)
 
 
 class TestOptTsp:
@@ -260,10 +267,12 @@ class TestOptTsp:
         with pytest.raises(BudgetError):
             opt_tsp(big)
 
-    def test_time_budget(self):
+    def test_time_budget(self, monkeypatch):
         inst = generate(GeneratorSpec("euclidean-uniform", 12, seed=0))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                            dataclasses.replace(DEFAULT_BUDGET, time_limit=0.0))
         with pytest.raises(BudgetError):
-            opt_tsp(inst, OracleBudget(time_limit=0.0))
+            opt_tsp(inst)
 
 
 class TestAgainstFrozenBruteValues:
@@ -361,7 +370,7 @@ class TestAgainstScalarDP:
 
     @pytest.mark.parametrize("zero_one", [True, False])
     def test_densest_at_the_cap(self, zero_one):
-        n = OracleBudget().max_n_densest
+        n = DEFAULT_BUDGET.max_n_densest
         if zero_one:
             w = np.triu(np.random.default_rng(n).integers(0, 2, (n, n)), 1).astype(float)
             inst = WeightedInstance(w + w.T)
@@ -371,14 +380,15 @@ class TestAgainstScalarDP:
         for k in (1, 2, 3, n - 2, n - 1, n):
             assert opt_densest(inst, k) == Subset(n, scan_densest(w, k)), k
 
-    def test_densest_past_int16_indices(self):
+    def test_densest_past_int16_indices(self, monkeypatch):
         # n * n - 1 > 32767: a flat pair index must not wrap under a raised budget
         n = 200
         w = np.triu(np.random.default_rng(n).random((n, n)), 1)
         w[n - 2, n - 1] = 2.0  # the heaviest pair has the largest flat index
         inst = WeightedInstance(w + w.T)
-        budget = OracleBudget(max_n_densest=n)
-        assert opt_densest(inst, 2, budget) == Subset(n, scan_densest(inst.weights.tolist(), 2))
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                            dataclasses.replace(DEFAULT_BUDGET, max_n_densest=n))
+        assert opt_densest(inst, 2) == Subset(n, scan_densest(inst.weights.tolist(), 2))
 
     @pytest.mark.parametrize("n", [13, 14, 15])
     def test_tsp_tie_heavy_weights_up_to_the_cap(self, n):
@@ -389,7 +399,7 @@ class TestAgainstScalarDP:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_tsp_at_the_cap(self, family):
-        n = OracleBudget().max_n_tsp
+        n = DEFAULT_BUDGET.max_n_tsp
         inst = generate(GeneratorSpec(family, n, seed=0))
         assert opt_tsp(inst) == Tour(n, held_karp(inst.weights.tolist()))
 
@@ -487,7 +497,7 @@ class TestReachableSets:
     def test_large_n_matches_the_dense_block_dp(self, n):
         # the three families at every n, and a 0/1 matrix at the cap
         insts = [generate(GeneratorSpec(family, n, seed=n)) for family in FAMILIES]
-        if n == OracleBudget().max_n_matching:
+        if n == DEFAULT_BUDGET.max_n_matching:
             insts.append(tied_weights(n, 2, n))
         for inst in insts:
             for k in (1, 3, n // 2):

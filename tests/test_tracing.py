@@ -7,12 +7,16 @@ traced runs; these tests turn that into a Tier-1 failure. The file is
 loaded by path and only read.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import ordmatch
 import ordmatch.cli
+from ordmatch import oracle
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,3 +63,16 @@ def test_tracer_installs_and_uninstalls_cleanly(tmp_path):
     calls = tracer.summary(1.0)["calls"]
     assert calls["core.greedy_k_matching"] >= 1
     assert calls["cli.main"] == 1
+
+
+def test_the_time_limit_of_a_traced_run_is_the_oracles(monkeypatch):
+    """``perfbench/child.py`` divides a traced run's longest oracle call by
+    ``ordmatch.oracle.DEFAULT_BUDGET.time_limit`` (``oracle.budget_used_ratio``): the field is a
+    positive number, and it is the limit every oracle call's clock reads."""
+    limit = oracle.DEFAULT_BUDGET.time_limit
+    assert type(limit) in (int, float) and limit > 0
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET",
+                        dataclasses.replace(oracle.DEFAULT_BUDGET, time_limit=0.0))
+    inst = ordmatch.generate(ordmatch.GeneratorSpec("euclidean-uniform", 6))
+    with pytest.raises(ordmatch.BudgetError, match="^matching oracle exceeded its time budget$"):
+        ordmatch.opt_matching(inst, 3)

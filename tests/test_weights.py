@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ordmatch import (
-    DEFAULT_BUDGET,
     Clustering,
     GeneratorSpec,
     Matching,
@@ -161,7 +160,7 @@ def test_greedy_that_finds_the_optimum_reads_ratio_one(problem, k, n):
     for record in report.records:
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=record["seed"]))
         alg = solve(problem, "greedy", inst, k, record["seed"])
-        opt = optimum(problem, inst, k, DEFAULT_BUDGET)
+        opt = optimum(problem, inst, k)
         if {**alg, "value": None} == {**opt, "value": None}:
             found += 1
             assert alg["value"] == opt["value"] == record["opt"] == record["alg"]
