@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import fields
 
 from .harness import (
-    FIXTURES,
     PROBLEMS,
+    RECORDS,
     TrialConfig,
     check_record,
+    load_record,
     optimum,
     report_emit,
     run_trials,
@@ -70,8 +72,15 @@ def _cmd_bench(args):
     return [report_emit(report, args.format)], report.verdict
 
 
+def _record_names() -> list:
+    """The package's record files by name (less ``.json``), sorted; none is read."""
+    return sorted(f[:-5] for f in os.listdir(RECORDS) if f.endswith(".json"))
+
+
 def _cmd_fixtures(args):
-    data = [check_record(FIXTURES[name]()) for name in ([args.name] if args.name else FIXTURES)]
+    names = [args.name] if args.name else _record_names()
+    records = [load_record(os.path.join(RECORDS, f"{name}.json")) for name in names]
+    data = [check_record(r) for r in sorted(records, key=lambda r: (r.profile.n, r.name))]
     rows = (
         (fx["name"], c["name"], c["expected"], c["actual"], c["passed"])
         for fx in data
@@ -137,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=float, default=None, help="override the defended bound")
 
     p = verb("fixtures", _cmd_fixtures, [], "re-derive the lower-bound fixtures")
-    p.add_argument("--name", choices=sorted(FIXTURES), default=None)
+    p.add_argument("--name", choices=_record_names(), default=None)
 
     p = verb("verify-metric", _cmd_verify_metric, [instance], "check the triangle inequality")
     p.add_argument("--tol", type=float, default=0.0)

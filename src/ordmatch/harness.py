@@ -8,32 +8,30 @@ Both sides are weighed by one gather per objective (``core`` and
 ``reductions`` define them; ``SolutionKind`` pairs each with its scalar
 one-row form), so a greedy that finds the optimum reads ratio 1.0.
 
-The lower-bound fixtures are finite games. Each builder returns a
-``Record``: one preference profile, k, named rational weightings consistent
-with it, and ``Game`` claims. In a game Nature picks one of its weightings
-and the algorithm, seeing only the profile, picks a k-matching.
-``check_record`` verifies every claim in ``Fraction`` arithmetic, with no LP
-solver: each weighting's consistency, metric flag and optimum over all
-k-matchings (with the float ``opt_matching`` within 1e-12); the
-deterministic floor min_M max_s opt_s / w_s(M); each matching mixture x's
-worst ratio; and the certificate of Nature's mixture y over the normalized
-weightings w_s / opt_s, L = 1 / max_M sum_s y_s w_s(M) / opt_s. By weak
-duality no mixture concedes less than L; L is "exact" when a claimed x
-meets it.
+The lower-bound fixtures are finite games, each a ``Record``: one
+preference profile, k, named rational weightings consistent with it, and
+``Game`` claims. In a game Nature picks one of its weightings and the
+algorithm, seeing only the profile, picks a k-matching. ``check_record``
+verifies every claim in ``Fraction`` arithmetic, with no LP solver: each
+weighting's consistency, metric flag and optimum over all k-matchings (with
+the float ``opt_matching`` within 1e-12); the deterministic floor
+min_M max_s opt_s / w_s(M); each matching mixture x's worst ratio; and the
+certificate of Nature's mixture y over the normalized weightings
+w_s / opt_s, L = 1 / max_M sum_s y_s w_s(M) / opt_s. By weak duality no
+mixture concedes less than L; L is "exact" when a claimed x meets it.
 
-The three records: ``mixture-gap``'s floor over all 105 perfect matchings
-is 2, no matching's values total more than 6, and x = (2/5, 1/5, 3/10,
-1/10) with y = (1, 2, 3, 4)/10 meet at 3/5 of the optimum, L = 5/3 exact.
-``randomization-floor`` at eps = 1/100: x = (2/5 paired, 3/5 crossed)
-concedes exactly 5/4 and y = (200/497, 297/497) gives L = 497/398.
-``mutual-top-pairs`` (k = 1): uniform x and uniform y meet at 2n/(n+1) on
-the metric weightings, n/(1+(n-1)eps) on the lean ones, and exactly n at
-base weight 0, the eps -> 0 limit.
+A record is data: a JSON file under ``RECORDS``, named by its file, that
+``Record.to_dict`` writes and ``load_record`` reads by ``_LAYOUT``, every
+rational a string as ``str(Fraction)`` writes it. ``bench/records.py``
+derives the package's three records and writes their files; ``ordmatch
+fixtures`` checks them, the smallest profile first.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
 import statistics
 from dataclasses import dataclass, fields
@@ -156,9 +154,9 @@ def _check_mwm(n, k, engine):
         raise ValueError(f"mwm takes no k (its matching is perfect), got k={k}")
 
 
-def _check_mkm(n, k, engine):
+def _check_mkm(n, k, engine, what="mkm"):
     if k is None or not 1 <= k <= n // 2:
-        raise ValueError(f"mkm needs 1 <= k <= n//2, got k={k}, n={n}")
+        raise ValueError(f"{what} needs 1 <= k <= n//2, got k={k}, n={n}")
 
 
 def _check_ksum(n, k, engine):
@@ -464,6 +462,15 @@ def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# The package's record files, one per lower-bound fixture, each named by its file.
+RECORDS = os.path.join(os.path.dirname(__file__), "records")
+
+
+def _text(q) -> str | None:
+    """A rational as ``str`` writes its ``Fraction`` ("5/3"), None (infinite) as null."""
+    return None if q is None else str(Fraction(q))
+
+
 @dataclass(frozen=True)
 class Game:
     """Nature picks a weighting named in ``y``, the algorithm a k-matching.
@@ -477,6 +484,13 @@ class Game:
     floor: Fraction | None
     bound: Fraction
 
+    def to_dict(self) -> dict:
+        mixtures = {label: {"x": [{"matching": [list(e) for e in m], "p": _text(p)}
+                                  for m, p in x.items()], "ratio": _text(ratio)}
+                    for label, (x, ratio) in self.mixtures.items()}
+        return {"name": self.name, "y": {s: _text(p) for s, p in self.y.items()},
+                "mixtures": mixtures, "floor": _text(self.floor), "bound": _text(self.bound)}
+
 
 @dataclass(frozen=True)
 class Record:
@@ -487,6 +501,70 @@ class Record:
     k: int
     weightings: dict
     games: tuple
+
+    def to_dict(self) -> dict:
+        """The layout of a record file, which ``load_record`` reads; the name is the file's."""
+        weightings = {s: {"rows": [list(map(_text, row)) for row in rows], "metric": metric,
+                          "opt": _text(opt)} for s, (rows, metric, opt) in self.weightings.items()}
+        return {"ranking": self.profile.ranking.tolist(), "k": self.k, "weightings": weightings,
+                "games": [g.to_dict() for g in self.games]}
+
+
+def _record_k(k, n: int) -> int:
+    """A record's k: an integer in 1..n//2, as mkm reads it, so a k-matching exists."""
+    _check_mkm(n, k := _integer(k, "k"), None, "record")
+    return k
+
+
+# A record file's layout, as ``_read`` reads it: {key: shape} an object with just those keys,
+# {str: shape} one keyed by name, [shape] a list, Fraction a string as ``str(Fraction)`` writes
+# it and (Fraction, None) one that may be null (infinite).
+_LAYOUT = {
+    "ranking": [[int]], "k": int,
+    "weightings": {str: {"rows": [[Fraction]], "metric": bool, "opt": Fraction}},
+    "games": [{"name": str, "y": {str: Fraction},
+               "mixtures": {str: {"x": [{"matching": [[int]], "p": Fraction}],
+                                  "ratio": (Fraction, None)}},
+               "floor": (Fraction, None), "bound": Fraction}],
+}
+
+
+def _read(x, shape, what: str):
+    """``x``, as ``json`` parsed it, read by its ``_LAYOUT`` shape; ValueError names its path."""
+    if isinstance(shape, list):
+        return [_read(v, shape[0], f"{what}[{i}]") for i, v in enumerate(_typed(x, list, what))]
+    if isinstance(shape, dict) and str in shape:
+        return {s: _read(v, shape[str], f"{what}[{s!r}]") for s, v in _typed(x, dict, what).items()}
+    if isinstance(shape, dict):
+        if not isinstance(x, dict) or x.keys() != shape.keys():
+            got = list(x) if isinstance(x, dict) else type(x).__name__
+            raise ValueError(f"{what} must be an object with keys {', '.join(shape)}, got {got}")
+        return {key: _read(x[key], s, f"{what}.{key}") for key, s in shape.items()}
+    if shape is int:
+        return _integer(x, what)
+    if shape not in (Fraction, (Fraction, None)):
+        return _typed(x, shape, what)
+    if x is None and shape != Fraction:
+        return None
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", x) and str(
+            q := Fraction(x)) == x:
+        return q
+    raise ValueError(f"{what} must be a rational written as str(Fraction) writes it, got {x!r}")
+
+
+def load_record(path) -> Record:
+    """The record in the JSON file at ``path``, named by the file; ValueError for a file not in
+    ``_LAYOUT`` (a float, "10/6", a missing or extra key), or for k, y or mixtures by the rules
+    ``check_record`` reads them by."""
+    with open(_typed(path, (str, os.PathLike), "path"), encoding="utf-8") as fh:
+        d = _read(json.load(fh), _LAYOUT, "record")
+    profile = PreferenceProfile(d["ranking"])
+    games = tuple(Game(g["name"], g["y"], {
+        label: ({tuple(map(tuple, e["matching"])): e["p"] for e in m["x"]}, m["ratio"])
+        for label, m in g["mixtures"].items()}, g["floor"], g["bound"]) for g in d["games"])
+    return Record(os.path.splitext(os.path.basename(path))[0], profile,
+                  _record_k(d["k"], profile.n),
+                  {s: (w["rows"], w["metric"], w["opt"]) for s, w in d["weightings"].items()}, games)
 
 
 def _k_matchings(nodes: tuple, k: int):
@@ -524,7 +602,8 @@ def check_record(rec: Record) -> dict:
         checks.append({"name": name, "expected": expected, "actual": actual, "passed": ok})
 
     profile = _typed(_typed(rec, Record, "rec").profile, PreferenceProfile, "profile")
-    n, ranking, k = profile.n, profile.ranking.tolist(), _count(rec.k, "k", 1)
+    n, ranking = profile.n, profile.ranking.tolist()
+    k = _record_k(rec.k, n)
     matchings = list(_k_matchings(tuple(range(n)), k))
     index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
     value, opt = {}, {}
@@ -541,15 +620,15 @@ def check_record(rec: Record) -> dict:
         oracle = matching_weight(opt_matching(inst, k), inst)
         check(f"{s} float oracle optimum", opt[s], oracle, abs(oracle - float(opt[s])) <= 1e-12)
 
-    for g in rec.games:
-        label = f"{g.name}: " if g.name else ""
-        if not g.y.keys() <= value.keys():
+    for g in _typed(rec.games, (tuple, list), "games"):
+        label = f"{g.name}: " if _typed(g, Game, "game").name else ""
+        if not _typed(g.y, dict, "y").keys() <= value.keys():
             raise ValueError(f"{label}y must name weightings of the record, got {list(g.y)}")
         det = (_worst({s: value[s][i] for s in g.y}, opt) for i in cols)
         check(f"{label}deterministic floor over all {len(matchings)} matchings", g.floor,
               min(filter(None, det), default=None))
         ratios = []
-        for name, (x, claimed) in g.mixtures.items():
+        for name, (x, claimed) in _typed(g.mixtures, dict, "mixtures").items():
             actual = "not a mixture of k-matchings"
             if x.keys() <= index.keys() and _is_distribution(x):
                 expect = {s: sum(p * value[s][index[m]] for m, p in x.items()) for s in g.y}
@@ -566,100 +645,3 @@ def check_record(rec: Record) -> dict:
             ok = str(actual) == str(expected) and (best is None or bound <= best)
         check(f"{label}lower bound L from y", expected, actual, ok)
     return {"name": rec.name, "passed": all(c["passed"] for c in checks), "checks": checks}
-
-
-def _weighting(n: int, base, edges: dict) -> list:
-    """Symmetric rational rows: ``base`` off the diagonal, then ``edges`` {(u, v): weight}."""
-    w = [[Fraction(0 if u == v else base) for v in range(n)] for u in range(n)]
-    for (u, v), x in edges.items():
-        w[u][v] = w[v][u] = Fraction(x)
-    return w
-
-
-def _matching(spec: str) -> tuple:
-    """'01|23' -> ((0, 1), (2, 3)), for single-digit nodes."""
-    return tuple((int(e[0]), int(e[1])) for e in spec.split("|"))
-
-
-def build_fixture_randomization_floor(epsilon: Fraction = Fraction(1, 100)) -> Record:
-    """4 nodes, two metric weightings: every fixed matching concedes 3/2 (epsilon < 1/3),
-    x = 2/5 paired + 3/5 crossed exactly 5/4, and y proves L = (5 - 3 eps)/(4 - 2 eps)."""
-    eps = Fraction(epsilon if isinstance(epsilon, Fraction) else _number(epsilon, "epsilon"))
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    weightings = {
-        "tie-breaker": (_weighting(4, 1, {(2, 3): eps}), True, Fraction(2)),
-        "favorite-pair": (_weighting(4, 1, {(0, 1): 2}), True, Fraction(3)),
-    }
-    x = {_matching("01|23"): Fraction(2, 5), _matching("02|13"): Fraction(3, 5)}
-    y = {"tie-breaker": 2 / (5 - 3 * eps), "favorite-pair": (3 - 3 * eps) / (5 - 3 * eps)}
-    game = Game("", y, {"x": (x, Fraction(5, 4))}, min(Fraction(3, 2), 2 / (1 + eps)),
-                (5 - 3 * eps) / (4 - 2 * eps))
-    profile = PreferenceProfile(((1, 2, 3), (0, 3, 2), (0, 1, 3), (1, 0, 2)))
-    return Record("randomization-floor", profile, 2, weightings, (game,))
-
-
-def build_fixture_mutual_top_pairs(n_pairs: int = 3, epsilon: Fraction = Fraction(1, 100)) -> Record:
-    """2n nodes in mutually top-ranked pairs, one of them heavy, k = 1: uniform guesses
-    and uniform y meet at 2n/(n+1) (metric), n/(1+(n-1)eps) (lean) and n (limit)."""
-    if _integer(n_pairs, "n_pairs") < 2:
-        raise ValueError("need at least 2 pairs")
-    eps = Fraction(epsilon if isinstance(epsilon, Fraction) else _number(epsilon, "epsilon"))
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("epsilon must be in (0, 1/2)")
-    n, size = n_pairs, 2 * n_pairs
-    # each node ranks its pair partner q ^ 1 first, then the rest by index
-    profile = PreferenceProfile(
-        [[q ^ 1] + [j for j in range(size) if j not in (q, q ^ 1)] for q in range(size)]
-    )
-    guess = {((2 * i, 2 * i + 1),): Fraction(1, n) for i in range(n)}
-    weightings, games = {}, []
-    for game, base, heavy, ratio, floor in (
-        ("metric", 1, 2, Fraction(2 * n, n + 1), Fraction(2)),
-        ("lean", eps, 1, n / (1 + (n - 1) * eps), 1 / eps),
-        ("limit", 0, 1, Fraction(n), None),
-    ):
-        names = [f"{game}-heavy-{s}" for s in range(n)]
-        for s, name in enumerate(names):
-            rows = _weighting(size, base, {(2 * s, 2 * s + 1): heavy})
-            weightings[name] = (rows, game == "metric", heavy)
-        y = dict.fromkeys(names, Fraction(1, n))
-        games.append(Game(game, y, {"uniform pair guess": (guess, ratio)}, floor, ratio))
-    return Record("mutual-top-pairs", profile, 1, weightings, tuple(games))
-
-
-def build_fixture_mixture_gap() -> Record:
-    """8 nodes ranking each other by index, optima 1, 2, 3, 4: every matching mixture
-    concedes 5/3 (L exact at x and y = (1, 2, 3, 4)/10), the uniform one over six 3."""
-    size = 8
-    edge_sets = (
-        {(0, 1)},
-        {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)},
-        {(u, v) for u in (0, 1) for v in range(u + 1, size)} | {(2, 3)},
-        {(u, v) for u in range(4) for v in range(u + 1, size)},
-    )
-    weightings = {
-        f"weighting-{s + 1}": (_weighting(size, 0, dict.fromkeys(edges, 1)), s == 3, s + 1)
-        for s, edges in enumerate(edge_sets)
-    }
-    x = {_matching("01|23|45|67"): Fraction(2, 5), _matching("01|24|35|67"): Fraction(1, 5),
-         _matching("02|13|45|67"): Fraction(3, 10), _matching("04|15|26|37"): Fraction(1, 10)}
-    six = ("01|23|45|67", "01|24|35|67", "02|13|45|67", "02|14|35|67", "04|15|26|37", "04|15|23|67")
-    uniform = dict.fromkeys(map(_matching, six), Fraction(1, 6))
-    mixtures = {"x": (x, Fraction(5, 3)), "uniform over six benchmark matchings": (uniform, 3)}
-    y = {name: Fraction(s + 1, 10) for s, name in enumerate(weightings)}
-    profile = PreferenceProfile([[j for j in range(size) if j != q] for q in range(size)])
-    game = Game("", y, mixtures, 2, Fraction(5, 3))
-    return Record("mixture-gap", profile, size // 2, weightings, (game,))
-
-
-FIXTURES = {
-    "randomization-floor": build_fixture_randomization_floor,
-    "mutual-top-pairs": build_fixture_mutual_top_pairs,
-    "mixture-gap": build_fixture_mixture_gap,
-}
-
-
-def all_fixtures() -> list[dict]:
-    """Every fixture's record, checked by ``check_record``."""
-    return [check_record(build()) for build in FIXTURES.values()]

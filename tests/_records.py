@@ -1,0 +1,26 @@
+"""``bench/records.py``, the script that derives the package's record files, loaded by path,
+and those files."""
+
+import importlib.util
+import os
+
+from ordmatch import check_record, load_record
+from ordmatch.harness import RECORDS
+
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "records.py")
+_spec = importlib.util.spec_from_file_location("bench_records", SCRIPT)
+script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(script)
+
+build_fixture_randomization_floor = script.build_fixture_randomization_floor
+build_fixture_mutual_top_pairs = script.build_fixture_mutual_top_pairs
+build_fixture_mixture_gap = script.build_fixture_mixture_gap
+
+# The package's record files, by name.
+FILES = {f[:-5]: os.path.join(RECORDS, f) for f in sorted(os.listdir(RECORDS))
+         if f.endswith(".json")}
+
+
+def all_fixtures() -> list:
+    """Every record file's ``check_record`` output, in the order of the file names."""
+    return [check_record(load_record(path)) for path in FILES.values()]

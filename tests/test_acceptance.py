@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from _chi2 import chi_square_p
+from _records import all_fixtures, build_fixture_mutual_top_pairs
 
 from ordmatch import (
     GeneratorSpec,
@@ -22,8 +23,6 @@ from ordmatch import (
     Tour,
     TrialConfig,
     WeightedInstance,
-    all_fixtures,
-    build_fixture_mutual_top_pairs,
     check_friendship,
     check_record,
     derive_preferences,

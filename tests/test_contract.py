@@ -5,7 +5,8 @@ type (``AttributeError`` or ``TypeError``), or as a ValueError that named no
 rule, before it was typed where its layer first reads it.
 
 The properties call every callable that ``ordmatch`` exports, plus
-``from_dict``, ``position`` and ``prefers``, with arguments drawn from a mix
+``from_dict``, ``position``, ``prefers`` and the record builders of
+``bench/records.py``, with arguments drawn from a mix
 of valid values and junk: None, booleans, numpy scalars, NaN, +-inf,
 negatives, huge integers, strings, lists and objects of the wrong class. A
 call returns or raises ValueError (OSError too for a path). Every CLI verb
@@ -15,8 +16,9 @@ value of a flag that several verbs share (--seed, --format, --n, --k) is
 accepted by all of them or by none, save the cases
 ``SHARED_FLAG_EXCEPTIONS`` lists.
 
-Hypothesis runs derandomized, with no example database and a fixed
-``max_examples``. Sizes that allocate (n, k, draws, trials, inner samples)
+Hypothesis runs derandomized, with no example database, a fixed
+``max_examples`` and no shrink phase, so a failing property reports its first
+failing example in seconds. Sizes that allocate (n, k, draws, trials, inner samples)
 stay small, and huge integers go only where nothing is sized by them.
 """
 
@@ -26,11 +28,13 @@ import io
 import json
 import math
 import re
+import shutil
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import ordmatch
@@ -49,9 +53,6 @@ from ordmatch import (
     Tour,
     TrialConfig,
     WeightedInstance,
-    build_fixture_mixture_gap,
-    build_fixture_mutual_top_pairs,
-    build_fixture_randomization_floor,
     check_record,
     cluster_weight,
     derive_preferences,
@@ -62,6 +63,7 @@ from ordmatch import (
     hybrid_bound,
     hybrid_matchings,
     load_instance,
+    load_record,
     matching_to_clusters,
     matching_to_subset,
     matching_to_tour,
@@ -84,11 +86,20 @@ from ordmatch import (
 from ordmatch import harness
 from ordmatch.cli import main
 
+from _records import (
+    FILES,
+    build_fixture_mutual_top_pairs,
+    build_fixture_randomization_floor,
+    script,
+)
 
 
 def fixed(examples):
-    """The settings every property runs under: ``examples`` cases, the same on every run."""
+    """The settings every property runs under: ``examples`` cases, the same on every run. No
+    shrink phase: each step of it repeats a whole sweep, so a failing sweep took minutes to
+    report, not seconds."""
     return settings(derandomize=True, database=None, deadline=None, max_examples=examples,
+                    phases=(Phase.explicit, Phase.reuse, Phase.generate),
                     suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -100,6 +111,7 @@ SUBSET = Subset(6, (0, 1, 2, 3))
 PATH = Path(6, (0, 1, 2))
 TOUR = Tour(6, (0, 1, 2, 3, 4, 5))
 LIST_INST = [[0.0, 1.0], [1.0, 0.0]]
+FLOOR = build_fixture_randomization_floor()
 
 # ---------------------------------------------------------------------------
 # Named cases
@@ -137,6 +149,16 @@ WRONG_CLASS = {
                                    "profile must be a PreferenceProfile, got NoneType"),
     "check_record(k None)": (lambda: check_record(Record("x", PROFILE, None, {}, ())),
                              "k must be an integer, got None"),
+    "check_record(games (None,))": (
+        lambda: check_record(dataclasses.replace(FLOOR, games=(None,))),
+        "game must be a Game, got NoneType"),
+    "check_record(y None)": (
+        lambda: check_record(dataclasses.replace(FLOOR, games=(
+            dataclasses.replace(FLOOR.games[0], y=None),))), "y must be a dict, got NoneType"),
+    "check_record(mixtures None)": (
+        lambda: check_record(dataclasses.replace(FLOOR, games=(
+            dataclasses.replace(FLOOR.games[0], mixtures=None),))),
+        "mixtures must be a dict, got NoneType"),
     "report_emit(records None)": (
         lambda: report_emit(RatioReport(2, {}, 1.0, None, 1.0, 1.0, 0.0, True)),
         "records must be a list of dicts with seed, opt, alg, ratio"),
@@ -195,6 +217,10 @@ VALUE_ARGUMENTS = {
     "load_instance(5)": (lambda: load_instance(5), "path must be a str or PathLike, got int"),
     "save_instance(inst, None)": (lambda: save_instance(INST, None),
                                   "path must be a str or PathLike, got NoneType"),
+    "check_record(k 3)": (lambda: check_record(dataclasses.replace(FLOOR, k=3)),
+                          "record needs 1 <= k <= n//2, got k=3, n=4"),
+    "check_record(k 0)": (lambda: check_record(dataclasses.replace(FLOOR, k=0)),
+                          "record needs 1 <= k <= n//2, got k=0, n=4"),
     # found by the properties below
     "build_fixture_mutual_top_pairs(None)": (lambda: build_fixture_mutual_top_pairs(None),
                                              "n_pairs must be an integer, got None"),
@@ -271,7 +297,7 @@ def batches():
                                 np.zeros((1, 0, 2), np.intp)]))
 
 
-RECORDS = [build_fixture_randomization_floor(), build_fixture_mutual_top_pairs(2)]
+RECORDS = [FLOOR, build_fixture_mutual_top_pairs(2)]
 REPORT = run_trials(TrialConfig("mkm", "greedy", 4, trials=2, k=1))
 
 
@@ -328,12 +354,6 @@ SIGNATURES = {
         {"weights": arg(st.just(LIST_INST))},
         optional={"n": ints(huge=True), "metric": arg(st.booleans()),
                   "meta": arg(st.just({}))})),),
-    "all_fixtures": (),
-    "build_fixture_mixture_gap": (),
-    "build_fixture_mutual_top_pairs": (ints(2, 4), arg(st.sampled_from(
-        [Fraction(1, 100), Fraction(1, 3), 0.25, 1]))),
-    "build_fixture_randomization_floor": (arg(st.sampled_from(
-        [Fraction(1, 100), Fraction(1, 2), 0.25, 1])),),
     "check_friendship": (instances(), arg(FLOATS, huge=True)),
     "check_record": (records(),),
     "cluster_weight": (arg(st.just(CLUSTERING)), instances()),
@@ -349,6 +369,7 @@ SIGNATURES = {
     "hybrid_matching": (arg(st.just(PROFILE)), arg(rngs())),
     "hybrid_matchings": (arg(st.just(PROFILE)), ints(), arg(gens())),
     "load_instance": None,  # by ``test_paths``: a path needs the temporary directory
+    "load_record": None,  # by ``test_paths``
     "matching_to_clusters": (arg(st.just(MATCHING)), ints(huge=True)),
     "matching_to_subset": (arg(st.just(MATCHING)), ints(huge=True)),
     "matching_to_tour": (arg(st.just(MATCHING)), arg(st.just(PROFILE)), arg(rngs())),
@@ -374,6 +395,12 @@ SIGNATURES = {
     "subset_weight": (arg(st.just(SUBSET)), instances()),
     "tour_weight": (arg(st.just(TOUR)), instances()),
     "validate_metric": (instances(), arg(FLOATS, huge=True)),
+    # the builders of the package's record files, in ``bench/records.py``
+    "records.build_fixture_mixture_gap": (),
+    "records.build_fixture_mutual_top_pairs": (ints(2, 4), arg(st.sampled_from(
+        [Fraction(1, 100), Fraction(1, 3), 0.25, 1]))),
+    "records.build_fixture_randomization_floor": (arg(st.sampled_from(
+        [Fraction(1, 100), Fraction(1, 2), 0.25, 1])),),
 }
 
 
@@ -381,13 +408,16 @@ def _callable(name):
     owner, _, attr = name.rpartition(".")
     if attr in ("position", "prefers"):  # on the n=6 profile
         return getattr(PROFILE, attr)
+    if owner == "records":
+        return getattr(script, attr)
     return getattr(getattr(ordmatch, owner) if owner else ordmatch, attr)
 
 
 def test_every_public_callable_has_a_signature():
     exported = {name for name in ordmatch.__all__ if callable(getattr(ordmatch, name))}
     extra = {"Matching.from_dict", "PreferenceProfile.from_dict", "WeightedInstance.from_dict",
-             "PreferenceProfile.position", "PreferenceProfile.prefers"}
+             "PreferenceProfile.position", "PreferenceProfile.prefers",
+             *(f"records.{build.__name__}" for build in script.BUILDERS)}
     assert set(SIGNATURES) == exported | extra
 
 
@@ -410,15 +440,33 @@ def test_every_call_returns_or_raises_value_error(data):
                 pass
 
 
+def test_a_broken_callable_fails_the_property_within_10_s(monkeypatch):
+    """A stand-in ``greedy_ratio_bound`` that raises TypeError on junk, as one that skipped its
+    input rule would. With the shrink phase each step re-ran the whole sweep, and a failure like
+    this took 147.9 s to report."""
+    def broken(alpha, fraction):
+        if not isinstance(alpha, float):
+            raise TypeError(f"broken on {alpha!r}")
+        return greedy_ratio_bound(alpha, fraction)
+
+    monkeypatch.setattr(ordmatch, "greedy_ratio_bound", broken)
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="^broken on "):
+        test_every_call_returns_or_raises_value_error()
+    assert time.perf_counter() - start < 10.0
+
+
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
-    """Valid and refused paths: an instance file, a missing one, a directory, a non-JSON file
-    and a JSON list."""
+    """Valid and refused paths: an instance file, a record file, a missing one, a directory, a
+    non-JSON file and a JSON list."""
     root = tmp_path_factory.mktemp("contract")
     save_instance(INST, root / "inst.json")
+    shutil.copy(FILES["mixture-gap"], root / "record.json")
     (root / "junk.json").write_text("not json")
     (root / "list.json").write_text("[1, 2]")
-    return {"good": str(root / "inst.json"), "missing": str(root / "missing.json"),
+    return {"good": str(root / "inst.json"), "record": str(root / "record.json"),
+            "missing": str(root / "missing.json"),
             "directory": str(root), "junk": str(root / "junk.json"),
             "list": str(root / "list.json"), "new": root / "new.json",
             "nested": str(root / "no" / "such" / "dir.json")}
@@ -427,15 +475,18 @@ def paths(tmp_path_factory):
 @fixed(30)
 @given(data=st.data())
 def test_paths(paths, data):
-    """``load_instance`` and ``save_instance`` return, or raise ValueError or OSError."""
+    """``load_instance``, ``load_record`` and ``save_instance`` return, or raise ValueError or
+    OSError."""
     # no junk string: save_instance would write it as a path in the working directory
     path = data.draw(st.sampled_from([*paths.values(), *(j for j in JUNK if type(j) is not str)]),
                      label="path")
+    call = data.draw(st.sampled_from(["save_instance", "load_instance", "load_record"]),
+                     label="call")
     try:
-        if data.draw(st.booleans(), label="save"):
+        if call == "save_instance":
             save_instance(data.draw(instances(), label="inst"), path)
         else:
-            load_instance(path)
+            getattr(ordmatch, call)(path)
     except (ValueError, OSError):
         pass
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 import statistics
 from fractions import Fraction
 
@@ -16,10 +17,6 @@ from ordmatch import (
     RatioReport,
     TrialConfig,
     WeightedInstance,
-    all_fixtures,
-    build_fixture_mixture_gap,
-    build_fixture_mutual_top_pairs,
-    build_fixture_randomization_floor,
     check_record,
     default_bound,
     derive_preferences,
@@ -27,6 +24,7 @@ from ordmatch import (
     greedy_k_matching,
     hybrid_bound,
     hybrid_matching,
+    load_record,
     matching_to_clusters,
     matching_to_subset,
     matching_to_tour,
@@ -42,6 +40,15 @@ from ordmatch import (
 from ordmatch import harness
 from ordmatch.cli import main
 from ordmatch.harness import canonical_engine
+
+from _records import (
+    FILES,
+    all_fixtures,
+    build_fixture_mixture_gap,
+    build_fixture_mutual_top_pairs,
+    build_fixture_randomization_floor,
+    script,
+)
 
 
 def get_check(fx, name):
@@ -472,15 +479,106 @@ class TestCheckerRejects:
         assert _failing(bad) == {"x worst ratio"}
 
     @pytest.mark.parametrize("name", ["randomization-floor", "mixture-gap"])
-    def test_cli_exits_one(self, name, monkeypatch, capsys):
-        rec = harness.FIXTURES[name]()
+    def test_cli_exits_one(self, name, monkeypatch, capsys, tmp_path):
+        rec = load_record(FILES[name])
         y = {s: p * Fraction(9, 10) for s, p in rec.games[0].y.items()}
         bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
-        monkeypatch.setitem(harness.FIXTURES, name, lambda: bad)
+        shutil.copytree(harness.RECORDS, tmp_path, dirs_exist_ok=True)  # the same --name choices
+        (tmp_path / f"{name}.json").write_text(script.text(bad))
+        monkeypatch.setattr("ordmatch.cli.RECORDS", str(tmp_path))
         assert main(["fixtures", "--name", name]) == 1
         (fx,) = json.loads(capsys.readouterr().out)
         assert fx["passed"] is False
         assert [c["name"] for c in fx["checks"] if not c["passed"]] == ["lower bound L from y"]
+
+
+BUILDERS = {build().name: build for build in script.BUILDERS}
+BOUND = "record.games[0].bound must be a rational written as str(Fraction) writes it, got "
+
+
+class TestRecordFiles:
+    """The package's record files: each is its builder's record, and ``load_record`` reads
+    nothing but ``Record.to_dict``'s layout."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_a_file_checks_as_its_builder(self, name):
+        built, read = check_record(BUILDERS[name]()), check_record(load_record(FILES[name]))
+        assert read["passed"] and read == built  # check for check, string for string
+
+    def test_the_files_are_what_the_script_writes(self, capsys):
+        assert script.main(["--check"]) == 0
+
+    def test_check_fails_on_a_drifted_file(self, monkeypatch, tmp_path, capsys):
+        shutil.copytree(harness.RECORDS, tmp_path, dirs_exist_ok=True)
+        drifted = tmp_path / "mixture-gap.json"
+        drifted.write_text(drifted.read_text().replace('"5/3"', '"5/3" ', 1))  # one byte, same JSON
+        monkeypatch.setattr(script, "RECORDS", str(tmp_path))
+        assert script.main(["--check"]) == 1
+        assert "mixture-gap.json differs" in capsys.readouterr().err
+        assert drifted.read_text().count('"5/3" ') == 1  # --check writes nothing
+
+    def edited(self, tmp_path, name, edit):
+        d = json.loads(open(FILES[name]).read())
+        edit(d)
+        (path := tmp_path / f"{name}.json").write_text(json.dumps(d))
+        return path
+
+    def test_a_perturbed_weight_fails_its_checks(self, tmp_path):
+        def edit(d):
+            rows = d["weightings"]["favorite-pair"]["rows"]
+            rows[0][1] = rows[1][0] = "5/2"
+        failing = _failing(load_record(self.edited(tmp_path, "randomization-floor", edit)))
+        assert failing == {"favorite-pair optimum over all 3 2-matchings", "favorite-pair metric",
+                           "deterministic floor over all 3 matchings", "x worst ratio"}
+
+    def test_a_y_that_is_not_a_distribution_fails(self, tmp_path):
+        def edit(d):
+            d["games"][0]["y"]["weighting-1"] = "1/5"
+        rec = load_record(self.edited(tmp_path, "mixture-gap", edit))
+        assert _failing(rec) == {"lower bound L from y"}
+        assert get_check(check_record(rec), "lower bound L from y")["actual"] == (
+            "y is not a distribution")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["games"][0].update(bound="10/6"), BOUND + "'10/6'"),
+        (lambda d: d["games"][0].update(bound=" 5/3"), BOUND + "' 5/3'"),
+        (lambda d: d["games"][0].update(bound="\uff15/3"), BOUND + "'\uff15/3'"),
+        (lambda d: d["games"][0].update(bound="1/0"), BOUND + "'1/0'"),
+        (lambda d: d["weightings"]["weighting-1"].update(opt=1.0),
+         "record.weightings['weighting-1'].opt must be a rational written as str(Fraction) "
+         "writes it, got 1.0"),
+        (lambda d: d["weightings"]["weighting-1"]["rows"][0].__setitem__(1, 1),
+         "record.weightings['weighting-1'].rows[0][1] must be a rational"),
+        (lambda d: d["weightings"]["weighting-1"].update(metric="false"),
+         "record.weightings['weighting-1'].metric must be a bool, got str"),
+        (lambda d: d.update(extra=1),
+         "record must be an object with keys ranking, k, weightings, games, got ['ranking', "),
+        (lambda d: d["games"][0].pop("floor"),
+         "record.games[0] must be an object with keys name, y, mixtures, floor, bound, got "),
+        (lambda d: d.update(k=2.0), "record.k must be an integer, got 2.0"),
+        (lambda d: d.update(k=5), "record needs 1 <= k <= n//2, got k=5, n=8"),
+        # the defects check_record refuses in a Record
+        (lambda d: d["games"].__setitem__(0, None),
+         "record.games[0] must be an object with keys name, y, mixtures, floor, bound, got "
+         "NoneType"),
+        (lambda d: d["games"][0].update(y=None), "record.games[0].y must be a dict, got NoneType"),
+        (lambda d: d["games"][0].update(mixtures=None),
+         "record.games[0].mixtures must be a dict, got NoneType"),
+    ], ids=["10/6", "space", "fullwidth digit", "zero denominator", "float", "int weight",
+            "string flag", "extra key", "missing key", "float k", "k past n//2", "game null",
+            "y null", "mixtures null"])
+    def test_load_record_refuses_another_layout(self, edit, message, tmp_path):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_record(self.edited(tmp_path, "mixture-gap", edit))
+
+    def test_cli_exits_one_with_error_on_a_malformed_file(self, monkeypatch, tmp_path, capsys):
+        shutil.copytree(harness.RECORDS, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "mixture-gap.json").write_text('{"ranking": [], "k": 0.5}')
+        monkeypatch.setattr("ordmatch.cli.RECORDS", str(tmp_path))
+        for argv in (["fixtures"], ["fixtures", "--name", "mixture-gap"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: record must be an object with keys ")
 
 
 def _uniform(prof, size, rs):
