@@ -1,129 +1,18 @@
 """Ordinal approximation algorithms for metric matching problems.
 
 Algorithms see only preference rankings; the hidden weights enter only
-through the exact oracles and the ratio-verification harness.
+through the exact oracles and the ratio-verification harness. Each module
+declares the names it exports in its own ``__all__``.
 """
 
-from .core import (
-    Matching,
-    RandomSource,
-    expected_random_weight,
-    find_undominated,
-    greedy_k_matching,
-    greedy_ratio_bound,
-    hybrid_matching,
-    hybrid_matchings,
-    matching_weight,
-    random_k_matching,
-    random_k_matchings,
-)
-from .errors import BudgetError, EmptyPoolError, MalformedInstanceError
-from .harness import (
-    Game,
-    RatioReport,
-    Record,
-    TrialConfig,
-    check_record,
-    default_bound,
-    hybrid_bound,
-    load_record,
-    report_emit,
-    run_trials,
-)
-from .instance import (
-    GENERATOR_FAMILIES,
-    GeneratorSpec,
-    PreferenceProfile,
-    WeightedInstance,
-    check_friendship,
-    derive_preferences,
-    generate,
-    load_instance,
-    profile_consistent,
-    save_instance,
-    validate_metric,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    opt_densest,
-    opt_k_sum,
-    opt_matching,
-    opt_tsp,
-)
-from .reductions import (
-    Clustering,
-    Path,
-    Subset,
-    Tour,
-    cluster_weight,
-    matching_to_clusters,
-    matching_to_subset,
-    matching_to_tour,
-    matchings_to_clusters,
-    matchings_to_subsets,
-    matchings_to_tours,
-    path_completion,
-    path_weight,
-    subset_weight,
-    tour_weight,
-)
+from . import core, harness, instance, oracle, reductions
+from .core import *
+from .harness import *
+from .instance import *
+from .oracle import *
+from .reductions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "Clustering",
-    "DEFAULT_BUDGET",
-    "EmptyPoolError",
-    "GENERATOR_FAMILIES",
-    "Game",
-    "GeneratorSpec",
-    "MalformedInstanceError",
-    "Matching",
-    "Path",
-    "PreferenceProfile",
-    "RandomSource",
-    "RatioReport",
-    "Record",
-    "Subset",
-    "Tour",
-    "TrialConfig",
-    "WeightedInstance",
-    "check_friendship",
-    "check_record",
-    "cluster_weight",
-    "default_bound",
-    "derive_preferences",
-    "expected_random_weight",
-    "find_undominated",
-    "generate",
-    "greedy_k_matching",
-    "greedy_ratio_bound",
-    "hybrid_bound",
-    "hybrid_matching",
-    "hybrid_matchings",
-    "load_instance",
-    "load_record",
-    "matching_to_clusters",
-    "matching_to_subset",
-    "matching_to_tour",
-    "matching_weight",
-    "matchings_to_clusters",
-    "matchings_to_subsets",
-    "matchings_to_tours",
-    "opt_densest",
-    "opt_k_sum",
-    "opt_matching",
-    "opt_tsp",
-    "path_completion",
-    "path_weight",
-    "profile_consistent",
-    "random_k_matching",
-    "random_k_matchings",
-    "report_emit",
-    "run_trials",
-    "save_instance",
-    "subset_weight",
-    "tour_weight",
-    "validate_metric",
-]
+__all__ = sorted(core.__all__ + harness.__all__ + instance.__all__ + oracle.__all__
+                 + reductions.__all__)

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-samples", type=int, default=200, dest="inner_samples")
     p.add_argument("--bound", type=float, default=None, help="override the defended bound")
 
-    p = verb("fixtures", _cmd_fixtures, [], "re-derive the lower-bound fixtures")
+    p = verb("fixtures", _cmd_fixtures, [], "check the lower-bound record files")
     p.add_argument("--name", choices=_record_names(), default=None)
 
     p = verb("verify-metric", _cmd_verify_metric, [instance], "check the triangle inequality")

@@ -26,8 +26,26 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import EmptyPoolError
 from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _number, _typed
+
+__all__ = [
+    "EmptyPoolError",
+    "Matching",
+    "RandomSource",
+    "expected_random_weight",
+    "find_undominated",
+    "greedy_k_matching",
+    "greedy_ratio_bound",
+    "hybrid_matching",
+    "hybrid_matchings",
+    "matching_weight",
+    "random_k_matching",
+    "random_k_matchings",
+]
+
+
+class EmptyPoolError(ValueError):
+    """An edge was requested from fewer than two nodes."""
 
 
 def _iterable(ids):

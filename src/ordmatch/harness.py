@@ -80,6 +80,19 @@ from .reductions import (
     tour_weight,
 )
 
+__all__ = [
+    "Game",
+    "RatioReport",
+    "Record",
+    "TrialConfig",
+    "check_record",
+    "default_bound",
+    "hybrid_bound",
+    "load_record",
+    "report_emit",
+    "run_trials",
+]
+
 RATIO_TOL = 1e-9
 
 # Version 2: non-finite floats are written as null, never as bare Infinity/NaN.
@@ -584,6 +597,22 @@ def _worst(values: dict, opt: dict) -> Fraction | None:
     return max(opt[s] / v for s, v in values.items()) if all(values.values()) else None
 
 
+def _rational(x, what: str):
+    """x itself, a ``Fraction`` or a Python int (not a bool or a float); ValueError naming
+    ``what``, a field of a ``Record`` as ``check_record`` first reads it."""
+    if type(x) is bool or not isinstance(x, (Fraction, int)):
+        raise ValueError(f"{what} must be a Fraction or an int, got {x!r}")
+    return x
+
+
+def _fields(x, names: str, what: str) -> tuple:
+    """x, a tuple or list of one item per name in ``names`` ("x, ratio"); ValueError naming
+    ``what``."""
+    if len(x := _typed(x, (tuple, list), what)) != len(names.split(", ")):
+        raise ValueError(f"{what} must be ({names}), got {len(x)} items")
+    return tuple(x)
+
+
 def _is_distribution(p: dict) -> bool:
     return all(q >= 0 for q in p.values()) and sum(p.values()) == 1
 
@@ -607,7 +636,12 @@ def check_record(rec: Record) -> dict:
     matchings = list(_k_matchings(tuple(range(n)), k))
     index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
     value, opt = {}, {}
-    for s, (w, metric, claimed_opt) in _typed(rec.weightings, dict, "weightings").items():
+    for s, triple in _typed(rec.weightings, dict, "weightings").items():
+        at = f"rec.weightings[{s!r}]"
+        rows, metric, claimed_opt = _fields(triple, "rows, metric, opt", at)
+        rows = _typed(rows, (list, tuple), f"{at}.rows")
+        w = [[_rational(x, f"{at}.rows[{u}][{v}]") for v, x in enumerate(
+            _typed(row, (list, tuple), f"{at}.rows[{u}]"))] for u, row in enumerate(rows)]
         if (inst := WeightedInstance([[float(x) for x in row] for row in w])).n != n:
             raise ValueError(f"weighting {s} must have the profile's {n} nodes, got {inst.n}")
         value[s] = [sum((w[u][v] for u, v in m), Fraction(0)) for m in matchings]
@@ -615,32 +649,39 @@ def check_record(rec: Record) -> dict:
         ties = all(w[q][a] >= w[q][b] for q, r in enumerate(ranking) for a, b in zip(r, r[1:]))
         check(f"{s} consistent with the profile", True, ties)
         triangles = all(w[u][v] <= w[u][z] + w[z][v] for u, v, z in product(range(n), repeat=3))
-        check(f"{s} metric", metric, triangles)
-        check(f"{s} optimum over all {len(matchings)} {k}-matchings", claimed_opt, opt[s])
+        check(f"{s} metric", _typed(metric, bool, f"{at}.metric"), triangles)
+        check(f"{s} optimum over all {len(matchings)} {k}-matchings",
+              _rational(claimed_opt, f"{at}.opt"), opt[s])
         oracle = matching_weight(opt_matching(inst, k), inst)
         check(f"{s} float oracle optimum", opt[s], oracle, abs(oracle - float(opt[s])) <= 1e-12)
 
-    for g in _typed(rec.games, (tuple, list), "games"):
-        label = f"{g.name}: " if _typed(g, Game, "game").name else ""
+    for j, g in enumerate(_typed(rec.games, (tuple, list), "games")):
+        label, at = f"{g.name}: " if _typed(g, Game, "game").name else "", f"rec.games[{j}]"
         if not _typed(g.y, dict, "y").keys() <= value.keys():
             raise ValueError(f"{label}y must name weightings of the record, got {list(g.y)}")
-        det = (_worst({s: value[s][i] for s in g.y}, opt) for i in cols)
+        y = {s: _rational(p, f"{at}.y[{s!r}]") for s, p in g.y.items()}
+        det = (_worst({s: value[s][i] for s in y}, opt) for i in cols)
         check(f"{label}deterministic floor over all {len(matchings)} matchings", g.floor,
               min(filter(None, det), default=None))
-        ratios = []
-        for name, (x, claimed) in _typed(g.mixtures, dict, "mixtures").items():
+        ratios, claims = [], []
+        for name, pair in _typed(g.mixtures, dict, "mixtures").items():
+            x, claimed = _fields(pair, "x, ratio", f"{at}.mixtures[{name!r}]")
+            x = {m: _rational(p, f"{at}.mixtures[{name!r}].x[{m!r}]")
+                 for m, p in _typed(x, dict, f"{at}.mixtures[{name!r}].x").items()}
+            if claimed is not None:
+                claims.append(_rational(claimed, f"{at}.mixtures[{name!r}].ratio"))
             actual = "not a mixture of k-matchings"
             if x.keys() <= index.keys() and _is_distribution(x):
-                expect = {s: sum(p * value[s][index[m]] for m, p in x.items()) for s in g.y}
+                expect = {s: sum(p * value[s][index[m]] for m, p in x.items()) for s in y}
                 actual = _worst(expect, opt)
                 ratios.append(actual)
             check(f"{label}{name} worst ratio", claimed, actual)
         best = min(filter(None, ratios), default=None)
-        claimed_best = min(filter(None, (c for _, c in g.mixtures.values())), default=None)
+        claimed_best = min(filter(None, claims), default=None)
         expected = f"{g.bound} exact" if g.bound == claimed_best else g.bound
         actual, ok = "y is not a distribution", False
-        if _is_distribution(g.y):
-            bound = 1 / max(sum(g.y[s] * value[s][i] / opt[s] for s in g.y) for i in cols)
+        if _is_distribution(y):
+            bound = 1 / max(sum(y[s] * value[s][i] / opt[s] for s in y) for i in cols)
             actual = f"{bound} exact" if bound == best else bound
             ok = str(actual) == str(expected) and (best is None or bound <= best)
         check(f"{label}lower bound L from y", expected, actual, ok)

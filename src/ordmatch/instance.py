@@ -25,7 +25,25 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MalformedInstanceError
+__all__ = [
+    "GENERATOR_FAMILIES",
+    "GeneratorSpec",
+    "MalformedInstanceError",
+    "PreferenceProfile",
+    "WeightedInstance",
+    "check_friendship",
+    "derive_preferences",
+    "generate",
+    "load_instance",
+    "profile_consistent",
+    "save_instance",
+    "validate_metric",
+]
+
+
+class MalformedInstanceError(ValueError):
+    """Weight matrix is not a valid instance (asymmetric, negative, NaN, ...)."""
+
 
 GENERATOR_FAMILIES = (
     "euclidean-uniform",

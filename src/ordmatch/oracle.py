@@ -15,9 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Matching
-from .errors import BudgetError
 from .instance import WeightedInstance, _count, _integer, _typed
 from .reductions import Clustering, Subset, Tour, _parts
+
+__all__ = [
+    "BudgetError",
+    "DEFAULT_BUDGET",
+    "opt_densest",
+    "opt_k_sum",
+    "opt_matching",
+    "opt_tsp",
+]
+
+
+class BudgetError(ValueError):
+    """An exact oracle call exceeded its size or time budget."""
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,24 @@ import numpy as np
 from .core import Matching, RandomSource, _flat, _iterable, _one_row, _row, _row_sums, _solution_ids
 from .instance import PreferenceProfile, WeightedInstance, _count, _integer, _inverse, _typed
 
+__all__ = [
+    "Clustering",
+    "Path",
+    "Subset",
+    "Tour",
+    "cluster_weight",
+    "matching_to_clusters",
+    "matching_to_subset",
+    "matching_to_tour",
+    "matchings_to_clusters",
+    "matchings_to_subsets",
+    "matchings_to_tours",
+    "path_completion",
+    "path_weight",
+    "subset_weight",
+    "tour_weight",
+]
+
 
 @dataclass(frozen=True)
 class Clustering:

@@ -1,16 +1,13 @@
 """``bench/records.py``, the script that derives the package's record files, loaded by path,
 and those files."""
 
-import importlib.util
 import os
 
+from _scripts import load
 from ordmatch import check_record, load_record
 from ordmatch.harness import RECORDS
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "records.py")
-_spec = importlib.util.spec_from_file_location("bench_records", SCRIPT)
-script = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(script)
+script = load("bench/records.py")
 
 build_fixture_randomization_floor = script.build_fixture_randomization_floor
 build_fixture_mutual_top_pairs = script.build_fixture_mutual_top_pairs

@@ -8,18 +8,14 @@ section is built in-process, the probes called directly instead of in a
 fresh process per checkout, so both sides run this tree's ``ordmatch``.
 """
 
-import importlib.util
 import json
 import subprocess
-import sys
-from pathlib import Path
 
 import ordmatch
 import ordmatch.cli
 import pytest
+from _scripts import ROOT, load
 
-ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ROOT / "bench" / "layers.py"
 BENCHMARK = ROOT / "BENCHMARK.json"
 SMALL = {
     "SIZES": [12, 16], "METRIC_MAX_N": 12, "REPEATS": 1,
@@ -39,21 +35,8 @@ SMALL = {
 }
 
 
-def load(path: Path):
-    """The module at ``path``, executed once and left out of ``sys.modules``."""
-    name = f"{path.parent.name}_{path.stem}"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # a dataclass looks up the module that defines it
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[name]
-    return module
-
-
 def load_layers():
-    return load(LAYERS)
+    return load("bench/layers.py")
 
 
 def test_every_probe_of_every_mode(monkeypatch):
@@ -129,7 +112,7 @@ def test_every_probe_of_every_mode(monkeypatch):
 def test_draw_configs_are_desk_mcs():
     """``DRAW_CONFIGS`` holds the problem, engine, family, n and k of each desk-mc config of
     ``perfbench/workloads.py`` (loaded by path and only read), in order, at its draws."""
-    layers, workloads = load_layers(), load(ROOT / "perfbench" / "workloads.py")
+    layers, workloads = load_layers(), load("perfbench/workloads.py")
     desk = []
     for argv, draws in workloads.DESK["desk-mc"].values():
         flags = dict(zip(argv[1::2], argv[2::2]))
@@ -201,7 +184,7 @@ def test_benchmark_json_names_perfbench_metrics_and_workloads():
     are the keys of perfbench's ``END_TO_END`` and its ``WORKLOADS``, in order. Both perfbench
     files are loaded by path and only read."""
     declared = json.loads(BENCHMARK.read_text())
-    run, workloads = load(ROOT / "perfbench" / "run.py"), load(ROOT / "perfbench" / "workloads.py")
+    run, workloads = load("perfbench/run.py"), load("perfbench/workloads.py")
     assert [m["name"] for m in declared["end_to_end"]] == list(run.END_TO_END)
     assert tuple(w["name"] for w in declared["workloads"]) == workloads.WORKLOADS
 

@@ -5,24 +5,14 @@ invocation may escape ``cli.main`` as an exception, and every JSON-format
 stdout and ``--out`` file must parse.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import ordmatch.cli
-
-CLI_DIFF = Path(__file__).resolve().parents[1] / "bench" / "cli_diff.py"
-
-
-def load_cli_diff():
-    spec = importlib.util.spec_from_file_location("bench_cli_diff", CLI_DIFF)
-    cli_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_diff)
-    return cli_diff
+from _scripts import load
 
 
 def test_every_invocation_returns_and_its_json_output_parses(tmp_path):
-    cli_diff = load_cli_diff()
+    cli_diff = load("bench/cli_diff.py")
     seen, escaped, unparsed = 0, [], []
     for template, rc, stdout, written, stderr in cli_diff.results(ordmatch.cli, str(tmp_path)):
         seen += 1

@@ -113,6 +113,12 @@ TOUR = Tour(6, (0, 1, 2, 3, 4, 5))
 LIST_INST = [[0.0, 1.0], [1.0, 0.0]]
 FLOOR = build_fixture_randomization_floor()
 
+
+def floor_with(weightings=None, **game):
+    """``FLOOR`` with its weightings updated by ``weightings`` and its game's fields by ``game``."""
+    return dataclasses.replace(FLOOR, weightings={**FLOOR.weightings, **(weightings or {})},
+                               games=(dataclasses.replace(FLOOR.games[0], **game),))
+
 # ---------------------------------------------------------------------------
 # Named cases
 # ---------------------------------------------------------------------------
@@ -236,6 +242,29 @@ VALUE_ARGUMENTS = {
         lambda: check_record(dataclasses.replace(build_fixture_randomization_floor(),
                                                  profile=PROFILE)),
         "weighting tie-breaker must have the profile's 6 nodes, got 4"),
+    # a Record built in Python, each field read where check_record first uses it
+    "check_record(mixture None)": (lambda: check_record(floor_with(mixtures={"x": None})),
+                                   "rec.games[0].mixtures['x'] must be a tuple or list, "
+                                   "got NoneType"),
+    "check_record(mixture x None)": (
+        lambda: check_record(floor_with(mixtures={"x": (None, 1)})),
+        "rec.games[0].mixtures['x'].x must be a dict, got NoneType"),
+    "check_record(mixture ratio str)": (
+        lambda: check_record(floor_with(mixtures={"x": (FLOOR.games[0].mixtures["x"][0], "5/4")})),
+        "rec.games[0].mixtures['x'].ratio must be a Fraction or an int, got '5/4'"),
+    "check_record(y 'a')": (
+        lambda: check_record(floor_with(y=dict.fromkeys(FLOOR.games[0].y, "a"))),
+        "rec.games[0].y['tie-breaker'] must be a Fraction or an int, got 'a'"),
+    "check_record(weighting None)": (
+        lambda: check_record(dataclasses.replace(FLOOR, weightings={"a": None})),
+        "rec.weightings['a'] must be a tuple or list, got NoneType"),
+    "check_record(weight str)": (
+        lambda: check_record(floor_with({"tie-breaker": ([["0"] * 4] * 4, True, 2)})),
+        "rec.weightings['tie-breaker'].rows[0][0] must be a Fraction or an int, got '0'"),
+    "check_record(metric str)": (
+        lambda: check_record(floor_with({"tie-breaker": (
+            FLOOR.weightings["tie-breaker"][0], "True", 2)})),
+        "rec.weightings['tie-breaker'].metric must be a bool, got str"),
     "matchings_to_clusters(batch, {}, 1)": (
         lambda: matchings_to_clusters(np.zeros((1, 1, 2), np.intp), {}, 1),
         "n must be an integer, got {}"),

@@ -9,23 +9,13 @@ loaded by path and only read.
 
 import dataclasses
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import ordmatch
 import ordmatch.cli
+from _scripts import load
 from ordmatch import oracle
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
 
 
 def wrapped_names(tracing) -> list:
@@ -44,7 +34,7 @@ def wrapped_names(tracing) -> list:
 
 
 def test_tracer_installs_and_uninstalls_cleanly(tmp_path):
-    tracing = load_tracing()
+    tracing = load("perfbench/tracing.py")
     tracer = tracing.Tracer()
     try:
         tracer.install()
