@@ -6,14 +6,13 @@ PARENT_DIR and CHANGE_DIR are checkouts of two commits (each with ``src/ordmatch
 ``tests/``). Each side's Tier-1 suite runs ``RUNS`` times, the sides alternating which goes
 first, each run two fresh pytest processes in the checkout's root with its ``src`` on
 ``PYTHONPATH``: the collection alone (``--collect-only``), timed, then ``TIER1`` with every
-test phase's duration. Before and after each run the calibrate kernel of
-``perfbench/workloads.py`` (this tree's, read only) is timed ``KERNEL_CALLS`` times; a run's
-scaled wall time is its wall time times ``KERNEL_REF_S`` over the median of those calls, as
-perfbench scales an op. Per run the output holds the wall and pytest's own seconds, the
+test phase's duration. Per run the output holds the raw wall and pytest's own seconds, the
 outcome counts, the collection seconds, each test file's summed durations and the
 ``SLOWEST`` slowest tests (setup, call and teardown summed); pytest prints each duration to
-the hundredth of a second. The environment stamp is perfbench's, each side's ``checkout``
-block and the pairing are ``bench/layers.py``'s.
+the hundredth of a second. No run is scaled by a calibration kernel: a kernel timed around a
+run moved by 2x between its two reads while the runs' raw walls spread by 5%, so the pairs
+alone judge a change. The environment stamp is perfbench's, each side's ``checkout`` block
+and the pairing are ``bench/layers.py``'s.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ import time
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-RUNS = 3
-KERNEL_CALLS = 5
+RUNS = 5
 SLOWEST = 25
 # The Tier-1 command, as ROADMAP.md states it, with every test phase's duration printed.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -69,16 +67,11 @@ def _pytest(tree: str, args: list) -> tuple:
     return time.perf_counter() - t0, proc.returncode, proc.stdout
 
 
-def suite_run(tree: str, kernel, kernel_ref_s: float) -> dict:
-    """One timed collection and one Tier-1 run of ``tree``, the kernel timed around both."""
-    before = [kernel() for _ in range(KERNEL_CALLS)]
+def suite_run(tree: str) -> dict:
+    """One timed collection and one Tier-1 run of ``tree``."""
     collect_s, _, _ = _pytest(tree, ["--collect-only"])
     wall_s, code, out = _pytest(tree, DURATIONS)
-    after = [kernel() for _ in range(KERNEL_CALLS)]
-    return {"wall_s": wall_s,
-            "scaled_wall_s": wall_s * kernel_ref_s / statistics.median(before + after),
-            "collect_s": collect_s, "exit_code": code, **parse(out),
-            "kernel_s": {"before": before, "after": after}}
+    return {"wall_s": wall_s, "collect_s": collect_s, "exit_code": code, **parse(out)}
 
 
 def main(argv=None) -> int:
@@ -92,24 +85,21 @@ def main(argv=None) -> int:
     sys.path[:0] = [HERE, os.path.join(HERE, "..", "perfbench")]
     import layers
     from run import environment_stamp
-    from workloads import KERNEL_REF_S, calibrate
 
     trees = {"parent": args.parent, "change": args.change}
-    runs = layers._alternate(RUNS, lambda side, i: suite_run(trees[side], calibrate, KERNEL_REF_S),
-                             "Tier-1 run")
+    runs = layers._alternate(RUNS, lambda side, i: suite_run(trees[side]), "Tier-1 run")
     result = {
         "what": "Tier-1 wall seconds of a parent and a change checkout, with collection "
                 "seconds, per-file summed test durations and the slowest tests.",
         "method": f"{RUNS} runs per side of python {' '.join(TIER1 + DURATIONS)}, the sides "
-                  "alternating which runs first; scaled_wall_s divides by the median calibrate "
-                  f"kernel of {KERNEL_CALLS} calls before and {KERNEL_CALLS} after each run; "
+                  "alternating which runs first; every time is raw wall or pytest seconds; "
                   "quartiles are inclusive-method quantiles over the runs.",
         "parent_rev": args.parent_rev,
         "environment": environment_stamp(),
         "checkout": {side: layers.checkout(tree) for side, tree in trees.items()},
         "summary": {key: layers._compare([r[key] for r in runs["parent"]],
                                          [r[key] for r in runs["change"]], "lower")
-                    for key in ("wall_s", "scaled_wall_s", "pytest_s", "collect_s")},
+                    for key in ("wall_s", "pytest_s", "collect_s")},
         "files": {side: {f: statistics.median(r["files"].get(f, 0.0) for r in rs)
                          for f in rs[0]["files"]} for side, rs in runs.items()},
         "runs": runs,

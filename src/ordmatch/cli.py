@@ -79,13 +79,11 @@ def _record_names() -> list:
 
 def _cmd_fixtures(args):
     names = [args.name] if args.name else _record_names()
-    records = [load_record(os.path.join(RECORDS, f"{name}.json")) for name in names]
-    data = [check_record(r) for r in sorted(records, key=lambda r: (r.profile.n, r.name))]
-    rows = (
-        (fx["name"], c["name"], c["expected"], c["actual"], c["passed"])
-        for fx in data
-        for c in fx["checks"]
-    )
+    docs = {name: load_record(os.path.join(RECORDS, f"{name}.json")) for name in names}
+    data = [{"name": name, **check_record(doc)} for name, doc in docs.items()]
+    data.sort(key=lambda fx: (len(docs[fx["name"]]["ranking"]), fx["name"]))  # by (n, name)
+    rows = ((fx["name"], c["name"], c["expected"], c["actual"], c["passed"])
+            for fx in data for c in fx["checks"])
     header = "fixture,check,expected,actual,passed"
     return render(args.format, data, header, rows), all(fx["passed"] for fx in data)
 

@@ -8,23 +8,22 @@ Both sides are weighed by one gather per objective (``core`` and
 ``reductions`` define them; ``SolutionKind`` pairs each with its scalar
 one-row form), so a greedy that finds the optimum reads ratio 1.0.
 
-The lower-bound fixtures are finite games, each a ``Record``: one
-preference profile, k, named rational weightings consistent with it, and
-``Game`` claims. In a game Nature picks one of its weightings and the
-algorithm, seeing only the profile, picks a k-matching. ``check_record``
-verifies every claim in ``Fraction`` arithmetic, with no LP solver: each
-weighting's consistency, metric flag and optimum over all k-matchings (with
-the float ``opt_matching`` within 1e-12); the deterministic floor
+The lower-bound fixtures are finite games, each a record: one preference
+profile, k, named rational weightings consistent with it, and games. In a
+game Nature picks one of its weightings and the algorithm, seeing only the
+profile, picks a k-matching. ``check_record`` verifies every claim in
+``Fraction`` arithmetic, with no LP solver: each weighting's consistency,
+metric flag and optimum over all k-matchings (with the float
+``opt_matching`` within 1e-12); the deterministic floor
 min_M max_s opt_s / w_s(M); each matching mixture x's worst ratio; and the
 certificate of Nature's mixture y over the normalized weightings
 w_s / opt_s, L = 1 / max_M sum_s y_s w_s(M) / opt_s. By weak duality no
 mixture concedes less than L; L is "exact" when a claimed x meets it.
 
-A record is data: a JSON file under ``RECORDS``, named by its file, that
-``Record.to_dict`` writes and ``load_record`` reads by ``_LAYOUT``, every
-rational a string as ``str(Fraction)`` writes it. ``bench/records.py``
-derives the package's three records and writes their files; ``ordmatch
-fixtures`` checks them, the smallest profile first.
+A record is its JSON document, laid out as ``_LAYOUT`` says with every
+rational a string as ``str(Fraction)`` writes it; ``_read`` is its one
+reader. The package's records are files under ``RECORDS``, named by their
+files: ``bench/records.py`` writes them, ``ordmatch fixtures`` checks them.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ from .reductions import (
 )
 
 __all__ = [
-    "Game",
     "RatioReport",
-    "Record",
     "TrialConfig",
     "check_record",
     "default_bound",
@@ -479,57 +476,7 @@ def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
 RECORDS = os.path.join(os.path.dirname(__file__), "records")
 
 
-def _text(q) -> str | None:
-    """A rational as ``str`` writes its ``Fraction`` ("5/3"), None (infinite) as null."""
-    return None if q is None else str(Fraction(q))
-
-
-@dataclass(frozen=True)
-class Game:
-    """Nature picks a weighting named in ``y``, the algorithm a k-matching.
-
-    ``mixtures`` maps a label to (x, claimed worst ratio), x {matching in the form of
-    ``_k_matchings``: probability}; ``floor`` (None: infinite) and ``bound`` (L) are claims."""
-
-    name: str
-    y: dict
-    mixtures: dict
-    floor: Fraction | None
-    bound: Fraction
-
-    def to_dict(self) -> dict:
-        mixtures = {label: {"x": [{"matching": [list(e) for e in m], "p": _text(p)}
-                                  for m, p in x.items()], "ratio": _text(ratio)}
-                    for label, (x, ratio) in self.mixtures.items()}
-        return {"name": self.name, "y": {s: _text(p) for s, p in self.y.items()},
-                "mixtures": mixtures, "floor": _text(self.floor), "bound": _text(self.bound)}
-
-
-@dataclass(frozen=True)
-class Record:
-    """A profile, k, and weightings: name -> (rows, claimed metric flag, claimed optimum)."""
-
-    name: str
-    profile: PreferenceProfile
-    k: int
-    weightings: dict
-    games: tuple
-
-    def to_dict(self) -> dict:
-        """The layout of a record file, which ``load_record`` reads; the name is the file's."""
-        weightings = {s: {"rows": [list(map(_text, row)) for row in rows], "metric": metric,
-                          "opt": _text(opt)} for s, (rows, metric, opt) in self.weightings.items()}
-        return {"ranking": self.profile.ranking.tolist(), "k": self.k, "weightings": weightings,
-                "games": [g.to_dict() for g in self.games]}
-
-
-def _record_k(k, n: int) -> int:
-    """A record's k: an integer in 1..n//2, as mkm reads it, so a k-matching exists."""
-    _check_mkm(n, k := _integer(k, "k"), None, "record")
-    return k
-
-
-# A record file's layout, as ``_read`` reads it: {key: shape} an object with just those keys,
+# A record's layout, as ``_read`` reads it: {key: shape} an object with just those keys,
 # {str: shape} one keyed by name, [shape] a list, Fraction a string as ``str(Fraction)`` writes
 # it and (Fraction, None) one that may be null (infinite).
 _LAYOUT = {
@@ -565,19 +512,20 @@ def _read(x, shape, what: str):
     raise ValueError(f"{what} must be a rational written as str(Fraction) writes it, got {x!r}")
 
 
-def load_record(path) -> Record:
-    """The record in the JSON file at ``path``, named by the file; ValueError for a file not in
-    ``_LAYOUT`` (a float, "10/6", a missing or extra key), or for k, y or mixtures by the rules
-    ``check_record`` reads them by."""
+def _keyed_once(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ValueError for a repeated key, whose last
+    value ``json`` would otherwise keep silently."""
+    keys = [key for key, _ in pairs]
+    if len(d := dict(pairs)) < len(keys):
+        repeated = next(key for key in d if keys.count(key) > 1)
+        raise ValueError(f"a record file repeats the key {repeated!r} in one object")
+    return d
+
+
+def load_record(path):
+    """The JSON document in the file at ``path``; ValueError if an object in it repeats a key."""
     with open(_typed(path, (str, os.PathLike), "path"), encoding="utf-8") as fh:
-        d = _read(json.load(fh), _LAYOUT, "record")
-    profile = PreferenceProfile(d["ranking"])
-    games = tuple(Game(g["name"], g["y"], {
-        label: ({tuple(map(tuple, e["matching"])): e["p"] for e in m["x"]}, m["ratio"])
-        for label, m in g["mixtures"].items()}, g["floor"], g["bound"]) for g in d["games"])
-    return Record(os.path.splitext(os.path.basename(path))[0], profile,
-                  _record_k(d["k"], profile.n),
-                  {s: (w["rows"], w["metric"], w["opt"]) for s, w in d["weightings"].items()}, games)
+        return json.load(fh, object_pairs_hook=_keyed_once)
 
 
 def _k_matchings(nodes: tuple, k: int):
@@ -597,31 +545,15 @@ def _worst(values: dict, opt: dict) -> Fraction | None:
     return max(opt[s] / v for s, v in values.items()) if all(values.values()) else None
 
 
-def _rational(x, what: str):
-    """x itself, a ``Fraction`` or a Python int (not a bool or a float); ValueError naming
-    ``what``, a field of a ``Record`` as ``check_record`` first reads it."""
-    if type(x) is bool or not isinstance(x, (Fraction, int)):
-        raise ValueError(f"{what} must be a Fraction or an int, got {x!r}")
-    return x
-
-
-def _fields(x, names: str, what: str) -> tuple:
-    """x, a tuple or list of one item per name in ``names`` ("x, ratio"); ValueError naming
-    ``what``."""
-    if len(x := _typed(x, (tuple, list), what)) != len(names.split(", ")):
-        raise ValueError(f"{what} must be ({names}), got {len(x)} items")
-    return tuple(x)
-
-
 def _is_distribution(p: dict) -> bool:
     return all(q >= 0 for q in p.values()) and sum(p.values()) == 1
 
 
-def check_record(rec: Record) -> dict:
-    """Verify a record's claims exactly, as the module docstring lists them.
-
-    Returns ``{name, passed, checks: [{name, expected, actual, passed}]}``,
-    values written by ``str`` (``5/3``) and an infinite ratio as null.
+def check_record(doc) -> dict:
+    """Verify the claims of ``doc``, a record's JSON document, exactly, as the module docstring
+    lists them. ``doc`` is read by ``_LAYOUT`` and k by mkm's rule; ValueError names the path of
+    the first field refused (``record.games[0].y['a']``). Returns ``{passed, checks: [{name,
+    expected, actual, passed}]}``, values written by ``str`` (``5/3``), an infinite ratio null.
     """
     checks = []
 
@@ -630,59 +562,54 @@ def check_record(rec: Record) -> dict:
         ok = expected == actual if passed is None else passed
         checks.append({"name": name, "expected": expected, "actual": actual, "passed": ok})
 
-    profile = _typed(_typed(rec, Record, "rec").profile, PreferenceProfile, "profile")
-    n, ranking = profile.n, profile.ranking.tolist()
-    k = _record_k(rec.k, n)
+    rec = _read(doc, _LAYOUT, "record")
+    n, ranking = PreferenceProfile(rec["ranking"]).n, rec["ranking"]
+    _check_mkm(n, k := rec["k"], None, "record")
     matchings = list(_k_matchings(tuple(range(n)), k))
     index, cols = {m: i for i, m in enumerate(matchings)}, range(len(matchings))
     value, opt = {}, {}
-    for s, triple in _typed(rec.weightings, dict, "weightings").items():
-        at = f"rec.weightings[{s!r}]"
-        rows, metric, claimed_opt = _fields(triple, "rows, metric, opt", at)
-        rows = _typed(rows, (list, tuple), f"{at}.rows")
-        w = [[_rational(x, f"{at}.rows[{u}][{v}]") for v, x in enumerate(
-            _typed(row, (list, tuple), f"{at}.rows[{u}]"))] for u, row in enumerate(rows)]
+    for s, weighting in rec["weightings"].items():
+        w = weighting["rows"]
         if (inst := WeightedInstance([[float(x) for x in row] for row in w])).n != n:
-            raise ValueError(f"weighting {s} must have the profile's {n} nodes, got {inst.n}")
+            raise ValueError(f"record.weightings[{s!r}].rows must have the profile's {n} nodes, "
+                             f"got {inst.n}")
         value[s] = [sum((w[u][v] for u, v in m), Fraction(0)) for m in matchings]
         opt[s] = max(value[s])
         ties = all(w[q][a] >= w[q][b] for q, r in enumerate(ranking) for a, b in zip(r, r[1:]))
         check(f"{s} consistent with the profile", True, ties)
         triangles = all(w[u][v] <= w[u][z] + w[z][v] for u, v, z in product(range(n), repeat=3))
-        check(f"{s} metric", _typed(metric, bool, f"{at}.metric"), triangles)
-        check(f"{s} optimum over all {len(matchings)} {k}-matchings",
-              _rational(claimed_opt, f"{at}.opt"), opt[s])
+        check(f"{s} metric", weighting["metric"], triangles)
+        check(f"{s} optimum over all {len(matchings)} {k}-matchings", weighting["opt"], opt[s])
         oracle = matching_weight(opt_matching(inst, k), inst)
         check(f"{s} float oracle optimum", opt[s], oracle, abs(oracle - float(opt[s])) <= 1e-12)
 
-    for j, g in enumerate(_typed(rec.games, (tuple, list), "games")):
-        label, at = f"{g.name}: " if _typed(g, Game, "game").name else "", f"rec.games[{j}]"
-        if not _typed(g.y, dict, "y").keys() <= value.keys():
-            raise ValueError(f"{label}y must name weightings of the record, got {list(g.y)}")
-        y = {s: _rational(p, f"{at}.y[{s!r}]") for s, p in g.y.items()}
+    for j, g in enumerate(rec["games"]):
+        label, y = f"{g['name']}: " if g["name"] else "", g["y"]
+        if not y.keys() <= value.keys():
+            raise ValueError(f"record.games[{j}].y must name record weightings, got {list(y)}")
         det = (_worst({s: value[s][i] for s in y}, opt) for i in cols)
-        check(f"{label}deterministic floor over all {len(matchings)} matchings", g.floor,
+        check(f"{label}deterministic floor over all {len(matchings)} matchings", g["floor"],
               min(filter(None, det), default=None))
-        ratios, claims = [], []
-        for name, pair in _typed(g.mixtures, dict, "mixtures").items():
-            x, claimed = _fields(pair, "x, ratio", f"{at}.mixtures[{name!r}]")
-            x = {m: _rational(p, f"{at}.mixtures[{name!r}].x[{m!r}]")
-                 for m, p in _typed(x, dict, f"{at}.mixtures[{name!r}].x").items()}
-            if claimed is not None:
-                claims.append(_rational(claimed, f"{at}.mixtures[{name!r}].ratio"))
+        ratios = []
+        for name, mixture in g["mixtures"].items():
+            x = {tuple(map(tuple, e["matching"])): e["p"] for e in mixture["x"]}
+            if len(x) < len(mixture["x"]):  # a repeat would add its probability twice
+                raise ValueError(f"record.games[{j}].mixtures[{name!r}].x must list each "
+                                 "matching once")
             actual = "not a mixture of k-matchings"
             if x.keys() <= index.keys() and _is_distribution(x):
                 expect = {s: sum(p * value[s][index[m]] for m, p in x.items()) for s in y}
                 actual = _worst(expect, opt)
                 ratios.append(actual)
-            check(f"{label}{name} worst ratio", claimed, actual)
+            check(f"{label}{name} worst ratio", mixture["ratio"], actual)
         best = min(filter(None, ratios), default=None)
-        claimed_best = min(filter(None, claims), default=None)
-        expected = f"{g.bound} exact" if g.bound == claimed_best else g.bound
+        claimed_best = min(filter(None, (m["ratio"] for m in g["mixtures"].values())),
+                           default=None)
+        expected = f"{g['bound']} exact" if g["bound"] == claimed_best else g["bound"]
         actual, ok = "y is not a distribution", False
         if _is_distribution(y):
             bound = 1 / max(sum(y[s] * value[s][i] / opt[s] for s in y) for i in cols)
             actual = f"{bound} exact" if bound == best else bound
             ok = str(actual) == str(expected) and (best is None or bound <= best)
         check(f"{label}lower bound L from y", expected, actual, ok)
-    return {"name": rec.name, "passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}

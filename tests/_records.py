@@ -19,5 +19,6 @@ FILES = {f[:-5]: os.path.join(RECORDS, f) for f in sorted(os.listdir(RECORDS))
 
 
 def all_fixtures() -> list:
-    """Every record file's ``check_record`` output, in the order of the file names."""
-    return [check_record(load_record(path)) for path in FILES.values()]
+    """Every record file's ``check_record`` output with the file's name in front, in the order
+    of the file names."""
+    return [{"name": name, **check_record(load_record(path))} for name, path in FILES.items()]

@@ -23,7 +23,9 @@ stay small, and huge integers go only where nothing is sized by them.
 """
 
 import contextlib
+import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -48,7 +50,6 @@ from ordmatch import (
     PreferenceProfile,
     RandomSource,
     RatioReport,
-    Record,
     Subset,
     Tour,
     TrialConfig,
@@ -114,14 +115,88 @@ LIST_INST = [[0.0, 1.0], [1.0, 0.0]]
 FLOOR = build_fixture_randomization_floor()
 
 
-def floor_with(weightings=None, **game):
-    """``FLOOR`` with its weightings updated by ``weightings`` and its game's fields by ``game``."""
-    return dataclasses.replace(FLOOR, weightings={**FLOOR.weightings, **(weightings or {})},
-                               games=(dataclasses.replace(FLOOR.games[0], **game),))
+def floor_with(edit) -> dict:
+    """A copy of the ``FLOOR`` document, edited in place by ``edit``."""
+    doc = copy.deepcopy(FLOOR)
+    edit(doc)
+    return doc
+
+
+def game_with(**fields) -> dict:
+    """``FLOOR`` with its game's ``fields`` replaced."""
+    return floor_with(lambda d: d["games"][0].update(fields))
+
+
+def mixture_with(**fields) -> dict:
+    """``FLOOR`` with the fields of its game's mixture ``x`` replaced."""
+    return floor_with(lambda d: d["games"][0]["mixtures"]["x"].update(fields))
+
 
 # ---------------------------------------------------------------------------
 # Named cases
 # ---------------------------------------------------------------------------
+
+def checked(defects: dict) -> dict:
+    """{case: (record document, message)} as {case: (``check_record`` of it, message)}."""
+    return {case: (functools.partial(check_record, doc), message)
+            for case, (doc, message) in defects.items()}
+
+
+# check_record's refusals, {case: (record document, message)}, each document with one defect
+# and each message naming its path as ``_read`` reads it: first an object of the wrong class,
+RECORD_OBJECTS = {
+    "check_record(None)": (
+        None, "record must be an object with keys ranking, k, weightings, games, got NoneType"),
+    "check_record(profile None)": (floor_with(lambda d: d.update(ranking=None)),
+                                   "record.ranking must be a list, got NoneType"),
+    "check_record(k None)": (floor_with(lambda d: d.update(k=None)),
+                             "record.k must be an integer, got None"),
+    "check_record(games (None,))": (
+        floor_with(lambda d: d.update(games=[None])),
+        "record.games[0] must be an object with keys name, y, mixtures, floor, bound, "
+        "got NoneType"),
+    "check_record(y None)": (game_with(y=None), "record.games[0].y must be a dict, got NoneType"),
+    "check_record(mixtures None)": (game_with(mixtures=None),
+                                    "record.games[0].mixtures must be a dict, got NoneType"),
+}
+# then a value outside its rule.
+RECORD_VALUES = {
+    "check_record(k 3)": (floor_with(lambda d: d.update(k=3)),
+                          "record needs 1 <= k <= n//2, got k=3, n=4"),
+    "check_record(k 0)": (floor_with(lambda d: d.update(k=0)),
+                          "record needs 1 <= k <= n//2, got k=0, n=4"),
+    "check_record(weightings {})": (
+        floor_with(lambda d: d.update(weightings={})),
+        "record.games[0].y must name record weightings, got ['tie-breaker', "
+        "'favorite-pair']"),
+    "check_record(profile n=6)": (
+        floor_with(lambda d: d.update(ranking=PROFILE.ranking.tolist())),
+        "record.weightings['tie-breaker'].rows must have the profile's 6 nodes, got 4"),
+    "check_record(mixture None)": (
+        game_with(mixtures={"x": None}),
+        "record.games[0].mixtures['x'] must be an object with keys x, ratio, got NoneType"),
+    "check_record(mixture x None)": (mixture_with(x=None),
+                                     "record.games[0].mixtures['x'].x must be a list, "
+                                     "got NoneType"),
+    "check_record(mixture ratio float)": (
+        mixture_with(ratio=1.25),
+        "record.games[0].mixtures['x'].ratio must be a rational written as str(Fraction) "
+        "writes it, got 1.25"),
+    "check_record(y 'a')": (
+        game_with(y=dict.fromkeys(FLOOR["games"][0]["y"], "a")),
+        "record.games[0].y['tie-breaker'] must be a rational written as str(Fraction) writes "
+        "it, got 'a'"),
+    "check_record(weighting None)": (
+        floor_with(lambda d: d.update(weightings={"a": None})),
+        "record.weightings['a'] must be an object with keys rows, metric, opt, got NoneType"),
+    "check_record(weight int)": (
+        floor_with(lambda d: d["weightings"]["tie-breaker"]["rows"][0].__setitem__(0, 0)),
+        "record.weightings['tie-breaker'].rows[0][0] must be a rational written as "
+        "str(Fraction) writes it, got 0"),
+    "check_record(metric str)": (
+        floor_with(lambda d: d["weightings"]["tie-breaker"].update(metric="True")),
+        "record.weightings['tie-breaker'].metric must be a bool, got str"),
+}
 
 # Each raised AttributeError or TypeError, or a ValueError naming no rule.
 WRONG_CLASS = {
@@ -150,21 +225,7 @@ WRONG_CLASS = {
                       "inst must be a WeightedInstance"),
     "run_trials(None)": (lambda: run_trials(None), "cfg must be a TrialConfig"),
     "report_emit(None)": (lambda: report_emit(None), "report must be a RatioReport"),
-    "check_record(None)": (lambda: check_record(None), "rec must be a Record"),
-    "check_record(profile None)": (lambda: check_record(Record("x", None, 1, {}, ())),
-                                   "profile must be a PreferenceProfile, got NoneType"),
-    "check_record(k None)": (lambda: check_record(Record("x", PROFILE, None, {}, ())),
-                             "k must be an integer, got None"),
-    "check_record(games (None,))": (
-        lambda: check_record(dataclasses.replace(FLOOR, games=(None,))),
-        "game must be a Game, got NoneType"),
-    "check_record(y None)": (
-        lambda: check_record(dataclasses.replace(FLOOR, games=(
-            dataclasses.replace(FLOOR.games[0], y=None),))), "y must be a dict, got NoneType"),
-    "check_record(mixtures None)": (
-        lambda: check_record(dataclasses.replace(FLOOR, games=(
-            dataclasses.replace(FLOOR.games[0], mixtures=None),))),
-        "mixtures must be a dict, got NoneType"),
+    **checked(RECORD_OBJECTS),
     "report_emit(records None)": (
         lambda: report_emit(RatioReport(2, {}, 1.0, None, 1.0, 1.0, 0.0, True)),
         "records must be a list of dicts with seed, opt, alg, ratio"),
@@ -223,10 +284,6 @@ VALUE_ARGUMENTS = {
     "load_instance(5)": (lambda: load_instance(5), "path must be a str or PathLike, got int"),
     "save_instance(inst, None)": (lambda: save_instance(INST, None),
                                   "path must be a str or PathLike, got NoneType"),
-    "check_record(k 3)": (lambda: check_record(dataclasses.replace(FLOOR, k=3)),
-                          "record needs 1 <= k <= n//2, got k=3, n=4"),
-    "check_record(k 0)": (lambda: check_record(dataclasses.replace(FLOOR, k=0)),
-                          "record needs 1 <= k <= n//2, got k=0, n=4"),
     # found by the properties below
     "build_fixture_mutual_top_pairs(None)": (lambda: build_fixture_mutual_top_pairs(None),
                                              "n_pairs must be an integer, got None"),
@@ -234,37 +291,7 @@ VALUE_ARGUMENTS = {
                                                 "epsilon must be a number, got None"),
     "build_fixture_randomization_floor(inf)": (
         lambda: build_fixture_randomization_floor(math.inf), "epsilon must be finite, got inf"),
-    "check_record(weightings {})": (
-        lambda: check_record(dataclasses.replace(build_fixture_randomization_floor(),
-                                                 weightings={})),
-        "y must name weightings of the record, got ['tie-breaker', 'favorite-pair']"),
-    "check_record(profile n=6)": (
-        lambda: check_record(dataclasses.replace(build_fixture_randomization_floor(),
-                                                 profile=PROFILE)),
-        "weighting tie-breaker must have the profile's 6 nodes, got 4"),
-    # a Record built in Python, each field read where check_record first uses it
-    "check_record(mixture None)": (lambda: check_record(floor_with(mixtures={"x": None})),
-                                   "rec.games[0].mixtures['x'] must be a tuple or list, "
-                                   "got NoneType"),
-    "check_record(mixture x None)": (
-        lambda: check_record(floor_with(mixtures={"x": (None, 1)})),
-        "rec.games[0].mixtures['x'].x must be a dict, got NoneType"),
-    "check_record(mixture ratio str)": (
-        lambda: check_record(floor_with(mixtures={"x": (FLOOR.games[0].mixtures["x"][0], "5/4")})),
-        "rec.games[0].mixtures['x'].ratio must be a Fraction or an int, got '5/4'"),
-    "check_record(y 'a')": (
-        lambda: check_record(floor_with(y=dict.fromkeys(FLOOR.games[0].y, "a"))),
-        "rec.games[0].y['tie-breaker'] must be a Fraction or an int, got 'a'"),
-    "check_record(weighting None)": (
-        lambda: check_record(dataclasses.replace(FLOOR, weightings={"a": None})),
-        "rec.weightings['a'] must be a tuple or list, got NoneType"),
-    "check_record(weight str)": (
-        lambda: check_record(floor_with({"tie-breaker": ([["0"] * 4] * 4, True, 2)})),
-        "rec.weightings['tie-breaker'].rows[0][0] must be a Fraction or an int, got '0'"),
-    "check_record(metric str)": (
-        lambda: check_record(floor_with({"tie-breaker": (
-            FLOOR.weightings["tie-breaker"][0], "True", 2)})),
-        "rec.weightings['tie-breaker'].metric must be a bool, got str"),
+    **checked(RECORD_VALUES),
     "matchings_to_clusters(batch, {}, 1)": (
         lambda: matchings_to_clusters(np.zeros((1, 1, 2), np.intp), {}, 1),
         "n must be an integer, got {}"),
@@ -275,6 +302,21 @@ VALUE_ARGUMENTS = {
 def test_a_value_argument_is_read_by_its_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+RECORD_DEFECTS = {**RECORD_OBJECTS, **RECORD_VALUES}
+
+
+@pytest.mark.parametrize("doc, message", RECORD_DEFECTS.values(), ids=RECORD_DEFECTS)
+def test_a_record_is_refused_alike_built_and_loaded(doc, message, tmp_path):
+    """Each defect raises one message through ``check_record`` of the document and of
+    ``load_record`` of its file."""
+    (path := tmp_path / "record.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as built:
+        check_record(doc)
+    with pytest.raises(ValueError) as loaded:
+        check_record(load_record(path))
+    assert str(built.value) == str(loaded.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +373,11 @@ REPORT = run_trials(TrialConfig("mkm", "greedy", 4, trials=2, k=1))
 
 
 def records():
-    """A library record with its profile, k and weightings each kept or drawn from junk; its
-    name, weighting rows and games stay the library's."""
-    return arg(st.sampled_from(RECORDS).flatmap(lambda rec: st.builds(
-        Record, st.just(rec.name), arg(st.just(rec.profile)), arg(st.just(rec.k)),
-        arg(st.just(rec.weightings)), st.just(rec.games))))
+    """A library record document with its ranking, k and weightings each kept or drawn from
+    junk; its games stay the library's."""
+    return arg(st.sampled_from(RECORDS).flatmap(lambda doc: st.fixed_dictionaries({
+        "ranking": arg(st.just(doc["ranking"])), "k": arg(st.just(doc["k"])),
+        "weightings": arg(st.just(doc["weightings"])), "games": st.just(doc["games"])})))
 
 
 def reports():
@@ -354,7 +396,6 @@ SIGNATURES = {
     "EmptyPoolError": (arg(TEXT),),
     "MalformedInstanceError": (arg(TEXT),),
     "Clustering": (ints(huge=True), arg(st.lists(ids().map(tuple), max_size=4))),
-    "Game": (arg(TEXT), arg(st.just({})), arg(st.just({})), arg(FLOATS), arg(FLOATS)),
     "GeneratorSpec": (arg(TEXT), ints(huge=True), ints(huge=True), ints(huge=True),
                       ints(huge=True)),
     "Matching": (ints(huge=True), arg(pairs())),
@@ -369,7 +410,6 @@ SIGNATURES = {
     "PreferenceProfile.prefers": (ints(huge=True), ints(huge=True), ints(huge=True)),
     "RandomSource": (ints(huge=True),),
     "RatioReport": tuple(arg(FLOATS) for _ in range(8)),
-    "Record": (arg(TEXT), arg(st.just(PROFILE)), ints(), arg(st.just({})), arg(st.just(()))),
     "Subset": (ints(huge=True), arg(ids())),
     "Tour": (ints(huge=True), arg(ids())),
     "TrialConfig": (arg(TEXT), arg(TEXT), ints(huge=True), arg(TEXT), ints(huge=True),
@@ -446,7 +486,7 @@ def test_every_public_callable_has_a_signature():
     exported = {name for name in ordmatch.__all__ if callable(getattr(ordmatch, name))}
     extra = {"Matching.from_dict", "PreferenceProfile.from_dict", "WeightedInstance.from_dict",
              "PreferenceProfile.position", "PreferenceProfile.prefers",
-             *(f"records.{build.__name__}" for build in script.BUILDERS)}
+             *(f"records.{build.__name__}" for build in script.BUILDERS.values())}
     assert set(SIGNATURES) == exported | extra
 
 

@@ -12,7 +12,6 @@ from ordmatch import (
     DEFAULT_BUDGET,
     BudgetError,
     GeneratorSpec,
-    PreferenceProfile,
     RandomSource,
     RatioReport,
     TrialConfig,
@@ -55,7 +54,7 @@ def get_check(fx, name):
     for c in fx["checks"]:
         if c["name"] == name:
             return c
-    raise AssertionError(f"fixture {fx['name']} has no check named {name!r}")
+    raise AssertionError(f"no check named {name!r}")
 
 
 class TestBounds:
@@ -363,7 +362,7 @@ class TestFixtures:
 
     def test_fixture_to_dict(self):
         d = check_record(build_fixture_randomization_floor())
-        assert d["name"] == "randomization-floor" and d["passed"] is True
+        assert list(d) == ["passed", "checks"] and d["passed"] is True
         assert all(set(c) == {"name", "expected", "actual", "passed"} for c in d["checks"])
         assert all(isinstance(c[key], str) for c in d["checks"] for key in ("expected", "actual"))
 
@@ -429,11 +428,14 @@ class TestFixtures:
     def test_checker_reaches_the_last_matching(self):
         # the only matching worth anything is the last one enumerated
         last = ((0, 7), (1, 6), (2, 5), (3, 4))
-        rows = [[Fraction(int((min(u, v), max(u, v)) in last)) for v in range(8)] for u in range(8)]
-        profile = PreferenceProfile([[7 - q] + [j for j in range(8) if j not in (q, 7 - q)]
-                                     for q in range(8)])
-        game = harness.Game("", {"w": Fraction(1)}, {"x": ({last: Fraction(1)}, 1)}, 1, 1)
-        fx = check_record(harness.Record("last", profile, 4, {"w": (rows, False, 4)}, (game,)))
+        rows = [[str(int((min(u, v), max(u, v)) in last)) for v in range(8)] for u in range(8)]
+        ranking = [[7 - q] + [j for j in range(8) if j not in (q, 7 - q)] for q in range(8)]
+        x = [{"matching": [list(e) for e in last], "p": "1"}]
+        game = {"name": "", "y": {"w": "1"}, "mixtures": {"x": {"x": x, "ratio": "1"}},
+                "floor": "1", "bound": "1"}
+        fx = check_record({"ranking": ranking, "k": 4,
+                           "weightings": {"w": {"rows": rows, "metric": False, "opt": "4"}},
+                           "games": [game]})
         assert fx["passed"], [c for c in fx["checks"] if not c["passed"]]
         assert get_check(fx, "deterministic floor over all 105 matchings")["actual"] == "1"
         assert get_check(fx, "lower bound L from y")["actual"] == "1 exact"
@@ -447,42 +449,39 @@ class TestCheckerRejects:
     """A record with one wrong claim fails exactly the check for that claim."""
 
     def test_perturbed_y(self):
-        rec = build_fixture_mixture_gap()
-        y = dict(zip(rec.games[0].y, (Fraction(2, 10), Fraction(2, 10), Fraction(3, 10), Fraction(3, 10))))
-        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        bad = build_fixture_mixture_gap()
+        bad["games"][0]["y"] = dict(zip(bad["games"][0]["y"], ("1/5", "1/5", "3/10", "3/10")))
         assert _failing(bad) == {"lower bound L from y"}
 
     def test_y_that_is_not_a_distribution(self):
-        rec = build_fixture_randomization_floor()
-        y = {s: 2 * p for s, p in rec.games[0].y.items()}
-        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        bad = build_fixture_randomization_floor()
+        y = bad["games"][0]["y"]
+        y.update((s, str(2 * Fraction(p))) for s, p in y.items())
         assert _failing(bad) == {"lower bound L from y"}
         assert get_check(check_record(bad), "lower bound L from y")["actual"] == "y is not a distribution"
 
     def test_wrong_metric_flag(self):
-        rec = build_fixture_mutual_top_pairs()
-        rows, metric, opt = rec.weightings["lean-heavy-1"]
-        bad = dataclasses.replace(rec, weightings={**rec.weightings, "lean-heavy-1": (rows, True, opt)})
+        bad = build_fixture_mutual_top_pairs()
+        bad["weightings"]["lean-heavy-1"]["metric"] = True
         assert _failing(bad) == {"lean-heavy-1 metric"}
 
     def test_weighting_that_breaks_the_profile(self):
-        rec = build_fixture_randomization_floor()
+        bad = build_fixture_randomization_floor()
         # node 2 now ranks 3 first, but the tie-breaker weighs (2, 3) at epsilon < 1
-        ranking = ((1, 2, 3), (0, 3, 2), (3, 0, 1), (1, 0, 2))
-        bad = dataclasses.replace(rec, profile=PreferenceProfile(ranking))
+        bad["ranking"] = [[1, 2, 3], [0, 3, 2], [3, 0, 1], [1, 0, 2]]
         assert _failing(bad) == {"tie-breaker consistent with the profile"}
 
     def test_mixture_off_the_matchings(self):
-        rec = build_fixture_randomization_floor()
-        mixtures = {"x": ({((0, 1), (1, 2)): Fraction(1)}, Fraction(5, 4))}
-        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], mixtures=mixtures),))
+        bad = build_fixture_randomization_floor()
+        bad["games"][0]["mixtures"] = {
+            "x": {"x": [{"matching": [[0, 1], [1, 2]], "p": "1"}], "ratio": "5/4"}}
         assert _failing(bad) == {"x worst ratio"}
 
     @pytest.mark.parametrize("name", ["randomization-floor", "mixture-gap"])
     def test_cli_exits_one(self, name, monkeypatch, capsys, tmp_path):
-        rec = load_record(FILES[name])
-        y = {s: p * Fraction(9, 10) for s, p in rec.games[0].y.items()}
-        bad = dataclasses.replace(rec, games=(dataclasses.replace(rec.games[0], y=y),))
+        bad = load_record(FILES[name])
+        y = bad["games"][0]["y"]
+        y.update((s, str(Fraction(p) * Fraction(9, 10))) for s, p in y.items())
         shutil.copytree(harness.RECORDS, tmp_path, dirs_exist_ok=True)  # the same --name choices
         (tmp_path / f"{name}.json").write_text(script.text(bad))
         monkeypatch.setattr("ordmatch.cli.RECORDS", str(tmp_path))
@@ -492,18 +491,18 @@ class TestCheckerRejects:
         assert [c["name"] for c in fx["checks"] if not c["passed"]] == ["lower bound L from y"]
 
 
-BUILDERS = {build().name: build for build in script.BUILDERS}
+BUILDERS = script.BUILDERS
 BOUND = "record.games[0].bound must be a rational written as str(Fraction) writes it, got "
 
 
 class TestRecordFiles:
-    """The package's record files: each is its builder's record, and ``load_record`` reads
-    nothing but ``Record.to_dict``'s layout."""
+    """The package's record files: each is its builder's document, and ``check_record`` reads
+    nothing but ``_LAYOUT``."""
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_a_file_checks_as_its_builder(self, name):
-        built, read = check_record(BUILDERS[name]()), check_record(load_record(FILES[name]))
-        assert read["passed"] and read == built  # check for check, string for string
+        doc = load_record(FILES[name])
+        assert doc == BUILDERS[name]() and check_record(doc)["passed"]
 
     def test_the_files_are_what_the_script_writes(self, capsys):
         assert script.main(["--check"]) == 0
@@ -557,7 +556,7 @@ class TestRecordFiles:
          "record.games[0] must be an object with keys name, y, mixtures, floor, bound, got "),
         (lambda d: d.update(k=2.0), "record.k must be an integer, got 2.0"),
         (lambda d: d.update(k=5), "record needs 1 <= k <= n//2, got k=5, n=8"),
-        # the defects check_record refuses in a Record
+        # the defects tests/test_contract.py pins in a document built in Python
         (lambda d: d["games"].__setitem__(0, None),
          "record.games[0] must be an object with keys name, y, mixtures, floor, bound, got "
          "NoneType"),
@@ -567,9 +566,28 @@ class TestRecordFiles:
     ], ids=["10/6", "space", "fullwidth digit", "zero denominator", "float", "int weight",
             "string flag", "extra key", "missing key", "float k", "k past n//2", "game null",
             "y null", "mixtures null"])
-    def test_load_record_refuses_another_layout(self, edit, message, tmp_path):
+    def test_a_file_in_another_layout_is_refused(self, edit, message, tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            load_record(self.edited(tmp_path, "mixture-gap", edit))
+            check_record(load_record(self.edited(tmp_path, "mixture-gap", edit)))
+
+    def test_a_mixture_that_lists_a_matching_twice_is_refused(self, tmp_path):
+        # the listed probabilities total 7/5, which a dict keyed by matching would hide
+        path = self.edited(tmp_path, "mixture-gap", lambda d: (
+            x := d["games"][0]["mixtures"]["x"]["x"]).append(x[0]))
+        with pytest.raises(ValueError, match=re.escape(
+                "record.games[0].mixtures['x'].x must list each matching once")):
+            check_record(load_record(path))
+
+    def test_a_file_that_repeats_a_key_is_refused(self, tmp_path):
+        # json keeps the last of a repeated key, so the file would check as if "9/10" were absent
+        text = open(FILES["mixture-gap"]).read()
+        entry = '"y": {"weighting-1": "1/10"'
+        assert text.count(entry) == 1
+        (path := tmp_path / "mixture-gap.json").write_text(
+            text.replace(entry, '"y": {"weighting-1": "9/10", "weighting-1": "1/10"'))
+        with pytest.raises(ValueError, match=re.escape(
+                "a record file repeats the key 'weighting-1' in one object")):
+            load_record(path)
 
     def test_cli_exits_one_with_error_on_a_malformed_file(self, monkeypatch, tmp_path, capsys):
         shutil.copytree(harness.RECORDS, tmp_path, dirs_exist_ok=True)
