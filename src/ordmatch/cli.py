@@ -69,7 +69,7 @@ def _cmd_oracle(args):
 
 def _cmd_bench(args):
     report = run_trials(_from_args(TrialConfig, args))
-    return [report_emit(report, args.format)], report.verdict
+    return [report_emit(report, args.format)], report["verdict"]
 
 
 def _record_names() -> list:

@@ -6,7 +6,8 @@ bound: deterministic algorithms by worst observed ratio, randomized ones
 by per-instance Monte Carlo means with a three-standard-error allowance.
 Both sides are weighed by one gather per objective (``core`` and
 ``reductions`` define them; ``SolutionKind`` pairs each with its scalar
-one-row form), so a greedy that finds the optimum reads ratio 1.0.
+one-row form), so a greedy that finds the optimum reads ratio 1.0. A
+report is its JSON document, which ``report_emit`` writes.
 
 The lower-bound fixtures are finite games, each a record: one preference
 profile, k, named rational weightings consistent with it, and games. In a
@@ -62,7 +63,7 @@ from .instance import (
     generate,
     render,
 )
-from .oracle import opt_densest, opt_k_sum, opt_matching, opt_tsp
+from .oracle import _cap, opt_densest, opt_k_sum, opt_matching, opt_tsp
 from .reductions import (
     Clustering,
     Subset,
@@ -80,7 +81,6 @@ from .reductions import (
 )
 
 __all__ = [
-    "RatioReport",
     "TrialConfig",
     "check_record",
     "default_bound",
@@ -97,11 +97,6 @@ REPORT_SCHEMA = 2
 
 # Inner draws per sampler call, so memory does not grow with inner_samples.
 SAMPLE_BLOCK = 4096
-
-
-def _field_dict(obj) -> dict:
-    """A dataclass's fields in order, shallow: ``asdict`` deep-copies every leaf."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def canonical_engine(label: str) -> str:
@@ -154,6 +149,7 @@ class ProblemSpec:
     size: Callable  # (n, k) -> edges the matching engine must supply
     reduce: Callable  # (matchings, profile, k, gen) -> one solution per matching
     oracle: Callable  # (inst, k) -> the exact optimum
+    cap: str  # the oracle's name in DEFAULT_BUDGET (max_n_<cap>) and in its BudgetError
     bound: Callable  # (engine, n) -> the factor the harness defends
     kind: SolutionKind
     random_reduce: bool = False  # the reduction draws from gen, so greedy is randomized too
@@ -200,6 +196,7 @@ PROBLEMS = {
         size=lambda n, k: n // 2,
         reduce=lambda m, profile, k, gen: m,
         oracle=lambda inst, k: opt_matching(inst, inst.n // 2),
+        cap="matching",
         bound=_alpha,
         kind=MATCHING,
     ),
@@ -209,6 +206,7 @@ PROBLEMS = {
         size=lambda n, k: k,
         reduce=lambda m, profile, k, gen: m,
         oracle=lambda inst, k: opt_matching(inst, k),
+        cap="matching",
         bound=lambda engine, n: 2.0,
         kind=MATCHING,
     ),
@@ -218,6 +216,7 @@ PROBLEMS = {
         size=lambda n, k: n // 2 if (n // k) % 2 == 0 else (n - k) // 2,
         reduce=lambda m, profile, k, gen: matchings_to_clusters(m, profile.n, k),
         oracle=lambda inst, k: opt_k_sum(inst, k),
+        cap="k-sum",
         bound=lambda engine, n: 2.0 * _alpha(engine, n),
         kind=CLUSTERING,
     ),
@@ -227,6 +226,7 @@ PROBLEMS = {
         size=lambda n, k: k // 2,
         reduce=lambda m, profile, k, gen: matchings_to_subsets(m),
         oracle=lambda inst, k: opt_densest(inst, k),
+        cap="densest",
         bound=lambda engine, n: 4.0,
         kind=SUBSET,
     ),
@@ -236,6 +236,7 @@ PROBLEMS = {
         size=lambda n, k: n // 2,
         reduce=lambda m, profile, k, gen: matchings_to_tours(m, profile, gen),
         oracle=lambda inst, k: opt_tsp(inst),
+        cap="tsp",
         bound=lambda engine, n: 4.0 * _alpha(engine, n) / (3.0 - 4.0 / n),
         kind=TOUR,
         random_reduce=True,  # a tour starts at a random node
@@ -308,7 +309,8 @@ class TrialConfig:
         return PROBLEMS[self.problem].bound(self.engine, self.n)
 
     def to_dict(self) -> dict:
-        return {**_field_dict(self), "bound": self.effective_bound()}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "bound": self.effective_bound()}
 
 
 def _sample(
@@ -363,25 +365,8 @@ def optimum(problem: str, inst: WeightedInstance, k: int | None) -> dict:
     return _payload(spec.kind, spec.oracle(inst, k), inst)
 
 
-@dataclass
-class RatioReport:
-    """Outcome of one bench run; serializes byte-stably."""
-
-    schema: int
-    config: dict
-    bound: float
-    records: list
-    max_ratio: float
-    mean_ratio: float
-    std_error: float
-    verdict: bool
-
-    def to_dict(self) -> dict:
-        return _field_dict(self)
-
-
-def run_trials(cfg: TrialConfig) -> RatioReport:
-    """Bench one configuration and judge it against its bound.
+def run_trials(cfg: TrialConfig) -> dict:
+    """Bench one configuration and judge it against its bound: a report document.
 
     Per trial: a fresh instance (seed = base + trial index), the exact
     optimum, and the algorithm's weight. Each trial draws from one
@@ -393,7 +378,7 @@ def run_trials(cfg: TrialConfig) -> RatioReport:
     when the worst ratio stays within bound + 1e-9.
     """
     row = PROBLEMS[_typed(cfg, TrialConfig, "cfg").problem]
-    engine = cfg.engine
+    _cap(row.cap, cfg.n)  # before any instance is generated: one past the cap may not fit memory
     bound = cfg.effective_bound()
     randomized = cfg.randomized()
     draws = cfg.inner_samples if randomized else 1
@@ -404,44 +389,28 @@ def run_trials(cfg: TrialConfig) -> RatioReport:
         profile = derive_preferences(inst)
         opt = row.kind.weigh(row.oracle(inst, cfg.k), inst)
         gen = np.random.default_rng(RandomSource.derived_seed(cfg.seed, t))
-        values = np.concatenate([
-            row.kind.values(
-                _sample(row, engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
-                inst.weights,
-            )
-            for lo in range(0, draws, SAMPLE_BLOCK)
-        ])
+        values = np.concatenate([row.kind.values(
+            _sample(row, cfg.engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
+            inst.weights) for lo in range(0, draws, SAMPLE_BLOCK)])
         alg = float(values.mean())
         ratio = opt / alg if alg > 0 else (1.0 if opt == 0 else math.inf)
         se_ratio = 0.0
         if randomized and alg > 0:
             se = float(values.std(ddof=1)) / math.sqrt(draws)
             se_ratio = opt * se / (alg * alg)
-        records.append(
-            {
-                "seed": spec.seed,
-                "opt": opt,
-                "alg": alg,
-                "ratio": ratio,
-                "stderr": se_ratio,
-                "passed": ratio <= bound + 3.0 * se_ratio + RATIO_TOL,
-            }
-        )
+        records.append({"seed": spec.seed, "opt": opt, "alg": alg, "ratio": ratio,
+                        "stderr": se_ratio, "passed": ratio <= bound + 3.0 * se_ratio + RATIO_TOL})
     ratios = [r["ratio"] for r in records]
-    max_ratio = max(ratios)
-    mean_ratio = statistics.fmean(ratios)
-    std_error = statistics.stdev(ratios) / math.sqrt(len(ratios)) if len(ratios) > 1 else 0.0
-    verdict = all(r["passed"] for r in records)
-    return RatioReport(
-        schema=REPORT_SCHEMA,
-        config=cfg.to_dict(),
-        bound=bound,
-        records=records,
-        max_ratio=max_ratio,
-        mean_ratio=mean_ratio,
-        std_error=std_error,
-        verdict=verdict,
-    )
+    return {
+        "schema": REPORT_SCHEMA,
+        "config": cfg.to_dict(),
+        "bound": bound,
+        "records": records,
+        "max_ratio": max(ratios),
+        "mean_ratio": statistics.fmean(ratios),
+        "std_error": statistics.stdev(ratios) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0,
+        "verdict": all(r["passed"] for r in records),
+    }
 
 
 def _finite_or_null(obj):
@@ -455,16 +424,16 @@ def _finite_or_null(obj):
     return obj
 
 
-def report_emit(report: RatioReport, fmt: str = "json") -> bytes:
-    """Render a report; json is strict (non-finite floats become null), csv is one row per record.
-    ValueError unless ``records`` is a list of dicts, each holding the four csv columns."""
+def report_emit(report: dict, fmt: str = "json") -> bytes:
+    """Render a report document; json is strict (non-finite floats become null), csv is one row
+    per record. ValueError unless it is a dict whose ``records`` lists dicts with those columns."""
     columns = ("seed", "opt", "alg", "ratio")
-    records = _typed(report, RatioReport, "report").records
+    records = _typed(report, dict, "report").get("records")
     if not isinstance(records, list) or not all(
             isinstance(r, dict) and r.keys() >= {*columns} for r in records):
         raise ValueError(f"records must be a list of dicts with {', '.join(columns)}")
     rows = ([r[c] for c in columns] for r in records)
-    return b"".join(render(fmt, _finite_or_null(report.to_dict()), ",".join(columns), rows))
+    return b"".join(render(fmt, _finite_or_null(report), ",".join(columns), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +492,13 @@ def _keyed_once(pairs: list) -> dict:
 
 
 def load_record(path):
-    """The JSON document in the file at ``path``; ValueError if an object in it repeats a key."""
+    """The JSON document in the file at ``path``; ValueError if an object in it repeats a key or
+    it nests too deeply for ``json``."""
     with open(_typed(path, (str, os.PathLike), "path"), encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_keyed_once)
+        try:
+            return json.load(fh, object_pairs_hook=_keyed_once)
+        except RecursionError:
+            raise ValueError("a record file nests too deeply to read") from None
 
 
 def _k_matchings(nodes: tuple, k: int):
@@ -570,7 +543,11 @@ def check_record(doc) -> dict:
     value, opt = {}, {}
     for s, weighting in rec["weightings"].items():
         w = weighting["rows"]
-        if (inst := WeightedInstance([[float(x) for x in row] for row in w])).n != n:
+        try:
+            inst = WeightedInstance([[float(x) for x in row] for row in w])
+        except OverflowError:
+            raise ValueError(f"record.weightings[{s!r}].rows must each fit a float") from None
+        if inst.n != n:
             raise ValueError(f"record.weightings[{s!r}].rows must have the profile's {n} nodes, "
                              f"got {inst.n}")
         value[s] = [sum((w[u][v] for u, v in m), Fraction(0)) for m in matchings]

@@ -336,7 +336,7 @@ def load_instance(path: str) -> WeightedInstance:
     """Load an instance JSON file, re-validating the matrix. A file in ``gen``'s layout is read
     by ``_gen_fields``, a chunk and a weight row at a time (a pipe, read whole first); any other
     text is read again whole by ``json.loads``, so every file loads or fails as it did through
-    ``json.load``."""
+    ``json.load``, save one nested too deeply for it: MalformedInstanceError."""
     with open(_typed(path, (str, os.PathLike), "path"), "r", encoding="utf-8") as fh:
         src = fh if fh.seekable() else io.StringIO(fh.read())
         try:  # MemoryError: a long first row sizes a matrix numpy cannot allocate
@@ -345,7 +345,10 @@ def load_instance(path: str) -> WeightedInstance:
             d = None
         if d is None:  # out of the handler, whose traceback holds the half-read matrix
             src.seek(0)
-            d = json.loads(src.read())
+            try:
+                d = json.loads(src.read())
+            except RecursionError:
+                raise MalformedInstanceError("an instance file nests too deeply to read") from None
     return WeightedInstance.from_dict(d)
 
 

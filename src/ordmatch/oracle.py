@@ -48,14 +48,18 @@ DEFAULT_BUDGET = OracleBudget()
 _HELD_KARP_CHUNK = 1 << 14  # entries per Held-Karp gather: its buffers (0.4 MB) stay in L2
 
 
+def _cap(what: str, n: int) -> None:
+    """BudgetError if n is past the ``max_n_<what>`` cap of ``DEFAULT_BUDGET`` as it reads now."""
+    if n > (cap := getattr(DEFAULT_BUDGET, "max_n_" + what.replace("-", "_"))):
+        raise BudgetError(f"{what} oracle capped at n={cap}, got n={n}")
+
+
 def _gate(what: str, inst: WeightedInstance) -> tuple:
     """A ``what`` oracle call opened: ``inst``'s n and weights, and the clock check of
     ``DEFAULT_BUDGET`` as it reads now. ValueError unless ``inst`` is a ``WeightedInstance``;
-    BudgetError past the ``max_n_<what>`` cap or, from the clock, the time limit."""
-    n, budget = _typed(inst, WeightedInstance, "inst").n, DEFAULT_BUDGET
-    if n > (cap := getattr(budget, "max_n_" + what.replace("-", "_"))):
-        raise BudgetError(f"{what} oracle capped at n={cap}, got n={n}")
-    t_end = time.monotonic() + budget.time_limit
+    BudgetError past its ``_cap`` or, from the clock, the time limit."""
+    _cap(what, n := _typed(inst, WeightedInstance, "inst").n)
+    t_end = time.monotonic() + DEFAULT_BUDGET.time_limit
 
     def clock():
         if time.monotonic() > t_end:

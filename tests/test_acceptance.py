@@ -235,10 +235,9 @@ def test_c06_black_box_reduction_bounds(verdict):
     details = []
     for cfg in configs:
         rep = run_trials(cfg)
-        ok = ok and rep.verdict
-        details.append(
-            f"{cfg.problem}/{cfg.engine} n={cfg.n} bound {rep.bound:.4g} max {rep.max_ratio:.4f}"
-        )
+        ok = ok and rep["verdict"]
+        details.append(f"{cfg.problem}/{cfg.engine} n={cfg.n} bound {rep['bound']:.4g} "
+                       f"max {rep['max_ratio']:.4f}")
     verdict("C6 black-box-reduction-bounds", ok, "; ".join(details))
 
 
@@ -398,7 +397,7 @@ def test_ksum_sweeps_at_n_12_and_16(verdict):
     details = []
     for cfg, bound in configs:
         rep = run_trials(cfg)
-        ok = ok and rep.bound == bound and rep.verdict
-        details.append(f"{cfg.engine} n={cfg.n} k={cfg.k} bound {rep.bound:.4g} "
-                       f"max {rep.max_ratio:.4f}")
+        ok = ok and rep["bound"] == bound and rep["verdict"]
+        details.append(f"{cfg.engine} n={cfg.n} k={cfg.k} bound {rep['bound']:.4g} "
+                       f"max {rep['max_ratio']:.4f}")
     verdict("ksum sweeps n=12,16", ok, f"{len(configs)} configs; " + "; ".join(details))

@@ -392,6 +392,20 @@ def test_malformed_instance_exits_one(verb, doc, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "verb", [["prefs"], ["solve", "--problem", "mwm"], ["oracle", "--problem", "mwm"],
+             ["verify-metric"]], ids=lambda verb: verb[0],
+)
+def test_an_instance_nested_too_deep_for_json_exits_one(verb, tmp_path, capsys):
+    """Weights nested 10^5 deep escaped ``load_instance`` as a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"weights": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    assert main([*verb, "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an instance file nests too deeply to read\n"
+
+
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
 @pytest.mark.parametrize(

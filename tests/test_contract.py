@@ -24,7 +24,6 @@ stay small, and huge integers go only where nothing is sized by them.
 
 import contextlib
 import copy
-import dataclasses
 import functools
 import io
 import json
@@ -45,11 +44,11 @@ from ordmatch import (
     GENERATOR_FAMILIES,
     Clustering,
     GeneratorSpec,
+    MalformedInstanceError,
     Matching,
     Path,
     PreferenceProfile,
     RandomSource,
-    RatioReport,
     Subset,
     Tour,
     TrialConfig,
@@ -196,6 +195,11 @@ RECORD_VALUES = {
     "check_record(metric str)": (
         floor_with(lambda d: d["weightings"]["tie-breaker"].update(metric="True")),
         "record.weightings['tie-breaker'].metric must be a bool, got str"),
+    # past the largest float: OverflowError from the float weights of its instance
+    "check_record(weight 10^400)": (
+        floor_with(lambda d: d["weightings"]["tie-breaker"]["rows"][0].__setitem__(
+            1, "1" + "0" * 400)),
+        "record.weightings['tie-breaker'].rows must each fit a float"),
 }
 
 # Each raised AttributeError or TypeError, or a ValueError naming no rule.
@@ -224,10 +228,13 @@ WRONG_CLASS = {
     "optimum(list)": (lambda: harness.optimum("mwm", LIST_INST, None),
                       "inst must be a WeightedInstance"),
     "run_trials(None)": (lambda: run_trials(None), "cfg must be a TrialConfig"),
-    "report_emit(None)": (lambda: report_emit(None), "report must be a RatioReport"),
+    "report_emit(None)": (lambda: report_emit(None), "report must be a dict"),
+    # a report's emitted bytes, which were refused as not a RatioReport
+    "report_emit(its bytes)": (lambda: report_emit(report_emit(REPORT)),
+                               "report must be a dict, got bytes"),
     **checked(RECORD_OBJECTS),
     "report_emit(records None)": (
-        lambda: report_emit(RatioReport(2, {}, 1.0, None, 1.0, 1.0, 0.0, True)),
+        lambda: report_emit({**REPORT, "records": None}),
         "records must be a list of dicts with seed, opt, alg, ratio"),
     "generate(None)": (lambda: generate(None), "spec must be a GeneratorSpec"),
     "matchings_to_clusters(list)": (lambda: matchings_to_clusters([[[0, 1]]], 2, 1),
@@ -319,6 +326,24 @@ def test_a_record_is_refused_alike_built_and_loaded(doc, message, tmp_path):
     assert str(built.value) == str(loaded.value) == message
 
 
+# Each raised RecursionError from ``json``: a file nested 10^5 deep, past any recursion limit.
+DEEP = "[" * 10**5 + "]" * 10**5
+TOO_DEEP = {
+    "load_instance(nested 10^5 deep)": (load_instance, '{"weights": ' + DEEP + "}",
+                                        MalformedInstanceError,
+                                        "an instance file nests too deeply to read"),
+    "load_record(nested 10^5 deep)": (load_record, '{"ranking": ' + DEEP + "}", ValueError,
+                                      "a record file nests too deeply to read"),
+}
+
+
+@pytest.mark.parametrize("load, text, error, message", TOO_DEEP.values(), ids=TOO_DEEP)
+def test_a_file_nested_too_deep_for_json_is_refused(load, text, error, message, tmp_path):
+    (path := tmp_path / "deep.json").write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # The library property
 # ---------------------------------------------------------------------------
@@ -382,8 +407,7 @@ def records():
 
 def reports():
     """``REPORT`` with its records kept or drawn from junk."""
-    return arg(arg(st.just(REPORT.records)).map(
-        lambda rows: dataclasses.replace(REPORT, records=rows)))
+    return arg(arg(st.just(REPORT["records"])).map(lambda rows: {**REPORT, "records": rows}))
 
 FLOATS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1e-9])
 TEXT = st.sampled_from(["mwm", "mkm", "ksum", "densest", "tsp", "greedy", "random", "hybrid",
@@ -409,7 +433,6 @@ SIGNATURES = {
     "PreferenceProfile.position": (ints(huge=True), ints(huge=True)),
     "PreferenceProfile.prefers": (ints(huge=True), ints(huge=True), ints(huge=True)),
     "RandomSource": (ints(huge=True),),
-    "RatioReport": tuple(arg(FLOATS) for _ in range(8)),
     "Subset": (ints(huge=True), arg(ids())),
     "Tour": (ints(huge=True), arg(ids())),
     "TrialConfig": (arg(TEXT), arg(TEXT), ints(huge=True), arg(TEXT), ints(huge=True),

@@ -13,7 +13,6 @@ from ordmatch import (
     BudgetError,
     GeneratorSpec,
     RandomSource,
-    RatioReport,
     TrialConfig,
     WeightedInstance,
     check_record,
@@ -241,53 +240,79 @@ class TestRunTrials:
 
     def test_deterministic_verdict_passes_honestly(self):
         r = run_trials(TrialConfig("mwm", "greedy", 8, trials=6, seed=0))
-        assert r.verdict
-        assert r.bound == 2.0
-        for rec in r.records:
+        assert r["verdict"]
+        assert r["bound"] == 2.0
+        for rec in r["records"]:
             assert rec["ratio"] >= 1.0 - 1e-9
             assert rec["ratio"] <= 2.0 + 1e-9
 
     def test_unreachable_bound_fails(self):
         r = run_trials(TrialConfig("mwm", "greedy", 10, trials=5, seed=0, bound=1.0))
-        assert not r.verdict
-        assert r.max_ratio > 1.0 + 1e-9
+        assert not r["verdict"]
+        assert r["max_ratio"] > 1.0 + 1e-9
 
     def test_randomized_records_carry_stderr(self):
         r = run_trials(TrialConfig("mwm", "random", 6, trials=2, inner_samples=80, seed=1))
-        for rec in r.records:
+        for rec in r["records"]:
             assert rec["stderr"] > 0.0
             assert rec["alg"] > 0.0
-        assert r.verdict
+        assert r["verdict"]
 
     def test_aggregates_recomputable_from_records(self):
         r = run_trials(TrialConfig("mwm", "greedy", 8, trials=5, seed=3))
-        ratios = [rec["ratio"] for rec in r.records]
-        assert r.max_ratio == max(ratios)
-        assert r.mean_ratio == statistics.fmean(ratios)
-        assert r.std_error == statistics.stdev(ratios) / math.sqrt(len(ratios))
+        ratios = [rec["ratio"] for rec in r["records"]]
+        assert r["max_ratio"] == max(ratios)
+        assert r["mean_ratio"] == statistics.fmean(ratios)
+        assert r["std_error"] == statistics.stdev(ratios) / math.sqrt(len(ratios))
 
     def test_inner_samples_span_several_blocks(self, monkeypatch):
         monkeypatch.setattr(harness, "SAMPLE_BLOCK", 7)
         cfg = TrialConfig("tsp", "hybrid", 6, trials=2, inner_samples=20, seed=4)
         a, b = run_trials(cfg), run_trials(cfg)
-        assert a.verdict
+        assert a["verdict"]
         assert report_emit(a, "json") == report_emit(b, "json")
-        for rec in a.records:
+        for rec in a["records"]:
             assert rec["stderr"] > 0.0
 
     def test_trial_seeds_are_base_plus_index(self):
         r = run_trials(TrialConfig("mwm", "greedy", 6, trials=4, seed=10))
-        assert [rec["seed"] for rec in r.records] == [10, 11, 12, 13]
+        assert [rec["seed"] for rec in r["records"]] == [10, 11, 12, 13]
+
+    def test_a_report_is_its_json_document(self):
+        r = run_trials(TrialConfig("mwm", "hybrid", 6, trials=2, inner_samples=10, seed=5))
+        assert type(r) is dict
+        assert list(r) == ["schema", "config", "bound", "records", "max_ratio", "mean_ratio",
+                           "std_error", "verdict"]
+        assert json.loads(report_emit(r, "json")) == r
+
+    @pytest.mark.parametrize("problem, n, k, what, cap", [
+        ("mwm", 21, None, "matching", 20), ("mkm", 21, 3, "matching", 20),
+        ("ksum", 18, 2, "k-sum", 16), ("densest", 21, 4, "densest", 20),
+        ("tsp", 16, None, "tsp", 15)])
+    def test_the_oracle_cap_is_read_before_any_instance(self, problem, n, k, what, cap,
+                                                        monkeypatch, capsys):
+        """``bench --problem mwm --n 10000000`` failed in ``generate``, unable to allocate its
+        728 TiB matrix, before the matching oracle's cap of 20 was read."""
+        def generate_nothing(spec):
+            raise AssertionError(f"generate called for n={spec.n}")
+
+        monkeypatch.setattr(harness, "generate", generate_nothing)
+        message = f"{what} oracle capped at n={cap}, got n={n}"
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            run_trials(TrialConfig(problem, "greedy", n, k=k, trials=1))
+        argv = ["bench", "--problem", problem, "--n", str(n), "--trials", "1"]
+        assert main(argv + ["--k", str(k)] * (k is not None)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_reduction_problems_run(self):
-        assert run_trials(TrialConfig("ksum", "greedy", 8, k=2, trials=2, seed=0)).verdict
-        assert run_trials(TrialConfig("mkm", "greedy", 9, k=2, trials=2, seed=0)).verdict
+        assert run_trials(TrialConfig("ksum", "greedy", 8, k=2, trials=2, seed=0))["verdict"]
+        assert run_trials(TrialConfig("mkm", "greedy", 9, k=2, trials=2, seed=0))["verdict"]
         assert run_trials(
             TrialConfig("densest", "random", 8, k=4, trials=2, inner_samples=60, seed=0)
-        ).verdict
+        )["verdict"]
         assert run_trials(
             TrialConfig("tsp", "greedy", 6, trials=2, inner_samples=60, seed=0)
-        ).verdict
+        )["verdict"]
 
     def test_all_equal_weights_ratio_is_one(self):
         w = [[0.0 if i == j else 1.0 for j in range(6)] for i in range(6)]
@@ -301,36 +326,27 @@ class TestRunTrials:
 class TestReportEmit:
     def make_report(self, records):
         ratios = [r["ratio"] for r in records] or [0.0]
-        return RatioReport(
-            schema=1,
-            config={"problem": "mwm"},
-            bound=2.0,
-            records=records,
-            max_ratio=max(ratios),
-            mean_ratio=statistics.fmean(ratios),
-            std_error=0.0,
-            verdict=True,
-        )
+        return {"schema": 1, "config": {"problem": "mwm"}, "bound": 2.0, "records": records,
+                "max_ratio": max(ratios), "mean_ratio": statistics.fmean(ratios),
+                "std_error": 0.0, "verdict": True}
 
     def test_json_round_trips(self):
         r = run_trials(TrialConfig("mwm", "greedy", 6, trials=3, seed=5))
         payload = json.loads(report_emit(r, "json").decode("utf-8"))
-        assert payload == r.to_dict()
+        assert payload == r
         assert payload["schema"] == 2
 
     def test_infinite_ratio_is_strict_json_null(self):
         r = run_trials(TrialConfig("mwm", "random", 6, trials=2, inner_samples=10, seed=5))
-        r.records[0]["ratio"] = math.inf  # what an ALG mean of 0 gives
-        r.max_ratio = math.inf
-        r.mean_ratio = math.inf
-        r.std_error = math.nan
+        r["records"][0]["ratio"] = math.inf  # what an ALG mean of 0 gives
+        r.update(max_ratio=math.inf, mean_ratio=math.inf, std_error=math.nan)
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
         payload = json.loads(report_emit(r, "json").decode("utf-8"), parse_constant=reject)
         assert payload["records"][0]["ratio"] is None
-        assert payload["records"][1]["ratio"] == r.records[1]["ratio"]
+        assert payload["records"][1]["ratio"] == r["records"][1]["ratio"]
         assert payload["max_ratio"] is None
         assert payload["mean_ratio"] is None
         assert payload["std_error"] is None

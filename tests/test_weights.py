@@ -157,7 +157,7 @@ def test_greedy_that_finds_the_optimum_reads_ratio_one(problem, k, n):
     seeds = 100
     report = run_trials(TrialConfig(problem, "greedy", n, k=k, trials=seeds))
     found = 0
-    for record in report.records:
+    for record in report["records"]:
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=record["seed"]))
         alg = solve(problem, "greedy", inst, k, record["seed"])
         opt = optimum(problem, inst, k)
