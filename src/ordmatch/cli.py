@@ -162,7 +162,7 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "wb") as fh:
                 fh.writelines(chunks)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an n whose matrix cannot fit
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -83,19 +83,24 @@ def _popcount_layers(n: int, lo: int, hi: int) -> list:
 
 @functools.cache
 def _matching_blocks(n: int) -> tuple:
-    """Per block b, int32 tables for the sets with lowest node a = n - 1 - b the
-    DP reaches from the full set, those missing at most a of the b higher nodes:
-    the sets r | 2^b, their r, per bit v of r the set r ^ 2^v and node n - 1 - v
-    (the empty set and node a for an empty r), and where each r's pairs start."""
-    count, blocks = np.zeros(1, np.int8), []  # count: popcount of each b-bit r
-    for b in range(n):
+    """Per block b, the sets with lowest node a = n - 1 - b that the DP reaches
+    from the full set, those missing at most a of the b higher nodes. A reached
+    set is named by its rank among them in ascending mask order (bit b for node
+    n - 1 - b; rank 0 is the empty set), so block b is the run of ranks lo..hi.
+    Its int32 tables hold, per set, the rank of its rest r (the set without a);
+    per bit v of r, the rank of r ^ 2^v and node n - 1 - v (the empty set and
+    node a for an empty r); and where each set's pairs start, then their count."""
+    count, rank, blocks, lo = np.zeros(1, np.int8), np.zeros(1 << n, np.int32), [], 1
+    for b in range(n):  # count: popcount of each b-bit r; rank: each reached set's rank
         rest = np.flatnonzero(count >= 2 * b + 1 - n).astype(np.int32)
         v = np.arange(b + 1, dtype=np.int32)
         row, col = np.nonzero(np.column_stack([rest[:, None] >> v[:-1] & 1, rest == 0]))
-        starts = np.flatnonzero(np.diff(row, prepend=-1)).astype(np.int32)
-        blocks.append((rest | 1 << b, rest, rest[row] & ~(1 << v[col]), n - 1 - v[col], starts))
-        count = np.concatenate([count, count + 1])
-    for t in (x for block in blocks for x in block):
+        starts = np.searchsorted(row, np.arange(len(rest) + 1)).astype(np.int32)
+        blocks.append((lo, lo + len(rest), rank[rest], rank[rest[row] & ~(1 << v[col])],
+                       n - 1 - v[col], starts))
+        rank[rest | 1 << b] = np.arange(lo, lo + len(rest))
+        count, lo = np.concatenate([count, count + 1]), lo + len(rest)
+    for t in (x for block in blocks for x in block[2:]):
         t.flags.writeable = False
     return tuple(blocks)
 
@@ -103,45 +108,47 @@ def _matching_blocks(n: int) -> tuple:
 def opt_matching(inst: WeightedInstance, k: int) -> Matching:
     """Maximum-weight matching with at most k edges, by subset DP.
 
-    Bit b of a table index stands for node n - 1 - b, so the block of
-    indices [2^b, 2^(b+1)) holds the sets whose lowest node is n - 1 - b
-    and reads only indices below 2^b; a block fills only the sets reachable
-    from the full set, by one gather and one maximum.reduceat. Ties go to
-    the lexicographically smallest edge set: reconstruction pairs the lowest
-    unmatched node with the smallest partner that still achieves the
-    optimum, and zero-weight edges are pruned afterwards.
+    The table has one column per set that the lowest-node recursion reaches
+    from the full set, F(n+2) of them, in the rank order of
+    ``_matching_blocks``: block b, the sets whose lowest node is n - 1 - b,
+    is one run of ranks and reads only lower ones, and is filled by one
+    gather and one maximum.reduceat. Ties go to the lexicographically
+    smallest edge set: reconstruction pairs the lowest unmatched node with
+    the smallest partner that still achieves the optimum, and zero-weight
+    edges are pruned afterwards.
     """
     n, w, clock = _gate("matching", inst)
     kcap = min(_count(k, "k", 1), n // 2)
 
-    # layers[j][mask] = best weight on mask using at most j edges. Without
-    # a binding cap one layer suffices and it is its own previous layer.
-    # cur[j] and prev[j] are the layers for j + 1 and j edges.
-    capped = kcap < n // 2
-    layers = np.zeros((kcap + 1 if capped else 1, 1 << n))
+    # layers[j][s] = best weight on the set of rank s using at most j edges.
+    # Without a binding cap one layer suffices and it is its own previous
+    # layer. cur[j] and prev[j] are the layers for j + 1 and j edges.
+    capped, blocks = kcap < n // 2, _matching_blocks(n)
+    layers = np.zeros((kcap + 1 if capped else 1, blocks[-1][1]))
     cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
-    for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
+    for b, (lo, hi, rest, src, partner, starts) in enumerate(blocks):
         clock()
-        best = np.maximum.reduceat(prev.take(src, axis=1) + w[n - 1 - b].take(partner), starts,
-                                   axis=1)
-        cur[:, sets] = np.maximum(best, cur.take(rest, axis=1), out=best)
+        best = np.maximum.reduceat(prev.take(src, axis=1) + w[n - 1 - b].take(partner),
+                                   starts[:-1], axis=1)
+        np.maximum(best, cur.take(rest, axis=1), out=cur[:, lo:hi])
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
-    edges = []
-    mask = (1 << n) - 1
-    j = len(cur) - 1
-    while j >= 0 and mask & (mask - 1):
-        b = mask.bit_length() - 1
-        low, rest = n - 1 - b, mask ^ (1 << b)
-        best = cur[j, mask]
-        for v in reversed(range(b)):  # partners in ascending node order
-            if rest >> v & 1 and w[low, n - 1 - v] + prev[j, rest ^ (1 << v)] == best:
-                edges.append((low, n - 1 - v))
-                mask = rest ^ (1 << v)
-                j -= capped
+    # Each step drops the set's lowest node, so the blocks it visits only fall.
+    edges, s, j = [], layers.shape[1] - 1, len(cur) - 1  # the full set has the last rank
+    for b in reversed(range(n)):
+        lo, _, rest, src, partner, starts = blocks[b]
+        if s < lo:
+            continue
+        if j < 0 or not rest[s - lo]:  # no edge left, or a single node
+            break
+        low, best, pairs = n - 1 - b, cur[j, s], slice(*starts[s - lo:s - lo + 2])
+        for q, v in zip(src[pairs].tolist()[::-1], partner[pairs].tolist()[::-1]):
+            if w[low, v] + prev[j, q] == best:  # partners in ascending node order
+                edges.append((low, v))
+                s, j = q, j - capped
                 break
         else:
-            mask = rest
+            s = rest[s - lo]
     return Matching.from_pairs(n, [e for e in edges if w[e] > 0.0])
 
 

@@ -14,6 +14,7 @@ from ordmatch import (
     load_instance,
     save_instance,
 )
+from ordmatch import cli
 from ordmatch.cli import main
 from ordmatch.harness import PROBLEMS
 
@@ -55,6 +56,20 @@ class TestGen:
         for fam in ("euclidean-uniform", "random-metric-closure", "clustered-gaussian"):
             out = tmp_path / f"{fam}.json"
             assert main(["gen", "--family", fam, "--n", "6", "--out", str(out)]) == 0
+
+    def test_an_n_too_large_to_allocate_exits_one(self, tmp_path, capsys, monkeypatch):
+        """An n whose weight matrix numpy cannot allocate is an input error, not an escaped
+        MemoryError; ``generate`` is patched to raise it, so nothing is allocated."""
+        def unallocatable(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              f"({spec.n}, {spec.n}) and data type float64")
+        monkeypatch.setattr(cli, "generate", unallocatable)
+        out = tmp_path / "big.json"
+        assert main(["gen", "--n", "1000000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: Unable to allocate 7.28 TiB")
+        assert not out.exists()
 
 
 class TestPrefs:

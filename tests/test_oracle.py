@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,27 +459,39 @@ class TestReachableSets:
     """The matching DP fills only the sets its lowest-node recursion reaches."""
 
     @pytest.mark.parametrize("n", range(2, 21))
-    def test_blocks_write_each_reachable_set_once_after_what_they_read(self, n):
+    def test_blocks_rank_each_reachable_set_once_after_what_they_read(self, n):
         fib = [0, 1]
         while len(fib) < n + 3:
             fib.append(fib[-1] + fib[-2])
-        written = np.zeros(1 << n, bool)
-        written[0] = True  # the empty set, zero in every layer
-        for b, (sets, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
-            assert all(t.dtype == np.int32 for t in (sets, rest, src, partner, starts))
-            assert (sets == rest | 1 << b).all() and (np.diff(rest) > 0).all() and rest[-1] < 1 << b
-            assert written[rest].all() and written[src].all(), b
-            assert not written[sets].any(), b
-            written[sets] = True
+        # bit b for node n - 1 - b: from each set, drop its lowest node alone or with a partner
+        reached, todo = {(1 << n) - 1}, [(1 << n) - 1]
+        while todo:
+            m = todo.pop()
+            r = m ^ 1 << m.bit_length() - 1
+            for nxt in [r] + [r ^ 1 << v for v in range(n) if r >> v & 1]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    todo += [nxt] if nxt else []
+        masks = sorted(reached)  # masks[s]: the set of rank s, the empty set first
+        rank = {m: s for s, m in enumerate(masks)}
+        assert len(masks) == fib[n + 2] and masks[0] == 0
+        end = 1
+        for b, (lo, hi, rest, src, partner, starts) in enumerate(_matching_blocks(n)):
+            for t in (rest, src, partner, starts):
+                assert t.dtype == np.int32 and not t.flags.writeable
+            # block b is the run of sets whose lowest node is n - 1 - b, after block b - 1's
+            assert lo == end and [m.bit_length() - 1 for m in masks[lo:hi]] == [b] * (hi - lo)
+            end = hi
+            rests = [m ^ 1 << b for m in masks[lo:hi]]
+            assert rest.tolist() == [rank[r] for r in rests]
+            assert (rest < lo).all() and (src < lo).all(), b  # it reads only lower ranks
             # one pair per node of the set above n - 1 - b, ascending bits; node
             # n - 1 - b with itself on the empty set when there is none
-            per_set = np.diff(np.append(starts, len(src)))
-            bits = [[v for v in range(b) if r >> v & 1] or [b] for r in rest.tolist()]
-            assert per_set.tolist() == [len(v) for v in bits]
+            bits = [[v for v in range(b) if r >> v & 1] or [b] for r in rests]
+            assert starts[0] == 0 and np.diff(starts).tolist() == [len(v) for v in bits]
             assert partner.tolist() == [n - 1 - v for vs in bits for v in vs]
-            assert (src == np.repeat(rest, per_set) & ~(1 << (n - 1 - partner))).all()
-        assert written.sum() - 1 == fib[n + 2] - 1  # every set the blocks wrote, once
-        assert written[-1]  # the full set
+            assert src.tolist() == [rank[r & ~(1 << v)] for r, vs in zip(rests, bits) for v in vs]
+        assert end == len(masks)  # every reached set has one rank, the full set the last
 
     # 0/1/2 weights up to n=15 and 0/1 weights, the most tied, up to n=16: the
     # scalar tables cost about 0.5 s per n=16 matrix
@@ -500,9 +513,21 @@ class TestReachableSets:
         if n == DEFAULT_BUDGET.max_n_matching:
             insts.append(tied_weights(n, 2, n))
         for inst in insts:
-            for k in (1, 3, n // 2):
+            for k in (1, 3, n // 2 - 1, n // 2):
                 assert opt_matching(inst, k) == Matching.from_pairs(
                     n, dense_block_matching(inst.weights, k)), (n, k)
+
+    def test_a_binding_cap_at_n_20_peaks_under_16_mib(self):
+        # (k + 1) * F(22) floats, not (k + 1) * 2^20: 85 MiB over the whole mask range
+        inst = generate(GeneratorSpec("euclidean-uniform", 20, seed=0))
+        _matching_blocks(20)  # the cached tables are built before tracing starts
+        tracemalloc.start()
+        try:
+            opt_matching(inst, 9)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.0
 
 
 class TestCombinationTable:
