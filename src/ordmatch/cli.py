@@ -16,12 +16,10 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
 
 from .harness import (
     PROBLEMS,
     RECORDS,
-    TrialConfig,
     check_record,
     load_record,
     optimum,
@@ -41,13 +39,9 @@ from .instance import (
 )
 
 
-def _from_args(cls, args):
-    """A ``cls`` dataclass built from the parsed arguments named like its fields."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
-
-
 def _cmd_gen(args):
-    d = generate(_from_args(GeneratorSpec, args))._fields()
+    spec = GeneratorSpec(args.family, args.n, args.dimension, args.seed, args.clusters)
+    d = generate(spec)._fields()
     return render(args.format, d, ",".join(f"w{j}" for j in range(d["n"])), d["weights"]), True
 
 
@@ -68,7 +62,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_bench(args):
-    report = run_trials(_from_args(TrialConfig, args))
+    report = run_trials(args.problem, args.algorithm, args.n, args.family, args.dimension,
+                        args.trials, args.seed, args.k, args.inner_samples, args.bound)
     return [report_emit(report, args.format)], report["verdict"]
 
 

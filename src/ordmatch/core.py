@@ -162,8 +162,9 @@ class RandomSource:
     ``gen`` is the ``numpy.random.Generator`` seeded by
     ``derived_seed(seed)``, the one ``harness.solve`` draws from, so library
     calls that share one RandomSource reproduce ``ordmatch solve --seed``
-    draw for draw. ``derived_seed`` mixes structured parts (base seed,
-    trial index) into one stream-safe integer; each part is a seed, ``_count``'s.
+    draw for draw; a bench trial draws from the RandomSource of its record's
+    seed. ``derived_seed`` mixes one or more seeds into one stream-safe
+    integer; each part is a seed, ``_count``'s.
     """
 
     def __init__(self, seed: int):

@@ -7,7 +7,8 @@ by per-instance Monte Carlo means with a three-standard-error allowance.
 Both sides are weighed by one gather per objective (``core`` and
 ``reductions`` define them; ``SolutionKind`` pairs each with its scalar
 one-row form), so a greedy that finds the optimum reads ratio 1.0. A
-report is its JSON document, which ``report_emit`` writes.
+report is its JSON document, which ``report_emit`` writes. Its ``config``
+re-runs it, and with a record's seed and one trial re-makes that record.
 
 The lower-bound fixtures are finite games, each a record: one preference
 profile, k, named rational weightings consistent with it, and games. In a
@@ -34,7 +35,7 @@ import math
 import os
 import re
 import statistics
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
@@ -81,7 +82,6 @@ from .reductions import (
 )
 
 __all__ = [
-    "TrialConfig",
     "check_record",
     "default_bound",
     "hybrid_bound",
@@ -267,52 +267,6 @@ def default_bound(problem: str, engine: str, n: int, k: int | None = None) -> fl
     return spec.bound(engine, n)
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    """One reproducible bench run: same config, same report bytes."""
-
-    problem: str
-    algorithm: str
-    n: int
-    family: str = "euclidean-uniform"
-    dimension: int = 2
-    trials: int = 20
-    seed: int = 0
-    k: int | None = None
-    inner_samples: int = 200
-    bound: float | None = None
-
-    def __post_init__(self):
-        for name in ("n", "trials", "inner_samples") + ("k",) * (self.k is not None):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.bound is not None:
-            _number(self.bound, "bound")
-        _, engine = problem_spec(self.problem, self.algorithm, self.n, self.k)
-        object.__setattr__(self, "engine", engine)  # beside the fields: not in a report
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.inner_samples < 2:
-            raise ValueError("inner_samples must be at least 2 for a standard error")
-        if self.bound is not None and self.bound <= 0:
-            raise ValueError("bound must be positive")
-        # last, by gen's rules: a config with another rejected field is refused for that first
-        spec = GeneratorSpec(self.family, self.n, self.dimension, self.seed)
-        object.__setattr__(self, "dimension", spec.dimension)
-        object.__setattr__(self, "seed", spec.seed)
-
-    def randomized(self) -> bool:
-        return self.engine != "greedy" or PROBLEMS[self.problem].random_reduce
-
-    def effective_bound(self) -> float:
-        if self.bound is not None:
-            return self.bound
-        return PROBLEMS[self.problem].bound(self.engine, self.n)
-
-    def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "bound": self.effective_bound()}
-
-
 def _sample(
     spec: ProblemSpec,
     engine: str,
@@ -365,32 +319,53 @@ def optimum(problem: str, inst: WeightedInstance, k: int | None) -> dict:
     return _payload(spec.kind, spec.oracle(inst, k), inst)
 
 
-def run_trials(cfg: TrialConfig) -> dict:
+def run_trials(problem: str, algorithm: str, n: int, family: str = "euclidean-uniform",
+               dimension: int = 2, trials: int = 20, seed: int = 0, k: int | None = None,
+               inner_samples: int = 200, bound: float | None = None) -> dict:
     """Bench one configuration and judge it against its bound: a report document.
 
-    Per trial: a fresh instance (seed = base + trial index), the exact
-    optimum, and the algorithm's weight. Each trial draws from one
-    ``numpy.random.Generator`` seeded by ``derived_seed(seed, trial)``.
-    Randomized algorithms draw inner_samples solutions in blocks of
-    SAMPLE_BLOCK through the batched samplers, each block taking the
-    engine's draws before the tour starts; the trial passes when
+    The report's ``config`` holds the arguments as read, ``bound`` the
+    defended one when none is given, so ``run_trials(**report["config"])``
+    returns an equal report. Trial t builds its instance from seed
+    ``seed + t``, the record's seed, and draws from ``RandomSource(seed +
+    t).gen``, as ``solve --seed`` does: the run with that seed and one trial
+    re-makes the record. Randomized algorithms draw inner_samples solutions
+    in blocks of SAMPLE_BLOCK through the batched samplers, each block taking
+    the engine's draws before the tour starts; the trial passes when
     opt/mean <= bound + 3 * stderr(ratio). Deterministic algorithms pass
     when the worst ratio stays within bound + 1e-9.
     """
-    row = PROBLEMS[_typed(cfg, TrialConfig, "cfg").problem]
-    _cap(row.cap, cfg.n)  # before any instance is generated: one past the cap may not fit memory
-    bound = cfg.effective_bound()
-    randomized = cfg.randomized()
-    draws = cfg.inner_samples if randomized else 1
+    n, trials, inner_samples = (_integer(n, "n"), _integer(trials, "trials"),
+                                _integer(inner_samples, "inner_samples"))
+    k = None if k is None else _integer(k, "k")
+    if bound is not None:
+        _number(bound, "bound")
+    row, engine = problem_spec(problem, algorithm, n, k)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if inner_samples < 2:
+        raise ValueError("inner_samples must be at least 2 for a standard error")
+    if bound is not None and bound <= 0:
+        raise ValueError("bound must be positive")
+    # last, by gen's rules: a run with another rejected argument is refused for that first
+    base = GeneratorSpec(family, n, dimension, seed)
+    _cap(row.cap, n)  # before any instance is generated: one past the cap may not fit memory
+    if bound is None:
+        bound = row.bound(engine, n)
+    config = {"problem": problem, "algorithm": algorithm, "n": n, "family": family,
+              "dimension": base.dimension, "trials": trials, "seed": base.seed, "k": k,
+              "inner_samples": inner_samples, "bound": bound}
+    randomized = engine != "greedy" or row.random_reduce
+    draws = inner_samples if randomized else 1
     records = []
-    for t in range(cfg.trials):
-        spec = GeneratorSpec(cfg.family, cfg.n, dimension=cfg.dimension, seed=cfg.seed + t)
+    for t in range(trials):
+        spec = GeneratorSpec(family, n, base.dimension, base.seed + t)
         inst = generate(spec)
         profile = derive_preferences(inst)
-        opt = row.kind.weigh(row.oracle(inst, cfg.k), inst)
-        gen = np.random.default_rng(RandomSource.derived_seed(cfg.seed, t))
+        opt = row.kind.weigh(row.oracle(inst, k), inst)
+        gen = RandomSource(spec.seed).gen
         values = np.concatenate([row.kind.values(
-            _sample(row, cfg.engine, profile, cfg.k, min(SAMPLE_BLOCK, draws - lo), gen),
+            _sample(row, engine, profile, k, min(SAMPLE_BLOCK, draws - lo), gen),
             inst.weights) for lo in range(0, draws, SAMPLE_BLOCK)])
         alg = float(values.mean())
         ratio = opt / alg if alg > 0 else (1.0 if opt == 0 else math.inf)
@@ -403,12 +378,12 @@ def run_trials(cfg: TrialConfig) -> dict:
     ratios = [r["ratio"] for r in records]
     return {
         "schema": REPORT_SCHEMA,
-        "config": cfg.to_dict(),
+        "config": config,
         "bound": bound,
         "records": records,
         "max_ratio": max(ratios),
         "mean_ratio": statistics.fmean(ratios),
-        "std_error": statistics.stdev(ratios) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0,
+        "std_error": statistics.stdev(ratios) / math.sqrt(trials) if trials > 1 else 0.0,
         "verdict": all(r["passed"] for r in records),
     }
 

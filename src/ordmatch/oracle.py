@@ -89,8 +89,9 @@ def _matching_blocks(n: int) -> tuple:
     n - 1 - b; rank 0 is the empty set), so block b is the run of ranks lo..hi.
     Its int32 tables hold, per set, the rank of its rest r (the set without a);
     per bit v of r, the rank of r ^ 2^v and node n - 1 - v (the empty set and
-    node a for an empty r); and where each set's pairs start, then their count."""
-    count, rank, blocks, lo = np.zeros(1, np.int8), np.zeros(1 << n, np.int32), [], 1
+    node a for an empty r); and where each set's pairs start, then their count.
+    Only sets below 2^(n - 1) are looked up, so the last block's are not ranked."""
+    count, rank, blocks, lo = np.zeros(1, np.int8), np.zeros(1 << n >> 1, np.int32), [], 1
     for b in range(n):  # count: popcount of each b-bit r; rank: each reached set's rank
         rest = np.flatnonzero(count >= 2 * b + 1 - n).astype(np.int32)
         v = np.arange(b + 1, dtype=np.int32)
@@ -98,7 +99,8 @@ def _matching_blocks(n: int) -> tuple:
         starts = np.searchsorted(row, np.arange(len(rest) + 1)).astype(np.int32)
         blocks.append((lo, lo + len(rest), rank[rest], rank[rest[row] & ~(1 << v[col])],
                        n - 1 - v[col], starts))
-        rank[rest | 1 << b] = np.arange(lo, lo + len(rest))
+        if b < n - 1:
+            rank[rest | 1 << b] = np.arange(lo, lo + len(rest))
         count, lo = np.concatenate([count, count + 1]), lo + len(rest)
     for t in (x for block in blocks for x in block[2:]):
         t.flags.writeable = False

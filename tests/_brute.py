@@ -15,12 +15,13 @@ compared a copy after every sweep, as first written (``pivot_metric``,
 ``pivot_friendship``, ``copy_compare_closure``), which the pivot blocks
 and the closure that stops at the exact check must match bit for bit.
 The difference-tensor distances for the per-coordinate generator, and
-the numpy matching DP over all 2^n sets (``dense_block_matching``) for
-sizes the scalar DP is too slow at. The scalar samplers and tour completion,
-driven one decision at a time by a ``random.Random``, which define the
-distributions the batched samplers and reductions must reproduce. Plain
-value loops (``matching_value``, ``partition_value``, ``subset_value``,
-``path_value``, ``tour_value``), which the weight gathers must match. The
+the numpy matching DP over all 2^n sets (``dense_block_layers`` and
+``dense_block_walk``) for sizes the scalar DP is too slow at. The scalar
+samplers and tour completion, driven one decision at a time by a
+``random.Random``, which define the distributions the batched samplers
+and reductions must reproduce. Plain value loops (``matching_value``,
+``partition_value``, ``subset_value``, ``path_value``, ``tour_value``),
+which the weight gathers must match. The
 batched kernels as first written, by 2-D fancy indexes, ``take_along_axis``
 and per-row sorts (``fancy_*_values``, ``sort_edges``, ``argsort_stitch``,
 ``sort_tours``), and the hybrid with both branches built for every draw
@@ -299,19 +300,17 @@ def dp_matching_walk(w, pairs: list, kcap: int) -> list:
     return [e for e in edges if w[e[0]][e[1]] > 0.0]
 
 
-def dense_block_matching(w: np.ndarray, k: int) -> list:
-    """Edges of the lex-first maximum-weight matching with at most k edges,
-    by the numpy subset DP over all 2^n sets.
+def dense_block_layers(w: np.ndarray, kcap: int) -> np.ndarray:
+    """The numpy subset DP's layers over all 2^n sets for at most kcap edges.
 
-    The block of indices [2^b, 2^(b+1)) holds the sets whose lowest node is
-    n - 1 - b; each (block, partner bit) step is one add and one maximum
-    over strided views. Reconstruction as in ``dp_matching``.
+    ``layers[j][mask]`` is the best weight on mask using at most j edges;
+    one layer, its own previous one, when kcap = n // 2 does not bind.
+    Layer j does not depend on kcap, so the layers built for kcap serve
+    every smaller cap too. The block of indices [2^b, 2^(b+1)) holds the
+    sets whose lowest node is n - 1 - b; each (block, partner bit) step is
+    one add and one maximum over strided views.
     """
     n = len(w)
-    kcap = min(k, n // 2)
-
-    # layers[j][mask] = best weight on mask using at most j edges. Without
-    # a binding cap one layer suffices and it is its own previous layer.
     # cur[j] and prev[j] are the layers for j + 1 and j edges. In block b,
     # the sets r below 2^b that hold bit v and the sets r ^ 2^v are the two
     # halves of a (rows, -1, 2, 2^v) view.
@@ -327,11 +326,23 @@ def dense_block_matching(w: np.ndarray, k: int) -> list:
             with_v = block.reshape(rows, -1, 2, 1 << v)[:, :, 1]
             without_v = prev[:, :h].reshape(rows, -1, 2, 1 << v)[:, :, 0]
             np.maximum(with_v, without_v + w[a, n - 1 - v], out=with_v)
+    return layers
+
+
+def dense_block_walk(w: np.ndarray, layers: np.ndarray, k: int) -> list:
+    """Edges of the lex-first maximum-weight matching with at most k edges,
+    from ``dense_block_layers`` built for min(k, n // 2), or for a larger cap
+    when k binds. Reconstruction as in ``dp_matching``.
+    """
+    n = len(w)
+    kcap = min(k, n // 2)
+    capped = kcap < n // 2
+    cur, prev = (layers[1:], layers[:-1]) if capped else (layers, layers)
 
     # Walk the layers down one per chosen edge when capped, stay put when not.
     edges = []
     mask = (1 << n) - 1
-    j = rows - 1
+    j = kcap - 1 if capped else 0
     while j >= 0 and mask & (mask - 1):
         b = mask.bit_length() - 1
         low, rest = n - 1 - b, mask ^ (1 << b)

@@ -21,7 +21,6 @@ from ordmatch import (
     GeneratorSpec,
     RandomSource,
     Tour,
-    TrialConfig,
     WeightedInstance,
     check_friendship,
     check_record,
@@ -222,22 +221,23 @@ def test_c05_lower_bound_fixtures(verdict):
 
 def test_c06_black_box_reduction_bounds(verdict):
     configs = [
-        TrialConfig("ksum", "greedy", 8, k=2, trials=25, seed=30),
-        TrialConfig("ksum", "greedy", 9, k=3, trials=25, seed=31),
-        TrialConfig("ksum", "hybrid", 6, k=3, trials=10, inner_samples=1200, seed=32),
-        TrialConfig("densest", "greedy", 12, k=6, trials=25, seed=33),
-        TrialConfig("densest", "random", 10, k=4, trials=10, inner_samples=1200, seed=34),
-        TrialConfig("tsp", "greedy", 8, trials=10, inner_samples=1200, seed=35),
-        TrialConfig("tsp", "hybrid", 6, trials=8, inner_samples=1000, seed=36),
-        TrialConfig("tsp", "hybrid", 12, trials=8, inner_samples=1000, seed=37),
+        dict(problem="ksum", algorithm="greedy", n=8, k=2, trials=25, seed=30),
+        dict(problem="ksum", algorithm="greedy", n=9, k=3, trials=25, seed=31),
+        dict(problem="ksum", algorithm="hybrid", n=6, k=3, trials=10, inner_samples=1200, seed=32),
+        dict(problem="densest", algorithm="greedy", n=12, k=6, trials=25, seed=33),
+        dict(problem="densest", algorithm="random", n=10, k=4, trials=10, inner_samples=1200,
+             seed=34),
+        dict(problem="tsp", algorithm="greedy", n=8, trials=10, inner_samples=1200, seed=35),
+        dict(problem="tsp", algorithm="hybrid", n=6, trials=8, inner_samples=1000, seed=36),
+        dict(problem="tsp", algorithm="hybrid", n=12, trials=8, inner_samples=1000, seed=37),
     ]
     ok = True
     details = []
     for cfg in configs:
-        rep = run_trials(cfg)
+        rep = run_trials(**cfg)
         ok = ok and rep["verdict"]
-        details.append(f"{cfg.problem}/{cfg.engine} n={cfg.n} bound {rep['bound']:.4g} "
-                       f"max {rep['max_ratio']:.4f}")
+        details.append(f"{cfg['problem']}/{cfg['algorithm']} n={cfg['n']} bound "
+                       f"{rep['bound']:.4g} max {rep['max_ratio']:.4f}")
     verdict("C6 black-box-reduction-bounds", ok, "; ".join(details))
 
 
@@ -388,16 +388,16 @@ def test_ksum_sweeps_at_n_12_and_16(verdict):
     # checked against 2 * hybrid_bound(n) with the harness's 3-sigma allowance.
     greedy_trials, hybrid_trials, hybrid_draws = 20, 10, 1000
     ks = {12: (2, 3, 4, 6), 16: (2, 4, 8)}
-    configs = [(TrialConfig("ksum", "greedy", n, k=k, trials=greedy_trials, seed=40 + 10 * i + k),
+    configs = [(dict(algorithm="greedy", n=n, k=k, trials=greedy_trials, seed=40 + 10 * i + k),
                 4.0) for i, n in enumerate(ks) for k in ks[n]]
-    configs += [(TrialConfig("ksum", "hybrid", n, k=k, trials=hybrid_trials,
-                             inner_samples=hybrid_draws, seed=60 + 10 * i + k),
+    configs += [(dict(algorithm="hybrid", n=n, k=k, trials=hybrid_trials,
+                      inner_samples=hybrid_draws, seed=60 + 10 * i + k),
                  2 * hybrid_bound(n)) for i, n in enumerate(ks) for k in ks[n] if n // k % 2 == 0]
     ok = True
     details = []
     for cfg, bound in configs:
-        rep = run_trials(cfg)
+        rep = run_trials("ksum", **cfg)
         ok = ok and rep["bound"] == bound and rep["verdict"]
-        details.append(f"{cfg.engine} n={cfg.n} k={cfg.k} bound {rep['bound']:.4g} "
+        details.append(f"{cfg['algorithm']} n={cfg['n']} k={cfg['k']} bound {rep['bound']:.4g} "
                        f"max {rep['max_ratio']:.4f}")
     verdict("ksum sweeps n=12,16", ok, f"{len(configs)} configs; " + "; ".join(details))

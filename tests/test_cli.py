@@ -7,11 +7,11 @@ import pytest
 from ordmatch import (
     GENERATOR_FAMILIES,
     GeneratorSpec,
-    TrialConfig,
     WeightedInstance,
     derive_preferences,
     generate,
     load_instance,
+    run_trials,
     save_instance,
 )
 from ordmatch import cli
@@ -204,7 +204,7 @@ def test_greedy_optimum_reads_ratio_one(tmp_path, capsys):
     "problem,engine", [(p, e) for p, spec in PROBLEMS.items() for e in spec.engines]
 )
 def test_bench_solve_and_oracle_accept_the_same_inputs(problem, engine, gen_paths, capsys):
-    """TrialConfig raises exactly when solve (and, for greedy, oracle) exits 1.
+    """run_trials raises exactly when solve (and, for greedy, oracle) exits 1.
 
     Where the config is deterministic, solve's value is bench's alg and
     oracle's value is bench's opt, to the bit.
@@ -213,7 +213,7 @@ def test_bench_solve_and_oracle_accept_the_same_inputs(problem, engine, gen_path
         for k in (None, *range(-1, n + 2)):
             kargs = [] if k is None else ["--k", str(k)]
             try:
-                TrialConfig(problem, engine, n, k=k, trials=1)
+                run_trials(problem, engine, n, k=k, trials=1, inner_samples=2)
                 valid = True
             except ValueError:
                 valid = False
@@ -282,6 +282,16 @@ class TestBench:
                    "--n", "10", "--trials", "5", "--bound", "1.0"])
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["verdict"] is False
+
+    def test_a_record_replays_with_its_seed_and_one_trial(self, capsys):
+        """A randomized run's third record is the one record of the run at its seed."""
+        argv = ["bench", "--problem", "tsp", "--algorithm", "hybrid", "--n", "6",
+                "--inner-samples", "30"]
+        assert main(argv + ["--seed", "4", "--trials", "3"]) == 0
+        record = json.loads(capsys.readouterr().out)["records"][2]
+        assert record["seed"] == 6
+        assert main(argv + ["--seed", "6", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"] == [record]
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "report.csv"

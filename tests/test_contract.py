@@ -51,7 +51,6 @@ from ordmatch import (
     RandomSource,
     Subset,
     Tour,
-    TrialConfig,
     WeightedInstance,
     check_record,
     cluster_weight,
@@ -227,7 +226,6 @@ WRONG_CLASS = {
                     "inst must be a WeightedInstance"),
     "optimum(list)": (lambda: harness.optimum("mwm", LIST_INST, None),
                       "inst must be a WeightedInstance"),
-    "run_trials(None)": (lambda: run_trials(None), "cfg must be a TrialConfig"),
     "report_emit(None)": (lambda: report_emit(None), "report must be a dict"),
     # a report's emitted bytes, which were refused as not a RatioReport
     "report_emit(its bytes)": (lambda: report_emit(report_emit(REPORT)),
@@ -394,7 +392,7 @@ def batches():
 
 
 RECORDS = [FLOOR, build_fixture_mutual_top_pairs(2)]
-REPORT = run_trials(TrialConfig("mkm", "greedy", 4, trials=2, k=1))
+REPORT = run_trials("mkm", "greedy", 4, trials=2, k=1)
 
 
 def records():
@@ -435,9 +433,6 @@ SIGNATURES = {
     "RandomSource": (ints(huge=True),),
     "Subset": (ints(huge=True), arg(ids())),
     "Tour": (ints(huge=True), arg(ids())),
-    "TrialConfig": (arg(TEXT), arg(TEXT), ints(huge=True), arg(TEXT), ints(huge=True),
-                    ints(huge=True), ints(huge=True), ints(huge=True), ints(huge=True),
-                    arg(FLOATS)),
     "WeightedInstance": (arg(st.sampled_from([INST.weights, LIST_INST, [[0, 1], [2, 0]],
                                               [[0.0, math.nan], [math.nan, 0.0]]])),
                          arg(st.booleans()), arg(st.sampled_from([None, [[0.0], [1.0]]])),
@@ -480,9 +475,9 @@ SIGNATURES = {
     "random_k_matching": (ints(), ints(), arg(rngs())),
     "random_k_matchings": (arg(ids()), ints(), ints(), arg(gens()), arg(st.none() | ids())),
     "report_emit": (reports(), arg(TEXT)),
-    "run_trials": (arg(st.builds(TrialConfig, st.sampled_from(["mwm", "tsp"]),
-                                 st.sampled_from(["greedy", "hybrid"]), st.sampled_from([4, 6]),
-                                 trials=st.integers(1, 2), inner_samples=st.integers(2, 4))),),
+    # run_trials runs what it accepts: huge integers only for n, seed and k, which size no work
+    "run_trials": (arg(TEXT), arg(TEXT), ints(huge=True), arg(TEXT), ints(), ints(),
+                   ints(huge=True), ints(huge=True), ints(), arg(FLOATS)),
     "save_instance": None,  # by ``test_paths``
     "subset_weight": (arg(st.just(SUBSET)), instances()),
     "tour_weight": (arg(st.just(TOUR)), instances()),

@@ -13,7 +13,6 @@ from ordmatch import (
     BudgetError,
     GeneratorSpec,
     RandomSource,
-    TrialConfig,
     WeightedInstance,
     check_record,
     default_bound,
@@ -82,60 +81,67 @@ class TestBounds:
         assert canonical_engine("random") == "random"
 
 
-class TestTrialConfig:
+# run_trials' refusals, each (positional arguments, keyword arguments, message), as the
+# arguments are read at its head: n, trials, inner_samples and k as integers, bound as a
+# number, then problem_spec's rules, the counts, the bound's sign and gen's rules.
+REFUSED = [
+    (("nope", "greedy", 8), {},
+     "unknown problem 'nope', expected one of ('mwm', 'mkm', 'ksum', 'densest', 'tsp')"),
+    (("mkm", "random", 8), {"k": 2},
+     "algorithm 'random' has no defended bound for mkm; allowed: ('greedy',)"),
+    (("densest", "hybrid", 8), {"k": 4},
+     "algorithm 'hybrid' has no defended bound for densest; allowed: ('greedy', 'random')"),
+    (("tsp", "random", 8), {},
+     "algorithm 'random' has no defended bound for tsp; allowed: ('greedy', 'hybrid')"),
+    (("mwm", "greedy", 8), {"family": "bogus"},
+     "unknown family 'bogus', expected one of ('euclidean-uniform', 'random-metric-closure', "
+     "'clustered-gaussian')"),
+    (("mwm", "greedy", 8), {"trials": 0}, "trials must be at least 1"),
+    (("mwm", "hybrid", 8), {"inner_samples": 1},
+     "inner_samples must be at least 2 for a standard error"),
+    (("mwm", "greedy", 1), {}, "n must be at least 2, got 1"),
+    (("mkm", "greedy", 10), {}, "mkm needs 1 <= k <= n//2, got k=None, n=10"),  # k missing
+    (("mkm", "greedy", 10), {"k": 6}, "mkm needs 1 <= k <= n//2, got k=6, n=10"),  # above n//2
+    (("ksum", "greedy", 9), {"k": 2}, "ksum needs k >= 1 dividing n, got k=2, n=9"),
+    # k < 1, rejected before n % k
+    (("ksum", "greedy", 8), {"k": 0}, "ksum needs k >= 1 dividing n, got k=0, n=8"),
+    (("ksum", "hybrid", 9), {"k": 3}, "ksum with the hybrid engine needs an even cluster size"),
+    (("densest", "greedy", 10), {"k": 3}, "densest needs even k in 2..n, got k=3, n=10"),
+    (("tsp", "greedy", 7), {}, "tsp needs even n >= 4, got n=7"),
+    # neither mwm nor tsp takes a k, so none is accepted and ignored
+    *((("mwm", "greedy", 8), {"k": k}, f"mwm takes no k (its matching is perfect), got k={k}")
+      for k in (0, 2, 4)),
+    *((("tsp", "greedy", 8), {"k": k}, f"tsp takes no k (its tour visits every node), got k={k}")
+      for k in (0, 2, 4)),
+    (("mwm", "greedy", 8), {"bound": 0.0}, "bound must be positive"),
+    *((("mwm", "greedy", 8), {"bound": bound}, f"bound must be finite, got {bound}")
+      for bound in (math.inf, -math.inf, math.nan)),
+]
+
+
+class TestRunTrialsArguments:
     def test_accepts_reduction_alias(self):
-        cfg = TrialConfig("ksum", "reduction-of(greedy)", 8, k=2, trials=1)
-        assert cfg.engine == "greedy"
+        alias = run_trials("ksum", "reduction-of(greedy)", 8, k=2, trials=1)
+        plain = run_trials("ksum", "greedy", 8, k=2, trials=1)
+        assert alias["config"]["algorithm"] == "reduction-of(greedy)"
+        assert alias["bound"] == 4.0
+        assert {**alias, "config": None} == {**plain, "config": None}
 
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            TrialConfig("nope", "greedy", 8)
-        with pytest.raises(ValueError):
-            TrialConfig("mkm", "random", 8, k=2)
-        with pytest.raises(ValueError):
-            TrialConfig("densest", "hybrid", 8, k=4)
-        with pytest.raises(ValueError):
-            TrialConfig("tsp", "random", 8)
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 8, family="bogus")
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 8, trials=0)
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "hybrid", 8, inner_samples=1)
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 1)
-        with pytest.raises(ValueError):
-            TrialConfig("mkm", "greedy", 10)  # k missing
-        with pytest.raises(ValueError):
-            TrialConfig("mkm", "greedy", 10, k=6)  # above n//2
-        with pytest.raises(ValueError):
-            TrialConfig("ksum", "greedy", 9, k=2)  # k does not divide n
-        with pytest.raises(ValueError):
-            TrialConfig("ksum", "greedy", 8, k=0)  # k < 1, rejected before n % k
-        with pytest.raises(ValueError):
-            TrialConfig("ksum", "hybrid", 9, k=3)  # odd cluster size
-        with pytest.raises(ValueError):
-            TrialConfig("densest", "greedy", 10, k=3)  # odd k
-        with pytest.raises(ValueError):
-            TrialConfig("tsp", "greedy", 7)
-        for problem in ("mwm", "tsp"):  # neither takes a k, so none is accepted and ignored
-            for k in (0, 2, 4):
-                with pytest.raises(ValueError, match="takes no k"):
-                    TrialConfig(problem, "greedy", 8, k=k)
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 8, bound=0.0)
+    @pytest.mark.parametrize("args, kwargs, message", REFUSED, ids=[m for *_, m in REFUSED])
+    def test_rejections(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trials(*args, **kwargs)
 
-    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite_bound(self, bound):
-        with pytest.raises(ValueError):
-            TrialConfig("mwm", "greedy", 8, bound=bound)
+    def test_randomized_runs_report_a_standard_error(self):
+        def stderr(problem, algorithm):
+            report = run_trials(problem, algorithm, 8, trials=1, inner_samples=20)
+            return report["records"][0]["stderr"]
 
-    def test_randomized_flag(self):
-        assert not TrialConfig("mwm", "greedy", 8, trials=1).randomized()
-        assert TrialConfig("mwm", "random", 8, trials=1).randomized()
-        assert TrialConfig("mwm", "hybrid", 8, trials=1).randomized()
+        assert stderr("mwm", "greedy") == 0.0
+        assert stderr("mwm", "random") > 0.0
+        assert stderr("mwm", "hybrid") > 0.0
         # tour completion draws a start node, so tsp is randomized even under greedy
-        assert TrialConfig("tsp", "greedy", 8, trials=1).randomized()
+        assert stderr("tsp", "greedy") > 0.0
 
 
 class TestProblemGate:
@@ -169,7 +175,7 @@ class TestProblemGate:
         (lambda inst: opt_densest(inst, 4), "densest"),
         (lambda inst: opt_k_sum(inst, 2), "k-sum"), (lambda inst: opt_tsp(inst), "tsp"),
         (lambda inst: harness.optimum("mkm", inst, 2), "matching"),
-        (lambda inst: run_trials(TrialConfig("mwm", "greedy", 8, trials=1)), "matching")],
+        (lambda inst: run_trials("mwm", "greedy", 8, trials=1), "matching")],
         ids=["opt_matching", "opt_densest", "opt_k_sum", "opt_tsp", "optimum", "run_trials"])
     def test_every_oracle_call_reads_the_one_budget(self, call, what, monkeypatch):
         """Each bound ``DEFAULT_BUDGET`` as a default argument when it was defined, so a
@@ -205,13 +211,13 @@ class TestProblemGate:
             oracle(inst, k)
 
     def test_no_none_engine(self):
-        """solve ran greedy, and TrialConfig a greedy marked randomized that reported
+        """solve ran greedy, and bench a greedy marked randomized that reported
         "algorithm": null: None was the oracle's "no engine"."""
         inst = generate(GeneratorSpec("euclidean-uniform", 8, seed=1))
         with pytest.raises(ValueError, match="^algorithm must be a string, got None$"):
             harness.solve("mwm", None, inst, None, 0)
         with pytest.raises(ValueError, match="^algorithm must be a string, got None$"):
-            TrialConfig("mwm", None, 8)
+            run_trials("mwm", None, 8)
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--n", "6", "--trials", "3", "--inner-samples", "9", "--algorithm", "hybrid"],
@@ -230,16 +236,22 @@ class TestProblemGate:
         assert calls == {"canonical_engine": 1, "problem_spec": 1}
 
 
+# Every (problem, engine) of the table, and a small size for each problem.
+ROWS = [(problem, engine) for problem, spec in harness.PROBLEMS.items() for engine in spec.engines]
+SMALL = {"mwm": {"n": 6}, "mkm": {"n": 6, "k": 2}, "ksum": {"n": 8, "k": 2},
+         "densest": {"n": 6, "k": 4}, "tsp": {"n": 6}}
+
+
 class TestRunTrials:
     def test_replay_bytes_identical(self):
-        cfg = TrialConfig("mwm", "hybrid", 6, trials=3, inner_samples=50, seed=2)
-        a = report_emit(run_trials(cfg), "json")
-        b = report_emit(run_trials(cfg), "json")
+        cfg = dict(problem="mwm", algorithm="hybrid", n=6, trials=3, inner_samples=50, seed=2)
+        a = report_emit(run_trials(**cfg), "json")
+        b = report_emit(run_trials(**cfg), "json")
         assert a == b
-        assert report_emit(run_trials(cfg), "csv") == report_emit(run_trials(cfg), "csv")
+        assert report_emit(run_trials(**cfg), "csv") == report_emit(run_trials(**cfg), "csv")
 
     def test_deterministic_verdict_passes_honestly(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 8, trials=6, seed=0))
+        r = run_trials("mwm", "greedy", 8, trials=6, seed=0)
         assert r["verdict"]
         assert r["bound"] == 2.0
         for rec in r["records"]:
@@ -247,19 +259,19 @@ class TestRunTrials:
             assert rec["ratio"] <= 2.0 + 1e-9
 
     def test_unreachable_bound_fails(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 10, trials=5, seed=0, bound=1.0))
+        r = run_trials("mwm", "greedy", 10, trials=5, seed=0, bound=1.0)
         assert not r["verdict"]
         assert r["max_ratio"] > 1.0 + 1e-9
 
     def test_randomized_records_carry_stderr(self):
-        r = run_trials(TrialConfig("mwm", "random", 6, trials=2, inner_samples=80, seed=1))
+        r = run_trials("mwm", "random", 6, trials=2, inner_samples=80, seed=1)
         for rec in r["records"]:
             assert rec["stderr"] > 0.0
             assert rec["alg"] > 0.0
         assert r["verdict"]
 
     def test_aggregates_recomputable_from_records(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 8, trials=5, seed=3))
+        r = run_trials("mwm", "greedy", 8, trials=5, seed=3)
         ratios = [rec["ratio"] for rec in r["records"]]
         assert r["max_ratio"] == max(ratios)
         assert r["mean_ratio"] == statistics.fmean(ratios)
@@ -267,19 +279,36 @@ class TestRunTrials:
 
     def test_inner_samples_span_several_blocks(self, monkeypatch):
         monkeypatch.setattr(harness, "SAMPLE_BLOCK", 7)
-        cfg = TrialConfig("tsp", "hybrid", 6, trials=2, inner_samples=20, seed=4)
-        a, b = run_trials(cfg), run_trials(cfg)
+        cfg = dict(problem="tsp", algorithm="hybrid", n=6, trials=2, inner_samples=20, seed=4)
+        a, b = run_trials(**cfg), run_trials(**cfg)
         assert a["verdict"]
         assert report_emit(a, "json") == report_emit(b, "json")
         for rec in a["records"]:
             assert rec["stderr"] > 0.0
 
     def test_trial_seeds_are_base_plus_index(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 6, trials=4, seed=10))
+        r = run_trials("mwm", "greedy", 6, trials=4, seed=10)
         assert [rec["seed"] for rec in r["records"]] == [10, 11, 12, 13]
 
+    @pytest.mark.parametrize("problem, engine", ROWS)
+    def test_the_config_reruns_the_report(self, problem, engine):
+        report = run_trials(problem, engine, **SMALL[problem], trials=3, inner_samples=20, seed=7)
+        assert list(report["config"]) == ["problem", "algorithm", "n", "family", "dimension",
+                                          "trials", "seed", "k", "inner_samples", "bound"]
+        assert report["config"]["bound"] == report["bound"]
+        assert run_trials(**report["config"]) == report
+
+    @pytest.mark.parametrize("problem, engine", ROWS)
+    def test_each_record_replays_alone_from_its_seed(self, problem, engine):
+        """Trial t drew from ``derived_seed(seed, t)``, so only the deterministic rows replayed:
+        a randomized record needed the whole run."""
+        report = run_trials(problem, engine, **SMALL[problem], trials=3, inner_samples=20, seed=7)
+        for record in report["records"]:
+            replay = run_trials(**{**report["config"], "seed": record["seed"], "trials": 1})
+            assert replay["records"] == [record], record["seed"]
+
     def test_a_report_is_its_json_document(self):
-        r = run_trials(TrialConfig("mwm", "hybrid", 6, trials=2, inner_samples=10, seed=5))
+        r = run_trials("mwm", "hybrid", 6, trials=2, inner_samples=10, seed=5)
         assert type(r) is dict
         assert list(r) == ["schema", "config", "bound", "records", "max_ratio", "mean_ratio",
                            "std_error", "verdict"]
@@ -299,20 +328,17 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "generate", generate_nothing)
         message = f"{what} oracle capped at n={cap}, got n={n}"
         with pytest.raises(BudgetError, match=f"^{message}$"):
-            run_trials(TrialConfig(problem, "greedy", n, k=k, trials=1))
+            run_trials(problem, "greedy", n, k=k, trials=1)
         argv = ["bench", "--problem", problem, "--n", str(n), "--trials", "1"]
         assert main(argv + ["--k", str(k)] * (k is not None)) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_reduction_problems_run(self):
-        assert run_trials(TrialConfig("ksum", "greedy", 8, k=2, trials=2, seed=0))["verdict"]
-        assert run_trials(TrialConfig("mkm", "greedy", 9, k=2, trials=2, seed=0))["verdict"]
-        assert run_trials(
-            TrialConfig("densest", "random", 8, k=4, trials=2, inner_samples=60, seed=0)
-        )["verdict"]
-        assert run_trials(
-            TrialConfig("tsp", "greedy", 6, trials=2, inner_samples=60, seed=0)
-        )["verdict"]
+        assert run_trials("ksum", "greedy", 8, k=2, trials=2, seed=0)["verdict"]
+        assert run_trials("mkm", "greedy", 9, k=2, trials=2, seed=0)["verdict"]
+        assert run_trials("densest", "random", 8, k=4, trials=2, inner_samples=60,
+                          seed=0)["verdict"]
+        assert run_trials("tsp", "greedy", 6, trials=2, inner_samples=60, seed=0)["verdict"]
 
     def test_all_equal_weights_ratio_is_one(self):
         w = [[0.0 if i == j else 1.0 for j in range(6)] for i in range(6)]
@@ -331,13 +357,13 @@ class TestReportEmit:
                 "std_error": 0.0, "verdict": True}
 
     def test_json_round_trips(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 6, trials=3, seed=5))
+        r = run_trials("mwm", "greedy", 6, trials=3, seed=5)
         payload = json.loads(report_emit(r, "json").decode("utf-8"))
         assert payload == r
         assert payload["schema"] == 2
 
     def test_infinite_ratio_is_strict_json_null(self):
-        r = run_trials(TrialConfig("mwm", "random", 6, trials=2, inner_samples=10, seed=5))
+        r = run_trials("mwm", "random", 6, trials=2, inner_samples=10, seed=5)
         r["records"][0]["ratio"] = math.inf  # what an ALG mean of 0 gives
         r.update(max_ratio=math.inf, mean_ratio=math.inf, std_error=math.nan)
 
@@ -352,7 +378,7 @@ class TestReportEmit:
         assert payload["std_error"] is None
 
     def test_csv_header_and_rows(self):
-        r = run_trials(TrialConfig("mwm", "greedy", 6, trials=3, seed=5))
+        r = run_trials("mwm", "greedy", 6, trials=3, seed=5)
         lines = report_emit(r, "csv").decode("utf-8").strip().split("\n")
         assert lines[0] == "seed,opt,alg,ratio"
         assert len(lines) == 4

@@ -30,7 +30,6 @@ from ordmatch import (
     GeneratorSpec,
     MalformedInstanceError,
     PreferenceProfile,
-    TrialConfig,
     WeightedInstance,
     check_friendship,
     derive_preferences,
@@ -40,6 +39,7 @@ from ordmatch import (
     load_instance,
     matchings_to_tours,
     profile_consistent,
+    run_trials,
     save_instance,
     validate_metric,
 )
@@ -1124,29 +1124,29 @@ class TestGenerators:
     @pytest.mark.parametrize("field, value", [("n", 8.0), ("dimension", 2.0), ("trials", 2.5),
                                               ("trials", True), ("inner_samples", 2.5),
                                               ("k", 2.0), ("seed", 1.5)])
-    def test_trial_config_fields_are_integers(self, field, value):
+    def test_run_trials_arguments_are_integers(self, field, value):
         """trials=2.5 and inner_samples=2.5 raised range's TypeError in ``run_trials``, n=8.0
-        constructed and failed there, and trials=True reported "trials": true."""
+        was accepted and failed there, and trials=True reported "trials": true."""
         fields = {"problem": "mkm", "algorithm": "greedy", "n": 8, "k": 2, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
-            TrialConfig(**fields)
+            run_trials(**fields)
 
-    def test_trial_config_refuses_a_boolean_bound(self):
+    def test_run_trials_refuses_a_boolean_bound(self):
         """bound=True ran, and the report carried "bound": true."""
         with pytest.raises(ValueError, match="^bound must be a number, got True$"):
-            TrialConfig("mwm", "greedy", 8, bound=True)
+            run_trials("mwm", "greedy", 8, bound=True)
 
     @pytest.mark.parametrize("field, value, message", [
         ("algorithm", 5, "algorithm must be a string, got 5"),
         ("bound", "2", "bound must be a number, got '2'"),
         ("bound", [1], "bound must be a number, got [1]"),
         ("dimension", 0, "dimension must be positive, got 0")])
-    def test_trial_config_refuses_at_construction(self, field, value, message):
+    def test_run_trials_refuses_before_any_trial(self, field, value, message):
         """algorithm=5 raised AttributeError, bound="2" and bound=[1] TypeError, and
-        dimension=0 constructed and was refused only inside ``run_trials``."""
+        dimension=0 was refused only once the trials began."""
         fields = {"problem": "mwm", "algorithm": "greedy", "n": 8, field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            TrialConfig(**fields)
+            run_trials(**fields)
 
     @pytest.mark.parametrize("call, message", [
         (lambda inst: validate_metric(inst, "0"), "tol must be a number, got '0'"),
@@ -1159,11 +1159,11 @@ class TestGenerators:
                      f"tol must be finite, got {10**400}", id="tol-10**400"),
         (lambda inst: validate_metric(inst, math.inf), "tol must be finite, got inf"),
         (lambda inst: validate_metric(inst, -math.inf), "tol must be finite, got -inf"),
-        pytest.param(lambda inst: TrialConfig("mwm", "greedy", 8, bound=10**400),
+        pytest.param(lambda inst: run_trials("mwm", "greedy", 8, bound=10**400),
                      f"bound must be finite, got {10**400}", id="bound-10**400"),
-        (lambda inst: TrialConfig("mwm", "greedy", 8, bound=math.inf),
+        (lambda inst: run_trials("mwm", "greedy", 8, bound=math.inf),
          "bound must be finite, got inf"),
-        (lambda inst: TrialConfig("mwm", "greedy", 8, bound=-math.inf),
+        (lambda inst: run_trials("mwm", "greedy", 8, bound=-math.inf),
          "bound must be finite, got -inf")])
     def test_real_number_inputs_are_numbers(self, call, message):
         """tol "0" and None and alpha "0.3" and None raised TypeError, tol=True read as 1.0
@@ -1180,10 +1180,10 @@ class TestGenerators:
             with pytest.raises(MalformedInstanceError, match=message):
                 WeightedInstance(w, metric="yes")
 
-    def test_trial_config_takes_numpy_integers_as_python_ints(self):
-        cfg = TrialConfig("mkm", "greedy", np.int64(8), dimension=np.int32(3), trials=np.uint8(2),
-                          seed=np.int16(4), k=np.int64(2), inner_samples=np.int64(30))
-        values = [getattr(cfg, f) for f in ("n", "dimension", "trials", "seed", "k", "inner_samples")]
+    def test_run_trials_reports_numpy_integers_as_python_ints(self):
+        cfg = run_trials("mkm", "greedy", np.int64(8), dimension=np.int32(3), trials=np.uint8(2),
+                         seed=np.int16(4), k=np.int64(2), inner_samples=np.int64(30))["config"]
+        values = [cfg[f] for f in ("n", "dimension", "trials", "seed", "k", "inner_samples")]
         assert values == [8, 3, 2, 4, 2, 30] and {type(v) for v in values} == {int}
 
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 64, 65, 100, 130])

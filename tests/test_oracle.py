@@ -10,7 +10,8 @@ from _brute import (
     brute_max_k_sum,
     brute_max_matching,
     brute_max_tour,
-    dense_block_matching,
+    dense_block_layers,
+    dense_block_walk,
     dp_matching,
     dp_matching_layers,
     dp_matching_walk,
@@ -513,9 +514,22 @@ class TestReachableSets:
         if n == DEFAULT_BUDGET.max_n_matching:
             insts.append(tied_weights(n, 2, n))
         for inst in insts:
-            for k in (1, 3, n // 2 - 1, n // 2):
+            # one table for the caps that bind (n // 2 - 1 is the largest) and one for n // 2
+            w, half = inst.weights, n // 2
+            tables = {True: dense_block_layers(w, half - 1), False: dense_block_layers(w, half)}
+            for k in (1, 3, half - 1, half):
                 assert opt_matching(inst, k) == Matching.from_pairs(
-                    n, dense_block_matching(inst.weights, k)), (n, k)
+                    n, dense_block_walk(w, tables[k < half], k)), (n, k)
+
+    def test_the_n_20_table_build_peaks_under_6_mib(self):
+        # its mask -> rank array covers the 2^19 sets below the last block, not all 2^20: 7.2 MiB
+        tracemalloc.start()
+        try:
+            _matching_blocks.__wrapped__(20)  # a cold build, outside the cache
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0
 
     def test_a_binding_cap_at_n_20_peaks_under_16_mib(self):
         # (k + 1) * F(22) floats, not (k + 1) * 2^20: 85 MiB over the whole mask range

@@ -18,7 +18,6 @@ from ordmatch import (
     Path,
     Subset,
     Tour,
-    TrialConfig,
     WeightedInstance,
     cluster_weight,
     derive_preferences,
@@ -155,7 +154,7 @@ GREEDY_ROWS = [("mwm", None, 8), ("mkm", 2, 8), ("ksum", 2, 8), ("ksum", 3, 9),
 @pytest.mark.parametrize("problem,k,n", GREEDY_ROWS)
 def test_greedy_that_finds_the_optimum_reads_ratio_one(problem, k, n):
     seeds = 100
-    report = run_trials(TrialConfig(problem, "greedy", n, k=k, trials=seeds))
+    report = run_trials(problem, "greedy", n, k=k, trials=seeds)
     found = 0
     for record in report["records"]:
         inst = generate(GeneratorSpec("euclidean-uniform", n, seed=record["seed"]))
